@@ -63,8 +63,8 @@ SimulationConfig BaseConfig(int tasks) {
   // Keep the tool-default monitoring on: it is what every CLI run pays, and
   // the state observer shares the monitor's per-event SystemSnapshot, so
   // this measures the observability layer's own cost (serialization +
-  // sampling) rather than re-billing it for the O(nodes) snapshot the
-  // monitor already takes.
+  // sampling) rather than re-billing it for the O(1) snapshot the monitor
+  // already takes.
   config.enable_monitoring = true;
   config.seed = 42;
   return config;

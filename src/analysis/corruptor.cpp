@@ -76,6 +76,10 @@ void StructureCorruptor::ExposeFailedNode(resource::ResourceStore& store,
   store.nodes_.at(node.value()).failed_ = true;
 }
 
+void StructureCorruptor::SkewFleetTotals(resource::ResourceStore& store) {
+  ++store.fleet_totals_.wasted_area;
+}
+
 void StructureCorruptor::MisplaceSusBucketEntry(
     resource::SuspensionQueue& queue, TaskId task,
     ConfigId wrong_config) {

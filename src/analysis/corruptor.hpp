@@ -48,6 +48,10 @@ class StructureCorruptor {
   /// store counter).
   static void ExposeFailedNode(resource::ResourceStore& store, NodeId node);
 
+  /// Bumps the store's running wasted-area total by one, as a mutation
+  /// path that forgot its delta would. Expected slug: fleet.totals.
+  static void SkewFleetTotals(resource::ResourceStore& store);
+
   /// Moves a queued task's seq from its home bucket to `wrong_config`'s
   /// bucket in the SusQueueIndex (requires the drain index). Expected
   /// slug: susidx.bucket.

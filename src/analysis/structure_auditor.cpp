@@ -385,6 +385,51 @@ void StructureAuditor::AuditFaultVisibility(const ResourceStore& store,
   }
 }
 
+// --- Fleet-wide aggregates --------------------------------------------------
+
+void StructureAuditor::AuditFleetTotals(const ResourceStore& store,
+                                        AuditReport& report) {
+  // Restated from the documented field meanings over slot recounts; the
+  // store's own per-node contribution helper is deliberately not reused.
+  // Areas come from Eq. 4 over the live slots (configured = live ReqArea,
+  // wasted = TotalArea - live ReqArea), so a node whose counters drift
+  // shows up here as well as under eq4.area.
+  resource::FleetTotals truth;
+  for (const Node& node : store.nodes_) {
+    const NodeTruth t = RecountNode(store, node, report);
+    truth.total_area += node.total_area();
+    truth.reconfigurations += node.reconfig_count();
+    if (node.reconfig_count() > 0) ++truth.used_nodes;
+    if (t.live == 0) {
+      ++truth.blank_nodes;
+      continue;
+    }
+    truth.configured_area += t.live_area;
+    truth.wasted_area += node.total_area() - t.live_area;
+    if (t.running > 0) {
+      ++truth.busy_nodes;
+      truth.running_tasks += t.running;
+    } else {
+      truth.idle_wasted_area += node.total_area() - t.live_area;
+    }
+  }
+  const resource::FleetTotals& live = store.fleet_totals();
+  const auto diff = [&report](const char* field, auto running, auto recount) {
+    if (running == recount) return;
+    Report(report, "fleet.totals", Format("fleet totals {}", field),
+           Format("running total {} != recount {}", running, recount));
+  };
+  diff("blank_nodes", live.blank_nodes, truth.blank_nodes);
+  diff("busy_nodes", live.busy_nodes, truth.busy_nodes);
+  diff("running_tasks", live.running_tasks, truth.running_tasks);
+  diff("total_area", live.total_area, truth.total_area);
+  diff("configured_area", live.configured_area, truth.configured_area);
+  diff("wasted_area", live.wasted_area, truth.wasted_area);
+  diff("idle_wasted_area", live.idle_wasted_area, truth.idle_wasted_area);
+  diff("reconfigurations", live.reconfigurations, truth.reconfigurations);
+  diff("used_nodes", live.used_nodes, truth.used_nodes);
+}
+
 // --- StoreIndex mirror ------------------------------------------------------
 
 void StructureAuditor::AuditStoreIndex(const ResourceStore& store,
@@ -965,6 +1010,7 @@ AuditReport StructureAuditor::AuditStore(const ResourceStore& store) {
   AuditAreaAccounting(store, report);
   AuditBlankList(store, report);
   AuditFaultVisibility(store, report);
+  AuditFleetTotals(store, report);
   AuditStoreIndex(store, report);
   AuditShards(store, report);
   return report;

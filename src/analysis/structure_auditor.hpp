@@ -65,8 +65,9 @@ struct AuditReport {
 class StructureAuditor {
  public:
   /// Audits the Fig. 3 lists, the blank list, the Eq. 4 area accounting,
-  /// the fault-visibility rules, and (when enabled) the StoreIndex mirror
-  /// and the sharded kernel's partition + per-shard indexes.
+  /// the fault-visibility rules, the fleet-wide aggregates, and (when
+  /// enabled) the StoreIndex mirror and the sharded kernel's partition +
+  /// per-shard indexes.
   [[nodiscard]] static AuditReport AuditStore(
       const resource::ResourceStore& store);
 
@@ -106,6 +107,8 @@ class StructureAuditor {
                              AuditReport& report);
   static void AuditFaultVisibility(const resource::ResourceStore& store,
                                    AuditReport& report);
+  static void AuditFleetTotals(const resource::ResourceStore& store,
+                               AuditReport& report);
   static void AuditStoreIndex(const resource::ResourceStore& store,
                               AuditReport& report);
   static void AuditShards(const resource::ResourceStore& store,

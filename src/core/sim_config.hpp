@@ -143,8 +143,8 @@ struct SimulationConfig {
 
   // --- Metrics ---
   WasteAccounting waste_accounting = WasteAccounting::kOnSchedule;
-  /// Event-driven utilization monitoring (O(nodes) per event); disable for
-  /// large sweeps.
+  /// Event-driven utilization monitoring (one O(1) snapshot of the store's
+  /// fleet-wide aggregates per event).
   bool enable_monitoring = true;
 
   // --- Reproducibility ---

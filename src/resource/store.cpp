@@ -4,6 +4,7 @@
 #include "obs/profiler.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "resource/shard_engine.hpp"
@@ -11,6 +12,64 @@
 #include "util/fmt.hpp"
 
 namespace dreamsim::resource {
+
+namespace {
+
+/// One node's FleetTotals contribution in its current state.
+FleetTotals Contribution(const Node& node) {
+  FleetTotals t;
+  t.total_area = node.total_area();
+  t.reconfigurations = node.reconfig_count();
+  t.used_nodes = node.reconfig_count() > 0 ? 1 : 0;
+  if (node.blank()) {
+    t.blank_nodes = 1;
+    return t;
+  }
+  t.configured_area = node.total_area() - node.available_area();
+  t.wasted_area = node.available_area();
+  if (node.busy()) {
+    t.busy_nodes = 1;
+    t.running_tasks = node.running_tasks();
+  } else {
+    t.idle_wasted_area = node.available_area();
+  }
+  return t;
+}
+
+/// totals = op(totals, part), field by field.
+template <typename Op>
+void Combine(FleetTotals& totals, const FleetTotals& part, Op op) {
+  totals.blank_nodes = op(totals.blank_nodes, part.blank_nodes);
+  totals.busy_nodes = op(totals.busy_nodes, part.busy_nodes);
+  totals.running_tasks = op(totals.running_tasks, part.running_tasks);
+  totals.total_area = op(totals.total_area, part.total_area);
+  totals.configured_area = op(totals.configured_area, part.configured_area);
+  totals.wasted_area = op(totals.wasted_area, part.wasted_area);
+  totals.idle_wasted_area = op(totals.idle_wasted_area, part.idle_wasted_area);
+  totals.reconfigurations = op(totals.reconfigurations, part.reconfigurations);
+  totals.used_nodes = op(totals.used_nodes, part.used_nodes);
+}
+
+/// Brackets one node mutation: removes the node's FleetTotals contribution
+/// on entry and adds its current contribution back on exit. Exit by
+/// exception re-adds too, so a mutation that throws before touching the
+/// node leaves the totals exactly as they were.
+class TotalsDelta {
+ public:
+  TotalsDelta(FleetTotals& totals, const Node& node)
+      : totals_(totals), node_(node) {
+    Combine(totals_, Contribution(node_), std::minus<>{});
+  }
+  ~TotalsDelta() { Combine(totals_, Contribution(node_), std::plus<>{}); }
+  TotalsDelta(const TotalsDelta&) = delete;
+  TotalsDelta& operator=(const TotalsDelta&) = delete;
+
+ private:
+  FleetTotals& totals_;
+  const Node& node_;
+};
+
+}  // namespace
 
 ResourceStore::ResourceStore(ConfigCatalogue configs)
     : configs_(std::move(configs)),
@@ -38,6 +97,7 @@ ResourceStore::ResourceStore(ResourceStore&& other) noexcept
       blank_pos_(std::move(other.blank_pos_)),
       busy_area_(std::move(other.busy_area_)),
       failed_count_(other.failed_count_),
+      fleet_totals_(other.fleet_totals_),
       index_(std::move(other.index_)),
       shard_(std::move(other.shard_)),
       min_config_area_(other.min_config_area_),
@@ -56,6 +116,7 @@ ResourceStore& ResourceStore::operator=(ResourceStore&& other) noexcept {
   blank_pos_ = std::move(other.blank_pos_);
   busy_area_ = std::move(other.busy_area_);
   failed_count_ = other.failed_count_;
+  fleet_totals_ = other.fleet_totals_;
   index_ = std::move(other.index_);
   shard_ = std::move(other.shard_);
   min_config_area_ = other.min_config_area_;
@@ -75,9 +136,7 @@ void ResourceStore::SetIndexed(bool enabled) {
     return;
   }
   index_ = std::make_unique<StoreIndex>(configs_);
-  for (const Node& n : nodes_) {
-    index_->AddNode(n, busy_area_[n.id().value()]);
-  }
+  index_->AddNodes(nodes_, busy_area_);
 }
 
 void ResourceStore::SetShards(std::size_t shards, std::size_t threads,
@@ -119,9 +178,9 @@ void ResourceStore::RefreshIndex(NodeId node_id) {
   }
 }
 
-NodeId ResourceStore::AddNode(Area total_area, FamilyId family, Caps caps,
-                              Tick network_delay, bool contiguous,
-                              Placement placement) {
+NodeId ResourceStore::AppendNode(Area total_area, FamilyId family, Caps caps,
+                                 Tick network_delay, bool contiguous,
+                                 Placement placement) {
   const auto id = NodeId{static_cast<std::uint32_t>(nodes_.size())};
   nodes_.emplace_back(id, total_area, family, caps, contiguous, placement);
   nodes_.back().set_network_delay(network_delay);
@@ -136,15 +195,34 @@ NodeId ResourceStore::AddNode(Area total_area, FamilyId family, Caps caps,
   blank_pos_.push_back(blank_.size());
   blank_.push_back(id);
   busy_area_.push_back(0);
-  if (index_) index_->AddNode(nodes_.back(), 0);
-  if (shard_) shard_->AddNode(nodes_.back(), 0);
+  Combine(fleet_totals_, Contribution(nodes_.back()), std::plus<>{});
   return id;
+}
+
+NodeId ResourceStore::AddNode(Area total_area, FamilyId family, Caps caps,
+                              Tick network_delay, bool contiguous,
+                              Placement placement) {
+  const NodeId id = AppendNode(total_area, family, caps, network_delay,
+                               contiguous, placement);
+  IndexNodesFrom(id.value());
+  return id;
+}
+
+void ResourceStore::IndexNodesFrom(std::size_t first) {
+  const auto fresh = std::span<const Node>(nodes_).subspan(first);
+  if (index_) {
+    index_->AddNodes(fresh, std::span<const Area>(busy_area_).subspan(first));
+  }
+  if (shard_) {
+    for (const Node& n : fresh) shard_->AddNode(n, 0);
+  }
 }
 
 void ResourceStore::InitNodes(const NodeGenParams& params, Rng& rng) {
   if (params.min_area <= 0 || params.min_area > params.max_area) {
     throw std::invalid_argument("invalid node area range");
   }
+  const std::size_t first = nodes_.size();
   for (int i = 0; i < params.count; ++i) {
     const Area area = rng.uniform_int(params.min_area, params.max_area);
     const auto family =
@@ -157,9 +235,10 @@ void ResourceStore::InitNodes(const NodeGenParams& params, Rng& rng) {
     caps.config_bandwidth = 400;
     const Tick delay =
         rng.uniform_int(params.min_network_delay, params.max_network_delay);
-    AddNode(area, family, caps, delay, params.contiguous_placement,
-            params.placement);
+    AppendNode(area, family, caps, delay, params.contiguous_placement,
+               params.placement);
   }
+  IndexNodesFrom(first);
   ReserveEntryLists(params.count);
 }
 
@@ -169,8 +248,9 @@ void ResourceStore::InitDeviceClasses(
     throw std::invalid_argument("need at least one device class");
   }
   int total = 0;
-  for (std::size_t c = 0; c < classes.size(); ++c) {
-    const DeviceClassParams& p = classes[c];
+  // Validate every class before generating any node: the population is
+  // indexed in one batch at the end.
+  for (const DeviceClassParams& p : classes) {
     if (p.count <= 0) {
       throw std::invalid_argument(
           "device class '" + p.name + "' has non-positive count");
@@ -180,6 +260,10 @@ void ResourceStore::InitDeviceClasses(
           "device class '" + p.name + "' has an invalid area range");
     }
     total += p.count;
+  }
+  const std::size_t first = nodes_.size();
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    const DeviceClassParams& p = classes[c];
     // Class 0 replays the homogeneous InitNodes stream verbatim; later
     // classes branch onto decoupled sub-streams so editing one class never
     // perturbs another's population.
@@ -194,9 +278,11 @@ void ResourceStore::InitDeviceClasses(
       caps.config_bandwidth = p.config_bandwidth;
       const Tick delay =
           rng.uniform_int(p.min_network_delay, p.max_network_delay);
-      AddNode(area, family, caps, delay, p.contiguous_placement, p.placement);
+      AppendNode(area, family, caps, delay, p.contiguous_placement,
+                 p.placement);
     }
   }
+  IndexNodesFrom(first);
   ReserveEntryLists(total);
 }
 
@@ -557,6 +643,9 @@ EntryRef ResourceStore::Configure(NodeId node_id, ConfigId config) {
     throw std::logic_error(
         "Configure: bitstream family incompatible with the node");
   }
+  // Declared before SendBitstream, which throws without touching the node
+  // when the area does not fit; the guard then restores the same totals.
+  const TotalsDelta delta(fleet_totals_, n);
   const bool was_blank = n.blank();
   const SlotIndex slot = n.SendBitstream(c);
   if (was_blank) RemoveFromBlank(node_id);
@@ -570,6 +659,7 @@ void ResourceStore::ReclaimSlot(EntryRef entry) {
   Node& n = node(entry.node);
   const ConfigTaskPair& pair = n.Slot(entry.slot);
   if (!pair.idle()) throw std::logic_error("ReclaimSlot: entry is busy");
+  const TotalsDelta delta(fleet_totals_, n);
   if (!idle_list_mut(pair.config).Remove(entry, meter_)) {
     throw std::logic_error("ReclaimSlot: entry missing from idle list");
   }
@@ -583,6 +673,7 @@ void ResourceStore::BlankNode(NodeId node_id) {
   Node& n = node(node_id);
   if (n.busy()) throw std::logic_error("BlankNode: node has running tasks");
   if (n.blank()) return;
+  const TotalsDelta delta(fleet_totals_, n);
   n.ForEachSlot([&](SlotIndex slot, const ConfigTaskPair& pair) {
     if (!idle_list_mut(pair.config).Remove(EntryRef{node_id, slot}, meter_)) {
       throw std::logic_error("BlankNode: entry missing from idle list");
@@ -596,6 +687,7 @@ void ResourceStore::BlankNode(NodeId node_id) {
 void ResourceStore::AssignTask(EntryRef entry, TaskId task) {
   Node& n = node(entry.node);
   const ConfigId config = n.Slot(entry.slot).config;
+  const TotalsDelta delta(fleet_totals_, n);
   if (!idle_list_mut(config).Remove(entry, meter_)) {
     throw std::logic_error("AssignTask: entry missing from idle list");
   }
@@ -610,6 +702,7 @@ TaskId ResourceStore::ReleaseTask(EntryRef entry) {
   const ConfigTaskPair& pair = n.Slot(entry.slot);
   const ConfigId config = pair.config;
   const TaskId task = pair.task;
+  const TotalsDelta delta(fleet_totals_, n);
   if (!busy_list_mut(config).Remove(entry, meter_)) {
     throw std::logic_error("ReleaseTask: entry missing from busy list");
   }
@@ -623,6 +716,7 @@ TaskId ResourceStore::ReleaseTask(EntryRef entry) {
 std::vector<TaskId> ResourceStore::FailNode(NodeId node_id) {
   Node& n = node(node_id);
   if (n.failed()) throw std::logic_error("FailNode: node already failed");
+  const TotalsDelta delta(fleet_totals_, n);
   const bool was_blank = n.blank();
   std::vector<TaskId> killed;
   n.ForEachSlot([&](SlotIndex slot, const ConfigTaskPair& pair) {
@@ -655,32 +749,11 @@ std::vector<TaskId> ResourceStore::FailNode(NodeId node_id) {
 void ResourceStore::RepairNode(NodeId node_id) {
   Node& n = node(node_id);
   if (!n.failed()) throw std::logic_error("RepairNode: node is not failed");
+  const TotalsDelta delta(fleet_totals_, n);
   n.MarkRepaired();
   --failed_count_;
   PushBlank(node_id);
   RefreshIndex(node_id);
-}
-
-Area ResourceStore::TotalWastedArea() const {
-  Area total = 0;
-  for (const Node& n : nodes_) {
-    if (!n.blank()) total += n.available_area();
-  }
-  return total;
-}
-
-Area ResourceStore::TotalIdleWastedArea() const {
-  Area total = 0;
-  for (const Node& n : nodes_) {
-    if (!n.blank() && !n.busy()) total += n.available_area();
-  }
-  return total;
-}
-
-std::uint64_t ResourceStore::TotalReconfigurations() const {
-  std::uint64_t total = 0;
-  for (const Node& n : nodes_) total += n.reconfig_count();
-  return total;
 }
 
 ResourceStore::FragmentationStats ResourceStore::Fragmentation() const {
@@ -694,14 +767,6 @@ ResourceStore::FragmentationStats ResourceStore::Fragmentation() const {
   }
   stats.mean = sum / static_cast<double>(nodes_.size());
   return stats;
-}
-
-std::size_t ResourceStore::UsedNodeCount() const {
-  std::size_t used = 0;
-  for (const Node& n : nodes_) {
-    if (n.reconfig_count() > 0) ++used;
-  }
-  return used;
 }
 
 std::vector<std::string> ResourceStore::ValidateConsistency() const {
@@ -853,6 +918,13 @@ std::vector<std::string> ResourceStore::ValidateConsistency() const {
   if (failed != failed_count_) {
     violations.push_back(Format("failed-node tally {} != recount {}",
                                 failed_count_, failed));
+  }
+
+  // The fleet-wide aggregates must match a fresh sum over the nodes.
+  FleetTotals totals;
+  for (const Node& n : nodes_) Combine(totals, Contribution(n), std::plus<>{});
+  if (!(totals == fleet_totals_)) {
+    violations.push_back("fleet totals diverge from a recount over the nodes");
   }
 
   // Cross-check every indexed structure against ground truth.

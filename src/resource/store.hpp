@@ -52,6 +52,26 @@ enum class ShardBy : std::uint8_t {
 
 class ShardEngine;
 
+/// Fleet-wide aggregates over every node (DESIGN.md §9.2). The store keeps
+/// them exact by delta: each mutation removes the touched node's
+/// contribution before it changes the node and adds it back afterwards, so
+/// the Table I waste metric and the monitoring snapshot read O(1) fields
+/// instead of walking all N nodes per event. Integer sums, so the values
+/// are bit-identical to a fresh walk in any order.
+struct FleetTotals {
+  std::size_t blank_nodes = 0;    // zero configurations (failed included)
+  std::size_t busy_nodes = 0;     // nodes running >= 1 task
+  std::size_t running_tasks = 0;  // tasks running fleet-wide
+  Area total_area = 0;            // sum of TotalArea
+  Area configured_area = 0;       // sum of TotalArea - AvailableArea
+  Area wasted_area = 0;           // Eq. 6: AvailableArea of configured nodes
+  Area idle_wasted_area = 0;      // wasted_area of configured idle nodes
+  std::uint64_t reconfigurations = 0;  // sum of reconfig_count
+  std::size_t used_nodes = 0;          // nodes with reconfig_count > 0
+
+  friend bool operator==(const FleetTotals&, const FleetTotals&) = default;
+};
+
 /// Owning store of nodes + configurations + membership lists.
 class ResourceStore {
  public:
@@ -98,6 +118,11 @@ class ResourceStore {
   [[nodiscard]] const EntryList& busy_list(ConfigId config) const;
   [[nodiscard]] std::size_t blank_node_count() const { return blank_.size(); }
   [[nodiscard]] std::size_t failed_node_count() const { return failed_count_; }
+
+  /// Fleet-wide aggregates, maintained by every mutation; O(1).
+  [[nodiscard]] const FleetTotals& fleet_totals() const {
+    return fleet_totals_;
+  }
 
   // --- Indexed fast path (DESIGN.md "Scheduler index") ---
 
@@ -232,20 +257,27 @@ class ResourceStore {
   // --- Metrics support ---
 
   /// Eq. 6: sum of AvailableArea over nodes holding >= 1 configuration.
-  /// Not charged to the workload meter (it is metric bookkeeping, not
-  /// scheduler effort).
-  [[nodiscard]] Area TotalWastedArea() const;
+  /// O(1), read from fleet_totals(). Not charged to the workload meter (it
+  /// is metric bookkeeping, not scheduler effort).
+  [[nodiscard]] Area TotalWastedArea() const {
+    return fleet_totals_.wasted_area;
+  }
 
   /// Variant of Eq. 6 restricted to configured nodes that are currently
   /// idle (no running task) — area that is provably going to waste right
-  /// now. Backs WasteAccounting::kIdleConfigured.
-  [[nodiscard]] Area TotalIdleWastedArea() const;
+  /// now. Backs WasteAccounting::kIdleConfigured. O(1).
+  [[nodiscard]] Area TotalIdleWastedArea() const {
+    return fleet_totals_.idle_wasted_area;
+  }
 
-  /// Sum of reconfig_count over all nodes.
-  [[nodiscard]] std::uint64_t TotalReconfigurations() const;
+  /// Sum of reconfig_count over all nodes. O(1).
+  [[nodiscard]] std::uint64_t TotalReconfigurations() const {
+    return fleet_totals_.reconfigurations;
+  }
 
   /// Mean and max external fragmentation across nodes (0 under the scalar
-  /// model). Meaningful with NodeGenParams::contiguous_placement.
+  /// model). Meaningful with NodeGenParams::contiguous_placement. O(nodes):
+  /// only end-of-run reports ask for it.
   struct FragmentationStats {
     double mean = 0.0;
     double max = 0.0;
@@ -253,8 +285,10 @@ class ResourceStore {
   [[nodiscard]] FragmentationStats Fragmentation() const;
 
   /// Number of nodes that performed at least one reconfiguration
-  /// (Table I "total used nodes").
-  [[nodiscard]] std::size_t UsedNodeCount() const;
+  /// (Table I "total used nodes"). O(1).
+  [[nodiscard]] std::size_t UsedNodeCount() const {
+    return fleet_totals_.used_nodes;
+  }
 
   /// Checks every structural invariant (Eq. 4 per node; each live slot in
   /// exactly the matching idle/busy list; blank list exact). Returns a
@@ -271,6 +305,13 @@ class ResourceStore {
 
   [[nodiscard]] EntryList& idle_list_mut(ConfigId config);
   [[nodiscard]] EntryList& busy_list_mut(ConfigId config);
+  /// AddNode without the query index and shard engine, so InitNodes and
+  /// InitDeviceClasses can index the whole population at once afterwards.
+  NodeId AppendNode(Area total_area, FamilyId family, Caps caps,
+                    Tick network_delay, bool contiguous, Placement placement);
+  /// Registers nodes [first, node_count()) with the index (in one batch)
+  /// and the shard engine.
+  void IndexNodesFrom(std::size_t first);
   /// Shared InitNodes/InitDeviceClasses tail: pre-sizes the per-config
   /// idle/busy lists for a population of `node_count` nodes.
   void ReserveEntryLists(int node_count);
@@ -291,6 +332,7 @@ class ResourceStore {
   std::vector<std::size_t> blank_pos_;  // node id -> blank_ slot, kNotBlank
   std::vector<Area> busy_area_;         // node id -> sum of busy entry areas
   std::size_t failed_count_ = 0;        // nodes currently failed
+  FleetTotals fleet_totals_;            // fleet-wide aggregates
   std::unique_ptr<StoreIndex> index_;   // null = scan mode
   std::unique_ptr<ShardEngine> shard_;  // null = sequential kernel
   Area min_config_area_ = 0;            // smallest catalogue area (slot hint)

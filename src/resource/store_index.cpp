@@ -31,22 +31,36 @@ std::int64_t StoreIndex::AvailableKey(const Snapshot& snap) {
 }
 
 void StoreIndex::AddNode(const Node& node, Area busy_area) {
-  const std::uint32_t id = node.id().value();
-  if (sparse_) {
-    if (!global_.ids.empty() && global_.ids.back() >= id) {
-      throw std::logic_error(
-          "StoreIndex::AddNode: member ids must be strictly ascending");
+  AddNodes({&node, 1}, {&busy_area, 1});
+}
+
+void StoreIndex::AddNodes(std::span<const Node> nodes,
+                          std::span<const Area> busy_area) {
+  KeyBatches batches;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const std::uint32_t id = nodes[i].id().value();
+    if (sparse_) {
+      if (!global_.ids.empty() && global_.ids.back() >= id) {
+        throw std::logic_error(
+            "StoreIndex::AddNode: member ids must be strictly ascending");
+      }
+      slot_of_.emplace(id, cached_.size());
+    } else if (id != cached_.size()) {
+      throw std::logic_error("StoreIndex::AddNode: node ids must be dense");
     }
-    slot_of_.emplace(id, cached_.size());
-  } else if (id != cached_.size()) {
-    throw std::logic_error("StoreIndex::AddNode: node ids must be dense");
+    Snapshot snap = Capture(nodes[i], busy_area[i]);
+    View& fam = family_views_[snap.family];
+    snap.family_pos = fam.ids.size();
+    AppendToView(global_, snap, id, batches);
+    AppendToView(fam, snap, id, batches);
+    cached_.push_back(snap);
   }
-  Snapshot snap = Capture(node, busy_area);
-  View& fam = family_views_[snap.family];
-  snap.family_pos = fam.ids.size();
-  AppendToView(global_, snap, id);
-  AppendToView(fam, snap, id);
-  cached_.push_back(snap);
+  // A sorted range insert hints at end(), so each key costs O(1) amortized
+  // when it lands past the set's current maximum — every key of a fresh set.
+  for (auto& [keys, batch] : batches) {
+    std::sort(batch.begin(), batch.end());
+    keys->insert(batch.begin(), batch.end());
+  }
 }
 
 void StoreIndex::Refresh(const Node& node, Area busy_area) {
@@ -61,19 +75,23 @@ void StoreIndex::Refresh(const Node& node, Area busy_area) {
 }
 
 void StoreIndex::AppendToView(View& view, const Snapshot& snap,
-                              std::uint32_t id) {
+                              std::uint32_t id, KeyBatches& batches) {
   view.ids.push_back(id);
   view.potential.Append(PotentialKey(snap));
   view.busy_total.Append(snap.busy ? snap.total : MaxSegTree::kNegInf);
   view.available.Append(AvailableKey(snap));
   view.config_count.Append(snap.config_count);
-  if (!snap.failed) view.all_by_avail.insert({snap.available, id});
-  if (snap.blank && !snap.failed) {
-    view.blank_by_total.insert({snap.total, id});
+  if (!snap.failed) {
+    batches[&view.all_by_avail].push_back({snap.available, id});
   }
-  if (!snap.blank) view.partial_by_avail.insert({snap.available, id});
+  if (snap.blank && !snap.failed) {
+    batches[&view.blank_by_total].push_back({snap.total, id});
+  }
+  if (!snap.blank) {
+    batches[&view.partial_by_avail].push_back({snap.available, id});
+  }
   if (!snap.blank && !snap.busy) {
-    view.idle_cfg_by_total.insert({snap.total, id});
+    batches[&view.idle_cfg_by_total].push_back({snap.total, id});
   }
 }
 

@@ -31,8 +31,10 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -62,6 +64,12 @@ class StoreIndex {
   /// unless `sparse`) with the given busy area (sum of its busy entries'
   /// required areas).
   void AddNode(const Node& node, Area busy_area);
+
+  /// AddNode for each of `nodes` (same id rules) with `busy_area[i]` for
+  /// nodes[i], reaching the same state. The ordered-set keys are sorted
+  /// and inserted in one linear pass instead of one O(log N) insert each,
+  /// which dominated building a large population.
+  void AddNodes(std::span<const Node> nodes, std::span<const Area> busy_area);
 
   [[nodiscard]] bool sparse() const { return sparse_; }
 
@@ -185,7 +193,10 @@ class StoreIndex {
   [[nodiscard]] static std::int64_t PotentialKey(const Snapshot& snap);
   [[nodiscard]] static std::int64_t AvailableKey(const Snapshot& snap);
   [[nodiscard]] const View* ViewFor(FamilyId family) const;
-  static void AppendToView(View& view, const Snapshot& snap, std::uint32_t id);
+  /// Ordered-set keys awaiting one sorted insert per set (AddNodes).
+  using KeyBatches = std::map<std::set<AreaKey>*, std::vector<AreaKey>>;
+  static void AppendToView(View& view, const Snapshot& snap, std::uint32_t id,
+                           KeyBatches& batches);
   static void ApplyToView(View& view, std::size_t pos, const Snapshot& was,
                           const Snapshot& now, std::uint32_t id);
   [[nodiscard]] std::optional<ReconfigPlan> ReplayReclaimScan(

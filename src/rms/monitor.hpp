@@ -4,8 +4,8 @@
 // The simulator notifies the monitor on every state-changing event; the
 // monitor maintains time-weighted occupancy signals and peak counters that
 // feed the report's utilization section. Sampling is event-driven — no
-// per-tick polling — costing one O(nodes) snapshot per observed event; the
-// simulator exposes a switch to disable it for large sweeps.
+// per-tick polling — costing one O(1) snapshot (the store's FleetTotals)
+// per observed event; the simulator exposes a switch to disable it.
 #pragma once
 
 #include <cstdint>

@@ -26,22 +26,16 @@ std::vector<NodeDynamicInfo> ResourceInformationManager::AllDynamicInfo()
 }
 
 SystemSnapshot ResourceInformationManager::Snapshot(Tick now) const {
+  const resource::FleetTotals& totals = store_.fleet_totals();
   SystemSnapshot s;
   s.at = now;
   s.total_nodes = store_.node_count();
-  for (const resource::Node& n : store_.nodes()) {
-    s.total_fabric_area += n.total_area();
-    if (n.blank()) {
-      ++s.blank_nodes;
-      continue;
-    }
-    s.configured_area += n.total_area() - n.available_area();
-    s.wasted_area += n.available_area();
-    if (n.busy()) {
-      ++s.busy_nodes;
-      s.running_tasks += n.running_tasks();
-    }
-  }
+  s.blank_nodes = totals.blank_nodes;  // failed nodes count as blank
+  s.busy_nodes = totals.busy_nodes;
+  s.running_tasks = totals.running_tasks;
+  s.total_fabric_area = totals.total_area;
+  s.configured_area = totals.configured_area;
+  s.wasted_area = totals.wasted_area;
   if (s.total_fabric_area > 0) {
     s.area_utilization = static_cast<double>(s.configured_area) /
                          static_cast<double>(s.total_fabric_area);

@@ -59,7 +59,10 @@ class ResourceInformationManager {
   [[nodiscard]] NodeDynamicInfo DynamicInfo(NodeId id) const;
   [[nodiscard]] std::vector<NodeDynamicInfo> AllDynamicInfo() const;
 
-  /// Aggregates the whole system at tick `now`.
+  /// Aggregates the whole system at tick `now`. O(1): reads the store's
+  /// FleetTotals. `blank_nodes` counts failed nodes too (a failed node
+  /// holds no configuration), so it equals blank_node_count() +
+  /// failed_node_count().
   [[nodiscard]] SystemSnapshot Snapshot(Tick now) const;
 
   [[nodiscard]] const resource::ResourceStore& store() const { return store_; }

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "analysis/structure_auditor.hpp"
+#include "rms/resource_info.hpp"
 #include "util/rng.hpp"
 
 namespace dreamsim::resource {
@@ -199,6 +202,151 @@ TEST_F(StoreTest, ReconfigurationAggregates) {
   (void)store_.Configure(node_b_, ConfigId{1});
   EXPECT_EQ(store_.TotalReconfigurations(), 3u);
   EXPECT_EQ(store_.UsedNodeCount(), 2u);
+}
+
+// -------- Fleet-wide aggregates (FleetTotals) vs a local node scan --------
+
+/// The per-event node walks the FleetTotals block replaced, restated here
+/// as the oracle.
+struct ScannedTotals {
+  std::size_t blank = 0;
+  std::size_t busy = 0;
+  std::size_t running = 0;
+  Area fabric = 0;
+  Area configured = 0;
+  Area wasted = 0;
+  Area idle_wasted = 0;
+  std::uint64_t reconfigs = 0;
+  std::size_t used = 0;
+};
+
+ScannedTotals ScanNodes(const ResourceStore& store) {
+  ScannedTotals s;
+  for (const Node& n : store.nodes()) {
+    s.fabric += n.total_area();
+    s.reconfigs += n.reconfig_count();
+    if (n.reconfig_count() > 0) ++s.used;
+    if (n.blank()) {
+      ++s.blank;
+      continue;
+    }
+    s.configured += n.total_area() - n.available_area();
+    s.wasted += n.available_area();
+    if (n.busy()) {
+      ++s.busy;
+      s.running += n.running_tasks();
+    } else {
+      s.idle_wasted += n.available_area();
+    }
+  }
+  return s;
+}
+
+void ExpectAggregatesMatchScan(const ResourceStore& store,
+                               const std::string& step) {
+  SCOPED_TRACE(step);
+  const ScannedTotals want = ScanNodes(store);
+  EXPECT_EQ(store.TotalWastedArea(), want.wasted);
+  EXPECT_EQ(store.TotalIdleWastedArea(), want.idle_wasted);
+  EXPECT_EQ(store.TotalReconfigurations(), want.reconfigs);
+  EXPECT_EQ(store.UsedNodeCount(), want.used);
+
+  const rms::SystemSnapshot snap =
+      rms::ResourceInformationManager(store).Snapshot(Tick{5});
+  EXPECT_EQ(snap.at, Tick{5});
+  EXPECT_EQ(snap.total_nodes, store.node_count());
+  EXPECT_EQ(snap.blank_nodes, want.blank);
+  // Failed nodes hold no configuration, so they count as blank.
+  EXPECT_EQ(snap.blank_nodes,
+            store.blank_node_count() + store.failed_node_count());
+  EXPECT_EQ(snap.busy_nodes, want.busy);
+  EXPECT_EQ(snap.running_tasks, want.running);
+  EXPECT_EQ(snap.total_fabric_area, want.fabric);
+  EXPECT_EQ(snap.configured_area, want.configured);
+  EXPECT_EQ(snap.wasted_area, want.wasted);
+  EXPECT_EQ(snap.area_utilization, static_cast<double>(want.configured) /
+                                       static_cast<double>(want.fabric));
+
+  const auto report = analysis::StructureAuditor::AuditStore(store);
+  EXPECT_TRUE(report.ok()) << report.Render();
+}
+
+TEST_F(StoreTest, AggregatesTrackEveryMutation) {
+  ExpectAggregatesMatchScan(store_, "fresh");
+  const EntryRef a0 = store_.Configure(node_a_, ConfigId{0});
+  ExpectAggregatesMatchScan(store_, "configure a");
+  const EntryRef c0 = store_.Configure(node_c_, ConfigId{0});
+  const EntryRef c1 = store_.Configure(node_c_, ConfigId{1});
+  ExpectAggregatesMatchScan(store_, "configure c twice");
+  store_.AssignTask(c0, TaskId{1});
+  store_.AssignTask(c1, TaskId{2});
+  ExpectAggregatesMatchScan(store_, "assign two tasks on c");
+  store_.AssignTask(a0, TaskId{3});
+  ExpectAggregatesMatchScan(store_, "assign on a");
+  EXPECT_EQ(store_.ReleaseTask(a0), TaskId{3});
+  ExpectAggregatesMatchScan(store_, "release on a");
+  EXPECT_EQ(store_.ReleaseTask(c1), TaskId{2});
+  ExpectAggregatesMatchScan(store_, "release one of c");
+  store_.ReclaimSlot(c1);
+  ExpectAggregatesMatchScan(store_, "reclaim on c");
+  (void)store_.Configure(node_b_, ConfigId{2});
+  ExpectAggregatesMatchScan(store_, "configure b");
+  store_.BlankNode(node_b_);
+  ExpectAggregatesMatchScan(store_, "blank b");
+  store_.ReclaimSlot(a0);
+  ExpectAggregatesMatchScan(store_, "reclaim a's last slot");
+
+  // A failed blank node stays blank in the snapshot but leaves the blank
+  // list; a failed busy node drops its configurations and tasks.
+  EXPECT_TRUE(store_.FailNode(node_b_).empty());
+  ASSERT_EQ(store_.failed_node_count(), 1u);
+  EXPECT_EQ(store_.blank_node_count(), 1u);
+  ExpectAggregatesMatchScan(store_, "fail blank b");
+  EXPECT_EQ(store_.FailNode(node_c_), std::vector<TaskId>{TaskId{1}});
+  ExpectAggregatesMatchScan(store_, "fail busy c");
+  store_.RepairNode(node_b_);
+  ExpectAggregatesMatchScan(store_, "repair b");
+  store_.RepairNode(node_c_);
+  (void)store_.Configure(node_c_, ConfigId{2});
+  ExpectAggregatesMatchScan(store_, "repair and reconfigure c");
+}
+
+TEST(StoreExceptionSafety, ThrowingMutationsLeaveTotalsUntouched) {
+  ConfigCatalogue catalogue = MakeCatalogue({300, 500, 800});
+  Configuration foreign;
+  foreign.required_area = 200;
+  foreign.family = FamilyId{1};  // every node below is family 0
+  const ConfigId foreign_id = catalogue.Add(foreign);
+  ResourceStore store(std::move(catalogue));
+  const NodeId busy = store.AddNode(1000);
+  const NodeId healthy = store.AddNode(2000);
+  const NodeId failed = store.AddNode(4000);
+  const EntryRef running = store.Configure(busy, ConfigId{0});
+  store.AssignTask(running, TaskId{1});
+  (void)store.Configure(healthy, ConfigId{1});
+  (void)store.FailNode(failed);
+  const FleetTotals before = store.fleet_totals();
+
+  const auto expect_untouched = [&](const char* what) {
+    SCOPED_TRACE(what);
+    EXPECT_TRUE(store.fleet_totals() == before);
+    const auto report = analysis::StructureAuditor::AuditStore(store);
+    EXPECT_TRUE(report.ok()) << report.Render();
+  };
+  EXPECT_THROW((void)store.Configure(failed, ConfigId{0}), std::logic_error);
+  expect_untouched("Configure on a failed node");
+  EXPECT_THROW((void)store.Configure(healthy, foreign_id), std::logic_error);
+  expect_untouched("Configure with an incompatible family");
+  EXPECT_THROW((void)store.Configure(busy, ConfigId{2}), std::logic_error);
+  expect_untouched("Configure past the available area");
+  EXPECT_THROW(store.ReclaimSlot(running), std::logic_error);
+  expect_untouched("ReclaimSlot on a busy entry");
+  EXPECT_THROW(store.BlankNode(busy), std::logic_error);
+  expect_untouched("BlankNode on a busy node");
+  EXPECT_THROW((void)store.FailNode(failed), std::logic_error);
+  expect_untouched("FailNode on a failed node");
+  EXPECT_THROW(store.RepairNode(healthy), std::logic_error);
+  expect_untouched("RepairNode on a healthy node");
 }
 
 TEST_F(StoreTest, QueriesChargeSchedulingSteps) {

@@ -178,6 +178,25 @@ TEST(StructureAuditorCorruption, ExposedFailedNodeIsFaultVisibility) {
   EXPECT_EQ(Slugs(report), expected) << report.Render();
 }
 
+TEST(StructureAuditorCorruption, SkewedFleetTotalsIsFleetTotals) {
+  for (const bool indexed : {false, true}) {
+    ResourceStore store = MakePopulatedStore(indexed);
+    // A running total that drifted from the nodes it sums: every node and
+    // list is intact, so only the recount over the slots can see it.
+    StructureCorruptor::SkewFleetTotals(store);
+    const AuditReport report = StructureAuditor::AuditStore(store);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(Slugs(report), std::set<std::string>{"fleet.totals"})
+        << "indexed=" << indexed << "\n"
+        << report.Render();
+    // The field is named in the path.
+    ASSERT_EQ(report.violations.size(), 1u) << report.Render();
+    EXPECT_NE(report.violations[0].path.find("wasted_area"),
+              std::string::npos)
+        << report.Render();
+  }
+}
+
 TEST(StructureAuditorCorruption, MisplacedBucketSeqIsSusidxBucket) {
   SuspensionQueue queue(/*capacity=*/0);
   queue.SetDrainIndexed(true);

@@ -680,7 +680,8 @@ std::vector<std::unique_ptr<Rule>> BuiltinRules() {
       "store",
       std::vector<std::string_view>{"idle_lists_", "busy_lists_",
                                     "blank_pos_", "busy_area_",
-                                    "failed_count_", "idle_list_mut",
+                                    "failed_count_", "fleet_totals_",
+                                    "idle_list_mut",
                                     "busy_list_mut"},
       "ResourceStore's private mirror state",
       "go through ResourceStore's public queries and mutators"));
