@@ -89,16 +89,18 @@ bool Eligible(const SusEntryAttrs& a, Area bound, ConfigId match) {
 // --- Literal reference walks (what the scan-mode drain executes) ---------
 
 std::optional<std::size_t> ScanExactMatch(
-    const std::vector<TaskId>& queue, const std::vector<SusEntryAttrs>& attrs,
+    const SuspensionQueue& queue, const std::vector<SusEntryAttrs>& attrs,
     ConfigId config, bool by_priority, WorkloadMeter& meter) {
   std::optional<std::size_t> best;
   double best_priority = 0.0;
-  for (std::size_t i = 0; i < queue.size(); ++i) {
+  std::size_t i = 0;
+  for (const TaskId task : queue) {
+    const std::size_t index = i++;
     meter.Add(StepKind::kSchedulingSearch);
-    const SusEntryAttrs& a = attrs[queue[i].value()];
+    const SusEntryAttrs& a = attrs[task.value()];
     if (a.resolved_config != config) continue;
     if (!best || (by_priority && a.priority > best_priority)) {
-      best = i;
+      best = index;
       best_priority = a.priority;
     }
   }
@@ -106,26 +108,30 @@ std::optional<std::size_t> ScanExactMatch(
 }
 
 std::optional<std::size_t> ScanOldestEligible(
-    const std::vector<TaskId>& queue, const std::vector<SusEntryAttrs>& attrs,
+    const SuspensionQueue& queue, const std::vector<SusEntryAttrs>& attrs,
     Area bound, ConfigId match, WorkloadMeter& meter) {
-  for (std::size_t i = 0; i < queue.size(); ++i) {
+  std::size_t i = 0;
+  for (const TaskId task : queue) {
     meter.Add(StepKind::kSchedulingSearch);
-    if (Eligible(attrs[queue[i].value()], bound, match)) return i;
+    if (Eligible(attrs[task.value()], bound, match)) return i;
+    ++i;
   }
   return std::nullopt;
 }
 
 std::optional<std::size_t> ScanBestPriorityEligible(
-    const std::vector<TaskId>& queue, const std::vector<SusEntryAttrs>& attrs,
+    const SuspensionQueue& queue, const std::vector<SusEntryAttrs>& attrs,
     Area bound, ConfigId match, WorkloadMeter& meter) {
   std::optional<std::size_t> best;
   double best_priority = 0.0;
-  for (std::size_t i = 0; i < queue.size(); ++i) {
+  std::size_t i = 0;
+  for (const TaskId task : queue) {
+    const std::size_t index = i++;
     meter.Add(StepKind::kSchedulingSearch);
-    const SusEntryAttrs& a = attrs[queue[i].value()];
+    const SusEntryAttrs& a = attrs[task.value()];
     if (!Eligible(a, bound, match)) continue;
     if (!best || a.priority > best_priority) {
-      best = i;
+      best = index;
       best_priority = a.priority;
     }
   }
@@ -310,13 +316,19 @@ int main(int argc, char** argv) {
                       "scan ns", "indexed ns", "speedup");
   for (const int depth : depths) {
     WorkloadMeter fill_meter;
+    // An index serves one drain order: the *_priority rows query a
+    // priority-order twin of the FIFO-order indexed queue.
     SuspensionQueue scan_queue;
-    SuspensionQueue indexed_queue;
+    SuspensionQueue indexed_queue(0, resource::SusOrder::kFifo);
+    SuspensionQueue priority_queue(0, resource::SusOrder::kPriority);
     indexed_queue.SetDrainIndexed(true);
+    priority_queue.SetDrainIndexed(true);
     std::vector<SusEntryAttrs> attrs;
     FillQueue(scan_queue, attrs, depth, fill_meter);
     std::vector<SusEntryAttrs> attrs_again;
     FillQueue(indexed_queue, attrs_again, depth, fill_meter);
+    attrs_again.clear();
+    FillQueue(priority_queue, attrs_again, depth, fill_meter);
     WorkloadMeter scan_meter;
     WorkloadMeter indexed_meter;
     const auto charge_full = [&] {
@@ -332,7 +344,7 @@ int main(int argc, char** argv) {
     const std::vector<NamedPair> pairs = {
         {"full_exact_match",
          [&] {
-           (void)ScanExactMatch(scan_queue.tasks(), attrs, target, false,
+           (void)ScanExactMatch(scan_queue, attrs, target, false,
                                 scan_meter);
          },
          [&] {
@@ -341,16 +353,16 @@ int main(int argc, char** argv) {
          }},
         {"full_exact_match_priority",
          [&] {
-           (void)ScanExactMatch(scan_queue.tasks(), attrs, target, true,
+           (void)ScanExactMatch(scan_queue, attrs, target, true,
                                 scan_meter);
          },
          [&] {
            charge_full();
-           (void)indexed_queue.BestPriorityExactMatch(target);
+           (void)priority_queue.BestPriorityExactMatch(target);
          }},
         {"partial_fifo_first_hit",
          [&] {
-           (void)ScanOldestEligible(scan_queue.tasks(), attrs, 150,
+           (void)ScanOldestEligible(scan_queue, attrs, 150,
                                     ConfigId::invalid(), scan_meter);
          },
          [&] {
@@ -362,7 +374,7 @@ int main(int argc, char** argv) {
          }},
         {"partial_fifo_none",
          [&] {
-           (void)ScanOldestEligible(scan_queue.tasks(), attrs, 50,
+           (void)ScanOldestEligible(scan_queue, attrs, 50,
                                     ConfigId::invalid(), scan_meter);
          },
          [&] {
@@ -373,13 +385,13 @@ int main(int argc, char** argv) {
          }},
         {"partial_priority_best",
          [&] {
-           (void)ScanBestPriorityEligible(scan_queue.tasks(), attrs, 150,
+           (void)ScanBestPriorityEligible(scan_queue, attrs, 150,
                                           ConfigId::invalid(), scan_meter);
          },
          [&] {
            charge_full();
-           (void)indexed_queue.BestPriorityEligible(FamilyId::invalid(), 150,
-                                                    ConfigId::invalid());
+           (void)priority_queue.BestPriorityEligible(FamilyId::invalid(), 150,
+                                                     ConfigId::invalid());
          }},
         {"contains_miss",
          [&] {

@@ -83,15 +83,20 @@ void StructureCorruptor::SkewFleetTotals(resource::ResourceStore& store) {
 void StructureCorruptor::MisplaceSusBucketEntry(
     resource::SuspensionQueue& queue, TaskId task,
     ConfigId wrong_config) {
-  if (queue.index_ == nullptr) {
-    throw std::logic_error("MisplaceSusBucketEntry: drain index disabled");
+  if (queue.index_ == nullptr ||
+      queue.index_->order_ != resource::SusOrder::kFifo) {
+    throw std::logic_error(
+        "MisplaceSusBucketEntry: needs a FIFO-order drain index");
   }
   resource::SusQueueIndex& index = *queue.index_;
-  const auto& slot = index.slots_.at(task.value());
-  resource::SusQueueIndex::Bucket& home =
-      index.buckets_.at(slot.attrs.resolved_config.value());
-  home.by_seq.erase(slot.seq);
-  index.buckets_[wrong_config.value()].by_seq.insert(slot.seq);
+  const auto& entry = queue.entries_.at(task.value());
+  index.fifo_buckets_.at(entry.attrs.resolved_config.value()).erase(entry.seq);
+  index.fifo_buckets_[wrong_config.value()].insert(entry.seq);
+}
+
+void StructureCorruptor::SkewSusLive(resource::SuspensionQueue& queue) {
+  if (queue.slots_.empty()) throw std::logic_error("SkewSusLive: no slots");
+  queue.live_.Set(0);
 }
 
 void StructureCorruptor::OrphanEventAction(sim::EventQueue& queue) {

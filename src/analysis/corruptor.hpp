@@ -53,11 +53,16 @@ class StructureCorruptor {
   static void SkewFleetTotals(resource::ResourceStore& store);
 
   /// Moves a queued task's seq from its home bucket to `wrong_config`'s
-  /// bucket in the SusQueueIndex (requires the drain index). Expected
-  /// slug: susidx.bucket.
+  /// bucket in the SusQueueIndex (requires a FIFO-order drain index).
+  /// Expected slug: susidx.bucket.
   static void MisplaceSusBucketEntry(resource::SuspensionQueue& queue,
                                      TaskId task,
                                      ConfigId wrong_config);
+
+  /// Bumps the suspension queue's live-seq Fenwick leaf for seq 0 by one
+  /// (requires at least one slot ever used), as an unlink that forgot the
+  /// tree would. Expected slug: sus.fifo.
+  static void SkewSusLive(resource::SuspensionQueue& queue);
 
   /// Registers a live action whose sequence has no heap entry — an event
   /// that can never fire. Expected slug: evq.orphan-action.

@@ -706,100 +706,72 @@ void StructureAuditor::AuditShards(const ResourceStore& store,
 
 // --- Suspension queue + drain index ----------------------------------------
 
-void StructureAuditor::AuditSusIndex(const SuspensionQueue& queue,
-                                     AuditReport& report) {
+void StructureAuditor::AuditSusIndex(
+    const SuspensionQueue& queue,
+    const std::vector<std::pair<std::uint64_t, SusEntryAttrs>>& queued,
+    AuditReport& report) {
   const SusQueueIndex& index = *queue.index_;
-  // Domain: indexed tasks == queued tasks.
-  if (index.slots_.size() != queue.queue_.size()) {
-    Report(report, "susidx.domain", "suspension index",
-           Format("index holds {} tasks, queue holds {}", index.slots_.size(),
-                  queue.queue_.size()));
+  const bool fifo = index.order_ == resource::SusOrder::kFifo;
+  if (index.order_ != queue.order_) {
+    Report(report, "susidx.bucket", "suspension index",
+           "index order differs from the queue's drain order");
   }
-  std::uint64_t prev_seq = 0;
-  bool first = true;
-  std::unordered_set<std::uint64_t> live_seqs;
-  for (std::size_t pos = 0; pos < queue.queue_.size(); ++pos) {
-    const TaskId task = queue.queue_[pos];
-    const std::string path = Format("queue pos {} (task {})", pos,
-                                    task.value());
-    const auto it = index.slots_.find(task.value());
-    if (it == index.slots_.end()) {
-      Report(report, "susidx.domain", path, "queued task not indexed");
-      continue;
-    }
-    const std::uint64_t seq = it->second.seq;
-    live_seqs.insert(seq);
-    if (seq >= index.next_seq_) {
-      Report(report, "susidx.seq", path,
-             Format("seq {} out of range (next {})", seq, index.next_seq_));
-    }
-    if (!first && seq <= prev_seq) {
-      Report(report, "susidx.seq", path,
-             Format("seq {} not above predecessor {} (FIFO order == seq "
-                    "order)",
-                    seq, prev_seq));
-    }
-    first = false;
-    prev_seq = seq;
-    const auto attrs_it = queue.attrs_.find(task.value());
-    if (attrs_it != queue.attrs_.end() &&
-        !(it->second.attrs == attrs_it->second)) {
-      Report(report, "susidx.attrs", path,
-             "indexed attrs diverge from the queue's attribute table");
-    }
-    if (static_cast<std::size_t>(index.live_.Prefix(
-            static_cast<std::size_t>(seq))) != pos) {
-      Report(report, "susidx.fenwick", path,
-             Format("rank of seq {} is {}, queue position is {}", seq,
-                    index.live_.Prefix(static_cast<std::size_t>(seq)), pos));
-    }
+  // A single-order index keeps nothing of the other order.
+  if (fifo ? !index.prio_buckets_.empty() : !index.fifo_buckets_.empty()) {
+    Report(report, "susidx.bucket", "suspension index",
+           fifo ? "FIFO-order index holds priority buckets"
+                : "priority-order index holds seq buckets");
   }
-  // Fenwick leaves: exactly the live seqs carry a 1.
-  if (index.live_.size() != index.next_seq_) {
-    Report(report, "susidx.fenwick", "live tree",
-           Format("{} leaves for {} seqs ever", index.live_.size(),
-                  index.next_seq_));
-  }
-  for (std::size_t seq = 0; seq < index.live_.size(); ++seq) {
-    const std::int64_t value = index.live_.Value(seq);
-    const std::int64_t want = live_seqs.contains(seq) ? 1 : 0;
-    if (value != want) {
-      Report(report, "susidx.fenwick", Format("seq {}", seq),
-             Format("leaf {} != {}", value, want));
-      break;
-    }
+  if (fifo ? !index.prio_groups_.empty() : !index.fifo_groups_.empty()) {
+    Report(report, "susidx.group", "suspension index",
+           fifo ? "FIFO-order index holds priority treaps"
+                : "priority-order index holds seq trees");
   }
 
-  // Buckets: expected content per resolved config, built from the queue's
-  // own attribute table (the ground truth the index mirrors).
+  // Expected content per resolved config and per family group, built from
+  // the queue's own slots and task table (the ground truth the index
+  // mirrors).
   std::map<std::uint32_t, std::set<std::uint64_t>> want_bucket_seqs;
   std::map<std::uint32_t, std::set<std::pair<double, std::uint64_t>>>
       want_bucket_prio;
   std::map<std::uint32_t, std::map<std::uint64_t, SusEntryAttrs>> want_groups;
   std::unordered_map<std::uint64_t, std::uint32_t> config_of_seq;
-  for (const TaskId task : queue.queue_) {
-    const auto slot_it = index.slots_.find(task.value());
-    const auto attrs_it = queue.attrs_.find(task.value());
-    if (slot_it == index.slots_.end() || attrs_it == queue.attrs_.end()) {
-      continue;  // already reported above
-    }
-    const std::uint64_t seq = slot_it->second.seq;
-    const SusEntryAttrs& attrs = attrs_it->second;
+  for (const auto& [seq, attrs] : queued) {
     want_bucket_seqs[attrs.resolved_config.value()].insert(seq);
     want_bucket_prio[attrs.resolved_config.value()].insert(
         {-attrs.priority, seq});
     want_groups[SusQueueIndex::GroupKeyOf(attrs)].emplace(seq, attrs);
     config_of_seq.emplace(seq, attrs.resolved_config.value());
   }
+
+  // Buckets: the seq sets (FIFO order) or the (-priority, seq) sets
+  // (priority order), keyed by resolved config.
+  const auto bucket_seqs = [&](std::uint32_t config) {
+    std::set<std::uint64_t> seqs;
+    if (fifo) {
+      seqs = index.fifo_buckets_.at(config);
+    } else {
+      for (const auto& key : index.prio_buckets_.at(config)) {
+        seqs.insert(key.second);
+      }
+    }
+    return seqs;
+  };
   std::vector<std::uint32_t> bucket_keys;
-  for (const auto& [config, bucket] : index.buckets_) {
-    bucket_keys.push_back(config);
+  if (fifo) {
+    for (const auto& [config, bucket] : index.fifo_buckets_) {
+      bucket_keys.push_back(config);
+    }
+  } else {
+    for (const auto& [config, bucket] : index.prio_buckets_) {
+      bucket_keys.push_back(config);
+    }
   }
   std::sort(bucket_keys.begin(), bucket_keys.end());
   for (const std::uint32_t config : bucket_keys) {
-    const SusQueueIndex::Bucket& bucket = index.buckets_.at(config);
+    const std::set<std::uint64_t> seqs = bucket_seqs(config);
     const auto& want_seqs = want_bucket_seqs[config];  // empty set if absent
-    for (const std::uint64_t seq : bucket.by_seq) {
+    for (const std::uint64_t seq : seqs) {
       if (want_seqs.contains(seq)) continue;
       const auto home = config_of_seq.find(seq);
       Report(report, "susidx.bucket",
@@ -810,111 +782,116 @@ void StructureAuditor::AuditSusIndex(const SuspensionQueue& queue,
                           home->second));
     }
     for (const std::uint64_t seq : want_seqs) {
-      if (!bucket.by_seq.contains(seq)) {
+      if (!seqs.contains(seq)) {
         Report(report, "susidx.bucket",
                Format("config {} bucket (seq {})", config, seq),
                "expected entry missing");
       }
     }
-    if (bucket.by_priority != want_bucket_prio[config]) {
+    if (!fifo && index.prio_buckets_.at(config) != want_bucket_prio[config]) {
       Report(report, "susidx.bucket", Format("config {} bucket", config),
              "priority set diverges from ground truth");
     }
   }
   for (const auto& [config, want] : want_bucket_seqs) {
-    if (!want.empty() && !index.buckets_.contains(config)) {
+    if (!want.empty() && !std::binary_search(bucket_keys.begin(),
+                                             bucket_keys.end(), config)) {
       Report(report, "susidx.bucket", Format("config {} bucket", config),
              Format("bucket missing ({} expected entries)", want.size()));
     }
   }
 
-  // Groups: seq-tree leaves and the priority treap per family constraint.
+  const auto group_label = [](std::uint32_t family) {
+    return family == SusQueueIndex::kWildcardGroup
+               ? std::string("wildcard group")
+               : Format("family {} group", family);
+  };
   std::vector<std::uint32_t> group_keys;
-  for (const auto& [family, group] : index.groups_) {
-    group_keys.push_back(family);
-  }
-  std::sort(group_keys.begin(), group_keys.end());
-  for (const std::uint32_t family : group_keys) {
-    const SusQueueIndex::Group& group = index.groups_.at(family);
-    const auto& members = want_groups[family];  // empty map if absent
-    const std::string label =
-        family == SusQueueIndex::kWildcardGroup
-            ? std::string("wildcard group")
-            : Format("family {} group", family);
-    for (std::size_t pos = 0; pos < group.by_seq.size(); ++pos) {
-      const auto member = members.find(pos);
-      const std::int64_t want = member == members.end()
-                                    ? MaxSegTree::kNegInf
-                                    : -member->second.needed_area;
-      if (group.by_seq.Value(pos) != want) {
-        Report(report, "susidx.group", Format("{} seq {}", label, pos),
-               member == members.end()
-                   ? std::string("stale live leaf for an absent entry")
-                   : Format("leaf {} != -needed_area {}",
-                            group.by_seq.Value(pos),
-                            member->second.needed_area));
-        break;
+  if (fifo) {
+    // Groups: one seq-tree leaf per seq, -needed_area for members.
+    for (const auto& [family, tree] : index.fifo_groups_) {
+      group_keys.push_back(family);
+      const auto& members = want_groups[family];  // empty map if absent
+      const std::string label = group_label(family);
+      for (std::size_t seq = 0; seq < tree.size(); ++seq) {
+        const auto member = members.find(seq);
+        const std::int64_t want = member == members.end()
+                                      ? MaxSegTree::kNegInf
+                                      : -member->second.needed_area;
+        if (tree.Value(seq) != want) {
+          Report(report, "susidx.group", Format("{} seq {}", label, seq),
+                 member == members.end()
+                     ? std::string("stale live leaf for an absent entry")
+                     : Format("leaf {} != -needed_area {}", tree.Value(seq),
+                              member->second.needed_area));
+          break;
+        }
+      }
+      for (const auto& [seq, attrs] : members) {
+        if (seq >= tree.size()) {
+          Report(report, "susidx.group", Format("{} seq {}", label, seq),
+                 "member beyond the seq tree");
+        }
       }
     }
-    for (const auto& [seq, attrs] : members) {
-      if (seq >= group.by_seq.size()) {
-        Report(report, "susidx.group", Format("{} seq {}", label, seq),
-               "member beyond the seq tree");
-      }
-    }
-
-    // Treap: in-order walk must yield exactly the members sorted by
+  } else {
+    // Treaps: in-order walk must yield exactly the members sorted by
     // (-priority, seq), with correct min-area augmentation and heap order.
-    std::vector<std::pair<double, std::uint64_t>> walked;
-    std::size_t visits = 0;
-    bool structural = false;
-    const std::function<Area(std::int32_t, std::uint64_t)> walk =
-        [&](std::int32_t n, std::uint64_t parent_heap) -> Area {
-      if (n == AreaTreap::kNull || structural) {
-        return std::numeric_limits<Area>::max();
+    for (const auto& [family, treap] : index.prio_groups_) {
+      group_keys.push_back(family);
+      const auto& members = want_groups[family];  // empty map if absent
+      const std::string label = group_label(family);
+      std::vector<std::pair<double, std::uint64_t>> walked;
+      std::size_t visits = 0;
+      bool structural = false;
+      const std::function<Area(std::int32_t, std::uint64_t)> walk =
+          [&](std::int32_t n, std::uint64_t parent_heap) -> Area {
+        if (n == AreaTreap::kNull || structural) {
+          return std::numeric_limits<Area>::max();
+        }
+        if (++visits > treap.nodes_.size()) {
+          structural = true;  // cycle: more visits than allocated nodes
+          return std::numeric_limits<Area>::max();
+        }
+        const AreaTreap::Node& node =
+            treap.nodes_[static_cast<std::size_t>(n)];
+        if (node.heap > parent_heap) {
+          Report(report, "susidx.treap", Format("{} seq {}", label, node.seq),
+                 "treap heap order violated");
+          structural = true;
+        }
+        const Area left = walk(node.left, node.heap);
+        walked.emplace_back(node.neg_priority, node.seq);
+        const Area right = walk(node.right, node.heap);
+        const Area subtree = std::min({node.area, left, right});
+        if (node.min_area != subtree) {
+          Report(report, "susidx.treap", Format("{} seq {}", label, node.seq),
+                 Format("min-area {} != subtree minimum {}", node.min_area,
+                        subtree));
+        }
+        return subtree;
+      };
+      walk(treap.root_, std::numeric_limits<std::uint64_t>::max());
+      if (structural) {
+        Report(report, "susidx.treap", label, "treap walk aborted (cycle?)");
+        continue;
       }
-      if (++visits > group.by_priority.nodes_.size()) {
-        structural = true;  // cycle: more visits than allocated nodes
-        return std::numeric_limits<Area>::max();
+      std::vector<std::pair<double, std::uint64_t>> want_walk;
+      for (const auto& [seq, attrs] : members) {
+        want_walk.emplace_back(-attrs.priority, seq);
       }
-      const AreaTreap::Node& node =
-          group.by_priority.nodes_[static_cast<std::size_t>(n)];
-      if (node.heap > parent_heap) {
-        Report(report, "susidx.treap", Format("{} seq {}", label, node.seq),
-               "treap heap order violated");
-        structural = true;
+      std::sort(want_walk.begin(), want_walk.end());
+      if (walked != want_walk || treap.count_ != members.size()) {
+        Report(report, "susidx.treap", label,
+               Format("in-order walk yields {} entries, ground truth {}",
+                      walked.size(), members.size()));
       }
-      const Area left = walk(node.left, node.heap);
-      walked.emplace_back(node.neg_priority, node.seq);
-      const Area right = walk(node.right, node.heap);
-      const Area subtree = std::min({node.area, left, right});
-      if (node.min_area != subtree) {
-        Report(report, "susidx.treap", Format("{} seq {}", label, node.seq),
-               Format("min-area {} != subtree minimum {}", node.min_area,
-                      subtree));
-      }
-      return subtree;
-    };
-    walk(group.by_priority.root_,
-         std::numeric_limits<std::uint64_t>::max());
-    if (structural) {
-      Report(report, "susidx.treap", label, "treap walk aborted (cycle?)");
-      continue;
-    }
-    std::vector<std::pair<double, std::uint64_t>> want_walk;
-    for (const auto& [seq, attrs] : members) {
-      want_walk.emplace_back(-attrs.priority, seq);
-    }
-    std::sort(want_walk.begin(), want_walk.end());
-    if (walked != want_walk || group.by_priority.count_ != members.size()) {
-      Report(report, "susidx.treap", label,
-             Format("in-order walk yields {} entries, ground truth {}",
-                    walked.size(), members.size()));
     }
   }
   for (const auto& [family, members] : want_groups) {
-    if (!members.empty() && !index.groups_.contains(family)) {
-      Report(report, "susidx.group", Format("family {} group", family),
+    if (!members.empty() && !std::binary_search(group_keys.begin(),
+                                                group_keys.end(), family)) {
+      Report(report, "susidx.group", group_label(family),
              Format("group missing ({} expected members)", members.size()));
     }
   }
@@ -923,31 +900,115 @@ void StructureAuditor::AuditSusIndex(const SuspensionQueue& queue,
 AuditReport StructureAuditor::AuditSuspensionQueue(
     const SuspensionQueue& queue) {
   AuditReport report;
-  std::unordered_set<std::uint32_t> seen;
-  for (std::size_t pos = 0; pos < queue.queue_.size(); ++pos) {
-    const TaskId task = queue.queue_[pos];
-    if (!seen.insert(task.value()).second) {
-      Report(report, "sus.unique",
-             Format("queue pos {} (task {})", pos, task.value()),
-             "task queued twice");
-    }
-    if (!queue.attrs_.contains(task.value())) {
-      Report(report, "sus.attrs",
-             Format("queue pos {} (task {})", pos, task.value()),
-             "queued task has no attribute entry");
+  constexpr std::uint32_t kNoSlot = SuspensionQueue::kNoSlot;
+  const auto& slots = queue.slots_;
+  // Ground truth: the live (non-tombstone) slots, in seq == FIFO order.
+  std::vector<std::uint32_t> live;
+  std::unordered_map<std::uint32_t, std::uint32_t> seq_of_task;
+  for (std::uint32_t seq = 0; seq < slots.size(); ++seq) {
+    const TaskId task = slots[seq].task;
+    if (!task.valid()) continue;
+    live.push_back(seq);
+    const auto [it, fresh] = seq_of_task.emplace(task.value(), seq);
+    if (!fresh) {
+      Report(report, "sus.unique", Format("seq {} (task {})", seq,
+                                          task.value()),
+             Format("task queued twice (also at seq {})", it->second));
     }
   }
-  if (queue.attrs_.size() != seen.size()) {
-    Report(report, "sus.attrs", "suspension queue",
-           Format("{} attribute entries for {} distinct queued tasks",
-                  queue.attrs_.size(), seen.size()));
+
+  // The linked list threads exactly the live slots, oldest first.
+  std::vector<std::uint32_t> linked;
+  std::uint32_t prev = kNoSlot;
+  for (std::uint32_t slot = queue.head_; slot != kNoSlot;
+       slot = slots[slot].next) {
+    if (slot >= slots.size() || linked.size() > slots.size()) {
+      Report(report, "sus.fifo", Format("link after seq {}", prev),
+             "link leaves the slot array or cycles");
+      break;
+    }
+    if (slots[slot].prev != prev) {
+      Report(report, "sus.fifo", Format("seq {}", slot),
+             Format("back link {} != predecessor {}", slots[slot].prev, prev));
+    }
+    linked.push_back(slot);
+    prev = slot;
   }
-  if (queue.capacity_ != 0 && queue.queue_.size() > queue.capacity_) {
+  if (queue.tail_ != prev) {
+    Report(report, "sus.fifo", "suspension queue",
+           Format("tail {} != last linked seq {}", queue.tail_, prev));
+  }
+  if (linked != live) {
+    Report(report, "sus.fifo", "suspension queue",
+           Format("list links {} slots, {} are live (FIFO order == seq "
+                  "order)",
+                  linked.size(), live.size()));
+  }
+
+  // Live count == Fenwick total == size(), and every Fenwick leaf matches
+  // its slot's tombstone state.
+  if (live.size() != queue.live_.Total() || live.size() != queue.size()) {
+    Report(report, "sus.fifo", "suspension queue",
+           Format("{} live slots, live tree total {}, size() {}", live.size(),
+                  queue.live_.Total(), queue.size()));
+  }
+  if (queue.live_.size() != slots.size()) {
+    Report(report, "sus.fifo", "live tree",
+           Format("{} leaves for {} slots", queue.live_.size(), slots.size()));
+  } else {
+    std::size_t prefix = 0;
+    for (std::size_t seq = 0; seq < slots.size(); ++seq) {
+      const std::size_t next = queue.live_.Prefix(seq + 1);
+      const std::size_t want = slots[seq].task.valid() ? 1 : 0;
+      if (next - prefix != want) {
+        Report(report, "sus.fifo", Format("live tree seq {}", seq),
+               Format("leaf {} != {}", next - prefix, want));
+        break;
+      }
+      prefix = next;
+    }
+    if (prefix != queue.live_.Total()) {
+      Report(report, "sus.fifo", "live tree",
+             Format("leaves sum to {}, total says {}", prefix,
+                    queue.live_.Total()));
+    }
+  }
+
+  // Task table: a row per live slot pointing back at it, and no stale row.
+  std::vector<std::pair<std::uint64_t, SusEntryAttrs>> queued;
+  for (const std::uint32_t seq : live) {
+    const TaskId task = slots[seq].task;
+    const auto row = queue.entries_.find(task.value());
+    if (row == queue.entries_.end()) {
+      Report(report, "sus.fifo", Format("seq {} (task {})", seq, task.value()),
+             "live slot has no table row");
+      continue;
+    }
+    if (row->second.seq != seq) {
+      Report(report, "sus.fifo", Format("seq {} (task {})", seq, task.value()),
+             Format("table row points at seq {}", row->second.seq));
+      continue;
+    }
+    queued.emplace_back(seq, row->second.attrs);
+  }
+  std::vector<std::uint32_t> stale;
+  for (const auto& [task, entry] : queue.entries_) {
+    if (entry.seq >= slots.size() || slots[entry.seq].task.value() != task) {
+      stale.push_back(task);
+    }
+  }
+  std::sort(stale.begin(), stale.end());
+  for (const std::uint32_t task : stale) {
+    Report(report, "sus.fifo", Format("task {}", task),
+           "table row for a task no live slot holds");
+  }
+
+  if (queue.capacity_ != 0 && queue.size() > queue.capacity_) {
     Report(report, "sus.capacity", "suspension queue",
-           Format("{} queued tasks exceed capacity {}", queue.queue_.size(),
+           Format("{} queued tasks exceed capacity {}", queue.size(),
                   queue.capacity_));
   }
-  if (queue.index_ != nullptr) AuditSusIndex(queue, report);
+  if (queue.index_ != nullptr) AuditSusIndex(queue, queued, report);
   return report;
 }
 

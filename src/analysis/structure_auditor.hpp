@@ -25,7 +25,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "resource/store.hpp"
@@ -71,8 +73,9 @@ class StructureAuditor {
   [[nodiscard]] static AuditReport AuditStore(
       const resource::ResourceStore& store);
 
-  /// Audits the suspension FIFO, its attribute table, and (when enabled)
-  /// the SusQueueIndex seq/Fenwick/bucket/group/treap structures.
+  /// Audits the suspension FIFO (slot array, live links, live-seq Fenwick
+  /// tree, task table) and (when enabled) the SusQueueIndex buckets and
+  /// groups of its drain order.
   [[nodiscard]] static AuditReport AuditSuspensionQueue(
       const resource::SuspensionQueue& queue);
 
@@ -113,8 +116,13 @@ class StructureAuditor {
                               AuditReport& report);
   static void AuditShards(const resource::ResourceStore& store,
                           AuditReport& report);
-  static void AuditSusIndex(const resource::SuspensionQueue& queue,
-                            AuditReport& report);
+  /// `queued` is the ground truth: (seq, attrs) of every live slot with a
+  /// consistent table row, in FIFO order.
+  static void AuditSusIndex(
+      const resource::SuspensionQueue& queue,
+      const std::vector<std::pair<std::uint64_t, resource::SusEntryAttrs>>&
+          queued,
+      AuditReport& report);
 };
 
 }  // namespace dreamsim::analysis

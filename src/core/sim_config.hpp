@@ -114,7 +114,8 @@ struct SimulationConfig {
   /// Answer suspension-queue drain queries (candidate selection on task
   /// completion) from the queue's O(log Q) index instead of the literal
   /// FIFO scans, under the same bit-identical contract as
-  /// `scheduler_index`. Off = reference scans.
+  /// `scheduler_index`. The index keeps only the structures of the drain
+  /// order `priority_scheduling` selects. Off = reference scans.
   bool drain_index = true;
   /// Shard count of the sharded parallel kernel (DESIGN.md §13): the node
   /// population is partitioned into this many shards, each answering the

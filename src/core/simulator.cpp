@@ -103,7 +103,9 @@ Simulator::Simulator(SimulationConfig config)
         Rng resource_rng(DeriveSeed(config_.seed, kStreamResources));
         return resource::ResourceStore(BuildConfigs(config_, resource_rng));
       }()),
-      suspension_(config_.suspension_capacity),
+      suspension_(config_.suspension_capacity,
+                  config_.priority_scheduling ? resource::SusOrder::kPriority
+                                              : resource::SusOrder::kFifo),
       policy_(MakePolicy()),
       network_(config_.network, DeriveSeed(config_.seed, kStreamNetwork)),
       metrics_(config_.waste_accounting),
@@ -548,7 +550,7 @@ void Simulator::DrainSuspensionQueue(NodeId freed_node,
 }
 
 Simulator::DrainAttempt Simulator::AttemptQueuedAt(std::size_t index) {
-  const TaskId id = suspension_.tasks()[index];
+  const TaskId id = suspension_.At(index);
   obs::MetricInc(obs::MetricId::kDrainAttempts);
   store_.meter().BeginTask();
   const sched::Outcome outcome = AttemptSchedule(id, /*is_arrival=*/false);
@@ -631,12 +633,14 @@ void Simulator::DrainFullMode(const resource::Node& node,
   std::size_t fallback_index = 0;
   bool has_fallback = false;
   double fallback_priority = 0.0;
-  for (std::size_t i = 0; i < suspension_.size(); ++i) {
-    const resource::Task& task = tasks_.Get(suspension_.tasks()[i]);
+  std::size_t i = 0;
+  for (const TaskId queued : suspension_) {
+    const resource::Task& task = tasks_.Get(queued);
+    const std::size_t index = i++;
     store_.meter().Add(resource::StepKind::kSchedulingSearch);
     if (freed_config.valid() && task.resolved_config == freed_config) {
       if (!has_match || (by_priority && task.priority > match_priority)) {
-        match_index = i;
+        match_index = index;
         match_priority = task.priority;
         has_match = true;
       }
@@ -647,7 +651,7 @@ void Simulator::DrainFullMode(const resource::Node& node,
                     .CompatibleWith(node.family()))) {
       if (!has_fallback ||
           (by_priority && task.priority > fallback_priority)) {
-        fallback_index = i;
+        fallback_index = index;
         fallback_priority = task.priority;
         has_fallback = true;
       }
@@ -694,12 +698,14 @@ void Simulator::DrainPartialPriority(const resource::Node& node,
     std::size_t best_index = 0;
     bool found = false;
     double best_priority = 0.0;
-    for (std::size_t i = 0; i < suspension_.size(); ++i) {
-      const resource::Task& task = tasks_.Get(suspension_.tasks()[i]);
+    std::size_t i = 0;
+    for (const TaskId queued : suspension_) {
+      const resource::Task& task = tasks_.Get(queued);
+      const std::size_t index = i++;
       store_.meter().Add(resource::StepKind::kSchedulingSearch);
       if (!CouldUseNode(task, node, freed_config)) continue;
       if (!found || task.priority > best_priority) {
-        best_index = i;
+        best_index = index;
         best_priority = task.priority;
         found = true;
       }
@@ -744,19 +750,23 @@ void Simulator::DrainPartialFifo(const resource::Node& node,
     return;
   }
   obs::MetricInc(obs::MetricId::kSusqScanFallback);
-  while (index < suspension_.size() && policy_runs < max_policy_runs) {
-    const resource::Task& task = tasks_.Get(suspension_.tasks()[index]);
+  auto it = suspension_.begin();
+  while (it != suspension_.end() && policy_runs < max_policy_runs) {
+    const resource::Task& task = tasks_.Get(*it);
     store_.meter().Add(resource::StepKind::kSchedulingSearch);
     if (!CouldUseNode(task, node, freed_config)) {
+      ++it;
       ++index;
       continue;
     }
     ++policy_runs;
+    const auto next = std::next(it);
     const DrainAttempt attempt = AttemptQueuedAt(index);
     // kSuspend keeps the task at `index`; a repeat attempt this drain
     // would loop, so stop. (Removal cases leave `index` pointing at the
-    // next FIFO entry and the loop continues.)
+    // next FIFO entry and the walk continues there.)
     if (!attempt.placed && !attempt.removed) return;
+    it = next;
   }
 }
 

@@ -183,9 +183,7 @@ bool EntryList::PartitionConsistent() const {
   if (shard_of_ == nullptr) return true;
   std::size_t mirrored = 0;
   for (std::size_t s = 0; s < buckets_.size(); ++s) {
-    // EntryList's buckets_ is an ordered vector (the name collides with
-    // SusQueueIndex's unordered map); shards are visited in index order.
-    // lint: allow(unordered-merge)
+    // Shards are visited in index order.
     for (const ShardCell& cell : buckets_[s]) {
       if (cell.gpos >= cells_.size()) return false;
       if (!(cells_[cell.gpos] == cell.entry)) return false;

@@ -42,6 +42,57 @@ std::int64_t PrefixSumTree::Prefix(std::size_t count) const {
   return sum;
 }
 
+// --- CountTree ---
+
+void CountTree::Append(bool bit) {
+  // Same seeding as PrefixSumTree::Append: the fresh trailing cell covers
+  // (i - lowbit(i), i], whose earlier part is the sum of the cells that
+  // hop into it.
+  const std::size_t i = tree_.size() + 1;
+  std::uint32_t covered = bit ? 1 : 0;
+  for (std::size_t j = i - 1; j > i - LowBit(i); j -= LowBit(j)) {
+    covered += tree_[j - 1];
+  }
+  tree_.push_back(covered);
+  if (bit) ++total_;
+}
+
+void CountTree::Set(std::size_t pos) {
+  for (std::size_t j = pos + 1; j <= tree_.size(); j += LowBit(j)) {
+    ++tree_[j - 1];
+  }
+  ++total_;
+}
+
+void CountTree::Clear(std::size_t pos) {
+  for (std::size_t j = pos + 1; j <= tree_.size(); j += LowBit(j)) {
+    --tree_[j - 1];
+  }
+  --total_;
+}
+
+std::size_t CountTree::Prefix(std::size_t count) const {
+  std::size_t sum = 0;
+  for (std::size_t j = count; j > 0; j -= LowBit(j)) sum += tree_[j - 1];
+  return sum;
+}
+
+std::size_t CountTree::Select(std::size_t rank) const {
+  // Binary-lifting descent: the largest prefix holding <= rank set bits
+  // ends right before the wanted position.
+  std::size_t pos = 0;
+  std::size_t remaining = rank;
+  std::size_t step = 1;
+  while (step * 2 <= tree_.size()) step *= 2;
+  for (; step > 0; step /= 2) {
+    if (pos + step <= tree_.size() && tree_[pos + step - 1] <= remaining) {
+      pos += step;
+      remaining -= tree_[pos - 1];
+    }
+  }
+  return pos;
+}
+
 // --- MaxSegTree ---
 
 void MaxSegTree::Grow() {

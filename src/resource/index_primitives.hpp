@@ -1,7 +1,7 @@
 // Append-only tree primitives shared by the indexed fast paths
-// (StoreIndex, SusQueueIndex). Positions are dense [0, size); both
-// structures only ever grow — removal is modeled by assigning a neutral
-// value (0 for sums, kNegInf for maxima).
+// (StoreIndex, SusQueueIndex, SuspensionQueue). Positions are dense
+// [0, size); the structures only ever grow — removal is modeled by
+// assigning a neutral value (0 for sums and counts, kNegInf for maxima).
 #pragma once
 
 #include <cstdint>
@@ -28,6 +28,29 @@ class PrefixSumTree {
  private:
   std::vector<std::int64_t> values_;  // current point values
   std::vector<std::int64_t> tree_;    // 1-based Fenwick array
+};
+
+/// Append-only Fenwick tree of 0/1 membership bits with rank and select.
+/// Only the tree cells are stored (4 bytes per position): the owner keeps
+/// the bits themselves and must only Set() a cleared bit and Clear() a set
+/// one.
+class CountTree {
+ public:
+  /// Appends one position holding `bit`.
+  void Append(bool bit);
+  void Set(std::size_t pos);
+  void Clear(std::size_t pos);
+  /// Set bits among the first `count` positions.
+  [[nodiscard]] std::size_t Prefix(std::size_t count) const;
+  /// Position of the set bit with `rank` set bits before it. Requires
+  /// rank < Total().
+  [[nodiscard]] std::size_t Select(std::size_t rank) const;
+  [[nodiscard]] std::size_t Total() const { return total_; }
+  [[nodiscard]] std::size_t size() const { return tree_.size(); }
+
+ private:
+  std::vector<std::uint32_t> tree_;  // 1-based Fenwick array
+  std::size_t total_ = 0;
 };
 
 /// Append-only max segment tree with a "first position >= threshold"

@@ -129,230 +129,179 @@ std::optional<std::pair<double, std::uint64_t>> AreaTreap::FirstWithAreaAtMost(
 
 // --- SusQueueIndex ---
 
-void SusQueueIndex::Add(TaskId task, const SusEntryAttrs& attrs) {
-  auto [it, inserted] = slots_.emplace(task.value(), Slot{next_seq_, attrs});
-  if (!inserted) {
-    throw std::logic_error("SusQueueIndex::Add: task already queued");
+void SusQueueIndex::Require(SusOrder order, const char* query) const {
+  if (order_ != order) {
+    throw std::logic_error(Format(
+        "SusQueueIndex::{}: the index serves the {} drain order", query,
+        order_ == SusOrder::kFifo ? "FIFO" : "priority"));
   }
-  ++next_seq_;
-  live_.Append(1);
-  InsertInto(it->second.seq, attrs);
 }
 
-void SusQueueIndex::Remove(TaskId task) {
-  const auto it = slots_.find(task.value());
-  if (it == slots_.end()) {
-    throw std::logic_error("SusQueueIndex::Remove: task not queued");
-  }
-  live_.Assign(it->second.seq, 0);
-  EraseFrom(it->second.seq, it->second.attrs);
-  slots_.erase(it);
-}
-
-void SusQueueIndex::Refresh(TaskId task, const SusEntryAttrs& attrs) {
-  const auto it = slots_.find(task.value());
-  if (it == slots_.end()) {
-    throw std::logic_error("SusQueueIndex::Refresh: task not queued");
-  }
-  if (it->second.attrs == attrs) return;
-  EraseFrom(it->second.seq, it->second.attrs);
-  it->second.attrs = attrs;
-  InsertInto(it->second.seq, attrs);
-}
-
-std::size_t SusQueueIndex::PositionOf(TaskId task) const {
-  return PositionOfSeq(slots_.at(task.value()).seq);
-}
-
-std::size_t SusQueueIndex::PositionOfSeq(std::uint64_t seq) const {
-  return static_cast<std::size_t>(live_.Prefix(static_cast<std::size_t>(seq)));
-}
-
-void SusQueueIndex::AssignSeqLeaf(Group& group, std::uint64_t seq,
+void SusQueueIndex::AssignSeqLeaf(MaxSegTree& tree, std::uint64_t seq,
                                   std::int64_t value) {
-  while (group.by_seq.size() <= seq) group.by_seq.Append(MaxSegTree::kNegInf);
-  group.by_seq.Assign(static_cast<std::size_t>(seq), value);
+  while (tree.size() <= seq) tree.Append(MaxSegTree::kNegInf);
+  tree.Assign(static_cast<std::size_t>(seq), value);
 }
 
-void SusQueueIndex::InsertInto(std::uint64_t seq, const SusEntryAttrs& attrs) {
-  Bucket& bucket = buckets_[attrs.resolved_config.value()];
-  bucket.by_seq.insert(seq);
-  bucket.by_priority.emplace(-attrs.priority, seq);
-  Group& group = groups_[GroupKeyOf(attrs)];
-  AssignSeqLeaf(group, seq, -attrs.needed_area);
-  group.by_priority.Insert(-attrs.priority, seq, attrs.needed_area);
+void SusQueueIndex::Add(std::uint64_t seq, const SusEntryAttrs& attrs) {
+  if (order_ == SusOrder::kFifo) {
+    // Seqs arrive in increasing order, so the end is the usual spot.
+    std::set<std::uint64_t>& bucket =
+        fifo_buckets_[attrs.resolved_config.value()];
+    bucket.emplace_hint(bucket.end(), seq);
+    AssignSeqLeaf(fifo_groups_[GroupKeyOf(attrs)], seq, -attrs.needed_area);
+  } else {
+    prio_buckets_[attrs.resolved_config.value()].emplace(-attrs.priority, seq);
+    prio_groups_[GroupKeyOf(attrs)].Insert(-attrs.priority, seq,
+                                           attrs.needed_area);
+  }
 }
 
-void SusQueueIndex::EraseFrom(std::uint64_t seq, const SusEntryAttrs& attrs) {
-  Bucket& bucket = buckets_.at(attrs.resolved_config.value());
-  bucket.by_seq.erase(seq);
-  bucket.by_priority.erase({-attrs.priority, seq});
-  Group& group = groups_.at(GroupKeyOf(attrs));
-  AssignSeqLeaf(group, seq, MaxSegTree::kNegInf);
-  group.by_priority.Erase(-attrs.priority, seq);
+void SusQueueIndex::Remove(std::uint64_t seq, const SusEntryAttrs& attrs) {
+  if (order_ == SusOrder::kFifo) {
+    fifo_buckets_.at(attrs.resolved_config.value()).erase(seq);
+    AssignSeqLeaf(fifo_groups_.at(GroupKeyOf(attrs)), seq,
+                  MaxSegTree::kNegInf);
+  } else {
+    prio_buckets_.at(attrs.resolved_config.value())
+        .erase({-attrs.priority, seq});
+    prio_groups_.at(GroupKeyOf(attrs)).Erase(-attrs.priority, seq);
+  }
 }
 
-std::vector<const SusQueueIndex::Group*> SusQueueIndex::GroupsFor(
-    FamilyId family) const {
+void SusQueueIndex::Refresh(std::uint64_t seq, const SusEntryAttrs& old_attrs,
+                            const SusEntryAttrs& attrs) {
+  if (old_attrs == attrs) return;
+  Remove(seq, old_attrs);
+  Add(seq, attrs);
+}
+
+template <typename Group, typename Fn>
+void SusQueueIndex::ForEachGroupFor(
+    const std::map<std::uint32_t, Group>& groups, FamilyId family, Fn&& fn) {
   // A task is family-compatible when its config family is invalid (the
   // wildcard group) or equals the node's family — Configuration::
   // CompatibleWith. A family-less node only matches the wildcard group.
-  std::vector<const Group*> out;
-  if (const auto it = groups_.find(kWildcardGroup); it != groups_.end()) {
-    out.push_back(&it->second);
+  if (const auto it = groups.find(kWildcardGroup); it != groups.end()) {
+    fn(it->second);
   }
   if (family.valid()) {
-    if (const auto it = groups_.find(family.value()); it != groups_.end()) {
-      out.push_back(&it->second);
+    if (const auto it = groups.find(family.value()); it != groups.end()) {
+      fn(it->second);
     }
   }
-  return out;
 }
 
-std::optional<std::size_t> SusQueueIndex::OldestExactMatch(
+std::optional<std::uint64_t> SusQueueIndex::OldestExactMatch(
     ConfigId config) const {
-  const auto it = buckets_.find(config.value());
-  if (it == buckets_.end() || it->second.by_seq.empty()) return std::nullopt;
-  return PositionOfSeq(*it->second.by_seq.begin());
+  Require(SusOrder::kFifo, "OldestExactMatch");
+  const auto it = fifo_buckets_.find(config.value());
+  if (it == fifo_buckets_.end() || it->second.empty()) return std::nullopt;
+  return *it->second.begin();
 }
 
-std::optional<std::size_t> SusQueueIndex::BestPriorityExactMatch(
+std::optional<std::uint64_t> SusQueueIndex::BestPriorityExactMatch(
     ConfigId config) const {
-  const auto it = buckets_.find(config.value());
-  if (it == buckets_.end() || it->second.by_priority.empty()) {
-    return std::nullopt;
-  }
-  return PositionOfSeq(it->second.by_priority.begin()->second);
+  Require(SusOrder::kPriority, "BestPriorityExactMatch");
+  const auto it = prio_buckets_.find(config.value());
+  if (it == prio_buckets_.end() || it->second.empty()) return std::nullopt;
+  return it->second.begin()->second;
 }
 
-std::optional<std::size_t> SusQueueIndex::OldestEligible(
-    FamilyId family, Area area_bound, TaskId from_task,
+std::optional<std::uint64_t> SusQueueIndex::OldestEligible(
+    FamilyId family, Area area_bound, std::uint64_t from_seq,
     ConfigId match_config) const {
-  std::uint64_t from_seq = 0;
-  if (from_task.valid()) from_seq = slots_.at(from_task.value()).seq;
-  std::uint64_t best_seq = std::numeric_limits<std::uint64_t>::max();
-  bool found = false;
+  Require(SusOrder::kFifo, "OldestEligible");
+  std::optional<std::uint64_t> best;
   if (match_config.valid()) {
-    if (const auto it = buckets_.find(match_config.value());
-        it != buckets_.end()) {
-      const auto seq_it = it->second.by_seq.lower_bound(from_seq);
-      if (seq_it != it->second.by_seq.end()) {
-        best_seq = *seq_it;
-        found = true;
-      }
+    if (const auto it = fifo_buckets_.find(match_config.value());
+        it != fifo_buckets_.end()) {
+      const auto seq_it = it->second.lower_bound(from_seq);
+      if (seq_it != it->second.end()) best = *seq_it;
     }
   }
-  for (const Group* group : GroupsFor(family)) {
-    const std::size_t pos = group->by_seq.FirstAtLeast(
+  ForEachGroupFor(fifo_groups_, family, [&](const MaxSegTree& tree) {
+    const std::size_t seq = tree.FirstAtLeast(
         static_cast<std::size_t>(from_seq), -area_bound);
-    if (pos != MaxSegTree::npos && static_cast<std::uint64_t>(pos) < best_seq) {
-      best_seq = static_cast<std::uint64_t>(pos);
-      found = true;
-    }
-  }
-  if (!found) return std::nullopt;
-  return PositionOfSeq(best_seq);
+    if (seq != MaxSegTree::npos && (!best || seq < *best)) best = seq;
+  });
+  return best;
 }
 
-std::optional<std::size_t> SusQueueIndex::BestPriorityEligible(
+std::optional<std::uint64_t> SusQueueIndex::BestPriorityEligible(
     FamilyId family, Area area_bound, ConfigId match_config) const {
-  std::optional<std::pair<double, std::uint64_t>> best;
-  const auto consider = [&best](std::pair<double, std::uint64_t> key) {
+  Require(SusOrder::kPriority, "BestPriorityEligible");
+  std::optional<PrioKey> best;
+  const auto consider = [&best](const PrioKey& key) {
     if (!best || key < *best) best = key;
   };
   if (match_config.valid()) {
-    if (const auto it = buckets_.find(match_config.value());
-        it != buckets_.end() && !it->second.by_priority.empty()) {
-      consider(*it->second.by_priority.begin());
+    if (const auto it = prio_buckets_.find(match_config.value());
+        it != prio_buckets_.end() && !it->second.empty()) {
+      consider(*it->second.begin());
     }
   }
-  for (const Group* group : GroupsFor(family)) {
-    if (const auto key = group->by_priority.FirstWithAreaAtMost(area_bound)) {
-      consider(*key);
-    }
-  }
+  ForEachGroupFor(prio_groups_, family, [&](const AreaTreap& treap) {
+    if (const auto key = treap.FirstWithAreaAtMost(area_bound)) consider(*key);
+  });
   if (!best) return std::nullopt;
-  return PositionOfSeq(best->second);
+  return best->second;
 }
 
 std::vector<std::string> SusQueueIndex::Validate(
-    const std::vector<TaskId>& queue,
-    const std::function<SusEntryAttrs(TaskId)>& attrs_of) const {
+    const std::vector<std::pair<std::uint64_t, SusEntryAttrs>>& entries)
+    const {
   std::vector<std::string> violations;
   const auto complain = [&violations](std::string msg) {
     violations.push_back(std::move(msg));
   };
-  if (queue.size() != slots_.size()) {
-    complain(Format("size mismatch: queue {} vs index {}", queue.size(),
-                     slots_.size()));
+  const bool fifo = order_ == SusOrder::kFifo;
+  if (fifo ? !prio_buckets_.empty() || !prio_groups_.empty()
+           : !fifo_buckets_.empty() || !fifo_groups_.empty()) {
+    complain("index holds structures of the other drain order");
   }
-  std::uint64_t prev_seq = 0;
-  bool first = true;
-  for (std::size_t pos = 0; pos < queue.size(); ++pos) {
-    const TaskId task = queue[pos];
-    const auto it = slots_.find(task.value());
-    if (it == slots_.end()) {
-      complain(Format("task {} queued but not indexed", task.value()));
-      continue;
+  for (const auto& [seq, attrs] : entries) {
+    bool in_bucket = false;
+    bool in_group = false;
+    if (fifo) {
+      const auto bucket = fifo_buckets_.find(attrs.resolved_config.value());
+      in_bucket = bucket != fifo_buckets_.end() && bucket->second.contains(seq);
+      const auto group = fifo_groups_.find(GroupKeyOf(attrs));
+      in_group = group != fifo_groups_.end() && group->second.size() > seq &&
+                 group->second.Value(static_cast<std::size_t>(seq)) ==
+                     -attrs.needed_area;
+    } else {
+      const auto bucket = prio_buckets_.find(attrs.resolved_config.value());
+      in_bucket = bucket != prio_buckets_.end() &&
+                  bucket->second.contains({-attrs.priority, seq});
+      in_group = prio_groups_.contains(GroupKeyOf(attrs));
     }
-    const Slot& slot = it->second;
-    if (!first && slot.seq <= prev_seq) {
-      complain(Format("task {} breaks seq monotonicity", task.value()));
-    }
-    first = false;
-    prev_seq = slot.seq;
-    const SusEntryAttrs truth = attrs_of(task);
-    if (!(slot.attrs == truth)) {
-      complain(Format("task {} has stale attrs", task.value()));
-    }
-    if (PositionOfSeq(slot.seq) != pos) {
-      complain(Format("task {} position {} != rank {}", task.value(), pos,
-                       PositionOfSeq(slot.seq)));
-    }
-    const auto bucket_it = buckets_.find(slot.attrs.resolved_config.value());
-    if (bucket_it == buckets_.end() ||
-        !bucket_it->second.by_seq.contains(slot.seq) ||
-        !bucket_it->second.by_priority.contains(
-            {-slot.attrs.priority, slot.seq})) {
-      complain(Format("task {} missing from its bucket", task.value()));
-    }
-    const auto group_it = groups_.find(GroupKeyOf(slot.attrs));
-    if (group_it == groups_.end() ||
-        group_it->second.by_seq.size() <= slot.seq ||
-        group_it->second.by_seq.Value(static_cast<std::size_t>(slot.seq)) !=
-            -slot.attrs.needed_area) {
-      complain(Format("task {} missing from its group", task.value()));
-    }
+    if (!in_bucket) complain(Format("seq {} missing from its bucket", seq));
+    if (!in_group) complain(Format("seq {} missing from its group", seq));
   }
   std::size_t bucket_total = 0;
-  for (const auto& [config, bucket] : buckets_) {
-    if (bucket.by_seq.size() != bucket.by_priority.size()) {
-      complain(Format("bucket {} set sizes differ", config));
-    }
-    bucket_total += bucket.by_seq.size();
+  for (const auto& [config, bucket] : fifo_buckets_) {
+    bucket_total += bucket.size();
   }
-  if (bucket_total != slots_.size()) {
+  for (const auto& [config, bucket] : prio_buckets_) {
+    bucket_total += bucket.size();
+  }
+  if (bucket_total != entries.size()) {
     complain(Format("buckets hold {} entries, expected {}", bucket_total,
-                     slots_.size()));
+                    entries.size()));
   }
   std::size_t group_total = 0;
-  for (const auto& [family, group] : groups_) {
-    group_total += group.by_priority.size();
-    std::size_t live_leaves = 0;
-    for (std::size_t pos = 0; pos < group.by_seq.size(); ++pos) {
-      if (group.by_seq.Value(pos) != MaxSegTree::kNegInf) ++live_leaves;
-    }
-    if (live_leaves != group.by_priority.size()) {
-      complain(Format("group {} tree/treap sizes differ ({} vs {})", family,
-                       live_leaves, group.by_priority.size()));
+  for (const auto& [family, tree] : fifo_groups_) {
+    for (std::size_t seq = 0; seq < tree.size(); ++seq) {
+      if (tree.Value(seq) != MaxSegTree::kNegInf) ++group_total;
     }
   }
-  if (group_total != slots_.size()) {
+  for (const auto& [family, treap] : prio_groups_) {
+    group_total += treap.size();
+  }
+  if (group_total != entries.size()) {
     complain(Format("groups hold {} entries, expected {}", group_total,
-                     slots_.size()));
-  }
-  if (static_cast<std::size_t>(live_.Total()) != slots_.size()) {
-    complain("live-count Fenwick total mismatch");
+                    entries.size()));
   }
   return violations;
 }

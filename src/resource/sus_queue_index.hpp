@@ -11,33 +11,35 @@
 // index"). Decisions are bit-identical with the scans —
 // tests/test_sus_drain_diff.cpp proves it differentially.
 //
-// Layout. Each queued task gets a monotonically increasing sequence
-// number at Add time; because the queue is strictly FIFO (a task is
-// enqueued at the back and only ever removed, never reordered), queue
-// position order == seq order, and an entry's current position is the
-// count of live seqs below its own (Fenwick prefix sum). On top of that:
-//   - buckets keyed by resolved_config: ordered seq set (oldest match)
-//     and (-priority, seq) set (best-priority match, FIFO tie-break) for
-//     the full-mode exact-match pick and the partial-mode "rule 1"
-//     candidates;
-//   - per-family-group structures for the area-bounded fallback
-//     ("rule 3": needed_area <= bound). A group holds the tasks whose
-//     resolved config pins them to one device family, plus a wildcard
-//     group for tasks that are compatible with every family (unresolved
-//     config or family-less config):
-//       - a MaxSegTree over seq positions storing -needed_area, so
+// Layout. The SuspensionQueue owns the FIFO: every queued task has an
+// insertion seq (its slot in the queue's append-only slot array), and
+// because the queue is strictly FIFO (a task is enqueued at the back and
+// only ever removed, never reordered), queue position order == seq order.
+// The queue converts between seqs and positions; this index only ever sees
+// seqs and the attributes the queue hands it. It is built for one drain
+// order — the one SimulationConfig::priority_scheduling picks — and keeps
+// only that order's structures:
+//   - FIFO order:
+//       - per-resolved_config buckets: an ordered seq set (oldest exact
+//         match, and the exact-match rule of the eligibility query);
+//       - per-family-group MaxSegTrees over seqs storing -needed_area, so
 //         "earliest entry at/after a cursor with needed_area <= bound" is
 //         one FirstAtLeast(cursor, -bound) descent;
-//       - an AreaTreap ordered by (-priority, seq) with subtree-min
-//         needed_area, so "highest-priority entry with needed_area <=
-//         bound" is one left-first descent.
-// A task lives in exactly one bucket and one group, so memory stays O(Q).
-// The index never touches the WorkloadMeter — the simulator charges the
-// analytic step counts.
+//   - priority order:
+//       - per-resolved_config buckets: a (-priority, seq) set (best
+//         priority, FIFO tie-break);
+//       - per-family-group AreaTreaps ordered by (-priority, seq) with
+//         subtree-min needed_area, so "highest-priority entry with
+//         needed_area <= bound" is one left-first descent.
+// A family group holds the tasks whose resolved config pins them to one
+// device family, plus a wildcard group for tasks that are compatible with
+// every family (unresolved config or family-less config). A task lives in
+// exactly one bucket and one group, so memory stays O(Q) (plus the
+// seq-indexed leaves of the segment trees). The index never touches the
+// WorkloadMeter — the simulator charges the analytic step counts.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -113,59 +115,61 @@ class AreaTreap {
   std::size_t count_ = 0;
 };
 
-/// The acceleration structures. Owned by SuspensionQueue; every mutation
-/// keeps them in sync, every drain query reads pure index state.
+/// The drain order an index serves: FIFO (oldest first) or priority
+/// (highest priority first, FIFO tie-break).
+enum class SusOrder : std::uint8_t { kFifo, kPriority };
+
+/// The candidate index. Owned by SuspensionQueue, which calls Add/Remove/
+/// Refresh on every mutation; every drain query reads pure index state and
+/// answers with a seq. Calling a query of the other order throws
+/// std::logic_error.
 class SusQueueIndex {
  public:
-  /// Appends `task` at the back of the FIFO. A task must not already be
-  /// present.
-  void Add(TaskId task, const SusEntryAttrs& attrs);
+  explicit SusQueueIndex(SusOrder order) : order_(order) {}
 
-  /// Removes `task` (must be present).
-  void Remove(TaskId task);
+  /// Indexes the entry with insertion seq `seq` (must not be indexed).
+  void Add(std::uint64_t seq, const SusEntryAttrs& attrs);
 
-  /// Re-derives `task`'s placement after its attributes changed (no-op
-  /// when they did not).
-  void Refresh(TaskId task, const SusEntryAttrs& attrs);
+  /// Drops the entry `seq`, indexed under `attrs`.
+  void Remove(std::uint64_t seq, const SusEntryAttrs& attrs);
 
-  [[nodiscard]] bool Contains(TaskId task) const {
-    return slots_.contains(task.value());
-  }
-  [[nodiscard]] std::size_t size() const { return slots_.size(); }
+  /// Moves entry `seq` from its placement under `old_attrs` to the one
+  /// `attrs` implies.
+  void Refresh(std::uint64_t seq, const SusEntryAttrs& old_attrs,
+               const SusEntryAttrs& attrs);
 
-  /// Current FIFO position of `task` (0 = oldest). Task must be present.
-  [[nodiscard]] std::size_t PositionOf(TaskId task) const;
-
-  // --- Query mirrors (decision only; the caller charges the steps) ---
+  // --- FIFO-order queries (decision only; the caller charges the steps) ---
 
   /// Oldest entry whose resolved_config == `config` (full-mode exact
-  /// match, FIFO policy).
-  [[nodiscard]] std::optional<std::size_t> OldestExactMatch(
+  /// match).
+  [[nodiscard]] std::optional<std::uint64_t> OldestExactMatch(
       ConfigId config) const;
 
-  /// Highest-priority entry whose resolved_config == `config`, FIFO
-  /// tie-break (full-mode exact match, priority policy).
-  [[nodiscard]] std::optional<std::size_t> BestPriorityExactMatch(
-      ConfigId config) const;
-
-  /// Earliest entry at position >= `from` (position of `from_task`; pass
-  /// invalid to start at the front) that either exact-matches
-  /// `match_config` (when valid) or is family-compatible with `family`
-  /// and has needed_area <= `area_bound` — the CouldUseNode predicate /
-  /// full-mode fallback, FIFO order.
-  [[nodiscard]] std::optional<std::size_t> OldestEligible(
-      FamilyId family, Area area_bound, TaskId from_task,
+  /// Earliest entry with seq >= `from_seq` that either exact-matches
+  /// `match_config` (when valid) or is family-compatible with `family` and
+  /// has needed_area <= `area_bound` — the CouldUseNode predicate /
+  /// full-mode fallback.
+  [[nodiscard]] std::optional<std::uint64_t> OldestEligible(
+      FamilyId family, Area area_bound, std::uint64_t from_seq,
       ConfigId match_config) const;
 
-  /// Highest-priority eligible entry (same predicate), FIFO tie-break.
-  [[nodiscard]] std::optional<std::size_t> BestPriorityEligible(
+  // --- Priority-order queries ---
+
+  /// Highest-priority entry whose resolved_config == `config`, FIFO
+  /// tie-break.
+  [[nodiscard]] std::optional<std::uint64_t> BestPriorityExactMatch(
+      ConfigId config) const;
+
+  /// Highest-priority eligible entry (same predicate as OldestEligible),
+  /// FIFO tie-break.
+  [[nodiscard]] std::optional<std::uint64_t> BestPriorityEligible(
       FamilyId family, Area area_bound, ConfigId match_config) const;
 
-  /// Cross-checks every indexed value against the ground-truth queue and
-  /// an attribute oracle; returns one message per violation.
+  /// Cross-checks the index against the queued entries, given as (seq,
+  /// attrs) in FIFO order; returns one message per violation.
   [[nodiscard]] std::vector<std::string> Validate(
-      const std::vector<TaskId>& queue,
-      const std::function<SusEntryAttrs(TaskId)>& attrs_of) const;
+      const std::vector<std::pair<std::uint64_t, SusEntryAttrs>>& entries)
+      const;
 
  private:
   // Correctness tooling (src/analysis): read-only ground-truth diffing and
@@ -173,22 +177,7 @@ class SusQueueIndex {
   friend class ::dreamsim::analysis::StructureAuditor;
   friend class ::dreamsim::analysis::StructureCorruptor;
 
-  struct Slot {
-    std::uint64_t seq = 0;
-    SusEntryAttrs attrs;
-  };
-
-  /// Exact-match candidates sharing one resolved_config.
-  struct Bucket {
-    std::set<std::uint64_t> by_seq;
-    std::set<std::pair<double, std::uint64_t>> by_priority;  // (-prio, seq)
-  };
-
-  /// Area-bounded fallback candidates sharing one family constraint.
-  struct Group {
-    MaxSegTree by_seq;     // seq position -> -needed_area (kNegInf = absent)
-    AreaTreap by_priority;
-  };
+  using PrioKey = std::pair<double, std::uint64_t>;  // (-priority, seq)
 
   static constexpr std::uint32_t kWildcardGroup =
       FamilyId().value();  // invalid family value
@@ -197,22 +186,26 @@ class SusQueueIndex {
     return attrs.config_family.valid() ? attrs.config_family.value()
                                        : kWildcardGroup;
   }
-  void InsertInto(std::uint64_t seq, const SusEntryAttrs& attrs);
-  void EraseFrom(std::uint64_t seq, const SusEntryAttrs& attrs);
+  void Require(SusOrder order, const char* query) const;
   /// Sets the group's seq-tree leaf, appending kNegInf padding so that
-  /// leaf positions always equal global seqs.
-  static void AssignSeqLeaf(Group& group, std::uint64_t seq,
+  /// leaf positions always equal seqs.
+  static void AssignSeqLeaf(MaxSegTree& tree, std::uint64_t seq,
                             std::int64_t value);
-  /// Position = number of live entries with a smaller seq.
-  [[nodiscard]] std::size_t PositionOfSeq(std::uint64_t seq) const;
-  /// The groups a task compatible with `family` may live in.
-  [[nodiscard]] std::vector<const Group*> GroupsFor(FamilyId family) const;
+  /// Calls `fn` on each group of `groups` a task compatible with `family`
+  /// may live in.
+  template <typename Group, typename Fn>
+  static void ForEachGroupFor(const std::map<std::uint32_t, Group>& groups,
+                              FamilyId family, Fn&& fn);
 
-  std::unordered_map<std::uint32_t, Slot> slots_;  // by TaskId value
-  std::uint64_t next_seq_ = 0;
-  PrefixSumTree live_;  // seq -> 1 while queued, 0 after removal
-  std::unordered_map<std::uint32_t, Bucket> buckets_;  // by ConfigId value
-  std::map<std::uint32_t, Group> groups_;  // by family value (+ wildcard)
+  SusOrder order_;
+  // FIFO order (empty in a priority-order index).
+  std::unordered_map<std::uint32_t, std::set<std::uint64_t>>
+      fifo_buckets_;                                  // by ConfigId value
+  std::map<std::uint32_t, MaxSegTree> fifo_groups_;  // by family (+ wildcard)
+  // Priority order (empty in a FIFO-order index).
+  std::unordered_map<std::uint32_t, std::set<PrioKey>>
+      prio_buckets_;                                  // by ConfigId value
+  std::map<std::uint32_t, AreaTreap> prio_groups_;   // by family (+ wildcard)
 };
 
 }  // namespace dreamsim::resource

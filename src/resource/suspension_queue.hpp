@@ -5,20 +5,35 @@
 // executing a task, the suspension queue is checked ... to determine if a
 // suitable task is waiting in the queue which can be executed".
 //
+// Layout. Every enqueued task gets the next insertion seq, which is its
+// slot in an append-only slot array. Removal leaves a tombstone and unlinks
+// the slot from a doubly-linked list threaded through the live slots in
+// seq (= FIFO) order, so walks and front pops visit live entries only. A
+// Fenwick tree of live seqs converts seq -> FIFO position (the charge
+// arithmetic) and position -> seq (positional access), and one table maps
+// each queued task to its seq and drain attributes.
+//
 // With the drain index enabled (the default) the queue keeps a
-// SusQueueIndex in sync so membership tests and drain candidate selection
-// run in O(log Q) host work; every counted operation still charges the
-// WorkloadMeter exactly what the literal FIFO scan would have charged
-// (DESIGN.md "Scheduler index").
+// SusQueueIndex over its seqs in sync, so membership tests and drain
+// candidate selection run in O(log Q) host work; every counted operation
+// still charges the WorkloadMeter exactly what the literal FIFO scan would
+// have charged (DESIGN.md "Scheduler index").
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "resource/index_primitives.hpp"
 #include "resource/sus_queue_index.hpp"
 #include "resource/workload_meter.hpp"
 #include "util/types.hpp"
@@ -28,9 +43,58 @@ namespace dreamsim::resource {
 /// FIFO of suspended tasks with counted traversals. An optional capacity
 /// bound lets failure-injection tests exercise overflow handling.
 class SuspensionQueue {
+ private:
+  static constexpr std::uint32_t kNoSlot =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// One insertion seq. `task` is invalid once the entry left the queue
+  /// (a tombstone); live slots are linked in seq order.
+  struct Slot {
+    TaskId task;
+    std::uint32_t prev = kNoSlot;
+    std::uint32_t next = kNoSlot;
+  };
+
  public:
-  /// `capacity` of 0 means unbounded.
-  explicit SuspensionQueue(std::size_t capacity = 0) : capacity_(capacity) {}
+  /// Forward iterator over the queued tasks in FIFO order (oldest first).
+  /// Appending keeps it valid; removing the entry it points at does not.
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = TaskId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const TaskId*;
+    using reference = TaskId;
+
+    const_iterator() = default;
+    TaskId operator*() const { return (*slots_)[slot_].task; }
+    const_iterator& operator++() {
+      slot_ = (*slots_)[slot_].next;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator before = *this;
+      ++*this;
+      return before;
+    }
+    friend bool operator==(const const_iterator& a, const const_iterator& b) {
+      return a.slot_ == b.slot_;
+    }
+
+   private:
+    friend class SuspensionQueue;
+    const_iterator(const std::vector<Slot>* slots, std::uint32_t slot)
+        : slots_(slots), slot_(slot) {}
+
+    const std::vector<Slot>* slots_ = nullptr;
+    std::uint32_t slot_ = kNoSlot;
+  };
+
+  /// `capacity` of 0 means unbounded. `order` is the drain order the index
+  /// serves once enabled (SimulationConfig::priority_scheduling).
+  explicit SuspensionQueue(std::size_t capacity = 0,
+                           SusOrder order = SusOrder::kFifo)
+      : capacity_(capacity), order_(order) {}
 
   /// AddTaskToSusQueue(): appends the task. Returns false when the queue is
   /// at capacity (caller then discards the task). The overload without
@@ -42,26 +106,28 @@ class SuspensionQueue {
                          WorkloadMeter& meter);
 
   /// RemoveTaskFromSusQueue(): removes and returns the first (oldest) task
-  /// satisfying `pred`; counted scan in FIFO order.
+  /// satisfying `pred`; counted scan in FIFO order. Popping the front is
+  /// O(1), so discarding a whole queue this way is linear.
   template <typename Pred>
   [[nodiscard]] std::optional<TaskId> PopFirstMatching(Pred&& pred,
                                                        WorkloadMeter& meter) {
     obs::MetricInc(obs::MetricId::kSusqScanFallback);
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
+    for (std::uint32_t slot = head_; slot != kNoSlot;
+         slot = slots_[slot].next) {
       meter.Add(StepKind::kHousekeeping);
-      if (pred(queue_[i])) {
-        const TaskId task = queue_[i];
-        EraseAt(i);
+      const TaskId task = slots_[slot].task;
+      if (pred(task)) {
+        Unlink(slot);
         return task;
       }
     }
     return std::nullopt;
   }
 
-  /// SearchSusQueue(): counted membership test. Answered from the index
-  /// (O(log Q) host work) when enabled, by literal scan otherwise; the
-  /// meter charge is the scan's either way (position + 1 on a hit, queue
-  /// size on a miss).
+  /// SearchSusQueue(): counted membership test. Answered from the task
+  /// table (O(log Q) host work) when the index is enabled, by literal scan
+  /// otherwise; the meter charge is the scan's either way (position + 1 on
+  /// a hit, queue size on a miss).
   [[nodiscard]] bool Contains(TaskId task, WorkloadMeter& meter) const;
 
   /// Removes a specific task (e.g. when its retry budget is exhausted).
@@ -72,6 +138,11 @@ class SuspensionQueue {
   /// callers that already paid the traversal to `index`; charges one
   /// housekeeping step for the unlink itself.
   void RemoveAt(std::size_t index, WorkloadMeter& meter);
+
+  /// The task at FIFO position `index` (uncounted, O(log Q)).
+  [[nodiscard]] TaskId At(std::size_t index) const {
+    return slots_[SeqAt(index)].task;
+  }
 
   /// Re-syncs the indexed attributes of a queued task after a failed
   /// drain attempt may have rewritten its resolved config. Charges
@@ -85,22 +156,26 @@ class SuspensionQueue {
 
   // --- Indexed drain queries (require drain_indexed()) ---
   // Decision mirrors of the Simulator::DrainSuspensionQueue scans; the
-  // caller charges the analytic step counts. See SusQueueIndex. That
-  // caller-charges contract is why these thin delegates carry
-  // `lint: allow(uncharged-index-query)` — dreamsim_lint's R3 otherwise
-  // requires a WorkloadMeter charge next to every drain-query call.
+  // caller charges the analytic step counts. See SusQueueIndex. The FIFO
+  // queries need a FIFO-order queue, the priority queries a priority-order
+  // one (std::logic_error otherwise). That caller-charges contract is why
+  // these thin delegates carry `lint: allow(uncharged-index-query)` —
+  // dreamsim_lint's R3 otherwise requires a WorkloadMeter charge next to
+  // every drain-query call. Answers are FIFO positions.
 
   [[nodiscard]] std::optional<std::size_t> OldestExactMatch(
       ConfigId config) const {
     const obs::ScopedPhaseTimer timer(obs::ProfPhase::kSusQueueQuery);
     obs::MetricInc(obs::MetricId::kSusqQueryOldestExact);
-    return index_->OldestExactMatch(config);  // lint: allow(uncharged-index-query)
+    // lint: allow(uncharged-index-query)
+    return PositionOf(index_->OldestExactMatch(config));
   }
   [[nodiscard]] std::optional<std::size_t> BestPriorityExactMatch(
       ConfigId config) const {
     const obs::ScopedPhaseTimer timer(obs::ProfPhase::kSusQueueQuery);
     obs::MetricInc(obs::MetricId::kSusqQueryBestPrioExact);
-    return index_->BestPriorityExactMatch(config);  // lint: allow(uncharged-index-query)
+    // lint: allow(uncharged-index-query)
+    return PositionOf(index_->BestPriorityExactMatch(config));
   }
   /// `from` is a FIFO position (entries before it are skipped).
   [[nodiscard]] std::optional<std::size_t> OldestEligible(
@@ -108,34 +183,36 @@ class SuspensionQueue {
       ConfigId match_config) const {
     const obs::ScopedPhaseTimer timer(obs::ProfPhase::kSusQueueQuery);
     obs::MetricInc(obs::MetricId::kSusqQueryOldestEligible);
+    if (from >= size()) return std::nullopt;
     // lint: allow(uncharged-index-query)
-    return index_->OldestEligible(family, area_bound,
-                                  from == 0 ? TaskId::invalid() : queue_[from],
-                                  match_config);
+    return PositionOf(index_->OldestEligible(family, area_bound, SeqAt(from),
+                                             match_config));
   }
   [[nodiscard]] std::optional<std::size_t> BestPriorityEligible(
       FamilyId family, Area area_bound, ConfigId match_config) const {
     const obs::ScopedPhaseTimer timer(obs::ProfPhase::kSusQueueQuery);
     obs::MetricInc(obs::MetricId::kSusqQueryBestPrioEligible);
     // lint: allow(uncharged-index-query)
-    return index_->BestPriorityEligible(family, area_bound, match_config);
+    return PositionOf(index_->BestPriorityEligible(family, area_bound,
+                                                   match_config));
   }
 
-  /// Cross-checks the index against the queue (empty = consistent; always
-  /// empty when the index is disabled).
+  /// Cross-checks the index (and the seq -> position tree it answers
+  /// through) against the queue (empty = consistent; always empty when the
+  /// index is disabled).
   [[nodiscard]] std::vector<std::string> ValidateIndex() const;
 
-  [[nodiscard]] std::size_t size() const { return queue_.size(); }
-  [[nodiscard]] bool empty() const { return queue_.empty(); }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] bool empty() const { return entries_.empty(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  /// Read-only view in FIFO order (oldest first).
-  [[nodiscard]] const std::vector<TaskId>& tasks() const { return queue_; }
+  [[nodiscard]] const_iterator begin() const { return {&slots_, head_}; }
+  [[nodiscard]] const_iterator end() const { return {&slots_, kNoSlot}; }
 
-  /// Pre-reserves FIFO and attribute-map capacity for `expected` entries.
+  /// Pre-reserves slot and task-table capacity for `expected` entries.
   void Reserve(std::size_t expected) {
-    queue_.reserve(expected);
-    attrs_.reserve(expected);
+    slots_.reserve(expected);
+    entries_.reserve(expected);
   }
 
  private:
@@ -144,13 +221,34 @@ class SuspensionQueue {
   friend class ::dreamsim::analysis::StructureAuditor;
   friend class ::dreamsim::analysis::StructureCorruptor;
 
-  /// Unlinks position `index` from the queue, the attribute map, and the
-  /// index (uncounted; callers charge per their own contract).
-  void EraseAt(std::size_t index);
+  /// A queued task's seq (its slot) and drain attributes.
+  struct Entry {
+    std::uint32_t seq = 0;
+    SusEntryAttrs attrs;
+  };
+
+  /// The seq at FIFO position `index`; throws std::out_of_range past the
+  /// back.
+  [[nodiscard]] std::uint32_t SeqAt(std::size_t index) const;
+
+  [[nodiscard]] std::optional<std::size_t> PositionOf(
+      std::optional<std::uint64_t> seq) const {
+    if (!seq) return std::nullopt;
+    return live_.Prefix(static_cast<std::size_t>(*seq));
+  }
+
+  /// Removes the live slot `seq` from the list, the live tree, the task
+  /// table and the index (uncounted; callers charge per their own
+  /// contract).
+  void Unlink(std::uint32_t seq);
 
   std::size_t capacity_;
-  std::vector<TaskId> queue_;
-  std::unordered_map<std::uint32_t, SusEntryAttrs> attrs_;  // by TaskId value
+  SusOrder order_;
+  std::vector<Slot> slots_;  // by seq; append-only
+  std::uint32_t head_ = kNoSlot;  // oldest live slot
+  std::uint32_t tail_ = kNoSlot;  // newest live slot
+  CountTree live_;                // seq -> 1 while queued
+  std::unordered_map<std::uint32_t, Entry> entries_;  // by TaskId value
   std::unique_ptr<SusQueueIndex> index_;
 };
 

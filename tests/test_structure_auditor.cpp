@@ -83,20 +83,25 @@ TEST(StructureAuditorClean, PopulatedStoreIndexedAndNot) {
 
 TEST(StructureAuditorClean, PopulatedSuspensionQueue) {
   for (const bool indexed : {false, true}) {
-    SuspensionQueue queue(/*capacity=*/8);
-    queue.SetDrainIndexed(indexed);
-    WorkloadMeter meter;
-    for (std::uint32_t t = 0; t < 5; ++t) {
-      SusEntryAttrs attrs;
-      attrs.resolved_config = ConfigId{t % 2};
-      attrs.needed_area = 100 + t;
-      attrs.priority = static_cast<double>(t);
-      ASSERT_TRUE(queue.Add(TaskId{t}, attrs, meter));
+    for (const resource::SusOrder order :
+         {resource::SusOrder::kFifo, resource::SusOrder::kPriority}) {
+      SuspensionQueue queue(/*capacity=*/8, order);
+      queue.SetDrainIndexed(indexed);
+      WorkloadMeter meter;
+      for (std::uint32_t t = 0; t < 5; ++t) {
+        SusEntryAttrs attrs;
+        attrs.resolved_config = ConfigId{t % 2};
+        attrs.needed_area = 100 + t;
+        attrs.priority = static_cast<double>(t);
+        ASSERT_TRUE(queue.Add(TaskId{t}, attrs, meter));
+      }
+      ASSERT_TRUE(queue.Remove(TaskId{2}, meter));
+      const AuditReport report =
+          StructureAuditor::AuditSuspensionQueue(queue);
+      EXPECT_TRUE(report.ok()) << "indexed=" << indexed
+                               << " order=" << static_cast<int>(order) << "\n"
+                               << report.Render();
     }
-    ASSERT_TRUE(queue.Remove(TaskId{2}, meter));
-    const AuditReport report = StructureAuditor::AuditSuspensionQueue(queue);
-    EXPECT_TRUE(report.ok()) << "indexed=" << indexed << "\n"
-                             << report.Render();
   }
 }
 
@@ -213,6 +218,27 @@ TEST(StructureAuditorCorruption, MisplacedBucketSeqIsSusidxBucket) {
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(Slugs(report), std::set<std::string>{"susidx.bucket"})
       << report.Render();
+}
+
+TEST(StructureAuditorCorruption, SkewedSusLiveTreeIsSusFifo) {
+  for (const bool indexed : {false, true}) {
+    SuspensionQueue queue;
+    queue.SetDrainIndexed(indexed);
+    WorkloadMeter meter;
+    for (std::uint32_t t = 0; t < 4; ++t) {
+      ASSERT_TRUE(queue.Add(TaskId{t}, meter));
+    }
+    ASSERT_TRUE(queue.Remove(TaskId{0}, meter));  // seq 0 is a tombstone
+    // The live-seq Fenwick tree claims the removed entry is still queued:
+    // slots, links, table and index are intact, so only the leaf-by-leaf
+    // recount can see it.
+    StructureCorruptor::SkewSusLive(queue);
+    const AuditReport report = StructureAuditor::AuditSuspensionQueue(queue);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(Slugs(report), std::set<std::string>{"sus.fifo"})
+        << "indexed=" << indexed << "\n"
+        << report.Render();
+  }
 }
 
 TEST(StructureAuditorCorruption, OrphanActionIsEvqOrphanAction) {

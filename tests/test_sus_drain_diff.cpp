@@ -7,7 +7,9 @@
 //   1. Queue-level twin fuzz: one random operation stream applied to an
 //      indexed and a scan queue in lockstep; results and meters must agree
 //      after every step, and the index's drain queries must match a
-//      brute-force rescan of the queue.
+//      brute-force rescan of the queue. An index serves one drain order,
+//      so the fuzz runs once per order with the same operation mix, each
+//      instance checking every query of its order.
 //   2. Simulator-level: full runs across both reconfiguration modes,
 //      priority scheduling on/off, suspension_batch in {0, 1, 8}, retry
 //      budgets, bounded-capacity overflow, and contiguous placement —
@@ -101,10 +103,12 @@ struct BruteForce {
 struct QueueTwinCase {
   std::uint64_t seed = 0;
   std::size_t capacity = 0;  // 0 = unbounded
+  resource::SusOrder order = resource::SusOrder::kFifo;
 };
 
 void PrintTo(const QueueTwinCase& c, std::ostream* os) {
   *os << "seed=" << c.seed << " capacity=" << c.capacity;
+  if (c.order == resource::SusOrder::kPriority) *os << " priority";
 }
 
 class SusDrainTwinFuzz : public ::testing::TestWithParam<QueueTwinCase> {};
@@ -112,7 +116,8 @@ class SusDrainTwinFuzz : public ::testing::TestWithParam<QueueTwinCase> {};
 TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
   const QueueTwinCase param = GetParam();
   Rng rng(param.seed);
-  SuspensionQueue indexed(param.capacity);
+  const bool fifo = param.order == resource::SusOrder::kFifo;
+  SuspensionQueue indexed(param.capacity, param.order);
   SuspensionQueue scan(param.capacity);
   indexed.SetDrainIndexed(true);
   ASSERT_TRUE(indexed.drain_indexed());
@@ -148,11 +153,12 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
     if (scan.empty()) return TaskId::invalid();
     const auto pick = static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(scan.size()) - 1));
-    return scan.tasks()[pick];
+    return scan.At(pick);
   };
 
   for (int op = 0; op < 3000; ++op) {
-    const BruteForce brute{scan.tasks(), attrs_oracle};
+    const std::vector<TaskId> queued(scan.begin(), scan.end());
+    const BruteForce brute{queued, attrs_oracle};
     switch (rng.uniform_int(0, 9)) {
       case 0:
       case 1: {  // enqueue a fresh task (overflow exercised via capacity)
@@ -187,7 +193,7 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
         if (scan.empty()) break;
         const auto pos = static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(scan.size()) - 1));
-        attrs_oracle.erase(scan.tasks()[pos].value());
+        attrs_oracle.erase(scan.At(pos).value());
         indexed.RemoveAt(pos, meter_indexed);
         scan.RemoveAt(pos, meter_scan);
         break;
@@ -214,31 +220,47 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
         attrs_oracle[task.value()] = attrs;
         break;
       }
-      case 7: {  // full-mode exact-match picks
+      case 7: {  // full-mode exact-match pick
         const ConfigId config = random_config();
-        ASSERT_EQ(indexed.OldestExactMatch(config),
-                  brute.OldestExactMatch(config));
-        ASSERT_EQ(indexed.BestPriorityExactMatch(config),
-                  brute.BestPriorityExactMatch(config));
+        if (fifo) {
+          ASSERT_EQ(indexed.OldestExactMatch(config),
+                    brute.OldestExactMatch(config));
+        } else {
+          ASSERT_EQ(indexed.BestPriorityExactMatch(config),
+                    brute.BestPriorityExactMatch(config));
+        }
         break;
       }
-      case 8: {  // partial FIFO / full-mode fallback pick
+      case 8: {  // partial FIFO pick from a cursor / partial priority pick
         if (scan.empty()) break;
         const FamilyId family = random_family();
         const Area bound = rng.uniform_int(0, 2200);
         const auto from = static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(scan.size()) - 1));
         const ConfigId match = random_config();
-        ASSERT_EQ(indexed.OldestEligible(family, bound, from, match),
-                  brute.OldestEligible(family, bound, from, match));
+        if (fifo) {
+          ASSERT_EQ(indexed.OldestEligible(family, bound, from, match),
+                    brute.OldestEligible(family, bound, from, match));
+        } else {
+          ASSERT_EQ(indexed.BestPriorityEligible(family, bound, match),
+                    brute.BestPriorityEligible(family, bound, match));
+        }
         break;
       }
-      case 9: {  // partial priority pick
+      case 9: {  // full-mode fallback pick (no exact-match rule)
         const FamilyId family = random_family();
         const Area bound = rng.uniform_int(0, 2200);
-        const ConfigId match = random_config();
-        ASSERT_EQ(indexed.BestPriorityEligible(family, bound, match),
-                  brute.BestPriorityEligible(family, bound, match));
+        if (fifo) {
+          ASSERT_EQ(indexed.OldestEligible(family, bound, 0,
+                                           ConfigId::invalid()),
+                    brute.OldestEligible(family, bound, 0,
+                                         ConfigId::invalid()));
+        } else {
+          ASSERT_EQ(indexed.BestPriorityEligible(family, bound,
+                                                 ConfigId::invalid()),
+                    brute.BestPriorityEligible(family, bound,
+                                               ConfigId::invalid()));
+        }
         break;
       }
     }
@@ -261,16 +283,29 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
   const auto violations = indexed.ValidateIndex();
   ASSERT_TRUE(violations.empty())
       << "first violation: " << (violations.empty() ? "" : violations[0]);
-  const BruteForce brute{scan.tasks(), attrs_oracle};
-  ASSERT_EQ(indexed.OldestEligible(FamilyId{1}, 1500, 0, ConfigId{2}),
-            brute.OldestEligible(FamilyId{1}, 1500, 0, ConfigId{2}));
+  const std::vector<TaskId> queued(scan.begin(), scan.end());
+  const BruteForce brute{queued, attrs_oracle};
+  if (fifo) {
+    ASSERT_EQ(indexed.OldestEligible(FamilyId{1}, 1500, 0, ConfigId{2}),
+              brute.OldestEligible(FamilyId{1}, 1500, 0, ConfigId{2}));
+  } else {
+    ASSERT_EQ(indexed.BestPriorityEligible(FamilyId{1}, 1500, ConfigId{2}),
+              brute.BestPriorityEligible(FamilyId{1}, 1500, ConfigId{2}));
+  }
 }
+
+constexpr resource::SusOrder kPrio = resource::SusOrder::kPriority;
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, SusDrainTwinFuzz,
     ::testing::Values(QueueTwinCase{201, 0}, QueueTwinCase{202, 0},
                       QueueTwinCase{203, 25}, QueueTwinCase{204, 8},
-                      QueueTwinCase{205, 0}, QueueTwinCase{206, 40}));
+                      QueueTwinCase{205, 0}, QueueTwinCase{206, 40},
+                      QueueTwinCase{201, 0, kPrio}, QueueTwinCase{202, 0, kPrio},
+                      QueueTwinCase{203, 25, kPrio},
+                      QueueTwinCase{204, 8, kPrio},
+                      QueueTwinCase{205, 0, kPrio},
+                      QueueTwinCase{206, 40, kPrio}));
 
 // --- Layer 2: full-simulation differential runs ---------------------------
 

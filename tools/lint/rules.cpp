@@ -662,9 +662,9 @@ class MergeOrderRule : public Rule {
 
 std::vector<std::unique_ptr<Rule>> BuiltinRules() {
   std::vector<std::unique_ptr<Rule>> rules;
-  // buckets_ (also SusQueueIndex's) and shard_of_ (also ShardEngine's)
-  // would false-positive as whole-word tokens; the cells()-access rule
-  // covers the partition mirror's read surface instead.
+  // shard_of_ (also ShardEngine's) would false-positive as a whole-word
+  // token, and buckets_ stays out with it; the cells()-access rule covers
+  // the partition mirror's read surface instead.
   rules.push_back(std::make_unique<OwnedTokensRule>(
       RuleInfo{"list-internals", Severity::kError,
                "EntryList's cells_/table_/table_used_ are touched only by "
