@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/simulator.hpp"
+#include "obs/metrics.hpp"
 
 namespace dreamsim::core {
 namespace {
@@ -134,6 +135,82 @@ TEST(GoldenMetrics, Seed42PartialMode) {
                       13787,
                       0.36536536536536535,
                       {116, 200, 291, 392, 0}});
+}
+
+// --- Event-queue counters ----------------------------------------------------
+//
+// The kernel's model-plane event-queue metrics, pinned exactly: any change to
+// how events are stored (heap layout, arrival feeding, cancellation) must
+// leave every push, pop, cancel, lazy drop and simulated-time gap as it was.
+
+struct EventCounters {
+  std::uint64_t pushed;
+  std::uint64_t popped;
+  std::uint64_t cancelled;
+  std::uint64_t dead_dropped;
+  std::uint64_t heap_sifts;
+  std::uint64_t depth_peak;
+  std::uint64_t gap_count;
+  std::uint64_t gap_sum;
+};
+
+MetricsReport ExpectEventCounters(SimulationConfig config,
+                                  const EventCounters& g) {
+  obs::MetricsRegistry::SetEnabled(true);
+  obs::MetricsRegistry::Instance().Reset();
+  Simulator sim(std::move(config));
+  const MetricsReport report = sim.Run();
+  const obs::MetricsSnapshot snap =
+      obs::MetricsRegistry::Instance().TakeSnapshot();
+  obs::MetricsRegistry::SetEnabled(false);
+  obs::MetricsRegistry::Instance().Reset();
+  const auto value = [&snap](obs::MetricId id) {
+    return snap.value[static_cast<std::size_t>(id)];
+  };
+  const obs::MetricsSnapshot::Hist& gaps = snap.hist[obs::kHistSlotOf[
+      static_cast<std::size_t>(obs::MetricId::kEventGapTicks)]];
+  EXPECT_EQ(value(obs::MetricId::kEvqPushed), g.pushed);
+  EXPECT_EQ(value(obs::MetricId::kEvqPopped), g.popped);
+  EXPECT_EQ(value(obs::MetricId::kEvqCancelled), g.cancelled);
+  EXPECT_EQ(value(obs::MetricId::kEvqDeadDropped), g.dead_dropped);
+  EXPECT_EQ(value(obs::MetricId::kEvqHeapSifts), g.heap_sifts);
+  EXPECT_EQ(value(obs::MetricId::kEvqDepthPeak), g.depth_peak);
+  EXPECT_EQ(value(obs::MetricId::kEvqDepth), 0u);
+  EXPECT_EQ(gaps.count, g.gap_count);
+  EXPECT_EQ(gaps.sum, g.gap_sum);
+  EXPECT_EQ(report.total_simulation_time,
+            static_cast<Tick>(g.gap_sum));  // gaps telescope to the end tick
+  return report;
+}
+
+TEST(GoldenEventCounters, Seed42FullMode) {
+  SimulationConfig config;
+  config.mode = sched::ReconfigMode::kFull;
+  (void)ExpectEventCounters(
+      std::move(config),
+      EventCounters{1999, 1999, 0, 0, 3998, 1000, 1999, 305126});
+}
+
+TEST(GoldenEventCounters, Seed42PartialMode) {
+  SimulationConfig config;
+  config.mode = sched::ReconfigMode::kPartial;
+  (void)ExpectEventCounters(
+      std::move(config),
+      EventCounters{1999, 1999, 0, 0, 3998, 1000, 1999, 187696});
+}
+
+// MTBF faults: node failures cancel the killed tasks' completions, and the
+// end of the workload cancels every node's pending failure/repair renewal,
+// so cancelled and lazily dropped events both appear.
+TEST(GoldenEventCounters, Seed42PartialModeWithFaults) {
+  SimulationConfig config;
+  config.mode = sched::ReconfigMode::kPartial;
+  config.faults.mtbf = 150'000;
+  config.faults.mttr = 5'000;
+  const MetricsReport report = ExpectEventCounters(
+      std::move(config),
+      EventCounters{3798, 3146, 652, 452, 7396, 1200, 3146, 424341});
+  EXPECT_GT(report.tasks_killed, 0u);  // completions were cancelled
 }
 
 }  // namespace
