@@ -244,19 +244,69 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   const auto depth = static_cast<int>(state.range(0));
   sim::EventQueue queue;
   Rng rng(3);
+  const auto random_event = [&rng] {
+    return sim::Event{sim::EventKind::kCompletion,
+                      static_cast<std::uint32_t>(rng.uniform_int(0, 1 << 20)),
+                      0};
+  };
   for (int i = 0; i < depth; ++i) {
     (void)queue.Push(rng.uniform_int(0, 1 << 20),
-                     sim::EventPriority::kArrival, [] {});
+                     sim::EventPriority::kCompletion, random_event());
   }
   for (auto _ : state) {
     (void)queue.Push(rng.uniform_int(0, 1 << 20),
-                     sim::EventPriority::kArrival, [] {});
+                     sim::EventPriority::kCompletion, random_event());
     auto popped = queue.Pop();
     benchmark::DoNotOptimize(popped.tick);
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueuePushPop)->Range(64, 65536);
+
+// The simulator's shape: a long time-ordered arrival stream on the cursor
+// merged with a shallow heap of completions, each popped arrival scheduling
+// one completion a random span later. range(0) is the heap depth.
+void BM_EventQueueCursorMerge(benchmark::State& state) {
+  struct Arrival {
+    Tick at = 0;
+  };
+  constexpr std::size_t kArrivals = 1 << 20;
+  std::vector<Arrival> arrivals(kArrivals);
+  Rng rng(5);
+  Tick at = 0;
+  for (Arrival& a : arrivals) {
+    at += rng.uniform_int(0, 4);
+    a.at = at;
+  }
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  sim::EventQueue queue;
+  const auto push_completion = [&](Tick now) {
+    (void)queue.Push(now + rng.uniform_int(1, 4 * static_cast<int>(depth)),
+                     sim::EventPriority::kCompletion,
+                     sim::Event{sim::EventKind::kCompletion, 0, 0});
+  };
+  const auto refill = [&] {
+    queue.Clear();
+    (void)queue.PushArrivals(
+        sim::TickView::Of(arrivals.data(), arrivals.size(), &Arrival::at), 0);
+    for (std::size_t i = 0; i < depth; ++i) push_completion(0);
+  };
+  refill();
+  for (auto _ : state) {
+    if (queue.cursor_free()) {
+      state.PauseTiming();
+      refill();
+      state.ResumeTiming();
+    }
+    const sim::FiredEvent fired = queue.Pop();
+    if (fired.event.kind == sim::EventKind::kArrival) {
+      push_completion(fired.tick);
+    }
+    benchmark::DoNotOptimize(fired.tick);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueCursorMerge)->Range(64, 16384);
 
 void BM_RngCore(benchmark::State& state) {
   Rng rng(4);

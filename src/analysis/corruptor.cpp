@@ -99,9 +99,16 @@ void StructureCorruptor::SkewSusLive(resource::SuspensionQueue& queue) {
   queue.live_.Set(0);
 }
 
-void StructureCorruptor::OrphanEventAction(sim::EventQueue& queue) {
-  queue.actions_.emplace(queue.next_sequence_, [] {});
-  ++queue.next_sequence_;
+void StructureCorruptor::SkewEventLiveCount(sim::EventQueue& queue) {
+  ++queue.live_;
+}
+
+void StructureCorruptor::RepointArrivalCursor(sim::EventQueue& queue,
+                                              sim::TickView ticks) {
+  if (ticks.size() != queue.cursor_.ticks.size()) {
+    throw std::logic_error("RepointArrivalCursor: arrival count differs");
+  }
+  queue.cursor_.ticks = ticks;
 }
 
 }  // namespace dreamsim::analysis

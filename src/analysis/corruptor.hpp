@@ -64,9 +64,16 @@ class StructureCorruptor {
   /// tree would. Expected slug: sus.fifo.
   static void SkewSusLive(resource::SuspensionQueue& queue);
 
-  /// Registers a live action whose sequence has no heap entry — an event
-  /// that can never fire. Expected slug: evq.orphan-action.
-  static void OrphanEventAction(sim::EventQueue& queue);
+  /// Adds one to the event queue's live count without scheduling anything,
+  /// as a push or cancel that forgot the counter would. Expected slug:
+  /// evq.live.
+  static void SkewEventLiveCount(sim::EventQueue& queue);
+
+  /// Points the arrival cursor at `ticks` (same number of arrivals), as a
+  /// caller that reorders its workload while the kernel still reads it
+  /// would. Expected slug: evq.cursor when `ticks` is out of order.
+  static void RepointArrivalCursor(sim::EventQueue& queue,
+                                   sim::TickView ticks);
 };
 
 }  // namespace dreamsim::analysis

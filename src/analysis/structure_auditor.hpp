@@ -79,8 +79,10 @@ class StructureAuditor {
   [[nodiscard]] static AuditReport AuditSuspensionQueue(
       const resource::SuspensionQueue& queue);
 
-  /// Audits the pending-event set: live-action/heap-entry correspondence,
-  /// sequence bounds, ordering, and that no live event lies before `now`.
+  /// Audits the pending-event set: heap order, sequence bounds and
+  /// uniqueness (heap and arrival cursor), the cursor's position and tick
+  /// order, size() against a recount of the done bitset, and that no live
+  /// event lies before `now`.
   [[nodiscard]] static AuditReport AuditEventQueue(
       const sim::EventQueue& queue, Tick now);
 

@@ -125,10 +125,12 @@ Simulator::Simulator(SimulationConfig config)
         DeriveSeed(config_.seed, kStreamResources) ^ 0x5bd1e995u);
   }
   // Pre-reserve the hot-path containers from the configured problem size so
-  // the steady state never reallocates: every task contributes one arrival
-  // and at most one completion to the event heap (plus a bounded number of
-  // control events), and the suspension FIFO never outgrows its capacity or
-  // the task population.
+  // the steady state never reallocates. Arrivals stay out of the event heap
+  // (the kernel reads them from the workload in place), so the heap holds
+  // completions, which are bounded by the running tasks, plus a bounded
+  // number of control events; every task contributes one arrival and at
+  // most one completion to the sequences the done bitset covers. The
+  // suspension FIFO never outgrows its capacity or the task population.
   std::size_t expected_tasks = 0;
   if (!config_.task_classes.empty()) {
     for (const workload::TaskClassParams& c : config_.task_classes) {
@@ -139,15 +141,16 @@ Simulator::Simulator(SimulationConfig config)
   } else if (config_.tasks.total_tasks > 0) {
     expected_tasks = static_cast<std::size_t>(config_.tasks.total_tasks);
   }
-  if (expected_tasks > 0) {
-    const std::size_t tasks = expected_tasks;
-    kernel_.ReserveEvents(std::min<std::size_t>(2 * tasks + 64, 1u << 22));
-    const std::size_t fifo_bound =
-        config_.suspension_capacity > 0
-            ? std::min(config_.suspension_capacity, tasks)
-            : tasks;
-    suspension_.Reserve(std::min<std::size_t>(fifo_bound, 1u << 20));
-  }
+  const std::size_t tasks = std::min<std::size_t>(expected_tasks, 1u << 22);
+  kernel_.ReserveEvents(
+      std::min<std::size_t>(4 * store_.node_count() + 64, 1u << 22),
+      2 * tasks + 64);
+  tasks_.Reserve(tasks);
+  const std::size_t fifo_bound =
+      config_.suspension_capacity > 0
+          ? std::min(config_.suspension_capacity, tasks)
+          : tasks;
+  suspension_.Reserve(std::min<std::size_t>(fifo_bound, 1u << 20));
   if (faults_.enabled()) {
     fault_process_events_.resize(store_.node_count());
     failed_since_.assign(store_.node_count(), kNoTick);
@@ -204,8 +207,7 @@ TaskId Simulator::SubmitTaskAt(const workload::GeneratedTask& task, Tick at) {
   const bool was_drained =
       faults_.enabled() && terminal_tasks_ >= submitted_tasks_;
   ++submitted_tasks_;
-  const TaskId id =
-      jobs_.SubmitOne(task, at, [this](TaskId tid) { HandleArrival(tid); });
+  const TaskId id = jobs_.SubmitOne(task, at);
   if (was_drained) {
     kernel_role_.AssertHeld();
     RearmFaults();
@@ -254,18 +256,14 @@ MetricsReport Simulator::RunMultiClass(const workload::MultiClassWorkload& wl) {
     cursors.emplace(next, ChainCursor{cursor.chain, cursor.next_link + 1});
   });
 
-  // Chains are sorted by head_index, so one cursor pairs heads with their
-  // timeline position while the timeline is submitted in order.
-  std::size_t next_chain = 0;
-  for (std::size_t i = 0; i < wl.tasks.size(); ++i) {
-    const TaskId id = SubmitTaskAt(wl.tasks[i], wl.tasks[i].create_time);
-    if (next_chain < wl.chains.size() &&
-        wl.chains[next_chain].head_index == i) {
-      cursors.emplace(id, ChainCursor{next_chain, 0});
-      ++next_chain;
-    }
+  // The timeline is submitted in one piece with consecutive task ids, so
+  // chain head i is the task first + head_index.
+  const auto first = static_cast<std::uint32_t>(tasks_.size());
+  for (std::size_t c = 0; c < wl.chains.size(); ++c) {
+    const auto head = static_cast<std::uint32_t>(wl.chains[c].head_index);
+    cursors.emplace(TaskId{first + head}, ChainCursor{c, 0});
   }
-  return RunWithWorkload({});
+  return RunWithWorkload(wl.tasks);
 }
 
 analysis::AuditReport Simulator::AuditStructures() const {
@@ -293,13 +291,35 @@ void Simulator::AuditAt(const char* where) {
 MetricsReport Simulator::RunWithWorkload(const workload::Workload& wl) {
   if (ran_) throw std::logic_error("Simulator instances are single-use");
   ran_ = true;
-  submitted_tasks_ += jobs_.Submit(wl, [this](TaskId id) { HandleArrival(id); });
+  submitted_tasks_ += jobs_.Submit(wl);
   if (faults_.enabled() && submitted_tasks_ > terminal_tasks_) {
     kernel_role_.AssertHeld();
     RearmFaults();
   }
-  (void)kernel_.Run();
+  (void)kernel_.Run(
+      [this](const sim::FiredEvent& fired) { Dispatch(fired.event); });
   return FinishReport();
+}
+
+void Simulator::Dispatch(const sim::Event& event) {
+  switch (event.kind) {
+    case sim::EventKind::kArrival:
+      HandleArrival(TaskId{event.a});
+      return;
+    case sim::EventKind::kCompletion:
+      HandleCompletion(TaskId{event.a}, resource::UnpackEntryRef(event.b));
+      return;
+    case sim::EventKind::kNodeFailure:
+      HandleFailureEvent(NodeId{event.a});
+      return;
+    case sim::EventKind::kNodeRepair:
+      HandleRepairEvent(NodeId{event.a});
+      return;
+    case sim::EventKind::kScriptedFault:
+      HandleScriptedFault(event.a);
+      return;
+  }
+  throw std::logic_error("unknown event kind");
 }
 
 void Simulator::HandleArrival(TaskId id) {
@@ -418,11 +438,10 @@ sched::Outcome Simulator::AttemptSchedule(TaskId id, bool is_arrival) {
       }
       const Tick span = task.comm_time + task.config_wait + execution;
       const resource::EntryRef entry = decision.entry;
-      const sim::EventHandle completion =
-          kernel_.ScheduleAfter(span, sim::EventPriority::kCompletion,
-                                [this, id, entry] {
-                                  HandleCompletion(id, entry);
-                                });
+      const sim::EventHandle completion = kernel_.ScheduleAfter(
+          span, sim::EventPriority::kCompletion,
+          sim::Event{sim::EventKind::kCompletion, id.value(),
+                     resource::PackEntryRef(entry)});
       // Only a node failure ever needs to revoke a completion; fault-free
       // runs skip the handle bookkeeping entirely.
       if (faults_.enabled()) {
@@ -824,23 +843,29 @@ MetricsReport Simulator::FinishReport() {
 void Simulator::ArmFailure(NodeId node) {
   if (terminal_tasks_ >= submitted_tasks_) return;
   fault_process_events_[node.value()] = kernel_.ScheduleAfter(
-      faults_.NextFailureDelay(), sim::EventPriority::kControl, [this, node] {
-        kernel_role_.AssertHeld();
-        fault_process_events_[node.value()] = {};
-        ApplyFault(node, FaultAction::kFail);
-        if (faults_.params().repairs_enabled()) ArmRepair(node);
-      });
+      faults_.NextFailureDelay(), sim::EventPriority::kControl,
+      sim::Event{sim::EventKind::kNodeFailure, node.value(), 0});
 }
 
 void Simulator::ArmRepair(NodeId node) {
   if (terminal_tasks_ >= submitted_tasks_) return;
   fault_process_events_[node.value()] = kernel_.ScheduleAfter(
-      faults_.NextRepairDelay(), sim::EventPriority::kControl, [this, node] {
-        kernel_role_.AssertHeld();
-        fault_process_events_[node.value()] = {};
-        ApplyFault(node, FaultAction::kRepair);
-        ArmFailure(node);
-      });
+      faults_.NextRepairDelay(), sim::EventPriority::kControl,
+      sim::Event{sim::EventKind::kNodeRepair, node.value(), 0});
+}
+
+void Simulator::HandleFailureEvent(NodeId node) {
+  kernel_role_.AssertHeld();
+  fault_process_events_[node.value()] = {};
+  ApplyFault(node, FaultAction::kFail);
+  if (faults_.params().repairs_enabled()) ArmRepair(node);
+}
+
+void Simulator::HandleRepairEvent(NodeId node) {
+  kernel_role_.AssertHeld();
+  fault_process_events_[node.value()] = {};
+  ApplyFault(node, FaultAction::kRepair);
+  ArmFailure(node);
 }
 
 void Simulator::RearmFaults() {
@@ -864,17 +889,21 @@ void Simulator::ScheduleFaultScript() {
     if (pending.fired || pending.handle.valid() || pending.event.at < now) {
       continue;
     }
-    // The index capture is stable: fault_script_ is never resized after
+    // The index is stable: fault_script_ is never resized after
     // construction.
     pending.handle = kernel_.ScheduleAt(
-        pending.event.at, sim::EventPriority::kControl, [this, i] {
-          kernel_role_.AssertHeld();
-          ScriptedFault& entry = fault_script_[i];
-          entry.handle = {};
-          entry.fired = true;
-          ApplyFault(entry.event.node, entry.event.action);
-        });
+        pending.event.at, sim::EventPriority::kControl,
+        sim::Event{sim::EventKind::kScriptedFault,
+                   static_cast<std::uint32_t>(i), 0});
   }
+}
+
+void Simulator::HandleScriptedFault(std::size_t index) {
+  kernel_role_.AssertHeld();
+  ScriptedFault& entry = fault_script_[index];
+  entry.handle = {};
+  entry.fired = true;
+  ApplyFault(entry.event.node, entry.event.action);
 }
 
 void Simulator::ApplyFault(NodeId node, FaultAction action) {

@@ -227,6 +227,8 @@ class Simulator {
   /// Builds and delivers one explain record (call only after ShouldExplain).
   void EmitExplain(TaskId id, bool is_arrival, sched::Outcome outcome,
                    const char* reason, const sched::Decision* decision);
+  /// Routes one kernel event to its handler.
+  void Dispatch(const sim::Event& event);
   void HandleArrival(TaskId id);
   void HandleCompletion(TaskId id, resource::EntryRef entry);
   /// One policy attempt; performs all placed/discard bookkeeping. Returns
@@ -277,6 +279,11 @@ class Simulator {
   /// Arms one node's next random failure/repair (kControl priority).
   void ArmFailure(NodeId node) REQUIRES(kernel_role_);
   void ArmRepair(NodeId node) REQUIRES(kernel_role_);
+  /// Kernel events of the fault process and the fault script: clear the
+  /// fired handle, apply the fault, and renew the node's process chain.
+  void HandleFailureEvent(NodeId node);
+  void HandleRepairEvent(NodeId node);
+  void HandleScriptedFault(std::size_t index);
   /// Idempotently arms fault delivery: schedules every pending scripted
   /// event and arms the process chain of every node whose handle is not
   /// already live. Called both at run start and when a mid-run

@@ -56,7 +56,7 @@ enum class MetricPlane : std::uint8_t {
   M(EvqDeadDropped, "evq_dead_dropped_total", kCounter, kModel, false,        \
     "Cancelled heap residue dropped lazily at the top")                       \
   M(EvqHeapSifts, "evq_heap_sift_total", kCounter, kModel, false,             \
-    "Binary-heap sift operations (pushes plus pops, live or dead)")           \
+    "Event-queue pushes plus pops, live or dead (cursor arrivals included)")  \
   M(EvqDepth, "evq_depth", kGauge, kModel, false,                             \
     "Live (uncancelled) pending events")                                      \
   M(EvqDepthPeak, "evq_depth_peak", kGaugeMax, kModel, false,                 \

@@ -53,6 +53,12 @@ constexpr std::uint64_t PackEntryRef(EntryRef e) {
   return (static_cast<std::uint64_t>(e.node.value()) << 32) | e.slot;
 }
 
+/// Inverse of PackEntryRef.
+constexpr EntryRef UnpackEntryRef(std::uint64_t packed) {
+  return EntryRef{NodeId{static_cast<std::uint32_t>(packed >> 32)},
+                  static_cast<SlotIndex>(packed & 0xffffffffu)};
+}
+
 struct EntryRefHash {
   std::size_t operator()(EntryRef e) const noexcept {
     return std::hash<std::uint64_t>{}(PackEntryRef(e));

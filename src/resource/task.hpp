@@ -87,7 +87,11 @@ struct Task {
 class TaskStore {
  public:
   /// CreateTask(): registers a task; the stored copy receives its id.
+  /// Ids are dense and consecutive: the n-th created task has id n.
   TaskId Create(Task task);
+
+  /// Pre-reserves room for `tasks` tasks in total.
+  void Reserve(std::size_t tasks) { tasks_.reserve(tasks); }
 
   [[nodiscard]] Task& Get(TaskId id);
   [[nodiscard]] const Task& Get(TaskId id) const;

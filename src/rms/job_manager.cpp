@@ -1,11 +1,9 @@
 #include "rms/job_manager.hpp"
 
-#include <stdexcept>
-
 namespace dreamsim::rms {
 
-TaskId JobSubmissionManager::SubmitOne(const workload::GeneratedTask& gen,
-                                       Tick at, ArrivalHandler handler) {
+TaskId JobSubmissionManager::CreateTask(const workload::GeneratedTask& gen,
+                                        Tick at) {
   resource::Task task;
   task.preferred_config = gen.preferred_config;
   task.needed_area = gen.needed_area;
@@ -13,19 +11,28 @@ TaskId JobSubmissionManager::SubmitOne(const workload::GeneratedTask& gen,
   task.data_size = gen.data_size;
   task.priority = gen.priority;
   task.create_time = at;
-  const TaskId id = tasks_.Create(task);
-  kernel_.ScheduleAt(at, sim::EventPriority::kArrival,
-                     [handler = std::move(handler), id] { handler(id); });
   ++submitted_;
+  return tasks_.Create(task);
+}
+
+TaskId JobSubmissionManager::SubmitOne(const workload::GeneratedTask& gen,
+                                       Tick at) {
+  const TaskId id = CreateTask(gen, at);
+  (void)kernel_.ScheduleAt(at, sim::EventPriority::kArrival,
+                           sim::Event{sim::EventKind::kArrival, id.value(), 0});
   return id;
 }
 
-std::size_t JobSubmissionManager::Submit(const workload::Workload& workload,
-                                         ArrivalHandler handler) {
-  if (!handler) throw std::invalid_argument("null arrival handler");
+std::size_t JobSubmissionManager::Submit(const workload::Workload& workload) {
+  // TaskStore ids are dense, so the tasks get ids first, first + 1, ...
+  const auto first = static_cast<std::uint32_t>(tasks_.size());
   for (const workload::GeneratedTask& gen : workload) {
-    (void)SubmitOne(gen, gen.create_time, handler);
+    (void)CreateTask(gen, gen.create_time);
   }
+  kernel_.ScheduleArrivals(
+      sim::TickView::Of(workload.data(), workload.size(),
+                        &workload::GeneratedTask::create_time),
+      first);
   return workload.size();
 }
 

@@ -3,10 +3,9 @@
 // "The job submission manager simulates the task arrivals corresponding to
 // a user-defined task arrival rate and distribution function." It converts
 // a materialized Workload (synthetic or trace) into TaskStore entries and
-// kernel arrival events, invoking the RMS-supplied handler for each arrival.
+// kernel arrival events (EventKind::kArrival, `a` = task id); whoever runs
+// the kernel dispatches them.
 #pragma once
-
-#include <functional>
 
 #include "resource/task.hpp"
 #include "sim/kernel.hpp"
@@ -17,26 +16,26 @@ namespace dreamsim::rms {
 /// Feeds a workload into the simulation.
 class JobSubmissionManager {
  public:
-  /// Called at each task's create_time, after the Task exists in the store
-  /// with state kCreated and create_time set.
-  using ArrivalHandler = std::function<void(TaskId)>;
-
   JobSubmissionManager(sim::Kernel& kernel, resource::TaskStore& tasks)
       : kernel_(kernel), tasks_(tasks) {}
 
-  /// Registers every workload entry as a future arrival. The handler is
-  /// invoked from kernel events in create_time order (ties in submission
-  /// order). Returns the number of arrivals scheduled.
-  std::size_t Submit(const workload::Workload& workload,
-                     ArrivalHandler handler);
+  /// Creates one Task (state kCreated, create_time set) per workload entry,
+  /// with consecutive ids in workload order, and registers their arrivals:
+  /// each fires at its create_time, ties in submission order. A workload
+  /// in create_time order is read in place by the kernel's arrival cursor,
+  /// so `workload` must outlive the kernel run that delivers it. Returns
+  /// the number of arrivals scheduled.
+  std::size_t Submit(const workload::Workload& workload);
 
   /// Submits one task to arrive at `at` (>= kernel.now()).
-  TaskId SubmitOne(const workload::GeneratedTask& task, Tick at,
-                   ArrivalHandler handler);
+  TaskId SubmitOne(const workload::GeneratedTask& task, Tick at);
 
   [[nodiscard]] std::size_t submitted() const { return submitted_; }
 
  private:
+  /// Stores the task described by `gen`, created at `at`.
+  TaskId CreateTask(const workload::GeneratedTask& gen, Tick at);
+
   sim::Kernel& kernel_;
   resource::TaskStore& tasks_;
   std::size_t submitted_ = 0;

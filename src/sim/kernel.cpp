@@ -1,55 +1,64 @@
 #include "sim/kernel.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 #include "obs/metrics.hpp"
 
 namespace dreamsim::sim {
 
 EventHandle Kernel::ScheduleAfter(Tick delay, EventPriority priority,
-                                  Action action) {
+                                  Event event) {
   if (delay < 0) throw std::invalid_argument("negative event delay");
-  return queue_.Push(clock_.now() + delay, priority, std::move(action));
+  return queue_.Push(clock_.now() + delay, priority, event);
 }
 
-EventHandle Kernel::ScheduleAt(Tick at, EventPriority priority, Action action) {
+EventHandle Kernel::ScheduleAt(Tick at, EventPriority priority, Event event) {
   if (at < clock_.now()) {
     throw std::invalid_argument("cannot schedule an event in the past");
   }
-  return queue_.Push(at, priority, std::move(action));
+  return queue_.Push(at, priority, event);
 }
 
-bool Kernel::Step() {
-  if (queue_.empty()) return false;
-  auto popped = queue_.Pop();
+void Kernel::ScheduleArrivals(TickView ticks, std::uint32_t first_task) {
+  if (ticks.empty()) return;
+  bool ordered = true;
+  Tick earliest = ticks[0];
+  for (std::size_t i = 1; i < ticks.size(); ++i) {
+    const Tick tick = ticks[i];
+    if (tick < ticks[i - 1]) ordered = false;
+    if (tick < earliest) earliest = tick;
+  }
+  if (earliest < clock_.now()) {
+    throw std::invalid_argument("cannot schedule an event in the past");
+  }
+  if (ordered && queue_.cursor_free()) {
+    (void)queue_.PushArrivals(ticks, first_task);
+    return;
+  }
+  for (std::size_t i = 0; i < ticks.size(); ++i) {
+    (void)queue_.Push(
+        ticks[i], EventPriority::kArrival,
+        Event{EventKind::kArrival,
+              first_task + static_cast<std::uint32_t>(i), 0});
+  }
+}
+
+FiredEvent Kernel::Advance() {
+  const FiredEvent fired = queue_.Pop();
   if (obs::MetricsRegistry::enabled()) {
     // Simulated-time stride between consecutive executed events — a model-
     // plane histogram: the event order is a pure function of (seed, config).
     obs::MetricObserve(
         obs::MetricId::kEventGapTicks,
-        static_cast<std::uint64_t>(popped.tick - clock_.now()));
+        static_cast<std::uint64_t>(fired.tick - clock_.now()));
   }
-  clock_.AdvanceTo(popped.tick);
+  clock_.AdvanceTo(fired.tick);
   ++executed_;
-  popped.action();
-  return true;
-}
-
-std::uint64_t Kernel::Run(Tick horizon) {
-  stop_requested_ = false;
-  std::uint64_t count = 0;
-  while (!queue_.empty() && !stop_requested_) {
-    if (queue_.next_tick() > horizon) break;
-    if (!Step()) break;
-    ++count;
-  }
-  return count;
+  return fired;
 }
 
 void Kernel::Reset() {
-  // EventQueue has no clear(); drain it.
-  while (!queue_.empty()) (void)queue_.Pop();
+  queue_.Clear();
   clock_.Reset();
   executed_ = 0;
   stop_requested_ = false;

@@ -2,6 +2,10 @@
 // manager, monitoring module, and the load balancer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "rms/job_manager.hpp"
 #include "rms/load_balancer.hpp"
 #include "rms/monitor.hpp"
@@ -80,26 +84,41 @@ TEST(ResourceInformationManager, SnapshotAggregates) {
   EXPECT_NEAR(snap.area_utilization, 800.0 / 7000.0, 1e-12);
 }
 
+using Arrivals = std::vector<std::pair<Tick, std::uint32_t>>;
+
+/// Runs the kernel to completion and records each arrival's (tick, id).
+Arrivals RunArrivals(sim::Kernel& kernel) {
+  Arrivals arrivals;
+  (void)kernel.Run([&](const sim::FiredEvent& e) {
+    EXPECT_EQ(e.event.kind, sim::EventKind::kArrival);
+    arrivals.emplace_back(kernel.now(), e.event.a);
+  });
+  return arrivals;
+}
+
+workload::Workload MakeWorkload(std::initializer_list<Tick> create_times) {
+  workload::Workload wl;
+  for (const Tick at : create_times) {
+    workload::GeneratedTask t;
+    t.create_time = at;
+    t.needed_area = 100;
+    t.required_time = 50;
+    wl.push_back(t);
+  }
+  return wl;
+}
+
 TEST(JobSubmissionManager, SubmitsArrivalsInOrder) {
   sim::Kernel kernel;
   resource::TaskStore tasks;
   JobSubmissionManager jobs(kernel, tasks);
 
-  workload::Workload wl;
-  for (int i = 1; i <= 3; ++i) {
-    workload::GeneratedTask t;
-    t.create_time = i * 10;
-    t.needed_area = 100;
-    t.required_time = 50;
-    wl.push_back(t);
-  }
-  std::vector<std::pair<Tick, std::uint32_t>> arrivals;
-  const std::size_t n = jobs.Submit(wl, [&](TaskId id) {
-    arrivals.emplace_back(kernel.now(), id.value());
-  });
+  const workload::Workload wl = MakeWorkload({10, 20, 30});
+  const std::size_t n = jobs.Submit(wl);
   EXPECT_EQ(n, 3u);
   EXPECT_EQ(tasks.size(), 3u);
-  (void)kernel.Run();
+  EXPECT_EQ(kernel.queue().cursor_pending(), 3u);  // read in place
+  const Arrivals arrivals = RunArrivals(kernel);
   ASSERT_EQ(arrivals.size(), 3u);
   EXPECT_EQ(arrivals[0], (std::pair<Tick, std::uint32_t>{10, 0}));
   EXPECT_EQ(arrivals[2], (std::pair<Tick, std::uint32_t>{30, 2}));
@@ -108,11 +127,40 @@ TEST(JobSubmissionManager, SubmitsArrivalsInOrder) {
   EXPECT_EQ(tasks.Get(TaskId{1}).state, resource::TaskState::kCreated);
 }
 
-TEST(JobSubmissionManager, RejectsNullHandler) {
-  sim::Kernel kernel;
-  resource::TaskStore tasks;
-  JobSubmissionManager jobs(kernel, tasks);
-  EXPECT_THROW((void)jobs.Submit({}, nullptr), std::invalid_argument);
+// A hand-written trace need not be sorted: it takes the event heap, and its
+// arrivals fire exactly as those of its stable-sorted copy do.
+TEST(JobSubmissionManager, UnsortedWorkloadMatchesItsStableSortedCopy) {
+  const workload::Workload unsorted =
+      MakeWorkload({40, 10, 30, 10, 40, 0, 30, 10});
+  std::vector<std::uint32_t> order(unsorted.size());
+  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return unsorted[a].create_time < unsorted[b].create_time;
+                   });
+  workload::Workload sorted;
+  for (const std::uint32_t i : order) sorted.push_back(unsorted[i]);
+
+  sim::Kernel heap_kernel;
+  resource::TaskStore heap_tasks;
+  JobSubmissionManager heap_jobs(heap_kernel, heap_tasks);
+  (void)heap_jobs.Submit(unsorted);
+  EXPECT_EQ(heap_kernel.queue().cursor_pending(), 0u);
+  EXPECT_EQ(heap_kernel.pending_events(), unsorted.size());
+  const Arrivals via_heap = RunArrivals(heap_kernel);
+
+  sim::Kernel cursor_kernel;
+  resource::TaskStore cursor_tasks;
+  JobSubmissionManager cursor_jobs(cursor_kernel, cursor_tasks);
+  (void)cursor_jobs.Submit(sorted);
+  EXPECT_EQ(cursor_kernel.queue().cursor_pending(), sorted.size());
+  Arrivals via_cursor = RunArrivals(cursor_kernel);
+  // Task k of the sorted copy is task order[k] of the unsorted workload.
+  for (auto& [tick, id] : via_cursor) id = order[id];
+
+  EXPECT_EQ(via_heap, via_cursor);
+  EXPECT_EQ(via_heap.front(), (std::pair<Tick, std::uint32_t>{0, 5}));
+  EXPECT_EQ(via_heap[1], (std::pair<Tick, std::uint32_t>{10, 1}));
 }
 
 TEST(MonitoringModule, TimeWeightedUtilization) {

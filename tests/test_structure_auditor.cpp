@@ -48,6 +48,15 @@ std::set<std::string> Slugs(const AuditReport& report) {
   return slugs;
 }
 
+/// One pending arrival, as the event queue's arrival cursor reads it.
+struct Arrival {
+  Tick at = 0;
+};
+
+sim::TickView TicksOf(const std::vector<Arrival>& arrivals) {
+  return sim::TickView::Of(arrivals.data(), arrivals.size(), &Arrival::at);
+}
+
 /// A store with a little of everything: blank, idle, and busy nodes.
 ResourceStore MakePopulatedStore(bool indexed) {
   ResourceStore store(MakeCatalogue({300, 500, 800}));
@@ -107,12 +116,16 @@ TEST(StructureAuditorClean, PopulatedSuspensionQueue) {
 
 TEST(StructureAuditorClean, EventQueueWithCancellations) {
   sim::EventQueue queue;
-  (void)queue.Push(10, sim::EventPriority::kArrival, [] {});
+  const std::vector<Arrival> arrivals = {{6}, {10}, {10}, {30}};
+  const sim::EventHandle first = queue.PushArrivals(TicksOf(arrivals), 0);
+  (void)queue.Push(10, sim::EventPriority::kArrival, sim::Event{});
   const sim::EventHandle h =
-      queue.Push(20, sim::EventPriority::kCompletion, [] {});
-  (void)queue.Push(20, sim::EventPriority::kControl, [] {});
+      queue.Push(20, sim::EventPriority::kCompletion, sim::Event{});
+  (void)queue.Push(20, sim::EventPriority::kControl, sim::Event{});
+  ASSERT_TRUE(queue.Cancel(sim::EventHandle{first.sequence + 2}));
+  (void)queue.Pop();  // the arrival at 6
   ASSERT_TRUE(queue.Cancel(h));
-  const AuditReport report = StructureAuditor::AuditEventQueue(queue, 5);
+  const AuditReport report = StructureAuditor::AuditEventQueue(queue, 6);
   EXPECT_TRUE(report.ok()) << report.Render();
 }
 
@@ -241,13 +254,31 @@ TEST(StructureAuditorCorruption, SkewedSusLiveTreeIsSusFifo) {
   }
 }
 
-TEST(StructureAuditorCorruption, OrphanActionIsEvqOrphanAction) {
+TEST(StructureAuditorCorruption, SkewedLiveCountIsEvqLive) {
   sim::EventQueue queue;
-  (void)queue.Push(10, sim::EventPriority::kArrival, [] {});
-  StructureCorruptor::OrphanEventAction(queue);
+  const std::vector<Arrival> arrivals = {{5}, {7}};
+  (void)queue.PushArrivals(TicksOf(arrivals), 0);
+  (void)queue.Push(10, sim::EventPriority::kCompletion, sim::Event{});
+  ASSERT_TRUE(StructureAuditor::AuditEventQueue(queue, 0).ok());
+  StructureCorruptor::SkewEventLiveCount(queue);
   const AuditReport report = StructureAuditor::AuditEventQueue(queue, 0);
   ASSERT_FALSE(report.ok());
-  EXPECT_EQ(Slugs(report), std::set<std::string>{"evq.orphan-action"})
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"evq.live"})
+      << report.Render();
+}
+
+TEST(StructureAuditorCorruption, ReorderedCursorTicksAreEvqCursor) {
+  sim::EventQueue queue;
+  const std::vector<Arrival> arrivals = {{5}, {7}, {9}};
+  (void)queue.PushArrivals(TicksOf(arrivals), 0);
+  (void)queue.Pop();
+  ASSERT_TRUE(StructureAuditor::AuditEventQueue(queue, 5).ok());
+  // The caller rewrites the workload the cursor still reads.
+  const std::vector<Arrival> reordered = {{5}, {9}, {7}};
+  StructureCorruptor::RepointArrivalCursor(queue, TicksOf(reordered));
+  const AuditReport report = StructureAuditor::AuditEventQueue(queue, 5);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"evq.cursor"})
       << report.Render();
 }
 
@@ -284,9 +315,9 @@ TEST(StructureAuditorMetrics, ConservationHoldsOnInstrumentedOps) {
   sim::EventQueue events;
   const resource::TaskStore tasks;
   // Drive only instrumented paths: counters and structures move together.
-  (void)events.Push(10, sim::EventPriority::kArrival, [] {});
+  (void)events.Push(10, sim::EventPriority::kArrival, sim::Event{});
   const sim::EventHandle h =
-      events.Push(20, sim::EventPriority::kCompletion, [] {});
+      events.Push(20, sim::EventPriority::kCompletion, sim::Event{});
   ASSERT_TRUE(events.Cancel(h));
   SusEntryAttrs attrs;
   attrs.resolved_config = ConfigId{0};
@@ -327,7 +358,7 @@ TEST(StructureAuditorMetrics, SkewedGaugeIsMetricsConservation) {
   const SuspensionQueue queue;
   sim::EventQueue events;
   const resource::TaskStore tasks;
-  (void)events.Push(10, sim::EventPriority::kArrival, [] {});
+  (void)events.Push(10, sim::EventPriority::kArrival, sim::Event{});
   ASSERT_TRUE(
       StructureAuditor::AuditMetrics(store, queue, events, tasks).ok());
   // Seeded corruption: stale depth gauge (a missed update on some path).
