@@ -5,11 +5,13 @@
 #      interface, so every annotated structure in the tree is checked at
 #      compile time, and
 #   2. proves the annotations are load-bearing with a try_compile pair:
-#      a negative probe that reads ShardPool's guarded job queue without
-#      the mutex (must FAIL to build) and a positive twin that takes the
-#      lock first (must build). If the negative probe compiles, the
-#      analysis is not actually running — the configure step aborts rather
-#      than let CI report a vacuously green thread-safety job.
+#      a negative probe that reads a GUARDED_BY member without its
+#      util::Mutex (must FAIL to build) and a positive twin that takes the
+#      lock first (must build). Each probe declares its own small struct,
+#      so no product class needs a friend seam. If the negative probe
+#      compiles, the analysis is not actually running — the configure step
+#      aborts rather than let CI report a vacuously green thread-safety
+#      job.
 #
 # Under GCC (which has no thread-safety analysis) the annotation macros
 # expand to nothing and this module is a silent no-op; the CI
@@ -30,8 +32,8 @@ target_compile_options(dreamsim_warnings INTERFACE
 message(STATUS "dreamsim: -Werror=thread-safety enabled")
 
 # --- Non-vacuity probes ----------------------------------------------------
-# STATIC_LIBRARY keeps try_compile from linking (the probes reference
-# ShardPool code that lives in the product library).
+# STATIC_LIBRARY keeps try_compile from linking (the probes define no
+# main).
 set(CMAKE_TRY_COMPILE_TARGET_TYPE STATIC_LIBRARY)
 
 set(_dreamsim_tsa_flags
@@ -63,7 +65,7 @@ try_compile(DREAMSIM_TSA_NEGATIVE_BUILDS
 if(DREAMSIM_TSA_NEGATIVE_BUILDS)
   message(FATAL_ERROR
     "dreamsim: the negative thread-safety probe COMPILED — an unguarded "
-    "read of ShardPool's job queue passed -Werror=thread-safety, so the "
+    "read of a GUARDED_BY member passed -Werror=thread-safety, so the "
     "annotations are vacuous (shim expanding to nothing, or the analysis "
     "not running). Refusing to configure a green-but-unchecked build.")
 endif()

@@ -16,20 +16,11 @@ void StructureCorruptor::InjectOrphanIdleEntry(resource::ResourceStore& store,
                                                ConfigId config,
                                                resource::EntryRef entry) {
   resource::EntryList& list = store.idle_lists_.at(config.value());
-  const auto gpos = static_cast<std::uint32_t>(list.cells_.size());
-  // Keep the flat map — and, when partitioned, the shard buckets — fully
-  // consistent with the orphan, so only the cross-structure diff against
-  // the node slots can catch it.
-  resource::EntryList::PosSlot& slot =
-      list.InsertSlot(resource::PackEntryRef(entry));
-  slot.pos = gpos;
+  // Keep the flat map fully consistent with the orphan, so only the
+  // cross-structure diff against the node slots can catch it.
+  list.InsertSlot(resource::PackEntryRef(entry)).pos =
+      static_cast<std::uint32_t>(list.cells_.size());
   list.cells_.push_back(entry);
-  if (list.shard_of_ != nullptr &&
-      entry.node.value() < list.shard_of_->size()) {
-    auto& bucket = list.buckets_.at((*list.shard_of_)[entry.node.value()]);
-    slot.bucket_pos = static_cast<std::uint32_t>(bucket.size());
-    bucket.push_back({entry, gpos});
-  }
 }
 
 void StructureCorruptor::CorruptPositionMap(resource::ResourceStore& store,
@@ -44,20 +35,6 @@ void StructureCorruptor::CorruptPositionMap(resource::ResourceStore& store,
     throw std::logic_error("CorruptPositionMap: cells missing from the map");
   }
   std::swap(list.table_[s0].pos, list.table_[s1].pos);
-}
-
-void StructureCorruptor::SkewShardBucket(resource::ResourceStore& store,
-                                         ConfigId config) {
-  resource::EntryList& list = store.idle_lists_.at(config.value());
-  if (list.shard_of_ == nullptr) {
-    throw std::logic_error("SkewShardBucket: list is not partitioned");
-  }
-  for (auto& bucket : list.buckets_) {
-    if (bucket.empty()) continue;
-    ++bucket.front().gpos;
-    return;
-  }
-  throw std::logic_error("SkewShardBucket: no bucketed idle entries");
 }
 
 void StructureCorruptor::SkewIndexConfigCount(resource::ResourceStore& store,

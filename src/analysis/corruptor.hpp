@@ -31,11 +31,6 @@ class StructureCorruptor {
   static void CorruptPositionMap(resource::ResourceStore& store,
                                  ConfigId config);
 
-  /// Bumps the global-position mirror of one partitioned shard-bucket cell
-  /// of `config`'s idle list (requires the store to be sharded). Expected
-  /// slug: fig3.partition.
-  static void SkewShardBucket(resource::ResourceStore& store, ConfigId config);
-
   /// Bumps the StoreIndex global view's config-count Fenwick leaf for
   /// `node` by one (requires the index to be enabled). Expected slug:
   /// idx.count.

@@ -11,7 +11,6 @@
 // lint: allow-file(list-internals)
 #include "analysis/structure_auditor.hpp"
 
-#include "resource/shard_engine.hpp"
 
 #include <algorithm>
 #include <bit>
@@ -204,51 +203,6 @@ void StructureAuditor::AuditEntryLists(const ResourceStore& store,
         Report(report, "fig3.positions",
                EntryPath(config, label, pos, list.cells_[pos]),
                Format("position map says {}", list.table_[slot].pos));
-      }
-    }
-    // Shard partition buckets (DESIGN.md §14): every cell mirrored into
-    // exactly its node's shard bucket, carrying its current global position
-    // (the tie-break key of the per-shard scans), with a valid back-pointer.
-    if (list.shard_of_ == nullptr) return;
-    const std::vector<std::uint32_t>& shard_of = *list.shard_of_;
-    std::size_t mirrored = 0;
-    for (std::size_t s = 0; s < list.buckets_.size(); ++s) {
-      for (const EntryList::ShardCell& cell : list.buckets_[s]) {
-        const std::string path = Format(
-            "config {} {} list shard {} (node {} slot {})", config.value(),
-            label, s, cell.entry.node.value(), cell.entry.slot);
-        if (cell.gpos >= list.cells_.size() ||
-            !(list.cells_[cell.gpos] == cell.entry)) {
-          Report(report, "fig3.partition", path,
-                 Format("bucket cell's global position {} does not point "
-                        "back at it",
-                        cell.gpos));
-          continue;
-        }
-        if (cell.entry.node.value() >= shard_of.size() ||
-            shard_of[cell.entry.node.value()] != s) {
-          Report(report, "fig3.partition", path,
-                 "cell bucketed in the wrong shard");
-        }
-      }
-      mirrored += list.buckets_[s].size();
-    }
-    if (mirrored != list.cells_.size()) {
-      Report(report, "fig3.partition",
-             Format("config {} {} list", config.value(), label),
-             Format("{} bucket cells mirror {} global cells", mirrored,
-                    list.cells_.size()));
-    }
-    for (std::size_t pos = 0; pos < list.cells_.size(); ++pos) {
-      const EntryRef entry = list.cells_[pos];
-      const std::size_t slot = list.FindSlot(PackEntryRef(entry));
-      if (slot == list.table_.size()) continue;  // fig3.positions above
-      if (entry.node.value() >= shard_of.size()) continue;
-      const auto& bucket = list.buckets_[shard_of[entry.node.value()]];
-      const std::uint32_t bpos = list.table_[slot].bucket_pos;
-      if (bpos >= bucket.size() || !(bucket[bpos].entry == entry)) {
-        Report(report, "fig3.partition", EntryPath(config, label, pos, entry),
-               "bucket-position back-pointer is stale");
       }
     }
   };
@@ -604,104 +558,6 @@ void StructureAuditor::AuditStoreIndex(const ResourceStore& store,
     Report(report, "idx.view", "index",
            Format("{} family views for {} distinct family values",
                   index.family_views_.size(), expected_families.size()));
-  }
-}
-
-// --- Sharded kernel partition + per-shard indexes ---------------------------
-
-void StructureAuditor::AuditShards(const ResourceStore& store,
-                                   AuditReport& report) {
-  const resource::ShardEngine* engine = store.shard_engine();
-  if (engine == nullptr) return;
-  const std::size_t shards = engine->shard_count();
-
-  // Partition exactness: every node id appears in exactly one shard, each
-  // member list is strictly ascending, shard_of agrees with membership, and
-  // the assignment matches the pure rule (never insertion/thread order).
-  std::vector<std::size_t> owners(store.nodes_.size(), 0);
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::vector<std::uint32_t>& members = engine->members(s);
-    for (std::size_t pos = 0; pos < members.size(); ++pos) {
-      const std::uint32_t id = members[pos];
-      const std::string path = Format("shard {} pos {} (node {})", s, pos, id);
-      if (id >= store.nodes_.size()) {
-        Report(report, "shard.partition", path, "member id out of range");
-        continue;
-      }
-      ++owners[id];
-      if (pos > 0 && members[pos - 1] >= id) {
-        Report(report, "shard.partition", path,
-               "member ids not strictly ascending");
-      }
-      if (engine->shard_of(id) != s) {
-        Report(report, "shard.partition", path,
-               Format("shard_of says shard {}", engine->shard_of(id)));
-      }
-      const Node& node = store.nodes_[id];
-      const std::uint32_t want =
-          engine->shard_by() == resource::ShardBy::kFamily
-              ? node.family().value() % static_cast<std::uint32_t>(shards)
-              : id % static_cast<std::uint32_t>(shards);
-      if (want != s) {
-        Report(report, "shard.partition", path,
-               Format("assignment rule places the node in shard {}", want));
-      }
-    }
-  }
-  for (std::size_t id = 0; id < owners.size(); ++id) {
-    if (owners[id] != 1) {
-      Report(report, "shard.partition", Format("node {}", id),
-             Format("owned by {} shards (want exactly 1)", owners[id]));
-    }
-  }
-
-  // Per-shard sparse index mirrors: the cached snapshot of every member must
-  // match ground truth recomputed from the node's slots, and the shard-view
-  // tree leaves (the source of the Algorithm 1 charge terms and the merged
-  // candidates) must agree with it.
-  for (std::size_t s = 0; s < shards; ++s) {
-    const StoreIndex& index = engine->shard_index(s);
-    const std::vector<std::uint32_t>& members = engine->members(s);
-    if (index.cached_.size() != members.size() ||
-        index.global_.ids != members) {
-      Report(report, "shard.index", Format("shard {}", s),
-             Format("index tracks {} nodes, shard holds {}",
-                    index.cached_.size(), members.size()));
-      continue;
-    }
-    for (std::size_t pos = 0; pos < members.size(); ++pos) {
-      const Node& node = store.nodes_[members[pos]];
-      const NodeTruth t = RecountNode(store, node, report);
-      const StoreIndex::Snapshot& snap = index.cached_[pos];
-      const std::string path =
-          Format("shard {} pos {} (node {})", s, pos, node.id().value());
-      if (snap.total != node.total_area() ||
-          snap.available != node.available_area() ||
-          snap.potential != node.total_area() - t.busy_area ||
-          snap.config_count != static_cast<std::int64_t>(t.live) ||
-          snap.blank != (t.live == 0) || snap.busy != (t.running > 0) ||
-          snap.failed != node.failed() ||
-          snap.family != node.family().value()) {
-        Report(report, "shard.index", path,
-               Format("cached snapshot diverges from node state "
-                      "(cached potential {}, count {}; truth {}, {})",
-                      snap.potential, snap.config_count,
-                      node.total_area() - t.busy_area, t.live));
-      }
-      if (index.global_.config_count.Value(pos) !=
-          static_cast<std::int64_t>(t.live)) {
-        Report(report, "shard.index", path,
-               Format("config-count leaf {} != {} live slots",
-                      index.global_.config_count.Value(pos), t.live));
-      }
-      const std::int64_t available =
-          node.failed() ? MaxSegTree::kNegInf : node.available_area();
-      if (index.global_.available.Value(pos) != available) {
-        Report(report, "shard.index", path,
-               Format("available leaf {} != {}",
-                      index.global_.available.Value(pos), available));
-      }
-    }
   }
 }
 
@@ -1164,7 +1020,6 @@ AuditReport StructureAuditor::AuditStore(const ResourceStore& store) {
   AuditFaultVisibility(store, report);
   AuditFleetTotals(store, report);
   AuditStoreIndex(store, report);
-  AuditShards(store, report);
   return report;
 }
 

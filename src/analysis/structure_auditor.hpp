@@ -68,8 +68,7 @@ class StructureAuditor {
  public:
   /// Audits the Fig. 3 lists, the blank list, the Eq. 4 area accounting,
   /// the fault-visibility rules, the fleet-wide aggregates, and (when
-  /// enabled) the StoreIndex mirror and the sharded kernel's partition +
-  /// per-shard indexes.
+  /// enabled) the StoreIndex mirror.
   [[nodiscard]] static AuditReport AuditStore(
       const resource::ResourceStore& store);
 
@@ -116,8 +115,6 @@ class StructureAuditor {
                                AuditReport& report);
   static void AuditStoreIndex(const resource::ResourceStore& store,
                               AuditReport& report);
-  static void AuditShards(const resource::ResourceStore& store,
-                          AuditReport& report);
   /// `queued` is the ground truth: (seq, attrs) of every live slot with a
   /// consistent table row, in FIFO order.
   static void AuditSusIndex(

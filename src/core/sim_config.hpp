@@ -117,18 +117,12 @@ struct SimulationConfig {
   /// `scheduler_index`. The index keeps only the structures of the drain
   /// order `priority_scheduling` selects. Off = reference scans.
   bool drain_index = true;
-  /// Shard count of the sharded parallel kernel (DESIGN.md §13): the node
-  /// population is partitioned into this many shards, each answering the
-  /// hot node-selection queries independently, with a deterministic fixed
-  /// shard-order merge. Decisions and every metric (step counts included)
-  /// are bit-identical to the sequential kernel. <= 1 = sequential
-  /// (default).
+  /// Vestigial: the in-run sharded kernel was removed (DESIGN.md §13), and
+  /// 1 is the only legal value — the Simulator constructor throws
+  /// std::invalid_argument for any other. The field survives only because
+  /// the committed benchmark harness still assigns it; the next change to
+  /// that harness deletes it.
   std::size_t shards = 1;
-  /// OS threads the sharded kernel fans out on; 0 = one per shard, capped
-  /// at hardware concurrency. Thread count never affects results.
-  std::size_t kernel_threads = 0;
-  /// Node-to-shard assignment rule (pure function of node id/family).
-  resource::ShardBy shard_by = resource::ShardBy::kRoundRobin;
 
   // --- Fault injection (DESIGN.md §10; disabled by default) ---
   /// Node failure/repair model: a seeded MTBF/MTTR process plus scripted

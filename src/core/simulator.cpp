@@ -113,8 +113,11 @@ Simulator::Simulator(SimulationConfig config)
       monitor_(info_),
       jobs_(kernel_, tasks_),
       faults_(config_.faults, DeriveSeed(config_.seed, kStreamFaults)) {
+  if (config_.shards != 1) {
+    throw std::invalid_argument(
+        "SimulationConfig::shards must be 1 (the sharded kernel was removed)");
+  }
   store_.SetIndexed(config_.scheduler_index);
-  store_.SetShards(config_.shards, config_.kernel_threads, config_.shard_by);
   suspension_.SetDrainIndexed(config_.drain_index);
   if (config_.device_classes.empty()) {
     Rng resource_rng(DeriveSeed(config_.seed, kStreamResources) ^ 0x5bd1e995u);

@@ -4,7 +4,7 @@
 // declared here, once, as an X-macro row. The registry (obs/metrics.hpp)
 // derives the MetricId enum, the storage layout, and the exposition names
 // and types from this single table, so a metric cannot exist without a
-// stable Prometheus-safe name and a declared merge rule — and
+// stable Prometheus-safe name and a declared kind — and
 // tools/dreamsim_lint's `metric-catalogue` rule rejects registry calls
 // whose id is not a literal `MetricId::k...` token from this file.
 //
@@ -15,13 +15,9 @@
 //               Prometheus conventions.
 //   kind        kCounter | kGauge | kGaugeMax | kHistogram.
 //   plane       kModel: derived from the simulated event/decision stream —
-//               a pure function of (seed, config), byte-identical across
-//               shard counts and thread counts (pinned by
-//               test_metrics_diff). kHost: wall-clock timings and
-//               shard-shaped load stats; deterministic merges, but the
-//               *values* depend on the machine and on K/threads.
-//   per_shard   true when the metric records into per-shard cells and is
-//               exposed per shard (label `shard="i"`) as well as merged.
+//               a pure function of (seed, config) (pinned by
+//               test_metrics_diff). kHost: wall-clock values that depend
+//               on the machine; none is catalogued at present.
 //   help        Prometheus HELP line.
 #pragma once
 
@@ -33,127 +29,110 @@
 namespace dreamsim::obs {
 
 enum class MetricKind : std::uint8_t {
-  kCounter = 0,  // monotone; cells merge by sum
-  kGauge,        // last-written level; cells merge by sum
-  kGaugeMax,     // high-water mark; cells merge by max
-  kHistogram,    // log2-bucket histogram; cells merge bin-wise by sum
+  kCounter = 0,  // monotone
+  kGauge,        // last-written level
+  kGaugeMax,     // high-water mark
+  kHistogram,    // log2-bucket histogram
 };
 
 enum class MetricPlane : std::uint8_t {
-  kModel = 0,  // simulation-derived, deterministic at any K/thread count
-  kHost,       // wall-clock / shard-shaped, machine-dependent
+  kModel = 0,  // simulation-derived, deterministic for (seed, config)
+  kHost,       // wall-clock, machine-dependent
 };
 
 // clang-format off
 #define DREAMSIM_METRIC_CATALOGUE(M)                                          \
   /* --- Event queue (sim/event_queue, model plane) --- */                    \
-  M(EvqPushed, "evq_pushed_total", kCounter, kModel, false,                   \
+  M(EvqPushed, "evq_pushed_total", kCounter, kModel,                          \
     "Events pushed onto the kernel event queue")                              \
-  M(EvqPopped, "evq_popped_total", kCounter, kModel, false,                   \
+  M(EvqPopped, "evq_popped_total", kCounter, kModel,                          \
     "Live events popped and executed by the kernel")                          \
-  M(EvqCancelled, "evq_cancelled_total", kCounter, kModel, false,             \
+  M(EvqCancelled, "evq_cancelled_total", kCounter, kModel,                    \
     "Events cancelled before execution")                                      \
-  M(EvqDeadDropped, "evq_dead_dropped_total", kCounter, kModel, false,        \
+  M(EvqDeadDropped, "evq_dead_dropped_total", kCounter, kModel,               \
     "Cancelled heap residue dropped lazily at the top")                       \
-  M(EvqHeapSifts, "evq_heap_sift_total", kCounter, kModel, false,             \
+  M(EvqHeapSifts, "evq_heap_sift_total", kCounter, kModel,                    \
     "Event-queue pushes plus pops, live or dead (cursor arrivals included)")  \
-  M(EvqDepth, "evq_depth", kGauge, kModel, false,                             \
+  M(EvqDepth, "evq_depth", kGauge, kModel,                                    \
     "Live (uncancelled) pending events")                                      \
-  M(EvqDepthPeak, "evq_depth_peak", kGaugeMax, kModel, false,                 \
+  M(EvqDepthPeak, "evq_depth_peak", kGaugeMax, kModel,                        \
     "Peak live pending events")                                               \
-  M(EventGapTicks, "event_gap_ticks", kHistogram, kModel, false,              \
+  M(EventGapTicks, "event_gap_ticks", kHistogram, kModel,                     \
     "Simulated-tick gap between consecutive executed events")                 \
   /* --- ResourceStore scheduler queries (model plane) --- */                 \
   M(StoreQueryIdleEntry, "store_query_idle_entry_total", kCounter, kModel,    \
-    false, "FindBestIdleEntry calls (phase 1 allocation)")                    \
-  M(StoreQueryBlank, "store_query_blank_total", kCounter, kModel, false,      \
+    "FindBestIdleEntry calls (phase 1 allocation)")                           \
+  M(StoreQueryBlank, "store_query_blank_total", kCounter, kModel,             \
     "FindBestBlankNode calls (phase 2 configuration)")                        \
   M(StoreQueryPartialBlank, "store_query_partial_blank_total", kCounter,      \
-    kModel, false, "FindBestPartiallyBlankNode calls (phase 3)")              \
-  M(StoreQueryReclaim, "store_query_reclaim_total", kCounter, kModel, false,  \
+    kModel, "FindBestPartiallyBlankNode calls (phase 3)")                     \
+  M(StoreQueryReclaim, "store_query_reclaim_total", kCounter, kModel,         \
     "FindAnyIdleNode calls (Algorithm 1 reclaim)")                            \
-  M(StoreQueryBusyFit, "store_query_busy_fit_total", kCounter, kModel, false, \
+  M(StoreQueryBusyFit, "store_query_busy_fit_total", kCounter, kModel,        \
     "AnyBusyNodeCouldFit calls (suspension eligibility)")                     \
   M(StoreQueryIdleConfigured, "store_query_idle_configured_total", kCounter,  \
-    kModel, false, "FindBestIdleConfiguredNode calls (full mode)")            \
-  M(StoreQueryRanked, "store_query_ranked_total", kCounter, kModel, false,    \
+    kModel, "FindBestIdleConfiguredNode calls (full mode)")                   \
+  M(StoreQueryRanked, "store_query_ranked_total", kCounter, kModel,           \
     "FindRankedHostNode calls (heuristic policies)")                          \
-  M(StoreScanFallback, "store_scan_fallback_total", kCounter, kModel, false,  \
+  M(StoreScanFallback, "store_scan_fallback_total", kCounter, kModel,         \
     "Store queries answered by scan semantics (no StoreIndex built)")         \
   /* --- Suspension queue + drain index (model plane) --- */                  \
   M(SusqQueryOldestExact, "susq_query_oldest_exact_total", kCounter, kModel,  \
-    false, "SusQueueIndex OldestExactMatch queries")                          \
+    "SusQueueIndex OldestExactMatch queries")                                 \
   M(SusqQueryBestPrioExact, "susq_query_best_prio_exact_total", kCounter,     \
-    kModel, false, "SusQueueIndex BestPriorityExactMatch queries")            \
+    kModel, "SusQueueIndex BestPriorityExactMatch queries")                   \
   M(SusqQueryOldestEligible, "susq_query_oldest_eligible_total", kCounter,    \
-    kModel, false, "SusQueueIndex OldestEligible queries")                    \
+    kModel, "SusQueueIndex OldestEligible queries")                           \
   M(SusqQueryBestPrioEligible, "susq_query_best_prio_eligible_total",         \
-    kCounter, kModel, false, "SusQueueIndex BestPriorityEligible queries")    \
-  M(SusqScanFallback, "susq_scan_fallback_total", kCounter, kModel, false,    \
+    kCounter, kModel, "SusQueueIndex BestPriorityEligible queries")           \
+  M(SusqScanFallback, "susq_scan_fallback_total", kCounter, kModel,           \
     "Suspension-queue operations answered by literal FIFO scan")              \
-  M(SusEnqueued, "sus_enqueued_total", kCounter, kModel, false,               \
+  M(SusEnqueued, "sus_enqueued_total", kCounter, kModel,                      \
     "Tasks admitted to the suspension queue")                                 \
-  M(SusRemoved, "sus_removed_total", kCounter, kModel, false,                 \
+  M(SusRemoved, "sus_removed_total", kCounter, kModel,                        \
     "Tasks removed from the suspension queue (drained or dropped)")           \
-  M(SusOverflow, "sus_overflow_total", kCounter, kModel, false,               \
+  M(SusOverflow, "sus_overflow_total", kCounter, kModel,                      \
     "Suspension admissions rejected at capacity")                             \
-  M(SusDepth, "sus_depth", kGauge, kModel, false,                             \
+  M(SusDepth, "sus_depth", kGauge, kModel,                                    \
     "Tasks currently parked in the suspension queue")                         \
-  M(SusDepthPeak, "sus_depth_peak", kGaugeMax, kModel, false,                 \
+  M(SusDepthPeak, "sus_depth_peak", kGaugeMax, kModel,                        \
     "Peak suspension-queue depth")                                            \
-  M(DrainAttempts, "drain_attempts_total", kCounter, kModel, false,           \
+  M(DrainAttempts, "drain_attempts_total", kCounter, kModel,                  \
     "Placement attempts for queued tasks during drains")                      \
-  M(DrainPlacements, "drain_placements_total", kCounter, kModel, false,       \
+  M(DrainPlacements, "drain_placements_total", kCounter, kModel,              \
     "Drain attempts that placed the queued task")                             \
   /* --- Task lifecycle (core/metrics collector, model plane) --- */          \
-  M(TasksGenerated, "tasks_generated_total", kCounter, kModel, false,         \
+  M(TasksGenerated, "tasks_generated_total", kCounter, kModel,                \
     "Tasks generated by the workload")                                        \
-  M(TasksPlaced, "tasks_placed_total", kCounter, kModel, false,               \
+  M(TasksPlaced, "tasks_placed_total", kCounter, kModel,                      \
     "Task placements onto nodes (includes requeue placements)")               \
-  M(TasksCompleted, "tasks_completed_total", kCounter, kModel, false,         \
+  M(TasksCompleted, "tasks_completed_total", kCounter, kModel,                \
     "Tasks that ran to completion")                                           \
-  M(TasksDiscarded, "tasks_discarded_total", kCounter, kModel, false,         \
+  M(TasksDiscarded, "tasks_discarded_total", kCounter, kModel,                \
     "Tasks discarded (infeasible, overflow, or retry budget)")                \
   M(TasksSuspendedFirst, "tasks_suspended_first_total", kCounter, kModel,     \
-    false, "Tasks that entered the suspension queue at least once")           \
+    "Tasks that entered the suspension queue at least once")                  \
   M(ClosestMatchPlacements, "closest_match_placements_total", kCounter,       \
-    kModel, false, "Placements that used the closest-match configuration")    \
+    kModel, "Placements that used the closest-match configuration")           \
   /* --- Fault subsystem (model plane) --- */                                 \
-  M(FaultFailures, "fault_failures_total", kCounter, kModel, false,           \
+  M(FaultFailures, "fault_failures_total", kCounter, kModel,                  \
     "Node failures injected")                                                 \
-  M(FaultRepairs, "fault_repairs_total", kCounter, kModel, false,             \
+  M(FaultRepairs, "fault_repairs_total", kCounter, kModel,                    \
     "Node repairs completed")                                                 \
-  M(FaultKills, "fault_kills_total", kCounter, kModel, false,                 \
+  M(FaultKills, "fault_kills_total", kCounter, kModel,                        \
     "Running tasks killed by node failures")                                  \
   M(FaultLostWorkTicks, "fault_lost_work_area_ticks_total", kCounter, kModel, \
-    false, "Area-ticks of in-progress work destroyed by failures")            \
-  M(FaultFailedNodes, "fault_failed_nodes", kGauge, kModel, false,            \
+    "Area-ticks of in-progress work destroyed by failures")                   \
+  M(FaultFailedNodes, "fault_failed_nodes", kGauge, kModel,                   \
     "Nodes currently failed")                                                 \
   /* --- Decision explainability (model plane) --- */                         \
-  M(ExplainRecords, "explain_records_total", kCounter, kModel, false,         \
-    "Decision-explanation records emitted for --explain tasks")               \
-  /* --- ShardPool fork-join broadcasts (host plane) --- */                   \
-  M(PoolBroadcasts, "pool_broadcasts_total", kCounter, kHost, false,          \
-    "Fork-join broadcasts issued to the shard pool")                          \
-  M(PoolBroadcastNs, "pool_broadcast_ns", kHistogram, kHost, false,           \
-    "Wall time of one fork-join broadcast (issue to join)")                   \
-  M(PoolJoinWaitNs, "pool_join_wait_ns", kHistogram, kHost, false,            \
-    "Wall time the issuing thread waited for workers after its own share")    \
-  M(PoolBatchJobs, "pool_batch_jobs", kHistogram, kHost, false,               \
-    "Jobs per broadcast batch")                                               \
-  M(PoolJobsExecuted, "pool_jobs_executed_total", kCounter, kHost, true,      \
-    "Shard jobs executed (per-shard cells)")                                  \
-  M(PoolJobNs, "pool_job_ns", kHistogram, kHost, true,                        \
-    "Wall time of one shard job (per-shard broadcast latency)")               \
-  M(PoolShardBusyNs, "pool_shard_busy_ns_total", kCounter, kHost, true,       \
-    "Cumulative wall time spent executing each shard's jobs")                 \
-  M(ShardImbalancePct, "shard_imbalance_pct", kGauge, kHost, false,           \
-    "Shard load imbalance: 100 * (max - mean) / mean of per-shard busy ns")
+  M(ExplainRecords, "explain_records_total", kCounter, kModel,                \
+    "Decision-explanation records emitted for --explain tasks")
 // clang-format on
 
 /// Stable identifier for one catalogued metric.
 enum class MetricId : std::uint16_t {
-#define DREAMSIM_METRIC_ENUM(ident, name, kind, plane, per_shard, help) \
+#define DREAMSIM_METRIC_ENUM(ident, name, kind, plane, help) \
   k##ident,
   DREAMSIM_METRIC_CATALOGUE(DREAMSIM_METRIC_ENUM)
 #undef DREAMSIM_METRIC_ENUM
@@ -164,13 +143,12 @@ struct MetricInfo {
   std::string_view name;  // exposition name, sans "dreamsim_" prefix
   MetricKind kind;
   MetricPlane plane;
-  bool per_shard;
   std::string_view help;
 };
 
 inline constexpr std::array kMetricInfo = {
-#define DREAMSIM_METRIC_INFO(ident, name, kind, plane, per_shard, help) \
-  MetricInfo{name, MetricKind::kind, MetricPlane::plane, per_shard, help},
+#define DREAMSIM_METRIC_INFO(ident, name, kind, plane, help) \
+  MetricInfo{name, MetricKind::kind, MetricPlane::plane, help},
     DREAMSIM_METRIC_CATALOGUE(DREAMSIM_METRIC_INFO)
 #undef DREAMSIM_METRIC_INFO
 };

@@ -9,19 +9,17 @@
 // snapshots, Prometheus text, the report block) lives in
 // obs/metrics_export.{hpp,cpp}.
 //
-// Storage is an array of cache-line-aligned cells: cell 0 belongs to the
-// simulation thread (every unsharded hook records there), cells 1..K to the
-// shard pool's per-shard jobs (metrics tagged per_shard in the catalogue).
-// All slots are relaxed atomics, so concurrent shard jobs record without
-// synchronization; TakeSnapshot() merges cells in fixed index order 0..K
-// under each metric's declared merge rule (sum / max / bin-wise sum), so
-// snapshot bytes never depend on thread interleaving.
+// Storage is one slot of relaxed atomics per metric: concurrent
+// replication drivers share this process-global registry, so a stray
+// cross-thread write is a reporting bug, never a data race.
+// TakeSnapshot() copies the slots into plain values.
 //
 // Pure observer: the registry never touches the WorkloadMeter or any
 // scheduler decision (the §9 contract; pinned by test_obs_diff). Model-plane
-// metrics are a pure function of (seed, config) and byte-identical across
-// shard and thread counts (pinned by test_metrics_diff); host-plane metrics
-// carry wall-clock and shard-shape data and are excluded from that contract.
+// metrics are a pure function of (seed, config), and all but the
+// scan-fallback and drain-index query counters are byte-identical across
+// the index modes (pinned by test_metrics_diff); host-plane metrics carry
+// wall-clock data and are excluded from that contract.
 #pragma once
 
 #include <array>
@@ -34,14 +32,12 @@
 
 namespace dreamsim::obs {
 
-/// Merged, plain-value copy of the registry state. Cold-path only.
+/// Plain-value copy of the registry state. Cold-path only.
 struct MetricsSnapshot {
   /// Log2-spaced value bins: bin i counts values v with bit_width(v) == i,
   /// i.e. bin 0 holds v=0 and bin i (i >= 1) holds v in [2^(i-1), 2^i);
   /// the last bin saturates. Matches PhaseProfiler::kBins spacing.
   static constexpr std::size_t kBins = 24;
-  /// Cell 0 plus up to kShardCells per-shard cells.
-  static constexpr std::size_t kCells = 33;
 
   struct Hist {
     std::array<std::uint64_t, kBins> bins{};
@@ -50,14 +46,10 @@ struct MetricsSnapshot {
     std::uint64_t max = 0;
   };
 
-  /// Merged scalar per metric (histograms report their sample count here).
+  /// Scalar per metric (histograms report their sample count here).
   std::array<std::uint64_t, kMetricCount> value{};
-  /// Merged histograms, indexed by kHistSlotOf.
+  /// Histograms, indexed by kHistSlotOf.
   std::array<Hist, kHistMetricCount> hist{};
-  /// Raw per-cell scalars for per_shard metrics (zeros elsewhere).
-  std::array<std::array<std::uint64_t, kCells>, kMetricCount> cell{};
-  /// 1 + highest shard cell that ever recorded (>= 1; cell 0 always live).
-  std::size_t cells_used = 1;
 };
 
 /// Process-global metric store. All writes are relaxed atomics; readers
@@ -66,7 +58,6 @@ struct MetricsSnapshot {
 class MetricsRegistry {
  public:
   static constexpr std::size_t kBins = MetricsSnapshot::kBins;
-  static constexpr std::size_t kCells = MetricsSnapshot::kCells;
 
   [[nodiscard]] static MetricsRegistry& Instance() {
     static MetricsRegistry registry;
@@ -86,86 +77,57 @@ class MetricsRegistry {
     return width < kBins ? width : kBins - 1;
   }
 
-  void Add(MetricId id, std::uint64_t delta = 1, std::size_t cell = 0) {
-    ScalarAt(id, cell).fetch_add(delta, std::memory_order_relaxed);
+  void Add(MetricId id, std::uint64_t delta = 1) {
+    ScalarAt(id).fetch_add(delta, std::memory_order_relaxed);
   }
 
-  /// Last-write-wins level. Single-writer per cell by convention (the
-  /// simulation thread owns cell 0).
-  void GaugeSet(MetricId id, std::uint64_t value, std::size_t cell = 0) {
-    ScalarAt(id, cell).store(value, std::memory_order_relaxed);
+  /// Last-write-wins level. Single-writer by convention (the simulation
+  /// thread).
+  void GaugeSet(MetricId id, std::uint64_t value) {
+    ScalarAt(id).store(value, std::memory_order_relaxed);
   }
 
-  void GaugeMax(MetricId id, std::uint64_t value, std::size_t cell = 0) {
-    RelaxedMax(ScalarAt(id, cell), value);
+  void GaugeMax(MetricId id, std::uint64_t value) {
+    RelaxedMax(ScalarAt(id), value);
   }
 
-  void Observe(MetricId id, std::uint64_t value, std::size_t cell = 0) {
-    Cell& c = cell_bank_[CapCell(cell)];
-    HistSlot& h = c.hists[kHistSlotOf[static_cast<std::size_t>(id)]];
+  void Observe(MetricId id, std::uint64_t value) {
+    HistSlot& h = hists_[kHistSlotOf[static_cast<std::size_t>(id)]];
     h.bins[BinOf(value)].fetch_add(1, std::memory_order_relaxed);
     h.count.fetch_add(1, std::memory_order_relaxed);
     h.sum.fetch_add(value, std::memory_order_relaxed);
     RelaxedMax(h.max, value);
   }
 
-  /// Records that shard cells [1, shards] are in use (per-shard exposition
-  /// emits exactly that many series). Called once per broadcast, not per
-  /// job.
-  void NoteShardCells(std::size_t shards) {
-    RelaxedMax(shard_cells_, std::uint64_t{shards});
-  }
-
   /// Zeroes every slot (call between runs that should report separately).
   void Reset() {
-    for (Cell& cell : cell_bank_) {
-      for (auto& s : cell.scalars) s.store(0, std::memory_order_relaxed);
-      for (auto& h : cell.hists) {
-        for (auto& b : h.bins) b.store(0, std::memory_order_relaxed);
-        h.count.store(0, std::memory_order_relaxed);
-        h.sum.store(0, std::memory_order_relaxed);
-        h.max.store(0, std::memory_order_relaxed);
-      }
+    for (auto& s : scalars_) s.store(0, std::memory_order_relaxed);
+    for (auto& h : hists_) {
+      for (auto& b : h.bins) b.store(0, std::memory_order_relaxed);
+      h.count.store(0, std::memory_order_relaxed);
+      h.sum.store(0, std::memory_order_relaxed);
+      h.max.store(0, std::memory_order_relaxed);
     }
-    shard_cells_.store(0, std::memory_order_relaxed);
   }
 
-  /// Merges every cell in fixed index order 0..K under the catalogue's
-  /// per-kind rules and derives the snapshot-time gauges (shard imbalance).
+  /// Copies every slot into plain values.
   [[nodiscard]] MetricsSnapshot TakeSnapshot() const {
     MetricsSnapshot snap;
-    snap.cells_used =
-        1 + static_cast<std::size_t>(
-                shard_cells_.load(std::memory_order_relaxed));
-    if (snap.cells_used > kCells) snap.cells_used = kCells;
     for (std::size_t m = 0; m < kMetricCount; ++m) {
-      const MetricInfo& info = kMetricInfo[m];
-      if (info.kind == MetricKind::kHistogram) {
-        MetricsSnapshot::Hist& merged = snap.hist[kHistSlotOf[m]];
-        for (std::size_t c = 0; c < snap.cells_used; ++c) {
-          const HistSlot& h = cell_bank_[c].hists[kHistSlotOf[m]];
-          for (std::size_t b = 0; b < kBins; ++b) {
-            merged.bins[b] += h.bins[b].load(std::memory_order_relaxed);
-          }
-          merged.count += h.count.load(std::memory_order_relaxed);
-          merged.sum += h.sum.load(std::memory_order_relaxed);
-          const std::uint64_t max = h.max.load(std::memory_order_relaxed);
-          if (max > merged.max) merged.max = max;
+      if (kMetricInfo[m].kind == MetricKind::kHistogram) {
+        MetricsSnapshot::Hist& out = snap.hist[kHistSlotOf[m]];
+        const HistSlot& h = hists_[kHistSlotOf[m]];
+        for (std::size_t b = 0; b < kBins; ++b) {
+          out.bins[b] = h.bins[b].load(std::memory_order_relaxed);
         }
-        snap.value[m] = merged.count;
+        out.count = h.count.load(std::memory_order_relaxed);
+        out.sum = h.sum.load(std::memory_order_relaxed);
+        out.max = h.max.load(std::memory_order_relaxed);
+        snap.value[m] = out.count;
         continue;
       }
-      std::uint64_t merged = 0;
-      for (std::size_t c = 0; c < snap.cells_used; ++c) {
-        const std::uint64_t v =
-            cell_bank_[c].scalars[m].load(std::memory_order_relaxed);
-        snap.cell[m][c] = v;
-        merged = info.kind == MetricKind::kGaugeMax ? (v > merged ? v : merged)
-                                                    : merged + v;
-      }
-      snap.value[m] = merged;
+      snap.value[m] = scalars_[m].load(std::memory_order_relaxed);
     }
-    DeriveImbalance(snap);
     return snap;
   }
 
@@ -177,20 +139,9 @@ class MetricsRegistry {
     std::atomic<std::uint64_t> max{0};
   };
 
-  /// One writer lane. Cache-line aligned so shard jobs on different cells
-  /// never false-share.
-  struct alignas(64) Cell {
-    std::array<std::atomic<std::uint64_t>, kMetricCount> scalars{};
-    std::array<HistSlot, kHistMetricCount> hists{};
-  };
-
   [[nodiscard]] static std::atomic<bool>& EnabledFlag() {
     static std::atomic<bool> enabled{false};
     return enabled;
-  }
-
-  static constexpr std::size_t CapCell(std::size_t cell) {
-    return cell < kCells ? cell : kCells - 1;
   }
 
   static void RelaxedMax(std::atomic<std::uint64_t>& slot,
@@ -201,45 +152,18 @@ class MetricsRegistry {
     }
   }
 
-  [[nodiscard]] std::atomic<std::uint64_t>& ScalarAt(MetricId id,
-                                                     std::size_t cell) {
-    return cell_bank_[CapCell(cell)].scalars[static_cast<std::size_t>(id)];
+  [[nodiscard]] std::atomic<std::uint64_t>& ScalarAt(MetricId id) {
+    return scalars_[static_cast<std::size_t>(id)];
   }
 
-  /// Shard load imbalance from the per-shard busy-ns counters: a run where
-  /// every shard worked equally long reads 0; one hot shard reads high.
-  static void DeriveImbalance(MetricsSnapshot& snap) {
-    const auto& busy =
-        snap.cell[static_cast<std::size_t>(MetricId::kPoolShardBusyNs)];
-    std::uint64_t max = 0;
-    std::uint64_t sum = 0;
-    std::size_t shards = 0;
-    for (std::size_t c = 1; c < snap.cells_used; ++c) {
-      sum += busy[c];
-      if (busy[c] > max) max = busy[c];
-      ++shards;
-    }
-    if (shards == 0 || sum == 0) return;
-    const double mean =
-        static_cast<double>(sum) / static_cast<double>(shards);
-    const double pct = 100.0 * (static_cast<double>(max) - mean) / mean;
-    snap.value[static_cast<std::size_t>(MetricId::kShardImbalancePct)] =
-        pct > 0.0 ? static_cast<std::uint64_t>(pct) : 0;
-  }
-
-  /// Cell-lane ownership (DESIGN.md §17): cell 0 is the simulation
-  /// thread's lane; cell i+1 is written only by the shard job holding job
-  /// index i of the current broadcast. Every slot is a relaxed atomic, so a
-  /// convention breach is a reporting bug, never a data race — which is why
-  /// the lanes are NOT ThreadRole capabilities: pool workers legitimately
-  /// claim different job indexes each broadcast, and concurrent replication
-  /// drivers (tools/sweep, tools/replication) share this process-global
-  /// bank, so no lane has a stable owning thread to bind. The
-  /// atomics-discipline lint rule enforces the other half of the contract:
-  /// cells stay memory_order_relaxed, and model-plane code never grows its
-  /// own atomics.
-  std::array<Cell, kCells> cell_bank_{};
-  std::atomic<std::uint64_t> shard_cells_{0};
+  /// Every slot is a relaxed atomic: concurrent replication drivers
+  /// (tools/sweep, tools/replication) share this process-global registry,
+  /// so it has no stable owning thread to bind a ThreadRole to (DESIGN.md
+  /// §17). The atomics-discipline lint rule enforces the rest of the
+  /// contract: the slots stay memory_order_relaxed, and model-plane code
+  /// never grows its own atomics.
+  std::array<std::atomic<std::uint64_t>, kMetricCount> scalars_{};
+  std::array<HistSlot, kHistMetricCount> hists_{};
 };
 
 // --- Hot-path hooks -------------------------------------------------------
@@ -247,31 +171,27 @@ class MetricsRegistry {
 // (enforced by dreamsim_lint's `metric-catalogue` rule), so every exposition
 // name stays stable and documented.
 
-inline void MetricInc(MetricId id, std::uint64_t delta = 1,
-                      std::size_t cell = 0) {
+inline void MetricInc(MetricId id, std::uint64_t delta = 1) {
   if (MetricsRegistry::enabled()) {
-    MetricsRegistry::Instance().Add(id, delta, cell);
+    MetricsRegistry::Instance().Add(id, delta);
   }
 }
 
-inline void MetricGaugeSet(MetricId id, std::uint64_t value,
-                           std::size_t cell = 0) {
+inline void MetricGaugeSet(MetricId id, std::uint64_t value) {
   if (MetricsRegistry::enabled()) {
-    MetricsRegistry::Instance().GaugeSet(id, value, cell);
+    MetricsRegistry::Instance().GaugeSet(id, value);
   }
 }
 
-inline void MetricGaugeMax(MetricId id, std::uint64_t value,
-                           std::size_t cell = 0) {
+inline void MetricGaugeMax(MetricId id, std::uint64_t value) {
   if (MetricsRegistry::enabled()) {
-    MetricsRegistry::Instance().GaugeMax(id, value, cell);
+    MetricsRegistry::Instance().GaugeMax(id, value);
   }
 }
 
-inline void MetricObserve(MetricId id, std::uint64_t value,
-                          std::size_t cell = 0) {
+inline void MetricObserve(MetricId id, std::uint64_t value) {
   if (MetricsRegistry::enabled()) {
-    MetricsRegistry::Instance().Observe(id, value, cell);
+    MetricsRegistry::Instance().Observe(id, value);
   }
 }
 

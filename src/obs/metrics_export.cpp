@@ -112,25 +112,6 @@ std::string RenderMetricsJson(const MetricsSnapshot& snap, Tick tick,
     }
     out += "]}";
   }
-  out += "},\"per_shard\":{";
-  first = true;
-  for (std::size_t m = 0; m < kMetricCount; ++m) {
-    const MetricInfo& info = kMetricInfo[m];
-    if (Skip(info, include_host) || !info.per_shard ||
-        info.kind == MetricKind::kHistogram) {
-      continue;
-    }
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    AppendName(out, info);
-    out += "\":[";
-    for (std::size_t c = 1; c < snap.cells_used; ++c) {
-      if (c > 1) out += ',';
-      AppendU64(out, snap.cell[m][c]);
-    }
-    out += ']';
-  }
   out += "}}";
   return out;
 }
@@ -181,16 +162,6 @@ std::string RenderMetricsProm(const MetricsSnapshot& snap,
     out += ' ';
     AppendU64(out, snap.value[m]);
     out += '\n';
-    if (info.per_shard) {
-      for (std::size_t c = 1; c < snap.cells_used; ++c) {
-        AppendName(out, info);
-        out += "{shard=\"";
-        AppendU64(out, c - 1);
-        out += "\"} ";
-        AppendU64(out, snap.cell[m][c]);
-        out += '\n';
-      }
-    }
   }
   return out;
 }

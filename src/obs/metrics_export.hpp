@@ -3,11 +3,10 @@
 // the CLI embeds under the MetricsReport. Schemas in docs/formats.md
 // ("Metrics snapshots").
 //
-// The renderers emit metrics in catalogue order with cells merged in fixed
-// shard order (MetricsRegistry::TakeSnapshot), so the rendered bytes of the
-// model plane are a pure function of (seed, config) — test_metrics_diff
-// pins this across shard and thread counts. Host-plane metrics (wall-clock
-// timings, shard load) can be excluded with `include_host = false`.
+// The renderers emit metrics in catalogue order, so the rendered bytes of
+// the model plane are a pure function of (seed, config) — test_metrics_diff
+// pins this across the index modes. Host-plane metrics (wall-clock values)
+// can be excluded with `include_host = false`.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +39,7 @@ enum class MetricsFormat : std::uint8_t { kJson, kProm };
 
 /// Full Prometheus text exposition (version 0.0.4): HELP + TYPE + samples
 /// per catalogued metric, `dreamsim_` prefix, histogram `_bucket/_sum/
-/// _count` series, per-shard series with a `shard` label.
+/// _count` series.
 [[nodiscard]] std::string RenderMetricsProm(const MetricsSnapshot& snap,
                                             bool include_host = true);
 

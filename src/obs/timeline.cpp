@@ -22,18 +22,30 @@ char* PutU64(char* p, std::uint64_t value) {
   return std::to_chars(p, p + 20, value).ptr;
 }
 
+/// The sampling step: 0 means 1; a negative step would never reach the
+/// next grid tick, so it is rejected.
+Tick CheckedInterval(Tick interval) {
+  if (interval < 0) {
+    throw std::invalid_argument(
+        Format("timeline sampling interval must be non-negative (got {})",
+               interval));
+  }
+  return interval == 0 ? 1 : interval;
+}
+
 }  // namespace
 
 TimeSeriesSampler::TimeSeriesSampler(std::ostream& out, Tick interval)
-    : sink_(out), interval_(interval == 0 ? 1 : interval) {
+    : sink_(out), interval_(CheckedInterval(interval)) {
   batch_.reserve(kBatchBytes);
   sink_ << kHeader;
 }
 
 TimeSeriesSampler::TimeSeriesSampler(const std::string& path, Tick interval)
-    : owned_out_(path),
-      sink_(owned_out_),
-      interval_(interval == 0 ? 1 : interval) {
+    : sink_(owned_out_), interval_(CheckedInterval(interval)) {
+  // Opened only once the interval is known good, so a rejected interval
+  // leaves no file behind.
+  owned_out_.open(path);
   if (!owned_out_.is_open()) {
     throw std::runtime_error(Format("cannot open timeline file '{}'", path));
   }

@@ -28,8 +28,8 @@ namespace dreamsim::obs {
 
 class TimeSeriesSampler {
  public:
-  /// Samples every `interval` ticks (>= 1; 0 is coerced to 1) to a
-  /// caller-owned stream (tests) …
+  /// Samples every `interval` ticks (0 is coerced to 1; negative throws
+  /// std::invalid_argument) to a caller-owned stream (tests) …
   TimeSeriesSampler(std::ostream& out, Tick interval);
   /// … or to a file the sampler owns. Throws std::runtime_error when the
   /// file cannot be opened.

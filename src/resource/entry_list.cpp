@@ -96,31 +96,11 @@ void EntryList::Reserve(std::size_t n) {
   if (capacity > table_.size()) Rehash(capacity);
 }
 
-void EntryList::SetPartition(const std::vector<std::uint32_t>* shard_of,
-                             std::size_t shards) {
-  shard_of_ = shard_of;
-  buckets_.clear();
-  if (shard_of_ == nullptr) return;
-  buckets_.resize(shards);
-  for (std::size_t pos = 0; pos < cells_.size(); ++pos) {
-    std::vector<ShardCell>& bucket = buckets_[ShardOfNode(cells_[pos].node)];
-    table_[FindSlot(PackEntryRef(cells_[pos]))].bucket_pos =
-        static_cast<std::uint32_t>(bucket.size());
-    bucket.push_back({cells_[pos], static_cast<std::uint32_t>(pos)});
-  }
-}
-
 void EntryList::Add(EntryRef entry, WorkloadMeter& meter) {
   meter.Add(StepKind::kHousekeeping);
-  const auto gpos = static_cast<std::uint32_t>(cells_.size());
-  PosSlot& slot = InsertSlot(PackEntryRef(entry));
-  slot.pos = gpos;
+  InsertSlot(PackEntryRef(entry)).pos =
+      static_cast<std::uint32_t>(cells_.size());
   cells_.push_back(entry);
-  if (shard_of_ != nullptr) {
-    std::vector<ShardCell>& bucket = buckets_[ShardOfNode(entry.node)];
-    slot.bucket_pos = static_cast<std::uint32_t>(bucket.size());
-    bucket.push_back({entry, gpos});
-  }
 }
 
 bool EntryList::Remove(EntryRef entry, WorkloadMeter& meter) {
@@ -132,30 +112,13 @@ bool EntryList::Remove(EntryRef entry, WorkloadMeter& meter) {
     return false;
   }
   const std::size_t pos = table_[found].pos;
-  const std::uint32_t bpos = table_[found].bucket_pos;
   // The counted search visits pos + 1 cells to find the entry.
   meter.Add(StepKind::kHousekeeping, pos + 1);
   const EntryRef moved = cells_.back();
   cells_[pos] = moved;
   cells_.pop_back();
   if (pos < cells_.size()) {  // moved != entry
-    PosSlot& moved_slot = table_[FindSlot(PackEntryRef(moved))];
-    moved_slot.pos = static_cast<std::uint32_t>(pos);
-    if (shard_of_ != nullptr) {
-      // The moved cell's global position changed; its bucket mirror must
-      // carry the new tie-break key.
-      buckets_[ShardOfNode(moved.node)][moved_slot.bucket_pos].gpos =
-          static_cast<std::uint32_t>(pos);
-    }
-  }
-  if (shard_of_ != nullptr) {
-    std::vector<ShardCell>& bucket = buckets_[ShardOfNode(entry.node)];
-    const ShardCell bucket_moved = bucket.back();
-    bucket[bpos] = bucket_moved;
-    bucket.pop_back();
-    if (bpos < bucket.size()) {  // bucket_moved != entry's own cell
-      table_[FindSlot(PackEntryRef(bucket_moved.entry))].bucket_pos = bpos;
-    }
+    table_[FindSlot(PackEntryRef(moved))].pos = static_cast<std::uint32_t>(pos);
   }
   EraseSlot(found);
   return true;
@@ -175,34 +138,6 @@ bool EntryList::PositionsConsistent() const {
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     const std::size_t slot = FindSlot(PackEntryRef(cells_[i]));
     if (slot == table_.size() || table_[slot].pos != i) return false;
-  }
-  return true;
-}
-
-bool EntryList::PartitionConsistent() const {
-  if (shard_of_ == nullptr) return true;
-  std::size_t mirrored = 0;
-  for (std::size_t s = 0; s < buckets_.size(); ++s) {
-    // Shards are visited in index order.
-    for (const ShardCell& cell : buckets_[s]) {
-      if (cell.gpos >= cells_.size()) return false;
-      if (!(cells_[cell.gpos] == cell.entry)) return false;
-      if (cell.entry.node.value() >= shard_of_->size() ||
-          ShardOfNode(cell.entry.node) != s) {
-        return false;
-      }
-    }
-    mirrored += buckets_[s].size();
-  }
-  if (mirrored != cells_.size()) return false;
-  // bucket_pos: the exact inverse of the bucket contents.
-  for (const EntryRef& entry : cells_) {
-    const std::size_t slot = FindSlot(PackEntryRef(entry));
-    if (slot == table_.size()) return false;
-    if (entry.node.value() >= shard_of_->size()) return false;
-    const std::vector<ShardCell>& bucket = buckets_[ShardOfNode(entry.node)];
-    const std::uint32_t bpos = table_[slot].bucket_pos;
-    if (bpos >= bucket.size() || !(bucket[bpos].entry == entry)) return false;
   }
   return true;
 }

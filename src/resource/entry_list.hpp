@@ -11,15 +11,9 @@
 // all searches are counted linear traversals — the same step costs the
 // paper's metrics measure on its linked lists, with better locality.
 //
-// Two host-side accelerations ride underneath without changing any charge
-// (DESIGN.md §14):
-//   - positions are kept in an open-addressing flat map over the packed
-//     8-byte EntryRef instead of an unordered_map, so the mutation hot path
-//     allocates no hash nodes;
-//   - under the sharded kernel the list can be *partitioned*: every cell is
-//     mirrored into the bucket of its node's shard together with its global
-//     position, so a shard can scan only its own members while tie-breaks
-//     (and Remove charges) still follow the one global cell order.
+// Positions are kept in an open-addressing flat map over the packed 8-byte
+// EntryRef instead of an unordered_map, so the mutation hot path allocates
+// no hash nodes; that changes no charge.
 #pragma once
 
 #include <cstddef>
@@ -73,13 +67,6 @@ struct EntryRefHash {
 /// Entries must be unique (the store never double-adds).
 class EntryList {
  public:
-  /// One partitioned cell: the entry plus its current position in the
-  /// global cell vector (the tie-break and charge key).
-  struct ShardCell {
-    EntryRef entry;
-    std::uint32_t gpos = 0;
-  };
-
   /// O(1) insertion (push-front semantics of a linked list).
   void Add(EntryRef entry, WorkloadMeter& meter);
 
@@ -92,23 +79,8 @@ class EntryList {
                               StepKind kind) const;
 
   /// Pre-sizes the cell vector and the flat position map for `n` entries
-  /// (reservation discipline, DESIGN.md §13). Never changes contents.
+  /// (reservation discipline). Never changes contents.
   void Reserve(std::size_t n);
-
-  /// Mirrors every cell into per-shard buckets keyed by
-  /// `(*shard_of)[node id]` so the sharded kernel can scan one shard's
-  /// members only. `shard_of` must outlive the list (the ShardEngine's
-  /// node-to-shard map; the vector object's address must stay stable).
-  /// Passing nullptr drops the partition. Rebuilds from the current cells,
-  /// so it can be toggled at any point; charges nothing.
-  void SetPartition(const std::vector<std::uint32_t>* shard_of,
-                    std::size_t shards);
-  [[nodiscard]] bool partitioned() const { return shard_of_ != nullptr; }
-  [[nodiscard]] std::size_t shard_count() const { return buckets_.size(); }
-  [[nodiscard]] const std::vector<ShardCell>& shard_cells(
-      std::size_t shard) const {
-    return buckets_[shard];
-  }
 
   /// Visits every entry (one counted step each) and returns the first for
   /// which `pred(entry)` is true, or nullopt. The predicate itself may add
@@ -173,11 +145,6 @@ class EntryList {
   /// (consistency checks).
   [[nodiscard]] bool PositionsConsistent() const;
 
-  /// True when the shard buckets mirror the cell vector exactly: every
-  /// cell in precisely its node's shard bucket with the right global
-  /// position, no strays. Vacuously true unpartitioned.
-  [[nodiscard]] bool PartitionConsistent() const;
-
  private:
   // The auditor reconstructs ground truth from the raw cells; the
   // corruptor breaks them on purpose in tests. Neither is part of the
@@ -186,14 +153,13 @@ class EntryList {
   friend class ::dreamsim::analysis::StructureCorruptor;
 
   /// Open-addressing (linear probing, backward-shift deletion) map from
-  /// packed EntryRef to its cell position and shard-bucket position. The
-  /// all-ones key doubles as the empty sentinel; it packs the (invalid
-  /// node, invalid slot) pair, which no live entry ever carries.
+  /// packed EntryRef to its cell position. The all-ones key doubles as the
+  /// empty sentinel; it packs the (invalid node, invalid slot) pair, which
+  /// no live entry ever carries.
   struct PosSlot {
     static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
     std::uint64_t key = kEmptyKey;
     std::uint32_t pos = 0;
-    std::uint32_t bucket_pos = 0;
   };
 
   [[nodiscard]] std::size_t ProbeStart(std::uint64_t key) const;
@@ -203,15 +169,10 @@ class EntryList {
   [[nodiscard]] PosSlot& InsertSlot(std::uint64_t key);
   void EraseSlot(std::size_t index);
   void Rehash(std::size_t capacity);
-  [[nodiscard]] std::uint32_t ShardOfNode(NodeId node) const {
-    return (*shard_of_)[node.value()];
-  }
 
   std::vector<EntryRef> cells_;
   std::vector<PosSlot> table_;  // power-of-two size; empty vector = empty map
   std::size_t table_used_ = 0;
-  const std::vector<std::uint32_t>* shard_of_ = nullptr;  // node id -> shard
-  std::vector<std::vector<ShardCell>> buckets_;  // shard -> its cells
 };
 
 }  // namespace dreamsim::resource

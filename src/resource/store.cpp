@@ -7,7 +7,6 @@
 #include <functional>
 #include <stdexcept>
 
-#include "resource/shard_engine.hpp"
 #include "resource/store_index.hpp"
 #include "util/fmt.hpp"
 
@@ -99,11 +98,9 @@ ResourceStore::ResourceStore(ResourceStore&& other) noexcept
       failed_count_(other.failed_count_),
       fleet_totals_(other.fleet_totals_),
       index_(std::move(other.index_)),
-      shard_(std::move(other.shard_)),
       min_config_area_(other.min_config_area_),
       meter_(other.meter_) {
   if (index_) index_->RebindCatalogue(configs_);
-  if (shard_) shard_->Bind(configs_, nodes_, blank_, blank_pos_, busy_area_);
 }
 
 ResourceStore& ResourceStore::operator=(ResourceStore&& other) noexcept {
@@ -118,18 +115,13 @@ ResourceStore& ResourceStore::operator=(ResourceStore&& other) noexcept {
   failed_count_ = other.failed_count_;
   fleet_totals_ = other.fleet_totals_;
   index_ = std::move(other.index_);
-  shard_ = std::move(other.shard_);
   min_config_area_ = other.min_config_area_;
   meter_ = other.meter_;
   if (index_) index_->RebindCatalogue(configs_);
-  if (shard_) shard_->Bind(configs_, nodes_, blank_, blank_pos_, busy_area_);
   return *this;
 }
 
 void ResourceStore::SetIndexed(bool enabled) {
-  // The sharded engine answers from its shard-local indexes exactly when
-  // the store is indexed, so the flavour follows this toggle.
-  if (shard_) shard_->SetIndexed(enabled);
   if (enabled == indexed()) return;
   if (!enabled) {
     index_.reset();
@@ -139,42 +131,9 @@ void ResourceStore::SetIndexed(bool enabled) {
   index_->AddNodes(nodes_, busy_area_);
 }
 
-void ResourceStore::SetShards(std::size_t shards, std::size_t threads,
-                              ShardBy by) {
-  if (shards <= 1) {
-    shard_.reset();
-    for (EntryList& l : idle_lists_) l.SetPartition(nullptr, 0);
-    for (EntryList& l : busy_lists_) l.SetPartition(nullptr, 0);
-    return;
-  }
-  shard_ = std::make_unique<ShardEngine>(configs_, shards, threads, by);
-  shard_->Bind(configs_, nodes_, blank_, blank_pos_, busy_area_);
-  shard_->SetIndexed(indexed());
-  for (const Node& n : nodes_) {
-    shard_->AddNode(n, busy_area_[n.id().value()]);
-  }
-  // Partition every per-config list the same way the node population is
-  // partitioned, so BestIdleEntry can scan shard buckets (DESIGN.md §14).
-  // The engine's shard map covers every node by now, and its vector object
-  // outlives the lists' pointers (reset above clears them first).
-  for (EntryList& l : idle_lists_) l.SetPartition(&shard_->shard_map(), shards);
-  for (EntryList& l : busy_lists_) l.SetPartition(&shard_->shard_map(), shards);
-}
-
-bool ResourceStore::ShardAnswers() const {
-  return shard_ && (shard_->indexed() || shard_->parallel());
-}
-
-void ResourceStore::PrefetchDecision(Area needed_area, FamilyId family) {
-  if (ShardAnswers()) shard_->PrefetchDecision(needed_area, family);
-}
-
 void ResourceStore::RefreshIndex(NodeId node_id) {
   if (index_) {
     index_->Refresh(nodes_[node_id.value()], busy_area_[node_id.value()]);
-  }
-  if (shard_) {
-    shard_->Refresh(nodes_[node_id.value()], busy_area_[node_id.value()]);
   }
 }
 
@@ -213,12 +172,12 @@ void ResourceStore::IndexNodesFrom(std::size_t first) {
   if (index_) {
     index_->AddNodes(fresh, std::span<const Area>(busy_area_).subspan(first));
   }
-  if (shard_) {
-    for (const Node& n : fresh) shard_->AddNode(n, 0);
-  }
 }
 
 void ResourceStore::InitNodes(const NodeGenParams& params, Rng& rng) {
+  if (params.count < 0) {
+    throw std::invalid_argument("node count must be non-negative");
+  }
   if (params.min_area <= 0 || params.min_area > params.max_area) {
     throw std::invalid_argument("invalid node area range");
   }
@@ -287,7 +246,7 @@ void ResourceStore::InitDeviceClasses(
 }
 
 void ResourceStore::ReserveEntryLists(int node_count) {
-  // Reservation discipline (DESIGN.md §13): size each per-config list for
+  // Reservation discipline (DESIGN.md §14): size each per-config list for
   // the population it will plausibly hold. Entries spread across the
   // catalogue, so a couple of list slots per node per config amortizes the
   // growth reallocations without over-committing memory at large N
@@ -335,14 +294,8 @@ EntryList& ResourceStore::busy_list_mut(ConfigId config) {
 std::optional<EntryRef> ResourceStore::FindBestIdleEntry(ConfigId config) {
   const obs::ScopedPhaseTimer timer(obs::ProfPhase::kStoreQuery);
   // Not a scan fallback even in scan mode: this query has no index fast
-  // path in either kernel (the idle list is the primary structure).
+  // path (the idle list is the primary structure).
   obs::MetricInc(obs::MetricId::kStoreQueryIdleEntry);
-  if (ShardAnswers()) {
-    // Per-shard bucket scan; the charge is what FindMin pays per cell.
-    const EntryList& list = idle_list(config);
-    meter_.Add(StepKind::kSchedulingSearch, list.size());
-    return shard_->BestIdleEntry(list);
-  }
   return idle_list(config).FindMin(
       [this](EntryRef e) {
         return static_cast<long long>(node(e.node).available_area());
@@ -365,14 +318,7 @@ std::optional<NodeId> ResourceStore::FindBestBlankNode(Area needed_area,
   if (obs::MetricsRegistry::enabled()) {
     auto& reg = obs::MetricsRegistry::Instance();
     reg.Add(obs::MetricId::kStoreQueryBlank);
-    // Scan semantics (no StoreIndex) — K/thread-invariant: whether a shard
-    // broadcast executes the scan does not change the count.
     if (!index_) reg.Add(obs::MetricId::kStoreScanFallback);
-  }
-  if (ShardAnswers()) {
-    // The reference scan visits every blank node, fit or not.
-    meter_.Add(StepKind::kSchedulingSearch, blank_.size());
-    return shard_->BestBlank(needed_area, family);
   }
   if (index_) {
     // The reference scan visits every blank node, fit or not.
@@ -402,11 +348,6 @@ std::optional<NodeId> ResourceStore::FindBestPartiallyBlankNode(
     reg.Add(obs::MetricId::kStoreQueryPartialBlank);
     if (!index_) reg.Add(obs::MetricId::kStoreScanFallback);
   }
-  if (ShardAnswers()) {
-    // The reference scan walks the whole node list unconditionally.
-    meter_.Add(StepKind::kSchedulingSearch, nodes_.size());
-    return shard_->BestPartiallyBlank(needed_area, family);
-  }
   if (index_) {
     // The reference scan walks the whole node list unconditionally.
     meter_.Add(StepKind::kSchedulingSearch, nodes_.size());
@@ -434,28 +375,6 @@ std::optional<ReconfigPlan> ResourceStore::FindAnyIdleNode(Area needed_area,
     auto& reg = obs::MetricsRegistry::Instance();
     reg.Add(obs::MetricId::kStoreQueryReclaim);
     if (!index_) reg.Add(obs::MetricId::kStoreScanFallback);
-  }
-  if (ShardAnswers()) {
-    // The charge is the analytic count of node and slot visits the scan
-    // would have made: one per node up to the winner (or all of them on a
-    // miss) plus one per live slot of every family-compatible node the
-    // scan fully inspected — including the winner's own slots when the
-    // plan reclaims (the reference pays the slot walk that built it).
-    auto plan = shard_->FindAnyIdle(needed_area, family);
-    Steps steps = 0;
-    if (plan) {
-      const std::uint32_t winner = plan->node.value();
-      steps = static_cast<Steps>(winner) + 1 +
-              shard_->LiveSlotPrefixBefore(family, winner);
-      if (!plan->removable_entries.empty()) {
-        steps += static_cast<Steps>(node(plan->node).config_count());
-      }
-    } else {
-      steps = static_cast<Steps>(nodes_.size()) +
-              shard_->LiveSlotTotal(family);
-    }
-    meter_.Add(StepKind::kSchedulingSearch, steps);
-    return plan;
   }
   if (index_) {
     // Candidates come from the max-reclaimable-area descent; the charge is
@@ -501,15 +420,6 @@ bool ResourceStore::AnyBusyNodeCouldFit(Area needed_area, FamilyId family) {
     reg.Add(obs::MetricId::kStoreQueryBusyFit);
     if (!index_) reg.Add(obs::MetricId::kStoreScanFallback);
   }
-  if (ShardAnswers()) {
-    // The reference scan early-exits at the first qualifying node, having
-    // charged one step per node up to it (all nodes on a miss).
-    const auto winner = shard_->AnyBusyFitNode(needed_area, family);
-    meter_.Add(StepKind::kSchedulingSearch,
-               winner ? static_cast<Steps>(winner->value()) + 1
-                      : static_cast<Steps>(nodes_.size()));
-    return winner.has_value();
-  }
   if (index_) {
     const auto result = index_->AnyBusyFit(needed_area, family);
     meter_.Add(StepKind::kSchedulingSearch, result.steps);
@@ -530,10 +440,6 @@ std::optional<NodeId> ResourceStore::FindBestIdleConfiguredNode(
     auto& reg = obs::MetricsRegistry::Instance();
     reg.Add(obs::MetricId::kStoreQueryIdleConfigured);
     if (!index_) reg.Add(obs::MetricId::kStoreScanFallback);
-  }
-  if (ShardAnswers()) {
-    meter_.Add(StepKind::kSchedulingSearch, nodes_.size());
-    return shard_->BestIdleConfigured(needed_area, family);
   }
   if (index_) {
     meter_.Add(StepKind::kSchedulingSearch, nodes_.size());
@@ -562,10 +468,6 @@ std::optional<NodeId> ResourceStore::FindRankedHostNode(Area needed_area,
     auto& reg = obs::MetricsRegistry::Instance();
     reg.Add(obs::MetricId::kStoreQueryRanked);
     if (!index_) reg.Add(obs::MetricId::kStoreScanFallback);
-  }
-  if (ShardAnswers()) {
-    meter_.Add(StepKind::kSchedulingSearch, nodes_.size());
-    return shard_->RankedHost(needed_area, rank, family);
   }
   if (index_) {
     meter_.Add(StepKind::kSchedulingSearch, nodes_.size());
@@ -873,12 +775,6 @@ std::vector<std::string> ResourceStore::ValidateConsistency() const {
     if (!busy_lists_[cid].PositionsConsistent()) {
       violations.push_back(Format("busy list {}: position map stale", cid));
     }
-    if (!idle_lists_[cid].PartitionConsistent()) {
-      violations.push_back(Format("idle list {}: shard partition stale", cid));
-    }
-    if (!busy_lists_[cid].PartitionConsistent()) {
-      violations.push_back(Format("busy list {}: shard partition stale", cid));
-    }
   }
 
   // The incremental busy-area tally must match a fresh recount.
@@ -930,12 +826,6 @@ std::vector<std::string> ResourceStore::ValidateConsistency() const {
   // Cross-check every indexed structure against ground truth.
   if (index_) {
     for (std::string& v : index_->Validate(nodes_, busy_area_)) {
-      violations.push_back(std::move(v));
-    }
-  }
-  // Shard partition exactness and every shard-local index.
-  if (shard_) {
-    for (std::string& v : shard_->Validate()) {
       violations.push_back(std::move(v));
     }
   }

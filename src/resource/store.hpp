@@ -42,16 +42,6 @@ enum class HostRank : std::uint8_t {
   kWorstFit,  // maximum AvailableArea among fitting nodes (ties: min id)
 };
 
-/// Node-to-shard assignment rule for the sharded kernel (DESIGN.md §13).
-/// Both rules are pure functions of (node id, family, shard count), so the
-/// partition — and with it every merged decision — is reproducible.
-enum class ShardBy : std::uint8_t {
-  kRoundRobin,  // id % shards
-  kFamily,      // family % shards (config-class locality)
-};
-
-class ShardEngine;
-
 /// Fleet-wide aggregates over every node (DESIGN.md §9.2). The store keeps
 /// them exact by delta: each mutation removes the touched node's
 /// contribution before it changes the node and adds it back afterwards, so
@@ -132,28 +122,6 @@ class ResourceStore {
   /// toggled at any point. Default: enabled.
   void SetIndexed(bool enabled);
   [[nodiscard]] bool indexed() const { return index_ != nullptr; }
-
-  // --- Sharded parallel kernel (DESIGN.md §13) ---
-
-  /// Partitions the node population into `shards` shards answered on a
-  /// persistent pool of `threads` OS threads (0 = one per shard, capped at
-  /// hardware concurrency). `shards` <= 1 disables sharding. Decisions and
-  /// WorkloadMeter charges stay bit-identical to the sequential kernel:
-  /// each shard answers the hot node-selection queries over its members
-  /// only, and a fixed shard-order merge on (area, node id) keys — never
-  /// shard or thread ids — picks the global winner. With the scheduler
-  /// index enabled the shards answer from shard-local sparse StoreIndexes
-  /// instead of parallel scans. Rebuilds from current node state, so it
-  /// can be toggled at any point.
-  void SetShards(std::size_t shards, std::size_t threads = 0,
-                 ShardBy by = ShardBy::kRoundRobin);
-  [[nodiscard]] bool sharded() const { return shard_ != nullptr; }
-  [[nodiscard]] const ShardEngine* shard_engine() const { return shard_.get(); }
-
-  /// Hints the sharded engine that the next queries share one
-  /// (area, family) key, letting it answer all of them from a single
-  /// broadcast. No-op without shards; never changes results.
-  void PrefetchDecision(Area needed_area, FamilyId family);
 
   /// TotalArea minus the areas of busy entries: the Algorithm 1 upper bound
   /// on what reclaiming idle entries could free ("max reclaimable area").
@@ -305,12 +273,11 @@ class ResourceStore {
 
   [[nodiscard]] EntryList& idle_list_mut(ConfigId config);
   [[nodiscard]] EntryList& busy_list_mut(ConfigId config);
-  /// AddNode without the query index and shard engine, so InitNodes and
+  /// AddNode without the query index, so InitNodes and
   /// InitDeviceClasses can index the whole population at once afterwards.
   NodeId AppendNode(Area total_area, FamilyId family, Caps caps,
                     Tick network_delay, bool contiguous, Placement placement);
-  /// Registers nodes [first, node_count()) with the index (in one batch)
-  /// and the shard engine.
+  /// Registers nodes [first, node_count()) with the index in one batch.
   void IndexNodesFrom(std::size_t first);
   /// Shared InitNodes/InitDeviceClasses tail: pre-sizes the per-config
   /// idle/busy lists for a population of `node_count` nodes.
@@ -318,12 +285,6 @@ class ResourceStore {
   void RemoveFromBlank(NodeId node_id);
   void PushBlank(NodeId node_id);
   void RefreshIndex(NodeId node_id);
-  /// True when scheduler queries should be answered by the shard engine:
-  /// always in indexed mode (per-shard lookups are O(K log n)); in scan
-  /// mode only when the pool is actually parallel — a one-thread broadcast
-  /// would lose the reference scans' early exits for nothing.
-  [[nodiscard]] bool ShardAnswers() const;
-
   ConfigCatalogue configs_;
   std::vector<Node> nodes_;
   std::vector<EntryList> idle_lists_;   // indexed by ConfigId::value()
@@ -334,7 +295,6 @@ class ResourceStore {
   std::size_t failed_count_ = 0;        // nodes currently failed
   FleetTotals fleet_totals_;            // fleet-wide aggregates
   std::unique_ptr<StoreIndex> index_;   // null = scan mode
-  std::unique_ptr<ShardEngine> shard_;  // null = sequential kernel
   Area min_config_area_ = 0;            // smallest catalogue area (slot hint)
   WorkloadMeter meter_;
 };

@@ -39,13 +39,7 @@ void StoreIndex::AddNodes(std::span<const Node> nodes,
   KeyBatches batches;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const std::uint32_t id = nodes[i].id().value();
-    if (sparse_) {
-      if (!global_.ids.empty() && global_.ids.back() >= id) {
-        throw std::logic_error(
-            "StoreIndex::AddNode: member ids must be strictly ascending");
-      }
-      slot_of_.emplace(id, cached_.size());
-    } else if (id != cached_.size()) {
+    if (id != cached_.size()) {
       throw std::logic_error("StoreIndex::AddNode: node ids must be dense");
     }
     Snapshot snap = Capture(nodes[i], busy_area[i]);
@@ -65,11 +59,10 @@ void StoreIndex::AddNodes(std::span<const Node> nodes,
 
 void StoreIndex::Refresh(const Node& node, Area busy_area) {
   const std::uint32_t id = node.id().value();
-  const std::size_t pos = PosOf(id);
-  Snapshot& was = cached_.at(pos);
+  Snapshot& was = cached_.at(id);
   Snapshot now = Capture(node, busy_area);
   now.family_pos = was.family_pos;  // families are fixed at creation
-  ApplyToView(global_, pos, was, now, id);
+  ApplyToView(global_, id, was, now, id);
   ApplyToView(family_views_.at(now.family), now.family_pos, was, now, id);
   was = now;
 }
@@ -293,46 +286,6 @@ std::optional<NodeId> StoreIndex::RankedHost(
   return std::nullopt;
 }
 
-std::optional<NodeId> StoreIndex::AnyBusyFitNode(Area needed_area,
-                                                 FamilyId family) const {
-  const View* view = ViewFor(family);
-  if (view == nullptr) return std::nullopt;
-  const std::size_t pos = view->busy_total.FirstAtLeast(0, needed_area);
-  if (pos == MaxSegTree::npos) return std::nullopt;
-  return NodeId{view->ids[pos]};
-}
-
-std::optional<ReconfigPlan> StoreIndex::FindAnyIdleCandidate(
-    Area needed_area, FamilyId family, const std::vector<Node>& nodes) const {
-  const View* view = ViewFor(family);
-  if (view == nullptr) return std::nullopt;
-  std::size_t pos = 0;
-  while ((pos = view->potential.FirstAtLeast(pos, needed_area)) !=
-         MaxSegTree::npos) {
-    const Node& n = nodes[view->ids[pos]];
-    if (n.CanHost(needed_area)) return ReconfigPlan{n.id(), {}};
-    if (auto plan = ReplayReclaimScan(n, needed_area)) return plan;
-    ++pos;  // contiguous fabric too fragmented; keep walking
-  }
-  return std::nullopt;
-}
-
-Steps StoreIndex::LiveSlotPrefixBefore(FamilyId family,
-                                       std::uint32_t bound_id) const {
-  const View* view = ViewFor(family);
-  if (view == nullptr) return 0;
-  const auto it =
-      std::lower_bound(view->ids.begin(), view->ids.end(), bound_id);
-  const auto pos = static_cast<std::size_t>(it - view->ids.begin());
-  return static_cast<Steps>(view->config_count.Prefix(pos));
-}
-
-Steps StoreIndex::LiveSlotTotal(FamilyId family) const {
-  const View* view = ViewFor(family);
-  if (view == nullptr) return 0;
-  return static_cast<Steps>(view->config_count.Total());
-}
-
 void StoreIndex::ValidateView(const View& view, const char* label,
                               const std::vector<Node>& nodes,
                               const std::vector<Area>& busy_area,
@@ -423,7 +376,7 @@ void StoreIndex::ValidateView(const View& view, const char* label,
 std::vector<std::string> StoreIndex::Validate(
     const std::vector<Node>& nodes, const std::vector<Area>& busy_area) const {
   std::vector<std::string> violations;
-  if (!sparse_ && cached_.size() != nodes.size()) {
+  if (cached_.size() != nodes.size()) {
     violations.push_back(Format("index tracks {} nodes, store has {}",
                                 cached_.size(), nodes.size()));
     return violations;
@@ -433,25 +386,12 @@ std::vector<std::string> StoreIndex::Validate(
                                 cached_.size(), global_.ids.size()));
     return violations;
   }
-  if (sparse_ && slot_of_.size() != cached_.size()) {
-    violations.push_back(Format("index slot map holds {} of {} members",
-                                slot_of_.size(), cached_.size()));
-    return violations;
-  }
-  // Dense mode has global_.ids[pos] == pos == node id, so one loop over
-  // member positions covers both flavours.
+  // Node ids are dense, so global_.ids[pos] == pos == node id.
   for (std::size_t pos = 0; pos < cached_.size(); ++pos) {
     const std::uint32_t id = global_.ids[pos];
     if (id >= nodes.size()) {
       violations.push_back(Format("index member {} outside store", id));
       continue;
-    }
-    if (sparse_) {
-      const auto it = slot_of_.find(id);
-      if (it == slot_of_.end() || it->second != pos) {
-        violations.push_back(Format("index: node {} slot map stale", id));
-        continue;
-      }
     }
     const Node& n = nodes[id];
     const Snapshot& snap = cached_[pos];

@@ -51,18 +51,13 @@ namespace dreamsim::resource {
 /// charges the analytic step counts.
 class StoreIndex {
  public:
-  /// `sparse` relaxes the dense-id requirement: members may be any strictly
-  /// ascending id subset of the store (the sharded kernel gives each shard
-  /// an index over its members only). Dense mode is unchanged.
-  explicit StoreIndex(const ConfigCatalogue& configs, bool sparse = false)
-      : configs_(&configs), sparse_(sparse) {}
+  explicit StoreIndex(const ConfigCatalogue& configs) : configs_(&configs) {}
 
   /// Re-points the catalogue reference after the owning store moved.
   void RebindCatalogue(const ConfigCatalogue& configs) { configs_ = &configs; }
 
-  /// Registers a node (ids must arrive in ascending order — dense from 0
-  /// unless `sparse`) with the given busy area (sum of its busy entries'
-  /// required areas).
+  /// Registers a node (ids must arrive dense from 0, in order) with the
+  /// given busy area (sum of its busy entries' required areas).
   void AddNode(const Node& node, Area busy_area);
 
   /// AddNode for each of `nodes` (same id rules) with `busy_area[i]` for
@@ -70,8 +65,6 @@ class StoreIndex {
   /// and inserted in one linear pass instead of one O(log N) insert each,
   /// which dominated building a large population.
   void AddNodes(std::span<const Node> nodes, std::span<const Area> busy_area);
-
-  [[nodiscard]] bool sparse() const { return sparse_; }
 
   /// Re-derives every indexed property of `node` and applies the delta.
   void Refresh(const Node& node, Area busy_area);
@@ -117,28 +110,6 @@ class StoreIndex {
       Area needed_area, HostRank rank, FamilyId family,
       const std::vector<Node>& nodes) const;
 
-  // --- Decision-only mirrors for the sharded kernel (no step charges;
-  // the ShardEngine computes the analytic charges at merge time from
-  // global aggregates) ---
-
-  /// First member in id order that is busy with TotalArea >= needed.
-  [[nodiscard]] std::optional<NodeId> AnyBusyFitNode(Area needed_area,
-                                                     FamilyId family) const;
-
-  /// FindAnyIdleNode winner among members (lowest-id candidate whose
-  /// potential reaches the target and whose reclaim replay succeeds).
-  [[nodiscard]] std::optional<ReconfigPlan> FindAnyIdleCandidate(
-      Area needed_area, FamilyId family, const std::vector<Node>& nodes) const;
-
-  /// Sum of live-slot counts over family-compatible members with id <
-  /// `bound_id` (the slot charges an Algorithm 1 scan pays before reaching
-  /// `bound_id`).
-  [[nodiscard]] Steps LiveSlotPrefixBefore(FamilyId family,
-                                           std::uint32_t bound_id) const;
-
-  /// Sum of live-slot counts over all family-compatible members.
-  [[nodiscard]] Steps LiveSlotTotal(FamilyId family) const;
-
   /// Cross-checks every indexed value against ground truth; returns one
   /// message per violation (empty = consistent).
   [[nodiscard]] std::vector<std::string> Validate(
@@ -180,12 +151,6 @@ class StoreIndex {
     std::size_t family_pos = 0;   // position within the family view
   };
 
-  /// Position of member `id` in the global view / cached_ ("slot").
-  /// Dense mode: id itself. Sparse mode: slot_of_ lookup.
-  [[nodiscard]] std::size_t PosOf(std::uint32_t id) const {
-    return sparse_ ? slot_of_.at(id) : id;
-  }
-
   [[nodiscard]] static Snapshot Capture(const Node& node, Area busy_area);
   // Failed nodes are invisible to every query: their tree keys collapse to
   // -inf and they leave every ordered set, exactly as the reference scans
@@ -207,11 +172,9 @@ class StoreIndex {
                     std::vector<std::string>& violations) const;
 
   const ConfigCatalogue* configs_;
-  bool sparse_ = false;
   View global_;
   std::unordered_map<std::uint32_t, View> family_views_;
-  std::vector<Snapshot> cached_;  // indexed by PosOf (== node id when dense)
-  std::unordered_map<std::uint32_t, std::size_t> slot_of_;  // sparse only
+  std::vector<Snapshot> cached_;  // indexed by node id
 };
 
 }  // namespace dreamsim::resource

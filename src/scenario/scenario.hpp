@@ -27,7 +27,7 @@
 //   }
 //
 // Every key has a Table II default, so minimal scenarios stay minimal.
-// Runtime knobs (shards, audit, monitoring, indexes) are deliberately NOT
+// Runtime knobs (audit, monitoring, indexes) are deliberately NOT
 // part of the grammar: they never change results, so they stay CLI-owned
 // and two runs of one scenario hash identically regardless of them.
 #pragma once

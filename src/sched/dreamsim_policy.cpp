@@ -70,10 +70,6 @@ Decision DreamSimPolicy::SchedulePartial(const resource::Task& task,
     }
   }
 
-  // Phases 2+ query on the same (area, family) key against unmutated state;
-  // the sharded kernel answers them all from one batched fork-join.
-  store.PrefetchDecision(cfg.required_area, cfg.family);
-
   // Phase 2 — Configuration: "one of the blank nodes is configured".
   {
     const obs::ScopedPhaseTimer timer(obs::ProfPhase::kConfiguration);
@@ -137,10 +133,6 @@ Decision DreamSimPolicy::ScheduleFull(const resource::Task& task,
                     resolved.used_closest_match);
     }
   }
-
-  // Phases 2+ query on the same (area, family) key against unmutated state;
-  // the sharded kernel answers them all from one batched fork-join.
-  store.PrefetchDecision(cfg.required_area, cfg.family);
 
   // Phase 2 — Configuration of a blank node.
   {

@@ -7,14 +7,13 @@
 // change, no extra state on the lock path.
 //
 // ThreadRole is the *phantom* capability for single-writer structures that
-// cross threads without a lock: the sharded kernel's broadcast state, the
-// tracer/sampler buffers, the metrics cell bank. A role is never "locked";
-// the owning thread asserts it at each entry point (AssertHeld), which
-// tells the analysis the capability is live and — in debug builds — checks
-// at runtime that every asserting thread is the same one.
+// cross threads without a lock: the tracer, sampler and metrics-writer
+// buffers. A role is never "locked"; the owning thread asserts it at each
+// entry point (AssertHeld), which tells the analysis the capability is
+// live and — in debug builds — checks at runtime that every asserting
+// thread is the same one.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #ifndef NDEBUG
@@ -26,8 +25,6 @@
 #include "util/thread_annotations.hpp"
 
 namespace dreamsim::util {
-
-class CondVar;
 
 /// std::mutex with capability annotations. Lock through MutexLock (scoped)
 /// or lock()/unlock() when a scope cannot express the critical section.
@@ -42,7 +39,6 @@ class CAPABILITY("mutex") Mutex {
   [[nodiscard]] bool try_lock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
-  friend class CondVar;  // waits on the native handle (adopt/release)
   std::mutex mu_;
 };
 
@@ -57,33 +53,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Condition variable over util::Mutex. Wait() requires the mutex held and
-/// returns with it held (the wakeup-side relock happens inside, invisible
-/// to the analysis — exactly the std::condition_variable contract). The
-/// predicate loop stays at the call site so guarded reads are checked
-/// there:
-///   while (!ready_) cv_.Wait(mut_);
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void Wait(Mutex& mu) REQUIRES(mu) {
-    // Adopt the already-held native mutex for the wait, then release the
-    // unique_lock's ownership claim so the wrapper keeps it afterwards.
-    std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
-    cv_.wait(native);
-    native.release();
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 /// Phantom capability for single-thread ownership ("the simulation thread

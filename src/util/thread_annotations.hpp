@@ -11,7 +11,7 @@
 // compile check).
 //
 // Use the annotated primitives in util/sync.hpp (util::Mutex,
-// util::MutexLock, util::CondVar, util::ThreadRole) — std::mutex under
+// util::MutexLock, util::ThreadRole) — std::mutex under
 // libstdc++ carries no capability attributes, so the analysis cannot see
 // plain standard-library locks.
 #pragma once

@@ -1,4 +1,4 @@
-// The registry's cell bank is relaxed-only.
+// The registry's cell is relaxed-only.
 #include <atomic>
 
 struct Cell {

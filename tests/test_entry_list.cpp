@@ -136,6 +136,22 @@ TEST(EntryList, FindMinTieKeepsEarliest) {
   EXPECT_EQ(best->slot, 0u);
 }
 
+TEST(EntryList, ReserveNeverChangesContentsOrCharges) {
+  EntryList reserved;
+  EntryList bare;
+  WorkloadMeter mr;
+  WorkloadMeter mb;
+  reserved.Reserve(512);
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    reserved.Add(E(i, 0), mr);
+    bare.Add(E(i, 0), mb);
+  }
+  EXPECT_EQ(mr.total_workload(), mb.total_workload());
+  // lint: allow(entry-cells-iteration) — twin equality needs raw storage
+  EXPECT_EQ(reserved.cells(), bare.cells());
+  EXPECT_TRUE(reserved.PositionsConsistent());
+}
+
 TEST(WorkloadMeter, SeparatesKindsAndTotals) {
   WorkloadMeter meter;
   meter.BeginTask();

@@ -1,6 +1,6 @@
 // MetricsRegistry unit tests (DESIGN.md §16): catalogue well-formedness,
-// the log2 binning, per-cell merge rules (sum / max / bin-wise sum) in
-// fixed shard order, the enabled gate on the hot-path hooks, and the three
+// the log2 binning, the per-kind update rules (sum / last write / max /
+// bin-wise sum), the enabled gate on the hot-path hooks, and the three
 // expositions (JSONL snapshot object, Prometheus text 0.0.4, report block).
 #include "obs/metrics.hpp"
 
@@ -79,21 +79,18 @@ TEST(MetricsRegistryTest, BinOfMatchesLog2Spacing) {
             MetricsRegistry::kBins - 1);
 }
 
-// --- Merge rules ------------------------------------------------------------
+// --- Update rules -----------------------------------------------------------
 
-TEST(MetricsRegistryTest, CountersAndGaugesSumAcrossCellsInUse) {
+TEST(MetricsRegistryTest, CountersAccumulateAndGaugesKeepLastWrite) {
   const ScopedRegistry scoped;
   auto& reg = MetricsRegistry::Instance();
-  reg.Add(MetricId::kPoolJobsExecuted, 3, /*cell=*/1);
-  reg.Add(MetricId::kPoolJobsExecuted, 5, /*cell=*/2);
-  reg.Add(MetricId::kPoolJobsExecuted, 7, /*cell=*/4);  // beyond cells_used
-  reg.NoteShardCells(2);
+  reg.Add(MetricId::kEvqPushed, 3);
+  reg.Add(MetricId::kEvqPushed, 5);
+  reg.GaugeSet(MetricId::kEvqDepth, 9);
+  reg.GaugeSet(MetricId::kEvqDepth, 4);  // a level, not a sum
   const MetricsSnapshot snap = reg.TakeSnapshot();
-  EXPECT_EQ(snap.cells_used, 3u);
-  // Only cells [0, cells_used) merge; cell 4 recorded but is not in use.
-  EXPECT_EQ(snap.value[Index(MetricId::kPoolJobsExecuted)], 8u);
-  EXPECT_EQ(snap.cell[Index(MetricId::kPoolJobsExecuted)][1], 3u);
-  EXPECT_EQ(snap.cell[Index(MetricId::kPoolJobsExecuted)][2], 5u);
+  EXPECT_EQ(snap.value[Index(MetricId::kEvqPushed)], 8u);
+  EXPECT_EQ(snap.value[Index(MetricId::kEvqDepth)], 4u);
 }
 
 TEST(MetricsRegistryTest, GaugeMaxMergesByMax) {
@@ -130,24 +127,11 @@ TEST(MetricsRegistryTest, ResetZeroesEverySlot) {
   auto& reg = MetricsRegistry::Instance();
   reg.Add(MetricId::kEvqPushed, 9);
   reg.Observe(MetricId::kEventGapTicks, 42);
-  reg.NoteShardCells(4);
   reg.Reset();
   const MetricsSnapshot snap = reg.TakeSnapshot();
-  EXPECT_EQ(snap.cells_used, 1u);
   for (std::size_t m = 0; m < kMetricCount; ++m) {
     EXPECT_EQ(snap.value[m], 0u) << kMetricInfo[m].name;
   }
-}
-
-TEST(MetricsRegistryTest, ShardImbalanceDerivesFromBusyNs) {
-  const ScopedRegistry scoped;
-  auto& reg = MetricsRegistry::Instance();
-  reg.Add(MetricId::kPoolShardBusyNs, 100, /*cell=*/1);
-  reg.Add(MetricId::kPoolShardBusyNs, 300, /*cell=*/2);
-  reg.NoteShardCells(2);
-  // mean = 200, max = 300 -> 100 * (300 - 200) / 200 = 50%.
-  EXPECT_EQ(reg.TakeSnapshot().value[Index(MetricId::kShardImbalancePct)],
-            50u);
 }
 
 // --- Hook gate --------------------------------------------------------------
@@ -207,13 +191,16 @@ TEST(MetricsExport, JsonSnapshotCarriesLabelsAndValues) {
 
 TEST(MetricsExport, JsonModelPlaneExcludesHostMetrics) {
   const ScopedRegistry scoped;
-  auto& reg = MetricsRegistry::Instance();
-  reg.Add(MetricId::kPoolBroadcasts, 5);
-  const std::string json = RenderMetricsJson(
-      reg.TakeSnapshot(), Tick{0}, 0, /*final=*/false, /*include_host=*/false);
-  EXPECT_EQ(json.find("pool_broadcasts_total"), std::string::npos);
-  EXPECT_EQ(json.find("shard_imbalance_pct"), std::string::npos);
-  EXPECT_NE(json.find("dreamsim_evq_pushed_total"), std::string::npos);
+  const std::string json =
+      RenderMetricsJson(MetricsRegistry::Instance().TakeSnapshot(), Tick{0},
+                        0, /*final=*/false, /*include_host=*/false);
+  // Exactly the model-plane rows of the catalogue are rendered.
+  for (const MetricInfo& info : kMetricInfo) {
+    const std::string key = "\"dreamsim_" + std::string(info.name) + "\":";
+    EXPECT_EQ(json.find(key) != std::string::npos,
+              info.plane == MetricPlane::kModel)
+        << info.name;
+  }
 }
 
 TEST(MetricsExport, PromExpositionIsWellFormed) {
@@ -222,8 +209,6 @@ TEST(MetricsExport, PromExpositionIsWellFormed) {
   reg.Add(MetricId::kEvqPushed, 11);
   reg.Observe(MetricId::kEventGapTicks, 3);
   reg.Observe(MetricId::kEventGapTicks, 3);
-  reg.Add(MetricId::kPoolJobsExecuted, 4, /*cell=*/1);
-  reg.NoteShardCells(1);
   const std::string prom = RenderMetricsProm(reg.TakeSnapshot());
   EXPECT_NE(prom.find("# HELP dreamsim_evq_pushed_total"), std::string::npos);
   EXPECT_NE(prom.find("# TYPE dreamsim_evq_pushed_total counter\n"),
@@ -238,9 +223,6 @@ TEST(MetricsExport, PromExpositionIsWellFormed) {
             std::string::npos);
   EXPECT_NE(prom.find("dreamsim_event_gap_ticks_sum 6\n"), std::string::npos);
   EXPECT_NE(prom.find("dreamsim_event_gap_ticks_count 2\n"),
-            std::string::npos);
-  // Per-shard metrics expose one labelled series per shard cell in use.
-  EXPECT_NE(prom.find("dreamsim_pool_jobs_executed_total{shard=\"0\"} 4\n"),
             std::string::npos);
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace dreamsim::core {
 namespace {
 
@@ -79,6 +81,13 @@ TEST(Simulator, SingleUseEnforced) {
   Simulator sim(SmallConfig(10));
   (void)sim.Run();
   EXPECT_THROW((void)sim.Run(), std::logic_error);
+}
+
+TEST(Simulator, ShardsOtherThanOneThrows) {
+  // The field is vestigial (DESIGN.md §13): 1 is its only legal value.
+  SimulationConfig config = SmallConfig(10);
+  config.shards = 2;
+  EXPECT_THROW(Simulator{config}, std::invalid_argument);
 }
 
 TEST(Simulator, ImpossibleTasksAreDiscardedNotLost) {

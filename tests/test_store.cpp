@@ -387,6 +387,20 @@ TEST_F(StoreTest, InitNodesRejectsBadRanges) {
   EXPECT_THROW(store.InitNodes(params, rng), std::invalid_argument);
 }
 
+TEST_F(StoreTest, InitNodesRejectsNegativeCount) {
+  ResourceStore store(MakeCatalogue({300}));
+  NodeGenParams params;
+  params.count = -5;
+  Rng rng(1);
+  try {
+    store.InitNodes(params, rng);
+    FAIL() << "a negative node count was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "node count must be non-negative");
+  }
+  EXPECT_EQ(store.node_count(), 0u);
+}
+
 // -------- Property test: invariants under random operation sequences ----
 
 struct FuzzCase {

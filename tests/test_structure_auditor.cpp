@@ -156,25 +156,6 @@ TEST(StructureAuditorCorruption, SwappedPositionsAreFig3Positions) {
   EXPECT_EQ(report.violations.size(), 2u) << report.Render();
 }
 
-TEST(StructureAuditorClean, PopulatedShardedStoreWithPartitionedLists) {
-  ResourceStore store = MakePopulatedStore(/*indexed=*/false);
-  store.SetShards(2, /*threads=*/1);
-  const AuditReport report = StructureAuditor::AuditStore(store);
-  EXPECT_TRUE(report.ok()) << report.Render();
-}
-
-TEST(StructureAuditorCorruption, SkewedShardBucketIsFig3Partition) {
-  ResourceStore store = MakePopulatedStore(/*indexed=*/false);
-  store.SetShards(2, /*threads=*/1);
-  // Bump one bucket cell's global-position mirror: the global cells are
-  // intact, so only the partition audit can see the stale tie-break key.
-  StructureCorruptor::SkewShardBucket(store, ConfigId{0});
-  const AuditReport report = StructureAuditor::AuditStore(store);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(Slugs(report), std::set<std::string>{"fig3.partition"})
-      << report.Render();
-}
-
 TEST(StructureAuditorCorruption, SkewedFenwickLeafIsIdxCount) {
   ResourceStore store = MakePopulatedStore(/*indexed=*/true);
   StructureCorruptor::SkewIndexConfigCount(store, NodeId{0});

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -77,6 +78,17 @@ TEST(TimeSeriesSampler, IntervalZeroIsCoercedToOne) {
   const std::vector<std::pair<std::uint64_t, std::uint64_t>> expected = {
       {0, 2}, {1, 2}, {2, 2}, {3, 4}};
   EXPECT_EQ(rows, expected);
+}
+
+TEST(TimeSeriesSampler, NegativeIntervalThrows) {
+  std::ostringstream out;
+  EXPECT_THROW(TimeSeriesSampler(out, -1), std::invalid_argument);
+  EXPECT_TRUE(out.str().empty());
+  // The file variant rejects the interval before creating the file.
+  const std::string path = ::testing::TempDir() + "negative-interval.csv";
+  std::filesystem::remove(path);
+  EXPECT_THROW(TimeSeriesSampler(path, -5), std::invalid_argument);
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(TimeSeriesSampler, FinishIsIdempotentAndDtorSafe) {

@@ -114,15 +114,6 @@ void RegisterFlags(CliParser& cli) {
   cli.AddBool("drain-index", true,
               "O(log Q) indexed suspension-queue drain (identical decisions "
               "and metrics; off = literal counted scans)");
-  cli.AddInt("shards", 1,
-             "sharded parallel kernel: partition the nodes into K shards "
-             "answering queries in parallel with a deterministic merge "
-             "(identical decisions and metrics; <=1 = sequential)");
-  cli.AddInt("kernel-threads", 0,
-             "threads for the sharded kernel (0 = one per shard, capped at "
-             "hardware; never affects results)");
-  cli.AddString("shard-by", "round-robin",
-                "node-to-shard assignment: round-robin|family");
   // Correctness tooling (DESIGN.md §12).
   cli.AddString("audit", "off",
                 "structure-invariant audit: off|end (once at end of run)|"
@@ -198,17 +189,6 @@ void ApplyRuntimeKnobs(const CliParser& cli, core::SimulationConfig& config) {
   config.enable_monitoring = cli.GetBool("monitoring");
   config.scheduler_index = cli.GetBool("scheduler-index");
   config.drain_index = cli.GetBool("drain-index");
-  config.shards = static_cast<std::size_t>(cli.GetInt("shards"));
-  config.kernel_threads =
-      static_cast<std::size_t>(cli.GetInt("kernel-threads"));
-  const std::string shard_by = cli.GetString("shard-by");
-  if (shard_by == "family") {
-    config.shard_by = resource::ShardBy::kFamily;
-  } else if (shard_by != "round-robin") {
-    throw std::invalid_argument(
-        Format("unknown shard-by rule '{}' (want round-robin|family)",
-               shard_by));
-  }
   const auto audit = analysis::ParseAuditMode(cli.GetString("audit"));
   if (!audit) {
     throw std::invalid_argument(Format("unknown audit mode '{}' (want off|end|step)",

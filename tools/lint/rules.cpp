@@ -2,22 +2,16 @@
 //
 // Migrated structural rules (the original dreamsim_lint pass):
 //   list-internals, store-internals, uncharged-index-query,
-//   nondeterminism, unordered-writer-iteration, unordered-merge,
-//   entry-cells-iteration, metric-catalogue
+//   nondeterminism, unordered-writer-iteration, entry-cells-iteration,
+//   metric-catalogue
 // New plane/concurrency rules:
 //   plane-discipline     model-plane TUs (src/resource, src/sched,
 //                        src/sim) must not reach host-plane obs headers —
 //                        directly or through their include closure —
 //                        except the sanctioned hooks obs/metrics.hpp,
 //                        obs/metric_catalogue.hpp, obs/profiler.hpp.
-//   atomics-discipline   the MetricsRegistry cell bank is relaxed-only,
-//                        and model-plane code grows no atomics of its own
-//                        (src/sim/shard_pool is the one sanctioned
-//                        concurrency primitive).
-//   merge-order          loops over shard-indexed state (ShardAnswer /
-//                        ShardCell elements, shard_cells()/cell_bank_
-//                        ranges, shard_count()/cells_used bounds) live
-//                        only in the fixed-shard-order merge owners.
+//   atomics-discipline   the MetricsRegistry cell is relaxed-only, and
+//                        model-plane code grows no atomics of its own.
 #include <algorithm>
 #include <cctype>
 #include <memory>
@@ -194,7 +188,7 @@ class NondeterminismRule : public Rule {
   }
 };
 
-// --- unordered-writer-iteration / unordered-merge ---------------------------
+// --- unordered-writer-iteration ---------------------------------------------
 
 /// Range-for loops whose range expression names an unordered member.
 void CheckUnorderedRangeFor(Source& src,
@@ -266,34 +260,6 @@ class UnorderedWriterIterationRule : public Rule {
   }
 };
 
-class UnorderedMergeRule : public Rule {
- public:
-  [[nodiscard]] const RuleInfo& info() const override {
-    static const RuleInfo kInfo{
-        "unordered-merge", Severity::kError,
-        "sharded-kernel sources never range-for over unordered members "
-        "(a hash-order reduction breaks the deterministic merge)"};
-    return kInfo;
-  }
-
-  void Check(Source& src, const Tree& tree, Reporter& out) override {
-    // The partitioned EntryList carries shard-local merge state too: its
-    // bucket maintenance lives under the same fixed-shard-order contract.
-    const std::string stem = Stem(src.path);
-    const bool shard_file = stem.find("shard") != std::string::npos ||
-                            stem.find("entry_list") != std::string::npos ||
-                            stem.find("entrylist") != std::string::npos;
-    if (!shard_file) return;
-    const auto it = tree.unordered_by_dir.find(DirOf(src.path));
-    if (it == tree.unordered_by_dir.end()) return;
-    CheckUnorderedRangeFor(
-        src, it->second, info(),
-        "in the sharded kernel seeds a cross-shard reduction with hash "
-        "order; merge in fixed shard order over ordered state",
-        "merge in fixed shard order 0..K-1 over ordered state", out);
-  }
-};
-
 // --- entry-cells-iteration --------------------------------------------------
 
 class EntryCellsIterationRule : public Rule {
@@ -323,10 +289,9 @@ class EntryCellsIterationRule : public Rule {
       if (after >= src.clean.size() || src.clean[after] != '(') continue;
       out.Report(src, hit, info(),
                  "direct EntryList cells() access outside entry_list/auditor "
-                 "bypasses the counted queries and the shard-bucket API; use "
-                 "FindFirst/FindMin/shard_cells instead",
-                 "use the counted queries (FindFirst/FindMin) or the "
-                 "shard-bucket API (shard_cells)");
+                 "bypasses the counted queries; use FindFirst/FindMin "
+                 "instead",
+                 "use the counted queries (FindFirst/FindMin)");
     }
   }
 };
@@ -501,7 +466,7 @@ class AtomicsDisciplineRule : public Rule {
   }
 
   void Check(Source& src, const Tree&, Reporter& out) override {
-    // Half 1: the registry's cell bank never escalates its ordering — the
+    // Half 1: the registry's cell never escalates its ordering — the
     // snapshot path is quiescent by contract, so any acquire/release (or
     // seq_cst) there is either dead weight on the hot path or a hidden
     // synchronization dependency.
@@ -515,7 +480,7 @@ class AtomicsDisciplineRule : public Rule {
         if (order != "memory_order_relaxed") {
           out.Report(src, pos, info(),
                      std::string(order) +
-                         " in the metrics registry: the cell bank is "
+                         " in the metrics registry: the cell is "
                          "relaxed-only (readers are quiescent by contract)",
                      "use memory_order_relaxed; if you need ordering, the "
                      "design is wrong — snapshot at a tick boundary");
@@ -523,12 +488,9 @@ class AtomicsDisciplineRule : public Rule {
         pos = end;
       }
     }
-    // Half 2: model-plane code stays free of hand-rolled atomics. The
-    // shard pool is the sanctioned concurrency primitive; everything else
-    // in the model plane is single-threaded by contract (jobs write only
-    // their own slots, merges happen on the calling thread).
+    // Half 2: model-plane code stays free of hand-rolled atomics; the
+    // model plane is single-threaded by contract.
     if (!IsModelPlane(src.path)) return;
-    if (Stem(src.path) == "shard_pool") return;  // sanctioned primitive
     std::size_t pos = 0;
     while ((pos = src.clean.find("atomic", pos)) != std::string::npos) {
       const bool word_start = pos == 0 || !IsWordChar(src.clean[pos - 1]);
@@ -538,122 +500,10 @@ class AtomicsDisciplineRule : public Rule {
       }
       out.Report(src, pos, info(),
                  "atomic in model-plane code: the model plane is "
-                 "single-threaded by contract (shard jobs write only their "
-                 "own slots); new cross-thread state belongs in the shard "
-                 "pool or an obs cell",
-                 "move shared counters into obs/metrics.hpp cells, or hand "
-                 "the coordination to sim/shard_pool");
+                 "single-threaded by contract; cross-thread counters belong "
+                 "in the obs metrics cell",
+                 "move shared counters into the obs/metrics.hpp cell");
       pos += 6;
-    }
-  }
-};
-
-// --- merge-order ------------------------------------------------------------
-
-/// Files allowed to loop over shard-indexed state: the merge helpers that
-/// reduce in fixed shard order, plus the audit tooling that diffs them.
-[[nodiscard]] bool IsMergeOwner(const std::string& path) {
-  return StartsWith(path, "src/resource/shard_engine") ||
-         StartsWith(path, "src/resource/entry_list") ||
-         StartsWith(path, "src/sim/shard_pool") ||
-         StartsWith(path, "src/obs/metrics") ||
-         StartsWith(path, "src/analysis/");
-}
-
-class MergeOrderRule : public Rule {
- public:
-  [[nodiscard]] const RuleInfo& info() const override {
-    static const RuleInfo kInfo{
-        "merge-order", Severity::kError,
-        "loops over shard-indexed containers live only inside the "
-        "fixed-shard-order merge owners"};
-    return kInfo;
-  }
-
-  void Check(Source& src, const Tree&, Reporter& out) override {
-    // Tests and benches exercise internals on purpose; product code only.
-    const bool product =
-        StartsWith(src.path, "src/") || StartsWith(src.path, "tools/");
-    if (!product || IsMergeOwner(src.path)) return;
-    for (const std::size_t hit : FindWord(src.clean, "for")) {
-      std::size_t i = hit + 3;
-      while (i < src.clean.size() && IsSpace(src.clean[i])) ++i;
-      if (i >= src.clean.size() || src.clean[i] != '(') continue;
-      const std::size_t header_begin = i + 1;
-      int depth = 1;
-      std::size_t j = header_begin;
-      std::size_t range_colon = std::string::npos;
-      std::size_t first_semi = std::string::npos;
-      std::size_t second_semi = std::string::npos;
-      while (j < src.clean.size() && depth > 0) {
-        const char c = src.clean[j];
-        if (c == '(') ++depth;
-        if (c == ')') --depth;
-        if (c == ';' && depth == 1) {
-          if (first_semi == std::string::npos) {
-            first_semi = j;
-          } else if (second_semi == std::string::npos) {
-            second_semi = j;
-          }
-        }
-        if (c == ':' && depth == 1 && range_colon == std::string::npos &&
-            first_semi == std::string::npos) {
-          const bool scope =
-              (j + 1 < src.clean.size() && src.clean[j + 1] == ':') ||
-              (j > 0 && src.clean[j - 1] == ':');
-          if (!scope) range_colon = j;
-        }
-        ++j;
-      }
-      if (depth != 0) continue;
-      const std::size_t header_end = j - 1;
-      bool shard_loop = false;
-      std::string what;
-      if (range_colon != std::string::npos &&
-          first_semi == std::string::npos) {
-        // Range-for: shard-typed element or shard-indexed range.
-        const std::string decl = src.clean.substr(
-            header_begin, range_colon - header_begin);
-        const std::string range = src.clean.substr(
-            range_colon + 1, header_end - (range_colon + 1));
-        for (const std::string_view t : {std::string_view("ShardAnswer"),
-                                         std::string_view("ShardCell")}) {
-          if (!FindWord(decl, t).empty()) {
-            shard_loop = true;
-            what = "element type " + std::string(t);
-          }
-        }
-        for (const std::string_view t :
-             {std::string_view("shard_cells"), std::string_view("cell_bank_"),
-              std::string_view("answers")}) {
-          if (!FindWord(range, t).empty()) {
-            shard_loop = true;
-            what = "range '" + std::string(t) + "'";
-          }
-        }
-      } else if (first_semi != std::string::npos) {
-        // Classic for: shard-count bound in the condition.
-        const std::size_t cond_end =
-            second_semi != std::string::npos ? second_semi : header_end;
-        const std::string cond =
-            src.clean.substr(first_semi + 1, cond_end - (first_semi + 1));
-        for (const std::string_view t : {std::string_view("shard_count"),
-                                         std::string_view("cells_used")}) {
-          if (!FindWord(cond, t).empty()) {
-            shard_loop = true;
-            what = "bound '" + std::string(t) + "'";
-          }
-        }
-      }
-      if (!shard_loop) continue;
-      out.Report(src, hit, info(),
-                 "loop over shard-indexed state (" + what +
-                     ") outside the fixed-shard-order merge owners; a "
-                     "reduction here can drift from the deterministic "
-                     "merge contract",
-                 "do the reduction inside the owning merge helper "
-                 "(shard_engine / entry_list / metrics), in fixed shard "
-                 "order 0..K-1");
     }
   }
 };
@@ -662,9 +512,6 @@ class MergeOrderRule : public Rule {
 
 std::vector<std::unique_ptr<Rule>> BuiltinRules() {
   std::vector<std::unique_ptr<Rule>> rules;
-  // shard_of_ (also ShardEngine's) would false-positive as a whole-word
-  // token, and buckets_ stays out with it; the cells()-access rule covers
-  // the partition mirror's read surface instead.
   rules.push_back(std::make_unique<OwnedTokensRule>(
       RuleInfo{"list-internals", Severity::kError,
                "EntryList's cells_/table_/table_used_ are touched only by "
@@ -688,12 +535,10 @@ std::vector<std::unique_ptr<Rule>> BuiltinRules() {
   rules.push_back(std::make_unique<UnchargedIndexQueryRule>());
   rules.push_back(std::make_unique<NondeterminismRule>());
   rules.push_back(std::make_unique<UnorderedWriterIterationRule>());
-  rules.push_back(std::make_unique<UnorderedMergeRule>());
   rules.push_back(std::make_unique<EntryCellsIterationRule>());
   rules.push_back(std::make_unique<MetricCatalogueRule>());
   rules.push_back(std::make_unique<PlaneDisciplineRule>());
   rules.push_back(std::make_unique<AtomicsDisciplineRule>());
-  rules.push_back(std::make_unique<MergeOrderRule>());
   return rules;
 }
 
