@@ -22,43 +22,21 @@
 // --quick shrinks the workload for CI smoke runs. Exit status is non-zero
 // if metrics diverge, the end-mode budget is breached, or an audit
 // reports violations.
-#include <algorithm>
-#include <ctime>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <vector>
 
+#include "bench_sim.hpp"
 #include "core/simulator.hpp"
 #include "util/cli.hpp"
 #include "util/fmt.hpp"
-#include "util/log.hpp"
 
 namespace {
 
 using namespace dreamsim;
+using namespace dreamsim::bench;
 using dreamsim::core::MetricsReport;
 using dreamsim::core::SimulationConfig;
 using dreamsim::core::Simulator;
-
-/// Process CPU time: the gate is a ~1% signal, and wall clock on a shared
-/// CI runner includes scheduler steal that dwarfs it (see bench_obs).
-double CpuSeconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-/// Fixed-point rendering (util::Format pads but has no precision specs).
-std::string Fixed(double value, int precision) {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os << std::fixed << std::setprecision(precision) << value;
-  return os.str();
-}
 
 SimulationConfig BaseConfig(int tasks) {
   SimulationConfig config;  // Table II: 200 nodes, 50 configs
@@ -95,104 +73,52 @@ TimedRun RunOnce(const SimulationConfig& config, analysis::AuditMode mode) {
   return run;
 }
 
-bool PaperMetricsIdentical(const MetricsReport& a, const MetricsReport& b) {
-  return a.completed_tasks == b.completed_tasks &&
-         a.discarded_tasks == b.discarded_tasks &&
-         a.suspended_ever == b.suspended_ever &&
-         a.avg_wasted_area_per_task == b.avg_wasted_area_per_task &&
-         a.avg_task_running_time == b.avg_task_running_time &&
-         a.avg_reconfig_count_per_node == b.avg_reconfig_count_per_node &&
-         a.avg_config_time_per_task == b.avg_config_time_per_task &&
-         a.avg_waiting_time_per_task == b.avg_waiting_time_per_task &&
-         a.avg_scheduling_steps_per_task == b.avg_scheduling_steps_per_task &&
-         a.total_scheduler_workload == b.total_scheduler_workload &&
-         a.total_simulation_time == b.total_simulation_time &&
-         a.total_reconfigurations == b.total_reconfigurations &&
-         a.failures_injected == b.failures_injected &&
-         a.tasks_killed == b.tasks_killed;
-}
-
-/// Directory of argv[0] (with trailing separator).
-std::string ExecutableDir(const char* argv0) {
-  const std::string path(argv0 != nullptr ? argv0 : "");
-  const std::size_t slash = path.find_last_of("/\\");
-  return slash == std::string::npos ? std::string{} : path.substr(0, slash + 1);
-}
-
-double OverheadPct(double base, double with) {
-  return base > 0.0 ? (with - base) / base * 100.0 : 0.0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   CliParser cli("Structure-audit overhead smoke; writes BENCH_audit.json");
-  cli.AddBool("quick", false, "CI smoke workload (fewer tasks, fewer reps)");
-  cli.AddString("out", "", "output JSON path (default: next to the binary)");
-  if (!cli.Parse(argc, argv)) {
-    std::cerr << cli.error() << "\n";
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.HelpText();
-    return 0;
-  }
-  const bool quick = cli.GetBool("quick");
-  Log::SetLevel(LogLevel::kError);
-  std::string out_path = cli.GetString("out");
-  if (out_path.empty()) {
-    out_path = ExecutableDir(argv[0]) + "BENCH_audit.json";
-  }
+  const BenchArgs args =
+      ParseBenchArgs(cli, "CI smoke workload (fewer tasks, fewer reps)", argc,
+                     argv, "BENCH_audit.json");
 
-  const int tasks = quick ? 5000 : 20000;
-  const int reps = quick ? 3 : 7;
+  const int tasks = args.quick ? 5000 : 20000;
+  const int reps = args.quick ? 3 : 7;
   constexpr double kEndBudgetPct = 1.0;
 
   const SimulationConfig config = BaseConfig(tasks);
 
-  // Noise discipline (same as bench_obs): each round runs off and end mode
-  // back-to-back, the overhead is computed against the SAME round's
-  // baseline, and gating uses the MINIMUM per-round overhead — noise is
-  // additive, so the cleanest round is the closest estimate of the true
-  // cost, while a genuine regression inflates every round.
-  double best_off = 1e300;
-  double best_end = 1e300;
-  std::vector<double> end_pcts;
-  TimedRun off_run;
-  TimedRun end_run;
+  // Off and end mode run as paired rounds (same noise discipline as
+  // bench_obs); the reports compared below are the last round's.
+  constexpr analysis::AuditMode kModes[] = {analysis::AuditMode::kOff,
+                                            analysis::AuditMode::kEnd};
+  TimedRun runs[2];
   bool audits_clean = true;
   std::string first_violation;
-  for (int rep = 0; rep < reps; ++rep) {
-    off_run = RunOnce(config, analysis::AuditMode::kOff);
-    end_run = RunOnce(config, analysis::AuditMode::kEnd);
-    best_off = std::min(best_off, off_run.seconds);
-    best_end = std::min(best_end, end_run.seconds);
-    end_pcts.push_back(OverheadPct(off_run.seconds, end_run.seconds));
-    audits_clean = audits_clean && off_run.audit_clean && end_run.audit_clean;
-    if (!audits_clean && first_violation.empty()) {
-      first_violation = off_run.audit_clean ? end_run.first_violation
-                                            : off_run.first_violation;
-    }
-  }
-  const double end_pct = *std::min_element(end_pcts.begin(), end_pcts.end());
-  std::sort(end_pcts.begin(), end_pcts.end());
-  const double end_pct_median = end_pcts[end_pcts.size() / 2];
+  const auto note_audit = [&](const TimedRun& run) {
+    if (!run.audit_clean && audits_clean) first_violation = run.first_violation;
+    audits_clean = audits_clean && run.audit_clean;
+  };
+  const RoundStats rounds = PairedRounds(2, reps, [&](std::size_t i) {
+    runs[i] = RunOnce(config, kModes[i]);
+    note_audit(runs[i]);
+    return runs[i].seconds;
+  });
+  const double best_off = rounds.best_seconds[0];
+  const double best_end = rounds.best_seconds[1];
+  const double end_pct = rounds.MinPct(1);
+  const double end_pct_median = rounds.MedianPct(1);
 
   // One step-mode run for context (ungated: Debug-scale tooling).
   const TimedRun step_run = RunOnce(config, analysis::AuditMode::kStep);
-  audits_clean = audits_clean && step_run.audit_clean;
-  if (!step_run.audit_clean && first_violation.empty()) {
-    first_violation = step_run.first_violation;
-  }
+  note_audit(step_run);
   const double step_pct = OverheadPct(best_off, step_run.seconds);
 
-  const bool identical =
-      PaperMetricsIdentical(off_run.report, end_run.report) &&
-      PaperMetricsIdentical(off_run.report, step_run.report);
+  const bool identical = SameRun(runs[0].report, runs[1].report) &&
+                         SameRun(runs[0].report, step_run.report);
   const bool within_budget = end_pct < kEndBudgetPct;
 
   std::cout << Format("structure-audit overhead @ {} nodes, {} tasks\n",
-                      off_run.report.total_nodes, tasks);
+                      runs[0].report.total_nodes, tasks);
   std::cout << Format("  off: {}s (baseline; hot-path residue = one enum "
                       "compare per decision)\n",
                       Fixed(best_off, 3));
@@ -206,26 +132,19 @@ int main(int argc, char** argv) {
   std::cout << Format("  audits clean: {}\n", audits_clean ? "yes" : "NO");
   if (!audits_clean) std::cout << "  " << first_violation << "\n";
 
-  std::ofstream out(out_path);
-  out << "{\n";
-  out << "  \"bench\": \"audit\",\n";
-  out << Format("  \"quick\": {},\n", quick ? "true" : "false");
-  out << Format("  \"nodes\": {},\n", off_run.report.total_nodes);
-  out << Format("  \"tasks\": {},\n", tasks);
-  out << Format("  \"off_seconds\": {},\n", best_off);
-  out << Format("  \"end_seconds\": {},\n", best_end);
-  out << Format("  \"end_overhead_pct\": {},\n", end_pct);
-  out << Format("  \"end_budget_pct\": {},\n", kEndBudgetPct);
-  out << Format("  \"step_seconds\": {},\n", step_run.seconds);
-  out << Format("  \"step_overhead_pct\": {},\n", step_pct);
-  out << Format("  \"metrics_identical\": {},\n",
-                identical ? "true" : "false");
-  out << Format("  \"audits_clean\": {}\n", audits_clean ? "true" : "false");
-  out << "}\n";
-  if (!out.good()) {
-    std::cerr << "error: could not write " << out_path << "\n";
-    return 1;
-  }
-  std::cout << "\nwrote " << out_path << "\n";
+  JsonWriter json;
+  json.Field("bench", "audit")
+      .Field("quick", args.quick)
+      .Field("nodes", runs[0].report.total_nodes)
+      .Field("tasks", tasks)
+      .Field("off_seconds", best_off)
+      .Field("end_seconds", best_end)
+      .Field("end_overhead_pct", end_pct)
+      .Field("end_budget_pct", kEndBudgetPct)
+      .Field("step_seconds", step_run.seconds)
+      .Field("step_overhead_pct", step_pct)
+      .Field("metrics_identical", identical)
+      .Field("audits_clean", audits_clean);
+  if (!json.Write(args.out_path)) return 1;
   return identical && within_budget && audits_clean ? 0 : 1;
 }

@@ -14,39 +14,20 @@
 // --quick shrinks the workload for CI smoke runs. Exit status is non-zero
 // if metrics diverge or the no-fire overhead breaches the 5% budget.
 #include <algorithm>
-#include <chrono>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
-#include <sstream>
-#include <string>
-#include <vector>
 
+#include "bench_sim.hpp"
 #include "core/simulator.hpp"
 #include "util/cli.hpp"
 #include "util/fmt.hpp"
-#include "util/log.hpp"
 
 namespace {
 
 using namespace dreamsim;
+using namespace dreamsim::bench;
 using dreamsim::core::MetricsReport;
 using dreamsim::core::SimulationConfig;
 using dreamsim::core::Simulator;
-
-using Clock = std::chrono::steady_clock;
-
-double SecondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Fixed-point rendering (util::Format pads but has no precision specs).
-std::string Fixed(double value, int precision) {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os << std::fixed << std::setprecision(precision) << value;
-  return os.str();
-}
 
 SimulationConfig BaseConfig(int tasks) {
   SimulationConfig config;  // Table II: 200 nodes, 50 configs
@@ -79,53 +60,17 @@ MetricsReport RunTimed(const SimulationConfig& config, int reps,
   return report;
 }
 
-bool PaperMetricsIdentical(const MetricsReport& a, const MetricsReport& b) {
-  return a.completed_tasks == b.completed_tasks &&
-         a.discarded_tasks == b.discarded_tasks &&
-         a.suspended_ever == b.suspended_ever &&
-         a.avg_wasted_area_per_task == b.avg_wasted_area_per_task &&
-         a.avg_task_running_time == b.avg_task_running_time &&
-         a.avg_reconfig_count_per_node == b.avg_reconfig_count_per_node &&
-         a.avg_config_time_per_task == b.avg_config_time_per_task &&
-         a.avg_waiting_time_per_task == b.avg_waiting_time_per_task &&
-         a.avg_scheduling_steps_per_task == b.avg_scheduling_steps_per_task &&
-         a.total_scheduler_workload == b.total_scheduler_workload &&
-         a.total_simulation_time == b.total_simulation_time &&
-         a.total_reconfigurations == b.total_reconfigurations;
-}
-
-/// Directory of argv[0] (with trailing separator), so the JSON lands next
-/// to the executable regardless of the caller's working directory.
-std::string ExecutableDir(const char* argv0) {
-  const std::string path(argv0 != nullptr ? argv0 : "");
-  const std::size_t slash = path.find_last_of("/\\");
-  return slash == std::string::npos ? std::string{} : path.substr(0, slash + 1);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   CliParser cli(
       "Fault-bookkeeping overhead smoke; writes BENCH_faults.json");
-  cli.AddBool("quick", false, "CI smoke workload (fewer tasks, fewer reps)");
-  cli.AddString("out", "", "output JSON path (default: next to the binary)");
-  if (!cli.Parse(argc, argv)) {
-    std::cerr << cli.error() << "\n";
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.HelpText();
-    return 0;
-  }
-  const bool quick = cli.GetBool("quick");
-  Log::SetLevel(LogLevel::kError);
-  std::string out_path = cli.GetString("out");
-  if (out_path.empty()) {
-    out_path = ExecutableDir(argv[0]) + "BENCH_faults.json";
-  }
+  const BenchArgs args =
+      ParseBenchArgs(cli, "CI smoke workload (fewer tasks, fewer reps)", argc,
+                     argv, "BENCH_faults.json");
 
-  const int tasks = quick ? 5000 : 20000;
-  const int reps = quick ? 3 : 5;
+  const int tasks = args.quick ? 5000 : 20000;
+  const int reps = args.quick ? 3 : 5;
   constexpr double kOverheadBudgetPct = 5.0;
 
   // Baseline: fault model disabled — the original zero-overhead paths.
@@ -142,11 +87,8 @@ int main(int argc, char** argv) {
   double armed_seconds = 0.0;
   const MetricsReport armed = RunTimed(armed_config, reps, armed_seconds);
 
-  const bool identical = PaperMetricsIdentical(baseline, armed);
-  const double overhead_pct =
-      baseline_seconds > 0.0
-          ? (armed_seconds - baseline_seconds) / baseline_seconds * 100.0
-          : 0.0;
+  const bool identical = SameRun(baseline, armed);
+  const double overhead_pct = OverheadPct(baseline_seconds, armed_seconds);
   const bool within_budget = overhead_pct < kOverheadBudgetPct;
 
   // Context: an actively failing-and-repairing run at the same scale.
@@ -173,33 +115,25 @@ int main(int argc, char** argv) {
       active.repairs_completed, active.tasks_killed, active.tasks_recovered,
       active.tasks_lost_to_failure);
 
-  std::ofstream out(out_path);
-  out << "{\n";
-  out << "  \"bench\": \"faults\",\n";
-  out << Format("  \"quick\": {},\n", quick ? "true" : "false");
-  out << Format("  \"nodes\": {},\n", baseline.total_nodes);
-  out << Format("  \"tasks\": {},\n", tasks);
-  out << Format("  \"baseline_seconds\": {},\n", baseline_seconds);
-  out << Format("  \"armed_seconds\": {},\n", armed_seconds);
-  out << Format("  \"overhead_pct\": {},\n", overhead_pct);
-  out << Format("  \"overhead_budget_pct\": {},\n", kOverheadBudgetPct);
-  out << Format("  \"metrics_identical\": {},\n",
-                identical ? "true" : "false");
-  out << "  \"active\": {\n";
-  out << Format("    \"seconds\": {},\n", active_seconds);
-  out << Format("    \"failures_injected\": {},\n", active.failures_injected);
-  out << Format("    \"repairs_completed\": {},\n", active.repairs_completed);
-  out << Format("    \"tasks_killed\": {},\n", active.tasks_killed);
-  out << Format("    \"tasks_recovered\": {},\n", active.tasks_recovered);
-  out << Format("    \"tasks_lost_to_failure\": {},\n",
-                active.tasks_lost_to_failure);
-  out << Format("    \"total_downtime\": {}\n", active.total_downtime);
-  out << "  }\n";
-  out << "}\n";
-  if (!out.good()) {
-    std::cerr << "error: could not write " << out_path << "\n";
-    return 1;
-  }
-  std::cout << "\nwrote " << out_path << "\n";
+  JsonWriter json;
+  json.Field("bench", "faults")
+      .Field("quick", args.quick)
+      .Field("nodes", baseline.total_nodes)
+      .Field("tasks", tasks)
+      .Field("baseline_seconds", baseline_seconds)
+      .Field("armed_seconds", armed_seconds)
+      .Field("overhead_pct", overhead_pct)
+      .Field("overhead_budget_pct", kOverheadBudgetPct)
+      .Field("metrics_identical", identical)
+      .BeginObject("active")
+      .Field("seconds", active_seconds)
+      .Field("failures_injected", active.failures_injected)
+      .Field("repairs_completed", active.repairs_completed)
+      .Field("tasks_killed", active.tasks_killed)
+      .Field("tasks_recovered", active.tasks_recovered)
+      .Field("tasks_lost_to_failure", active.tasks_lost_to_failure)
+      .Field("total_downtime", active.total_downtime)
+      .End();
+  if (!json.Write(args.out_path)) return 1;
   return identical && within_budget ? 0 : 1;
 }

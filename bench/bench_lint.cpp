@@ -14,56 +14,37 @@
 //
 // Output: BENCH_lint.json next to the executable (override with --out).
 // Exit status is non-zero on findings, a budget breach, or engine error.
-#include <ctime>
-#include <fstream>
 #include <iostream>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "lint/engine.hpp"
 
 namespace {
 
+using dreamsim::bench::Clock;
+using dreamsim::bench::Fixed;
+using dreamsim::bench::JsonFixed;
+using dreamsim::bench::JsonWriter;
+using dreamsim::bench::SecondsSince;
 using dreamsim::lint::BuiltinRules;
-using dreamsim::lint::Rule;
 using dreamsim::lint::RunLint;
 using dreamsim::lint::RunResult;
 
 constexpr double kBudgetSeconds = 2.0;
 
-double WallSeconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-std::string Fixed(double value, int precision) {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os.precision(precision);
-  os << std::fixed << value;
-  return os.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string root = DREAMSIM_REPO_ROOT;
-  // Default next to the executable, like the other BENCH_*.json emitters.
-  std::string self = argv[0];
-  const std::size_t slash = self.find_last_of('/');
-  const std::string bin_dir =
-      slash == std::string::npos ? "" : self.substr(0, slash + 1);
-  std::string out_path = bin_dir + "BENCH_lint.json";
+  std::string out_flag;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--root" && i + 1 < argc) {
       root = argv[++i];
     } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
+      out_flag = argv[++i];
     } else if (arg == "--quick") {
       // Accepted for CI-harness uniformity; the full scan IS the quick
       // mode (the budget gates it at 2 s).
@@ -73,44 +54,43 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  const std::string out_path =
+      dreamsim::bench::OutputPath(out_flag, argv[0], "BENCH_lint.json");
 
   const std::vector<std::string> subdirs = {"src", "tools", "tests", "bench"};
   RunResult result;
-  const double begin = WallSeconds();
+  const auto begin = Clock::now();
   try {
     result = RunLint(root, subdirs);
   } catch (const std::exception& e) {
     std::cerr << "bench_lint: engine error: " << e.what() << "\n";
     return 2;
   }
-  const double seconds = WallSeconds() - begin;
+  const double seconds = SecondsSince(begin);
 
   const std::size_t rules = BuiltinRules().size();
   const bool clean = result.errors == 0 && result.warnings == 0;
   const bool in_budget = seconds < kBudgetSeconds;
 
-  std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"bench\": \"lint\",\n"
-      << "  \"root\": \"" << root << "\",\n"
-      << "  \"files\": " << result.files << ",\n"
-      << "  \"rules\": " << rules << ",\n"
-      << "  \"findings\": " << result.findings.size() << ",\n"
-      << "  \"errors\": " << result.errors << ",\n"
-      << "  \"warnings\": " << result.warnings << ",\n"
-      << "  \"wall_seconds\": " << Fixed(seconds, 4) << ",\n"
-      << "  \"budget_seconds\": " << Fixed(kBudgetSeconds, 1) << ",\n"
-      << "  \"gate\": {\n"
-      << "    \"clean\": " << (clean ? "true" : "false") << ",\n"
-      << "    \"in_budget\": " << (in_budget ? "true" : "false") << "\n"
-      << "  }\n"
-      << "}\n";
-  out.close();
-
   std::cout << "bench_lint: " << result.files << " files, " << rules
             << " rules, " << result.findings.size() << " finding(s) in "
             << Fixed(seconds, 3) << "s (budget " << Fixed(kBudgetSeconds, 1)
-            << "s) -> " << out_path << "\n";
+            << "s)\n";
+  JsonWriter json;
+  json.Field("bench", "lint")
+      .Field("root", root)
+      .Field("files", result.files)
+      .Field("rules", rules)
+      .Field("findings", result.findings.size())
+      .Field("errors", result.errors)
+      .Field("warnings", result.warnings)
+      .Field("wall_seconds", JsonFixed(seconds, 4))
+      .Field("budget_seconds", JsonFixed(kBudgetSeconds, 1))
+      .BeginObject("gate")
+      .Field("clean", clean)
+      .Field("in_budget", in_budget)
+      .End();
+  if (!json.Write(out_path)) return 1;
   if (!clean) {
     std::cerr << "bench_lint: tree is not clean; run dreamsim_lint for the "
                  "finding list\n";

@@ -12,47 +12,26 @@
 // Output: BENCH_metrics.json next to the executable (override with --out).
 // --quick shrinks the workload for CI smoke runs. Exit status is non-zero
 // if metrics diverge or an overhead budget is breached.
-#include <algorithm>
 #include <cstdio>
-#include <ctime>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <iterator>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <vector>
 
+#include "bench_sim.hpp"
 #include "core/simulator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_export.hpp"
 #include "util/cli.hpp"
 #include "util/fmt.hpp"
-#include "util/log.hpp"
 
 namespace {
 
 using namespace dreamsim;
+using namespace dreamsim::bench;
 using dreamsim::core::MetricsReport;
 using dreamsim::core::SimulationConfig;
 using dreamsim::core::Simulator;
-
-/// Process CPU time: the gate is a few percent on a single-threaded
-/// workload, and wall clock on a shared runner is dominated by steal.
-double CpuSeconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-std::string Fixed(double value, int precision) {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os << std::fixed << std::setprecision(precision) << value;
-  return os.str();
-}
 
 SimulationConfig BaseConfig(int tasks) {
   SimulationConfig config;  // Table II: 200 nodes, 50 configs
@@ -96,70 +75,18 @@ MetricsReport RunOnce(const SimulationConfig& config, MetricsLevel level,
   return report;
 }
 
-/// Direct measurement of the disabled-hook claim: one relaxed atomic load
-/// plus a predictable branch, no clock read, no allocation. Returns
-/// nanoseconds per hook amortized over a tight loop.
-double DisabledHookNs() {
-  constexpr std::uint64_t kIters = 20'000'000;
-  obs::MetricsRegistry::SetEnabled(false);
-  const double start = CpuSeconds();
-  for (std::uint64_t i = 0; i < kIters; ++i) {
-    obs::MetricInc(obs::MetricId::kEvqPushed);
-  }
-  const double seconds = CpuSeconds() - start;
-  return seconds / static_cast<double>(kIters) * 1e9;
-}
-
-bool PaperMetricsIdentical(const MetricsReport& a, const MetricsReport& b) {
-  return a.completed_tasks == b.completed_tasks &&
-         a.discarded_tasks == b.discarded_tasks &&
-         a.suspended_ever == b.suspended_ever &&
-         a.avg_wasted_area_per_task == b.avg_wasted_area_per_task &&
-         a.avg_task_running_time == b.avg_task_running_time &&
-         a.avg_reconfig_count_per_node == b.avg_reconfig_count_per_node &&
-         a.avg_config_time_per_task == b.avg_config_time_per_task &&
-         a.avg_waiting_time_per_task == b.avg_waiting_time_per_task &&
-         a.avg_scheduling_steps_per_task == b.avg_scheduling_steps_per_task &&
-         a.total_scheduler_workload == b.total_scheduler_workload &&
-         a.total_simulation_time == b.total_simulation_time &&
-         a.total_reconfigurations == b.total_reconfigurations;
-}
-
-std::string ExecutableDir(const char* argv0) {
-  const std::string path(argv0 != nullptr ? argv0 : "");
-  const std::size_t slash = path.find_last_of("/\\");
-  return slash == std::string::npos ? std::string{} : path.substr(0, slash + 1);
-}
-
-double OverheadPct(double base, double with) {
-  return base > 0.0 ? (with - base) / base * 100.0 : 0.0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   CliParser cli("Live-metrics overhead smoke; writes BENCH_metrics.json");
-  cli.AddBool("quick", false, "CI smoke workload (fewer tasks, fewer reps)");
-  cli.AddString("out", "", "output JSON path (default: next to the binary)");
-  if (!cli.Parse(argc, argv)) {
-    std::cerr << cli.error() << "\n";
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.HelpText();
-    return 0;
-  }
-  const bool quick = cli.GetBool("quick");
-  Log::SetLevel(LogLevel::kError);
-  std::string out_path = cli.GetString("out");
-  if (out_path.empty()) {
-    out_path = ExecutableDir(argv[0]) + "BENCH_metrics.json";
-  }
-  const std::string scratch_prefix = out_path + ".scratch";
+  const BenchArgs args =
+      ParseBenchArgs(cli, "CI smoke workload (fewer tasks, fewer reps)", argc,
+                     argv, "BENCH_metrics.json");
+  const std::string scratch_prefix = args.out_path + ".scratch";
 
   // Quick mode keeps full-run round count: the gate is min-across-rounds,
   // and short rounds need MORE samples, not fewer, to shed runner noise.
-  const int tasks = quick ? 5000 : 20000;
+  const int tasks = args.quick ? 5000 : 20000;
   const int reps = 7;
   constexpr double kFeatureBudgetPct = 5.0;
   constexpr double kDisabledHookBudgetNs = 5.0;
@@ -173,46 +100,30 @@ int main(int argc, char** argv) {
 
   const SimulationConfig config = BaseConfig(tasks);
 
-  // Same noise discipline as bench_obs: every level runs back-to-back per
-  // round against the same round's baseline, and the gate takes the MINIMUM
-  // per-level overhead across rounds (noise is additive; a real regression
-  // inflates every round, including the minimum).
   constexpr MetricsLevel kLevels[] = {MetricsLevel::kOff,
                                       MetricsLevel::kRegistry,
                                       MetricsLevel::kSnapshots};
   constexpr std::size_t kLevelCount = std::size(kLevels);
-  double best[kLevelCount];
-  std::vector<std::vector<double>> pct(kLevelCount);
   MetricsReport report[kLevelCount];
-  std::fill(best, best + kLevelCount, 1e300);
-  for (int rep = 0; rep < reps; ++rep) {
-    double seconds[kLevelCount];
-    for (std::size_t i = 0; i < kLevelCount; ++i) {
-      report[i] = RunOnce(config, kLevels[i], scratch_prefix, seconds[i]);
-      best[i] = std::min(best[i], seconds[i]);
-    }
-    for (std::size_t i = 0; i < kLevelCount; ++i) {
-      pct[i].push_back(OverheadPct(seconds[0], seconds[i]));
-    }
-  }
-  const auto min_pct = [&pct](std::size_t level) {
-    return *std::min_element(pct[level].begin(), pct[level].end());
-  };
-  const auto median_pct = [&pct](std::size_t level) {
-    std::vector<double> v = pct[level];
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
+  const RoundStats rounds = PairedRounds(kLevelCount, reps, [&](std::size_t i) {
+    double seconds = 0.0;
+    report[i] = RunOnce(config, kLevels[i], scratch_prefix, seconds);
+    return seconds;
+  });
 
-  const double hook_ns = DisabledHookNs();
+  // A disabled hook is one relaxed atomic load plus a predictable branch,
+  // no clock read, no allocation.
+  obs::MetricsRegistry::SetEnabled(false);
+  const double hook_ns =
+      DisabledHookNs([] { obs::MetricInc(obs::MetricId::kEvqPushed); });
 
   bool identical = true;
   for (std::size_t i = 1; i < kLevelCount; ++i) {
-    identical = identical && PaperMetricsIdentical(report[0], report[i]);
+    identical = identical && SameRun(report[0], report[i]);
   }
-  const double off_seconds = best[0];
-  const double registry_pct = min_pct(1);
-  const double snapshots_pct = min_pct(2);
+  const std::vector<double>& best = rounds.best_seconds;
+  const double registry_pct = rounds.MinPct(1);
+  const double snapshots_pct = rounds.MinPct(2);
   const bool within_budget = registry_pct < kFeatureBudgetPct &&
                              snapshots_pct < kFeatureBudgetPct &&
                              (!kGateHook || hook_ns < kDisabledHookBudgetNs);
@@ -220,40 +131,33 @@ int main(int argc, char** argv) {
   std::cout << Format("live-metrics overhead @ {} nodes, {} tasks\n",
                       report[0].total_nodes, tasks);
   std::cout << Format("  off: {}s (baseline, per-feature budget {}%)\n",
-                      Fixed(off_seconds, 3), Fixed(kFeatureBudgetPct, 1));
+                      Fixed(best[0], 3), Fixed(kFeatureBudgetPct, 1));
   std::cout << Format("  registry enabled: {}s ({}%, median {}%)\n",
                       Fixed(best[1], 3), Fixed(registry_pct, 2),
-                      Fixed(median_pct(1), 2));
+                      Fixed(rounds.MedianPct(1), 2));
   std::cout << Format("  registry + jsonl snapshots: {}s ({}%, median {}%)\n",
                       Fixed(best[2], 3), Fixed(snapshots_pct, 2),
-                      Fixed(median_pct(2), 2));
+                      Fixed(rounds.MedianPct(2), 2));
   std::cout << Format("  disabled hook: {} ns (budget {} ns{})\n",
                       Fixed(hook_ns, 2), Fixed(kDisabledHookBudgetNs, 1),
                       kGateHook ? "" : "; unoptimized build, ungated");
   std::cout << Format("  paper metrics identical: {}\n",
                       identical ? "yes" : "NO");
 
-  std::ofstream out(out_path);
-  out << "{\n";
-  out << "  \"bench\": \"metrics\",\n";
-  out << Format("  \"quick\": {},\n", quick ? "true" : "false");
-  out << Format("  \"nodes\": {},\n", report[0].total_nodes);
-  out << Format("  \"tasks\": {},\n", tasks);
-  out << Format("  \"off_seconds\": {},\n", off_seconds);
-  out << Format("  \"registry_seconds\": {},\n", best[1]);
-  out << Format("  \"registry_overhead_pct\": {},\n", registry_pct);
-  out << Format("  \"snapshots_seconds\": {},\n", best[2]);
-  out << Format("  \"snapshots_overhead_pct\": {},\n", snapshots_pct);
-  out << Format("  \"feature_budget_pct\": {},\n", kFeatureBudgetPct);
-  out << Format("  \"disabled_hook_ns\": {},\n", hook_ns);
-  out << Format("  \"disabled_hook_budget_ns\": {},\n", kDisabledHookBudgetNs);
-  out << Format("  \"metrics_identical\": {}\n",
-                identical ? "true" : "false");
-  out << "}\n";
-  if (!out.good()) {
-    std::cerr << "error: could not write " << out_path << "\n";
-    return 1;
-  }
-  std::cout << "\nwrote " << out_path << "\n";
+  JsonWriter json;
+  json.Field("bench", "metrics")
+      .Field("quick", args.quick)
+      .Field("nodes", report[0].total_nodes)
+      .Field("tasks", tasks)
+      .Field("off_seconds", best[0])
+      .Field("registry_seconds", best[1])
+      .Field("registry_overhead_pct", registry_pct)
+      .Field("snapshots_seconds", best[2])
+      .Field("snapshots_overhead_pct", snapshots_pct)
+      .Field("feature_budget_pct", kFeatureBudgetPct)
+      .Field("disabled_hook_ns", hook_ns)
+      .Field("disabled_hook_budget_ns", kDisabledHookBudgetNs)
+      .Field("metrics_identical", identical);
+  if (!json.Write(args.out_path)) return 1;
   return identical && within_budget ? 0 : 1;
 }

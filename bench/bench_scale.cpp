@@ -4,10 +4,10 @@
 //
 // Two layers:
 //   1. Oracle check: end-to-end Simulator wall-clock on a saturating
-//      large-cluster workload, the literal scan kernel (the test oracle)
-//      vs the indexed kernel, plus a cross-check that the paper-facing
-//      metrics (scheduling steps, scheduler workload, placements) are
-//      bit-identical — the modeled-effort contract at benchmark scale.
+//      large-cluster workload, the literal scan kernel (scheduler and
+//      drain index both off: the test oracle) vs the indexed kernel, plus
+//      a cross-check that every modeled metric is bit-identical (SameRun)
+//      — the modeled-effort contract at benchmark scale.
 //   2. Trajectory: indexed runs at increasing scale toward the
 //      million-node / ten-million-task point (--big runs the full point;
 //      the default stops at 100k nodes so the bench stays minutes-scale).
@@ -18,43 +18,26 @@
 // Output: BENCH_scale.json next to the executable (override with --out).
 // --quick shrinks the grid for CI smoke runs. Exit status 1 unless the
 // indexed run's metrics are bit-identical to the scan run's.
-#include <chrono>
 #include <cstdint>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/report.hpp"
+#include "bench_sim.hpp"
+#include "core/parallel_for.hpp"
 #include "core/simulator.hpp"
 #include "obs/profiler.hpp"
 #include "util/cli.hpp"
 #include "util/fmt.hpp"
-#include "util/log.hpp"
 
 namespace {
 
 using namespace dreamsim;
+using namespace dreamsim::bench;
 using dreamsim::core::MetricsReport;
 using dreamsim::core::SimulationConfig;
 using dreamsim::core::Simulator;
-
-using Clock = std::chrono::steady_clock;
-
-double SecondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Fixed-point rendering (util::Format pads but has no precision specs).
-std::string Fixed(double value, int precision) {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os << std::fixed << std::setprecision(precision) << value;
-  return os.str();
-}
 
 /// A cluster saturated well past its concurrent capacity: arrivals every
 /// tick, execution times longer than the arrival span, and a bounded
@@ -71,6 +54,7 @@ SimulationConfig ScaleConfig(int nodes, int tasks, bool indexed) {
   config.suspension_capacity = 256;
   config.max_suspension_retries = 6;
   config.scheduler_index = indexed;
+  config.drain_index = indexed;
   config.enable_monitoring = false;
   config.seed = 42;
   return config;
@@ -88,22 +72,6 @@ ScaleRun RunScale(const SimulationConfig& config) {
   run.report = sim.Run();
   run.seconds = SecondsSince(start);
   return run;
-}
-
-/// The determinism contract, checked on the paper-facing aggregates.
-bool MetricsIdentical(const MetricsReport& a, const MetricsReport& b) {
-  bool same = a.scheduling_steps_total == b.scheduling_steps_total &&
-              a.housekeeping_steps_total == b.housekeeping_steps_total &&
-              a.total_scheduler_workload == b.total_scheduler_workload &&
-              a.completed_tasks == b.completed_tasks &&
-              a.discarded_tasks == b.discarded_tasks &&
-              a.suspended_ever == b.suspended_ever &&
-              a.total_reconfigurations == b.total_reconfigurations &&
-              a.total_simulation_time == b.total_simulation_time;
-  for (int k = 0; k < 5; ++k) {
-    same = same && a.placements_by_kind[k] == b.placements_by_kind[k];
-  }
-  return same;
 }
 
 struct OracleCheck {
@@ -142,7 +110,7 @@ struct ReplicationSummary {
 };
 
 /// `count` independent replications of the same scenario under disjoint
-/// seeds, run CONCURRENTLY (one std::thread each). The aggregate
+/// seeds, run CONCURRENTLY (one worker each). The aggregate
 /// throughput is total tasks over the whole wall-clock span — the "many
 /// seeds at once" mode a parameter sweep actually runs in.
 ReplicationSummary RunReplications(int count, int nodes, int tasks) {
@@ -152,21 +120,14 @@ ReplicationSummary RunReplications(int count, int nodes, int tasks) {
   // The PhaseProfiler is a process-wide singleton; concurrent kernels
   // would interleave their samples into one meaningless stream.
   obs::PhaseProfiler::SetEnabled(false);
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(count));
   const auto start = Clock::now();
-  for (int r = 0; r < count; ++r) {
-    threads.emplace_back([&summary, r, nodes, tasks] {
-      SimulationConfig config = ScaleConfig(nodes, tasks, true);
-      config.seed = 42 + static_cast<std::uint64_t>(r);
-      const ScaleRun run = RunScale(config);
-      ReplicationRow& row = summary.rows[static_cast<std::size_t>(r)];
-      row.seed = config.seed;
-      row.seconds = run.seconds;
-      row.completed = run.report.completed_tasks;
-    });
-  }
-  for (std::thread& t : threads) t.join();
+  const auto workers = static_cast<unsigned>(count);
+  core::ParallelFor(summary.rows.size(), workers, [&](std::size_t r) {
+    SimulationConfig config = ScaleConfig(nodes, tasks, true);
+    config.seed = 42 + r;
+    const ScaleRun run = RunScale(config);
+    summary.rows[r] = {config.seed, run.seconds, run.report.completed_tasks};
+  });
   summary.wall_seconds = SecondsSince(start);
   summary.total_tasks =
       static_cast<std::uint64_t>(tasks) * static_cast<std::uint64_t>(count);
@@ -191,114 +152,83 @@ std::vector<PhaseRow> CapturePhases(const std::string& run) {
   return rows;
 }
 
-/// Directory of argv[0] (with trailing separator), so the JSON lands next
-/// to the executable regardless of the caller's working directory.
-std::string ExecutableDir(const char* argv0) {
-  const std::string path(argv0 != nullptr ? argv0 : "");
-  const std::size_t slash = path.find_last_of("/\\");
-  return slash == std::string::npos ? std::string{} : path.substr(0, slash + 1);
-}
-
 [[nodiscard]] bool WriteJson(const std::string& path, bool quick, bool big,
                              int sweep_nodes, int sweep_tasks,
                              const OracleCheck& oracle,
                              const std::vector<TrajectoryRow>& trajectory,
                              const std::vector<PhaseRow>& phases,
                              const ReplicationSummary& reps) {
-  std::ofstream out(path);
-  out << "{\n";
-  out << "  \"bench\": \"scale\",\n";
-  out << Format("  \"quick\": {},\n", quick ? "true" : "false");
-  out << Format("  \"big\": {},\n", big ? "true" : "false");
-  out << Format("  \"hardware_threads\": {},\n",
-                std::thread::hardware_concurrency());
-  out << Format("  \"sweep_nodes\": {},\n", sweep_nodes);
-  out << Format("  \"sweep_tasks\": {},\n", sweep_tasks);
-  out << Format(
-      "  \"oracle_check\": {{\"scan_seconds\": {}, \"indexed_seconds\": {}, "
-      "\"indexed_speedup\": {}}},\n",
-      Fixed(oracle.scan_seconds, 4), Fixed(oracle.indexed_seconds, 4),
-      Fixed(oracle.indexed_seconds > 0.0
-                ? oracle.scan_seconds / oracle.indexed_seconds
-                : 0.0,
-            1));
-  out << "  \"trajectory\": [\n";
-  for (std::size_t i = 0; i < trajectory.size(); ++i) {
-    const TrajectoryRow& r = trajectory[i];
-    out << Format(
-        "    {{\"nodes\": {}, \"tasks\": {}, \"indexed\": true, "
-        "\"seconds\": {}, \"completed_tasks\": {}, "
-        "\"tasks_per_second\": {}}}{}\n",
-        r.nodes, r.tasks, Fixed(r.seconds, 4), r.completed,
-        Fixed(r.tasks_per_second, 1), i + 1 < trajectory.size() ? "," : "");
+  JsonWriter json;
+  json.Field("bench", "scale")
+      .Field("quick", quick)
+      .Field("big", big)
+      .Field("hardware_threads", std::thread::hardware_concurrency())
+      .Field("sweep_nodes", sweep_nodes)
+      .Field("sweep_tasks", sweep_tasks)
+      .Field("oracle_check",
+             JsonRow()
+                 .Add("scan_seconds", JsonFixed(oracle.scan_seconds, 4))
+                 .Add("indexed_seconds", JsonFixed(oracle.indexed_seconds, 4))
+                 .Add("indexed_speedup",
+                      JsonFixed(oracle.indexed_seconds > 0.0
+                                    ? oracle.scan_seconds /
+                                          oracle.indexed_seconds
+                                    : 0.0,
+                                1)));
+  json.BeginArray("trajectory");
+  for (const TrajectoryRow& r : trajectory) {
+    json.Element(JsonRow()
+                     .Add("nodes", r.nodes)
+                     .Add("tasks", r.tasks)
+                     .Add("indexed", true)
+                     .Add("seconds", JsonFixed(r.seconds, 4))
+                     .Add("completed_tasks", r.completed)
+                     .Add("tasks_per_second", JsonFixed(r.tasks_per_second, 1)));
   }
-  out << "  ],\n";
-  out << "  \"phases\": [\n";
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    const PhaseRow& r = phases[i];
-    out << Format(
-        "    {{\"run\": \"{}\", \"phase\": \"{}\", \"calls\": {}, "
-        "\"total_ns\": {}}}{}\n",
-        r.run, r.phase, r.calls, r.total_ns,
-        i + 1 < phases.size() ? "," : "");
+  json.End().BeginArray("phases");
+  for (const PhaseRow& r : phases) {
+    json.Element(JsonRow()
+                     .Add("run", r.run)
+                     .Add("phase", r.phase)
+                     .Add("calls", r.calls)
+                     .Add("total_ns", r.total_ns));
   }
-  out << "  ],\n";
+  json.End();
   if (reps.count > 0) {
-    out << "  \"replications\": {\n";
-    out << Format("    \"count\": {},\n", reps.count);
-    out << Format("    \"wall_seconds\": {},\n", Fixed(reps.wall_seconds, 4));
-    out << Format("    \"total_tasks\": {},\n", reps.total_tasks);
-    out << Format("    \"aggregate_tasks_per_second\": {},\n",
-                  Fixed(reps.aggregate_tasks_per_second, 1));
-    out << "    \"runs\": [\n";
-    for (std::size_t i = 0; i < reps.rows.size(); ++i) {
-      const ReplicationRow& r = reps.rows[i];
-      out << Format(
-          "      {{\"seed\": {}, \"seconds\": {}, \"completed_tasks\": "
-          "{}}}{}\n",
-          r.seed, Fixed(r.seconds, 4), r.completed,
-          i + 1 < reps.rows.size() ? "," : "");
+    json.BeginObject("replications")
+        .Field("count", reps.count)
+        .Field("wall_seconds", JsonFixed(reps.wall_seconds, 4))
+        .Field("total_tasks", reps.total_tasks)
+        .Field("aggregate_tasks_per_second",
+               JsonFixed(reps.aggregate_tasks_per_second, 1))
+        .BeginArray("runs");
+    for (const ReplicationRow& r : reps.rows) {
+      json.Element(JsonRow()
+                       .Add("seed", r.seed)
+                       .Add("seconds", JsonFixed(r.seconds, 4))
+                       .Add("completed_tasks", r.completed));
     }
-    out << "    ]\n";
-    out << "  },\n";
+    json.End().End();
   }
-  out << Format("  \"gate\": {{\"metrics_identical\": {}}}\n",
-                oracle.metrics_identical ? "true" : "false");
-  out << "}\n";
-  return out.good();
+  json.Field("gate", JsonRow().Add("metrics_identical", oracle.metrics_identical));
+  return json.Write(path);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliParser cli(
-      "Scale-out benchmark; writes BENCH_scale.json");
-  cli.AddBool("quick", false,
-              "CI smoke grid (20k-node oracle check, short trajectory)");
+  CliParser cli("Scale-out benchmark; writes BENCH_scale.json");
   cli.AddBool("big", false,
               "run the 1M-node / 10M-task trajectory point (minutes-scale)");
   cli.AddInt("replications", 0,
              "also run R concurrent independent seeds (42..42+R-1) and "
              "report aggregate tasks/second");
-  cli.AddString("out", "", "output JSON path (default: next to the binary)");
-  if (!cli.Parse(argc, argv)) {
-    std::cerr << cli.error() << "\n";
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.HelpText();
-    return 0;
-  }
-  const bool quick = cli.GetBool("quick");
+  const BenchArgs args = ParseBenchArgs(
+      cli, "CI smoke grid (20k-node oracle check, short trajectory)", argc,
+      argv, "BENCH_scale.json");
+  const bool quick = args.quick;
   const bool big = cli.GetBool("big");
   const int replications = static_cast<int>(cli.GetInt("replications"));
-  // The saturating scenario discards tasks by design; keep the per-discard
-  // warnings out of the bench output.
-  Log::SetLevel(LogLevel::kError);
-  std::string out_path = cli.GetString("out");
-  if (out_path.empty()) {
-    out_path = ExecutableDir(argv[0]) + "BENCH_scale.json";
-  }
 
   // --- Layer 1: scan oracle vs indexed kernel ----------------------------
   const int sweep_nodes = quick ? 20000 : 100000;
@@ -318,7 +248,7 @@ int main(int argc, char** argv) {
   OracleCheck oracle;
   oracle.scan_seconds = scan.seconds;
   oracle.indexed_seconds = indexed.seconds;
-  oracle.metrics_identical = MetricsIdentical(scan.report, indexed.report);
+  oracle.metrics_identical = SameRun(scan.report, indexed.report);
   std::cout << Format("  scan     {}s\n  indexed  {}s  metrics identical: {}\n",
                       Fixed(scan.seconds, 3), Fixed(indexed.seconds, 3),
                       oracle.metrics_identical ? "yes" : "NO");
@@ -382,12 +312,10 @@ int main(int argc, char** argv) {
                         Fixed(rep_summary.aggregate_tasks_per_second, 0));
   }
 
-  if (!WriteJson(out_path, quick, big, sweep_nodes, sweep_tasks, oracle,
+  if (!WriteJson(args.out_path, quick, big, sweep_nodes, sweep_tasks, oracle,
                  trajectory, phases, rep_summary)) {
-    std::cerr << "error: could not write " << out_path << "\n";
     return 1;
   }
-  std::cout << "\nwrote " << out_path << "\n";
   if (!oracle.metrics_identical) {
     std::cerr << "gate FAILED: indexed metrics differ from the scan oracle\n";
     return 1;

@@ -13,39 +13,22 @@
 // Output: BENCH_scenario.json next to the executable (override with
 // --out). --quick shrinks the iteration counts for CI smoke runs.
 #include <algorithm>
-#include <ctime>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_sim.hpp"
 #include "resource/config.hpp"
 #include "scenario/scenario.hpp"
 #include "util/cli.hpp"
 #include "util/fmt.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "workload/task_classes.hpp"
 
 namespace {
 
 using namespace dreamsim;
-
-double CpuSeconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-std::string Fixed(double value, int precision) {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os << std::fixed << std::setprecision(precision) << value;
-  return os.str();
-}
+using namespace dreamsim::bench;
 
 /// A representative multi-class scenario: three device families, three
 /// arrival shapes, chains, and per-class seeds — every grammar feature the
@@ -98,12 +81,6 @@ task class: {
 }
 )";
 
-std::string ExecutableDir(const char* argv0) {
-  const std::string path(argv0 != nullptr ? argv0 : "");
-  const std::size_t slash = path.find_last_of("/\\");
-  return slash == std::string::npos ? std::string{} : path.substr(0, slash + 1);
-}
-
 /// Best (highest) ops/sec across rounds: noise only ever slows a round
 /// down, so the fastest round is the closest estimate of the true rate.
 double BestRate(const std::vector<double>& rates) {
@@ -115,22 +92,10 @@ double BestRate(const std::vector<double>& rates) {
 int main(int argc, char** argv) {
   CliParser cli("Scenario-pipeline throughput smoke; writes "
                 "BENCH_scenario.json");
-  cli.AddBool("quick", false, "CI smoke workload (fewer iterations)");
-  cli.AddString("out", "", "output JSON path (default: next to the binary)");
-  if (!cli.Parse(argc, argv)) {
-    std::cerr << cli.error() << "\n";
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.HelpText();
-    return 0;
-  }
-  const bool quick = cli.GetBool("quick");
-  Log::SetLevel(LogLevel::kError);
-  std::string out_path = cli.GetString("out");
-  if (out_path.empty()) {
-    out_path = ExecutableDir(argv[0]) + "BENCH_scenario.json";
-  }
+  const BenchArgs args = ParseBenchArgs(
+      cli, "CI smoke workload (fewer iterations)", argc, argv,
+      "BENCH_scenario.json");
+  const bool quick = args.quick;
 
   const int parse_iters = quick ? 200 : 2000;
   const int canon_iters = quick ? 500 : 5000;
@@ -221,24 +186,18 @@ int main(int argc, char** argv) {
   std::cout << Format("  multi-class generation: {} tasks/s (floor {})\n",
                       Fixed(gen_rate, 0), Fixed(kGenTaskFloor, 0));
 
-  std::ofstream out(out_path);
-  out << "{\n";
-  out << "  \"bench\": \"scenario\",\n";
-  out << Format("  \"quick\": {},\n", quick ? "true" : "false");
-  out << Format("  \"task_classes\": {},\n", classes);
-  out << Format("  \"tasks_per_generation\": {},\n", tasks_per_gen);
-  out << Format("  \"parse_per_sec\": {},\n", parse_rate);
-  out << Format("  \"parse_floor_per_sec\": {},\n", kParseFloor);
-  out << Format("  \"canonicalize_per_sec\": {},\n", canon_rate);
-  out << Format("  \"canonicalize_floor_per_sec\": {},\n", kCanonFloor);
-  out << Format("  \"generation_tasks_per_sec\": {},\n", gen_rate);
-  out << Format("  \"generation_floor_tasks_per_sec\": {},\n", kGenTaskFloor);
-  out << Format("  \"gated\": {}\n", kGateRates ? "true" : "false");
-  out << "}\n";
-  if (!out.good()) {
-    std::cerr << "error: could not write " << out_path << "\n";
-    return 1;
-  }
-  std::cout << "\nwrote " << out_path << "\n";
+  JsonWriter json;
+  json.Field("bench", "scenario")
+      .Field("quick", quick)
+      .Field("task_classes", classes)
+      .Field("tasks_per_generation", tasks_per_gen)
+      .Field("parse_per_sec", parse_rate)
+      .Field("parse_floor_per_sec", kParseFloor)
+      .Field("canonicalize_per_sec", canon_rate)
+      .Field("canonicalize_floor_per_sec", kCanonFloor)
+      .Field("generation_tasks_per_sec", gen_rate)
+      .Field("generation_floor_tasks_per_sec", kGenTaskFloor)
+      .Field("gated", kGateRates);
+  if (!json.Write(args.out_path)) return 1;
   return within_budget ? 0 : 1;
 }

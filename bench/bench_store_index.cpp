@@ -6,55 +6,31 @@
 //   1. ns/query for each counted scheduler query at 1k/10k/100k nodes,
 //      scan (SetIndexed(false)) vs indexed, on identical populations.
 //   2. End-to-end RunSweep wall-clock with scheduler_index off vs on, plus
-//      a cross-check that the paper-facing metrics (avg scheduling steps
-//      per task, total scheduler workload) are bit-identical in both modes.
+//      a cross-check that every modeled metric is bit-identical in both
+//      modes (SameRun).
 //
 // Output: BENCH_store_index.json next to the executable (override with
 // --out). --quick shrinks the grid for CI smoke runs.
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <functional>
-#include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/report.hpp"
-#include "core/sweep.hpp"
+#include "bench_sim.hpp"
 #include "resource/store.hpp"
 #include "util/cli.hpp"
-#include "util/fmt.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace dreamsim;
-using dreamsim::core::MetricsReport;
-using dreamsim::core::RunSweep;
-using dreamsim::core::SweepParams;
+using namespace dreamsim::bench;
 using resource::ConfigCatalogue;
 using resource::Configuration;
 using resource::EntryRef;
 using resource::HostRank;
 using resource::ResourceStore;
-
-using Clock = std::chrono::steady_clock;
-
-double SecondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Fixed-point rendering (util::Format pads but has no precision specs).
-std::string Fixed(double value, int precision) {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os << std::fixed << std::setprecision(precision) << value;
-  return os.str();
-}
 
 ConfigCatalogue MakeCatalogue(int count, Rng& rng) {
   ConfigCatalogue c;
@@ -98,36 +74,6 @@ ResourceStore MakeQueryStore(int nodes, bool indexed) {
   return store;
 }
 
-/// Times `fn` until at least `min_seconds` of samples accumulate; returns
-/// mean ns per call.
-double NsPerCall(const std::function<void()>& fn, double min_seconds) {
-  fn();  // warm-up
-  std::uint64_t iterations = 1;
-  for (;;) {
-    const auto start = Clock::now();
-    for (std::uint64_t i = 0; i < iterations; ++i) fn();
-    const double elapsed = SecondsSince(start);
-    if (elapsed >= min_seconds || iterations >= (1ULL << 26)) {
-      return elapsed * 1e9 / static_cast<double>(iterations);
-    }
-    const double target = min_seconds * 1.2;
-    const double guess = elapsed > 0.0
-                             ? static_cast<double>(iterations) * target / elapsed
-                             : static_cast<double>(iterations) * 16.0;
-    iterations = std::max(iterations * 2, static_cast<std::uint64_t>(guess));
-  }
-}
-
-struct QueryRow {
-  std::string query;
-  int nodes = 0;
-  double scan_ns = 0.0;
-  double indexed_ns = 0.0;
-  [[nodiscard]] double Speedup() const {
-    return indexed_ns > 0.0 ? scan_ns / indexed_ns : 0.0;
-  }
-};
-
 struct NamedQuery {
   std::string name;
   std::function<void(ResourceStore&)> run;
@@ -154,164 +100,30 @@ std::vector<NamedQuery> Queries() {
   };
 }
 
-/// One end-to-end comparison point. The paper-scale scenarios use Table
-/// II defaults; the large-scale one saturates a big cluster (fast
-/// arrivals, bounded suspension queue) so the O(N) phase walks — not the
-/// mode-independent suspension-queue drain — dominate the host work.
-struct Scenario {
-  std::string name;
-  sched::ReconfigMode mode;
-  int nodes;
-  std::vector<int> task_counts;
-  Tick max_interval;            // 0 = Table II default [1, 50]
-  std::size_t queue_capacity;   // 0 = unbounded
-};
-
-struct SweepResult {
-  Scenario scenario;
-  double scan_seconds = 0.0;
-  double indexed_seconds = 0.0;
-  bool metrics_identical = false;
-  [[nodiscard]] double Speedup() const {
-    return indexed_seconds > 0.0 ? scan_seconds / indexed_seconds : 0.0;
-  }
-};
-
-SweepResult RunEndToEnd(const Scenario& scenario, std::uint64_t seed) {
-  SweepResult result;
-  result.scenario = scenario;
-
-  SweepParams params;
-  params.base.nodes.count = scenario.nodes;
-  params.base.seed = seed;
-  params.base.enable_monitoring = false;
-  if (scenario.max_interval > 0) {
-    params.base.tasks.max_interval = scenario.max_interval;
-  }
-  params.base.suspension_capacity = scenario.queue_capacity;
-  params.task_counts = scenario.task_counts;
-  params.modes = {scenario.mode};
-  params.threads = 1;  // honest wall-clock
-
-  params.base.scheduler_index = false;
-  auto start = Clock::now();
-  const std::vector<MetricsReport> scan_reports = RunSweep(params);
-  result.scan_seconds = SecondsSince(start);
-
-  params.base.scheduler_index = true;
-  start = Clock::now();
-  const std::vector<MetricsReport> indexed_reports = RunSweep(params);
-  result.indexed_seconds = SecondsSince(start);
-
-  result.metrics_identical = scan_reports.size() == indexed_reports.size();
-  for (std::size_t i = 0;
-       result.metrics_identical && i < scan_reports.size(); ++i) {
-    const MetricsReport& a = scan_reports[i];
-    const MetricsReport& b = indexed_reports[i];
-    result.metrics_identical =
-        a.total_scheduler_workload == b.total_scheduler_workload &&
-        a.avg_scheduling_steps_per_task == b.avg_scheduling_steps_per_task &&
-        a.completed_tasks == b.completed_tasks &&
-        a.total_reconfigurations == b.total_reconfigurations;
-  }
-  return result;
-}
-
-/// Directory of argv[0] (with trailing separator), so the JSON lands next
-/// to the executable — build/bench/ under the standard layout — regardless
-/// of the caller's working directory.
-std::string ExecutableDir(const char* argv0) {
-  const std::string path(argv0 != nullptr ? argv0 : "");
-  const std::size_t slash = path.find_last_of("/\\");
-  return slash == std::string::npos ? std::string{} : path.substr(0, slash + 1);
-}
-
-[[nodiscard]] bool WriteJson(const std::string& path, bool quick,
-                             const std::vector<QueryRow>& rows,
-                             const std::vector<SweepResult>& sweeps) {
-  std::ofstream out(path);
-  out << "{\n";
-  out << "  \"bench\": \"store_index\",\n";
-  out << Format("  \"quick\": {},\n", quick ? "true" : "false");
-  out << "  \"queries\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const QueryRow& r = rows[i];
-    out << Format(
-        "    {{\"query\": \"{}\", \"nodes\": {}, \"scan_ns\": {}, "
-        "\"indexed_ns\": {}, \"speedup\": {}}}{}\n",
-        r.query, r.nodes, r.scan_ns, r.indexed_ns, r.Speedup(),
-        i + 1 < rows.size() ? "," : "");
-  }
-  out << "  ],\n";
-  out << "  \"sweeps\": [\n";
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    const SweepResult& s = sweeps[i];
-    std::string tasks;
-    for (std::size_t t = 0; t < s.scenario.task_counts.size(); ++t) {
-      tasks += Format("{}{}", t > 0 ? ", " : "", s.scenario.task_counts[t]);
-    }
-    out << Format(
-        "    {{\"scenario\": \"{}\", \"mode\": \"{}\", \"nodes\": {}, "
-        "\"task_counts\": [{}], \"scan_seconds\": {}, \"indexed_seconds\": "
-        "{}, \"speedup\": {}, \"metrics_identical\": {}}}{}\n",
-        s.scenario.name,
-        s.scenario.mode == sched::ReconfigMode::kFull ? "full" : "partial",
-        s.scenario.nodes, tasks, s.scan_seconds, s.indexed_seconds,
-        s.Speedup(), s.metrics_identical ? "true" : "false",
-        i + 1 < sweeps.size() ? "," : "");
-  }
-  out << "  ]\n";
-  out << "}\n";
-  return out.good();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   CliParser cli(
       "Indexed-vs-scan scheduler query comparison; writes "
       "BENCH_store_index.json");
-  cli.AddBool("quick", false, "CI smoke grid (1k/10k nodes, short sweep)");
-  cli.AddString("out", "", "output JSON path (default: next to the binary)");
-  if (!cli.Parse(argc, argv)) {
-    std::cerr << cli.error() << "\n";
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.HelpText();
-    return 0;
-  }
-  const bool quick = cli.GetBool("quick");
-  // The bounded-queue scenario discards tasks by design; keep the
-  // per-discard warnings out of the bench output.
-  Log::SetLevel(LogLevel::kError);
-  std::string out_path = cli.GetString("out");
-  if (out_path.empty()) {
-    out_path = ExecutableDir(argv[0]) + "BENCH_store_index.json";
-  }
+  const BenchArgs args =
+      ParseBenchArgs(cli, "CI smoke grid (1k/10k nodes, short sweep)", argc,
+                     argv, "BENCH_store_index.json");
 
   const std::vector<int> node_counts =
-      quick ? std::vector<int>{1000, 10000}
-            : std::vector<int>{1000, 10000, 100000};
-  const double min_seconds = quick ? 0.01 : 0.05;
+      args.quick ? std::vector<int>{1000, 10000}
+                 : std::vector<int>{1000, 10000, 100000};
+  const double min_seconds = args.quick ? 0.01 : 0.05;
 
   std::vector<QueryRow> rows;
-  std::cout << Format("{:>28}{:>9}{:>14}{:>14}{:>10}\n", "query", "nodes",
-                      "scan ns", "indexed ns", "speedup");
+  PrintQueryHeader("nodes");
   for (const int nodes : node_counts) {
     ResourceStore scan_store = MakeQueryStore(nodes, false);
     ResourceStore indexed_store = MakeQueryStore(nodes, true);
     for (const NamedQuery& q : Queries()) {
-      QueryRow row;
-      row.query = q.name;
-      row.nodes = nodes;
-      row.scan_ns = NsPerCall([&] { q.run(scan_store); }, min_seconds);
-      row.indexed_ns = NsPerCall([&] { q.run(indexed_store); }, min_seconds);
-      std::cout << Format("{:>28}{:>9}{:>14}{:>14}{:>10}\n", row.query,
-                          row.nodes, Fixed(row.scan_ns, 1),
-                          Fixed(row.indexed_ns, 1),
-                          Fixed(row.Speedup(), 1) + "x");
-      rows.push_back(std::move(row));
+      rows.push_back(TimeQuery(
+          q.name, nodes, [&] { q.run(scan_store); },
+          [&] { q.run(indexed_store); }, min_seconds));
     }
   }
 
@@ -320,10 +132,10 @@ int main(int argc, char** argv) {
   // the ratio stays near 1 — the index's value there is the per-query
   // numbers above. The large-scale scenario is where the title's
   // "large-scale distributed systems" claim bites: a saturated big
-  // cluster with a bounded suspension queue, where the O(N) phase walks
-  // dominate and the index wins end to end.
+  // cluster (fast arrivals, bounded suspension queue), where the O(N)
+  // phase walks dominate and the index wins end to end.
   std::vector<Scenario> scenarios;
-  if (quick) {
+  if (args.quick) {
     scenarios.push_back(
         {"paper-scale", sched::ReconfigMode::kPartial, 200, {5000}, 0, 0});
     scenarios.push_back(
@@ -336,27 +148,13 @@ int main(int argc, char** argv) {
     scenarios.push_back({"large-scale", sched::ReconfigMode::kPartial, 10000,
                          {30000}, 4, 500});
   }
-  std::cout << "\nend-to-end RunSweep\n";
-  std::vector<SweepResult> sweeps;
-  bool identical = true;
-  for (const Scenario& scenario : scenarios) {
-    SweepResult sweep = RunEndToEnd(scenario, 42);
-    std::cout << Format(
-        "  {:<12}{:<8}{:>7} nodes  scan: {}s  indexed: {}s  speedup: {}x  "
-        "metrics identical: {}\n",
-        scenario.name,
-        scenario.mode == sched::ReconfigMode::kFull ? "full" : "partial",
-        scenario.nodes, Fixed(sweep.scan_seconds, 3),
-        Fixed(sweep.indexed_seconds, 3), Fixed(sweep.Speedup(), 2),
-        sweep.metrics_identical ? "yes" : "NO");
-    identical = identical && sweep.metrics_identical;
-    sweeps.push_back(std::move(sweep));
-  }
+  const std::vector<SweepResult> sweeps =
+      RunSweeps(scenarios, &core::SimulationConfig::scheduler_index);
 
-  if (!WriteJson(out_path, quick, rows, sweeps)) {
-    std::cerr << "error: could not write " << out_path << "\n";
-    return 1;
-  }
-  std::cout << "\nwrote " << out_path << "\n";
-  return identical ? 0 : 1;
+  JsonWriter json;
+  json.Field("bench", "store_index").Field("quick", args.quick);
+  WriteQueries(json, rows, "nodes");
+  WriteSweeps(json, sweeps);
+  if (!json.Write(args.out_path)) return 1;
+  return AllIdentical(sweeps) ? 0 : 1;
 }

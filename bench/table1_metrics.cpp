@@ -1,6 +1,6 @@
 // Table I reproduction: one full-vs-partial run at the paper's default
-// parameters, printing every Table I metric side by side and writing
-// table1_metrics.csv next to the binary.
+// parameters, printing every Table I metric side by side; --csv PATH also
+// writes both reports as CSV (no file by default).
 //
 //   ./bench/table1_metrics [--nodes N] [--tasks N] [--seed S] [--csv PATH]
 #include <fstream>

@@ -1,10 +1,9 @@
 #include "core/replication.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 
+#include "core/parallel_for.hpp"
 #include "core/simulator.hpp"
 #include "util/fmt.hpp"
 
@@ -84,31 +83,13 @@ ReplicationReport RunReplications(const SimulationConfig& base,
   }
   std::vector<MetricsReport> runs(replications);
 
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= replications) return;
-      SimulationConfig config = base;
-      config.seed = DeriveSeed(base.seed, i);
-      config.label = Format("{}#{}", base.label, i);
-      Simulator sim(std::move(config));
-      runs[i] = sim.Run();
-    }
-  };
-
-  unsigned worker_count = threads == 0
-                              ? std::max(1u, std::thread::hardware_concurrency())
-                              : threads;
-  worker_count = std::min<unsigned>(
-      worker_count, static_cast<unsigned>(replications));
-  if (worker_count <= 1) {
-    worker();
-  } else {
-    std::vector<std::jthread> pool;
-    pool.reserve(worker_count);
-    for (unsigned t = 0; t < worker_count; ++t) pool.emplace_back(worker);
-  }
+  ParallelFor(replications, threads, [&](std::size_t i) {
+    SimulationConfig config = base;
+    config.seed = DeriveSeed(base.seed, i);
+    config.label = Format("{}#{}", base.label, i);
+    Simulator sim(std::move(config));
+    runs[i] = sim.Run();
+  });
   return SummarizeReplications(std::move(runs));
 }
 

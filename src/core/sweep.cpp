@@ -1,11 +1,10 @@
 #include "core/sweep.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 
+#include "core/parallel_for.hpp"
 #include "util/fmt.hpp"
 
 namespace dreamsim::core {
@@ -38,40 +37,18 @@ std::vector<MetricsReport> RunSweep(const SweepParams& params) {
   }
 
   std::vector<MetricsReport> reports(points.size());
-  std::atomic<std::size_t> next{0};
-  // Each worker claims points off a shared counter; simulations are fully
-  // independent so no further synchronization is needed.
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= points.size()) return;
-      SimulationConfig config = params.base;
-      config.mode = points[i].mode;
-      config.tasks.total_tasks = points[i].tasks;
-      if (config.label.empty()) {
-        config.label = Format("{}-n{}-t{}", sched::ToString(points[i].mode),
-                              config.nodes.count, points[i].tasks);
-        if (config.faults.enabled()) config.label += "-faults";
-      }
-      Simulator simulator(std::move(config));
-      reports[i] = simulator.Run();
+  ParallelFor(points.size(), params.threads, [&](std::size_t i) {
+    SimulationConfig config = params.base;
+    config.mode = points[i].mode;
+    config.tasks.total_tasks = points[i].tasks;
+    if (config.label.empty()) {
+      config.label = Format("{}-n{}-t{}", sched::ToString(points[i].mode),
+                            config.nodes.count, points[i].tasks);
+      if (config.faults.enabled()) config.label += "-faults";
     }
-  };
-
-  unsigned threads = params.threads;
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  threads = std::min<unsigned>(
-      threads, static_cast<unsigned>(std::max<std::size_t>(1, points.size())));
-
-  if (threads == 1) {
-    worker();
-  } else {
-    std::vector<std::jthread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-  }
+    Simulator simulator(std::move(config));
+    reports[i] = simulator.Run();
+  });
   return reports;
 }
 
@@ -98,38 +75,19 @@ std::vector<ReplicationReport> RunReplicatedSweep(const SweepParams& params) {
   // Flat job list: point-major, replication-minor, so jobs for one point
   // are contiguous and the reduce below is a simple slice.
   std::vector<MetricsReport> runs(jobs.size());
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= jobs.size()) return;
-      SimulationConfig config = params.base;
-      config.mode = jobs[i].mode;
-      config.tasks.total_tasks = jobs[i].tasks;
-      config.seed = DeriveSeed(params.base.seed, jobs[i].replication);
-      if (config.label.empty()) {
-        config.label = Format("{}-n{}-t{}#{}", sched::ToString(jobs[i].mode),
-                              config.nodes.count, jobs[i].tasks,
-                              jobs[i].replication);
-      }
-      Simulator simulator(std::move(config));
-      runs[i] = simulator.Run();
+  ParallelFor(jobs.size(), params.threads, [&](std::size_t i) {
+    SimulationConfig config = params.base;
+    config.mode = jobs[i].mode;
+    config.tasks.total_tasks = jobs[i].tasks;
+    config.seed = DeriveSeed(params.base.seed, jobs[i].replication);
+    if (config.label.empty()) {
+      config.label = Format("{}-n{}-t{}#{}", sched::ToString(jobs[i].mode),
+                            config.nodes.count, jobs[i].tasks,
+                            jobs[i].replication);
     }
-  };
-
-  unsigned threads = params.threads;
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  threads = std::min<unsigned>(
-      threads, static_cast<unsigned>(std::max<std::size_t>(1, jobs.size())));
-  if (threads == 1) {
-    worker();
-  } else {
-    std::vector<std::jthread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-  }
+    Simulator simulator(std::move(config));
+    runs[i] = simulator.Run();
+  });
 
   std::vector<ReplicationReport> reports;
   reports.reserve(points);

@@ -14,11 +14,11 @@
 //               end in `_total`, histograms in `_ns`/`_ticks`/plain per
 //               Prometheus conventions.
 //   kind        kCounter | kGauge | kGaugeMax | kHistogram.
-//   plane       kModel: derived from the simulated event/decision stream —
-//               a pure function of (seed, config) (pinned by
-//               test_metrics_diff). kHost: wall-clock values that depend
-//               on the machine; none is catalogued at present.
 //   help        Prometheus HELP line.
+//
+// Every catalogued metric is derived from the simulated event/decision
+// stream, so a snapshot is a pure function of (seed, config) (pinned by
+// test_metrics_diff). Wall-clock values belong in the phase profiler.
 #pragma once
 
 #include <array>
@@ -35,104 +35,99 @@ enum class MetricKind : std::uint8_t {
   kHistogram,    // log2-bucket histogram
 };
 
-enum class MetricPlane : std::uint8_t {
-  kModel = 0,  // simulation-derived, deterministic for (seed, config)
-  kHost,       // wall-clock, machine-dependent
-};
-
 // clang-format off
 #define DREAMSIM_METRIC_CATALOGUE(M)                                          \
   /* --- Event queue (sim/event_queue, model plane) --- */                    \
-  M(EvqPushed, "evq_pushed_total", kCounter, kModel,                          \
+  M(EvqPushed, "evq_pushed_total", kCounter,                                  \
     "Events pushed onto the kernel event queue")                              \
-  M(EvqPopped, "evq_popped_total", kCounter, kModel,                          \
+  M(EvqPopped, "evq_popped_total", kCounter,                                  \
     "Live events popped and executed by the kernel")                          \
-  M(EvqCancelled, "evq_cancelled_total", kCounter, kModel,                    \
+  M(EvqCancelled, "evq_cancelled_total", kCounter,                            \
     "Events cancelled before execution")                                      \
-  M(EvqDeadDropped, "evq_dead_dropped_total", kCounter, kModel,               \
+  M(EvqDeadDropped, "evq_dead_dropped_total", kCounter,                       \
     "Cancelled heap residue dropped lazily at the top")                       \
-  M(EvqHeapSifts, "evq_heap_sift_total", kCounter, kModel,                    \
+  M(EvqHeapSifts, "evq_heap_sift_total", kCounter,                            \
     "Event-queue pushes plus pops, live or dead (cursor arrivals included)")  \
-  M(EvqDepth, "evq_depth", kGauge, kModel,                                    \
+  M(EvqDepth, "evq_depth", kGauge,                                            \
     "Live (uncancelled) pending events")                                      \
-  M(EvqDepthPeak, "evq_depth_peak", kGaugeMax, kModel,                        \
+  M(EvqDepthPeak, "evq_depth_peak", kGaugeMax,                                \
     "Peak live pending events")                                               \
-  M(EventGapTicks, "event_gap_ticks", kHistogram, kModel,                     \
+  M(EventGapTicks, "event_gap_ticks", kHistogram,                             \
     "Simulated-tick gap between consecutive executed events")                 \
   /* --- ResourceStore scheduler queries (model plane) --- */                 \
-  M(StoreQueryIdleEntry, "store_query_idle_entry_total", kCounter, kModel,    \
+  M(StoreQueryIdleEntry, "store_query_idle_entry_total", kCounter,            \
     "FindBestIdleEntry calls (phase 1 allocation)")                           \
-  M(StoreQueryBlank, "store_query_blank_total", kCounter, kModel,             \
+  M(StoreQueryBlank, "store_query_blank_total", kCounter,                     \
     "FindBestBlankNode calls (phase 2 configuration)")                        \
   M(StoreQueryPartialBlank, "store_query_partial_blank_total", kCounter,      \
-    kModel, "FindBestPartiallyBlankNode calls (phase 3)")                     \
-  M(StoreQueryReclaim, "store_query_reclaim_total", kCounter, kModel,         \
+    "FindBestPartiallyBlankNode calls (phase 3)")                             \
+  M(StoreQueryReclaim, "store_query_reclaim_total", kCounter,                 \
     "FindAnyIdleNode calls (Algorithm 1 reclaim)")                            \
-  M(StoreQueryBusyFit, "store_query_busy_fit_total", kCounter, kModel,        \
+  M(StoreQueryBusyFit, "store_query_busy_fit_total", kCounter,                \
     "AnyBusyNodeCouldFit calls (suspension eligibility)")                     \
   M(StoreQueryIdleConfigured, "store_query_idle_configured_total", kCounter,  \
-    kModel, "FindBestIdleConfiguredNode calls (full mode)")                   \
-  M(StoreQueryRanked, "store_query_ranked_total", kCounter, kModel,           \
+    "FindBestIdleConfiguredNode calls (full mode)")                           \
+  M(StoreQueryRanked, "store_query_ranked_total", kCounter,                   \
     "FindRankedHostNode calls (heuristic policies)")                          \
-  M(StoreScanFallback, "store_scan_fallback_total", kCounter, kModel,         \
+  M(StoreScanFallback, "store_scan_fallback_total", kCounter,                 \
     "Store queries answered by scan semantics (no StoreIndex built)")         \
   /* --- Suspension queue + drain index (model plane) --- */                  \
-  M(SusqQueryOldestExact, "susq_query_oldest_exact_total", kCounter, kModel,  \
+  M(SusqQueryOldestExact, "susq_query_oldest_exact_total", kCounter,          \
     "SusQueueIndex OldestExactMatch queries")                                 \
   M(SusqQueryBestPrioExact, "susq_query_best_prio_exact_total", kCounter,     \
-    kModel, "SusQueueIndex BestPriorityExactMatch queries")                   \
+    "SusQueueIndex BestPriorityExactMatch queries")                           \
   M(SusqQueryOldestEligible, "susq_query_oldest_eligible_total", kCounter,    \
-    kModel, "SusQueueIndex OldestEligible queries")                           \
+    "SusQueueIndex OldestEligible queries")                                   \
   M(SusqQueryBestPrioEligible, "susq_query_best_prio_eligible_total",         \
-    kCounter, kModel, "SusQueueIndex BestPriorityEligible queries")           \
-  M(SusqScanFallback, "susq_scan_fallback_total", kCounter, kModel,           \
+    kCounter, "SusQueueIndex BestPriorityEligible queries")                   \
+  M(SusqScanFallback, "susq_scan_fallback_total", kCounter,                   \
     "Suspension-queue operations answered by literal FIFO scan")              \
-  M(SusEnqueued, "sus_enqueued_total", kCounter, kModel,                      \
+  M(SusEnqueued, "sus_enqueued_total", kCounter,                              \
     "Tasks admitted to the suspension queue")                                 \
-  M(SusRemoved, "sus_removed_total", kCounter, kModel,                        \
+  M(SusRemoved, "sus_removed_total", kCounter,                                \
     "Tasks removed from the suspension queue (drained or dropped)")           \
-  M(SusOverflow, "sus_overflow_total", kCounter, kModel,                      \
+  M(SusOverflow, "sus_overflow_total", kCounter,                              \
     "Suspension admissions rejected at capacity")                             \
-  M(SusDepth, "sus_depth", kGauge, kModel,                                    \
+  M(SusDepth, "sus_depth", kGauge,                                            \
     "Tasks currently parked in the suspension queue")                         \
-  M(SusDepthPeak, "sus_depth_peak", kGaugeMax, kModel,                        \
+  M(SusDepthPeak, "sus_depth_peak", kGaugeMax,                                \
     "Peak suspension-queue depth")                                            \
-  M(DrainAttempts, "drain_attempts_total", kCounter, kModel,                  \
+  M(DrainAttempts, "drain_attempts_total", kCounter,                          \
     "Placement attempts for queued tasks during drains")                      \
-  M(DrainPlacements, "drain_placements_total", kCounter, kModel,              \
+  M(DrainPlacements, "drain_placements_total", kCounter,                      \
     "Drain attempts that placed the queued task")                             \
   /* --- Task lifecycle (core/metrics collector, model plane) --- */          \
-  M(TasksGenerated, "tasks_generated_total", kCounter, kModel,                \
+  M(TasksGenerated, "tasks_generated_total", kCounter,                        \
     "Tasks generated by the workload")                                        \
-  M(TasksPlaced, "tasks_placed_total", kCounter, kModel,                      \
+  M(TasksPlaced, "tasks_placed_total", kCounter,                              \
     "Task placements onto nodes (includes requeue placements)")               \
-  M(TasksCompleted, "tasks_completed_total", kCounter, kModel,                \
+  M(TasksCompleted, "tasks_completed_total", kCounter,                        \
     "Tasks that ran to completion")                                           \
-  M(TasksDiscarded, "tasks_discarded_total", kCounter, kModel,                \
+  M(TasksDiscarded, "tasks_discarded_total", kCounter,                        \
     "Tasks discarded (infeasible, overflow, or retry budget)")                \
-  M(TasksSuspendedFirst, "tasks_suspended_first_total", kCounter, kModel,     \
+  M(TasksSuspendedFirst, "tasks_suspended_first_total", kCounter,             \
     "Tasks that entered the suspension queue at least once")                  \
   M(ClosestMatchPlacements, "closest_match_placements_total", kCounter,       \
-    kModel, "Placements that used the closest-match configuration")           \
+    "Placements that used the closest-match configuration")                   \
   /* --- Fault subsystem (model plane) --- */                                 \
-  M(FaultFailures, "fault_failures_total", kCounter, kModel,                  \
+  M(FaultFailures, "fault_failures_total", kCounter,                          \
     "Node failures injected")                                                 \
-  M(FaultRepairs, "fault_repairs_total", kCounter, kModel,                    \
+  M(FaultRepairs, "fault_repairs_total", kCounter,                            \
     "Node repairs completed")                                                 \
-  M(FaultKills, "fault_kills_total", kCounter, kModel,                        \
+  M(FaultKills, "fault_kills_total", kCounter,                                \
     "Running tasks killed by node failures")                                  \
-  M(FaultLostWorkTicks, "fault_lost_work_area_ticks_total", kCounter, kModel, \
+  M(FaultLostWorkTicks, "fault_lost_work_area_ticks_total", kCounter,         \
     "Area-ticks of in-progress work destroyed by failures")                   \
-  M(FaultFailedNodes, "fault_failed_nodes", kGauge, kModel,                   \
+  M(FaultFailedNodes, "fault_failed_nodes", kGauge,                           \
     "Nodes currently failed")                                                 \
   /* --- Decision explainability (model plane) --- */                         \
-  M(ExplainRecords, "explain_records_total", kCounter, kModel,                \
+  M(ExplainRecords, "explain_records_total", kCounter,                        \
     "Decision-explanation records emitted for --explain tasks")
 // clang-format on
 
 /// Stable identifier for one catalogued metric.
 enum class MetricId : std::uint16_t {
-#define DREAMSIM_METRIC_ENUM(ident, name, kind, plane, help) \
+#define DREAMSIM_METRIC_ENUM(ident, name, kind, help) \
   k##ident,
   DREAMSIM_METRIC_CATALOGUE(DREAMSIM_METRIC_ENUM)
 #undef DREAMSIM_METRIC_ENUM
@@ -142,13 +137,12 @@ enum class MetricId : std::uint16_t {
 struct MetricInfo {
   std::string_view name;  // exposition name, sans "dreamsim_" prefix
   MetricKind kind;
-  MetricPlane plane;
   std::string_view help;
 };
 
 inline constexpr std::array kMetricInfo = {
-#define DREAMSIM_METRIC_INFO(ident, name, kind, plane, help) \
-  MetricInfo{name, MetricKind::kind, MetricPlane::plane, help},
+#define DREAMSIM_METRIC_INFO(ident, name, kind, help) \
+  MetricInfo{name, MetricKind::kind, help},
     DREAMSIM_METRIC_CATALOGUE(DREAMSIM_METRIC_INFO)
 #undef DREAMSIM_METRIC_INFO
 };

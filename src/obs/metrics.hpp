@@ -15,11 +15,10 @@
 // TakeSnapshot() copies the slots into plain values.
 //
 // Pure observer: the registry never touches the WorkloadMeter or any
-// scheduler decision (the §9 contract; pinned by test_obs_diff). Model-plane
-// metrics are a pure function of (seed, config), and all but the
+// scheduler decision (the §9 contract; pinned by test_obs_diff). Every
+// metric is a pure function of (seed, config), and all but the
 // scan-fallback and drain-index query counters are byte-identical across
-// the index modes (pinned by test_metrics_diff); host-plane metrics carry
-// wall-clock data and are excluded from that contract.
+// the index modes (pinned by test_metrics_diff).
 #pragma once
 
 #include <array>

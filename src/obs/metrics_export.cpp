@@ -23,10 +23,6 @@ void AppendName(std::string& out, const MetricInfo& info) {
   out += info.name;
 }
 
-[[nodiscard]] bool Skip(const MetricInfo& info, bool include_host) {
-  return !include_host && info.plane == MetricPlane::kHost;
-}
-
 [[nodiscard]] std::string_view PromType(MetricKind kind) {
   switch (kind) {
     case MetricKind::kCounter: return "counter";
@@ -61,8 +57,7 @@ std::optional<MetricsFormat> ParseMetricsFormat(std::string_view name) {
 }
 
 std::string RenderMetricsJson(const MetricsSnapshot& snap, Tick tick,
-                              std::uint64_t seq, bool final,
-                              bool include_host) {
+                              std::uint64_t seq, bool final) {
   std::string out;
   out.reserve(2048);
   out += "{\"type\":\"metrics\",\"version\":1,\"tick\":";
@@ -74,9 +69,7 @@ std::string RenderMetricsJson(const MetricsSnapshot& snap, Tick tick,
   bool first = true;
   for (std::size_t m = 0; m < kMetricCount; ++m) {
     const MetricInfo& info = kMetricInfo[m];
-    if (Skip(info, include_host) || info.kind == MetricKind::kHistogram) {
-      continue;
-    }
+    if (info.kind == MetricKind::kHistogram) continue;
     if (!first) out += ',';
     first = false;
     out += '"';
@@ -88,9 +81,7 @@ std::string RenderMetricsJson(const MetricsSnapshot& snap, Tick tick,
   first = true;
   for (std::size_t m = 0; m < kMetricCount; ++m) {
     const MetricInfo& info = kMetricInfo[m];
-    if (Skip(info, include_host) || info.kind != MetricKind::kHistogram) {
-      continue;
-    }
+    if (info.kind != MetricKind::kHistogram) continue;
     const MetricsSnapshot::Hist& hist = snap.hist[kHistSlotOf[m]];
     if (!first) out += ',';
     first = false;
@@ -116,13 +107,11 @@ std::string RenderMetricsJson(const MetricsSnapshot& snap, Tick tick,
   return out;
 }
 
-std::string RenderMetricsProm(const MetricsSnapshot& snap,
-                              bool include_host) {
+std::string RenderMetricsProm(const MetricsSnapshot& snap) {
   std::string out;
   out.reserve(4096);
   for (std::size_t m = 0; m < kMetricCount; ++m) {
     const MetricInfo& info = kMetricInfo[m];
-    if (Skip(info, include_host)) continue;
     out += "# HELP ";
     AppendName(out, info);
     out += ' ';

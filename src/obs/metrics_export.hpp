@@ -3,10 +3,9 @@
 // the CLI embeds under the MetricsReport. Schemas in docs/formats.md
 // ("Metrics snapshots").
 //
-// The renderers emit metrics in catalogue order, so the rendered bytes of
-// the model plane are a pure function of (seed, config) — test_metrics_diff
-// pins this across the index modes. Host-plane metrics (wall-clock values)
-// can be excluded with `include_host = false`.
+// The renderers emit metrics in catalogue order, so the rendered bytes are
+// a pure function of (seed, config) — test_metrics_diff pins this across
+// the index modes.
 #pragma once
 
 #include <cstdint>
@@ -34,14 +33,12 @@ enum class MetricsFormat : std::uint8_t { kJson, kProm };
 /// `seq` label the snapshot; `final` marks the end-of-run snapshot.
 [[nodiscard]] std::string RenderMetricsJson(const MetricsSnapshot& snap,
                                             Tick tick, std::uint64_t seq,
-                                            bool final,
-                                            bool include_host = true);
+                                            bool final);
 
 /// Full Prometheus text exposition (version 0.0.4): HELP + TYPE + samples
 /// per catalogued metric, `dreamsim_` prefix, histogram `_bucket/_sum/
 /// _count` series.
-[[nodiscard]] std::string RenderMetricsProm(const MetricsSnapshot& snap,
-                                            bool include_host = true);
+[[nodiscard]] std::string RenderMetricsProm(const MetricsSnapshot& snap);
 
 /// Human-readable block for the run report: non-zero scalars plus
 /// count/mean/max per histogram.

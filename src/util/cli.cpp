@@ -118,8 +118,13 @@ bool CliParser::Parse(int argc, const char* const* argv) {
       return true;
     }
     if (!arg.starts_with("--")) {
-      positional_.emplace_back(arg);
-      continue;
+      // No binary takes positional arguments; a stray token is most often
+      // the value of a boolean flag written `--flag false`, which would
+      // otherwise run with the flag on.
+      error_ = Format("unexpected argument '{}' (write option values as "
+                      "--name=value)",
+                      arg);
+      return false;
     }
     const std::string_view body = arg.substr(2);
     const auto eq = body.find('=');

@@ -8,7 +8,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace dreamsim {
 
@@ -25,7 +24,8 @@ class CliParser {
   void AddBool(std::string name, bool default_value, std::string help);
 
   /// Parses argv. Returns false (and fills error()) on unknown or malformed
-  /// options. `--help` sets help_requested() and returns true.
+  /// options and on any non-flag argument. `--help` sets help_requested()
+  /// and returns true.
   [[nodiscard]] bool Parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string GetString(std::string_view name) const;
@@ -36,11 +36,6 @@ class CliParser {
   /// True when the user passed the option explicitly (any type); false for
   /// defaults. Throws std::logic_error on unregistered names.
   [[nodiscard]] bool WasSet(std::string_view name) const;
-
-  /// Positional (non-flag) arguments in order of appearance.
-  [[nodiscard]] const std::vector<std::string>& positional() const {
-    return positional_;
-  }
 
   [[nodiscard]] bool help_requested() const { return help_requested_; }
   [[nodiscard]] const std::string& error() const { return error_; }
@@ -63,7 +58,6 @@ class CliParser {
 
   std::string description_;
   std::map<std::string, Option, std::less<>> options_;
-  std::vector<std::string> positional_;
   bool help_requested_ = false;
   std::string error_;
 };

@@ -105,13 +105,14 @@ TEST(CliParser, NegativeNumbers) {
   EXPECT_DOUBLE_EQ(cli.GetDouble("d"), -1.5);
 }
 
-TEST(CliParser, PositionalArguments) {
+TEST(CliParser, StrayArgumentFails) {
+  // `--flag false` is the bare flag plus a stray `false`: it must fail, not
+  // run with the flag on.
   CliParser cli("test");
-  cli.AddInt("n", 0, "");
-  ASSERT_TRUE(ParseArgs(cli, {"file1", "--n=1", "file2"}));
-  ASSERT_EQ(cli.positional().size(), 2u);
-  EXPECT_EQ(cli.positional()[0], "file1");
-  EXPECT_EQ(cli.positional()[1], "file2");
+  cli.AddBool("b", false, "");
+  ASSERT_FALSE(ParseArgs(cli, {"--b", "false"}));
+  EXPECT_NE(cli.error().find("'false'"), std::string::npos);
+  EXPECT_NE(cli.error().find("--name=value"), std::string::npos);
 }
 
 TEST(CliParser, HelpRequested) {

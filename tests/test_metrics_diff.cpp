@@ -78,8 +78,7 @@ struct RunResult {
 };
 
 std::string RenderModelPlane(const obs::MetricsSnapshot& snap) {
-  return obs::RenderMetricsJson(snap, Tick{0}, 0, /*final=*/true,
-                                /*include_host=*/false);
+  return obs::RenderMetricsJson(snap, Tick{0}, 0, /*final=*/true);
 }
 
 RunResult RunOne(bool faults, std::uint64_t seed, bool indexed) {
