@@ -60,15 +60,56 @@ void StructureCorruptor::SkewFleetTotals(resource::ResourceStore& store) {
 void StructureCorruptor::MisplaceSusBucketEntry(
     resource::SuspensionQueue& queue, TaskId task,
     ConfigId wrong_config) {
+  using resource::SusQueueIndex;
   if (queue.index_ == nullptr ||
       queue.index_->order_ != resource::SusOrder::kFifo) {
     throw std::logic_error(
         "MisplaceSusBucketEntry: needs a FIFO-order drain index");
   }
-  resource::SusQueueIndex& index = *queue.index_;
-  const auto& entry = queue.entries_.at(task.value());
-  index.fifo_buckets_.at(entry.attrs.resolved_config.value()).erase(entry.seq);
-  index.fifo_buckets_[wrong_config.value()].insert(entry.seq);
+  const std::uint32_t seq = queue.SeqOf(task);
+  if (seq == resource::SuspensionQueue::kNoSlot) {
+    throw std::logic_error("MisplaceSusBucketEntry: task is not queued");
+  }
+  SusQueueIndex& index = *queue.index_;
+  constexpr std::uint32_t kNoSeq = SusQueueIndex::kNoSeq;
+  auto& links = index.fifo_links_;
+  SusQueueIndex::SeqLink& link = links[seq];
+  // Unlink from the home list, then splice into `wrong_config`'s list at
+  // its seq-order spot, so both lists stay well-formed.
+  {
+    SusQueueIndex::SeqList& home = index.fifo_lists_.at(
+        SusQueueIndex::ListSlot(queue.attrs_[seq].resolved_config));
+    (link.prev == kNoSeq ? home.head : links[link.prev].next) = link.next;
+    (link.next == kNoSeq ? home.tail : links[link.next].prev) = link.prev;
+  }
+  const std::size_t slot = SusQueueIndex::ListSlot(wrong_config);
+  if (index.fifo_lists_.size() <= slot) index.fifo_lists_.resize(slot + 1);
+  SusQueueIndex::SeqList& wrong = index.fifo_lists_[slot];
+  std::uint32_t next = wrong.head;
+  while (next != kNoSeq && next < seq) next = links[next].next;
+  const std::uint32_t prev = next == kNoSeq ? wrong.tail : links[next].prev;
+  link = SusQueueIndex::SeqLink{prev, next};
+  (prev == kNoSeq ? wrong.head : links[prev].next) = seq;
+  (next == kNoSeq ? wrong.tail : links[next].prev) = seq;
+}
+
+void StructureCorruptor::SkewSusAttrs(resource::SuspensionQueue& queue,
+                                      TaskId task) {
+  using resource::SusQueueIndex;
+  const std::uint32_t seq = queue.SeqOf(task);
+  if (seq == resource::SuspensionQueue::kNoSlot) {
+    throw std::logic_error("SkewSusAttrs: task is not queued");
+  }
+  if (queue.index_ != nullptr &&
+      queue.index_->order_ != resource::SusOrder::kFifo) {
+    throw std::logic_error("SkewSusAttrs: needs no index or a FIFO-order one");
+  }
+  ++queue.attrs_[seq].needed_area;
+  if (queue.index_ == nullptr) return;
+  const resource::SusEntryAttrs attrs = queue.AttrsAt(seq);
+  SusQueueIndex::AssignSeqLeaf(
+      queue.index_->fifo_groups_.at(SusQueueIndex::GroupKeyOf(attrs)), seq,
+      -attrs.needed_area);
 }
 
 void StructureCorruptor::SkewSusLive(resource::SuspensionQueue& queue) {

@@ -47,12 +47,19 @@ class StructureCorruptor {
   /// path that forgot its delta would. Expected slug: fleet.totals.
   static void SkewFleetTotals(resource::ResourceStore& store);
 
-  /// Moves a queued task's seq from its home bucket to `wrong_config`'s
-  /// bucket in the SusQueueIndex (requires a FIFO-order drain index).
-  /// Expected slug: susidx.bucket.
+  /// Moves a queued task's seq from its home config list to
+  /// `wrong_config`'s list in the SusQueueIndex, at its seq-order spot
+  /// (requires a FIFO-order drain index). Expected slug: susidx.bucket.
   static void MisplaceSusBucketEntry(resource::SuspensionQueue& queue,
                                      TaskId task,
                                      ConfigId wrong_config);
+
+  /// Bumps the stored needed_area of queued `task` by one, and its group
+  /// leaf with it when a FIFO-order drain index is on (a priority-order
+  /// index is rejected), so the queue and its index still agree and only
+  /// the check against the task itself can see it. Expected slug:
+  /// sus.attrs.
+  static void SkewSusAttrs(resource::SuspensionQueue& queue, TaskId task);
 
   /// Bumps the suspension queue's live-seq Fenwick leaf for seq 0 by one
   /// (requires at least one slot ever used), as an unlink that forgot the

@@ -574,10 +574,11 @@ void StructureAuditor::AuditSusIndex(
            "index order differs from the queue's drain order");
   }
   // A single-order index keeps nothing of the other order.
-  if (fifo ? !index.prio_buckets_.empty() : !index.fifo_buckets_.empty()) {
+  if (fifo ? !index.prio_buckets_.empty()
+           : !index.fifo_lists_.empty() || !index.fifo_links_.empty()) {
     Report(report, "susidx.bucket", "suspension index",
            fifo ? "FIFO-order index holds priority buckets"
-                : "priority-order index holds seq buckets");
+                : "priority-order index holds seq lists");
   }
   if (fifo ? !index.prio_groups_.empty() : !index.fifo_groups_.empty()) {
     Report(report, "susidx.group", "suspension index",
@@ -586,7 +587,7 @@ void StructureAuditor::AuditSusIndex(
   }
 
   // Expected content per resolved config and per family group, built from
-  // the queue's own slots and task table (the ground truth the index
+  // the queue's own slots and attributes (the ground truth the index
   // mirrors).
   std::map<std::uint32_t, std::set<std::uint64_t>> want_bucket_seqs;
   std::map<std::uint32_t, std::set<std::pair<double, std::uint64_t>>>
@@ -601,32 +602,50 @@ void StructureAuditor::AuditSusIndex(
     config_of_seq.emplace(seq, attrs.resolved_config.value());
   }
 
-  // Buckets: the seq sets (FIFO order) or the (-priority, seq) sets
-  // (priority order), keyed by resolved config.
-  const auto bucket_seqs = [&](std::uint32_t config) {
-    std::set<std::uint64_t> seqs;
-    if (fifo) {
-      seqs = index.fifo_buckets_.at(config);
-    } else {
-      for (const auto& key : index.prio_buckets_.at(config)) {
-        seqs.insert(key.second);
-      }
-    }
-    return seqs;
-  };
-  std::vector<std::uint32_t> bucket_keys;
+  // Buckets, keyed by resolved config: the seq lists (FIFO order; each
+  // walked with its links, seq order and tail checked) or the
+  // (-priority, seq) sets (priority order).
+  std::map<std::uint32_t, std::set<std::uint64_t>> buckets;
   if (fifo) {
-    for (const auto& [config, bucket] : index.fifo_buckets_) {
-      bucket_keys.push_back(config);
+    constexpr std::uint32_t kNoSeq = SusQueueIndex::kNoSeq;
+    const auto& links = index.fifo_links_;
+    for (std::size_t slot = 0; slot < index.fifo_lists_.size(); ++slot) {
+      const SusQueueIndex::SeqList& list = index.fifo_lists_[slot];
+      const std::uint32_t config =
+          slot == 0 ? ConfigId::invalid().value()
+                    : static_cast<std::uint32_t>(slot - 1);
+      std::set<std::uint64_t>& seqs = buckets[config];
+      std::uint32_t prev = kNoSeq;
+      for (std::uint32_t seq = list.head; seq != kNoSeq;
+           seq = links[seq].next) {
+        if (seq >= links.size() || (prev != kNoSeq && seq <= prev)) {
+          Report(report, "susidx.bucket",
+                 Format("config {} list after seq {}", config, prev),
+                 Format("link to seq {} leaves the link array or breaks seq "
+                        "order (FIFO order == seq order)",
+                        seq));
+          break;
+        }
+        if (links[seq].prev != prev) {
+          Report(report, "susidx.bucket",
+                 Format("config {} list (seq {})", config, seq),
+                 Format("back link {} != predecessor {}", links[seq].prev,
+                        prev));
+        }
+        seqs.insert(seq);
+        prev = seq;
+      }
+      if (list.tail != prev) {
+        Report(report, "susidx.bucket", Format("config {} list", config),
+               Format("tail {} != last linked seq {}", list.tail, prev));
+      }
     }
   } else {
     for (const auto& [config, bucket] : index.prio_buckets_) {
-      bucket_keys.push_back(config);
+      for (const auto& key : bucket) buckets[config].insert(key.second);
     }
   }
-  std::sort(bucket_keys.begin(), bucket_keys.end());
-  for (const std::uint32_t config : bucket_keys) {
-    const std::set<std::uint64_t> seqs = bucket_seqs(config);
+  for (const auto& [config, seqs] : buckets) {
     const auto& want_seqs = want_bucket_seqs[config];  // empty set if absent
     for (const std::uint64_t seq : seqs) {
       if (want_seqs.contains(seq)) continue;
@@ -651,8 +670,7 @@ void StructureAuditor::AuditSusIndex(
     }
   }
   for (const auto& [config, want] : want_bucket_seqs) {
-    if (!want.empty() && !std::binary_search(bucket_keys.begin(),
-                                             bucket_keys.end(), config)) {
+    if (!want.empty() && !buckets.contains(config)) {
       Report(report, "susidx.bucket", Format("config {} bucket", config),
              Format("bucket missing ({} expected entries)", want.size()));
     }
@@ -802,12 +820,12 @@ AuditReport StructureAuditor::AuditSuspensionQueue(
                   linked.size(), live.size()));
   }
 
-  // Live count == Fenwick total == size(), and every Fenwick leaf matches
-  // its slot's tombstone state.
-  if (live.size() != queue.live_.Total() || live.size() != queue.size()) {
+  // Live count == Fenwick total (which is size()), and every Fenwick leaf
+  // matches its slot's tombstone state.
+  if (live.size() != queue.live_.Total()) {
     Report(report, "sus.fifo", "suspension queue",
-           Format("{} live slots, live tree total {}, size() {}", live.size(),
-                  queue.live_.Total(), queue.size()));
+           Format("{} live slots, live tree total {}", live.size(),
+                  queue.live_.Total()));
   }
   if (queue.live_.size() != slots.size()) {
     Report(report, "sus.fifo", "live tree",
@@ -831,33 +849,39 @@ AuditReport StructureAuditor::AuditSuspensionQueue(
     }
   }
 
-  // Task table: a row per live slot pointing back at it, and no stale row.
+  // Seq table: a row per live slot pointing back at it, and no stale row;
+  // one attribute cell per slot, and a priority cell per slot exactly in a
+  // priority-order queue.
+  const std::size_t want_priorities =
+      queue.order_ == resource::SusOrder::kPriority ? slots.size() : 0;
+  const bool attrs_sized = queue.attrs_.size() == slots.size() &&
+                           queue.priorities_.size() == want_priorities;
+  if (!attrs_sized) {
+    Report(report, "sus.fifo", "attribute arrays",
+           Format("{} attribute and {} priority cells for {} slots",
+                  queue.attrs_.size(), queue.priorities_.size(),
+                  slots.size()));
+  }
   std::vector<std::pair<std::uint64_t, SusEntryAttrs>> queued;
   for (const std::uint32_t seq : live) {
     const TaskId task = slots[seq].task;
-    const auto row = queue.entries_.find(task.value());
-    if (row == queue.entries_.end()) {
+    const std::uint32_t row = queue.SeqOf(task);
+    if (row != seq) {
       Report(report, "sus.fifo", Format("seq {} (task {})", seq, task.value()),
-             "live slot has no table row");
+             row == kNoSlot ? std::string("live slot has no seq-table row")
+                            : Format("seq-table row points at seq {}", row));
       continue;
     }
-    if (row->second.seq != seq) {
-      Report(report, "sus.fifo", Format("seq {} (task {})", seq, task.value()),
-             Format("table row points at seq {}", row->second.seq));
-      continue;
-    }
-    queued.emplace_back(seq, row->second.attrs);
+    if (attrs_sized) queued.emplace_back(seq, queue.AttrsAt(seq));
   }
-  std::vector<std::uint32_t> stale;
-  for (const auto& [task, entry] : queue.entries_) {
-    if (entry.seq >= slots.size() || slots[entry.seq].task.value() != task) {
-      stale.push_back(task);
+  const std::vector<std::uint32_t>& table = queue.seq_of_task_;
+  for (std::uint32_t task = 0; task < table.size(); ++task) {
+    const std::uint32_t seq = table[task];
+    if (seq != kNoSlot &&
+        (seq >= slots.size() || slots[seq].task.value() != task)) {
+      Report(report, "sus.fifo", Format("task {}", task),
+             "seq-table row for a task no live slot holds");
     }
-  }
-  std::sort(stale.begin(), stale.end());
-  for (const std::uint32_t task : stale) {
-    Report(report, "sus.fifo", Format("task {}", task),
-           "table row for a task no live slot holds");
   }
 
   if (queue.capacity_ != 0 && queue.size() > queue.capacity_) {
@@ -865,7 +889,53 @@ AuditReport StructureAuditor::AuditSuspensionQueue(
            Format("{} queued tasks exceed capacity {}", queue.size(),
                   queue.capacity_));
   }
-  if (queue.index_ != nullptr) AuditSusIndex(queue, queued, report);
+  // The index audit compares against the attributes, so it needs them all.
+  if (queue.index_ != nullptr && attrs_sized) {
+    AuditSusIndex(queue, queued, report);
+  }
+  return report;
+}
+
+AuditReport StructureAuditor::AuditSusAttrs(
+    const SuspensionQueue& queue, const resource::TaskStore& tasks,
+    const resource::ConfigCatalogue& configs) {
+  AuditReport report;
+  const auto& slots = queue.slots_;
+  // Only a priority-order queue keeps (and reads) the priority.
+  const bool by_priority = queue.order_ == resource::SusOrder::kPriority;
+  for (std::uint32_t seq = 0; seq < slots.size(); ++seq) {
+    const TaskId id = slots[seq].task;
+    if (!id.valid()) continue;
+    const std::string path = Format("seq {} (task {})", seq, id.value());
+    if (id.value() >= tasks.size() || seq >= queue.attrs_.size() ||
+        (by_priority && seq >= queue.priorities_.size())) {
+      Report(report, "sus.attrs", path,
+             "queued task has no task-store row or attribute cell");
+      continue;
+    }
+    // The attributes a queued task must carry, recomputed from the task
+    // and the catalogue; none of them may change while it waits.
+    const resource::Task& task = tasks.Get(id);
+    const SusEntryAttrs stored = queue.AttrsAt(seq);
+    const FamilyId family = task.resolved_config.valid() &&
+                                    configs.Contains(task.resolved_config)
+                                ? configs.Get(task.resolved_config).family
+                                : FamilyId::invalid();
+    std::string diverged;
+    const auto field = [&diverged](bool same, const char* name) {
+      if (same) return;
+      if (!diverged.empty()) diverged += ", ";
+      diverged += name;
+    };
+    field(stored.resolved_config == task.resolved_config, "resolved_config");
+    field(stored.config_family == family, "config_family");
+    field(stored.needed_area == task.needed_area, "needed_area");
+    field(!by_priority || stored.priority == task.priority, "priority");
+    if (!diverged.empty()) {
+      Report(report, "sus.attrs", path,
+             Format("stored {} differ from the task's", diverged));
+    }
+  }
   return report;
 }
 
@@ -1093,17 +1163,18 @@ AuditReport StructureAuditor::AuditMetrics(const ResourceStore& store,
 
 AuditReport StructureAuditor::AuditAll(const ResourceStore& store,
                                        const SuspensionQueue& queue,
+                                       const resource::TaskStore& tasks,
                                        const sim::EventQueue& events,
                                        Tick now) {
   AuditReport report = AuditStore(store);
-  AuditReport sus = AuditSuspensionQueue(queue);
-  AuditReport evq = AuditEventQueue(events, now);
-  report.violations.insert(report.violations.end(),
-                           std::make_move_iterator(sus.violations.begin()),
-                           std::make_move_iterator(sus.violations.end()));
-  report.violations.insert(report.violations.end(),
-                           std::make_move_iterator(evq.violations.begin()),
-                           std::make_move_iterator(evq.violations.end()));
+  for (AuditReport part : {AuditSuspensionQueue(queue),
+                           AuditSusAttrs(queue, tasks, store.configs()),
+                           AuditEventQueue(events, now)}) {
+    report.violations.insert(
+        report.violations.end(),
+        std::make_move_iterator(part.violations.begin()),
+        std::make_move_iterator(part.violations.end()));
+  }
   return report;
 }
 

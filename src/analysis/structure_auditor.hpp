@@ -73,10 +73,18 @@ class StructureAuditor {
       const resource::ResourceStore& store);
 
   /// Audits the suspension FIFO (slot array, live links, live-seq Fenwick
-  /// tree, task table) and (when enabled) the SusQueueIndex buckets and
+  /// tree, seq table) and (when enabled) the SusQueueIndex buckets and
   /// groups of its drain order.
   [[nodiscard]] static AuditReport AuditSuspensionQueue(
       const resource::SuspensionQueue& queue);
+
+  /// Checks each queued entry's stored drain attributes against the ones
+  /// its task implies: resolved config, that config's family (from
+  /// `configs`), needed area and priority ("sus.attrs").
+  [[nodiscard]] static AuditReport AuditSusAttrs(
+      const resource::SuspensionQueue& queue,
+      const resource::TaskStore& tasks,
+      const resource::ConfigCatalogue& configs);
 
   /// Audits the pending-event set: heap order, sequence bounds and
   /// uniqueness (heap and arrival cursor), the cursor's position and tick
@@ -85,10 +93,11 @@ class StructureAuditor {
   [[nodiscard]] static AuditReport AuditEventQueue(
       const sim::EventQueue& queue, Tick now);
 
-  /// All three passes, concatenated in the order above.
+  /// All four passes, concatenated in the order above.
   [[nodiscard]] static AuditReport AuditAll(
       const resource::ResourceStore& store,
-      const resource::SuspensionQueue& queue, const sim::EventQueue& events,
+      const resource::SuspensionQueue& queue,
+      const resource::TaskStore& tasks, const sim::EventQueue& events,
       Tick now);
 
   /// Cross-checks the live metrics registry against the structures it

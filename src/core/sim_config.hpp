@@ -52,6 +52,10 @@ enum class PolicyChoice : std::uint8_t {
 
 [[nodiscard]] std::string_view ToString(PolicyChoice choice);
 
+/// Largest accepted SimulationConfig::closest_match_slowdown: a closest
+/// match at most a thousand times slower than C_pref.
+inline constexpr double kMaxClosestMatchSlowdown = 1000.0;
+
 struct SimulationConfig {
   // --- Resources (Table II) ---
   resource::NodeGenParams nodes{};          // 200 nodes, [1000, 4000]
@@ -91,6 +95,8 @@ struct SimulationConfig {
   /// configuration instead of their C_pref (Eq. 3 defines t_required "if
   /// it is processed on its preferred processor configuration"; a
   /// non-preferred processor may be slower). 1.0 reproduces the paper.
+  /// Must be finite and in [1, kMaxClosestMatchSlowdown]; the Simulator
+  /// constructor throws std::invalid_argument otherwise.
   double closest_match_slowdown = 1.0;
 
   // --- Network (t_comm of Eq. 8; disabled by default like the paper) ---

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -43,6 +44,26 @@ resource::ConfigCatalogue BuildConfigs(const SimulationConfig& config,
     selected.Register(all.Get(*id));
   }
   return resource::ConfigCatalogue::Generate(config.configs, selected, rng);
+}
+
+/// `task`'s execution time on a closest match: t_required stretched by
+/// `slowdown` (at least 1; the constructor checks). Throws
+/// std::overflow_error where the stretched time plus the task's comm and
+/// configuration wait would leave the Tick range, instead of wrapping.
+Tick StretchedExecution(const resource::Task& task, double slowdown) {
+  const double stretched = static_cast<double>(task.required_time) * slowdown;
+  const Tick overhead = task.comm_time + task.config_wait;
+  // 2^63 is the first double past the Tick range, so the cast is defined.
+  if (stretched < 0x1p63) {
+    const auto execution = static_cast<Tick>(stretched);
+    if (execution <= std::numeric_limits<Tick>::max() - overhead) {
+      return execution;
+    }
+  }
+  throw std::overflow_error(
+      Format("task {}: closest-match execution {} x {} overflows the tick "
+             "range",
+             task.id.value(), task.required_time, slowdown));
 }
 
 }  // namespace
@@ -116,6 +137,14 @@ Simulator::Simulator(SimulationConfig config)
   if (config_.shards != 1) {
     throw std::invalid_argument(
         "SimulationConfig::shards must be 1 (the sharded kernel was removed)");
+  }
+  // The negated test also rejects NaN.
+  if (!(config_.closest_match_slowdown >= 1.0 &&
+        config_.closest_match_slowdown <= kMaxClosestMatchSlowdown)) {
+    throw std::invalid_argument(
+        Format("SimulationConfig::closest_match_slowdown must be a finite "
+               "number in [1, {}], got {}",
+               kMaxClosestMatchSlowdown, config_.closest_match_slowdown));
   }
   store_.SetIndexed(config_.scheduler_index);
   suspension_.SetDrainIndexed(config_.drain_index);
@@ -271,7 +300,7 @@ MetricsReport Simulator::RunMultiClass(const workload::MultiClassWorkload& wl) {
 
 analysis::AuditReport Simulator::AuditStructures() const {
   analysis::AuditReport report = analysis::StructureAuditor::AuditAll(
-      store_, suspension_, kernel_.queue(), kernel_.now());
+      store_, suspension_, tasks_, kernel_.queue(), kernel_.now());
   // With the live registry on, also cross-check its counters against the
   // structures they observe (valid because the CLI/tests reset the registry
   // at run start, so it covers exactly this run).
@@ -435,9 +464,7 @@ sched::Outcome Simulator::AttemptSchedule(TaskId id, bool is_arrival) {
       Tick execution = task.required_time;
       if (decision.used_closest_match &&
           config_.closest_match_slowdown != 1.0) {
-        execution = std::max<Tick>(
-            1, static_cast<Tick>(static_cast<double>(execution) *
-                                 config_.closest_match_slowdown));
+        execution = StretchedExecution(task, config_.closest_match_slowdown);
       }
       const Tick span = task.comm_time + task.config_wait + execution;
       const resource::EntryRef entry = decision.entry;
@@ -603,10 +630,9 @@ Simulator::DrainAttempt Simulator::AttemptQueuedAt(std::size_t index) {
     MaybeAudit("queued-attempt");
     return {false, true};
   }
-  // The attempt may have re-resolved the task's configuration while it
-  // stays queued; keep the indexed attributes in sync (uncharged — the
-  // reference scans re-read task state directly).
-  suspension_.RefreshAttrs(id, SusAttrs(failed));
+  // The task stays queued with the attributes it was enqueued with: the
+  // attempt re-resolved the same config (ResolveConfig depends only on the
+  // task and the fixed catalogue), and area and priority never change.
   MaybeAudit("queued-attempt");
   return {false, false};
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "util/fmt.hpp"
 
@@ -144,36 +145,54 @@ void SusQueueIndex::AssignSeqLeaf(MaxSegTree& tree, std::uint64_t seq,
 }
 
 void SusQueueIndex::Add(std::uint64_t seq, const SusEntryAttrs& attrs) {
-  if (order_ == SusOrder::kFifo) {
-    // Seqs arrive in increasing order, so the end is the usual spot.
-    std::set<std::uint64_t>& bucket =
-        fifo_buckets_[attrs.resolved_config.value()];
-    bucket.emplace_hint(bucket.end(), seq);
-    AssignSeqLeaf(fifo_groups_[GroupKeyOf(attrs)], seq, -attrs.needed_area);
-  } else {
+  if (order_ == SusOrder::kPriority) {
     prio_buckets_[attrs.resolved_config.value()].emplace(-attrs.priority, seq);
     prio_groups_[GroupKeyOf(attrs)].Insert(-attrs.priority, seq,
                                            attrs.needed_area);
+    return;
   }
+  if (seq >= kNoSeq) {
+    throw std::length_error("SusQueueIndex::Add: seq beyond the link range");
+  }
+  const auto s = static_cast<std::uint32_t>(seq);
+  const std::size_t slot = ListSlot(attrs.resolved_config);
+  if (fifo_lists_.size() <= slot) fifo_lists_.resize(slot + 1);
+  SeqList& list = fifo_lists_[slot];
+  if (list.tail != kNoSeq && list.tail >= s) {
+    throw std::logic_error("SusQueueIndex::Add: seqs must increase");
+  }
+  if (fifo_links_.size() <= s) fifo_links_.resize(std::size_t{s} + 1);
+  fifo_links_[s] = SeqLink{list.tail, kNoSeq};
+  if (list.tail == kNoSeq) {
+    list.head = s;
+  } else {
+    fifo_links_[list.tail].next = s;
+  }
+  list.tail = s;
+  AssignSeqLeaf(fifo_groups_[GroupKeyOf(attrs)], seq, -attrs.needed_area);
 }
 
 void SusQueueIndex::Remove(std::uint64_t seq, const SusEntryAttrs& attrs) {
-  if (order_ == SusOrder::kFifo) {
-    fifo_buckets_.at(attrs.resolved_config.value()).erase(seq);
-    AssignSeqLeaf(fifo_groups_.at(GroupKeyOf(attrs)), seq,
-                  MaxSegTree::kNegInf);
-  } else {
+  if (order_ == SusOrder::kPriority) {
     prio_buckets_.at(attrs.resolved_config.value())
         .erase({-attrs.priority, seq});
     prio_groups_.at(GroupKeyOf(attrs)).Erase(-attrs.priority, seq);
+    return;
   }
-}
-
-void SusQueueIndex::Refresh(std::uint64_t seq, const SusEntryAttrs& old_attrs,
-                            const SusEntryAttrs& attrs) {
-  if (old_attrs == attrs) return;
-  Remove(seq, old_attrs);
-  Add(seq, attrs);
+  SeqList& list = fifo_lists_.at(ListSlot(attrs.resolved_config));
+  SeqLink& link = fifo_links_.at(static_cast<std::size_t>(seq));
+  if (link.prev == kNoSeq) {
+    list.head = link.next;
+  } else {
+    fifo_links_[link.prev].next = link.next;
+  }
+  if (link.next == kNoSeq) {
+    list.tail = link.prev;
+  } else {
+    fifo_links_[link.next].prev = link.prev;
+  }
+  link = SeqLink{};
+  AssignSeqLeaf(fifo_groups_.at(GroupKeyOf(attrs)), seq, MaxSegTree::kNegInf);
 }
 
 template <typename Group, typename Fn>
@@ -195,9 +214,9 @@ void SusQueueIndex::ForEachGroupFor(
 std::optional<std::uint64_t> SusQueueIndex::OldestExactMatch(
     ConfigId config) const {
   Require(SusOrder::kFifo, "OldestExactMatch");
-  const auto it = fifo_buckets_.find(config.value());
-  if (it == fifo_buckets_.end() || it->second.empty()) return std::nullopt;
-  return *it->second.begin();
+  const SeqList* list = FindList(config);
+  if (list == nullptr || list->head == kNoSeq) return std::nullopt;
+  return list->head;
 }
 
 std::optional<std::uint64_t> SusQueueIndex::BestPriorityExactMatch(
@@ -213,12 +232,13 @@ std::optional<std::uint64_t> SusQueueIndex::OldestEligible(
     ConfigId match_config) const {
   Require(SusOrder::kFifo, "OldestEligible");
   std::optional<std::uint64_t> best;
-  if (match_config.valid()) {
-    if (const auto it = fifo_buckets_.find(match_config.value());
-        it != fifo_buckets_.end()) {
-      const auto seq_it = it->second.lower_bound(from_seq);
-      if (seq_it != it->second.end()) best = *seq_it;
-    }
+  if (const SeqList* list = match_config.valid() ? FindList(match_config)
+                                                  : nullptr) {
+    // The drain's cursor never passes an exact match it did not remove,
+    // so on the simulator's path this walk takes no step.
+    std::uint32_t seq = list->head;
+    while (seq != kNoSeq && seq < from_seq) seq = fifo_links_[seq].next;
+    if (seq != kNoSeq) best = seq;
   }
   ForEachGroupFor(fifo_groups_, family, [&](const MaxSegTree& tree) {
     const std::size_t seq = tree.FirstAtLeast(
@@ -257,15 +277,36 @@ std::vector<std::string> SusQueueIndex::Validate(
   };
   const bool fifo = order_ == SusOrder::kFifo;
   if (fifo ? !prio_buckets_.empty() || !prio_groups_.empty()
-           : !fifo_buckets_.empty() || !fifo_groups_.empty()) {
+           : !fifo_lists_.empty() || !fifo_groups_.empty()) {
     complain("index holds structures of the other drain order");
+  }
+  // FIFO lists: walked once, each strictly increasing with consistent
+  // back links and tail (the walk stops at a list's first fault).
+  std::unordered_map<std::uint64_t, std::size_t> listed;  // seq -> list slot
+  for (std::size_t slot = 0; slot < fifo_lists_.size(); ++slot) {
+    std::uint32_t prev = kNoSeq;
+    for (std::uint32_t seq = fifo_lists_[slot].head; seq != kNoSeq;
+         seq = fifo_links_[seq].next) {
+      if (seq >= fifo_links_.size() || fifo_links_[seq].prev != prev ||
+          (prev != kNoSeq && seq <= prev) ||
+          !listed.emplace(seq, slot).second) {
+        complain(Format("list {} is broken at seq {}", slot, seq));
+        break;
+      }
+      prev = seq;
+    }
+    if (fifo_lists_[slot].tail != prev) {
+      complain(Format("list {} tail {} != last linked seq {}", slot,
+                      fifo_lists_[slot].tail, prev));
+    }
   }
   for (const auto& [seq, attrs] : entries) {
     bool in_bucket = false;
     bool in_group = false;
     if (fifo) {
-      const auto bucket = fifo_buckets_.find(attrs.resolved_config.value());
-      in_bucket = bucket != fifo_buckets_.end() && bucket->second.contains(seq);
+      const auto listed_at = listed.find(seq);
+      in_bucket = listed_at != listed.end() &&
+                  listed_at->second == ListSlot(attrs.resolved_config);
       const auto group = fifo_groups_.find(GroupKeyOf(attrs));
       in_group = group != fifo_groups_.end() && group->second.size() > seq &&
                  group->second.Value(static_cast<std::size_t>(seq)) ==
@@ -279,10 +320,7 @@ std::vector<std::string> SusQueueIndex::Validate(
     if (!in_bucket) complain(Format("seq {} missing from its bucket", seq));
     if (!in_group) complain(Format("seq {} missing from its group", seq));
   }
-  std::size_t bucket_total = 0;
-  for (const auto& [config, bucket] : fifo_buckets_) {
-    bucket_total += bucket.size();
-  }
+  std::size_t bucket_total = listed.size();
   for (const auto& [config, bucket] : prio_buckets_) {
     bucket_total += bucket.size();
   }

@@ -20,8 +20,13 @@
 // order — the one SimulationConfig::priority_scheduling picks — and keeps
 // only that order's structures:
 //   - FIFO order:
-//       - per-resolved_config buckets: an ordered seq set (oldest exact
-//         match, and the exact-match rule of the eligibility query);
+//       - per-resolved_config seq lists: intrusive doubly-linked lists in
+//         seq order, threaded through per-seq link arrays, with a head and
+//         tail per config. A new seq is the largest ever issued, so Add
+//         appends; the head is the oldest exact match, and the exact-match
+//         rule of the eligibility query walks from the head past seqs
+//         below its cursor (the simulator's drain never leaves one there,
+//         so that walk takes no step on its path);
 //       - per-family-group MaxSegTrees over seqs storing -needed_area, so
 //         "earliest entry at/after a cursor with needed_area <= bound" is
 //         one FirstAtLeast(cursor, -bound) descent;
@@ -34,11 +39,14 @@
 // A family group holds the tasks whose resolved config pins them to one
 // device family, plus a wildcard group for tasks that are compatible with
 // every family (unresolved config or family-less config). A task lives in
-// exactly one bucket and one group, so memory stays O(Q) (plus the
-// seq-indexed leaves of the segment trees). The index never touches the
-// WorkloadMeter — the simulator charges the analytic step counts.
+// exactly one bucket and one group. A FIFO-order entry costs flat per-seq
+// cells only (its list links and its group leaf), no heap node; the
+// priority-order structures keep one set node and one treap node per
+// entry. The index never touches the WorkloadMeter — the simulator charges
+// the analytic step counts.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -59,16 +67,14 @@ class StructureCorruptor;  // test-only seeded-corruption injector
 namespace dreamsim::resource {
 
 /// The drain-relevant attributes of one suspended task, captured at
-/// enqueue time and re-synced whenever a failed drain attempt may have
-/// rewritten the task's resolved config.
+/// enqueue time. None of them can change while the task is queued:
+/// needed_area and priority are fixed at submission, and the resolved
+/// config depends only on the task and the run's fixed catalogue.
 struct SusEntryAttrs {
   ConfigId resolved_config;  // invalid = not resolved yet
   FamilyId config_family;    // family of resolved config; invalid = any
   Area needed_area = 0;
   double priority = 0.0;
-
-  friend bool operator==(const SusEntryAttrs&,
-                         const SusEntryAttrs&) = default;
 };
 
 /// Treap ordered by (-priority, seq) — i.e. highest priority first, FIFO
@@ -119,24 +125,20 @@ class AreaTreap {
 /// (highest priority first, FIFO tie-break).
 enum class SusOrder : std::uint8_t { kFifo, kPriority };
 
-/// The candidate index. Owned by SuspensionQueue, which calls Add/Remove/
-/// Refresh on every mutation; every drain query reads pure index state and
+/// The candidate index. Owned by SuspensionQueue, which calls Add/Remove
+/// on every mutation; every drain query reads pure index state and
 /// answers with a seq. Calling a query of the other order throws
 /// std::logic_error.
 class SusQueueIndex {
  public:
   explicit SusQueueIndex(SusOrder order) : order_(order) {}
 
-  /// Indexes the entry with insertion seq `seq` (must not be indexed).
+  /// Indexes the entry with insertion seq `seq`, which must exceed every
+  /// seq indexed so far (the queue issues seqs in increasing order).
   void Add(std::uint64_t seq, const SusEntryAttrs& attrs);
 
   /// Drops the entry `seq`, indexed under `attrs`.
   void Remove(std::uint64_t seq, const SusEntryAttrs& attrs);
-
-  /// Moves entry `seq` from its placement under `old_attrs` to the one
-  /// `attrs` implies.
-  void Refresh(std::uint64_t seq, const SusEntryAttrs& old_attrs,
-               const SusEntryAttrs& attrs);
 
   // --- FIFO-order queries (decision only; the caller charges the steps) ---
 
@@ -181,6 +183,28 @@ class SusQueueIndex {
 
   static constexpr std::uint32_t kWildcardGroup =
       FamilyId().value();  // invalid family value
+  static constexpr std::uint32_t kNoSeq = 0xffffffffu;
+
+  /// Links of one seq in its config's FIFO list.
+  struct SeqLink {
+    std::uint32_t prev = kNoSeq;
+    std::uint32_t next = kNoSeq;
+  };
+  /// One config's FIFO list: its oldest and newest seq.
+  struct SeqList {
+    std::uint32_t head = kNoSeq;
+    std::uint32_t tail = kNoSeq;
+  };
+
+  /// Slot of `config` in fifo_lists_: 0 for an unresolved config, value + 1
+  /// otherwise (config ids are dense catalogue indices).
+  [[nodiscard]] static std::size_t ListSlot(ConfigId config) {
+    return config.valid() ? std::size_t{config.value()} + 1 : 0;
+  }
+  [[nodiscard]] const SeqList* FindList(ConfigId config) const {
+    const std::size_t slot = ListSlot(config);
+    return slot < fifo_lists_.size() ? &fifo_lists_[slot] : nullptr;
+  }
 
   [[nodiscard]] static std::uint32_t GroupKeyOf(const SusEntryAttrs& attrs) {
     return attrs.config_family.valid() ? attrs.config_family.value()
@@ -199,8 +223,8 @@ class SusQueueIndex {
 
   SusOrder order_;
   // FIFO order (empty in a priority-order index).
-  std::unordered_map<std::uint32_t, std::set<std::uint64_t>>
-      fifo_buckets_;                                  // by ConfigId value
+  std::vector<SeqList> fifo_lists_;  // by ListSlot(resolved_config)
+  std::vector<SeqLink> fifo_links_;  // by seq; reset on removal
   std::map<std::uint32_t, MaxSegTree> fifo_groups_;  // by family (+ wildcard)
   // Priority order (empty in a FIFO-order index).
   std::unordered_map<std::uint32_t, std::set<PrioKey>>

@@ -10,18 +10,28 @@ namespace dreamsim::resource {
 bool SuspensionQueue::Add(TaskId task, const SusEntryAttrs& attrs,
                           WorkloadMeter& meter) {
   meter.Add(StepKind::kHousekeeping);
-  if (capacity_ != 0 && entries_.size() >= capacity_) {
+  if (capacity_ != 0 && size() >= capacity_) {
     obs::MetricInc(obs::MetricId::kSusOverflow);
     return false;
+  }
+  if (!task.valid()) {
+    throw std::invalid_argument("SuspensionQueue::Add: invalid task id");
   }
   if (slots_.size() >= kNoSlot) {
     throw std::length_error("SuspensionQueue: insertion seqs exhausted");
   }
-  const auto seq = static_cast<std::uint32_t>(slots_.size());
-  if (!entries_.try_emplace(task.value(), Entry{seq, attrs}).second) {
+  if (SeqOf(task) != kNoSlot) {
     throw std::logic_error("SuspensionQueue::Add: task already queued");
   }
+  const auto seq = static_cast<std::uint32_t>(slots_.size());
+  if (seq_of_task_.size() <= task.value()) {
+    seq_of_task_.resize(std::size_t{task.value()} + 1, kNoSlot);
+  }
+  seq_of_task_[task.value()] = seq;
   slots_.push_back(Slot{task, tail_, kNoSlot});
+  attrs_.push_back({attrs.resolved_config, attrs.config_family,
+                    attrs.needed_area});
+  if (order_ == SusOrder::kPriority) priorities_.push_back(attrs.priority);
   if (tail_ == kNoSlot) {
     head_ = seq;
   } else {
@@ -33,21 +43,21 @@ bool SuspensionQueue::Add(TaskId task, const SusEntryAttrs& attrs,
   if (obs::MetricsRegistry::enabled()) {
     auto& reg = obs::MetricsRegistry::Instance();
     reg.Add(obs::MetricId::kSusEnqueued);
-    reg.GaugeSet(obs::MetricId::kSusDepth, entries_.size());
-    reg.GaugeMax(obs::MetricId::kSusDepthPeak, entries_.size());
+    reg.GaugeSet(obs::MetricId::kSusDepth, size());
+    reg.GaugeMax(obs::MetricId::kSusDepthPeak, size());
   }
   return true;
 }
 
 bool SuspensionQueue::Contains(TaskId task, WorkloadMeter& meter) const {
   if (index_) {
-    const auto it = entries_.find(task.value());
-    if (it != entries_.end()) {
+    const std::uint32_t seq = SeqOf(task);
+    if (seq != kNoSlot) {
       // The scan stops at the hit: position + 1 visited entries.
-      meter.Add(StepKind::kHousekeeping, live_.Prefix(it->second.seq) + 1);
+      meter.Add(StepKind::kHousekeeping, live_.Prefix(seq) + 1);
       return true;
     }
-    meter.Add(StepKind::kHousekeeping, entries_.size());
+    meter.Add(StepKind::kHousekeeping, size());
     return false;
   }
   obs::MetricInc(obs::MetricId::kSusqScanFallback);
@@ -65,21 +75,20 @@ void SuspensionQueue::RemoveAt(std::size_t index, WorkloadMeter& meter) {
 }
 
 std::uint32_t SuspensionQueue::SeqAt(std::size_t index) const {
-  if (index >= entries_.size()) {
-    throw std::out_of_range(Format("SuspensionQueue: position {} of {}",
-                                   index, entries_.size()));
+  if (index >= size()) {
+    throw std::out_of_range(
+        Format("SuspensionQueue: position {} of {}", index, size()));
   }
   return static_cast<std::uint32_t>(live_.Select(index));
 }
 
 bool SuspensionQueue::Remove(TaskId task, WorkloadMeter& meter) {
   if (index_) {
-    const auto it = entries_.find(task.value());
-    if (it == entries_.end()) {
-      meter.Add(StepKind::kHousekeeping, entries_.size());
+    const std::uint32_t seq = SeqOf(task);
+    if (seq == kNoSlot) {
+      meter.Add(StepKind::kHousekeeping, size());
       return false;
     }
-    const std::uint32_t seq = it->second.seq;
     meter.Add(StepKind::kHousekeeping, live_.Prefix(seq) + 1);
     Unlink(seq);
     return true;
@@ -95,12 +104,6 @@ bool SuspensionQueue::Remove(TaskId task, WorkloadMeter& meter) {
   return false;
 }
 
-void SuspensionQueue::RefreshAttrs(TaskId task, const SusEntryAttrs& attrs) {
-  Entry& entry = entries_.at(task.value());
-  if (index_) index_->Refresh(entry.seq, entry.attrs, attrs);
-  entry.attrs = attrs;
-}
-
 void SuspensionQueue::SetDrainIndexed(bool enabled) {
   if (!enabled) {
     index_.reset();
@@ -108,7 +111,7 @@ void SuspensionQueue::SetDrainIndexed(bool enabled) {
   }
   index_ = std::make_unique<SusQueueIndex>(order_);
   for (std::uint32_t slot = head_; slot != kNoSlot; slot = slots_[slot].next) {
-    index_->Add(slot, entries_.at(slots_[slot].task.value()).attrs);
+    index_->Add(slot, AttrsAt(slot));
   }
 }
 
@@ -116,26 +119,26 @@ std::vector<std::string> SuspensionQueue::ValidateIndex() const {
   if (!index_) return {};
   std::vector<std::string> violations;
   std::vector<std::pair<std::uint64_t, SusEntryAttrs>> queued;
-  queued.reserve(entries_.size());
+  queued.reserve(size());
   std::size_t pos = 0;
   for (std::uint32_t slot = head_; slot != kNoSlot;
        slot = slots_[slot].next, ++pos) {
     const TaskId task = slots_[slot].task;
-    const auto it = entries_.find(task.value());
-    if (it == entries_.end() || it->second.seq != slot) {
+    if (SeqOf(task) != slot) {
       violations.push_back(
-          Format("task {} at seq {} has no table row", task.value(), slot));
+          Format("task {} at seq {} has no seq-table row", task.value(),
+                 slot));
       continue;
     }
     if (live_.Prefix(slot) != pos) {
       violations.push_back(Format("task {} position {} != rank {}",
                                   task.value(), pos, live_.Prefix(slot)));
     }
-    queued.emplace_back(slot, it->second.attrs);
+    queued.emplace_back(slot, AttrsAt(slot));
   }
-  if (pos != entries_.size()) {
-    violations.push_back(Format("{} linked entries for {} table rows", pos,
-                                entries_.size()));
+  if (pos != size()) {
+    violations.push_back(
+        Format("{} linked entries for {} live seqs", pos, size()));
   }
   std::vector<std::string> index_violations = index_->Validate(queued);
   violations.insert(violations.end(),
@@ -146,9 +149,8 @@ std::vector<std::string> SuspensionQueue::ValidateIndex() const {
 
 void SuspensionQueue::Unlink(std::uint32_t seq) {
   Slot& slot = slots_[seq];
-  const auto it = entries_.find(slot.task.value());
-  if (index_) index_->Remove(seq, it->second.attrs);
-  entries_.erase(it);
+  if (index_) index_->Remove(seq, AttrsAt(seq));
+  seq_of_task_[slot.task.value()] = kNoSlot;
   live_.Clear(seq);
   if (slot.prev == kNoSlot) {
     head_ = slot.next;
@@ -164,7 +166,7 @@ void SuspensionQueue::Unlink(std::uint32_t seq) {
   if (obs::MetricsRegistry::enabled()) {
     auto& reg = obs::MetricsRegistry::Instance();
     reg.Add(obs::MetricId::kSusRemoved);
-    reg.GaugeSet(obs::MetricId::kSusDepth, entries_.size());
+    reg.GaugeSet(obs::MetricId::kSusDepth, size());
   }
 }
 

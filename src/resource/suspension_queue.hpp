@@ -10,8 +10,11 @@
 // the slot from a doubly-linked list threaded through the live slots in
 // seq (= FIFO) order, so walks and front pops visit live entries only. A
 // Fenwick tree of live seqs converts seq -> FIFO position (the charge
-// arithmetic) and position -> seq (positional access), and one table maps
-// each queued task to its seq and drain attributes.
+// arithmetic) and position -> seq (positional access). The drain
+// attributes sit in arrays by seq (the priority only in a priority-order
+// queue, the one order that reads it), and a dense array by TaskId value
+// maps each queued task to its seq. Every per-entry cell is a flat array
+// cell: enqueueing allocates nothing beyond amortized array growth.
 //
 // With the drain index enabled (the default) the queue keeps a
 // SusQueueIndex over its seqs in sync, so membership tests and drain
@@ -27,7 +30,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -124,7 +126,7 @@ class SuspensionQueue {
     return std::nullopt;
   }
 
-  /// SearchSusQueue(): counted membership test. Answered from the task
+  /// SearchSusQueue(): counted membership test. Answered from the seq
   /// table (O(log Q) host work) when the index is enabled, by literal scan
   /// otherwise; the meter charge is the scan's either way (position + 1 on
   /// a hit, queue size on a miss).
@@ -143,11 +145,6 @@ class SuspensionQueue {
   [[nodiscard]] TaskId At(std::size_t index) const {
     return slots_[SeqAt(index)].task;
   }
-
-  /// Re-syncs the indexed attributes of a queued task after a failed
-  /// drain attempt may have rewritten its resolved config. Charges
-  /// nothing — the reference scans re-read task state for free.
-  void RefreshAttrs(TaskId task, const SusEntryAttrs& attrs);
 
   /// Enables or disables the drain index, rebuilding it from the current
   /// queue content (attributes are retained across toggles).
@@ -202,17 +199,20 @@ class SuspensionQueue {
   /// index is disabled).
   [[nodiscard]] std::vector<std::string> ValidateIndex() const;
 
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  [[nodiscard]] bool empty() const { return entries_.empty(); }
+  [[nodiscard]] std::size_t size() const { return live_.Total(); }
+  [[nodiscard]] bool empty() const { return size() == 0; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
   [[nodiscard]] const_iterator begin() const { return {&slots_, head_}; }
   [[nodiscard]] const_iterator end() const { return {&slots_, kNoSlot}; }
 
-  /// Pre-reserves slot and task-table capacity for `expected` entries.
+  /// Pre-reserves the per-seq arrays for `expected` entries and the seq
+  /// table for task ids below `expected`.
   void Reserve(std::size_t expected) {
     slots_.reserve(expected);
-    entries_.reserve(expected);
+    attrs_.reserve(expected);
+    if (order_ == SusOrder::kPriority) priorities_.reserve(expected);
+    seq_of_task_.reserve(expected);
   }
 
  private:
@@ -220,12 +220,6 @@ class SuspensionQueue {
   // test-only seeded corruption. See entry_list.hpp.
   friend class ::dreamsim::analysis::StructureAuditor;
   friend class ::dreamsim::analysis::StructureCorruptor;
-
-  /// A queued task's seq (its slot) and drain attributes.
-  struct Entry {
-    std::uint32_t seq = 0;
-    SusEntryAttrs attrs;
-  };
 
   /// The seq at FIFO position `index`; throws std::out_of_range past the
   /// back.
@@ -237,18 +231,42 @@ class SuspensionQueue {
     return live_.Prefix(static_cast<std::size_t>(*seq));
   }
 
-  /// Removes the live slot `seq` from the list, the live tree, the task
+  /// The drain attributes of seq `seq` but its priority, which only a
+  /// priority-order queue keeps (in priorities_).
+  struct StoredAttrs {
+    ConfigId resolved_config;
+    FamilyId config_family;
+    Area needed_area = 0;
+  };
+
+  /// The attributes seq `seq` was enqueued with (priority 0 in a
+  /// FIFO-order queue).
+  [[nodiscard]] SusEntryAttrs AttrsAt(std::uint32_t seq) const {
+    const StoredAttrs& a = attrs_[seq];
+    return {a.resolved_config, a.config_family, a.needed_area,
+            order_ == SusOrder::kPriority ? priorities_[seq] : 0.0};
+  }
+
+  /// The seq of a queued `task`, or kNoSlot.
+  [[nodiscard]] std::uint32_t SeqOf(TaskId task) const {
+    return task.value() < seq_of_task_.size() ? seq_of_task_[task.value()]
+                                              : kNoSlot;
+  }
+
+  /// Removes the live slot `seq` from the list, the live tree, the seq
   /// table and the index (uncounted; callers charge per their own
   /// contract).
   void Unlink(std::uint32_t seq);
 
   std::size_t capacity_;
   SusOrder order_;
-  std::vector<Slot> slots_;  // by seq; append-only
-  std::uint32_t head_ = kNoSlot;  // oldest live slot
-  std::uint32_t tail_ = kNoSlot;  // newest live slot
-  CountTree live_;                // seq -> 1 while queued
-  std::unordered_map<std::uint32_t, Entry> entries_;  // by TaskId value
+  std::vector<Slot> slots_;            // by seq; append-only
+  std::vector<StoredAttrs> attrs_;     // by seq; append-only
+  std::vector<double> priorities_;     // by seq; priority order only
+  std::uint32_t head_ = kNoSlot;       // oldest live slot
+  std::uint32_t tail_ = kNoSlot;       // newest live slot
+  CountTree live_;                     // seq -> 1 while queued
+  std::vector<std::uint32_t> seq_of_task_;  // by TaskId value; kNoSlot
   std::unique_ptr<SusQueueIndex> index_;
 };
 

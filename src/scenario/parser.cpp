@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -41,11 +42,13 @@ bool ParseU64(std::string_view s, std::uint64_t& out) {
   return result.ec == std::errc() && result.ptr == s.data() + s.size();
 }
 
+/// A finite real: "nan", "inf" and out-of-range literals are rejected.
 bool ParseReal(std::string_view s, double& out) {
   s = Trim(s);
   if (s.empty()) return false;
   const auto result = std::from_chars(s.data(), s.data() + s.size(), out);
-  return result.ec == std::errc() && result.ptr == s.data() + s.size();
+  return result.ec == std::errc() && result.ptr == s.data() + s.size() &&
+         std::isfinite(out);
 }
 
 /// `[lo, hi]` with integer endpoints.
@@ -357,7 +360,8 @@ class Parser {
                 double& out) {
     if (ParseReal(value, out)) return true;
     Error(line_no,
-          Format("key '{}': expected a number, got '{}'", key, value));
+          Format("key '{}': expected a finite number, got '{}'", key,
+                 value));
     return false;
   }
 
@@ -454,8 +458,10 @@ class Parser {
       }
     } else if (key == "closest match slowdown") {
       if (WantReal(key, value, line_no, d)) {
-        if (d < 1.0) {
-          Error(line_no, "key 'closest match slowdown': must be >= 1");
+        if (d < 1.0 || d > core::kMaxClosestMatchSlowdown) {
+          Error(line_no,
+                Format("key 'closest match slowdown': must be in [1, {}]",
+                       core::kMaxClosestMatchSlowdown));
         } else {
           config_.closest_match_slowdown = d;
         }

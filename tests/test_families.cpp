@@ -3,6 +3,9 @@
 // closest-match execution slowdown.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "core/simulator.hpp"
 #include "sched/dreamsim_policy.hpp"
 
@@ -188,6 +191,54 @@ TEST(ClosestMatchSlowdown, DefaultReproducesPaperTiming) {
     EXPECT_EQ(t.completion_time,
               t.start_time + t.comm_time + t.config_wait + t.required_time);
   }
+}
+
+TEST(ClosestMatchSlowdown, RejectsValuesOutsideTheFiniteRange) {
+  // A NaN, infinite, sub-1 or oversized slowdown used to reach a
+  // double-to-Tick cast whose result is undefined.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf, 0.0, -2.0, 0.999, 1e300,
+                           core::kMaxClosestMatchSlowdown * 2}) {
+    core::SimulationConfig config;
+    config.closest_match_slowdown = bad;
+    EXPECT_THROW(core::Simulator sim(std::move(config)),
+                 std::invalid_argument)
+        << bad;
+  }
+  for (const double good : {1.0, core::kMaxClosestMatchSlowdown}) {
+    core::SimulationConfig config;
+    config.closest_match_slowdown = good;
+    EXPECT_NO_THROW(core::Simulator sim(std::move(config))) << good;
+  }
+}
+
+/// Runs one closest-match task (its C_pref is not in the catalogue) with
+/// `required` ticks alone under `slowdown`; returns its final state.
+resource::Task RunOneClosestMatchTask(Tick required, double slowdown) {
+  core::SimulationConfig config;
+  config.nodes.count = 4;
+  config.tasks.total_tasks = 0;
+  config.closest_match_slowdown = slowdown;
+  core::Simulator sim(std::move(config));
+  workload::GeneratedTask task;
+  task.needed_area = 500;
+  task.required_time = required;
+  (void)sim.SubmitTaskAt(task, 0);
+  (void)sim.RunWithWorkload({});
+  return sim.tasks().all().at(0);
+}
+
+TEST(ClosestMatchSlowdown, LargeStretchIsExactOrThrowsPastTheTickRange) {
+  const Tick required = Tick{1} << 40;
+  const resource::Task t =
+      RunOneClosestMatchTask(required, core::kMaxClosestMatchSlowdown);
+  ASSERT_EQ(t.state, resource::TaskState::kCompleted);
+  EXPECT_EQ(t.completion_time, t.start_time + t.comm_time + t.config_wait +
+                                   required * 1000);
+  // 2^62 x 4 leaves the Tick range: a diagnostic, never a wrapped time.
+  EXPECT_THROW((void)RunOneClosestMatchTask(Tick{1} << 62, 4.0),
+               std::overflow_error);
 }
 
 }  // namespace

@@ -342,6 +342,21 @@ TEST(ScenarioParser, LiteralZeroTaskClassSeedIsRejected) {
   EXPECT_TRUE(HasError(errors, 4, "seed")) << Dump(errors);
 }
 
+TEST(ScenarioParser, ClosestMatchSlowdownMustBeFiniteAndCapped) {
+  // NaN slipped past the old `d < 1.0` test; inf and 1e300 passed it.
+  for (const std::string_view bad : {"nan", "inf", "-inf", "1e300", "1001",
+                                     "0.5"}) {
+    const std::string text = "simulation: {\n  closest match slowdown: " +
+                             std::string(bad) + "\n}\n";
+    const auto errors = MustFail(text);
+    EXPECT_TRUE(HasError(errors, 2, "closest match slowdown")) << Dump(errors);
+  }
+  const auto parsed = ParseScenario(
+      "simulation: {\n  closest match slowdown: 1000\n}\n");
+  ASSERT_TRUE(parsed.has_value()) << Dump(parsed.error());
+  EXPECT_EQ(parsed->config.closest_match_slowdown, 1000.0);
+}
+
 TEST(ScenarioParser, BadNameToken) {
   const auto errors = MustFail(
       "device class: {\n"

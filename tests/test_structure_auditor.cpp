@@ -214,6 +214,52 @@ TEST(StructureAuditorCorruption, MisplacedBucketSeqIsSusidxBucket) {
       << report.Render();
 }
 
+TEST(StructureAuditorCorruption, SkewedSusAttrsIsSusAttrs) {
+  const ConfigCatalogue configs = MakeCatalogue({300, 500});
+  for (const bool indexed : {false, true}) {
+    resource::TaskStore tasks;
+    SuspensionQueue queue;
+    queue.SetDrainIndexed(indexed);
+    WorkloadMeter meter;
+    for (std::uint32_t t = 0; t < 4; ++t) {
+      resource::Task task;
+      task.required_time = 10;
+      task.resolved_config = ConfigId{t % 2};
+      task.needed_area = 100 + t;
+      task.priority = static_cast<double>(t);
+      const TaskId id = tasks.Create(task);
+      SusEntryAttrs attrs;
+      attrs.resolved_config = task.resolved_config;
+      attrs.config_family = configs.Get(task.resolved_config).family;
+      attrs.needed_area = task.needed_area;
+      attrs.priority = task.priority;
+      ASSERT_TRUE(queue.Add(id, attrs, meter));
+    }
+    ASSERT_TRUE(queue.Remove(TaskId{0}, meter));
+    const auto audit = [&] {
+      AuditReport report = StructureAuditor::AuditSuspensionQueue(queue);
+      const AuditReport attrs =
+          StructureAuditor::AuditSusAttrs(queue, tasks, configs);
+      report.violations.insert(report.violations.end(),
+                               attrs.violations.begin(),
+                               attrs.violations.end());
+      return report;
+    };
+    ASSERT_TRUE(audit().ok()) << audit().Render();
+    // The queue and its index agree on the skewed area; only the task
+    // itself disagrees.
+    StructureCorruptor::SkewSusAttrs(queue, TaskId{2});
+    const AuditReport report = audit();
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(Slugs(report), std::set<std::string>{"sus.attrs"})
+        << "indexed=" << indexed << "\n"
+        << report.Render();
+    EXPECT_NE(report.violations[0].detail.find("needed_area"),
+              std::string::npos)
+        << report.Render();
+  }
+}
+
 TEST(StructureAuditorCorruption, SkewedSusLiveTreeIsSusFifo) {
   for (const bool indexed : {false, true}) {
     SuspensionQueue queue;

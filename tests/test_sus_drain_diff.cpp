@@ -211,13 +211,30 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
         if (popped_scan) attrs_oracle.erase(popped_scan->value());
         break;
       }
-      case 6: {  // attribute re-sync after a failed drain attempt
-        const TaskId task = random_queued();
-        if (!task.valid()) break;
-        const SusEntryAttrs attrs = attrs_for_config(random_config());
-        indexed.RefreshAttrs(task, attrs);
-        scan.RefreshAttrs(task, attrs);
-        attrs_oracle[task.value()] = attrs;
+      case 6: {  // the partial drain's own call pattern
+        // DrainPartialFifo: a cursor that only moves forward, each answer
+        // attempted and removed, until nothing is eligible or an attempt
+        // leaves its task queued. DrainPartialPriority: the same loop on
+        // the best-priority pick, without a cursor.
+        const FamilyId family = random_family();
+        const Area bound = rng.uniform_int(0, 2200);
+        const ConfigId match = random_config();
+        std::size_t from = 0;
+        while (from < scan.size()) {
+          const std::vector<TaskId> live(scan.begin(), scan.end());
+          const BruteForce now{live, attrs_oracle};
+          const std::optional<std::size_t> pick =
+              fifo ? indexed.OldestEligible(family, bound, from, match)
+                   : indexed.BestPriorityEligible(family, bound, match);
+          ASSERT_EQ(pick, fifo ? now.OldestEligible(family, bound, from, match)
+                               : now.BestPriorityEligible(family, bound,
+                                                          match));
+          if (!pick || rng.uniform_int(0, 4) == 0) break;  // task stays
+          attrs_oracle.erase(scan.At(*pick).value());
+          indexed.RemoveAt(*pick, meter_indexed);
+          scan.RemoveAt(*pick, meter_scan);
+          if (fifo) from = *pick;
+        }
         break;
       }
       case 7: {  // full-mode exact-match pick
@@ -295,6 +312,38 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
 }
 
 constexpr resource::SusOrder kPrio = resource::SusOrder::kPriority;
+
+TEST(SusDrainIndex, ExactMatchesBehindTheCursorAreSkipped) {
+  // The exact-match rule of OldestEligible walks its config's list from
+  // the head past seqs below the cursor. The drain never leaves one there,
+  // so its walk takes no step; an arbitrary cursor makes it walk, up to
+  // running off the list's tail. Every cursor position must agree with
+  // the brute-force rescan.
+  SuspensionQueue indexed;
+  indexed.SetDrainIndexed(true);
+  WorkloadMeter meter;
+  std::unordered_map<std::uint32_t, SusEntryAttrs> attrs;
+  for (std::uint32_t t = 0; t < 12; ++t) {
+    SusEntryAttrs a;
+    a.resolved_config = ConfigId{t % 3 == 0 ? 7u : t % 2};
+    a.needed_area = t % 3 == 0 ? 1900 : 1000 + t;
+    attrs[t] = a;
+    ASSERT_TRUE(indexed.Add(TaskId{t}, a, meter));
+  }
+  ASSERT_TRUE(indexed.Remove(TaskId{3}, meter));  // a hole in config 7's list
+  attrs.erase(3);
+  const std::vector<TaskId> queued(indexed.begin(), indexed.end());
+  const BruteForce brute{queued, attrs};
+  for (const Area bound : {Area{500}, Area{1005}}) {
+    for (std::size_t from = 0; from < queued.size(); ++from) {
+      EXPECT_EQ(indexed.OldestEligible(FamilyId::invalid(), bound, from,
+                                       ConfigId{7}),
+                brute.OldestEligible(FamilyId::invalid(), bound, from,
+                                     ConfigId{7}))
+          << "bound " << bound << " from " << from;
+    }
+  }
+}
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, SusDrainTwinFuzz,

@@ -258,10 +258,17 @@ TEST(SuspensionQueue, IndexRebuildsAcrossToggle) {
   q.SetDrainIndexed(true);  // rebuild from retained attributes
   EXPECT_TRUE(q.ValidateIndex().empty());
   EXPECT_EQ(q.OldestExactMatch(ConfigId{3}), std::optional<std::size_t>{1});
-  q.RefreshAttrs(TaskId{5}, Attrs(2, 600, 1.0));
-  EXPECT_EQ(q.OldestExactMatch(ConfigId{3}), std::nullopt);
-  EXPECT_EQ(q.OldestExactMatch(ConfigId{2}), std::optional<std::size_t>{0});
+  // Removals and a requeue while the index is off survive the next rebuild.
+  q.SetDrainIndexed(false);
+  ASSERT_TRUE(q.Remove(TaskId{4}, meter));
+  (void)q.Add(TaskId{4}, Attrs(3, 700, 5.0), meter);
+  q.SetDrainIndexed(true);
   EXPECT_TRUE(q.ValidateIndex().empty());
+  EXPECT_EQ(q.OldestExactMatch(ConfigId{2}), std::nullopt);
+  EXPECT_EQ(q.OldestExactMatch(ConfigId{3}), std::optional<std::size_t>{0});
+  ASSERT_TRUE(q.Remove(TaskId{5}, meter));
+  EXPECT_EQ(q.OldestExactMatch(ConfigId{3}), std::optional<std::size_t>{0});
+  EXPECT_EQ(q.At(0), TaskId{4});
 }
 
 TEST(SuspensionQueue, FrontPopsAfterRemovalsKeepOrderAndChargeOneStepEach) {
@@ -308,7 +315,8 @@ enum class IndexMode { kOff, kFifo, kPriority, kToggled };
 
 /// Queue-level differential fuzz: the queue against a plain std::vector
 /// FIFO model under random Add / Remove / RemoveAt / PopFirstMatching /
-/// Contains / RefreshAttrs operations (plus index toggles). After every
+/// Contains operations, requeues of tasks that left, and index toggles.
+/// After every
 /// operation the FIFO order, size, every position and the meter charges
 /// must equal the model's; the structure audit runs along.
 void FuzzAgainstVectorModel(std::uint64_t seed, IndexMode mode,
@@ -401,11 +409,15 @@ void FuzzAgainstVectorModel(std::uint64_t seed, IndexMode mode,
         break;
       }
       case 7:
-      case 8: {
-        if (model.empty()) break;
-        const TaskId task = model[static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(model.size()) - 1))];
-        q.RefreshAttrs(task, random_attrs());
+      case 8: {  // requeue a task that left (a killed task re-enters)
+        if (next_task == 0) break;
+        const TaskId task{static_cast<std::uint32_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(next_task) - 1))};
+        if (model_pos(task)) break;
+        const bool fits = capacity == 0 || model.size() < capacity;
+        ASSERT_EQ(q.Add(task, random_attrs(), meter), fits);
+        charged += 1;
+        if (fits) model.push_back(task);
         break;
       }
       case 9: {

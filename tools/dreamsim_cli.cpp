@@ -170,16 +170,29 @@ void RegisterFlags(CliParser& cli) {
   cli.AddBool("verbose", false, "log scheduling decisions (very chatty)");
 }
 
+/// The integer flag `name`, which must be at least `min`. Read this way
+/// before a cast to an unsigned type, where a negative value would wrap
+/// (for the suspension knobs, silently to "unbounded").
+std::int64_t IntAtLeast(const CliParser& cli, std::string_view name,
+                        std::int64_t min) {
+  const std::int64_t value = cli.GetInt(name);
+  if (value < min) {
+    throw std::invalid_argument(
+        Format("--{} must be >= {}, got {}", name, min, value));
+  }
+  return value;
+}
+
 /// Runtime knobs shared by the flag and scenario paths: none of these are
 /// scenario identity (they never change which file describes which
 /// experiment), so they always come from flags.
 void ApplyRuntimeKnobs(const CliParser& cli, core::SimulationConfig& config) {
   config.suspension_batch =
-      static_cast<std::size_t>(cli.GetInt("suspension-batch"));
+      static_cast<std::size_t>(IntAtLeast(cli, "suspension-batch", 0));
   config.max_suspension_retries =
-      static_cast<std::uint32_t>(cli.GetInt("max-retries"));
+      static_cast<std::uint32_t>(IntAtLeast(cli, "max-retries", 0));
   config.suspension_capacity =
-      static_cast<std::size_t>(cli.GetInt("queue-capacity"));
+      static_cast<std::size_t>(IntAtLeast(cli, "queue-capacity", 0));
   config.network.bytes_per_tick = cli.GetInt("net-bandwidth");
   config.network.base_latency = cli.GetInt("net-latency");
   config.network.max_jitter = cli.GetInt("net-jitter");
@@ -601,7 +614,8 @@ int RunSweepMode(const CliParser& cli) {
   params.task_counts = core::PaperTaskCounts(cli.GetDouble("scale"));
   params.modes = {sched::ReconfigMode::kFull, sched::ReconfigMode::kPartial};
   params.threads = static_cast<unsigned>(cli.GetInt("threads"));
-  params.replications = static_cast<std::size_t>(cli.GetInt("replications"));
+  params.replications =
+      static_cast<std::size_t>(IntAtLeast(cli, "replications", 1));
 
   if (params.replications > 1) {
     // Replicated grid: each point summarized over independent seeds.
@@ -678,10 +692,10 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (cli.GetBool("sweep")) return RunSweepMode(cli);  // owns --replications
-    if (cli.GetInt("replications") > 1) {
+    const auto replications =
+        static_cast<std::size_t>(IntAtLeast(cli, "replications", 1));
+    if (replications > 1) {
       WarnUnsupportedObs(cli, "replications");
-      const auto replications =
-          static_cast<std::size_t>(cli.GetInt("replications"));
       const core::ReplicationReport report = core::RunReplications(
           BuildConfig(cli), replications,
           static_cast<unsigned>(cli.GetInt("threads")));
