@@ -4,23 +4,45 @@
 // lint: allow-file(list-internals)
 #include "analysis/corruptor.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "resource/store_index.hpp"
 #include "resource/sus_queue_index.hpp"
 
 namespace dreamsim::analysis {
 
-void StructureCorruptor::InjectOrphanIdleEntry(resource::ResourceStore& store,
-                                               ConfigId config,
-                                               resource::EntryRef entry) {
-  resource::EntryList& list = store.idle_lists_.at(config.value());
+void StructureCorruptor::AppendOrphan(resource::EntryList& list,
+                                      resource::EntryRef entry) {
   // Keep the flat map fully consistent with the orphan, so only the
   // cross-structure diff against the node slots can catch it.
   list.InsertSlot(resource::PackEntryRef(entry)).pos =
       static_cast<std::uint32_t>(list.cells_.size());
   list.cells_.push_back(entry);
+}
+
+resource::StoreIndex& StructureCorruptor::IndexOf(
+    resource::ResourceStore& store, const char* who) {
+  if (store.index_ == nullptr) {
+    throw std::logic_error(std::string(who) + ": index disabled");
+  }
+  return *store.index_;
+}
+
+void StructureCorruptor::InjectOrphanIdleEntry(resource::ResourceStore& store,
+                                               ConfigId config,
+                                               resource::EntryRef entry) {
+  AppendOrphan(store.idle_lists_.at(config.value()), entry);
+}
+
+void StructureCorruptor::InjectOrphanBusyEntry(resource::ResourceStore& store,
+                                               ConfigId config,
+                                               resource::EntryRef entry) {
+  AppendOrphan(store.busy_lists_.at(config.value()), entry);
 }
 
 void StructureCorruptor::CorruptPositionMap(resource::ResourceStore& store,
@@ -37,13 +59,112 @@ void StructureCorruptor::CorruptPositionMap(resource::ResourceStore& store,
   std::swap(list.table_[s0].pos, list.table_[s1].pos);
 }
 
+void StructureCorruptor::SkewSlotCounter(resource::ResourceStore& store,
+                                         NodeId node) {
+  ++store.nodes_.at(node.value()).live_entries_;
+}
+
+void StructureCorruptor::SkewAvailableArea(resource::ResourceStore& store,
+                                           NodeId node) {
+  if (store.index_ != nullptr) {
+    throw std::logic_error("SkewAvailableArea: needs the index disabled");
+  }
+  ++store.nodes_.at(node.value()).available_area_;
+}
+
+void StructureCorruptor::OvercommitNode(resource::ResourceStore& store,
+                                        NodeId node) {
+  resource::Node& n = store.nodes_.at(node.value());
+  if (!n.busy() || n.contiguous()) {
+    throw std::logic_error("OvercommitNode: needs a busy scalar-model node");
+  }
+  // A busy node's fleet contribution: TotalArea, and AvailableArea as
+  // wasted area (it is not idle, so no idle-wasted area).
+  const Area shrink = n.available_area_ + 1;
+  n.total_area_ -= shrink;
+  n.available_area_ -= shrink;
+  store.fleet_totals_.total_area -= shrink;
+  store.fleet_totals_.wasted_area -= shrink;
+  store.RefreshIndex(node);
+}
+
+void StructureCorruptor::SkewBusyArea(resource::ResourceStore& store,
+                                      NodeId node) {
+  ++store.busy_area_.at(node.value());
+}
+
+void StructureCorruptor::DropBlankEntry(resource::ResourceStore& store,
+                                        NodeId node) {
+  store.RemoveFromBlank(node);
+}
+
+void StructureCorruptor::SkewBlankPos(resource::ResourceStore& store,
+                                      NodeId node) {
+  std::size_t& pos = store.blank_pos_.at(node.value());
+  pos = pos == resource::ResourceStore::kNotBlank
+            ? 0
+            : resource::ResourceStore::kNotBlank;
+}
+
+void StructureCorruptor::SkewFailedCount(resource::ResourceStore& store) {
+  ++store.failed_count_;
+}
+
+void StructureCorruptor::OverlapFabricHole(resource::ResourceStore& store,
+                                           NodeId node) {
+  resource::Node& n = store.nodes_.at(node.value());
+  if (!n.contiguous()) {
+    throw std::logic_error("OverlapFabricHole: node is not contiguous");
+  }
+  std::optional<resource::Extent> live;
+  n.ForEachSlot([&](resource::SlotIndex slot, const resource::ConfigTaskPair&) {
+    if (!live) live = n.SlotExtent(slot);
+  });
+  if (!live) throw std::logic_error("OverlapFabricHole: no live slot");
+  std::vector<resource::Extent>& holes = n.layout_->free_;
+  holes.insert(std::upper_bound(holes.begin(), holes.end(), *live,
+                                [](const resource::Extent& a,
+                                   const resource::Extent& b) {
+                                  return a.offset < b.offset;
+                                }),
+               *live);
+}
+
+void StructureCorruptor::TruncateIndexCache(resource::ResourceStore& store) {
+  IndexOf(store, "TruncateIndexCache").cached_.pop_back();
+}
+
+void StructureCorruptor::SkewIndexSnapshot(resource::ResourceStore& store,
+                                           NodeId node) {
+  ++IndexOf(store, "SkewIndexSnapshot").cached_.at(node.value()).available;
+}
+
+void StructureCorruptor::SkewIndexPotential(resource::ResourceStore& store,
+                                            NodeId node) {
+  // Global-view positions are dense node ids.
+  resource::MaxSegTree& potential =
+      IndexOf(store, "SkewIndexPotential").global_.potential;
+  potential.Assign(node.value(), potential.Value(node.value()) + 1);
+}
+
+void StructureCorruptor::InjectStrayIndexKey(resource::ResourceStore& store,
+                                             NodeId node) {
+  IndexOf(store, "InjectStrayIndexKey")
+      .global_.all_by_avail.insert(
+          {store.nodes_.at(node.value()).available_area() + 1, node.value()});
+}
+
+void StructureCorruptor::DropFamilyView(resource::ResourceStore& store,
+                                        NodeId node) {
+  IndexOf(store, "DropFamilyView")
+      .family_views_.erase(store.nodes_.at(node.value()).family().value());
+}
+
 void StructureCorruptor::SkewIndexConfigCount(resource::ResourceStore& store,
                                               NodeId node) {
-  if (store.index_ == nullptr) {
-    throw std::logic_error("SkewIndexConfigCount: index disabled");
-  }
   // Global-view positions are dense node ids.
-  resource::PrefixSumTree& counts = store.index_->global_.config_count;
+  resource::PrefixSumTree& counts =
+      IndexOf(store, "SkewIndexConfigCount").global_.config_count;
   const std::size_t pos = node.value();
   counts.Assign(pos, counts.Value(pos) + 1);
 }
@@ -91,6 +212,38 @@ void StructureCorruptor::MisplaceSusBucketEntry(
   link = SusQueueIndex::SeqLink{prev, next};
   (prev == kNoSeq ? wrong.head : links[prev].next) = seq;
   (next == kNoSeq ? wrong.tail : links[next].prev) = seq;
+}
+
+void StructureCorruptor::SkewSusGroupLeaf(resource::SuspensionQueue& queue,
+                                          TaskId task) {
+  using resource::SusQueueIndex;
+  if (queue.index_ == nullptr ||
+      queue.index_->order_ != resource::SusOrder::kFifo) {
+    throw std::logic_error("SkewSusGroupLeaf: needs a FIFO-order drain index");
+  }
+  const std::uint32_t seq = queue.SeqOf(task);
+  if (seq == resource::SuspensionQueue::kNoSlot) {
+    throw std::logic_error("SkewSusGroupLeaf: task is not queued");
+  }
+  const resource::SusEntryAttrs attrs = queue.AttrsAt(seq);
+  SusQueueIndex::AssignSeqLeaf(
+      queue.index_->fifo_groups_.at(SusQueueIndex::GroupKeyOf(attrs)), seq,
+      -attrs.needed_area - 1);
+}
+
+void StructureCorruptor::SkewSusTreapMinArea(
+    resource::SuspensionQueue& queue) {
+  if (queue.index_ == nullptr ||
+      queue.index_->order_ != resource::SusOrder::kPriority ||
+      queue.index_->prio_groups_.empty()) {
+    throw std::logic_error(
+        "SkewSusTreapMinArea: needs a non-empty priority-order drain index");
+  }
+  resource::AreaTreap& treap = queue.index_->prio_groups_.begin()->second;
+  if (treap.root_ == resource::AreaTreap::kNull) {
+    throw std::logic_error("SkewSusTreapMinArea: empty treap");
+  }
+  --treap.nodes_[static_cast<std::size_t>(treap.root_)].min_area;
 }
 
 void StructureCorruptor::SkewSusAttrs(resource::SuspensionQueue& queue,

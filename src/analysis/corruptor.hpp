@@ -26,16 +26,83 @@ class StructureCorruptor {
                                     ConfigId config,
                                     resource::EntryRef entry);
 
+  /// The busy-list twin of InjectOrphanIdleEntry. Expected slug:
+  /// fig3.busy-list.
+  static void InjectOrphanBusyEntry(resource::ResourceStore& store,
+                                    ConfigId config,
+                                    resource::EntryRef entry);
+
   /// Swaps the position-map entries of the first two cells of `config`'s
   /// idle list (requires >= 2 entries). Expected slug: fig3.positions.
   static void CorruptPositionMap(resource::ResourceStore& store,
                                  ConfigId config);
+
+  /// Bumps the live-slot counter of `node` (config_count()) by one, as a
+  /// slot mutation that forgot the counter would. Expected slug:
+  /// fig3.slot.
+  static void SkewSlotCounter(resource::ResourceStore& store, NodeId node);
+
+  /// Bumps `node`'s AvailableArea by one, breaking Eq. 4 against its live
+  /// slots (requires the index to be disabled; its snapshot would diverge
+  /// too). Expected slug: eq4.area.
+  static void SkewAvailableArea(resource::ResourceStore& store, NodeId node);
+
+  /// Shrinks busy `node`'s TotalArea and AvailableArea together until
+  /// AvailableArea is -1: Eq. 4's identity still holds, but the live
+  /// configurations over-commit the fabric. Fleet totals and the index (if
+  /// enabled) are moved in step, so only the over-commit check can see it.
+  /// Expected slug: eq4.area.
+  static void OvercommitNode(resource::ResourceStore& store, NodeId node);
+
+  /// Bumps the store's busy-area tally for `node` by one. Expected slug:
+  /// eq4.busy-area.
+  static void SkewBusyArea(resource::ResourceStore& store, NodeId node);
+
+  /// Drops blank `node` from the blank list through the store's own
+  /// removal, so the position map stays its exact inverse. Expected slug:
+  /// blank.list.
+  static void DropBlankEntry(resource::ResourceStore& store, NodeId node);
+
+  /// Flips `node`'s blank-list position: a listed node claims none, an
+  /// unlisted one claims slot 0. Expected slug: blank.pos.
+  static void SkewBlankPos(resource::ResourceStore& store, NodeId node);
+
+  /// Adds one to the store's failed-node count. Expected slug: fault.count.
+  static void SkewFailedCount(resource::ResourceStore& store);
+
+  /// Adds a free hole over the first live extent of contiguous `node`
+  /// (keeping the hole list sorted), as a release that freed the wrong
+  /// region would. Expected slug: fabric.layout.
+  static void OverlapFabricHole(resource::ResourceStore& store, NodeId node);
 
   /// Bumps the StoreIndex global view's config-count Fenwick leaf for
   /// `node` by one (requires the index to be enabled). Expected slug:
   /// idx.count.
   static void SkewIndexConfigCount(resource::ResourceStore& store,
                                    NodeId node);
+
+  /// Drops the StoreIndex's last cached snapshot, so the index tracks one
+  /// node fewer than the store (requires the index). Expected slug:
+  /// idx.size.
+  static void TruncateIndexCache(resource::ResourceStore& store);
+
+  /// Bumps the cached available area in `node`'s StoreIndex snapshot
+  /// (requires the index). Expected slug: idx.snapshot.
+  static void SkewIndexSnapshot(resource::ResourceStore& store, NodeId node);
+
+  /// Bumps the StoreIndex global view's potential leaf for `node`
+  /// (requires the index). Expected slug: idx.tree.
+  static void SkewIndexPotential(resource::ResourceStore& store, NodeId node);
+
+  /// Adds a stray (AvailableArea + 1, node) key to the StoreIndex global
+  /// view's all-by-available set (requires the index). Expected slug:
+  /// idx.set.
+  static void InjectStrayIndexKey(resource::ResourceStore& store,
+                                  NodeId node);
+
+  /// Deletes the StoreIndex view of `node`'s family (requires the index).
+  /// Expected slug: idx.view.
+  static void DropFamilyView(resource::ResourceStore& store, NodeId node);
 
   /// Raises the failed flag on `node` directly, leaving every list it
   /// appears in untouched — the "failed node still visible" class.
@@ -53,6 +120,16 @@ class StructureCorruptor {
   static void MisplaceSusBucketEntry(resource::SuspensionQueue& queue,
                                      TaskId task,
                                      ConfigId wrong_config);
+
+  /// Lowers queued `task`'s leaf in its family group's seq tree by one (as
+  /// if it needed one more unit of area), leaving its attributes alone
+  /// (requires a FIFO-order drain index). Expected slug: susidx.group.
+  static void SkewSusGroupLeaf(resource::SuspensionQueue& queue, TaskId task);
+
+  /// Lowers the min-area augmentation of the first priority group's treap
+  /// root by one (requires a priority-order drain index with at least one
+  /// queued entry). Expected slug: susidx.treap.
+  static void SkewSusTreapMinArea(resource::SuspensionQueue& queue);
 
   /// Bumps the stored needed_area of queued `task` by one, and its group
   /// leaf with it when a FIFO-order drain index is on (a priority-order
@@ -76,6 +153,13 @@ class StructureCorruptor {
   /// would. Expected slug: evq.cursor when `ticks` is out of order.
   static void RepointArrivalCursor(sim::EventQueue& queue,
                                    sim::TickView ticks);
+
+ private:
+  static void AppendOrphan(resource::EntryList& list,
+                           resource::EntryRef entry);
+  /// The store's index; throws naming `who` when it is disabled.
+  static resource::StoreIndex& IndexOf(resource::ResourceStore& store,
+                                       const char* who);
 };
 
 }  // namespace dreamsim::analysis

@@ -3,8 +3,8 @@
 // Each pass walks the primary state (node slots, the suspension FIFO, the
 // live-action table), derives what the audited structure must contain, and
 // reports divergences. The membership rules are restated here from the
-// documented invariants on purpose — reusing the structures' own Validate()
-// helpers would let one bug hide in both places (DESIGN.md §12).
+// documented invariants, not from the code that maintains the structures,
+// so one bug cannot hide in both places (DESIGN.md §12).
 //
 // The auditor reads private state of the audited structures via friendship.
 // lint: allow-file(store-internals)
@@ -143,19 +143,20 @@ void StructureAuditor::AuditEntryLists(const ResourceStore& store,
   }
 
   const auto audit_list = [&](ConfigId config, const EntryList& list,
-                              const EntrySet& expected, const char* label) {
+                              const EntrySet& expected, const char* label,
+                              const char* slug) {
     EntrySet seen;
     for (std::size_t pos = 0; pos < list.cells_.size(); ++pos) {
       const EntryRef entry = list.cells_[pos];
       if (!seen.insert(entry).second) {
-        Report(report, Format("fig3.{}-list", label),
+        Report(report, slug,
                EntryPath(config, label, pos, entry), "duplicate entry");
         continue;
       }
       if (expected.contains(entry)) continue;
       // Diagnose the orphan: failed node, dead slot, or mismatched state.
       if (entry.node.value() >= store.nodes_.size()) {
-        Report(report, Format("fig3.{}-list", label),
+        Report(report, slug,
                EntryPath(config, label, pos, entry), "unknown node");
         continue;
       }
@@ -165,12 +166,12 @@ void StructureAuditor::AuditEntryLists(const ResourceStore& store,
                EntryPath(config, label, pos, entry),
                Format("failed node still visible in the {} list", label));
       } else if (!node.SlotLive(entry.slot)) {
-        Report(report, Format("fig3.{}-list", label),
+        Report(report, slug,
                EntryPath(config, label, pos, entry),
                "entry references a dead slot");
       } else {
         const resource::ConfigTaskPair& pair = node.Slot(entry.slot);
-        Report(report, Format("fig3.{}-list", label),
+        Report(report, slug,
                EntryPath(config, label, pos, entry),
                Format("slot holds config {} ({}); list expects config {} ({})",
                       pair.config.value(), pair.idle() ? "idle" : "busy",
@@ -179,7 +180,7 @@ void StructureAuditor::AuditEntryLists(const ResourceStore& store,
     }
     for (const EntryRef& entry : expected) {
       if (!seen.contains(entry)) {
-        Report(report, Format("fig3.{}-list", label),
+        Report(report, slug,
                Format("config {} {} list", config.value(), label),
                Format("node {} slot {} is {} but missing from the list",
                       entry.node.value(), entry.slot, label));
@@ -209,8 +210,10 @@ void StructureAuditor::AuditEntryLists(const ResourceStore& store,
 
   for (std::size_t c = 0; c < config_count; ++c) {
     const ConfigId config{static_cast<std::uint32_t>(c)};
-    audit_list(config, store.idle_lists_[c], expected_idle[c], "idle");
-    audit_list(config, store.busy_lists_[c], expected_busy[c], "busy");
+    audit_list(config, store.idle_lists_[c], expected_idle[c], "idle",
+               "fig3.idle-list");
+    audit_list(config, store.busy_lists_[c], expected_busy[c], "busy",
+               "fig3.busy-list");
   }
 }
 
@@ -226,24 +229,103 @@ void StructureAuditor::AuditAreaAccounting(const ResourceStore& store,
   }
   for (const Node& node : store.nodes_) {
     const NodeTruth truth = RecountNode(store, node, report);
-    const std::string path = Format("node {}", node.id().value());
+    // Paths are built only for a violation: audits run per decision.
+    const auto path = [&node] { return Format("node {}", node.id().value()); };
     if (node.available_area() != node.total_area() - truth.live_area) {
-      Report(report, "eq4.area", path,
+      Report(report, "eq4.area", path(),
              Format("AvailableArea {} != TotalArea {} - live ReqArea {}",
                     node.available_area(), node.total_area(),
                     truth.live_area));
     }
+    // A consistent but negative AvailableArea means the live slots
+    // over-commit the fabric: Eq. 4 only ever places ReqArea <= AvailableArea.
+    if (node.available_area() < 0) {
+      Report(report, "eq4.area", path(),
+             Format("AvailableArea {} < 0 (live ReqArea {} over-commits "
+                    "TotalArea {})",
+                    node.available_area(), truth.live_area,
+                    node.total_area()));
+    }
     if (node.config_count() != truth.live ||
         node.running_tasks() != truth.running) {
-      Report(report, "fig3.slot", path,
+      Report(report, "fig3.slot", path(),
              Format("counters say {} live / {} running, slots hold {} / {}",
                     node.config_count(), node.running_tasks(), truth.live,
                     truth.running));
     }
     if (store.busy_area_[node.id().value()] != truth.busy_area) {
-      Report(report, "eq4.busy-area", path,
+      Report(report, "eq4.busy-area", path(),
              Format("mirror {} != busy ReqArea sum {}",
                     store.busy_area_[node.id().value()], truth.busy_area));
+    }
+  }
+}
+
+// --- Contiguous fabric layout ----------------------------------------------
+
+void StructureAuditor::AuditFabricLayout(const ResourceStore& store,
+                                         AuditReport& report) {
+  constexpr std::int64_t kHole = -1;
+  for (const Node& node : store.nodes_) {
+    if (!node.contiguous()) continue;
+    const resource::FabricLayout& layout = node.layout();
+    const auto path = [&node] {
+      return Format("node {} fabric", node.id().value());
+    };
+    if (layout.total() != node.total_area()) {
+      Report(report, "fabric.layout", path(),
+             Format("layout spans {} units, TotalArea {}", layout.total(),
+                    node.total_area()));
+    }
+    // Free holes in bounds, non-empty and coalesced (the leaf check).
+    for (std::string& v : layout.Validate()) {
+      Report(report, "fabric.layout", path(), std::move(v));
+    }
+    if (layout.free_area() != node.available_area()) {
+      Report(report, "fabric.layout", path(),
+             Format("free area {} != AvailableArea {}", layout.free_area(),
+                    node.available_area()));
+    }
+    // Holes and live extents (tagged by slot) must tile the fabric: in
+    // bounds and pairwise disjoint.
+    std::vector<std::pair<resource::Extent, std::int64_t>> pieces;
+    for (const resource::Extent& hole : layout.free_) {
+      pieces.emplace_back(hole, kHole);
+    }
+    node.ForEachSlot([&](resource::SlotIndex slot,
+                         const resource::ConfigTaskPair& pair) {
+      const resource::Extent& extent = node.SlotExtent(slot);
+      if (store.configs().Contains(pair.config) &&
+          extent.size != store.configs().Get(pair.config).required_area) {
+        Report(report, "fabric.layout", Format("{} slot {}", path(), slot),
+               Format("extent size {} != ReqArea {} of config {}",
+                      extent.size,
+                      store.configs().Get(pair.config).required_area,
+                      pair.config.value()));
+      }
+      pieces.emplace_back(extent, slot);
+    });
+    std::sort(pieces.begin(), pieces.end(), [](const auto& a, const auto& b) {
+      return a.first.offset < b.first.offset;
+    });
+    const auto label = [](const std::pair<resource::Extent, std::int64_t>& p) {
+      return Format("{} [{}, {})",
+                    p.second == kHole ? std::string("hole")
+                                      : Format("slot {}", p.second),
+                    p.first.offset, p.first.end());
+    };
+    for (std::size_t i = 0; i < pieces.size(); ++i) {
+      const resource::Extent& extent = pieces[i].first;
+      if (pieces[i].second != kHole &&
+          (extent.offset < 0 || extent.end() > layout.total())) {
+        Report(report, "fabric.layout", path(),
+               Format("{} out of bounds", label(pieces[i])));
+      }
+      if (i > 0 && extent.offset < pieces[i - 1].first.end()) {
+        Report(report, "fabric.layout", path(),
+               Format("{} overlaps {}", label(pieces[i]),
+                      label(pieces[i - 1])));
+      }
     }
   }
 }
@@ -263,16 +345,17 @@ void StructureAuditor::AuditBlankList(const ResourceStore& store,
   std::unordered_set<std::uint32_t> seen;
   for (std::size_t pos = 0; pos < store.blank_.size(); ++pos) {
     const NodeId id = store.blank_[pos];
-    const std::string path = Format("blank list pos {} (node {})", pos,
-                                    id.value());
+    const auto path = [&] {
+      return Format("blank list pos {} (node {})", pos, id.value());
+    };
     if (!seen.insert(id.value()).second) {
-      Report(report, "blank.list", path, "duplicate entry");
+      Report(report, "blank.list", path(), "duplicate entry");
       continue;
     }
     if (!expected.contains(id.value())) {
       const bool failed = id.value() < store.nodes_.size() &&
                           store.nodes_[id.value()].failed();
-      Report(report, failed ? "fault.visibility" : "blank.list", path,
+      Report(report, failed ? "fault.visibility" : "blank.list", path(),
              failed ? "failed node still in the blank list"
                     : "node has live configurations");
     }
@@ -417,7 +500,6 @@ void StructureAuditor::AuditStoreIndex(const ResourceStore& store,
     const std::uint32_t id = node.id().value();
     const StoreIndex::Snapshot& snap = index.cached_[id];
     const IndexTruth& t = truth[id];
-    const std::string path = Format("node {}", id);
     if (snap.total != node.total_area() ||
         snap.available != node.available_area() ||
         snap.potential != node.total_area() - t.counts.busy_area ||
@@ -425,7 +507,7 @@ void StructureAuditor::AuditStoreIndex(const ResourceStore& store,
         snap.blank != (t.counts.live == 0) ||
         snap.busy != (t.counts.running > 0) || snap.failed != t.failed ||
         snap.family != t.family) {
-      Report(report, "idx.snapshot", path,
+      Report(report, "idx.snapshot", Format("node {}", id),
              Format("cached snapshot diverges from node state "
                     "(cached potential {}, count {}; truth {}, {})",
                     snap.potential, snap.config_count,
@@ -459,54 +541,66 @@ void StructureAuditor::AuditStoreIndex(const ResourceStore& store,
              Format("tree sizes disagree with {} members", count));
       return;
     }
-    std::set<StoreIndex::AreaKey> want_blank;
-    std::set<StoreIndex::AreaKey> want_all;
-    std::set<StoreIndex::AreaKey> want_partial;
-    std::set<StoreIndex::AreaKey> want_idle_cfg;
+    std::vector<StoreIndex::AreaKey> want_blank;
+    std::vector<StoreIndex::AreaKey> want_all;
+    std::vector<StoreIndex::AreaKey> want_partial;
+    std::vector<StoreIndex::AreaKey> want_idle_cfg;
     for (std::size_t pos = 0; pos < count; ++pos) {
       const std::uint32_t id = view.ids[pos];
       const Node& node = store.nodes_[id];
       const IndexTruth& t = truth[id];
-      const std::string path = Format("{} pos {} (node {})", label, pos, id);
+      const auto path = [&] {
+        return Format("{} pos {} (node {})", label, pos, id);
+      };
       const bool blank = t.counts.live == 0;
       const bool busy = t.counts.running > 0;
       const std::int64_t potential =
           t.failed ? MaxSegTree::kNegInf
                    : node.total_area() - t.counts.busy_area;
       if (view.potential.Value(pos) != potential) {
-        Report(report, "idx.tree", path,
+        Report(report, "idx.tree", path(),
                Format("potential {} != {}", view.potential.Value(pos),
                       potential));
       }
       const std::int64_t busy_total =
           busy ? node.total_area() : MaxSegTree::kNegInf;
       if (view.busy_total.Value(pos) != busy_total) {
-        Report(report, "idx.tree", path,
+        Report(report, "idx.tree", path(),
                Format("busy-total {} != {}", view.busy_total.Value(pos),
                       busy_total));
       }
       const std::int64_t available =
           t.failed ? MaxSegTree::kNegInf : node.available_area();
       if (view.available.Value(pos) != available) {
-        Report(report, "idx.tree", path,
+        Report(report, "idx.tree", path(),
                Format("available {} != {}", view.available.Value(pos),
                       available));
       }
       if (view.config_count.Value(pos) !=
           static_cast<std::int64_t>(t.counts.live)) {
-        Report(report, "idx.count", path,
+        Report(report, "idx.count", path(),
                Format("config-count leaf {} != {} live slots",
                       view.config_count.Value(pos), t.counts.live));
       }
-      if (!t.failed) want_all.insert({node.available_area(), id});
-      if (blank && !t.failed) want_blank.insert({node.total_area(), id});
-      if (!blank) want_partial.insert({node.available_area(), id});
-      if (!blank && !busy) want_idle_cfg.insert({node.total_area(), id});
+      if (!t.failed) want_all.push_back({node.available_area(), id});
+      if (blank && !t.failed) want_blank.push_back({node.total_area(), id});
+      if (!blank) want_partial.push_back({node.available_area(), id});
+      if (!blank && !busy) want_idle_cfg.push_back({node.total_area(), id});
     }
     const auto diff_set = [&](const std::set<StoreIndex::AreaKey>& live,
-                              const std::set<StoreIndex::AreaKey>& want,
+                              const std::vector<StoreIndex::AreaKey>& keys,
                               const char* name) {
-      if (live == want) return;
+      // Node ids make the wanted keys distinct, so equal sizes plus every
+      // wanted key present means equal sets; only a divergence pays for
+      // building the wanted set to name the first stray or missing key.
+      if (live.size() == keys.size() &&
+          std::all_of(keys.begin(), keys.end(),
+                      [&live](const StoreIndex::AreaKey& key) {
+                        return live.contains(key);
+                      })) {
+        return;
+      }
+      const std::set<StoreIndex::AreaKey> want(keys.begin(), keys.end());
       for (const StoreIndex::AreaKey& key : live) {
         if (!want.contains(key)) {
           const bool failed = key.second < truth.size() &&
@@ -906,10 +1000,12 @@ AuditReport StructureAuditor::AuditSusAttrs(
   for (std::uint32_t seq = 0; seq < slots.size(); ++seq) {
     const TaskId id = slots[seq].task;
     if (!id.valid()) continue;
-    const std::string path = Format("seq {} (task {})", seq, id.value());
+    const auto path = [&] {
+      return Format("seq {} (task {})", seq, id.value());
+    };
     if (id.value() >= tasks.size() || seq >= queue.attrs_.size() ||
         (by_priority && seq >= queue.priorities_.size())) {
-      Report(report, "sus.attrs", path,
+      Report(report, "sus.attrs", path(),
              "queued task has no task-store row or attribute cell");
       continue;
     }
@@ -932,7 +1028,7 @@ AuditReport StructureAuditor::AuditSusAttrs(
     field(stored.needed_area == task.needed_area, "needed_area");
     field(!by_priority || stored.priority == task.priority, "priority");
     if (!diverged.empty()) {
-      Report(report, "sus.attrs", path,
+      Report(report, "sus.attrs", path(),
              Format("stored {} differ from the task's", diverged));
     }
   }
@@ -1086,6 +1182,7 @@ AuditReport StructureAuditor::AuditStore(const ResourceStore& store) {
   AuditReport report;
   AuditEntryLists(store, report);
   AuditAreaAccounting(store, report);
+  AuditFabricLayout(store, report);
   AuditBlankList(store, report);
   AuditFaultVisibility(store, report);
   AuditFleetTotals(store, report);

@@ -12,12 +12,12 @@
 // live structures, reporting each divergence with a human-readable path
 // (node id, config, family, list position).
 //
-// It deliberately does NOT reuse ResourceStore::ValidateConsistency(),
-// StoreIndex::Validate() or SusQueueIndex::Validate(): those are
-// self-checks maintained next to the code they check, and a bug pattern
-// that fools the structure can fool its sibling validator. The auditor is
-// an independent reimplementation of the membership rules from the
-// documented invariants.
+// It is the one structure checker: the resource structures carry no
+// self-validators of their own, and the membership rules here are restated
+// from the documented invariants rather than from the code that maintains
+// the structures. Only leaf checks with no derived twin stay next to their
+// code: FabricLayout::Validate (which the fabric.layout pass reuses) and
+// EntryList::PositionsConsistent.
 //
 // Read-only by construction: every entry point takes const references and
 // never charges the WorkloadMeter (an audit is tooling, not scheduler
@@ -66,9 +66,9 @@ struct AuditReport {
 /// are static; the class exists to be befriended by the audited structures.
 class StructureAuditor {
  public:
-  /// Audits the Fig. 3 lists, the blank list, the Eq. 4 area accounting,
-  /// the fault-visibility rules, the fleet-wide aggregates, and (when
-  /// enabled) the StoreIndex mirror.
+  /// Audits the Fig. 3 lists, the Eq. 4 area accounting, the contiguous
+  /// fabric layouts, the blank list, the fault-visibility rules, the
+  /// fleet-wide aggregates, and (when enabled) the StoreIndex mirror.
   [[nodiscard]] static AuditReport AuditStore(
       const resource::ResourceStore& store);
 
@@ -116,6 +116,8 @@ class StructureAuditor {
                               AuditReport& report);
   static void AuditAreaAccounting(const resource::ResourceStore& store,
                                   AuditReport& report);
+  static void AuditFabricLayout(const resource::ResourceStore& store,
+                                AuditReport& report);
   static void AuditBlankList(const resource::ResourceStore& store,
                              AuditReport& report);
   static void AuditFaultVisibility(const resource::ResourceStore& store,

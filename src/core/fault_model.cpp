@@ -32,26 +32,32 @@ FaultEvent ParseEntry(std::string_view entry) {
   if (second == std::string_view::npos) {
     bad("expected tick:node:fail|repair");
   }
-  FaultEvent event;
   const std::string tick_text(entry.substr(0, first));
   const std::string node_text(entry.substr(first + 1, second - first - 1));
   const std::string_view action_text = entry.substr(second + 1);
+  // Only the conversions sit in the try: bad() throws invalid_argument
+  // too, and the format and range checks below must keep their messages.
+  long long tick = 0;
+  long long node = 0;
+  std::size_t tick_used = 0;
+  std::size_t node_used = 0;
   try {
-    std::size_t used = 0;
-    event.at = std::stoll(tick_text, &used);
-    if (used != tick_text.size()) bad("malformed tick");
-    const long long node = std::stoll(node_text, &used);
-    if (used != node_text.size() || node < 0 ||
-        node >= std::numeric_limits<std::uint32_t>::max()) {
-      bad("malformed node id");
-    }
-    event.node = NodeId{static_cast<std::uint32_t>(node)};
+    tick = std::stoll(tick_text, &tick_used);
+    node = std::stoll(node_text, &node_used);
   } catch (const std::invalid_argument&) {
     bad("malformed number");
   } catch (const std::out_of_range&) {
     bad("number out of range");
   }
-  if (event.at < 0) bad("tick must be >= 0");
+  if (tick_used != tick_text.size()) bad("malformed tick");
+  if (node_used != node_text.size() || node < 0 ||
+      node >= std::numeric_limits<std::uint32_t>::max()) {
+    bad("malformed node id");
+  }
+  if (tick < 0) bad("tick must be >= 0");
+  FaultEvent event;
+  event.at = tick;
+  event.node = NodeId{static_cast<std::uint32_t>(node)};
   if (action_text == "fail") {
     event.action = FaultAction::kFail;
   } else if (action_text == "repair") {

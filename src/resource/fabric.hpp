@@ -20,6 +20,11 @@
 
 #include "util/types.hpp"
 
+namespace dreamsim::analysis {
+class StructureAuditor;    // correctness tooling (src/analysis); read-only
+class StructureCorruptor;  // test-only seeded-corruption injector
+}  // namespace dreamsim::analysis
+
 namespace dreamsim::resource {
 
 /// A contiguous region of fabric: [offset, offset + size).
@@ -82,6 +87,11 @@ class FabricLayout {
   [[nodiscard]] std::vector<std::string> Validate() const;
 
  private:
+  // The auditor checks the holes against the node's live extents
+  // ("fabric.layout"); the corruptor breaks them on purpose in tests.
+  friend class ::dreamsim::analysis::StructureAuditor;
+  friend class ::dreamsim::analysis::StructureCorruptor;
+
   Area total_;
   std::vector<Extent> free_;  // sorted by offset, pairwise disjoint
 };

@@ -4,8 +4,8 @@
 // It owns the nodes, the configuration catalogue, the per-configuration
 // idle/busy lists, the blank-node list, and the workload meter. Every query
 // the scheduler runs is a counted traversal; every mutation keeps the lists
-// consistent with the node slot states (the invariant the property tests
-// check via ValidateConsistency()).
+// consistent with the node slot states (the invariant
+// analysis::StructureAuditor::AuditStore checks).
 #pragma once
 
 #include <cstddef>
@@ -13,7 +13,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "resource/config.hpp"
@@ -257,11 +256,6 @@ class ResourceStore {
   [[nodiscard]] std::size_t UsedNodeCount() const {
     return fleet_totals_.used_nodes;
   }
-
-  /// Checks every structural invariant (Eq. 4 per node; each live slot in
-  /// exactly the matching idle/busy list; blank list exact). Returns a
-  /// human-readable description per violation; empty means consistent.
-  [[nodiscard]] std::vector<std::string> ValidateConsistency() const;
 
  private:
   // Correctness tooling (src/analysis): read-only ground-truth diffing and

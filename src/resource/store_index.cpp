@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/fmt.hpp"
 
 namespace dreamsim::resource {
 
@@ -284,143 +283,6 @@ std::optional<NodeId> StoreIndex::RankedHost(
     }
   }
   return std::nullopt;
-}
-
-void StoreIndex::ValidateView(const View& view, const char* label,
-                              const std::vector<Node>& nodes,
-                              const std::vector<Area>& busy_area,
-                              std::vector<std::string>& violations) const {
-  const std::size_t count = view.ids.size();
-  if (view.potential.size() != count || view.busy_total.size() != count ||
-      view.available.size() != count || view.config_count.size() != count) {
-    violations.push_back(
-        Format("index view {}: tree sizes disagree with {} members", label,
-               count));
-    return;
-  }
-  std::size_t healthy_members = 0;
-  std::size_t blank_members = 0;
-  std::size_t partial_members = 0;
-  std::size_t idle_cfg_members = 0;
-  for (std::size_t pos = 0; pos < count; ++pos) {
-    if (pos > 0 && view.ids[pos - 1] >= view.ids[pos]) {
-      violations.push_back(
-          Format("index view {}: ids not strictly ascending at {}", label,
-                 pos));
-    }
-    const std::uint32_t id = view.ids[pos];
-    const Node& n = nodes[id];
-    const std::int64_t potential =
-        n.failed() ? MaxSegTree::kNegInf : n.total_area() - busy_area[id];
-    if (view.potential.Value(pos) != potential) {
-      violations.push_back(Format(
-          "index view {}: node {} potential {} != {}", label, id,
-          view.potential.Value(pos), potential));
-    }
-    const std::int64_t busy_total =
-        n.busy() ? n.total_area() : MaxSegTree::kNegInf;
-    if (view.busy_total.Value(pos) != busy_total) {
-      violations.push_back(
-          Format("index view {}: node {} busy-total stale", label, id));
-    }
-    const std::int64_t available =
-        n.failed() ? MaxSegTree::kNegInf : n.available_area();
-    if (view.available.Value(pos) != available) {
-      violations.push_back(Format(
-          "index view {}: node {} available {} != {}", label, id,
-          view.available.Value(pos), available));
-    }
-    if (view.config_count.Value(pos) !=
-        static_cast<std::int64_t>(n.config_count())) {
-      violations.push_back(
-          Format("index view {}: node {} config count stale", label, id));
-    }
-    if (view.all_by_avail.count({n.available_area(), id}) !=
-        (n.failed() ? 0u : 1u)) {
-      violations.push_back(
-          Format("index view {}: node {} all-by-avail mismatch", label, id));
-    }
-    if (view.blank_by_total.count({n.total_area(), id}) !=
-        (n.blank() && !n.failed() ? 1u : 0u)) {
-      violations.push_back(
-          Format("index view {}: node {} blank-set mismatch", label, id));
-    }
-    if (view.partial_by_avail.count({n.available_area(), id}) !=
-        (n.blank() ? 0u : 1u)) {
-      violations.push_back(
-          Format("index view {}: node {} partial-set mismatch", label, id));
-    }
-    const bool idle_cfg = !n.blank() && !n.busy();
-    if (view.idle_cfg_by_total.count({n.total_area(), id}) !=
-        (idle_cfg ? 1u : 0u)) {
-      violations.push_back(
-          Format("index view {}: node {} idle-cfg-set mismatch", label, id));
-    }
-    healthy_members += n.failed() ? 0u : 1u;
-    blank_members += n.blank() && !n.failed() ? 1u : 0u;
-    partial_members += n.blank() ? 0u : 1u;
-    idle_cfg_members += idle_cfg ? 1u : 0u;
-  }
-  // Size checks catch stale extra keys the per-node membership tests above
-  // cannot see.
-  if (view.all_by_avail.size() != healthy_members ||
-      view.blank_by_total.size() != blank_members ||
-      view.partial_by_avail.size() != partial_members ||
-      view.idle_cfg_by_total.size() != idle_cfg_members) {
-    violations.push_back(
-        Format("index view {}: ordered-set sizes disagree with membership",
-               label));
-  }
-}
-
-std::vector<std::string> StoreIndex::Validate(
-    const std::vector<Node>& nodes, const std::vector<Area>& busy_area) const {
-  std::vector<std::string> violations;
-  if (cached_.size() != nodes.size()) {
-    violations.push_back(Format("index tracks {} nodes, store has {}",
-                                cached_.size(), nodes.size()));
-    return violations;
-  }
-  if (cached_.size() != global_.ids.size()) {
-    violations.push_back(Format("index caches {} snapshots for {} members",
-                                cached_.size(), global_.ids.size()));
-    return violations;
-  }
-  // Node ids are dense, so global_.ids[pos] == pos == node id.
-  for (std::size_t pos = 0; pos < cached_.size(); ++pos) {
-    const std::uint32_t id = global_.ids[pos];
-    if (id >= nodes.size()) {
-      violations.push_back(Format("index member {} outside store", id));
-      continue;
-    }
-    const Node& n = nodes[id];
-    const Snapshot& snap = cached_[pos];
-    if (snap.family != n.family().value()) {
-      violations.push_back(Format("index: node {} family stale", id));
-      continue;
-    }
-    const auto it = family_views_.find(snap.family);
-    if (it == family_views_.end() ||
-        snap.family_pos >= it->second.ids.size() ||
-        it->second.ids[snap.family_pos] != id) {
-      violations.push_back(
-          Format("index: node {} family-view position stale", id));
-    }
-    const Snapshot fresh = Capture(n, busy_area[id]);
-    if (snap.total != fresh.total || snap.available != fresh.available ||
-        snap.potential != fresh.potential ||
-        snap.config_count != fresh.config_count ||
-        snap.blank != fresh.blank || snap.busy != fresh.busy ||
-        snap.failed != fresh.failed) {
-      violations.push_back(Format("index: node {} snapshot stale", id));
-    }
-  }
-  ValidateView(global_, "global", nodes, busy_area, violations);
-  for (const auto& [family, view] : family_views_) {
-    ValidateView(view, Format("family {}", family).c_str(), nodes, busy_area,
-                 violations);
-  }
-  return violations;
 }
 
 }  // namespace dreamsim::resource

@@ -35,7 +35,6 @@
 #include <optional>
 #include <set>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -110,12 +109,6 @@ class StoreIndex {
       Area needed_area, HostRank rank, FamilyId family,
       const std::vector<Node>& nodes) const;
 
-  /// Cross-checks every indexed value against ground truth; returns one
-  /// message per violation (empty = consistent).
-  [[nodiscard]] std::vector<std::string> Validate(
-      const std::vector<Node>& nodes,
-      const std::vector<Area>& busy_area) const;
-
  private:
   // Correctness tooling (src/analysis): read-only ground-truth diffing and
   // test-only seeded corruption. See entry_list.hpp.
@@ -166,10 +159,6 @@ class StoreIndex {
                           const Snapshot& now, std::uint32_t id);
   [[nodiscard]] std::optional<ReconfigPlan> ReplayReclaimScan(
       const Node& node, Area needed_area) const;
-  void ValidateView(const View& view, const char* label,
-                    const std::vector<Node>& nodes,
-                    const std::vector<Area>& busy_area,
-                    std::vector<std::string>& violations) const;
 
   const ConfigCatalogue* configs_;
   View global_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "util/fmt.hpp"
 
@@ -266,82 +265,6 @@ std::optional<std::uint64_t> SusQueueIndex::BestPriorityEligible(
   });
   if (!best) return std::nullopt;
   return best->second;
-}
-
-std::vector<std::string> SusQueueIndex::Validate(
-    const std::vector<std::pair<std::uint64_t, SusEntryAttrs>>& entries)
-    const {
-  std::vector<std::string> violations;
-  const auto complain = [&violations](std::string msg) {
-    violations.push_back(std::move(msg));
-  };
-  const bool fifo = order_ == SusOrder::kFifo;
-  if (fifo ? !prio_buckets_.empty() || !prio_groups_.empty()
-           : !fifo_lists_.empty() || !fifo_groups_.empty()) {
-    complain("index holds structures of the other drain order");
-  }
-  // FIFO lists: walked once, each strictly increasing with consistent
-  // back links and tail (the walk stops at a list's first fault).
-  std::unordered_map<std::uint64_t, std::size_t> listed;  // seq -> list slot
-  for (std::size_t slot = 0; slot < fifo_lists_.size(); ++slot) {
-    std::uint32_t prev = kNoSeq;
-    for (std::uint32_t seq = fifo_lists_[slot].head; seq != kNoSeq;
-         seq = fifo_links_[seq].next) {
-      if (seq >= fifo_links_.size() || fifo_links_[seq].prev != prev ||
-          (prev != kNoSeq && seq <= prev) ||
-          !listed.emplace(seq, slot).second) {
-        complain(Format("list {} is broken at seq {}", slot, seq));
-        break;
-      }
-      prev = seq;
-    }
-    if (fifo_lists_[slot].tail != prev) {
-      complain(Format("list {} tail {} != last linked seq {}", slot,
-                      fifo_lists_[slot].tail, prev));
-    }
-  }
-  for (const auto& [seq, attrs] : entries) {
-    bool in_bucket = false;
-    bool in_group = false;
-    if (fifo) {
-      const auto listed_at = listed.find(seq);
-      in_bucket = listed_at != listed.end() &&
-                  listed_at->second == ListSlot(attrs.resolved_config);
-      const auto group = fifo_groups_.find(GroupKeyOf(attrs));
-      in_group = group != fifo_groups_.end() && group->second.size() > seq &&
-                 group->second.Value(static_cast<std::size_t>(seq)) ==
-                     -attrs.needed_area;
-    } else {
-      const auto bucket = prio_buckets_.find(attrs.resolved_config.value());
-      in_bucket = bucket != prio_buckets_.end() &&
-                  bucket->second.contains({-attrs.priority, seq});
-      in_group = prio_groups_.contains(GroupKeyOf(attrs));
-    }
-    if (!in_bucket) complain(Format("seq {} missing from its bucket", seq));
-    if (!in_group) complain(Format("seq {} missing from its group", seq));
-  }
-  std::size_t bucket_total = listed.size();
-  for (const auto& [config, bucket] : prio_buckets_) {
-    bucket_total += bucket.size();
-  }
-  if (bucket_total != entries.size()) {
-    complain(Format("buckets hold {} entries, expected {}", bucket_total,
-                    entries.size()));
-  }
-  std::size_t group_total = 0;
-  for (const auto& [family, tree] : fifo_groups_) {
-    for (std::size_t seq = 0; seq < tree.size(); ++seq) {
-      if (tree.Value(seq) != MaxSegTree::kNegInf) ++group_total;
-    }
-  }
-  for (const auto& [family, treap] : prio_groups_) {
-    group_total += treap.size();
-  }
-  if (group_total != entries.size()) {
-    complain(Format("groups hold {} entries, expected {}", group_total,
-                    entries.size()));
-  }
-  return violations;
 }
 
 }  // namespace dreamsim::resource

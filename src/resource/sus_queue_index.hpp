@@ -51,7 +51,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -94,8 +93,10 @@ class AreaTreap {
 
  private:
   // The auditor walks the treap to re-derive its in-order content and
-  // augmentation from first principles. See entry_list.hpp.
+  // augmentation from first principles; the corruptor breaks the
+  // augmentation on purpose in tests. See entry_list.hpp.
   friend class ::dreamsim::analysis::StructureAuditor;
+  friend class ::dreamsim::analysis::StructureCorruptor;
 
   static constexpr std::int32_t kNull = -1;
   struct Node {
@@ -166,12 +167,6 @@ class SusQueueIndex {
   /// FIFO tie-break.
   [[nodiscard]] std::optional<std::uint64_t> BestPriorityEligible(
       FamilyId family, Area area_bound, ConfigId match_config) const;
-
-  /// Cross-checks the index against the queued entries, given as (seq,
-  /// attrs) in FIFO order; returns one message per violation.
-  [[nodiscard]] std::vector<std::string> Validate(
-      const std::vector<std::pair<std::uint64_t, SusEntryAttrs>>& entries)
-      const;
 
  private:
   // Correctness tooling (src/analysis): read-only ground-truth diffing and

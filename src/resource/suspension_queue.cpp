@@ -1,6 +1,5 @@
 #include "resource/suspension_queue.hpp"
 
-#include <iterator>
 #include <stdexcept>
 
 #include "util/fmt.hpp"
@@ -113,38 +112,6 @@ void SuspensionQueue::SetDrainIndexed(bool enabled) {
   for (std::uint32_t slot = head_; slot != kNoSlot; slot = slots_[slot].next) {
     index_->Add(slot, AttrsAt(slot));
   }
-}
-
-std::vector<std::string> SuspensionQueue::ValidateIndex() const {
-  if (!index_) return {};
-  std::vector<std::string> violations;
-  std::vector<std::pair<std::uint64_t, SusEntryAttrs>> queued;
-  queued.reserve(size());
-  std::size_t pos = 0;
-  for (std::uint32_t slot = head_; slot != kNoSlot;
-       slot = slots_[slot].next, ++pos) {
-    const TaskId task = slots_[slot].task;
-    if (SeqOf(task) != slot) {
-      violations.push_back(
-          Format("task {} at seq {} has no seq-table row", task.value(),
-                 slot));
-      continue;
-    }
-    if (live_.Prefix(slot) != pos) {
-      violations.push_back(Format("task {} position {} != rank {}",
-                                  task.value(), pos, live_.Prefix(slot)));
-    }
-    queued.emplace_back(slot, AttrsAt(slot));
-  }
-  if (pos != size()) {
-    violations.push_back(
-        Format("{} linked entries for {} live seqs", pos, size()));
-  }
-  std::vector<std::string> index_violations = index_->Validate(queued);
-  violations.insert(violations.end(),
-                    std::make_move_iterator(index_violations.begin()),
-                    std::make_move_iterator(index_violations.end()));
-  return violations;
 }
 
 void SuspensionQueue::Unlink(std::uint32_t seq) {

@@ -29,7 +29,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -193,11 +192,6 @@ class SuspensionQueue {
     return PositionOf(index_->BestPriorityEligible(family, area_bound,
                                                    match_config));
   }
-
-  /// Cross-checks the index (and the seq -> position tree it answers
-  /// through) against the queue (empty = consistent; always empty when the
-  /// index is disabled).
-  [[nodiscard]] std::vector<std::string> ValidateIndex() const;
 
   [[nodiscard]] std::size_t size() const { return live_.Total(); }
   [[nodiscard]] bool empty() const { return size() == 0; }

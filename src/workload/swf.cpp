@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -33,6 +35,15 @@ enum SwfField : std::size_t {
   kThinkTime = 17,
   kFieldCount = 18,
 };
+
+/// `seconds` scaled to ticks, or nullopt when the result does not fit a
+/// Tick (2^63 is the first double past the Tick range; NaN fails too).
+std::optional<Tick> ScaledTicks(std::int64_t seconds,
+                                double ticks_per_second) {
+  const double ticks = static_cast<double>(seconds) * ticks_per_second;
+  if (!(ticks < 0x1p63)) return std::nullopt;
+  return static_cast<Tick>(std::llround(ticks));
+}
 
 }  // namespace
 
@@ -91,16 +102,29 @@ SwfConversion ConvertSwf(const std::vector<SwfJob>& jobs,
       ++result.jobs_skipped;
       continue;
     }
+    // Jobs whose times or data size do not fit a Tick / Bytes are skipped
+    // like malformed ones.
+    const std::optional<Tick> create =
+        ScaledTicks(job.submit_time, mapping.ticks_per_second);
+    const std::optional<Tick> required =
+        ScaledTicks(seconds, mapping.ticks_per_second);
+    constexpr Bytes kKb = 1024;
+    if (!create || !required ||
+        job.used_memory_kb > std::numeric_limits<Bytes>::max() / kKb) {
+      ++result.jobs_skipped;
+      continue;
+    }
     GeneratedTask t;
-    t.create_time = static_cast<Tick>(std::llround(
-        static_cast<double>(job.submit_time) * mapping.ticks_per_second));
-    t.required_time = std::max<Tick>(
-        1, static_cast<Tick>(std::llround(static_cast<double>(seconds) *
-                                          mapping.ticks_per_second)));
+    t.create_time = *create;
+    t.required_time = std::max<Tick>(1, *required);
     t.preferred_config = ConfigId::invalid();  // closest match by area
-    t.needed_area = std::clamp<Area>(procs * mapping.area_per_processor,
-                                     mapping.min_area, mapping.max_area);
-    t.data_size = job.used_memory_kb > 0 ? job.used_memory_kb * 1024 : 0;
+    // procs > max_area / area_per_processor exactly when the product
+    // exceeds max_area, so the clamp needs no (overflowing) multiply.
+    t.needed_area =
+        procs > mapping.max_area / mapping.area_per_processor
+            ? mapping.max_area
+            : std::max(procs * mapping.area_per_processor, mapping.min_area);
+    t.data_size = job.used_memory_kb > 0 ? job.used_memory_kb * kKb : 0;
     result.workload.push_back(t);
   }
   std::stable_sort(result.workload.begin(), result.workload.end(),

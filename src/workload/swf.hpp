@@ -15,7 +15,8 @@
 //                   not name FPGA configurations)
 //
 // Jobs with non-positive runtimes or processor counts (cancelled /
-// malformed entries) are skipped and counted.
+// malformed entries), or whose data size or scaled times do not fit a
+// Bytes / Tick, are skipped and counted.
 #pragma once
 
 #include <cstdint>

@@ -73,6 +73,14 @@ Workload ReadTrace(std::istream& in) {
     GeneratedTask t;
     t.create_time = ParseField(row[c_create], line, kColumns[0]);
     const std::int64_t pref = ParseField(row[c_pref], line, kColumns[1]);
+    // -1 (what WriteTrace emits) is "no preference"; anything else must be
+    // a representable configuration id, never wrap onto one.
+    if (pref < -1 ||
+        pref >= static_cast<std::int64_t>(ConfigId::kInvalidValue)) {
+      throw std::runtime_error(Format(
+          "trace line {}: column '{}' is not a configuration id or -1: '{}'",
+          line, kColumns[1], row[c_pref]));
+    }
     if (pref >= 0) {
       t.preferred_config = ConfigId{static_cast<std::uint32_t>(pref)};
     }

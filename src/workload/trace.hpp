@@ -7,7 +7,8 @@
 //
 //   create_time,preferred_config,needed_area,required_time,data_size
 //
-// `preferred_config` of -1 encodes the unknown-C_pref case.
+// `preferred_config` of -1 encodes the unknown-C_pref case; any other
+// value outside [0, ConfigId::kInvalidValue) is rejected.
 #pragma once
 
 #include <iosfwd>

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/structure_auditor.hpp"
+
 namespace dreamsim::sched {
 namespace {
 
@@ -94,7 +96,9 @@ TEST_F(PartialPolicyTest, Phase1AllocationPrefersMinAvailableArea) {
   EXPECT_EQ(d.kind, PlacementKind::kAllocation);
   EXPECT_EQ(d.entry.node, small);
   EXPECT_EQ(d.config_time, 0);  // reuse: no configuration delay
-  EXPECT_TRUE(store_.ValidateConsistency().empty());
+  const analysis::AuditReport audit =
+      analysis::StructureAuditor::AuditStore(store_);
+  EXPECT_TRUE(audit.ok()) << audit.Render();
 }
 
 TEST_F(PartialPolicyTest, Phase2ConfigurationUsesTightestBlankNode) {
@@ -106,7 +110,9 @@ TEST_F(PartialPolicyTest, Phase2ConfigurationUsesTightestBlankNode) {
   EXPECT_EQ(d.kind, PlacementKind::kConfiguration);
   EXPECT_EQ(d.entry.node, tight);
   EXPECT_EQ(d.config_time, 10);
-  EXPECT_TRUE(store_.ValidateConsistency().empty());
+  const analysis::AuditReport audit =
+      analysis::StructureAuditor::AuditStore(store_);
+  EXPECT_TRUE(audit.ok()) << audit.Render();
 }
 
 TEST_F(PartialPolicyTest, Phase3PartialConfigurationOnOperativeNode) {
@@ -120,7 +126,9 @@ TEST_F(PartialPolicyTest, Phase3PartialConfigurationOnOperativeNode) {
   EXPECT_EQ(d.entry.node, node);
   EXPECT_EQ(store_.node(node).config_count(), 2u);
   EXPECT_EQ(store_.node(node).running_tasks(), 2u);
-  EXPECT_TRUE(store_.ValidateConsistency().empty());
+  const analysis::AuditReport audit =
+      analysis::StructureAuditor::AuditStore(store_);
+  EXPECT_TRUE(audit.ok()) << audit.Render();
 }
 
 TEST_F(PartialPolicyTest, Phase4PartialReconfigurationReclaimsIdleEntries) {
@@ -159,7 +167,9 @@ TEST_F(PartialPolicyTest, Phase4ReconfiguresWhenNoDirectOption) {
   // The idle config-0 entry was reclaimed; node now has busy 0 + idle... 1.
   EXPECT_EQ(store_.node(node).config_count(), 2u);
   EXPECT_EQ(store_.idle_list(ConfigId{0}).size(), 0u);
-  EXPECT_TRUE(store_.ValidateConsistency().empty());
+  const analysis::AuditReport audit =
+      analysis::StructureAuditor::AuditStore(store_);
+  EXPECT_TRUE(audit.ok()) << audit.Render();
 }
 
 TEST_F(PartialPolicyTest, SuspendsWhenBusyNodeCouldFitLater) {
@@ -229,7 +239,9 @@ TEST_F(FullPolicyTest, FullReconfigurationWipesIdleNode) {
   // The node was wiped first: exactly one configuration remains.
   EXPECT_EQ(store_.node(node).config_count(), 1u);
   EXPECT_EQ(store_.node(node).Slot(d.entry.slot).config, ConfigId{1});
-  EXPECT_TRUE(store_.ValidateConsistency().empty());
+  const analysis::AuditReport audit =
+      analysis::StructureAuditor::AuditStore(store_);
+  EXPECT_TRUE(audit.ok()) << audit.Render();
 }
 
 TEST_F(FullPolicyTest, FullReconfigurationPrefersTightestNode) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/structure_auditor.hpp"
 #include "resource/store.hpp"
 #include "util/rng.hpp"
 
@@ -213,10 +214,14 @@ TEST(ContiguousStore, ConsistencyHoldsUnderOperations) {
   const EntryRef b = store.Configure(node, ConfigId{1});
   store.AssignTask(b, TaskId{1});
   store.ReclaimSlot(a);
-  EXPECT_TRUE(store.ValidateConsistency().empty());
+  const analysis::AuditReport reclaimed =
+      analysis::StructureAuditor::AuditStore(store);
+  EXPECT_TRUE(reclaimed.ok()) << reclaimed.Render();
   (void)store.ReleaseTask(b);
   store.BlankNode(node);
-  EXPECT_TRUE(store.ValidateConsistency().empty());
+  const analysis::AuditReport blanked =
+      analysis::StructureAuditor::AuditStore(store);
+  EXPECT_TRUE(blanked.ok()) << blanked.Render();
   const auto frag = store.Fragmentation();
   EXPECT_DOUBLE_EQ(frag.mean, 0.0);
 }
@@ -262,7 +267,9 @@ TEST(ContiguousSimulation, EndToEndWithFragmentation) {
   for (const Node& n : store.nodes()) {
     EXPECT_TRUE(n.contiguous());
   }
-  EXPECT_TRUE(store.ValidateConsistency().empty());
+  const analysis::AuditReport audit =
+      analysis::StructureAuditor::AuditStore(store);
+  EXPECT_TRUE(audit.ok()) << audit.Render();
 }
 
 }  // namespace

@@ -126,7 +126,8 @@ TEST(FamilyCompatibility, EndToEndSimulationWithFamilies) {
   core::Simulator sim(std::move(config));
   const core::MetricsReport report = sim.Run();
   EXPECT_EQ(report.completed_tasks + report.discarded_tasks, 500u);
-  EXPECT_TRUE(sim.store().ValidateConsistency().empty());
+  const analysis::AuditReport audit = sim.AuditStructures();
+  EXPECT_TRUE(audit.ok()) << audit.Render();
   // Spot-check: every configuration landed on a compatible node.
   for (const resource::Node& n : sim.store().nodes()) {
     n.ForEachSlot([&](resource::SlotIndex,

@@ -99,9 +99,8 @@ RunResult RunOne(const FaultCase& c, std::uint64_t seed, bool indexed) {
   EXPECT_EQ(sim.store().indexed(), indexed);
   EXPECT_EQ(sim.suspension().drain_indexed(), indexed);
   result.report = sim.RunWithWorkload(MakeWorkload(seed));
-  const auto violations = sim.store().ValidateConsistency();
-  EXPECT_TRUE(violations.empty())
-      << "first violation: " << (violations.empty() ? "" : violations[0]);
+  const analysis::AuditReport audit = sim.AuditStructures();
+  EXPECT_TRUE(audit.ok()) << audit.Render();
   return result;
 }
 

@@ -8,10 +8,15 @@
 //      a reviving submission re-schedules the unfired remainder;
 //   3. lost_work_area_ticks charges only destroyed *execution*, never the
 //      comm/config setup window of a task killed before it started running.
+// It also pins the --fault-script parser's per-field diagnostics.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/fault_model.hpp"
 #include "core/graph_session.hpp"
 #include "core/simulator.hpp"
 #include "workload/task_graph.hpp"
@@ -71,6 +76,42 @@ SimulationConfig ProcessConfig() {
   config.faults.mtbf = 1'500;
   config.faults.mttr = 300;
   return config;
+}
+
+/// The diagnostic ParseFaultScript throws for `spec`.
+std::string ParseError(std::string_view spec) {
+  try {
+    (void)core::ParseFaultScript(spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "(accepted)";
+}
+
+TEST(FaultScript, ParsesEntries) {
+  const std::vector<core::FaultEvent> script =
+      core::ParseFaultScript(" 5:1:fail ; 9:1:repair,");
+  ASSERT_EQ(script.size(), 2u);
+  EXPECT_EQ(script[0].at, 5);
+  EXPECT_EQ(script[0].node, NodeId{1});
+  EXPECT_EQ(script[0].action, FaultAction::kFail);
+  EXPECT_EQ(script[1].at, 9);
+  EXPECT_EQ(script[1].action, FaultAction::kRepair);
+}
+
+// Each bad field names itself: a trailing character in the tick, a
+// negative node id and one that does not fit a NodeId.
+TEST(FaultScript, DiagnosticsNameTheBadField) {
+  EXPECT_EQ(ParseError("5x:1:fail"),
+            "fault script entry '5x:1:fail': malformed tick");
+  EXPECT_EQ(ParseError("5:-1:fail"),
+            "fault script entry '5:-1:fail': malformed node id");
+  EXPECT_EQ(ParseError("5:4294967295:fail"),
+            "fault script entry '5:4294967295:fail': malformed node id");
+  EXPECT_EQ(ParseError("x:1:fail"),
+            "fault script entry 'x:1:fail': malformed number");
+  EXPECT_EQ(ParseError("-3:1:fail"),
+            "fault script entry '-3:1:fail': tick must be >= 0");
 }
 
 // Pre-run SubmitTaskAt (how a graph session feeds its roots) and a plain

@@ -5,6 +5,8 @@
 
 #include <set>
 
+#include "analysis/structure_auditor.hpp"
+
 namespace dreamsim::sched {
 namespace {
 
@@ -63,7 +65,9 @@ TEST_F(FirstFitTest, TakesFirstFeasibleNode) {
   const Decision d = policy.Schedule(MakeTask(0, 300), store_);
   EXPECT_EQ(d.outcome, Outcome::kPlaced);
   EXPECT_EQ(d.entry.node, n1_);
-  EXPECT_TRUE(store_.ValidateConsistency().empty());
+  const analysis::AuditReport audit =
+      analysis::StructureAuditor::AuditStore(store_);
+  EXPECT_TRUE(audit.ok()) << audit.Render();
 }
 
 TEST_F(FirstFitTest, PrefersIdleEntryOverNewConfiguration) {
@@ -176,7 +180,9 @@ TEST(HeuristicPolicy, PartialReconfigurationViaAlgorithm1) {
   const Decision d = policy.Schedule(MakeTask(1, 500, 1), store);
   EXPECT_EQ(d.outcome, Outcome::kPlaced);
   EXPECT_EQ(d.kind, PlacementKind::kPartialReconfiguration);
-  EXPECT_TRUE(store.ValidateConsistency().empty());
+  const analysis::AuditReport audit =
+      analysis::StructureAuditor::AuditStore(store);
+  EXPECT_TRUE(audit.ok()) << audit.Render();
 }
 
 TEST(HeuristicPolicy, DiscardWhenNothingEverFits) {

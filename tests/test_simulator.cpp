@@ -34,8 +34,8 @@ TEST(Simulator, AllTasksReachTerminalState) {
 TEST(Simulator, StoreConsistentAfterRun) {
   Simulator sim(SmallConfig(500, 20));
   (void)sim.Run();
-  const auto violations = sim.store().ValidateConsistency();
-  EXPECT_TRUE(violations.empty()) << violations.front();
+  const analysis::AuditReport audit = sim.AuditStructures();
+  EXPECT_TRUE(audit.ok()) << audit.Render();
   // No tasks left running anywhere.
   for (const resource::Node& n : sim.store().nodes()) {
     EXPECT_FALSE(n.busy());
@@ -212,8 +212,9 @@ TEST(Simulator, HeuristicPoliciesRunCleanly) {
     const MetricsReport report = sim.Run();
     EXPECT_EQ(report.completed_tasks + report.discarded_tasks, 200u)
         << "policy " << ToString(choice);
-    EXPECT_TRUE(sim.store().ValidateConsistency().empty())
-        << "policy " << ToString(choice);
+    const analysis::AuditReport audit = sim.AuditStructures();
+    EXPECT_TRUE(audit.ok()) << "policy " << ToString(choice) << "\n"
+                            << audit.Render();
   }
 }
 
@@ -269,17 +270,16 @@ INSTANTIATE_TEST_SUITE_P(SamplingPolicies, WasteAccountingTest,
 
 TEST(Simulator, ContiguousPlacementRunsConsistently) {
   // The fabric-placement extension: simulations complete and stores stay
-  // consistent (including the layout/scalar-accounting agreement that
-  // ValidateConsistency checks per node).
+  // consistent (including the layout/scalar-accounting agreement that the
+  // auditor's fabric.layout pass checks per node).
   for (const bool contiguous : {false, true}) {
     SimulationConfig config = SmallConfig(600, 15, 13);
     config.nodes.contiguous_placement = contiguous;
     Simulator sim(std::move(config));
     const MetricsReport report = sim.Run();
     EXPECT_EQ(report.completed_tasks + report.discarded_tasks, 600u);
-    const auto violations = sim.store().ValidateConsistency();
-    EXPECT_TRUE(violations.empty())
-        << (violations.empty() ? "" : violations.front());
+    const analysis::AuditReport audit = sim.AuditStructures();
+    EXPECT_TRUE(audit.ok()) << audit.Render();
   }
 }
 
@@ -294,7 +294,9 @@ TEST(Simulator, ContiguousPlacementHeuristicsAllRun) {
     const MetricsReport report = sim.Run();
     EXPECT_EQ(report.completed_tasks + report.discarded_tasks, 300u)
         << resource::ToString(placement);
-    EXPECT_TRUE(sim.store().ValidateConsistency().empty());
+    const analysis::AuditReport audit = sim.AuditStructures();
+    EXPECT_TRUE(audit.ok()) << resource::ToString(placement) << "\n"
+                            << audit.Render();
   }
 }
 

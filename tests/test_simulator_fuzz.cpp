@@ -123,7 +123,8 @@ TEST_P(SimulatorFuzz, GlobalInvariantsHold) {
   const MetricsReport report = sim.Run();
 
   // Explicit auditor hook on top of the config-driven audits: the end
-  // state must reconstruct cleanly, and the report must render empty.
+  // state (Fig. 3 lists, Eq. 4 accounting, fabric layouts, suspension
+  // queue, event queue) must reconstruct cleanly.
   const analysis::AuditReport audit = sim.AuditStructures();
   EXPECT_TRUE(audit.ok()) << audit.Render();
 
@@ -138,11 +139,6 @@ TEST_P(SimulatorFuzz, GlobalInvariantsHold) {
     }
   }
   EXPECT_EQ(non_terminal, 0u);
-
-  // Structures: Fig. 3 lists, Eq. 4 accounting, layouts.
-  const auto violations = sim.store().ValidateConsistency();
-  EXPECT_TRUE(violations.empty())
-      << (violations.empty() ? "" : violations.front());
 
   // Nothing left running and no dangling events.
   for (const resource::Node& n : sim.store().nodes()) {

@@ -36,9 +36,9 @@ class StoreTest : public ::testing::Test {
   }
 
   void ExpectConsistent() {
-    const auto violations = store_.ValidateConsistency();
-    EXPECT_TRUE(violations.empty())
-        << "first violation: " << (violations.empty() ? "" : violations[0]);
+    const analysis::AuditReport audit =
+        analysis::StructureAuditor::AuditStore(store_);
+    EXPECT_TRUE(audit.ok()) << audit.Render();
   }
 
   ResourceStore store_;
@@ -376,7 +376,9 @@ TEST_F(StoreTest, InitNodesGeneratesWithinRanges) {
     EXPECT_LT(n.family().value(), 4u);
     EXPECT_GT(n.caps().embedded_memory_kb, 0);
   }
-  EXPECT_TRUE(store.ValidateConsistency().empty());
+  const analysis::AuditReport audit =
+      analysis::StructureAuditor::AuditStore(store);
+  EXPECT_TRUE(audit.ok()) << audit.Render();
 }
 
 TEST_F(StoreTest, InitNodesRejectsBadRanges) {
@@ -486,13 +488,14 @@ TEST_P(StoreFuzzTest, InvariantsSurviveRandomOperations) {
       }
     }
     if (op % 100 == 0) {
-      const auto violations = store.ValidateConsistency();
-      ASSERT_TRUE(violations.empty())
-          << "op " << op << ": " << violations.front();
+      const analysis::AuditReport audit =
+          analysis::StructureAuditor::AuditStore(store);
+      ASSERT_TRUE(audit.ok()) << "op " << op << "\n" << audit.Render();
     }
   }
-  const auto violations = store.ValidateConsistency();
-  EXPECT_TRUE(violations.empty()) << violations.front();
+  const analysis::AuditReport audit =
+      analysis::StructureAuditor::AuditStore(store);
+  EXPECT_TRUE(audit.ok()) << audit.Render();
 }
 
 INSTANTIATE_TEST_SUITE_P(

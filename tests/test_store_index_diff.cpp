@@ -15,6 +15,7 @@
 
 #include <vector>
 
+#include "analysis/structure_auditor.hpp"
 #include "core/simulator.hpp"
 #include "resource/store.hpp"
 #include "util/rng.hpp"
@@ -73,10 +74,12 @@ class TwinStores {
   }
 
   void ExpectConsistent() {
-    const auto iv = indexed_.ValidateConsistency();
-    EXPECT_TRUE(iv.empty()) << "indexed: " << (iv.empty() ? "" : iv[0]);
-    const auto sv = scan_.ValidateConsistency();
-    EXPECT_TRUE(sv.empty()) << "scan: " << (sv.empty() ? "" : sv[0]);
+    const analysis::AuditReport iv =
+        analysis::StructureAuditor::AuditStore(indexed_);
+    EXPECT_TRUE(iv.ok()) << "indexed: " << iv.Render();
+    const analysis::AuditReport sv =
+        analysis::StructureAuditor::AuditStore(scan_);
+    EXPECT_TRUE(sv.ok()) << "scan: " << sv.Render();
   }
 
  private:
@@ -311,9 +314,8 @@ RunResult RunOne(const SimCase& c, std::uint64_t seed, bool indexed) {
       [&](const SimEvent& e) { result.events.push_back(e); });
   result.report = sim.Run();
   EXPECT_EQ(sim.store().indexed(), indexed);
-  const auto violations = sim.store().ValidateConsistency();
-  EXPECT_TRUE(violations.empty())
-      << "first violation: " << (violations.empty() ? "" : violations[0]);
+  const analysis::AuditReport audit = sim.AuditStructures();
+  EXPECT_TRUE(audit.ok()) << audit.Render();
   return result;
 }
 

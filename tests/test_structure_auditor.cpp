@@ -196,6 +196,186 @@ TEST(StructureAuditorCorruption, SkewedFleetTotalsIsFleetTotals) {
   }
 }
 
+TEST(StructureAuditorCorruption, OrphanBusyEntryIsFig3BusyList) {
+  ResourceStore store = MakePopulatedStore(/*indexed=*/false);
+  StructureCorruptor::InjectOrphanBusyEntry(store, ConfigId{1},
+                                            EntryRef{NodeId{2}, 9});
+  const AuditReport report = StructureAuditor::AuditStore(store);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"fig3.busy-list"})
+      << report.Render();
+}
+
+TEST(StructureAuditorCorruption, SkewedSlotCounterIsFig3Slot) {
+  for (const bool indexed : {false, true}) {
+    ResourceStore store = MakePopulatedStore(indexed);
+    StructureCorruptor::SkewSlotCounter(store, NodeId{1});
+    const AuditReport report = StructureAuditor::AuditStore(store);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(Slugs(report), std::set<std::string>{"fig3.slot"})
+        << "indexed=" << indexed << "\n"
+        << report.Render();
+  }
+}
+
+TEST(StructureAuditorCorruption, SkewedAvailableAreaIsEq4Area) {
+  ResourceStore store = MakePopulatedStore(/*indexed=*/false);
+  StructureCorruptor::SkewAvailableArea(store, NodeId{0});
+  const AuditReport report = StructureAuditor::AuditStore(store);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"eq4.area"})
+      << report.Render();
+}
+
+TEST(StructureAuditorCorruption, OvercommittedNodeIsEq4Area) {
+  for (const bool indexed : {false, true}) {
+    ResourceStore store = MakePopulatedStore(indexed);
+    // Node 1 stays consistent with Eq. 4 (available == total - live) and
+    // with every derived structure; only its AvailableArea is negative.
+    StructureCorruptor::OvercommitNode(store, NodeId{1});
+    ASSERT_LT(store.node(NodeId{1}).available_area(), 0);
+    const AuditReport report = StructureAuditor::AuditStore(store);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(Slugs(report), std::set<std::string>{"eq4.area"})
+        << "indexed=" << indexed << "\n"
+        << report.Render();
+    ASSERT_EQ(report.violations.size(), 1u) << report.Render();
+    EXPECT_NE(report.violations[0].detail.find("over-commits"),
+              std::string::npos)
+        << report.Render();
+  }
+}
+
+TEST(StructureAuditorCorruption, SkewedBusyAreaIsEq4BusyArea) {
+  for (const bool indexed : {false, true}) {
+    ResourceStore store = MakePopulatedStore(indexed);
+    StructureCorruptor::SkewBusyArea(store, NodeId{1});
+    const AuditReport report = StructureAuditor::AuditStore(store);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(Slugs(report), std::set<std::string>{"eq4.busy-area"})
+        << "indexed=" << indexed << "\n"
+        << report.Render();
+  }
+}
+
+TEST(StructureAuditorCorruption, DroppedBlankEntryIsBlankList) {
+  for (const bool indexed : {false, true}) {
+    ResourceStore store = MakePopulatedStore(indexed);
+    StructureCorruptor::DropBlankEntry(store, NodeId{2});
+    const AuditReport report = StructureAuditor::AuditStore(store);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(Slugs(report), std::set<std::string>{"blank.list"})
+        << "indexed=" << indexed << "\n"
+        << report.Render();
+  }
+}
+
+TEST(StructureAuditorCorruption, SkewedBlankPosIsBlankPos) {
+  for (const bool indexed : {false, true}) {
+    for (const NodeId node : {NodeId{0}, NodeId{2}}) {  // unlisted, listed
+      ResourceStore store = MakePopulatedStore(indexed);
+      StructureCorruptor::SkewBlankPos(store, node);
+      const AuditReport report = StructureAuditor::AuditStore(store);
+      ASSERT_FALSE(report.ok());
+      EXPECT_EQ(Slugs(report), std::set<std::string>{"blank.pos"})
+          << "indexed=" << indexed << " node=" << node.value() << "\n"
+          << report.Render();
+    }
+  }
+}
+
+TEST(StructureAuditorCorruption, SkewedFailedCountIsFaultCount) {
+  for (const bool indexed : {false, true}) {
+    ResourceStore store = MakePopulatedStore(indexed);
+    StructureCorruptor::SkewFailedCount(store);
+    const AuditReport report = StructureAuditor::AuditStore(store);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(Slugs(report), std::set<std::string>{"fault.count"})
+        << "indexed=" << indexed << "\n"
+        << report.Render();
+  }
+}
+
+TEST(StructureAuditorCorruption, ExposedCountedFailedNodeIsFaultVisibility) {
+  ResourceStore store = MakePopulatedStore(/*indexed=*/false);
+  // As ExposedFailedNodeIsFaultVisibility, but with the counter moved in
+  // step: only the still-visible node is left to report.
+  StructureCorruptor::ExposeFailedNode(store, NodeId{2});
+  StructureCorruptor::SkewFailedCount(store);
+  const AuditReport report = StructureAuditor::AuditStore(store);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"fault.visibility"})
+      << report.Render();
+}
+
+TEST(StructureAuditorCorruption, HoleOverLiveExtentIsFabricLayout) {
+  for (const bool indexed : {false, true}) {
+    ResourceStore store(MakeCatalogue({300, 500}));
+    store.SetIndexed(indexed);
+    const NodeId node = store.AddNode(1000, FamilyId{0}, resource::Caps{}, 0,
+                                      /*contiguous=*/true);
+    store.AssignTask(store.Configure(node, ConfigId{1}), TaskId{3});
+    (void)store.Configure(node, ConfigId{0});
+    ASSERT_TRUE(StructureAuditor::AuditStore(store).ok())
+        << StructureAuditor::AuditStore(store).Render();
+    StructureCorruptor::OverlapFabricHole(store, node);
+    const AuditReport report = StructureAuditor::AuditStore(store);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(Slugs(report), std::set<std::string>{"fabric.layout"})
+        << "indexed=" << indexed << "\n"
+        << report.Render();
+    // Both the free-area disagreement and the overlap itself are named.
+    const std::string rendered = report.Render();
+    EXPECT_NE(rendered.find("AvailableArea"), std::string::npos) << rendered;
+    EXPECT_NE(rendered.find("overlaps"), std::string::npos) << rendered;
+  }
+}
+
+TEST(StructureAuditorCorruption, TruncatedIndexCacheIsIdxSize) {
+  ResourceStore store = MakePopulatedStore(/*indexed=*/true);
+  StructureCorruptor::TruncateIndexCache(store);
+  const AuditReport report = StructureAuditor::AuditStore(store);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"idx.size"})
+      << report.Render();
+}
+
+TEST(StructureAuditorCorruption, SkewedIndexSnapshotIsIdxSnapshot) {
+  ResourceStore store = MakePopulatedStore(/*indexed=*/true);
+  StructureCorruptor::SkewIndexSnapshot(store, NodeId{1});
+  const AuditReport report = StructureAuditor::AuditStore(store);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"idx.snapshot"})
+      << report.Render();
+}
+
+TEST(StructureAuditorCorruption, SkewedIndexPotentialIsIdxTree) {
+  ResourceStore store = MakePopulatedStore(/*indexed=*/true);
+  StructureCorruptor::SkewIndexPotential(store, NodeId{1});
+  const AuditReport report = StructureAuditor::AuditStore(store);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"idx.tree"})
+      << report.Render();
+}
+
+TEST(StructureAuditorCorruption, StrayIndexKeyIsIdxSet) {
+  ResourceStore store = MakePopulatedStore(/*indexed=*/true);
+  StructureCorruptor::InjectStrayIndexKey(store, NodeId{0});
+  const AuditReport report = StructureAuditor::AuditStore(store);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"idx.set"})
+      << report.Render();
+}
+
+TEST(StructureAuditorCorruption, DroppedFamilyViewIsIdxView) {
+  ResourceStore store = MakePopulatedStore(/*indexed=*/true);
+  StructureCorruptor::DropFamilyView(store, NodeId{0});
+  const AuditReport report = StructureAuditor::AuditStore(store);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"idx.view"})
+      << report.Render();
+}
+
 TEST(StructureAuditorCorruption, MisplacedBucketSeqIsSusidxBucket) {
   SuspensionQueue queue(/*capacity=*/0);
   queue.SetDrainIndexed(true);
@@ -211,6 +391,41 @@ TEST(StructureAuditorCorruption, MisplacedBucketSeqIsSusidxBucket) {
   const AuditReport report = StructureAuditor::AuditSuspensionQueue(queue);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(Slugs(report), std::set<std::string>{"susidx.bucket"})
+      << report.Render();
+}
+
+TEST(StructureAuditorCorruption, SkewedGroupLeafIsSusidxGroup) {
+  SuspensionQueue queue(/*capacity=*/0);
+  queue.SetDrainIndexed(true);
+  WorkloadMeter meter;
+  for (std::uint32_t t = 0; t < 4; ++t) {
+    SusEntryAttrs attrs;
+    attrs.resolved_config = ConfigId{t % 2};
+    attrs.needed_area = 100 + t;
+    ASSERT_TRUE(queue.Add(TaskId{t}, attrs, meter));
+  }
+  StructureCorruptor::SkewSusGroupLeaf(queue, TaskId{2});
+  const AuditReport report = StructureAuditor::AuditSuspensionQueue(queue);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"susidx.group"})
+      << report.Render();
+}
+
+TEST(StructureAuditorCorruption, SkewedTreapMinAreaIsSusidxTreap) {
+  SuspensionQueue queue(/*capacity=*/0, resource::SusOrder::kPriority);
+  queue.SetDrainIndexed(true);
+  WorkloadMeter meter;
+  for (std::uint32_t t = 0; t < 5; ++t) {
+    SusEntryAttrs attrs;
+    attrs.resolved_config = ConfigId{t % 2};
+    attrs.needed_area = 100 + t;
+    attrs.priority = static_cast<double>(t % 3);
+    ASSERT_TRUE(queue.Add(TaskId{t}, attrs, meter));
+  }
+  StructureCorruptor::SkewSusTreapMinArea(queue);
+  const AuditReport report = StructureAuditor::AuditSuspensionQueue(queue);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"susidx.treap"})
       << report.Render();
 }
 

@@ -27,6 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "analysis/structure_auditor.hpp"
 #include "core/simulator.hpp"
 #include "resource/suspension_queue.hpp"
 #include "util/rng.hpp"
@@ -287,9 +288,9 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
               meter_scan.housekeeping_steps_total());
     ASSERT_EQ(indexed.size(), scan.size());
     if (op % 250 == 0) {
-      const auto violations = indexed.ValidateIndex();
-      ASSERT_TRUE(violations.empty())
-          << "first violation: " << (violations.empty() ? "" : violations[0]);
+      const analysis::AuditReport audit =
+          analysis::StructureAuditor::AuditSuspensionQueue(indexed);
+      ASSERT_TRUE(audit.ok()) << "op " << op << "\n" << audit.Render();
     }
   }
 
@@ -297,9 +298,9 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
   // attributes and query answers.
   indexed.SetDrainIndexed(false);
   indexed.SetDrainIndexed(true);
-  const auto violations = indexed.ValidateIndex();
-  ASSERT_TRUE(violations.empty())
-      << "first violation: " << (violations.empty() ? "" : violations[0]);
+  const analysis::AuditReport audit =
+      analysis::StructureAuditor::AuditSuspensionQueue(indexed);
+  ASSERT_TRUE(audit.ok()) << audit.Render();
   const std::vector<TaskId> queued(scan.begin(), scan.end());
   const BruteForce brute{queued, attrs_oracle};
   if (fifo) {
@@ -430,9 +431,8 @@ RunResult RunOne(const SimCase& c, std::uint64_t seed, bool indexed) {
   sim.SetEventLogger([&](const SimEvent& e) { result.events.push_back(e); });
   result.report = sim.RunWithWorkload(MakeWorkload(seed));
   EXPECT_EQ(sim.suspension().drain_indexed(), indexed);
-  const auto violations = sim.suspension().ValidateIndex();
-  EXPECT_TRUE(violations.empty())
-      << "first violation: " << (violations.empty() ? "" : violations[0]);
+  const analysis::AuditReport audit = sim.AuditStructures();
+  EXPECT_TRUE(audit.ok()) << audit.Render();
   return result;
 }
 

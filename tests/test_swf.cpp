@@ -89,6 +89,30 @@ TEST(SwfConvert, ClampsAreaToConfigurableRange) {
   EXPECT_EQ(converted.workload[1].needed_area, 200);
 }
 
+// Records whose fields overflow the simulator's units. Job 1 asks for
+// 2^62 processors, so procs * area_per_processor would overflow (UBSan
+// aborts there): it must clamp to max_area instead. Jobs 2-4 carry a used
+// memory (KB), run time and submit time that do not fit a Bytes or a Tick
+// once scaled: they are skipped and counted.
+constexpr const char* kOverflowingSwf =
+    "1 0 0 10 -1 -1 -1 4611686018427387904 -1 -1 1 1 1 1 1 1 -1 -1\n"
+    "2 0 0 10 -1 -1 4611686018427387904 1 -1 -1 1 1 1 1 1 1 -1 -1\n"
+    "3 0 0 4611686018427387904 -1 -1 -1 1 -1 -1 1 1 1 1 1 1 -1 -1\n"
+    "4 4611686018427387904 0 10 -1 -1 -1 1 -1 -1 1 1 1 1 1 1 -1 -1\n";
+
+TEST(SwfConvert, OverflowingFieldsClampOrSkip) {
+  std::istringstream in(kOverflowingSwf);
+  SwfMapping mapping;
+  mapping.ticks_per_second = 1000.0;
+  const SwfConversion converted = ConvertSwf(ParseSwf(in), mapping);
+  EXPECT_EQ(converted.jobs_parsed, 4u);
+  EXPECT_EQ(converted.jobs_skipped, 3u);
+  ASSERT_EQ(converted.workload.size(), 1u);
+  EXPECT_EQ(converted.workload[0].needed_area, mapping.max_area);
+  EXPECT_EQ(converted.workload[0].required_time, 10'000);
+  EXPECT_EQ(converted.workload[0].data_size, 0);
+}
+
 TEST(SwfConvert, SortsByArrivalTime) {
   SwfJob late;
   late.submit_time = 100;

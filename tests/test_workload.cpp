@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "ptype/catalogue.hpp"
 #include "workload/trace.hpp"
@@ -230,6 +231,33 @@ TEST(Trace, RejectsMalformedNumbers) {
       "create_time,preferred_config,needed_area,required_time,data_size\n"
       "1,0,abc,100,0\n");
   EXPECT_THROW((void)ReadTrace(in), std::runtime_error);
+}
+
+// preferred_config must be -1 or a representable configuration id: a
+// larger value must not wrap onto config 0 or onto "no preference", and
+// no other negative value means "no preference".
+TEST(Trace, RejectsOutOfRangePreferredConfig) {
+  for (const char* pref : {"4294967296", "4294967295", "-2"}) {
+    std::istringstream in(
+        std::string(
+            "create_time,preferred_config,needed_area,required_time,"
+            "data_size\n1,") +
+        pref + ",300,100,0\n");
+    try {
+      (void)ReadTrace(in);
+      ADD_FAILURE() << pref << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("trace line 2: column 'preferred_config' is not "
+                            "a configuration id or -1: '") +
+                    pref + "'");
+    }
+  }
+  // The largest representable id still reads back as itself.
+  std::istringstream in(
+      "create_time,preferred_config,needed_area,required_time,data_size\n"
+      "1,4294967294,300,100,0\n");
+  EXPECT_EQ(ReadTrace(in)[0].preferred_config, ConfigId{4294967294u});
 }
 
 TEST(Trace, RejectsInvalidOrdering) {
