@@ -7,8 +7,8 @@
 // (the sweep/daemon cache key), and merged multi-class workload generation.
 // The floors are deliberately loose — they catch an accidental
 // quadratic-blowup or per-line allocation storm, not machine variance —
-// and, like bench_metrics' hook gate, absolute throughput is only gated in
-// optimized builds.
+// and, like bench_overhead's hook gates, absolute throughput is only gated
+// in optimized builds.
 //
 // Output: BENCH_scenario.json next to the executable (override with
 // --out). --quick shrinks the iteration counts for CI smoke runs.

@@ -43,8 +43,8 @@ ConfigCatalogue MakeCatalogue(int count, Rng& rng) {
   return c;
 }
 
-/// Same mixed population as micro_datastructures' MakeQueryStore: ~20%
-/// blank nodes, the rest with 1-3 entries, about half of them busy.
+/// A mixed population: ~20% blank nodes, the rest with 1-3 entries, about
+/// half of them busy.
 /// Deterministic, so the scan and indexed stores see identical state.
 ResourceStore MakeQueryStore(int nodes, bool indexed) {
   Rng rng(8);

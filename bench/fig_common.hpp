@@ -11,6 +11,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -54,8 +55,16 @@ inline int RunFigure(int argc, char** argv, const FigureSpec& spec) {
     std::cout << cli.HelpText();
     return 0;
   }
-  const double scale = cli.GetBool("full") ? 1.0 : cli.GetDouble("scale");
-  const std::vector<int> task_counts = PaperTaskCounts(scale);
+  std::vector<int> task_counts;
+  unsigned threads = 0;
+  try {
+    task_counts =
+        PaperTaskCounts(cli.GetBool("full") ? 1.0 : cli.GetDouble("scale"));
+    threads = static_cast<unsigned>(IntAtLeast(cli, "threads", 0));
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
 
   std::vector<std::vector<std::string>> csv_rows;
   for (const int nodes : spec.node_counts) {
@@ -65,7 +74,7 @@ inline int RunFigure(int argc, char** argv, const FigureSpec& spec) {
     params.base.enable_monitoring = false;  // large sweeps
     params.task_counts = task_counts;
     params.modes = {sched::ReconfigMode::kFull, sched::ReconfigMode::kPartial};
-    params.threads = static_cast<unsigned>(cli.GetInt("threads"));
+    params.threads = threads;
     const std::vector<MetricsReport> reports = RunSweep(params);
     const std::size_t n = task_counts.size();
 

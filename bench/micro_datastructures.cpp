@@ -2,7 +2,8 @@
 // paper motivates in Sec. IV-B: per-configuration idle/busy lists, the
 // suspension queue, the resource-store scheduler queries, and the event
 // queue. These quantify the constant factors behind the counted "search
-// steps" of Table I.
+// steps" of Table I. The indexed-vs-scan scheduler queries are timed by
+// bench_store_index, at 1k/10k/100k nodes.
 #include <benchmark/benchmark.h>
 
 #include "resource/store.hpp"
@@ -125,120 +126,6 @@ void BM_StoreFindAnyIdleNode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_StoreFindAnyIdleNode)->Range(16, 1024);
-
-// --- Indexed-vs-scan scheduler queries (DESIGN.md "Scheduler index") ---
-//
-// range(0) = node count, range(1) = 0 (reference counted scan) / 1 (O(log N)
-// index). Both modes return identical decisions and charge identical step
-// counts to the WorkloadMeter; these benchmarks measure the host-work gap
-// the index buys. bench_store_index emits the same comparison as JSON.
-
-/// A mixed store population: ~20% blank nodes, the rest holding 1-3
-/// configured entries with roughly half of them busy. Deterministic, so the
-/// scan and indexed variants of one benchmark see identical state.
-ResourceStore MakeQueryStore(int nodes, bool indexed) {
-  Rng rng(8);
-  ResourceStore store(MakeCatalogue(50, rng));
-  store.SetIndexed(indexed);
-  for (int i = 0; i < nodes; ++i) {
-    (void)store.AddNode(rng.uniform_int(1000, 4000));
-  }
-  std::uint32_t next_task = 0;
-  for (int i = 0; i < nodes; ++i) {
-    const NodeId id{static_cast<std::uint32_t>(i)};
-    if (rng.uniform_int(0, 9) < 2) continue;  // stays blank
-    const std::int64_t entries = rng.uniform_int(1, 3);
-    for (std::int64_t k = 0; k < entries; ++k) {
-      const auto cfg =
-          ConfigId{static_cast<std::uint32_t>(rng.uniform_int(0, 49))};
-      if (store.configs().Get(cfg).required_area >
-          store.node(id).available_area()) {
-        continue;
-      }
-      const EntryRef entry = store.Configure(id, cfg);
-      if (rng.uniform_int(0, 1) == 0) {
-        store.AssignTask(entry, TaskId{next_task++});
-      }
-    }
-  }
-  return store;
-}
-
-void QuerySizes(benchmark::internal::Benchmark* b) {
-  for (const int nodes : {1000, 10000, 100000}) {
-    b->Args({nodes, 0});
-    b->Args({nodes, 1});
-  }
-}
-
-void FinishQueryBench(benchmark::State& state) {
-  state.SetLabel(state.range(1) != 0 ? "indexed" : "scan");
-  state.SetItemsProcessed(state.iterations());
-}
-
-void BM_QueryFindBestBlankNode(benchmark::State& state) {
-  ResourceStore store =
-      MakeQueryStore(static_cast<int>(state.range(0)), state.range(1) != 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(store.FindBestBlankNode(2500));
-  }
-  FinishQueryBench(state);
-}
-BENCHMARK(BM_QueryFindBestBlankNode)->Apply(QuerySizes);
-
-void BM_QueryFindBestPartiallyBlankNode(benchmark::State& state) {
-  ResourceStore store =
-      MakeQueryStore(static_cast<int>(state.range(0)), state.range(1) != 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(store.FindBestPartiallyBlankNode(1200));
-  }
-  FinishQueryBench(state);
-}
-BENCHMARK(BM_QueryFindBestPartiallyBlankNode)->Apply(QuerySizes);
-
-void BM_QueryFindAnyIdleNode(benchmark::State& state) {
-  ResourceStore store =
-      MakeQueryStore(static_cast<int>(state.range(0)), state.range(1) != 0);
-  for (auto _ : state) {
-    // Larger than any node's TotalArea: the scan's (and the charge model's)
-    // worst case — every node and every live entry is visited.
-    benchmark::DoNotOptimize(store.FindAnyIdleNode(4100));
-  }
-  FinishQueryBench(state);
-}
-BENCHMARK(BM_QueryFindAnyIdleNode)->Apply(QuerySizes);
-
-void BM_QueryAnyBusyNodeCouldFit(benchmark::State& state) {
-  ResourceStore store =
-      MakeQueryStore(static_cast<int>(state.range(0)), state.range(1) != 0);
-  for (auto _ : state) {
-    // No node is this large, so the scan visits every node.
-    benchmark::DoNotOptimize(store.AnyBusyNodeCouldFit(4100));
-  }
-  FinishQueryBench(state);
-}
-BENCHMARK(BM_QueryAnyBusyNodeCouldFit)->Apply(QuerySizes);
-
-void BM_QueryFindBestIdleConfiguredNode(benchmark::State& state) {
-  ResourceStore store =
-      MakeQueryStore(static_cast<int>(state.range(0)), state.range(1) != 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(store.FindBestIdleConfiguredNode(2000));
-  }
-  FinishQueryBench(state);
-}
-BENCHMARK(BM_QueryFindBestIdleConfiguredNode)->Apply(QuerySizes);
-
-void BM_QueryFindRankedHostNode(benchmark::State& state) {
-  ResourceStore store =
-      MakeQueryStore(static_cast<int>(state.range(0)), state.range(1) != 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        store.FindRankedHostNode(1500, resource::HostRank::kBestFit));
-  }
-  FinishQueryBench(state);
-}
-BENCHMARK(BM_QueryFindRankedHostNode)->Apply(QuerySizes);
 
 void BM_EventQueuePushPop(benchmark::State& state) {
   const auto depth = static_cast<int>(state.range(0));

@@ -14,7 +14,7 @@ namespace dreamsim::analysis {
 /// When the simulator runs the StructureAuditor.
 enum class AuditMode : std::uint8_t {
   /// Never. Must be a true no-op: the only residue on the hot path is one
-  /// enum comparison per scheduler decision (bench_audit gates < 1%).
+  /// enum comparison per scheduler decision (bench_overhead gates < 1%).
   kOff,
   /// Once, at the end of the run, before the metrics report is assembled.
   kEnd,

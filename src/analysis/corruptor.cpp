@@ -270,6 +270,48 @@ void StructureCorruptor::SkewSusLive(resource::SuspensionQueue& queue) {
   queue.live_.Set(0);
 }
 
+void StructureCorruptor::ShrinkSusCapacity(resource::SuspensionQueue& queue,
+                                           std::size_t capacity) {
+  if (capacity == 0 || capacity >= queue.size()) {
+    throw std::logic_error("ShrinkSusCapacity: need 0 < capacity < size()");
+  }
+  queue.capacity_ = capacity;
+}
+
+void StructureCorruptor::DuplicateSusTask(resource::SuspensionQueue& queue,
+                                          TaskId task, TaskId victim) {
+  const std::uint32_t from = queue.SeqOf(task);
+  const std::uint32_t into = queue.SeqOf(victim);
+  if (from == resource::SuspensionQueue::kNoSlot ||
+      into == resource::SuspensionQueue::kNoSlot || from == into) {
+    throw std::logic_error("DuplicateSusTask: need two distinct queued tasks");
+  }
+  queue.slots_[into].task = task;
+  queue.seq_of_task_[victim.value()] = resource::SuspensionQueue::kNoSlot;
+}
+
+void StructureCorruptor::SwapEventHeapHead(sim::EventQueue& queue) {
+  if (queue.heap_.size() < 2) {
+    throw std::logic_error("SwapEventHeapHead: need >= 2 heap entries");
+  }
+  std::swap(queue.heap_[0], queue.heap_[1]);
+}
+
+void StructureCorruptor::BackdateEventHead(sim::EventQueue& queue, Tick tick) {
+  if (queue.heap_.empty() || tick > queue.heap_[0].tick) {
+    throw std::logic_error("BackdateEventHead: need a head at or after tick");
+  }
+  queue.heap_[0].tick = tick;
+}
+
+void StructureCorruptor::ReissueEventSequence(sim::EventQueue& queue) {
+  if (queue.heap_.empty()) {
+    throw std::logic_error("ReissueEventSequence: empty heap");
+  }
+  std::uint64_t& key = queue.heap_.back().key;
+  key = (key & ~sim::EventQueue::kSeqMask) | queue.next_sequence_;
+}
+
 void StructureCorruptor::SkewEventLiveCount(sim::EventQueue& queue) {
   ++queue.live_;
 }

@@ -138,6 +138,19 @@ class StructureCorruptor {
   /// sus.attrs.
   static void SkewSusAttrs(resource::SuspensionQueue& queue, TaskId task);
 
+  /// Lowers the suspension queue's capacity to `capacity`, below its size,
+  /// as an Add that skipped the bound would leave it. Expected slug:
+  /// sus.capacity.
+  static void ShrinkSusCapacity(resource::SuspensionQueue& queue,
+                                std::size_t capacity);
+
+  /// Writes queued `task` over queued `victim`'s slot and drops `victim`'s
+  /// seq-table row, so the FIFO holds `task` twice and `victim` nowhere,
+  /// with links, live tree, attributes and index untouched. Expected slug:
+  /// sus.unique.
+  static void DuplicateSusTask(resource::SuspensionQueue& queue, TaskId task,
+                               TaskId victim);
+
   /// Bumps the suspension queue's live-seq Fenwick leaf for seq 0 by one
   /// (requires at least one slot ever used), as an unlink that forgot the
   /// tree would. Expected slug: sus.fifo.
@@ -147,6 +160,20 @@ class StructureCorruptor {
   /// as a push or cancel that forgot the counter would. Expected slug:
   /// evq.live.
   static void SkewEventLiveCount(sim::EventQueue& queue);
+
+  /// Swaps the event heap's first two entries (requires >= 2), so the
+  /// root fires after its child. Expected slug: evq.order.
+  static void SwapEventHeapHead(sim::EventQueue& queue);
+
+  /// Moves the heap root back to `tick`, which must not be later than its
+  /// tick (so heap order holds): a live event behind any `now` past
+  /// `tick`. Expected slug: evq.past-tick.
+  static void BackdateEventHead(sim::EventQueue& queue, Tick tick);
+
+  /// Gives the last heap entry the next sequence the queue would issue
+  /// (requires a non-empty heap). The entry is a leaf and its key only
+  /// grows, so heap order holds. Expected slug: evq.sequence.
+  static void ReissueEventSequence(sim::EventQueue& queue);
 
   /// Points the arrival cursor at `ticks` (same number of arrivals), as a
   /// caller that reorders its workload while the kernel still reads it

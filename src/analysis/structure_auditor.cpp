@@ -960,7 +960,9 @@ AuditReport StructureAuditor::AuditSuspensionQueue(
   for (const std::uint32_t seq : live) {
     const TaskId task = slots[seq].task;
     const std::uint32_t row = queue.SeqOf(task);
-    if (row != seq) {
+    // A task in two live slots has one row for both; that is sus.unique.
+    const bool duplicate = row < slots.size() && slots[row].task == task;
+    if (row != seq && !duplicate) {
       Report(report, "sus.fifo", Format("seq {} (task {})", seq, task.value()),
              row == kNoSlot ? std::string("live slot has no seq-table row")
                             : Format("seq-table row points at seq {}", row));

@@ -100,6 +100,8 @@ struct SimulationConfig {
   double closest_match_slowdown = 1.0;
 
   // --- Network (t_comm of Eq. 8; disabled by default like the paper) ---
+  /// Every field must be non-negative; the Simulator constructor throws
+  /// std::invalid_argument otherwise.
   net::NetworkParams network{};
   /// Ship configuration bitstreams over the network before configuring
   /// (adds BitstreamTime to the configuration delay). The paper folds

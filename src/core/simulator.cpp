@@ -146,6 +146,13 @@ Simulator::Simulator(SimulationConfig config)
                "number in [1, {}], got {}",
                kMaxClosestMatchSlowdown, config_.closest_match_slowdown));
   }
+  const net::NetworkParams& net = config_.network;
+  if (net.bytes_per_tick < 0 || net.base_latency < 0 || net.max_jitter < 0) {
+    throw std::invalid_argument(
+        Format("SimulationConfig::network must be non-negative, got "
+               "bytes_per_tick {}, base_latency {}, max_jitter {}",
+               net.bytes_per_tick, net.base_latency, net.max_jitter));
+  }
   store_.SetIndexed(config_.scheduler_index);
   suspension_.SetDrainIndexed(config_.drain_index);
   if (config_.device_classes.empty()) {

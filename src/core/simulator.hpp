@@ -268,7 +268,7 @@ class Simulator {
   [[nodiscard]] std::unique_ptr<sched::Policy> MakePolicy() const;
   [[nodiscard]] MetricsReport FinishReport();
   /// Step-mode audit hook, called after every scheduler decision site.
-  /// Off-mode cost is one enum comparison (bench_audit gates it); a
+  /// Off-mode cost is one enum comparison (bench_overhead gates it); a
   /// violation throws std::logic_error with the rendered report.
   void MaybeAudit(const char* where) {
     if (config_.audit == analysis::AuditMode::kStep) AuditAt(where);

@@ -10,7 +10,7 @@
 namespace dreamsim::core {
 
 std::vector<int> PaperTaskCounts(double scale) {
-  if (scale <= 0.0 || scale > 1.0) {
+  if (!(0.0 < scale && scale <= 1.0)) {  // NaN fails too
     throw std::invalid_argument("PaperTaskCounts scale must be in (0, 1]");
   }
   std::vector<int> counts;

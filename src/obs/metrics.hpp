@@ -5,7 +5,7 @@
 // it is header-only on purpose: the hot layers (sim, resource, core) hook it
 // without a link dependency on dreamsim_obs, and a disabled hook costs one
 // relaxed atomic load plus a predictable branch — no clock read, no
-// allocation (the <5ns gate in bench/bench_metrics). Exposition (JSONL
+// allocation (the <5ns gate in bench/bench_overhead). Exposition (JSONL
 // snapshots, Prometheus text, the report block) lives in
 // obs/metrics_export.{hpp,cpp}.
 //

@@ -40,6 +40,16 @@ void AppendName(std::string& out, const MetricInfo& info) {
   return bin == 0 ? 0 : (std::uint64_t{1} << bin) - 1;
 }
 
+/// The snapshot step: 0 means 1; a negative step would put every event
+/// past the next boundary, so it is rejected.
+Tick CheckedInterval(Tick interval) {
+  if (interval < 0) {
+    throw std::invalid_argument(Format(
+        "metrics snapshot interval must be non-negative (got {})", interval));
+  }
+  return interval == 0 ? 1 : interval;
+}
+
 }  // namespace
 
 std::string_view ToString(MetricsFormat format) {
@@ -177,7 +187,10 @@ std::string RenderMetricsBlock(const MetricsSnapshot& snap) {
 MetricsSnapshotWriter::MetricsSnapshotWriter(const std::string& path,
                                              MetricsFormat format,
                                              Tick interval)
-    : out_(path), format_(format), interval_(interval > 0 ? interval : 1) {
+    : format_(format), interval_(CheckedInterval(interval)) {
+  // Opened only once the interval is known good, so a rejected interval
+  // leaves no file behind.
+  out_.open(path);
   if (!out_.is_open()) {
     throw std::runtime_error(
         Format("cannot open metrics-out file '{}'", path));

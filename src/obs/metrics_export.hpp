@@ -55,7 +55,8 @@ enum class MetricsFormat : std::uint8_t { kJson, kProm };
 /// exposition. Pure observer either way.
 class MetricsSnapshotWriter {
  public:
-  /// Throws std::runtime_error when the file cannot be opened.
+  /// Throws std::invalid_argument on a negative `interval` (0 means 1) and
+  /// std::runtime_error when the file cannot be opened.
   MetricsSnapshotWriter(const std::string& path, MetricsFormat format,
                         Tick interval);
   ~MetricsSnapshotWriter();

@@ -10,7 +10,7 @@
 // (resource, sched, core) without a link dependency on dreamsim_obs, and
 // when profiling is disabled a hook costs one relaxed atomic load plus a
 // predictable branch — no clock read, no allocation (the "~0% disabled"
-// gate in bench/bench_obs). Report rendering lives in profiler.cpp.
+// gate in bench/bench_overhead). Report rendering lives in profiler.cpp.
 #pragma once
 
 #include <array>

@@ -124,7 +124,7 @@ class RunTracer {
   /// serialized with std::to_chars into `batch_`, which is written out one
   /// batch (not one ostream call) at a time. The burst keeps the serializer
   /// and its buffers cache-warm, and batching the writes avoids a stream
-  /// sentry per event (bench_obs gates the overhead).
+  /// sentry per event (bench_overhead gates the overhead).
   std::vector<core::SimEvent> pending_ GUARDED_BY(role_);
   std::string batch_ GUARDED_BY(role_);
 

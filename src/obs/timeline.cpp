@@ -13,7 +13,7 @@ constexpr std::string_view kHeader =
     "scheduler_steps,failed_nodes\n";
 
 /// Row batching: sampling sits on the simulator's hot path and a fine grid
-/// emits tens of thousands of rows (bench_obs gates the overhead).
+/// emits tens of thousands of rows (bench_overhead gates the overhead).
 constexpr std::size_t kBatchBytes = 64 * 1024;
 /// Seven 20-digit fields, commas, newline — a row cannot outgrow this.
 constexpr std::size_t kMaxRowBytes = 160;

@@ -64,7 +64,8 @@ class TimeSeriesSampler {
   std::ostream& sink_;
   /// Rows are all-integer and emitted on the simulator's hot path, so they
   /// are serialized with std::to_chars into this batch and written out one
-  /// batch (not one ostream call) at a time (bench_obs gates the overhead).
+  /// batch (not one ostream call) at a time (bench_overhead gates the
+  /// overhead).
   std::string batch_ GUARDED_BY(role_);
   std::size_t rows_ = 0;
   Tick interval_;

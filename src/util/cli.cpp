@@ -1,8 +1,10 @@
 #include "util/cli.hpp"
 
 #include <charconv>
-#include "util/fmt.hpp"
+#include <cmath>
 #include <stdexcept>
+
+#include "util/fmt.hpp"
 
 namespace dreamsim {
 namespace {
@@ -14,11 +16,13 @@ bool ParseInt(const std::string& text, std::int64_t& out) {
   return ec == std::errc{} && ptr == last;
 }
 
+/// A finite number: "nan" and "inf" parse as doubles but would slip past
+/// every range check written as `x < lo || x > hi`.
 bool ParseDouble(const std::string& text, double& out) {
   try {
     std::size_t consumed = 0;
     out = std::stod(text, &consumed);
-    return consumed == text.size();
+    return consumed == text.size() && std::isfinite(out);
   } catch (const std::exception&) {
     return false;
   }
@@ -87,8 +91,8 @@ bool CliParser::Assign(const std::string& name, const std::string& value) {
     case Type::kDouble: {
       double v;
       if (!ParseDouble(value, v)) {
-        error_ = Format("option --{} expects a number, got '{}'", name,
-                             value);
+        error_ = Format("option --{} expected a finite number, got '{}'",
+                        name, value);
         return false;
       }
       break;
@@ -194,6 +198,16 @@ bool CliParser::GetBool(std::string_view name) const {
   bool v = false;
   ParseBool(Require(name, Type::kBool).value, v);
   return v;
+}
+
+std::int64_t IntAtLeast(const CliParser& cli, std::string_view name,
+                        std::int64_t min) {
+  const std::int64_t value = cli.GetInt(name);
+  if (value < min) {
+    throw std::invalid_argument(
+        Format("--{} must be >= {}, got {}", name, min, value));
+  }
+  return value;
 }
 
 std::string CliParser::HelpText() const {

@@ -24,8 +24,8 @@ class CliParser {
   void AddBool(std::string name, bool default_value, std::string help);
 
   /// Parses argv. Returns false (and fills error()) on unknown or malformed
-  /// options and on any non-flag argument. `--help` sets help_requested()
-  /// and returns true.
+  /// options (a double flag must be a finite number) and on any non-flag
+  /// argument. `--help` sets help_requested() and returns true.
   [[nodiscard]] bool Parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string GetString(std::string_view name) const;
@@ -61,5 +61,13 @@ class CliParser {
   bool help_requested_ = false;
   std::string error_;
 };
+
+/// The integer flag `name`, which must be at least `min`; otherwise throws
+/// std::invalid_argument naming the flag. Read counts this way before a
+/// cast to an unsigned type, where a negative value would wrap (a thread
+/// count to UINT_MAX, a queue bound silently to "unbounded").
+[[nodiscard]] std::int64_t IntAtLeast(const CliParser& cli,
+                                      std::string_view name,
+                                      std::int64_t min);
 
 }  // namespace dreamsim

@@ -36,8 +36,8 @@ Workload GenerateWorkload(const TaskGenParams& params,
       params.min_required_time > params.max_required_time) {
     throw std::invalid_argument("invalid required-time range");
   }
-  if (params.closest_match_fraction < 0.0 ||
-      params.closest_match_fraction > 1.0) {
+  if (!(0.0 <= params.closest_match_fraction &&
+        params.closest_match_fraction <= 1.0)) {  // NaN fails too
     throw std::invalid_argument("closest_match_fraction must be in [0,1]");
   }
   if (configs.empty() && params.closest_match_fraction < 1.0) {

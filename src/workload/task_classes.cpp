@@ -169,8 +169,8 @@ std::vector<std::string> ValidateTaskClass(const TaskClassParams& p) {
       p.base.min_required_time > p.base.max_required_time) {
     bad("invalid required-time range");
   }
-  if (p.base.closest_match_fraction < 0.0 ||
-      p.base.closest_match_fraction > 1.0) {
+  if (!(0.0 <= p.base.closest_match_fraction &&
+        p.base.closest_match_fraction <= 1.0)) {  // NaN fails too
     bad("closest-match fraction must be in [0,1]");
   }
   if (p.shape == ArrivalShape::kBursty) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace dreamsim {
@@ -84,9 +86,31 @@ TEST(CliParser, MalformedIntFails) {
 }
 
 TEST(CliParser, MalformedDoubleFails) {
+  // "nan" and "inf" parse as doubles, but slip past range checks and would
+  // silently disable faults, closest-match tasks or a sweep's scale.
+  for (const char* arg : {"--r=1.2.3", "--r=nan", "--r=-nan", "--r=inf",
+                          "--r=-inf", "--r=infinity", "--r=NAN"}) {
+    CliParser cli("test");
+    cli.AddDouble("r", 0.0, "");
+    ASSERT_FALSE(ParseArgs(cli, {arg})) << arg;
+    EXPECT_NE(cli.error().find("expected a finite number"), std::string::npos)
+        << cli.error();
+  }
+}
+
+TEST(CliParser, IntAtLeastRejectsBelowMinimum) {
   CliParser cli("test");
-  cli.AddDouble("r", 0.0, "");
-  ASSERT_FALSE(ParseArgs(cli, {"--r=1.2.3"}));
+  cli.AddInt("threads", 0, "");
+  cli.AddInt("n", 0, "");
+  ASSERT_TRUE(ParseArgs(cli, {"--threads=-1", "--n=3"}));
+  EXPECT_EQ(IntAtLeast(cli, "n", 0), 3);
+  EXPECT_EQ(IntAtLeast(cli, "n", 3), 3);
+  try {
+    (void)IntAtLeast(cli, "threads", 0);
+    FAIL() << "--threads=-1 accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "--threads must be >= 0, got -1");
+  }
 }
 
 TEST(CliParser, MissingValueFails) {

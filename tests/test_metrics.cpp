@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -233,6 +235,16 @@ TEST(MetricsExport, ReportBlockListsOnlyNonZeroMetrics) {
             std::string::npos);
   EXPECT_NE(block.find("tasks_completed_total"), std::string::npos);
   EXPECT_EQ(block.find("tasks_discarded_total"), std::string::npos);
+}
+
+TEST(MetricsSnapshotWriter, NegativeIntervalThrows) {
+  // A negative step once clamped to 1: a snapshot line per event tick.
+  // Rejected before the file is created, as the timeline sampler does.
+  const std::string path = ::testing::TempDir() + "negative-interval.jsonl";
+  std::filesystem::remove(path);
+  EXPECT_THROW(MetricsSnapshotWriter(path, MetricsFormat::kJson, -5),
+               std::invalid_argument);
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 }  // namespace

@@ -90,6 +90,18 @@ TEST(Simulator, ShardsOtherThanOneThrows) {
   EXPECT_THROW(Simulator{config}, std::invalid_argument);
 }
 
+TEST(Simulator, NegativeNetworkParamsThrow) {
+  // A negative latency shifts events into the past; a negative bandwidth
+  // or jitter was silently read as 0.
+  for (int field = 0; field < 3; ++field) {
+    SimulationConfig config = SmallConfig(10);
+    net::NetworkParams& net = config.network;
+    (field == 0 ? net.bytes_per_tick
+                : field == 1 ? net.base_latency : net.max_jitter) = -1;
+    EXPECT_THROW(Simulator{config}, std::invalid_argument) << "field " << field;
+  }
+}
+
 TEST(Simulator, ImpossibleTasksAreDiscardedNotLost) {
   // Node fabric smaller than every configuration: nothing can ever run.
   SimulationConfig config = SmallConfig(50, 5);

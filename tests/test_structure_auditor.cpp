@@ -496,6 +496,79 @@ TEST(StructureAuditorCorruption, SkewedSusLiveTreeIsSusFifo) {
   }
 }
 
+TEST(StructureAuditorCorruption, OverfullQueueIsSusCapacity) {
+  SuspensionQueue queue(/*capacity=*/4);
+  WorkloadMeter meter;
+  for (std::uint32_t t = 0; t < 3; ++t) {
+    ASSERT_TRUE(queue.Add(TaskId{t}, meter));
+  }
+  ASSERT_TRUE(StructureAuditor::AuditSuspensionQueue(queue).ok());
+  StructureCorruptor::ShrinkSusCapacity(queue, 2);
+  const AuditReport report = StructureAuditor::AuditSuspensionQueue(queue);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"sus.capacity"})
+      << report.Render();
+}
+
+TEST(StructureAuditorCorruption, TaskQueuedTwiceIsSusUnique) {
+  for (const bool indexed : {false, true}) {
+    // Either order: the duplicate may land before or after the original.
+    for (const std::uint32_t victim : {0u, 3u}) {
+      SuspensionQueue queue;
+      queue.SetDrainIndexed(indexed);
+      WorkloadMeter meter;
+      for (std::uint32_t t = 0; t < 4; ++t) {
+        ASSERT_TRUE(queue.Add(TaskId{t}, meter));
+      }
+      StructureCorruptor::DuplicateSusTask(queue, TaskId{1}, TaskId{victim});
+      const AuditReport report = StructureAuditor::AuditSuspensionQueue(queue);
+      ASSERT_FALSE(report.ok());
+      EXPECT_EQ(Slugs(report), std::set<std::string>{"sus.unique"})
+          << "indexed=" << indexed << " victim=" << victim << "\n"
+          << report.Render();
+    }
+  }
+}
+
+/// A heap-only event queue: a root and two children, no arrival cursor.
+sim::EventQueue MakeHeapQueue() {
+  sim::EventQueue queue;
+  (void)queue.Push(10, sim::EventPriority::kCompletion, sim::Event{});
+  (void)queue.Push(20, sim::EventPriority::kCompletion, sim::Event{});
+  (void)queue.Push(30, sim::EventPriority::kControl, sim::Event{});
+  return queue;
+}
+
+TEST(StructureAuditorCorruption, SwappedHeapHeadIsEvqOrder) {
+  sim::EventQueue queue = MakeHeapQueue();
+  ASSERT_TRUE(StructureAuditor::AuditEventQueue(queue, 10).ok());
+  StructureCorruptor::SwapEventHeapHead(queue);
+  const AuditReport report = StructureAuditor::AuditEventQueue(queue, 10);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"evq.order"})
+      << report.Render();
+}
+
+TEST(StructureAuditorCorruption, BackdatedHeapHeadIsEvqPastTick) {
+  sim::EventQueue queue = MakeHeapQueue();
+  ASSERT_TRUE(StructureAuditor::AuditEventQueue(queue, 10).ok());
+  StructureCorruptor::BackdateEventHead(queue, 5);
+  const AuditReport report = StructureAuditor::AuditEventQueue(queue, 10);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"evq.past-tick"})
+      << report.Render();
+}
+
+TEST(StructureAuditorCorruption, UnissuedSequenceIsEvqSequence) {
+  sim::EventQueue queue = MakeHeapQueue();
+  ASSERT_TRUE(StructureAuditor::AuditEventQueue(queue, 10).ok());
+  StructureCorruptor::ReissueEventSequence(queue);
+  const AuditReport report = StructureAuditor::AuditEventQueue(queue, 10);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"evq.sequence"})
+      << report.Render();
+}
+
 TEST(StructureAuditorCorruption, SkewedLiveCountIsEvqLive) {
   sim::EventQueue queue;
   const std::vector<Arrival> arrivals = {{5}, {7}};

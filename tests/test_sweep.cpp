@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace dreamsim::core {
 namespace {
 
@@ -37,6 +40,10 @@ TEST(PaperTaskCounts, ScaledDown) {
 TEST(PaperTaskCounts, RejectsBadScale) {
   EXPECT_THROW((void)PaperTaskCounts(0.0), std::invalid_argument);
   EXPECT_THROW((void)PaperTaskCounts(1.5), std::invalid_argument);
+  EXPECT_THROW((void)PaperTaskCounts(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW((void)PaperTaskCounts(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
 }
 
 TEST(RunSweep, ProducesModeMajorOrder) {

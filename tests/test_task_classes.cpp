@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "ptype/catalogue.hpp"
@@ -226,6 +227,10 @@ TEST(TaskClasses, ValidatorRejectsNonsense) {
 
   p = Steady("bad", 10);
   p.graph_fraction = 2.0;
+  EXPECT_FALSE(ValidateTaskClass(p).empty());
+
+  p = Steady("bad", 10);
+  p.base.closest_match_fraction = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(ValidateTaskClass(p).empty());
 
   p = Steady("bad", 10);

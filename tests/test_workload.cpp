@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -140,10 +141,13 @@ TEST(Generator, RejectsBadParams) {
   params.max_interval = 5;
   EXPECT_THROW((void)GenerateWorkload(params, configs, rng),
                std::invalid_argument);
-  params = TaskGenParams{};
-  params.closest_match_fraction = 1.5;
-  EXPECT_THROW((void)GenerateWorkload(params, configs, rng),
-               std::invalid_argument);
+  for (const double fraction :
+       {1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    params = TaskGenParams{};
+    params.closest_match_fraction = fraction;
+    EXPECT_THROW((void)GenerateWorkload(params, configs, rng),
+                 std::invalid_argument);
+  }
   params = TaskGenParams{};
   params.min_required_time = 0;
   EXPECT_THROW((void)GenerateWorkload(params, configs, rng),

@@ -170,19 +170,6 @@ void RegisterFlags(CliParser& cli) {
   cli.AddBool("verbose", false, "log scheduling decisions (very chatty)");
 }
 
-/// The integer flag `name`, which must be at least `min`. Read this way
-/// before a cast to an unsigned type, where a negative value would wrap
-/// (for the suspension knobs, silently to "unbounded").
-std::int64_t IntAtLeast(const CliParser& cli, std::string_view name,
-                        std::int64_t min) {
-  const std::int64_t value = cli.GetInt(name);
-  if (value < min) {
-    throw std::invalid_argument(
-        Format("--{} must be >= {}, got {}", name, min, value));
-  }
-  return value;
-}
-
 /// Runtime knobs shared by the flag and scenario paths: none of these are
 /// scenario identity (they never change which file describes which
 /// experiment), so they always come from flags.
@@ -193,9 +180,9 @@ void ApplyRuntimeKnobs(const CliParser& cli, core::SimulationConfig& config) {
       static_cast<std::uint32_t>(IntAtLeast(cli, "max-retries", 0));
   config.suspension_capacity =
       static_cast<std::size_t>(IntAtLeast(cli, "queue-capacity", 0));
-  config.network.bytes_per_tick = cli.GetInt("net-bandwidth");
-  config.network.base_latency = cli.GetInt("net-latency");
-  config.network.max_jitter = cli.GetInt("net-jitter");
+  config.network.bytes_per_tick = IntAtLeast(cli, "net-bandwidth", 0);
+  config.network.base_latency = IntAtLeast(cli, "net-latency", 0);
+  config.network.max_jitter = IntAtLeast(cli, "net-jitter", 0);
   config.faults.mtbf = cli.GetDouble("fault-mtbf");
   config.faults.mttr = cli.GetDouble("fault-mttr");
   config.faults.script = core::ParseFaultScript(cli.GetString("fault-script"));
@@ -441,7 +428,7 @@ int RunSingleOrCompare(const CliParser& cli) {
   if (profile) obs::PhaseProfiler::SetEnabled(true);
   const std::string metrics_out = cli.GetString("metrics-out");
   const obs::MetricsFormat metrics_format = RequireMetricsFormat(cli);
-  const auto metrics_interval = static_cast<Tick>(cli.GetInt("metrics-interval"));
+  const Tick metrics_interval = IntAtLeast(cli, "metrics-interval", 0);
   const bool explain = cli.WasSet("explain");
   if (explain &&
       (run_trace.empty() || trace_format != obs::TraceFormat::kJsonl)) {
@@ -598,7 +585,7 @@ void WarnUnsupportedObs(const CliParser& cli, std::string_view where) {
   }
 }
 
-int RunSweepMode(const CliParser& cli) {
+int RunSweepMode(const CliParser& cli, unsigned threads) {
   WarnUnsupportedObs(cli, "sweep");
   const bool profile = cli.GetBool("profile");
   if (profile) {
@@ -613,7 +600,7 @@ int RunSweepMode(const CliParser& cli) {
   params.base.enable_monitoring = false;
   params.task_counts = core::PaperTaskCounts(cli.GetDouble("scale"));
   params.modes = {sched::ReconfigMode::kFull, sched::ReconfigMode::kPartial};
-  params.threads = static_cast<unsigned>(cli.GetInt("threads"));
+  params.threads = threads;
   params.replications =
       static_cast<std::size_t>(IntAtLeast(cli, "replications", 1));
 
@@ -691,14 +678,17 @@ int main(int argc, char** argv) {
                 << scenario::CanonicalScenario(*parsed);
       return 0;
     }
-    if (cli.GetBool("sweep")) return RunSweepMode(cli);  // owns --replications
+    // Checked in every mode, so a wrapped count never passes unnoticed.
+    const auto threads = static_cast<unsigned>(IntAtLeast(cli, "threads", 0));
+    if (cli.GetBool("sweep")) {
+      return RunSweepMode(cli, threads);  // owns --replications
+    }
     const auto replications =
         static_cast<std::size_t>(IntAtLeast(cli, "replications", 1));
     if (replications > 1) {
       WarnUnsupportedObs(cli, "replications");
       const core::ReplicationReport report = core::RunReplications(
-          BuildConfig(cli), replications,
-          static_cast<unsigned>(cli.GetInt("threads")));
+          BuildConfig(cli), replications, threads);
       std::cout << core::RenderReplicationTable(report);
       return 0;
     }
