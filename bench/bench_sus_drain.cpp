@@ -192,7 +192,8 @@ int main(int argc, char** argv) {
                FamilyId::invalid(), 150, 0, ConfigId::invalid());
            // The reference walk stops at the hit (or walks the tail dry).
            indexed_meter.Add(StepKind::kSchedulingSearch,
-                             hit ? *hit + 1 : indexed_queue.size());
+                             hit ? indexed_queue.PositionOf(*hit) + 1
+                                 : indexed_queue.size());
          }},
         {"partial_fifo_none",
          [&] {
@@ -203,7 +204,8 @@ int main(int argc, char** argv) {
            const auto hit = indexed_queue.OldestEligible(
                FamilyId::invalid(), 50, 0, ConfigId::invalid());
            indexed_meter.Add(StepKind::kSchedulingSearch,
-                             hit ? *hit + 1 : indexed_queue.size());
+                             hit ? indexed_queue.PositionOf(*hit) + 1
+                                 : indexed_queue.size());
          }},
         {"partial_priority_best",
          [&] {

@@ -11,6 +11,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -60,7 +61,8 @@ inline int RunFigure(int argc, char** argv, const FigureSpec& spec) {
   try {
     task_counts =
         PaperTaskCounts(cli.GetBool("full") ? 1.0 : cli.GetDouble("scale"));
-    threads = static_cast<unsigned>(IntAtLeast(cli, "threads", 0));
+    threads = static_cast<unsigned>(
+        IntInRange(cli, "threads", 0, std::numeric_limits<unsigned>::max()));
   } catch (const std::invalid_argument& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;

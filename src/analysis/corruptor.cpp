@@ -150,7 +150,7 @@ void StructureCorruptor::SkewIndexPotential(resource::ResourceStore& store,
 void StructureCorruptor::InjectStrayIndexKey(resource::ResourceStore& store,
                                              NodeId node) {
   IndexOf(store, "InjectStrayIndexKey")
-      .global_.all_by_avail.insert(
+      .global_.partial_by_avail.insert(
           {store.nodes_.at(node.value()).available_area() + 1, node.value()});
 }
 
@@ -158,6 +158,13 @@ void StructureCorruptor::DropFamilyView(resource::ResourceStore& store,
                                         NodeId node) {
   IndexOf(store, "DropFamilyView")
       .family_views_.erase(store.nodes_.at(node.value()).family().value());
+}
+
+void StructureCorruptor::AddFamilyView(resource::ResourceStore& store,
+                                       NodeId node) {
+  resource::StoreIndex& index = IndexOf(store, "AddFamilyView");
+  index.family_views_.emplace(store.nodes_.at(node.value()).family().value(),
+                              index.global_);
 }
 
 void StructureCorruptor::SkewIndexConfigCount(resource::ResourceStore& store,

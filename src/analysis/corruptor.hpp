@@ -95,14 +95,19 @@ class StructureCorruptor {
   static void SkewIndexPotential(resource::ResourceStore& store, NodeId node);
 
   /// Adds a stray (AvailableArea + 1, node) key to the StoreIndex global
-  /// view's all-by-available set (requires the index). Expected slug:
+  /// view's partially-blank set (requires the index). Expected slug:
   /// idx.set.
   static void InjectStrayIndexKey(resource::ResourceStore& store,
                                   NodeId node);
 
-  /// Deletes the StoreIndex view of `node`'s family (requires the index).
-  /// Expected slug: idx.view.
+  /// Deletes the StoreIndex view of `node`'s family (requires the index
+  /// over a fleet of two or more family values). Expected slug: idx.view.
   static void DropFamilyView(resource::ResourceStore& store, NodeId node);
+
+  /// Gives the StoreIndex a copy of the global view as the view of
+  /// `node`'s family, as a one-family fleet never holds (requires the
+  /// index). Expected slug: idx.view.
+  static void AddFamilyView(resource::ResourceStore& store, NodeId node);
 
   /// Raises the failed flag on `node` directly, leaving every list it
   /// appears in untouched — the "failed node still visible" class.

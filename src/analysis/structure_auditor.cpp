@@ -515,9 +515,10 @@ void StructureAuditor::AuditStoreIndex(const ResourceStore& store,
     }
   }
 
-  // Reconstruct the view composition: every node is in the global view and
-  // in the view of its family value (including the invalid "familyless"
-  // value), in ascending id order.
+  // Reconstruct the view composition: every node is in the global view
+  // and, once the fleet holds two or more family values, in the view of
+  // its family value (including the invalid "familyless" value), in
+  // ascending id order. A one-family fleet keeps no family view.
   std::map<std::uint32_t, std::vector<std::uint32_t>> expected_families;
   std::vector<std::uint32_t> expected_global;
   for (const Node& node : store.nodes_) {
@@ -542,7 +543,6 @@ void StructureAuditor::AuditStoreIndex(const ResourceStore& store,
       return;
     }
     std::vector<StoreIndex::AreaKey> want_blank;
-    std::vector<StoreIndex::AreaKey> want_all;
     std::vector<StoreIndex::AreaKey> want_partial;
     std::vector<StoreIndex::AreaKey> want_idle_cfg;
     for (std::size_t pos = 0; pos < count; ++pos) {
@@ -582,7 +582,6 @@ void StructureAuditor::AuditStoreIndex(const ResourceStore& store,
                Format("config-count leaf {} != {} live slots",
                       view.config_count.Value(pos), t.counts.live));
       }
-      if (!t.failed) want_all.push_back({node.available_area(), id});
       if (blank && !t.failed) want_blank.push_back({node.total_area(), id});
       if (!blank) want_partial.push_back({node.available_area(), id});
       if (!blank && !busy) want_idle_cfg.push_back({node.total_area(), id});
@@ -624,12 +623,27 @@ void StructureAuditor::AuditStoreIndex(const ResourceStore& store,
       }
     };
     diff_set(view.blank_by_total, want_blank, "blank-by-total");
-    diff_set(view.all_by_avail, want_all, "all-by-avail");
     diff_set(view.partial_by_avail, want_partial, "partial-by-avail");
     diff_set(view.idle_cfg_by_total, want_idle_cfg, "idle-cfg-by-total");
   };
 
   audit_view(index.global_, expected_global, "global view");
+  if (expected_families.size() <= 1) {
+    if (!index.family_views_.empty()) {
+      Report(report, "idx.view", "index",
+             Format("{} family views in a one-family fleet",
+                    index.family_views_.size()));
+    }
+    // family_pos: the global view serves the family, at the node id.
+    for (const std::uint32_t id : expected_global) {
+      if (index.cached_[id].family_pos != id) {
+        Report(report, "idx.snapshot", Format("node {}", id),
+               Format("family_pos {} != global view position {}",
+                      index.cached_[id].family_pos, id));
+      }
+    }
+    return;
+  }
   for (const auto& [family, ids] : expected_families) {
     const auto it = index.family_views_.find(family);
     if (it == index.family_views_.end()) {

@@ -605,8 +605,9 @@ void Simulator::DrainSuspensionQueue(NodeId freed_node,
   }
 }
 
-Simulator::DrainAttempt Simulator::AttemptQueuedAt(std::size_t index) {
-  const TaskId id = suspension_.At(index);
+Simulator::DrainAttempt Simulator::AttemptQueuedAt(
+    resource::SuspensionQueue::Seq seq) {
+  const TaskId id = suspension_.TaskAt(seq);
   obs::MetricInc(obs::MetricId::kDrainAttempts);
   store_.meter().BeginTask();
   const sched::Outcome outcome = AttemptSchedule(id, /*is_arrival=*/false);
@@ -615,7 +616,7 @@ Simulator::DrainAttempt Simulator::AttemptQueuedAt(std::size_t index) {
     if (outcome == sched::Outcome::kPlaced) {
       obs::MetricInc(obs::MetricId::kDrainPlacements);
     }
-    suspension_.RemoveAt(index, store_.meter());
+    suspension_.RemoveSeq(seq, store_.meter());
     MaybeAudit("queued-attempt");
     return {outcome == sched::Outcome::kPlaced, true};
   }
@@ -625,7 +626,7 @@ Simulator::DrainAttempt Simulator::AttemptQueuedAt(std::size_t index) {
   ++failed.sus_retry;
   if (config_.max_suspension_retries != 0 &&
       failed.sus_retry >= config_.max_suspension_retries) {
-    suspension_.RemoveAt(index, store_.meter());
+    suspension_.RemoveSeq(seq, store_.meter());
     failed.state = resource::TaskState::kDiscarded;
     metrics_.OnDiscarded();
     if (ShouldExplain(id)) {
@@ -666,7 +667,7 @@ void Simulator::DrainFullMode(const resource::Node& node,
     // family groups without exclusions is exact. A repair drain passes an
     // invalid freed_config (a blank revived node carries nothing to reuse),
     // skipping the exact-match pick entirely.
-    std::optional<std::size_t> pick;
+    std::optional<resource::SuspensionQueue::Seq> pick;
     if (freed_config.valid()) {
       pick = by_priority ? suspension_.BestPriorityExactMatch(freed_config)
                          : suspension_.OldestExactMatch(freed_config);
@@ -682,20 +683,18 @@ void Simulator::DrainFullMode(const resource::Node& node,
     return;
   }
   obs::MetricInc(obs::MetricId::kSusqScanFallback);
-  std::size_t match_index = 0;
+  resource::SuspensionQueue::Seq match_seq = 0;
   bool has_match = false;
   double match_priority = 0.0;
-  std::size_t fallback_index = 0;
+  resource::SuspensionQueue::Seq fallback_seq = 0;
   bool has_fallback = false;
   double fallback_priority = 0.0;
-  std::size_t i = 0;
-  for (const TaskId queued : suspension_) {
-    const resource::Task& task = tasks_.Get(queued);
-    const std::size_t index = i++;
+  for (auto it = suspension_.begin(); it != suspension_.end(); ++it) {
+    const resource::Task& task = tasks_.Get(*it);
     store_.meter().Add(resource::StepKind::kSchedulingSearch);
     if (freed_config.valid() && task.resolved_config == freed_config) {
       if (!has_match || (by_priority && task.priority > match_priority)) {
-        match_index = index;
+        match_seq = it.seq();
         match_priority = task.priority;
         has_match = true;
       }
@@ -706,16 +705,16 @@ void Simulator::DrainFullMode(const resource::Node& node,
                     .CompatibleWith(node.family()))) {
       if (!has_fallback ||
           (by_priority && task.priority > fallback_priority)) {
-        fallback_index = index;
+        fallback_seq = it.seq();
         fallback_priority = task.priority;
         has_fallback = true;
       }
     }
   }
   if (has_match) {
-    (void)AttemptQueuedAt(match_index);
+    (void)AttemptQueuedAt(match_seq);
   } else if (has_fallback) {
-    (void)AttemptQueuedAt(fallback_index);
+    (void)AttemptQueuedAt(fallback_seq);
   }
 }
 
@@ -736,7 +735,7 @@ void Simulator::DrainPartialPriority(const resource::Node& node,
       // CouldUseNode is "exact config match, or family-compatible with
       // needed_area within the node's could-eventually-host bound"; the
       // store state is constant within one pass, so one bound covers it.
-      const std::optional<std::size_t> best = suspension_.BestPriorityEligible(
+      const auto best = suspension_.BestPriorityEligible(
           node.family(), store_.CouldEventuallyHostBound(node.id()),
           freed_config);
       if (!best) return;
@@ -750,23 +749,21 @@ void Simulator::DrainPartialPriority(const resource::Node& node,
        ++policy_runs) {
     // Full counted scan for the best (priority, FIFO-tie) candidate.
     obs::MetricInc(obs::MetricId::kSusqScanFallback);
-    std::size_t best_index = 0;
+    resource::SuspensionQueue::Seq best_seq = 0;
     bool found = false;
     double best_priority = 0.0;
-    std::size_t i = 0;
-    for (const TaskId queued : suspension_) {
-      const resource::Task& task = tasks_.Get(queued);
-      const std::size_t index = i++;
+    for (auto it = suspension_.begin(); it != suspension_.end(); ++it) {
+      const resource::Task& task = tasks_.Get(*it);
       store_.meter().Add(resource::StepKind::kSchedulingSearch);
       if (!CouldUseNode(task, node, freed_config)) continue;
       if (!found || task.priority > best_priority) {
-        best_index = index;
+        best_seq = it.seq();
         best_priority = task.priority;
         found = true;
       }
     }
     if (!found) return;
-    const DrainAttempt attempt = AttemptQueuedAt(best_index);
+    const DrainAttempt attempt = AttemptQueuedAt(best_seq);
     // kSuspend left the task in place; re-scanning would loop.
     if (!attempt.placed && !attempt.removed) return;
   }
@@ -777,12 +774,15 @@ void Simulator::DrainPartialFifo(const resource::Node& node,
                                  std::size_t max_policy_runs) {
   // FIFO drain: one resumable pass; each queue entry is inspected at most
   // once per completion.
-  std::size_t index = 0;
   std::size_t policy_runs = 0;
   if (suspension_.drain_indexed()) {
+    // The cursor is a seq (`from`) plus its FIFO position (`index`), the
+    // latter kept only for the step charges.
+    resource::SuspensionQueue::Seq from = 0;
+    std::size_t index = 0;
     while (index < suspension_.size() && policy_runs < max_policy_runs) {
-      const std::optional<std::size_t> next = suspension_.OldestEligible(
-          node.family(), store_.CouldEventuallyHostBound(node.id()), index,
+      const auto next = suspension_.OldestEligible(
+          node.family(), store_.CouldEventuallyHostBound(node.id()), from,
           freed_config);
       if (!next) {
         // The reference walk visits the remaining tail without a match.
@@ -790,17 +790,19 @@ void Simulator::DrainPartialFifo(const resource::Node& node,
                            suspension_.size() - index);
         return;
       }
-      // Entries in [index, *next) fail the prefilter; the reference walk
-      // charges one step per visit, candidate included.
+      // Entries in [index, position) fail the prefilter; the reference
+      // walk charges one step per visit, candidate included.
+      const std::size_t position = suspension_.PositionOf(*next);
       store_.meter().Add(resource::StepKind::kSchedulingSearch,
-                         *next - index + 1);
+                         position - index + 1);
       ++policy_runs;
       const DrainAttempt attempt = AttemptQueuedAt(*next);
-      // kSuspend keeps the task at `*next`; a repeat attempt this drain
-      // would loop, so stop. (Removal leaves `*next` pointing at the next
-      // FIFO entry and the walk resumes there.)
+      // kSuspend keeps the task queued; a repeat attempt this drain would
+      // loop, so stop. (Removal leaves `position` to the next FIFO entry,
+      // the first seq after `*next`, and the walk resumes there.)
       if (!attempt.placed && !attempt.removed) return;
-      index = *next;
+      from = *next + 1;
+      index = position;
     }
     return;
   }
@@ -811,15 +813,14 @@ void Simulator::DrainPartialFifo(const resource::Node& node,
     store_.meter().Add(resource::StepKind::kSchedulingSearch);
     if (!CouldUseNode(task, node, freed_config)) {
       ++it;
-      ++index;
       continue;
     }
     ++policy_runs;
     const auto next = std::next(it);
-    const DrainAttempt attempt = AttemptQueuedAt(index);
-    // kSuspend keeps the task at `index`; a repeat attempt this drain
-    // would loop, so stop. (Removal cases leave `index` pointing at the
-    // next FIFO entry and the walk continues there.)
+    const DrainAttempt attempt = AttemptQueuedAt(it.seq());
+    // kSuspend keeps the task queued; a repeat attempt this drain would
+    // loop, so stop. (Removal cases continue the walk at the next FIFO
+    // entry.)
     if (!attempt.placed && !attempt.removed) return;
     it = next;
   }

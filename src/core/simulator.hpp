@@ -242,9 +242,9 @@ class Simulator {
     bool placed = false;
     bool removed = false;  // the task left the queue (placed or discarded)
   };
-  /// Re-attempts the queued task at FIFO `index`, removing it from the
-  /// queue on success or final failure.
-  DrainAttempt AttemptQueuedAt(std::size_t index);
+  /// Re-attempts the task queued as `seq`, removing it from the queue on
+  /// success or final failure.
+  DrainAttempt AttemptQueuedAt(resource::SuspensionQueue::Seq seq);
   void DrainFullMode(const resource::Node& node, ConfigId freed_config);
   void DrainPartialPriority(const resource::Node& node, ConfigId freed_config,
                             std::size_t max_policy_runs);

@@ -77,22 +77,6 @@ std::size_t CountTree::Prefix(std::size_t count) const {
   return sum;
 }
 
-std::size_t CountTree::Select(std::size_t rank) const {
-  // Binary-lifting descent: the largest prefix holding <= rank set bits
-  // ends right before the wanted position.
-  std::size_t pos = 0;
-  std::size_t remaining = rank;
-  std::size_t step = 1;
-  while (step * 2 <= tree_.size()) step *= 2;
-  for (; step > 0; step /= 2) {
-    if (pos + step <= tree_.size() && tree_[pos + step - 1] <= remaining) {
-      pos += step;
-      remaining -= tree_[pos - 1];
-    }
-  }
-  return pos;
-}
-
 // --- MaxSegTree ---
 
 void MaxSegTree::Grow() {

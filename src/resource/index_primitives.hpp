@@ -30,7 +30,7 @@ class PrefixSumTree {
   std::vector<std::int64_t> tree_;    // 1-based Fenwick array
 };
 
-/// Append-only Fenwick tree of 0/1 membership bits with rank and select.
+/// Append-only Fenwick tree of 0/1 membership bits with rank queries.
 /// Only the tree cells are stored (4 bytes per position): the owner keeps
 /// the bits themselves and must only Set() a cleared bit and Clear() a set
 /// one.
@@ -42,9 +42,6 @@ class CountTree {
   void Clear(std::size_t pos);
   /// Set bits among the first `count` positions.
   [[nodiscard]] std::size_t Prefix(std::size_t count) const;
-  /// Position of the set bit with `rank` set bits before it. Requires
-  /// rank < Total().
-  [[nodiscard]] std::size_t Select(std::size_t rank) const;
   [[nodiscard]] std::size_t Total() const { return total_; }
   [[nodiscard]] std::size_t size() const { return tree_.size(); }
 

@@ -42,10 +42,18 @@ void StoreIndex::AddNodes(std::span<const Node> nodes,
       throw std::logic_error("StoreIndex::AddNode: node ids must be dense");
     }
     Snapshot snap = Capture(nodes[i], busy_area[i]);
-    View& fam = family_views_[snap.family];
-    snap.family_pos = fam.ids.size();
+    if (family_views_.empty() && !cached_.empty() &&
+        snap.family != cached_.front().family) {
+      SplitFamilyViews(batches);
+    }
+    if (family_views_.empty()) {
+      snap.family_pos = id;
+    } else {
+      View& fam = family_views_[snap.family];
+      snap.family_pos = fam.ids.size();
+      AppendToView(fam, snap, id, batches);
+    }
     AppendToView(global_, snap, id, batches);
-    AppendToView(fam, snap, id, batches);
     cached_.push_back(snap);
   }
   // A sorted range insert hints at end(), so each key costs O(1) amortized
@@ -56,13 +64,24 @@ void StoreIndex::AddNodes(std::span<const Node> nodes,
   }
 }
 
+void StoreIndex::SplitFamilyViews(KeyBatches& batches) {
+  for (std::size_t id = 0; id < cached_.size(); ++id) {
+    Snapshot& snap = cached_[id];
+    View& fam = family_views_[snap.family];
+    snap.family_pos = fam.ids.size();
+    AppendToView(fam, snap, static_cast<std::uint32_t>(id), batches);
+  }
+}
+
 void StoreIndex::Refresh(const Node& node, Area busy_area) {
   const std::uint32_t id = node.id().value();
   Snapshot& was = cached_.at(id);
   Snapshot now = Capture(node, busy_area);
   now.family_pos = was.family_pos;  // families are fixed at creation
   ApplyToView(global_, id, was, now, id);
-  ApplyToView(family_views_.at(now.family), now.family_pos, was, now, id);
+  if (!family_views_.empty()) {
+    ApplyToView(family_views_.at(now.family), now.family_pos, was, now, id);
+  }
   was = now;
 }
 
@@ -73,9 +92,6 @@ void StoreIndex::AppendToView(View& view, const Snapshot& snap,
   view.busy_total.Append(snap.busy ? snap.total : MaxSegTree::kNegInf);
   view.available.Append(AvailableKey(snap));
   view.config_count.Append(snap.config_count);
-  if (!snap.failed) {
-    batches[&view.all_by_avail].push_back({snap.available, id});
-  }
   if (snap.blank && !snap.failed) {
     batches[&view.blank_by_total].push_back({snap.total, id});
   }
@@ -110,8 +126,6 @@ void StoreIndex::ApplyToView(View& view, std::size_t pos, const Snapshot& was,
   };
   resync(view.blank_by_total, was.blank && !was.failed, was.total,
          now.blank && !now.failed, now.total);
-  resync(view.all_by_avail, !was.failed, was.available, !now.failed,
-         now.available);
   resync(view.partial_by_avail, !was.blank, was.available, !now.blank,
          now.available);
   resync(view.idle_cfg_by_total, !was.blank && !was.busy, was.total,
@@ -120,6 +134,13 @@ void StoreIndex::ApplyToView(View& view, std::size_t pos, const Snapshot& was,
 
 const StoreIndex::View* StoreIndex::ViewFor(FamilyId family) const {
   if (!family.valid()) return &global_;
+  if (family_views_.empty()) {
+    // One family value fleet-wide: the global view holds exactly its
+    // members, in the same order.
+    return !cached_.empty() && cached_.front().family == family.value()
+               ? &global_
+               : nullptr;
+  }
   const auto it = family_views_.find(family.value());
   return it == family_views_.end() ? nullptr : &it->second;
 }
@@ -258,26 +279,58 @@ std::optional<NodeId> StoreIndex::RankedHost(
       return std::nullopt;
     }
     case HostRank::kBestFit: {
-      for (auto it = view->all_by_avail.lower_bound({needed_area, 0});
-           it != view->all_by_avail.end(); ++it) {
-        const Node& n = nodes[it->second];
+      // Ascending (AvailableArea, id) over the live nodes: merge the
+      // non-blank set with the blank set (a blank node's key area is its
+      // TotalArea, which equals its AvailableArea).
+      auto partial = view->partial_by_avail.lower_bound({needed_area, 0});
+      auto blank = view->blank_by_total.lower_bound({needed_area, 0});
+      const auto partial_end = view->partial_by_avail.end();
+      const auto blank_end = view->blank_by_total.end();
+      while (partial != partial_end || blank != blank_end) {
+        const bool from_partial =
+            blank == blank_end || (partial != partial_end && *partial < *blank);
+        const Node& n = nodes[(from_partial ? partial++ : blank++)->second];
         if (n.CanHost(needed_area)) return n.id();
       }
       return std::nullopt;
     }
     case HostRank::kWorstFit: {
-      // Walk groups of equal AvailableArea from the largest down; within a
-      // group the scan keeps the smallest id, which is the set's own order.
-      const auto floor_it = view->all_by_avail.lower_bound({needed_area, 0});
-      auto end_it = view->all_by_avail.end();
-      while (floor_it != end_it) {
-        const Area group_area = std::prev(end_it)->first;
-        const auto group_it = view->all_by_avail.lower_bound({group_area, 0});
-        for (auto it = group_it; it != end_it; ++it) {
-          const Node& n = nodes[it->second];
+      // Walk groups of equal AvailableArea from the largest down, each
+      // group drawn from both sets; within a group the scan keeps the
+      // smallest id, so the two sets' group ranges merge by id.
+      const auto partial_floor =
+          view->partial_by_avail.lower_bound({needed_area, 0});
+      const auto blank_floor =
+          view->blank_by_total.lower_bound({needed_area, 0});
+      auto partial_end = view->partial_by_avail.end();
+      auto blank_end = view->blank_by_total.end();
+      while (partial_floor != partial_end || blank_floor != blank_end) {
+        const Area partial_top = partial_floor != partial_end
+                                     ? std::prev(partial_end)->first
+                                     : needed_area - 1;
+        const Area blank_top = blank_floor != blank_end
+                                   ? std::prev(blank_end)->first
+                                   : needed_area - 1;
+        const Area group_area = std::max(partial_top, blank_top);
+        const auto partial_group =
+            partial_top == group_area
+                ? view->partial_by_avail.lower_bound({group_area, 0})
+                : partial_end;
+        const auto blank_group =
+            blank_top == group_area
+                ? view->blank_by_total.lower_bound({group_area, 0})
+                : blank_end;
+        auto partial = partial_group;
+        auto blank = blank_group;
+        while (partial != partial_end || blank != blank_end) {
+          const bool from_partial =
+              blank == blank_end ||
+              (partial != partial_end && partial->second < blank->second);
+          const Node& n = nodes[(from_partial ? partial++ : blank++)->second];
           if (n.CanHost(needed_area)) return n.id();
         }
-        end_it = group_it;
+        partial_end = partial_group;
+        blank_end = blank_group;
       }
       return std::nullopt;
     }

@@ -12,9 +12,14 @@
 // counts are bit-identical with the scans — tests/test_store_index_diff.cpp
 // proves it differentially.
 //
-// Structure: one View per device family plus a global View (family-less
-// queries). A node appears in exactly two views, so total memory stays
-// O(N). Each View keys its members by ascending node id (`ids[pos]`), the
+// Structure: a global View (family-less queries) plus, once the fleet holds
+// a second family value, one View per family value. While every node has
+// the same family value (the paper's fleets: one implicit family) the
+// global View already is that family's View, so no per-family copy is
+// kept and each fact is stored once; the first node of a second family
+// splits the per-family Views off the cached snapshots in id order. Either
+// way a node appears in at most two views, so total memory stays O(N).
+// Each View keys its members by ascending node id (`ids[pos]`), the
 // position every tree/prefix structure is indexed by:
 //   - potential:   max segment tree over TotalArea - sum(busy entry areas),
 //                  the Algorithm 1 feasibility bound ("max reclaimable
@@ -26,8 +31,11 @@
 //                  analytic step formulas (prefix sums of slots a scan
 //                  would have visited);
 //   - ordered sets keyed by (area, node id): blank nodes by TotalArea,
-//                  all/partially-blank nodes by AvailableArea, idle
-//                  configured nodes by TotalArea.
+//                  non-blank nodes by AvailableArea, idle configured nodes
+//                  by TotalArea. A blank node's AvailableArea is its
+//                  TotalArea (Eq. 4) and only a blank node can fail, so the
+//                  first two sets together hold every live node keyed by
+//                  AvailableArea, the order the best/worst-fit ranks walk.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +70,8 @@ class StoreIndex {
   /// AddNode for each of `nodes` (same id rules) with `busy_area[i]` for
   /// nodes[i], reaching the same state. The ordered-set keys are sorted
   /// and inserted in one linear pass instead of one O(log N) insert each,
-  /// which dominated building a large population.
+  /// which dominated building a large population. The first node whose
+  /// family value differs from node 0's splits off the per-family views.
   void AddNodes(std::span<const Node> nodes, std::span<const Area> busy_area);
 
   /// Re-derives every indexed property of `node` and applies the delta.
@@ -126,7 +135,6 @@ class StoreIndex {
     MaxSegTree available;
     PrefixSumTree config_count;
     std::set<AreaKey> blank_by_total;
-    std::set<AreaKey> all_by_avail;
     std::set<AreaKey> partial_by_avail;
     std::set<AreaKey> idle_cfg_by_total;
   };
@@ -141,7 +149,9 @@ class StoreIndex {
     bool busy = false;
     bool failed = false;
     std::uint32_t family = 0;     // FamilyId::kInvalidValue when familyless
-    std::size_t family_pos = 0;   // position within the family view
+    std::size_t family_pos = 0;   // position within the view serving the
+                                  // family (the node id while that is
+                                  // the global view)
   };
 
   [[nodiscard]] static Snapshot Capture(const Node& node, Area busy_area);
@@ -150,11 +160,17 @@ class StoreIndex {
   // skip them (absent from the blank list, CanHost/busy() false, no slots).
   [[nodiscard]] static std::int64_t PotentialKey(const Snapshot& snap);
   [[nodiscard]] static std::int64_t AvailableKey(const Snapshot& snap);
+  /// The view answering queries bound to `family`: the global view for the
+  /// invalid (unconstrained) family and, while the fleet has one family
+  /// value, for that value; nullptr for a family no node belongs to.
   [[nodiscard]] const View* ViewFor(FamilyId family) const;
   /// Ordered-set keys awaiting one sorted insert per set (AddNodes).
   using KeyBatches = std::map<std::set<AreaKey>*, std::vector<AreaKey>>;
   static void AppendToView(View& view, const Snapshot& snap, std::uint32_t id,
                            KeyBatches& batches);
+  /// Builds every per-family view from the cached snapshots in id order
+  /// (the fleet just gained its second family value).
+  void SplitFamilyViews(KeyBatches& batches);
   static void ApplyToView(View& view, std::size_t pos, const Snapshot& was,
                           const Snapshot& now, std::uint32_t id);
   [[nodiscard]] std::optional<ReconfigPlan> ReplayReclaimScan(
@@ -162,6 +178,7 @@ class StoreIndex {
 
   const ConfigCatalogue* configs_;
   View global_;
+  // Empty while every node shares one family value (see ViewFor).
   std::unordered_map<std::uint32_t, View> family_views_;
   std::vector<Snapshot> cached_;  // indexed by node id
 };

@@ -67,18 +67,13 @@ bool SuspensionQueue::Contains(TaskId task, WorkloadMeter& meter) const {
   return false;
 }
 
-void SuspensionQueue::RemoveAt(std::size_t index, WorkloadMeter& meter) {
-  const std::uint32_t seq = SeqAt(index);
+void SuspensionQueue::RemoveSeq(Seq seq, WorkloadMeter& meter) {
+  if (!TaskAt(seq).valid()) {
+    throw std::out_of_range(
+        Format("SuspensionQueue: seq {} is not queued", seq));
+  }
   meter.Add(StepKind::kHousekeeping);
   Unlink(seq);
-}
-
-std::uint32_t SuspensionQueue::SeqAt(std::size_t index) const {
-  if (index >= size()) {
-    throw std::out_of_range(
-        Format("SuspensionQueue: position {} of {}", index, size()));
-  }
-  return static_cast<std::uint32_t>(live_.Select(index));
 }
 
 bool SuspensionQueue::Remove(TaskId task, WorkloadMeter& meter) {

@@ -8,9 +8,9 @@
 // Layout. Every enqueued task gets the next insertion seq, which is its
 // slot in an append-only slot array. Removal leaves a tombstone and unlinks
 // the slot from a doubly-linked list threaded through the live slots in
-// seq (= FIFO) order, so walks and front pops visit live entries only. A
-// Fenwick tree of live seqs converts seq -> FIFO position (the charge
-// arithmetic) and position -> seq (positional access). The drain
+// seq (= FIFO) order, so walks and front pops visit live entries only.
+// Drains address entries by seq; a Fenwick tree of live seqs converts a
+// seq to its FIFO position where a step charge needs one. The drain
 // attributes sit in arrays by seq (the priority only in a priority-order
 // queue, the one order that reads it), and a dense array by TaskId value
 // maps each queued task to its seq. Every per-entry cell is a flat array
@@ -44,6 +44,11 @@ namespace dreamsim::resource {
 /// FIFO of suspended tasks with counted traversals. An optional capacity
 /// bound lets failure-injection tests exercise overflow handling.
 class SuspensionQueue {
+ public:
+  /// An entry's insertion seq: its FIFO rank among all entries ever
+  /// queued, stable while it stays queued.
+  using Seq = std::uint32_t;
+
  private:
   static constexpr std::uint32_t kNoSlot =
       std::numeric_limits<std::uint32_t>::max();
@@ -81,6 +86,8 @@ class SuspensionQueue {
     friend bool operator==(const const_iterator& a, const const_iterator& b) {
       return a.slot_ == b.slot_;
     }
+    /// The seq of the entry pointed at.
+    [[nodiscard]] Seq seq() const { return slot_; }
 
    private:
     friend class SuspensionQueue;
@@ -135,14 +142,21 @@ class SuspensionQueue {
   /// Same indexed-or-scan split and charge contract as Contains().
   bool Remove(TaskId task, WorkloadMeter& meter);
 
-  /// Removes the task at FIFO position `index` (0 = oldest). Used by
-  /// callers that already paid the traversal to `index`; charges one
-  /// housekeeping step for the unlink itself.
-  void RemoveAt(std::size_t index, WorkloadMeter& meter);
+  /// Removes the queued entry `seq`. Used by callers that already paid
+  /// the traversal to it; charges one housekeeping step for the unlink
+  /// itself. Throws std::out_of_range when `seq` is not queued.
+  void RemoveSeq(Seq seq, WorkloadMeter& meter);
 
-  /// The task at FIFO position `index` (uncounted, O(log Q)).
-  [[nodiscard]] TaskId At(std::size_t index) const {
-    return slots_[SeqAt(index)].task;
+  /// The task queued as `seq` (uncounted, O(1)); invalid once the entry
+  /// left the queue.
+  [[nodiscard]] TaskId TaskAt(Seq seq) const {
+    return seq < slots_.size() ? slots_[seq].task : TaskId::invalid();
+  }
+
+  /// The FIFO position (0 = oldest) of the queued entry `seq` (uncounted,
+  /// O(log Q)): the entries a FIFO walk visits before reaching it.
+  [[nodiscard]] std::size_t PositionOf(Seq seq) const {
+    return live_.Prefix(seq);
   }
 
   /// Enables or disables the drain index, rebuilding it from the current
@@ -157,40 +171,39 @@ class SuspensionQueue {
   // one (std::logic_error otherwise). That caller-charges contract is why
   // these thin delegates carry `lint: allow(uncharged-index-query)` —
   // dreamsim_lint's R3 otherwise requires a WorkloadMeter charge next to
-  // every drain-query call. Answers are FIFO positions.
+  // every drain-query call. Answers are seqs; PositionOf turns one into
+  // the FIFO position a charge needs.
 
-  [[nodiscard]] std::optional<std::size_t> OldestExactMatch(
-      ConfigId config) const {
+  [[nodiscard]] std::optional<Seq> OldestExactMatch(ConfigId config) const {
     const obs::ScopedPhaseTimer timer(obs::ProfPhase::kSusQueueQuery);
     obs::MetricInc(obs::MetricId::kSusqQueryOldestExact);
     // lint: allow(uncharged-index-query)
-    return PositionOf(index_->OldestExactMatch(config));
+    return AsSeq(index_->OldestExactMatch(config));
   }
-  [[nodiscard]] std::optional<std::size_t> BestPriorityExactMatch(
+  [[nodiscard]] std::optional<Seq> BestPriorityExactMatch(
       ConfigId config) const {
     const obs::ScopedPhaseTimer timer(obs::ProfPhase::kSusQueueQuery);
     obs::MetricInc(obs::MetricId::kSusqQueryBestPrioExact);
     // lint: allow(uncharged-index-query)
-    return PositionOf(index_->BestPriorityExactMatch(config));
+    return AsSeq(index_->BestPriorityExactMatch(config));
   }
-  /// `from` is a FIFO position (entries before it are skipped).
-  [[nodiscard]] std::optional<std::size_t> OldestEligible(
-      FamilyId family, Area area_bound, std::size_t from,
-      ConfigId match_config) const {
+  /// `from` is a seq cursor: entries queued before it are skipped.
+  [[nodiscard]] std::optional<Seq> OldestEligible(FamilyId family,
+                                                  Area area_bound, Seq from,
+                                                  ConfigId match_config) const {
     const obs::ScopedPhaseTimer timer(obs::ProfPhase::kSusQueueQuery);
     obs::MetricInc(obs::MetricId::kSusqQueryOldestEligible);
-    if (from >= size()) return std::nullopt;
-    // lint: allow(uncharged-index-query)
-    return PositionOf(index_->OldestEligible(family, area_bound, SeqAt(from),
-                                             match_config));
+    return AsSeq(
+        // lint: allow(uncharged-index-query)
+        index_->OldestEligible(family, area_bound, from, match_config));
   }
-  [[nodiscard]] std::optional<std::size_t> BestPriorityEligible(
+  [[nodiscard]] std::optional<Seq> BestPriorityEligible(
       FamilyId family, Area area_bound, ConfigId match_config) const {
     const obs::ScopedPhaseTimer timer(obs::ProfPhase::kSusQueueQuery);
     obs::MetricInc(obs::MetricId::kSusqQueryBestPrioEligible);
     // lint: allow(uncharged-index-query)
-    return PositionOf(index_->BestPriorityEligible(family, area_bound,
-                                                   match_config));
+    return AsSeq(index_->BestPriorityEligible(family, area_bound,
+                                              match_config));
   }
 
   [[nodiscard]] std::size_t size() const { return live_.Total(); }
@@ -215,14 +228,10 @@ class SuspensionQueue {
   friend class ::dreamsim::analysis::StructureAuditor;
   friend class ::dreamsim::analysis::StructureCorruptor;
 
-  /// The seq at FIFO position `index`; throws std::out_of_range past the
-  /// back.
-  [[nodiscard]] std::uint32_t SeqAt(std::size_t index) const;
-
-  [[nodiscard]] std::optional<std::size_t> PositionOf(
-      std::optional<std::uint64_t> seq) const {
+  [[nodiscard]] static std::optional<Seq> AsSeq(
+      std::optional<std::uint64_t> seq) {
     if (!seq) return std::nullopt;
-    return live_.Prefix(static_cast<std::size_t>(*seq));
+    return static_cast<Seq>(*seq);
   }
 
   /// The drain attributes of seq `seq` but its priority, which only a

@@ -210,6 +210,16 @@ std::int64_t IntAtLeast(const CliParser& cli, std::string_view name,
   return value;
 }
 
+std::int64_t IntInRange(const CliParser& cli, std::string_view name,
+                        std::int64_t min, std::int64_t max) {
+  const std::int64_t value = cli.GetInt(name);
+  if (value < min || value > max) {
+    throw std::invalid_argument(
+        Format("--{} must be in [{}, {}], got {}", name, min, max, value));
+  }
+  return value;
+}
+
 std::string CliParser::HelpText() const {
   std::string out = description_ + "\n\nOptions:\n";
   for (const auto& [name, opt] : options_) {

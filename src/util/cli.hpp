@@ -70,4 +70,12 @@ class CliParser {
                                       std::string_view name,
                                       std::int64_t min);
 
+/// The integer flag `name`, which must lie in [min, max]; otherwise throws
+/// std::invalid_argument naming the flag. Read counts this way before a
+/// cast to a narrower type, where a value past its range would truncate
+/// (a thread count of 2^32 + 1 to 1).
+[[nodiscard]] std::int64_t IntInRange(const CliParser& cli,
+                                      std::string_view name, std::int64_t min,
+                                      std::int64_t max);
+
 }  // namespace dreamsim

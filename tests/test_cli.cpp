@@ -98,6 +98,22 @@ TEST(CliParser, MalformedDoubleFails) {
   }
 }
 
+TEST(CliParser, IntInRangeRejectsBothSides) {
+  CliParser cli("test");
+  cli.AddInt("threads", 0, "");
+  cli.AddInt("n", 0, "");
+  ASSERT_TRUE(ParseArgs(cli, {"--threads=4294967297", "--n=-1"}));
+  EXPECT_EQ(IntInRange(cli, "n", -1, 0), -1);
+  try {
+    (void)IntInRange(cli, "threads", 0, 4294967295);
+    FAIL() << "--threads=4294967297 accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(),
+                 "--threads must be in [0, 4294967295], got 4294967297");
+  }
+  EXPECT_THROW((void)IntInRange(cli, "n", 0, 5), std::invalid_argument);
+}
+
 TEST(CliParser, IntAtLeastRejectsBelowMinimum) {
   CliParser cli("test");
   cli.AddInt("threads", 0, "");

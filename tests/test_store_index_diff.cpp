@@ -38,11 +38,15 @@ struct TwinCase {
   std::uint64_t seed = 0;
   bool contiguous = false;
   int families = 1;
+  // Halfway through, both stores gain nodes of a family value none of
+  // their nodes had: the indexed store's one-family layout splits.
+  bool late_family = false;
 };
 
 void PrintTo(const TwinCase& c, std::ostream* os) {
   *os << "seed=" << c.seed << (c.contiguous ? " contiguous" : " scalar")
       << " families=" << c.families;
+  if (c.late_family) *os << " late-family";
 }
 
 class TwinStores {
@@ -124,6 +128,15 @@ TEST_P(StoreIndexTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
   const auto random_area = [&] { return rng.uniform_int(100, 4200); };
 
   for (int op = 0; op < 1200; ++op) {
+    if (param.late_family && op == 600) {
+      const auto late = FamilyId{static_cast<std::uint32_t>(param.families)};
+      for (int i = 0; i < 8; ++i) {
+        const Area area = rng.uniform_int(1000, 4000);
+        ASSERT_EQ(a.AddNode(area, late, {}, 0, param.contiguous),
+                  b.AddNode(area, late, {}, 0, param.contiguous));
+      }
+      twins.ExpectConsistent();
+    }
     switch (rng.uniform_int(0, 11)) {
       case 0: {  // configure a random config onto a random hosting node
         const auto cfg_id = ConfigId{static_cast<std::uint32_t>(
@@ -263,7 +276,49 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, StoreIndexTwinFuzz,
     ::testing::Values(TwinCase{101, false, 1}, TwinCase{102, false, 3},
                       TwinCase{103, true, 1}, TwinCase{104, true, 3},
-                      TwinCase{105, false, 2}, TwinCase{106, true, 2}));
+                      TwinCase{105, false, 2}, TwinCase{106, true, 2},
+                      TwinCase{107, false, 1, true},
+                      TwinCase{108, true, 1, true}));
+
+TEST(StoreIndexRankedHost, BlankAndNonBlankTiesFallToTheLowestId) {
+  // Best and worst fit walk the blank and non-blank sets merged; inside
+  // one AvailableArea the reference scans keep the lowest node id, which
+  // may sit in either set. Both orders of (blank, non-blank) ids, one
+  // store per order, each against its scan twin.
+  ConfigCatalogue catalogue;
+  Configuration cfg;
+  cfg.required_area = 500;
+  cfg.config_time = 10;
+  catalogue.Add(cfg);
+  for (const bool blank_first : {true, false}) {
+    ResourceStore indexed(catalogue);
+    ResourceStore scan(indexed.configs());
+    scan.SetIndexed(false);
+    // Available 1500 twice (one blank 1500, one 2000 holding 500), then
+    // a blank 1000 below them.
+    for (ResourceStore* store : {&indexed, &scan}) {
+      const NodeId first = store->AddNode(blank_first ? 1500 : 2000);
+      const NodeId second = store->AddNode(blank_first ? 2000 : 1500);
+      (void)store->AddNode(1000);
+      (void)store->Configure(blank_first ? second : first, ConfigId{0});
+    }
+    for (const HostRank rank : {HostRank::kBestFit, HostRank::kWorstFit}) {
+      for (const Area needed : {Area{900}, Area{1200}}) {
+        const auto want = scan.FindRankedHostNode(needed, rank);
+        EXPECT_EQ(indexed.FindRankedHostNode(needed, rank), want)
+            << "blank_first=" << blank_first << " needed " << needed;
+        if (rank == HostRank::kWorstFit || needed == 1200) {
+          EXPECT_EQ(want, std::optional<NodeId>{NodeId{0}});
+        }
+      }
+    }
+    EXPECT_EQ(indexed.meter().scheduling_steps_total(),
+              scan.meter().scheduling_steps_total());
+    const analysis::AuditReport audit =
+        analysis::StructureAuditor::AuditStore(indexed);
+    EXPECT_TRUE(audit.ok()) << audit.Render();
+  }
+}
 
 // --- Layer 2: full-simulation differential runs ---------------------------
 
@@ -386,16 +441,28 @@ INSTANTIATE_TEST_SUITE_P(
 class StoreIndexHeuristicDiff
     : public ::testing::TestWithParam<core::PolicyChoice> {};
 
-TEST_P(StoreIndexHeuristicDiff, HeuristicBaselinesMatchScans) {
+void ExpectHeuristicRunsIdentical(core::PolicyChoice policy, int families) {
   SimCase c;
-  c.policy = GetParam();
-  c.families = 2;
+  c.policy = policy;
+  c.families = families;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const RunResult idx = RunOne(c, seed * 104729, true);
     const RunResult ref = RunOne(c, seed * 104729, false);
     ExpectIdentical(idx, ref);
-    if (HasFatalFailure()) return;
+    if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+TEST_P(StoreIndexHeuristicDiff, HeuristicBaselinesMatchScans) {
+  // Family-bound configurations: every ranked query reads a family view.
+  ExpectHeuristicRunsIdentical(GetParam(), 2);
+}
+
+TEST_P(StoreIndexHeuristicDiff, OneFamilyHeuristicBaselinesMatchScans) {
+  // Universal configurations, the paper's fleet: every ranked query reads
+  // the global view, where best and worst fit merge the blank and
+  // non-blank sets.
+  ExpectHeuristicRunsIdentical(GetParam(), 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Heuristics, StoreIndexHeuristicDiff,

@@ -368,8 +368,23 @@ TEST(StructureAuditorCorruption, StrayIndexKeyIsIdxSet) {
 }
 
 TEST(StructureAuditorCorruption, DroppedFamilyViewIsIdxView) {
+  // Only a fleet of two or more family values keeps family views.
   ResourceStore store = MakePopulatedStore(/*indexed=*/true);
+  (void)store.AddNode(1500, FamilyId{1});
+  ASSERT_TRUE(StructureAuditor::AuditStore(store).ok())
+      << StructureAuditor::AuditStore(store).Render();
   StructureCorruptor::DropFamilyView(store, NodeId{0});
+  const AuditReport report = StructureAuditor::AuditStore(store);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"idx.view"})
+      << report.Render();
+}
+
+TEST(StructureAuditorCorruption, FamilyViewInOneFamilyFleetIsIdxView) {
+  // A one-family fleet answers every family from the global view; a
+  // family view beside it would be a second copy of every fact.
+  ResourceStore store = MakePopulatedStore(/*indexed=*/true);
+  StructureCorruptor::AddFamilyView(store, NodeId{0});
   const AuditReport report = StructureAuditor::AuditStore(store);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(Slugs(report), std::set<std::string>{"idx.view"})

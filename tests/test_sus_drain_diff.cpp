@@ -54,50 +54,77 @@ bool Eligible(const SusEntryAttrs& a, FamilyId family, Area bound,
   return compatible && a.needed_area <= bound;
 }
 
+using Seq = SuspensionQueue::Seq;
+
+/// One queued entry as a FIFO walk sees it.
+struct Queued {
+  Seq seq = 0;
+  TaskId task;
+};
+
+/// The queue's live entries in FIFO order.
+std::vector<Queued> Entries(const SuspensionQueue& queue) {
+  std::vector<Queued> out;
+  for (auto it = queue.begin(); it != queue.end(); ++it) {
+    out.push_back({it.seq(), *it});
+  }
+  return out;
+}
+
 /// Brute-force rescans of the queue, mirroring the simulator's literal
 /// loops (first match wins; priority replaces only when strictly greater).
+/// Answers are seqs, as the index's are.
 struct BruteForce {
-  const std::vector<TaskId>& queue;
+  const std::vector<Queued>& queue;
   const std::unordered_map<std::uint32_t, SusEntryAttrs>& attrs;
 
   [[nodiscard]] const SusEntryAttrs& At(std::size_t i) const {
-    return attrs.at(queue[i].value());
+    return attrs.at(queue[i].task.value());
   }
 
-  [[nodiscard]] std::optional<std::size_t> OldestExactMatch(
-      ConfigId config) const {
+  [[nodiscard]] std::optional<Seq> OldestExactMatch(ConfigId config) const {
     for (std::size_t i = 0; i < queue.size(); ++i) {
-      if (At(i).resolved_config == config) return i;
+      if (At(i).resolved_config == config) return queue[i].seq;
     }
     return std::nullopt;
   }
 
-  [[nodiscard]] std::optional<std::size_t> BestPriorityExactMatch(
+  [[nodiscard]] std::optional<Seq> BestPriorityExactMatch(
       ConfigId config) const {
     std::optional<std::size_t> best;
     for (std::size_t i = 0; i < queue.size(); ++i) {
       if (At(i).resolved_config != config) continue;
       if (!best || At(i).priority > At(*best).priority) best = i;
     }
-    return best;
+    return SeqOf(best);
   }
 
-  [[nodiscard]] std::optional<std::size_t> OldestEligible(
-      FamilyId family, Area bound, std::size_t from, ConfigId match) const {
-    for (std::size_t i = from; i < queue.size(); ++i) {
-      if (Eligible(At(i), family, bound, match)) return i;
+  /// Entries queued before seq `from` are skipped.
+  [[nodiscard]] std::optional<Seq> OldestEligible(FamilyId family, Area bound,
+                                                  Seq from,
+                                                  ConfigId match) const {
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+      if (queue[i].seq < from) continue;
+      if (Eligible(At(i), family, bound, match)) return queue[i].seq;
     }
     return std::nullopt;
   }
 
-  [[nodiscard]] std::optional<std::size_t> BestPriorityEligible(
-      FamilyId family, Area bound, ConfigId match) const {
+  [[nodiscard]] std::optional<Seq> BestPriorityEligible(FamilyId family,
+                                                        Area bound,
+                                                        ConfigId match) const {
     std::optional<std::size_t> best;
     for (std::size_t i = 0; i < queue.size(); ++i) {
       if (!Eligible(At(i), family, bound, match)) continue;
       if (!best || At(i).priority > At(*best).priority) best = i;
     }
-    return best;
+    return SeqOf(best);
+  }
+
+ private:
+  [[nodiscard]] std::optional<Seq> SeqOf(std::optional<std::size_t> i) const {
+    if (!i) return std::nullopt;
+    return queue[*i].seq;
   }
 };
 
@@ -150,15 +177,17 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
     if (pick == 3) return FamilyId::invalid();
     return FamilyId{static_cast<std::uint32_t>(pick)};
   };
-  const auto random_queued = [&]() -> TaskId {
-    if (scan.empty()) return TaskId::invalid();
-    const auto pick = static_cast<std::size_t>(rng.uniform_int(
-        0, static_cast<std::int64_t>(scan.size()) - 1));
-    return scan.At(pick);
+  // A uniformly drawn live entry of `queued` (FIFO order).
+  const auto random_entry = [&rng](const std::vector<Queued>& queued) {
+    return queued[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(queued.size()) - 1))];
+  };
+  const auto random_queued = [&](const std::vector<Queued>& queued) {
+    return queued.empty() ? TaskId::invalid() : random_entry(queued).task;
   };
 
   for (int op = 0; op < 3000; ++op) {
-    const std::vector<TaskId> queued(scan.begin(), scan.end());
+    const std::vector<Queued> queued = Entries(scan);
     const BruteForce brute{queued, attrs_oracle};
     switch (rng.uniform_int(0, 9)) {
       case 0:
@@ -172,7 +201,7 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
         break;
       }
       case 2: {  // counted membership, present or absent
-        const TaskId present = random_queued();
+        const TaskId present = random_queued(queued);
         const TaskId task = (present.valid() && rng.uniform_int(0, 1) == 0)
                                 ? present
                                 : TaskId{next_task + 17};
@@ -181,7 +210,7 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
         break;
       }
       case 3: {  // counted removal, present or absent
-        const TaskId present = random_queued();
+        const TaskId present = random_queued(queued);
         const TaskId task = (present.valid() && rng.uniform_int(0, 1) == 0)
                                 ? present
                                 : TaskId{next_task + 23};
@@ -190,13 +219,12 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
         attrs_oracle.erase(task.value());
         break;
       }
-      case 4: {  // positional removal
-        if (scan.empty()) break;
-        const auto pos = static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(scan.size()) - 1));
-        attrs_oracle.erase(scan.At(pos).value());
-        indexed.RemoveAt(pos, meter_indexed);
-        scan.RemoveAt(pos, meter_scan);
+      case 4: {  // removal by seq
+        if (queued.empty()) break;
+        const Queued entry = random_entry(queued);
+        attrs_oracle.erase(entry.task.value());
+        indexed.RemoveSeq(entry.seq, meter_indexed);
+        scan.RemoveSeq(entry.seq, meter_scan);
         break;
       }
       case 5: {  // predicate pop (FinishReport-style drain step)
@@ -213,28 +241,36 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
         break;
       }
       case 6: {  // the partial drain's own call pattern
-        // DrainPartialFifo: a cursor that only moves forward, each answer
-        // attempted and removed, until nothing is eligible or an attempt
-        // leaves its task queued. DrainPartialPriority: the same loop on
-        // the best-priority pick, without a cursor.
+        // DrainPartialFifo: a seq cursor that only moves forward (with its
+        // FIFO position for the charges), each answer attempted and
+        // removed, until nothing is eligible or an attempt leaves its task
+        // queued. DrainPartialPriority: the same loop on the best-priority
+        // pick, without a cursor.
         const FamilyId family = random_family();
         const Area bound = rng.uniform_int(0, 2200);
         const ConfigId match = random_config();
-        std::size_t from = 0;
-        while (from < scan.size()) {
-          const std::vector<TaskId> live(scan.begin(), scan.end());
+        Seq from = 0;
+        std::size_t index = 0;
+        while (index < scan.size()) {
+          const std::vector<Queued> live = Entries(scan);
           const BruteForce now{live, attrs_oracle};
-          const std::optional<std::size_t> pick =
+          const std::optional<Seq> pick =
               fifo ? indexed.OldestEligible(family, bound, from, match)
                    : indexed.BestPriorityEligible(family, bound, match);
           ASSERT_EQ(pick, fifo ? now.OldestEligible(family, bound, from, match)
                                : now.BestPriorityEligible(family, bound,
                                                           match));
           if (!pick || rng.uniform_int(0, 4) == 0) break;  // task stays
-          attrs_oracle.erase(scan.At(*pick).value());
-          indexed.RemoveAt(*pick, meter_indexed);
-          scan.RemoveAt(*pick, meter_scan);
-          if (fifo) from = *pick;
+          const std::size_t position = scan.PositionOf(*pick);
+          ASSERT_EQ(indexed.PositionOf(*pick), position);
+          ASSERT_EQ(live.at(position).seq, *pick);
+          attrs_oracle.erase(scan.TaskAt(*pick).value());
+          indexed.RemoveSeq(*pick, meter_indexed);
+          scan.RemoveSeq(*pick, meter_scan);
+          if (fifo) {
+            from = *pick + 1;
+            index = position;
+          }
         }
         break;
       }
@@ -250,11 +286,10 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
         break;
       }
       case 8: {  // partial FIFO pick from a cursor / partial priority pick
-        if (scan.empty()) break;
+        if (queued.empty()) break;
         const FamilyId family = random_family();
         const Area bound = rng.uniform_int(0, 2200);
-        const auto from = static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(scan.size()) - 1));
+        const Seq from = random_entry(queued).seq;
         const ConfigId match = random_config();
         if (fifo) {
           ASSERT_EQ(indexed.OldestEligible(family, bound, from, match),
@@ -301,7 +336,7 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
   const analysis::AuditReport audit =
       analysis::StructureAuditor::AuditSuspensionQueue(indexed);
   ASSERT_TRUE(audit.ok()) << audit.Render();
-  const std::vector<TaskId> queued(scan.begin(), scan.end());
+  const std::vector<Queued> queued = Entries(scan);
   const BruteForce brute{queued, attrs_oracle};
   if (fifo) {
     ASSERT_EQ(indexed.OldestEligible(FamilyId{1}, 1500, 0, ConfigId{2}),
@@ -318,8 +353,8 @@ TEST(SusDrainIndex, ExactMatchesBehindTheCursorAreSkipped) {
   // The exact-match rule of OldestEligible walks its config's list from
   // the head past seqs below the cursor. The drain never leaves one there,
   // so its walk takes no step; an arbitrary cursor makes it walk, up to
-  // running off the list's tail. Every cursor position must agree with
-  // the brute-force rescan.
+  // running off the list's tail. Every cursor seq, a removed one and one
+  // past the newest included, must agree with the brute-force rescan.
   SuspensionQueue indexed;
   indexed.SetDrainIndexed(true);
   WorkloadMeter meter;
@@ -333,10 +368,10 @@ TEST(SusDrainIndex, ExactMatchesBehindTheCursorAreSkipped) {
   }
   ASSERT_TRUE(indexed.Remove(TaskId{3}, meter));  // a hole in config 7's list
   attrs.erase(3);
-  const std::vector<TaskId> queued(indexed.begin(), indexed.end());
+  const std::vector<Queued> queued = Entries(indexed);
   const BruteForce brute{queued, attrs};
   for (const Area bound : {Area{500}, Area{1005}}) {
-    for (std::size_t from = 0; from < queued.size(); ++from) {
+    for (Seq from = 0; from <= 12; ++from) {
       EXPECT_EQ(indexed.OldestEligible(FamilyId::invalid(), bound, from,
                                        ConfigId{7}),
                 brute.OldestEligible(FamilyId::invalid(), bound, from,
@@ -344,6 +379,84 @@ TEST(SusDrainIndex, ExactMatchesBehindTheCursorAreSkipped) {
           << "bound " << bound << " from " << from;
     }
   }
+}
+
+TEST(SusDrainIndex, CursorResumesOnTheSeqAfterARemovedEntry) {
+  // DrainPartialFifo's indexed pass against its literal walk: each pick is
+  // removed at the cursor and the pass resumes on the next seq, whose
+  // FIFO position is the removed entry's. Tombstones (removed before the
+  // pass) and exact matches past the area bound sit among the picks; the
+  // removed tasks and the step charges must agree.
+  SuspensionQueue indexed;
+  SuspensionQueue scan;
+  indexed.SetDrainIndexed(true);
+  WorkloadMeter meter_indexed;
+  WorkloadMeter meter_scan;
+  std::unordered_map<std::uint32_t, SusEntryAttrs> attrs;
+  for (std::uint32_t t = 0; t < 10; ++t) {
+    SusEntryAttrs a;
+    a.resolved_config = ConfigId{t % 3};
+    a.needed_area = t % 4 == 1 ? 900 : 300;
+    attrs[t] = a;
+    ASSERT_TRUE(indexed.Add(TaskId{t}, a, meter_indexed));
+    ASSERT_TRUE(scan.Add(TaskId{t}, a, meter_scan));
+  }
+  for (const TaskId gone : {TaskId{2}, TaskId{6}}) {
+    ASSERT_TRUE(indexed.Remove(gone, meter_indexed));
+    ASSERT_TRUE(scan.Remove(gone, meter_scan));
+  }
+  const Area bound = 500;
+  const ConfigId match{1};  // tasks 1, 4, 7: 900, 300, 300
+  const auto eligible = [&](TaskId t) {
+    return Eligible(attrs.at(t.value()), FamilyId::invalid(), bound, match);
+  };
+
+  std::vector<TaskId> removed_indexed;
+  Seq from = 0;
+  std::size_t index = 0;
+  while (index < indexed.size()) {
+    const std::optional<Seq> next =
+        indexed.OldestEligible(FamilyId::invalid(), bound, from, match);
+    if (!next) {
+      meter_indexed.Add(resource::StepKind::kSchedulingSearch,
+                        indexed.size() - index);
+      break;
+    }
+    const std::size_t position = indexed.PositionOf(*next);
+    meter_indexed.Add(resource::StepKind::kSchedulingSearch,
+                      position - index + 1);
+    removed_indexed.push_back(indexed.TaskAt(*next));
+    indexed.RemoveSeq(*next, meter_indexed);
+    EXPECT_EQ(indexed.TaskAt(*next), TaskId::invalid());
+    from = *next + 1;
+    index = position;
+  }
+
+  std::vector<TaskId> removed_scan;
+  auto it = scan.begin();
+  while (it != scan.end()) {
+    meter_scan.Add(resource::StepKind::kSchedulingSearch);
+    const auto following = std::next(it);
+    if (eligible(*it)) {
+      removed_scan.push_back(*it);
+      scan.RemoveSeq(it.seq(), meter_scan);
+    }
+    it = following;
+  }
+
+  // Every entry but 2, 6 (gone) and 5, 9 (area 900, not config 1).
+  EXPECT_EQ(removed_indexed,
+            (std::vector<TaskId>{TaskId{0}, TaskId{1}, TaskId{3}, TaskId{4},
+                                 TaskId{7}, TaskId{8}}));
+  EXPECT_EQ(removed_indexed, removed_scan);
+  EXPECT_EQ(meter_indexed.scheduling_steps_total(),
+            meter_scan.scheduling_steps_total());
+  EXPECT_EQ(meter_indexed.housekeeping_steps_total(),
+            meter_scan.housekeeping_steps_total());
+  EXPECT_EQ(Entries(indexed).size(), 2u);
+  const analysis::AuditReport audit =
+      analysis::StructureAuditor::AuditSuspensionQueue(indexed);
+  EXPECT_TRUE(audit.ok()) << audit.Render();
 }
 
 INSTANTIATE_TEST_SUITE_P(

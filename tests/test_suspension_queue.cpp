@@ -102,20 +102,27 @@ TEST(SuspensionQueue, RemoveSpecificTask) {
   EXPECT_EQ(Fifo(q), std::vector<TaskId>{TaskId{2}});
 }
 
-TEST(SuspensionQueue, RemoveAtIndex) {
+TEST(SuspensionQueue, RemoveBySeq) {
   SuspensionQueue q;
   WorkloadMeter meter;
   (void)q.Add(TaskId{1}, meter);
   (void)q.Add(TaskId{2}, meter);
   (void)q.Add(TaskId{3}, meter);
-  q.RemoveAt(1, meter);
+  const Steps before_unlink = meter.housekeeping_steps_total();
+  q.RemoveSeq(1, meter);
+  EXPECT_EQ(meter.housekeeping_steps_total(), before_unlink + 1);
   ASSERT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.At(0), TaskId{1});
-  EXPECT_EQ(q.At(1), TaskId{3});
-  // Past the back: a diagnostic, no charge, no change.
+  EXPECT_EQ(Fifo(q), (std::vector<TaskId>{TaskId{1}, TaskId{3}}));
+  // Seqs stay put; positions close up behind a removal.
+  EXPECT_EQ(q.TaskAt(0), TaskId{1});
+  EXPECT_EQ(q.TaskAt(1), TaskId::invalid());
+  EXPECT_EQ(q.TaskAt(2), TaskId{3});
+  EXPECT_EQ(q.PositionOf(2), 1u);
+  // A removed or never-issued seq: a diagnostic, no charge, no change.
   const Steps before = meter.housekeeping_steps_total();
-  EXPECT_THROW(q.RemoveAt(2, meter), std::out_of_range);
-  EXPECT_THROW((void)q.At(2), std::out_of_range);
+  EXPECT_THROW(q.RemoveSeq(1, meter), std::out_of_range);
+  EXPECT_THROW(q.RemoveSeq(3, meter), std::out_of_range);
+  EXPECT_EQ(q.TaskAt(3), TaskId::invalid());
   EXPECT_EQ(meter.housekeeping_steps_total(), before);
   EXPECT_EQ(q.size(), 2u);
 }
@@ -125,7 +132,7 @@ TEST(SuspensionQueue, PreservesFifoAcrossMixedOps) {
   WorkloadMeter meter;
   for (std::uint32_t i = 0; i < 6; ++i) (void)q.Add(TaskId{i}, meter);
   (void)q.Remove(TaskId{2}, meter);
-  q.RemoveAt(0, meter);
+  q.RemoveSeq(0, meter);
   (void)q.Add(TaskId{9}, meter);
   std::vector<std::uint32_t> order;
   for (const TaskId id : q) order.push_back(id.value());
@@ -175,33 +182,35 @@ TEST(SuspensionQueue, IndexedDrainQueriesPickScanWinners) {
     (void)q->Add(TaskId{2}, Attrs(7, 300, 9.0), meter);
     (void)q->Add(TaskId{3}, Attrs(5, 200, 3.0), meter);
   }
+  // Answers are seqs (here task i was queued as seq i).
+  using Seq = SuspensionQueue::Seq;
   // Oldest vs best-priority exact matches for config 5.
-  EXPECT_EQ(fifo.OldestExactMatch(ConfigId{5}), std::optional<std::size_t>{1});
+  EXPECT_EQ(fifo.OldestExactMatch(ConfigId{5}), std::optional<Seq>{1});
   // Equal priorities: the FIFO-older entry wins.
-  EXPECT_EQ(prio.BestPriorityExactMatch(ConfigId{5}),
-            std::optional<std::size_t>{1});
+  EXPECT_EQ(prio.BestPriorityExactMatch(ConfigId{5}), std::optional<Seq>{1});
   // Area-bounded eligibility (family-less tasks match any family).
   EXPECT_EQ(
       fifo.OldestEligible(FamilyId::invalid(), 350, 0, ConfigId::invalid()),
-      std::optional<std::size_t>{2});
+      std::optional<Seq>{2});
   EXPECT_EQ(
       fifo.OldestEligible(FamilyId::invalid(), 350, 3, ConfigId::invalid()),
-      std::optional<std::size_t>{3});
+      std::optional<Seq>{3});
   // The exact-match rule admits config 7 regardless of its area.
   EXPECT_EQ(fifo.OldestEligible(FamilyId::invalid(), 100, 0, ConfigId{7}),
-            std::optional<std::size_t>{0});
+            std::optional<Seq>{0});
   EXPECT_EQ(prio.BestPriorityEligible(FamilyId::invalid(), 500,
                                       ConfigId::invalid()),
-            std::optional<std::size_t>{2});
+            std::optional<Seq>{2});
   EXPECT_EQ(
       fifo.OldestEligible(FamilyId::invalid(), 100, 0, ConfigId::invalid()),
       std::nullopt);
-  // Positions follow removals ahead of the answer.
+  // Removals ahead of the answer move its position, not its seq.
   ASSERT_TRUE(fifo.Remove(TaskId{0}, meter));
   ASSERT_TRUE(prio.Remove(TaskId{1}, meter));
-  EXPECT_EQ(fifo.OldestExactMatch(ConfigId{5}), std::optional<std::size_t>{0});
-  EXPECT_EQ(prio.BestPriorityExactMatch(ConfigId{5}),
-            std::optional<std::size_t>{2});
+  EXPECT_EQ(fifo.OldestExactMatch(ConfigId{5}), std::optional<Seq>{1});
+  EXPECT_EQ(fifo.PositionOf(1), 0u);
+  EXPECT_EQ(prio.BestPriorityExactMatch(ConfigId{5}), std::optional<Seq>{3});
+  EXPECT_EQ(prio.PositionOf(3), 2u);
 }
 
 TEST(SuspensionQueue, QueriesOfTheOtherOrderThrow) {
@@ -222,7 +231,7 @@ TEST(SuspensionQueue, QueriesOfTheOtherOrderThrow) {
                std::logic_error);
   EXPECT_EQ(fifo.OldestExactMatch(ConfigId{1}), std::nullopt);
   EXPECT_EQ(prio.BestPriorityExactMatch(ConfigId{1}),
-            std::optional<std::size_t>{0});
+            std::optional<SuspensionQueue::Seq>{0});
 }
 
 TEST(SuspensionQueue, RequeueAfterKillChargesOneHousekeepingStep) {
@@ -237,7 +246,7 @@ TEST(SuspensionQueue, RequeueAfterKillChargesOneHousekeepingStep) {
     WorkloadMeter meter;
     (void)q.Add(TaskId{1}, Attrs(2, 300, 0.0), meter);
     (void)q.Add(TaskId{2}, Attrs(3, 400, 0.0), meter);
-    q.RemoveAt(0, meter);  // drained and placed on the doomed node
+    q.RemoveSeq(0, meter);  // drained and placed on the doomed node
     const Steps sched_before = meter.scheduling_steps_total();
     const Steps house_before = meter.housekeeping_steps_total();
     ASSERT_TRUE(q.Add(TaskId{1}, Attrs(2, 300, 0.0), meter));
@@ -261,7 +270,8 @@ TEST(SuspensionQueue, IndexRebuildsAcrossToggle) {
   const analysis::AuditReport rebuilt =
       analysis::StructureAuditor::AuditSuspensionQueue(q);
   EXPECT_TRUE(rebuilt.ok()) << rebuilt.Render();
-  EXPECT_EQ(q.OldestExactMatch(ConfigId{3}), std::optional<std::size_t>{1});
+  using Seq = SuspensionQueue::Seq;
+  EXPECT_EQ(q.OldestExactMatch(ConfigId{3}), std::optional<Seq>{1});
   // Removals and a requeue while the index is off survive the next rebuild.
   q.SetDrainIndexed(false);
   ASSERT_TRUE(q.Remove(TaskId{4}, meter));
@@ -271,10 +281,12 @@ TEST(SuspensionQueue, IndexRebuildsAcrossToggle) {
       analysis::StructureAuditor::AuditSuspensionQueue(q);
   EXPECT_TRUE(toggled.ok()) << toggled.Render();
   EXPECT_EQ(q.OldestExactMatch(ConfigId{2}), std::nullopt);
-  EXPECT_EQ(q.OldestExactMatch(ConfigId{3}), std::optional<std::size_t>{0});
+  EXPECT_EQ(q.OldestExactMatch(ConfigId{3}), std::optional<Seq>{1});
   ASSERT_TRUE(q.Remove(TaskId{5}, meter));
-  EXPECT_EQ(q.OldestExactMatch(ConfigId{3}), std::optional<std::size_t>{0});
-  EXPECT_EQ(q.At(0), TaskId{4});
+  // The requeued task 4 holds seq 2, now at the front.
+  EXPECT_EQ(q.OldestExactMatch(ConfigId{3}), std::optional<Seq>{2});
+  EXPECT_EQ(q.TaskAt(2), TaskId{4});
+  EXPECT_EQ(q.PositionOf(2), 0u);
 }
 
 TEST(SuspensionQueue, FrontPopsAfterRemovalsKeepOrderAndChargeOneStepEach) {
@@ -299,7 +311,7 @@ TEST(SuspensionQueue, FrontPopsAfterRemovalsKeepOrderAndChargeOneStepEach) {
     };
     pop();                                   // 0
     ASSERT_TRUE(q.Remove(TaskId{1}, meter));  // the new front
-    q.RemoveAt(2, meter);                    // task 4 of 2 3 4 5 6 7
+    q.RemoveSeq(4, meter);                   // task 4 of 2 3 4 5 6 7
     pop();                                   // 2
     ASSERT_TRUE(q.Remove(TaskId{7}, meter));  // the back
     ASSERT_TRUE(q.Add(TaskId{9}, meter));
@@ -312,7 +324,7 @@ TEST(SuspensionQueue, FrontPopsAfterRemovalsKeepOrderAndChargeOneStepEach) {
     // The emptied queue accepts new work at the front.
     ASSERT_TRUE(q.Add(TaskId{4}, meter));
     EXPECT_EQ(Fifo(q), std::vector<TaskId>{TaskId{4}});
-    EXPECT_EQ(q.At(0), TaskId{4});
+    EXPECT_EQ(q.PositionOf(q.begin().seq()), 0u);
   }
 }
 
@@ -320,11 +332,11 @@ TEST(SuspensionQueue, FrontPopsAfterRemovalsKeepOrderAndChargeOneStepEach) {
 enum class IndexMode { kOff, kFifo, kPriority, kToggled };
 
 /// Queue-level differential fuzz: the queue against a plain std::vector
-/// FIFO model under random Add / Remove / RemoveAt / PopFirstMatching /
+/// FIFO model under random Add / Remove / RemoveSeq / PopFirstMatching /
 /// Contains operations, requeues of tasks that left, and index toggles.
-/// After every
-/// operation the FIFO order, size, every position and the meter charges
-/// must equal the model's; the structure audit runs along.
+/// After every operation the FIFO order, size, every entry's position and
+/// the meter charges must equal the model's; the structure audit runs
+/// along.
 void FuzzAgainstVectorModel(std::uint64_t seed, IndexMode mode,
                             std::size_t capacity) {
   SCOPED_TRACE(::testing::Message()
@@ -391,7 +403,8 @@ void FuzzAgainstVectorModel(std::uint64_t seed, IndexMode mode,
         if (model.empty()) break;
         const auto pos = static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(model.size()) - 1));
-        q.RemoveAt(pos, meter);
+        q.RemoveSeq(std::next(q.begin(), static_cast<std::ptrdiff_t>(pos)).seq(),
+                    meter);
         charged += 1;
         model.erase(model.begin() + static_cast<std::ptrdiff_t>(pos));
         break;
@@ -436,8 +449,10 @@ void FuzzAgainstVectorModel(std::uint64_t seed, IndexMode mode,
     ASSERT_EQ(q.size(), model.size()) << "op " << op;
     ASSERT_EQ(q.empty(), model.empty()) << "op " << op;
     ASSERT_EQ(Fifo(q), model) << "op " << op;
-    for (std::size_t i = 0; i < model.size(); ++i) {
-      ASSERT_EQ(q.At(i), model[i]) << "op " << op << " position " << i;
+    std::size_t i = 0;
+    for (auto it = q.begin(); it != q.end(); ++it, ++i) {
+      ASSERT_EQ(q.PositionOf(it.seq()), i) << "op " << op << " task " << *it;
+      ASSERT_EQ(q.TaskAt(it.seq()), model[i]) << "op " << op;
     }
     ASSERT_EQ(meter.housekeeping_steps_total(), charged) << "op " << op;
     ASSERT_EQ(meter.scheduling_steps_total(), 0u) << "op " << op;

@@ -12,6 +12,7 @@
 //   dreamsim --policy=best-fit --contiguous   # baseline policy, fabric model
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 
 #include "core/replication.hpp"
@@ -176,8 +177,8 @@ void RegisterFlags(CliParser& cli) {
 void ApplyRuntimeKnobs(const CliParser& cli, core::SimulationConfig& config) {
   config.suspension_batch =
       static_cast<std::size_t>(IntAtLeast(cli, "suspension-batch", 0));
-  config.max_suspension_retries =
-      static_cast<std::uint32_t>(IntAtLeast(cli, "max-retries", 0));
+  config.max_suspension_retries = static_cast<std::uint32_t>(IntInRange(
+      cli, "max-retries", 0, std::numeric_limits<std::uint32_t>::max()));
   config.suspension_capacity =
       static_cast<std::size_t>(IntAtLeast(cli, "queue-capacity", 0));
   config.network.bytes_per_tick = IntAtLeast(cli, "net-bandwidth", 0);
@@ -678,8 +679,10 @@ int main(int argc, char** argv) {
                 << scenario::CanonicalScenario(*parsed);
       return 0;
     }
-    // Checked in every mode, so a wrapped count never passes unnoticed.
-    const auto threads = static_cast<unsigned>(IntAtLeast(cli, "threads", 0));
+    // Checked in every mode, so a wrapped or truncated count never passes
+    // unnoticed.
+    const auto threads = static_cast<unsigned>(
+        IntInRange(cli, "threads", 0, std::numeric_limits<unsigned>::max()));
     if (cli.GetBool("sweep")) {
       return RunSweepMode(cli, threads);  // owns --replications
     }
