@@ -20,6 +20,8 @@
 // indexed run's metrics are bit-identical to the scan run's.
 #include <cstdint>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -110,9 +112,9 @@ struct ReplicationSummary {
 };
 
 /// `count` independent replications of the same scenario under disjoint
-/// seeds, run CONCURRENTLY (one worker each). The aggregate
-/// throughput is total tasks over the whole wall-clock span — the "many
-/// seeds at once" mode a parameter sweep actually runs in.
+/// seeds, run CONCURRENTLY (up to one worker per hardware thread). The
+/// aggregate throughput is total tasks over the whole wall-clock span — the
+/// "many seeds at once" mode a parameter sweep actually runs in.
 ReplicationSummary RunReplications(int count, int nodes, int tasks) {
   ReplicationSummary summary;
   summary.count = count;
@@ -121,8 +123,7 @@ ReplicationSummary RunReplications(int count, int nodes, int tasks) {
   // would interleave their samples into one meaningless stream.
   obs::PhaseProfiler::SetEnabled(false);
   const auto start = Clock::now();
-  const auto workers = static_cast<unsigned>(count);
-  core::ParallelFor(summary.rows.size(), workers, [&](std::size_t r) {
+  core::ParallelFor(summary.rows.size(), 0, [&](std::size_t r) {
     SimulationConfig config = ScaleConfig(nodes, tasks, true);
     config.seed = 42 + r;
     const ScaleRun run = RunScale(config);
@@ -228,7 +229,14 @@ int main(int argc, char** argv) {
       argv, "BENCH_scale.json");
   const bool quick = args.quick;
   const bool big = cli.GetBool("big");
-  const int replications = static_cast<int>(cli.GetInt("replications"));
+  int replications = 0;
+  try {
+    replications = static_cast<int>(IntInRange(
+        cli, "replications", 0, std::numeric_limits<int>::max()));
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
 
   // --- Layer 1: scan oracle vs indexed kernel ----------------------------
   const int sweep_nodes = quick ? 20000 : 100000;

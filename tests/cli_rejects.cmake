@@ -1,5 +1,5 @@
-# Runs `${DREAMSIM} ${ARGS}` and passes only when it exits 1 and its stderr
-# names ${FLAG}:
+# Runs `${DREAMSIM} ${ARGS}` (dreamsim or any other CliParser binary) and
+# passes only when it exits 1 and its stderr names ${FLAG}:
 #   cmake -DDREAMSIM=path/to/dreamsim "-DARGS=--tasks=300 --x=-1" \
 #         -DFLAG=--x -P cli_rejects.cmake
 separate_arguments(args UNIX_COMMAND "${ARGS}")

@@ -261,16 +261,19 @@ core::SimulationConfig BuildScenarioConfig(const CliParser& cli) {
 core::SimulationConfig BuildConfig(const CliParser& cli) {
   if (!cli.GetString("scenario").empty()) return BuildScenarioConfig(cli);
   core::SimulationConfig config;
-  config.nodes.count = static_cast<int>(cli.GetInt("nodes"));
+  config.nodes.count = static_cast<int>(
+      IntInRange(cli, "nodes", 0, std::numeric_limits<int>::max()));
   config.nodes.min_area = cli.GetInt("node-min-area");
   config.nodes.max_area = cli.GetInt("node-max-area");
   config.nodes.contiguous_placement = cli.GetBool("contiguous");
-  config.configs.count = static_cast<int>(cli.GetInt("configs"));
+  config.configs.count = static_cast<int>(
+      IntInRange(cli, "configs", 0, std::numeric_limits<int>::max()));
   config.configs.min_area = cli.GetInt("config-min-area");
   config.configs.max_area = cli.GetInt("config-max-area");
   config.configs.min_config_time = cli.GetInt("config-time-min");
   config.configs.max_config_time = cli.GetInt("config-time-max");
-  config.tasks.total_tasks = static_cast<int>(cli.GetInt("tasks"));
+  config.tasks.total_tasks = static_cast<int>(
+      IntInRange(cli, "tasks", 0, std::numeric_limits<int>::max()));
   config.tasks.min_interval = cli.GetInt("interval-min");
   config.tasks.max_interval = cli.GetInt("interval-max");
   config.tasks.min_required_time = cli.GetInt("time-min");
@@ -279,8 +282,9 @@ core::SimulationConfig BuildConfig(const CliParser& cli) {
   config.tasks.unknown_min_area = config.configs.min_area;
   config.tasks.unknown_max_area = config.configs.max_area;
   config.closest_match_slowdown = cli.GetDouble("closest-match-slowdown");
-  config.nodes.family_count = static_cast<int>(cli.GetInt("families"));
-  config.configs.family_count = static_cast<int>(cli.GetInt("families"));
+  config.nodes.family_count = static_cast<int>(
+      IntInRange(cli, "families", 1, std::numeric_limits<int>::max()));
+  config.configs.family_count = config.nodes.family_count;
   ApplyRuntimeKnobs(cli, config);
   config.seed = static_cast<std::uint64_t>(cli.GetInt("seed"));
 
