@@ -3,13 +3,15 @@
 // transfer of its BSize (Eq. 2); an LRU cache at each node skips repeats.
 // Sweeps the cache capacity and reports hit rate and the waiting-time
 // impact, in partial-reconfiguration mode.
+#include <exception>
 #include <iostream>
+#include <limits>
 
 #include "core/simulator.hpp"
 #include "util/cli.hpp"
 #include "util/fmt.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dreamsim;
 
   CliParser cli("Bitstream-cache ablation (shipping + LRU capacity sweep).");
@@ -33,8 +35,10 @@ int main(int argc, char** argv) {
 
   const auto run = [&](bool ship, Bytes capacity, const char* label) {
     core::SimulationConfig config;
-    config.nodes.count = static_cast<int>(cli.GetInt("nodes"));
-    config.tasks.total_tasks = static_cast<int>(cli.GetInt("tasks"));
+    config.nodes.count = static_cast<int>(IntInRange(
+        cli, "nodes", 0, std::numeric_limits<int>::max()));
+    config.tasks.total_tasks = static_cast<int>(IntInRange(
+        cli, "tasks", 0, std::numeric_limits<int>::max()));
     config.seed = static_cast<std::uint64_t>(cli.GetInt("seed"));
     config.ship_bitstreams = ship;
     config.bitstream_cache_capacity = capacity;
@@ -60,4 +64,7 @@ int main(int argc, char** argv) {
   run(true, 800'000, "800k");
   run(true, 100'000'000, "unbounded");
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

@@ -5,7 +5,9 @@
 // fragmentation can reject a configuration the scalar model would accept.
 // This bench quantifies the gap: scalar vs contiguous (under each placement
 // heuristic), on the identical workload.
+#include <exception>
 #include <iostream>
+#include <limits>
 
 #include "core/simulator.hpp"
 #include "util/cli.hpp"
@@ -24,7 +26,7 @@ void Report(const char* label, const dreamsim::core::MetricsReport& r,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dreamsim;
 
   CliParser cli(
@@ -50,10 +52,12 @@ int main(int argc, char** argv) {
   const auto run = [&](bool contiguous, resource::Placement placement,
                        const char* label) {
     core::SimulationConfig config;
-    config.nodes.count = static_cast<int>(cli.GetInt("nodes"));
+    config.nodes.count = static_cast<int>(IntInRange(
+        cli, "nodes", 0, std::numeric_limits<int>::max()));
     config.nodes.contiguous_placement = contiguous;
     config.nodes.placement = placement;
-    config.tasks.total_tasks = static_cast<int>(cli.GetInt("tasks"));
+    config.tasks.total_tasks = static_cast<int>(IntInRange(
+        cli, "tasks", 0, std::numeric_limits<int>::max()));
     config.seed = static_cast<std::uint64_t>(cli.GetInt("seed"));
     config.enable_monitoring = false;
     core::Simulator simulator(std::move(config));
@@ -69,4 +73,7 @@ int main(int argc, char** argv) {
   std::cout << "\nend_frag = mean external-fragmentation index over nodes at "
                "end of run.\n";
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

@@ -2,13 +2,15 @@
 // scheduling policies for a given set of parameters". This bench runs the
 // case-study algorithm against every baseline policy on one identical
 // workload and prints all Table I metrics side by side.
+#include <exception>
 #include <iostream>
+#include <limits>
 
 #include "core/report.hpp"
 #include "core/simulator.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dreamsim;
 
   CliParser cli(
@@ -33,8 +35,10 @@ int main(int argc, char** argv) {
         core::PolicyChoice::kRandomFit, core::PolicyChoice::kRoundRobin,
         core::PolicyChoice::kLeastLoaded}) {
     core::SimulationConfig config;
-    config.nodes.count = static_cast<int>(cli.GetInt("nodes"));
-    config.tasks.total_tasks = static_cast<int>(cli.GetInt("tasks"));
+    config.nodes.count = static_cast<int>(IntInRange(
+        cli, "nodes", 0, std::numeric_limits<int>::max()));
+    config.tasks.total_tasks = static_cast<int>(IntInRange(
+        cli, "tasks", 0, std::numeric_limits<int>::max()));
     config.seed = static_cast<std::uint64_t>(cli.GetInt("seed"));
     config.mode = sched::ReconfigMode::kPartial;
     config.policy = choice;
@@ -49,4 +53,7 @@ int main(int argc, char** argv) {
             << " nodes) ===\n"
             << core::RenderComparisonTable(reports);
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

@@ -2,7 +2,9 @@
 // (node-targeted, FIFO-first, bounded policy runs per completion) as a
 // reproduction decision; this bench quantifies the sensitivity of the key
 // metrics to the batch bound, retry budget, and queue capacity.
+#include <exception>
 #include <iostream>
+#include <limits>
 
 #include "core/simulator.hpp"
 #include "util/cli.hpp"
@@ -15,8 +17,10 @@ dreamsim::core::MetricsReport RunWith(
     void (*tweak)(dreamsim::core::SimulationConfig&, std::int64_t),
     std::int64_t value) {
   dreamsim::core::SimulationConfig config;
-  config.nodes.count = static_cast<int>(cli.GetInt("nodes"));
-  config.tasks.total_tasks = static_cast<int>(cli.GetInt("tasks"));
+  config.nodes.count = static_cast<int>(dreamsim::IntInRange(
+      cli, "nodes", 0, std::numeric_limits<int>::max()));
+  config.tasks.total_tasks = static_cast<int>(dreamsim::IntInRange(
+      cli, "tasks", 0, std::numeric_limits<int>::max()));
   config.seed = static_cast<std::uint64_t>(cli.GetInt("seed"));
   config.mode = dreamsim::sched::ReconfigMode::kPartial;
   config.enable_monitoring = false;
@@ -35,7 +39,7 @@ void PrintRow(const char* name, std::int64_t value,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dreamsim;
 
   CliParser cli("Suspension-queue ablation (partial reconfiguration).");
@@ -82,4 +86,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n(batch/capacity 0 = unbounded; retries 0 = never give up)\n";
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

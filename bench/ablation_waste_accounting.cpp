@@ -3,13 +3,15 @@
 // policy, in both reconfiguration modes, so the reader can see which
 // accountings preserve the Fig. 6 ordering and why the default is the
 // literal Eq. 6-at-arrival sampling.
+#include <exception>
 #include <iostream>
+#include <limits>
 
 #include "core/simulator.hpp"
 #include "util/cli.hpp"
 #include "util/fmt.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dreamsim;
 
   CliParser cli("Waste-accounting ablation for Eq. 6/7 (see DESIGN.md §4).");
@@ -38,8 +40,10 @@ int main(int argc, char** argv) {
     for (const auto mode :
          {sched::ReconfigMode::kFull, sched::ReconfigMode::kPartial}) {
       core::SimulationConfig config;
-      config.nodes.count = static_cast<int>(cli.GetInt("nodes"));
-      config.tasks.total_tasks = static_cast<int>(cli.GetInt("tasks"));
+      config.nodes.count = static_cast<int>(IntInRange(
+          cli, "nodes", 0, std::numeric_limits<int>::max()));
+      config.tasks.total_tasks = static_cast<int>(IntInRange(
+          cli, "tasks", 0, std::numeric_limits<int>::max()));
       config.seed = static_cast<std::uint64_t>(cli.GetInt("seed"));
       config.mode = mode;
       config.waste_accounting = accounting;
@@ -59,4 +63,7 @@ int main(int argc, char** argv) {
                "scenario configures rarely (Fig. 7) under the queue-reuse "
                "drain.\n";
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

@@ -4,8 +4,7 @@
 //
 // Standard library only, so bench_lint links nothing but the lint engine.
 // The helpers that need the dreamsim libraries (the flag parse, the
-// metrics-identity check, the overhead rounds, the end-to-end sweep) live
-// in bench_sim.hpp.
+// metrics-identity check, the overhead rounds) live in bench_sim.hpp.
 #pragma once
 
 #include <algorithm>
@@ -144,16 +143,6 @@ class JsonRow {
  private:
   std::string text_;
 };
-
-/// A one-line JSON array of plain values: [1, 2, 3].
-template <typename T>
-JsonRaw JsonList(const std::vector<T>& values) {
-  std::string text = "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    text += (i > 0 ? ", " : "") + JsonValue(values[i]);
-  }
-  return {text + "]"};
-}
 
 /// Builds a BENCH_*.json document: one field or array element per line,
 /// two spaces of indent per nesting level, commas placed automatically.

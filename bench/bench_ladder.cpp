@@ -1,0 +1,300 @@
+// Perf ladder: end-to-end Simulator::Run time of the indexed kernel on a
+// node ladder (DESIGN.md §9, §13), emitted as machine-readable JSON so the
+// per-task cost can be tracked across commits.
+//
+// Rungs of 200, 2k, 20k and 100k nodes (plus 1M with --big), tasks =
+// 1.5 x nodes, run in ascending order. Each rung runs two configs:
+//   defaults   SimulationConfig{} at seed 42 (the CLI defaults: monitoring
+//              on, on-schedule waste accounting);
+//   saturated  arrivals every one or two ticks, run times past the
+//              arrival span and a bounded suspension queue, so decisions
+//              fall through every Fig. 5 phase.
+// Each indexed run is timed on a fresh Simulator with setup outside the
+// timer and the PhaseProfiler off; the fastest of the repeats counts. One
+// extra profiled run per (rung, config) fills the phase rows. Up to 20k
+// nodes (and at 100k without --quick) one literal-scan run (scheduler and
+// drain index both off: the test oracle) per config checks every modeled
+// metric against the indexed run (SameRun).
+//
+// Output: BENCH_ladder.json next to the executable (override with --out).
+// Exit status 1 unless every oracle point is metrics-identical and the
+// defaults config's us/task at 100k nodes is at most 3x its value at 2k.
+#include <sys/resource.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <iostream>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "bench_sim.hpp"
+#include "core/simulator.hpp"
+#include "obs/profiler.hpp"
+#include "util/cli.hpp"
+#include "util/fmt.hpp"
+
+namespace {
+
+using namespace dreamsim;
+using namespace dreamsim::bench;
+using dreamsim::core::MetricsReport;
+using dreamsim::core::SimulationConfig;
+using dreamsim::core::Simulator;
+
+constexpr int kMaxRepeats = 50;
+constexpr int kGateSmallNodes = 2000;
+constexpr int kGateLargeNodes = 100000;
+constexpr double kMaxPerTaskRatio = 3.0;
+
+SimulationConfig DefaultsConfig(int nodes, int tasks) {
+  SimulationConfig config;
+  config.nodes.count = nodes;
+  config.tasks.total_tasks = tasks;
+  config.seed = 42;
+  return config;
+}
+
+/// A cluster saturated well past its concurrent capacity: arrivals every
+/// one or two ticks, execution times longer than the arrival span, and a
+/// bounded suspension queue. Decisions routinely fall through every
+/// scheduler phase, which is exactly the regime where the O(N) phase walks
+/// dominate.
+SimulationConfig SaturatedConfig(int nodes, int tasks) {
+  SimulationConfig config;
+  config.nodes.count = nodes;
+  config.tasks.total_tasks = tasks;
+  config.tasks.min_interval = 1;
+  config.tasks.max_interval = 2;
+  config.tasks.min_required_time = 50000;
+  config.tasks.max_required_time = 100000;
+  config.suspension_capacity = 256;
+  config.max_suspension_retries = 6;
+  config.enable_monitoring = false;
+  config.seed = 42;
+  return config;
+}
+
+struct NamedConfig {
+  const char* name;
+  SimulationConfig (*make)(int nodes, int tasks);
+};
+
+constexpr NamedConfig kConfigs[] = {{"defaults", DefaultsConfig},
+                                    {"saturated", SaturatedConfig}};
+
+struct TimedRun {
+  double seconds = 0.0;
+  MetricsReport report;
+};
+
+TimedRun RunOnce(const SimulationConfig& config) {
+  Simulator sim(config);  // setup (node generation) outside the timer
+  TimedRun run;
+  const auto start = Clock::now();
+  run.report = sim.Run();
+  run.seconds = SecondsSince(start);
+  return run;
+}
+
+struct PhaseRow {
+  std::string phase;
+  std::uint64_t calls = 0;
+  std::uint64_t total_ns = 0;
+};
+
+/// One more run of `config` with the PhaseProfiler on, so the timed
+/// repeats carry no profiler cost.
+std::vector<PhaseRow> ProfiledPhases(const SimulationConfig& config) {
+  obs::PhaseProfiler& prof = obs::PhaseProfiler::Instance();
+  prof.Reset();
+  obs::PhaseProfiler::SetEnabled(true);
+  (void)RunOnce(config);
+  obs::PhaseProfiler::SetEnabled(false);
+  std::vector<PhaseRow> rows;
+  for (std::size_t i = 0; i < obs::kProfPhaseCount; ++i) {
+    const auto phase = static_cast<obs::ProfPhase>(i);
+    const auto stats = prof.stats(phase);
+    if (stats.calls == 0) continue;
+    rows.push_back(
+        {std::string(obs::ToString(phase)), stats.calls, stats.total_ns});
+  }
+  return rows;
+}
+
+double RssHighWaterMb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
+struct Row {
+  int nodes = 0;
+  int tasks = 0;
+  std::string config;
+  double seconds = 0.0;  // fastest repeat
+  int repeats = 0;
+  std::uint64_t completed = 0;
+  bool oracle = false;  // scan_seconds and metrics_identical are set
+  double scan_seconds = 0.0;
+  bool metrics_identical = true;
+  double rss_mb = 0.0;
+  std::vector<PhaseRow> phases;
+
+  [[nodiscard]] double UsPerTask() const {
+    return seconds * 1e6 / static_cast<double>(tasks);
+  }
+};
+
+/// Repeats the indexed run until `budget` seconds accumulate (at least
+/// once, at most kMaxRepeats times), then the scan oracle when asked, then
+/// the profiled run.
+Row RunRow(int nodes, const NamedConfig& named, double budget, bool oracle) {
+  Row row;
+  row.nodes = nodes;
+  row.tasks = nodes / 2 * 3;
+  row.config = named.name;
+  const SimulationConfig config = named.make(nodes, row.tasks);
+  double spent = 0.0;
+  MetricsReport indexed;
+  while (row.repeats < kMaxRepeats && (row.repeats == 0 || spent < budget)) {
+    TimedRun run = RunOnce(config);
+    spent += run.seconds;
+    if (row.repeats++ == 0 || run.seconds < row.seconds) {
+      row.seconds = run.seconds;
+    }
+    indexed = std::move(run.report);
+  }
+  row.completed = indexed.completed_tasks;
+  if (oracle) {
+    SimulationConfig scan_config = config;
+    scan_config.scheduler_index = false;
+    scan_config.drain_index = false;
+    const TimedRun scan = RunOnce(scan_config);
+    row.oracle = true;
+    row.scan_seconds = scan.seconds;
+    row.metrics_identical = SameRun(scan.report, indexed);
+  }
+  row.phases = ProfiledPhases(config);
+  row.rss_mb = RssHighWaterMb();
+  return row;
+}
+
+double PerTaskRatio(const std::vector<Row>& rows, const std::string& config) {
+  double small = 0.0;
+  double large = 0.0;
+  for (const Row& r : rows) {
+    if (r.config != config) continue;
+    if (r.nodes == kGateSmallNodes) small = r.UsPerTask();
+    if (r.nodes == kGateLargeNodes) large = r.UsPerTask();
+  }
+  return small > 0.0 ? large / small : 0.0;
+}
+
+[[nodiscard]] bool WriteJson(const std::string& path, bool quick, bool big,
+                             const std::vector<Row>& rows,
+                             double defaults_ratio, double saturated_ratio,
+                             bool identical, bool scaling) {
+  JsonWriter json;
+  json.Field("bench", "ladder")
+      .Field("quick", quick)
+      .Field("big", big)
+      .Field("hardware_threads", std::thread::hardware_concurrency());
+  json.BeginArray("rungs");
+  for (const Row& r : rows) {
+    JsonRow row;
+    row.Add("nodes", r.nodes)
+        .Add("tasks", r.tasks)
+        .Add("config", r.config)
+        .Add("seconds", JsonFixed(r.seconds, 6))
+        .Add("us_per_task", JsonFixed(r.UsPerTask(), 3))
+        .Add("tasks_per_second",
+             JsonFixed(static_cast<double>(r.tasks) / r.seconds, 1))
+        .Add("completed_tasks", r.completed)
+        .Add("repeats", r.repeats);
+    if (r.oracle) {
+      row.Add("scan_seconds", JsonFixed(r.scan_seconds, 6))
+          .Add("metrics_identical", r.metrics_identical);
+    }
+    json.Element(row.Add("rss_high_water_mb", JsonFixed(r.rss_mb, 1)));
+  }
+  json.End().BeginArray("phases");
+  for (const Row& r : rows) {
+    for (const PhaseRow& p : r.phases) {
+      json.Element(JsonRow()
+                       .Add("nodes", r.nodes)
+                       .Add("config", r.config)
+                       .Add("phase", p.phase)
+                       .Add("calls", p.calls)
+                       .Add("total_ns", p.total_ns));
+    }
+  }
+  json.End()
+      .Field("per_task_ratio",
+             JsonRow()
+                 .Add("defaults", JsonFixed(defaults_ratio, 2))
+                 .Add("saturated", JsonFixed(saturated_ratio, 2))
+                 .Add("bound", kMaxPerTaskRatio))
+      .Field("gate", JsonRow()
+                         .Add("metrics_identical", identical)
+                         .Add("defaults_per_task_ratio", scaling));
+  return json.Write(path);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  CliParser cli("Perf ladder (200 to 100k nodes); writes BENCH_ladder.json");
+  cli.AddBool("big", false, "add the 1M-node rung");
+  const BenchArgs args = ParseBenchArgs(
+      cli, "CI smoke: 0.1 s of repeats, no 100k-node scan oracle", argc, argv,
+      "BENCH_ladder.json");
+  const bool big = cli.GetBool("big");
+  const double budget = args.quick ? 0.1 : 0.5;
+  std::vector<int> rungs = {200, 2000, 20000, 100000};
+  if (big) rungs.push_back(1000000);
+
+  std::cout << Format("{:>8} {:>10} {:>10} {:>9} {:>8} {:>10} {:>10}\n",
+                      "nodes", "config", "seconds", "us/task", "repeats",
+                      "scan s", "identical");
+  std::vector<Row> rows;
+  for (const int nodes : rungs) {
+    const bool oracle = nodes <= 20000 || (nodes == 100000 && !args.quick);
+    for (const NamedConfig& named : kConfigs) {
+      rows.push_back(RunRow(nodes, named, budget, oracle));
+      const Row& row = rows.back();
+      std::cout << Format(
+          "{:>8} {:>10} {:>10} {:>9} {:>8} {:>10} {:>10}\n", row.nodes,
+          row.config, Fixed(row.seconds, 4), Fixed(row.UsPerTask(), 3),
+          row.repeats, row.oracle ? Fixed(row.scan_seconds, 3) : "-",
+          row.oracle ? (row.metrics_identical ? "yes" : "NO") : "-");
+    }
+  }
+
+  const bool identical =
+      std::all_of(rows.begin(), rows.end(),
+                  [](const Row& r) { return r.metrics_identical; });
+  const double defaults_ratio = PerTaskRatio(rows, "defaults");
+  const double saturated_ratio = PerTaskRatio(rows, "saturated");
+  const bool scaling = defaults_ratio <= kMaxPerTaskRatio;
+  std::cout << Format(
+      "\nus/task at {} over {} nodes: defaults {}x (gate <= {}x), "
+      "saturated {}x\n",
+      kGateLargeNodes, kGateSmallNodes, Fixed(defaults_ratio, 2),
+      kMaxPerTaskRatio, Fixed(saturated_ratio, 2));
+
+  if (!WriteJson(args.out_path, args.quick, big, rows, defaults_ratio,
+                 saturated_ratio, identical, scaling)) {
+    return 1;
+  }
+  if (!identical) {
+    std::cerr << "gate FAILED: indexed metrics differ from the scan oracle\n";
+    return 1;
+  }
+  if (!scaling) {
+    std::cerr << "gate FAILED: defaults us/task grows more than "
+              << kMaxPerTaskRatio << "x from 2k to 100k nodes\n";
+    return 1;
+  }
+  return 0;
+}

@@ -1,7 +1,7 @@
 // Helpers shared by the gated benches that drive the dreamsim libraries:
 // the --quick/--out flag parse, the one metrics-identity predicate behind
-// every "metrics_identical" gate, the paired-round overhead loop, the
-// disabled-hook loop and the scan-vs-indexed end-to-end sweep.
+// every "metrics_identical" gate, the paired-round overhead loop and the
+// disabled-hook loop.
 #pragma once
 
 #include <algorithm>
@@ -15,9 +15,7 @@
 
 #include "bench_common.hpp"
 #include "core/report.hpp"
-#include "core/sweep.hpp"
 #include "util/cli.hpp"
-#include "util/fmt.hpp"
 #include "util/log.hpp"
 
 namespace dreamsim::bench {
@@ -124,108 +122,6 @@ double DisabledHookNs(const Hook& hook) {
   const double start = CpuSeconds();
   for (std::uint64_t i = 0; i < kIters; ++i) hook();
   return (CpuSeconds() - start) / static_cast<double>(kIters) * 1e9;
-}
-
-// --- Scan-vs-indexed end-to-end sweep ----------------------------------------
-
-/// One end-to-end comparison point.
-struct Scenario {
-  std::string name;
-  sched::ReconfigMode mode;
-  int nodes;
-  std::vector<int> task_counts;
-  Tick max_interval;               // 0 = Table II default [1, 50]
-  std::size_t queue_capacity = 0;  // 0 = unbounded
-};
-
-struct SweepResult {
-  Scenario scenario;
-  double scan_seconds = 0.0;
-  double indexed_seconds = 0.0;
-  bool metrics_identical = false;
-  [[nodiscard]] double Speedup() const {
-    return indexed_seconds > 0.0 ? scan_seconds / indexed_seconds : 0.0;
-  }
-};
-
-/// Wall-clock of one single-threaded RunSweep with the index that `index`
-/// names off, then on; every other index keeps its default (on), so the
-/// toggled one is the only difference. Seed 42.
-inline SweepResult RunEndToEnd(const Scenario& scenario,
-                               bool core::SimulationConfig::*index) {
-  SweepResult result;
-  result.scenario = scenario;
-
-  core::SweepParams params;
-  params.base.nodes.count = scenario.nodes;
-  params.base.seed = 42;
-  params.base.enable_monitoring = false;
-  if (scenario.max_interval > 0) {
-    params.base.tasks.max_interval = scenario.max_interval;
-  }
-  params.base.suspension_capacity = scenario.queue_capacity;
-  params.task_counts = scenario.task_counts;
-  params.modes = {scenario.mode};
-  params.threads = 1;  // honest wall-clock
-
-  params.base.*index = false;
-  auto start = Clock::now();
-  const std::vector<core::MetricsReport> scan = core::RunSweep(params);
-  result.scan_seconds = SecondsSince(start);
-
-  params.base.*index = true;
-  start = Clock::now();
-  const std::vector<core::MetricsReport> indexed = core::RunSweep(params);
-  result.indexed_seconds = SecondsSince(start);
-
-  result.metrics_identical = scan.size() == indexed.size();
-  for (std::size_t i = 0; result.metrics_identical && i < scan.size(); ++i) {
-    result.metrics_identical = SameRun(scan[i], indexed[i]);
-  }
-  return result;
-}
-
-/// Runs RunEndToEnd on every scenario, printing one line each.
-inline std::vector<SweepResult> RunSweeps(
-    const std::vector<Scenario>& scenarios,
-    bool core::SimulationConfig::*index) {
-  std::cout << "\nend-to-end RunSweep\n";
-  std::vector<SweepResult> sweeps;
-  for (const Scenario& scenario : scenarios) {
-    SweepResult sweep = RunEndToEnd(scenario, index);
-    std::cout << Format(
-        "  {:<18}{:<8}{:>7} nodes  scan: {}s  indexed: {}s  speedup: {}x  "
-        "metrics identical: {}\n",
-        scenario.name, sched::ToString(scenario.mode), scenario.nodes,
-        Fixed(sweep.scan_seconds, 3), Fixed(sweep.indexed_seconds, 3),
-        Fixed(sweep.Speedup(), 2), sweep.metrics_identical ? "yes" : "NO");
-    sweeps.push_back(std::move(sweep));
-  }
-  return sweeps;
-}
-
-/// The `sweeps` array.
-inline void WriteSweeps(JsonWriter& json,
-                        const std::vector<SweepResult>& sweeps) {
-  json.BeginArray("sweeps");
-  for (const SweepResult& s : sweeps) {
-    json.Element(JsonRow()
-                     .Add("scenario", s.scenario.name)
-                     .Add("mode", sched::ToString(s.scenario.mode))
-                     .Add("nodes", s.scenario.nodes)
-                     .Add("task_counts", JsonList(s.scenario.task_counts))
-                     .Add("scan_seconds", s.scan_seconds)
-                     .Add("indexed_seconds", s.indexed_seconds)
-                     .Add("speedup", s.Speedup())
-                     .Add("metrics_identical", s.metrics_identical));
-  }
-  json.End();
-}
-
-inline bool AllIdentical(const std::vector<SweepResult>& sweeps) {
-  return std::all_of(sweeps.begin(), sweeps.end(), [](const SweepResult& s) {
-    return s.metrics_identical;
-  });
 }
 
 }  // namespace dreamsim::bench

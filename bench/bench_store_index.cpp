@@ -2,18 +2,15 @@
 // (DESIGN.md "Scheduler index"), emitted as machine-readable JSON so the
 // perf trajectory can be tracked across commits.
 //
-// Two layers:
-//   1. ns/query for each counted scheduler query at 1k/10k/100k nodes,
-//      scan (SetIndexed(false)) vs indexed, on identical populations.
-//   2. End-to-end RunSweep wall-clock with scheduler_index off vs on, plus
-//      a cross-check that every modeled metric is bit-identical in both
-//      modes (SameRun).
+// One row per counted scheduler query at 1k/10k/100k nodes: ns/query,
+// scan (SetIndexed(false)) vs indexed, on identical populations. End-to-end
+// time and metric identity with the index off are bench_ladder's.
 //
 // Output: BENCH_store_index.json next to the executable (override with
-// --out). --quick shrinks the grid for CI smoke runs.
+// --out). --quick shrinks the grid for CI smoke runs. Exit status 1 only
+// when the JSON cannot be written.
 #include <cstdint>
 #include <functional>
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -107,7 +104,7 @@ int main(int argc, char** argv) {
       "Indexed-vs-scan scheduler query comparison; writes "
       "BENCH_store_index.json");
   const BenchArgs args =
-      ParseBenchArgs(cli, "CI smoke grid (1k/10k nodes, short sweep)", argc,
+      ParseBenchArgs(cli, "CI smoke grid (1k/10k nodes)", argc,
                      argv, "BENCH_store_index.json");
 
   const std::vector<int> node_counts =
@@ -127,34 +124,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // End-to-end. At the paper's own scale (Table II: 200 nodes) the
-  // mode-independent suspension-queue drain dominates the host work, so
-  // the ratio stays near 1 — the index's value there is the per-query
-  // numbers above. The large-scale scenario is where the title's
-  // "large-scale distributed systems" claim bites: a saturated big
-  // cluster (fast arrivals, bounded suspension queue), where the O(N)
-  // phase walks dominate and the index wins end to end.
-  std::vector<Scenario> scenarios;
-  if (args.quick) {
-    scenarios.push_back(
-        {"paper-scale", sched::ReconfigMode::kPartial, 200, {5000}, 0, 0});
-    scenarios.push_back(
-        {"large-scale", sched::ReconfigMode::kPartial, 2000, {8000}, 4, 500});
-  } else {
-    scenarios.push_back(
-        {"paper-scale", sched::ReconfigMode::kFull, 200, {20000}, 0, 0});
-    scenarios.push_back(
-        {"paper-scale", sched::ReconfigMode::kPartial, 200, {20000}, 0, 0});
-    scenarios.push_back({"large-scale", sched::ReconfigMode::kPartial, 10000,
-                         {30000}, 4, 500});
-  }
-  const std::vector<SweepResult> sweeps =
-      RunSweeps(scenarios, &core::SimulationConfig::scheduler_index);
-
   JsonWriter json;
   json.Field("bench", "store_index").Field("quick", args.quick);
   WriteQueries(json, rows, "nodes");
-  WriteSweeps(json, sweeps);
-  if (!json.Write(args.out_path)) return 1;
-  return AllIdentical(sweeps) ? 0 : 1;
+  return json.Write(args.out_path) ? 0 : 1;
 }

@@ -2,14 +2,16 @@
 // policies to schedule task graphs"). Sweeps system size for a fixed
 // layered pipeline and reports makespan under four regimes: full/partial
 // reconfiguration x FIFO/critical-path-first release.
+#include <exception>
 #include <iostream>
+#include <limits>
 
 #include "core/graph_session.hpp"
 #include "util/cli.hpp"
 #include "util/fmt.hpp"
 #include "workload/task_graph.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dreamsim;
 
   CliParser cli(
@@ -36,8 +38,10 @@ int main(int argc, char** argv) {
   const auto catalogue = resource::ConfigCatalogue::Generate(
       base.configs, ptype::Catalogue::Default(), catalogue_rng);
   workload::GraphGenParams params;
-  params.layers = static_cast<int>(cli.GetInt("layers"));
-  params.width = static_cast<int>(cli.GetInt("width"));
+  params.layers = static_cast<int>(IntInRange(
+      cli, "layers", 0, std::numeric_limits<int>::max()));
+  params.width = static_cast<int>(IntInRange(
+      cli, "width", 0, std::numeric_limits<int>::max()));
   params.edge_density = cli.GetDouble("density");
   params.task_params.min_required_time = 500;
   params.task_params.max_required_time = 5000;
@@ -70,4 +74,7 @@ int main(int argc, char** argv) {
   std::cout << "\n(makespan in ticks; cp = critical-path-first list "
                "scheduling)\n";
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

@@ -6,7 +6,9 @@
 //
 //   ./examples/datacenter_diurnal [--days N] [--nodes N] [--seed S]
 #include <cmath>
+#include <exception>
 #include <iostream>
+#include <limits>
 
 #include "core/report.hpp"
 #include "core/simulator.hpp"
@@ -51,7 +53,7 @@ workload::Workload BuildDiurnalWorkload(
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliParser cli(
       "Diurnal datacenter load: sinusoidal arrival rate over several "
       "simulated days, full vs partial reconfiguration.");
@@ -71,7 +73,8 @@ int main(int argc, char** argv) {
   }
 
   core::SimulationConfig base;
-  base.nodes.count = static_cast<int>(cli.GetInt("nodes"));
+  base.nodes.count = static_cast<int>(IntInRange(
+      cli, "nodes", 0, std::numeric_limits<int>::max()));
   base.seed = static_cast<std::uint64_t>(cli.GetInt("seed"));
 
   // Same catalogue the simulator will build (same derived sub-seed).
@@ -79,13 +82,14 @@ int main(int argc, char** argv) {
   const auto catalogue = resource::ConfigCatalogue::Generate(
       base.configs, ptype::Catalogue::Default(), catalogue_rng);
 
+  const auto days = static_cast<int>(
+      IntInRange(cli, "days", 0, std::numeric_limits<int>::max()));
   Rng workload_rng(DeriveSeed(base.seed, 101));
   const workload::Workload wl = BuildDiurnalWorkload(
-      catalogue, static_cast<int>(cli.GetInt("days")),
-      cli.GetInt("day-length"), cli.GetInt("peak-gap"),
+      catalogue, days, cli.GetInt("day-length"), cli.GetInt("peak-gap"),
       cli.GetInt("trough-gap"), workload_rng);
   std::cout << Format("diurnal workload: {} tasks over {} days\n", wl.size(),
-                      cli.GetInt("days"));
+                      days);
 
   std::vector<core::MetricsReport> reports;
   for (const auto mode :
@@ -104,4 +108,7 @@ int main(int argc, char** argv) {
   std::cout << "\n=== Diurnal load, Table I comparison ===\n"
             << core::RenderComparisonTable(reports);
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

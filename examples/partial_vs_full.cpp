@@ -6,8 +6,10 @@
 //
 //   ./examples/partial_vs_full [--nodes N] [--tasks N] [--seed S]
 //                              [--xml-prefix PATH]
+#include <exception>
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 #include "core/report.hpp"
 #include "core/simulator.hpp"
@@ -30,7 +32,7 @@ void PrintPlacementBreakdown(const dreamsim::core::MetricsReport& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dreamsim;
 
   CliParser cli(
@@ -55,9 +57,12 @@ int main(int argc, char** argv) {
   for (const auto mode :
        {sched::ReconfigMode::kFull, sched::ReconfigMode::kPartial}) {
     core::SimulationConfig config;
-    config.nodes.count = static_cast<int>(cli.GetInt("nodes"));
-    config.configs.count = static_cast<int>(cli.GetInt("configs"));
-    config.tasks.total_tasks = static_cast<int>(cli.GetInt("tasks"));
+    config.nodes.count = static_cast<int>(IntInRange(
+        cli, "nodes", 0, std::numeric_limits<int>::max()));
+    config.configs.count = static_cast<int>(IntInRange(
+        cli, "configs", 0, std::numeric_limits<int>::max()));
+    config.tasks.total_tasks = static_cast<int>(IntInRange(
+        cli, "tasks", 0, std::numeric_limits<int>::max()));
     config.seed = static_cast<std::uint64_t>(cli.GetInt("seed"));
     config.mode = mode;
     config.label = std::string(sched::ToString(mode));
@@ -97,4 +102,7 @@ int main(int argc, char** argv) {
       Format("{}", partial.avg_reconfig_count_per_node /
                        std::max(1e-9, full.avg_reconfig_count_per_node)));
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

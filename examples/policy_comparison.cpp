@@ -4,14 +4,16 @@
 // scoreboard, and reports the load-balance quality each policy achieved.
 //
 //   ./examples/policy_comparison [--nodes N] [--tasks N] [--seed S]
+#include <exception>
 #include <iostream>
+#include <limits>
 
 #include "core/simulator.hpp"
 #include "rms/load_balancer.hpp"
 #include "util/cli.hpp"
 #include "util/fmt.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dreamsim;
 
   CliParser cli(
@@ -39,8 +41,10 @@ int main(int argc, char** argv) {
         core::PolicyChoice::kRandomFit, core::PolicyChoice::kRoundRobin,
         core::PolicyChoice::kLeastLoaded}) {
     core::SimulationConfig config;
-    config.nodes.count = static_cast<int>(cli.GetInt("nodes"));
-    config.tasks.total_tasks = static_cast<int>(cli.GetInt("tasks"));
+    config.nodes.count = static_cast<int>(IntInRange(
+        cli, "nodes", 0, std::numeric_limits<int>::max()));
+    config.tasks.total_tasks = static_cast<int>(IntInRange(
+        cli, "tasks", 0, std::numeric_limits<int>::max()));
     config.seed = static_cast<std::uint64_t>(cli.GetInt("seed"));
     config.policy = choice;
     config.enable_monitoring = false;
@@ -80,4 +84,7 @@ int main(int argc, char** argv) {
   std::cout << "\nfairness = Jain's index over per-node reconfiguration "
                "activity (1 = perfectly even).\n";
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

@@ -2,13 +2,15 @@
 // parameters and print the Table I report for both reconfiguration modes.
 //
 //   ./examples/quickstart [--nodes N] [--tasks N] [--seed S]
+#include <exception>
 #include <iostream>
+#include <limits>
 
 #include "core/report.hpp"
 #include "core/simulator.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dreamsim;
 
   CliParser cli(
@@ -31,9 +33,12 @@ int main(int argc, char** argv) {
   for (const auto mode :
        {sched::ReconfigMode::kFull, sched::ReconfigMode::kPartial}) {
     core::SimulationConfig config;
-    config.nodes.count = static_cast<int>(cli.GetInt("nodes"));
-    config.configs.count = static_cast<int>(cli.GetInt("configs"));
-    config.tasks.total_tasks = static_cast<int>(cli.GetInt("tasks"));
+    config.nodes.count = static_cast<int>(IntInRange(
+        cli, "nodes", 0, std::numeric_limits<int>::max()));
+    config.configs.count = static_cast<int>(IntInRange(
+        cli, "configs", 0, std::numeric_limits<int>::max()));
+    config.tasks.total_tasks = static_cast<int>(IntInRange(
+        cli, "tasks", 0, std::numeric_limits<int>::max()));
     config.seed = static_cast<std::uint64_t>(cli.GetInt("seed"));
     config.mode = mode;
     config.label = std::string(sched::ToString(mode));
@@ -46,4 +51,7 @@ int main(int argc, char** argv) {
   std::cout << "Side-by-side comparison (Table I metrics):\n"
             << core::RenderComparisonTable(reports);
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

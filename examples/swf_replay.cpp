@@ -6,8 +6,10 @@
 //
 //   ./examples/swf_replay [--input trace.swf] [--nodes N]
 //                         [--ticks-per-second R] [--area-per-proc A]
+#include <exception>
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 #include "core/report.hpp"
 #include "core/simulator.hpp"
@@ -45,7 +47,7 @@ std::vector<dreamsim::workload::SwfJob> FabricateDemoTrace(int count,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dreamsim;
 
   CliParser cli(
@@ -72,7 +74,8 @@ int main(int argc, char** argv) {
   if (path.empty()) {
     path = cli.GetString("demo-out");
     const auto jobs = FabricateDemoTrace(
-        static_cast<int>(cli.GetInt("jobs")),
+        static_cast<int>(
+            IntInRange(cli, "jobs", 0, std::numeric_limits<int>::max())),
         static_cast<std::uint64_t>(cli.GetInt("seed")));
     std::ofstream out(path);
     workload::WriteSwf(out, jobs, "fabricated demo trace (swf_replay)");
@@ -91,7 +94,8 @@ int main(int argc, char** argv) {
   for (const auto mode :
        {sched::ReconfigMode::kFull, sched::ReconfigMode::kPartial}) {
     core::SimulationConfig config;
-    config.nodes.count = static_cast<int>(cli.GetInt("nodes"));
+    config.nodes.count = static_cast<int>(IntInRange(
+        cli, "nodes", 0, std::numeric_limits<int>::max()));
     config.seed = static_cast<std::uint64_t>(cli.GetInt("seed"));
     config.mode = mode;
     config.label = std::string(sched::ToString(mode)) + "@swf";
@@ -102,4 +106,7 @@ int main(int argc, char** argv) {
   std::cout << "\n=== SWF replay, Table I comparison ===\n"
             << core::RenderComparisonTable(reports);
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

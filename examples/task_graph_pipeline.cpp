@@ -4,13 +4,15 @@
 // critical-path lower bound, and the speedup over one-task-per-node mode.
 //
 //   ./examples/task_graph_pipeline [--layers N] [--width N] [--nodes N]
+#include <exception>
 #include <iostream>
+#include <limits>
 
 #include "core/graph_session.hpp"
 #include "util/cli.hpp"
 #include "util/fmt.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dreamsim;
 
   CliParser cli(
@@ -31,7 +33,8 @@ int main(int argc, char** argv) {
   }
 
   core::SimulationConfig base;
-  base.nodes.count = static_cast<int>(cli.GetInt("nodes"));
+  base.nodes.count = static_cast<int>(IntInRange(
+      cli, "nodes", 0, std::numeric_limits<int>::max()));
   base.seed = static_cast<std::uint64_t>(cli.GetInt("seed"));
 
   // Build the graph against the same catalogue the simulator will generate
@@ -41,8 +44,10 @@ int main(int argc, char** argv) {
       base.configs, ptype::Catalogue::Default(), catalogue_rng);
 
   workload::GraphGenParams graph_params;
-  graph_params.layers = static_cast<int>(cli.GetInt("layers"));
-  graph_params.width = static_cast<int>(cli.GetInt("width"));
+  graph_params.layers = static_cast<int>(IntInRange(
+      cli, "layers", 0, std::numeric_limits<int>::max()));
+  graph_params.width = static_cast<int>(IntInRange(
+      cli, "width", 0, std::numeric_limits<int>::max()));
   graph_params.edge_density = cli.GetDouble("density");
   graph_params.task_params.min_required_time = 500;
   graph_params.task_params.max_required_time = 5000;
@@ -95,4 +100,7 @@ int main(int argc, char** argv) {
                          static_cast<double>(std::max<Tick>(1, cp.makespan))));
   }
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

@@ -8,14 +8,16 @@
 // documented CSV format (see src/workload/trace.hpp).
 //
 //   ./examples/trace_replay [--trace PATH] [--tasks N] [--nodes N]
+#include <exception>
 #include <iostream>
+#include <limits>
 
 #include "core/report.hpp"
 #include "core/simulator.hpp"
 #include "util/cli.hpp"
 #include "workload/trace.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dreamsim;
 
   CliParser cli(
@@ -38,8 +40,10 @@ int main(int argc, char** argv) {
   }
 
   core::SimulationConfig base;
-  base.nodes.count = static_cast<int>(cli.GetInt("nodes"));
-  base.tasks.total_tasks = static_cast<int>(cli.GetInt("tasks"));
+  base.nodes.count = static_cast<int>(IntInRange(
+      cli, "nodes", 0, std::numeric_limits<int>::max()));
+  base.tasks.total_tasks = static_cast<int>(IntInRange(
+      cli, "tasks", 0, std::numeric_limits<int>::max()));
   base.seed = static_cast<std::uint64_t>(cli.GetInt("seed"));
 
   // Obtain the workload: load an external trace, or generate + save one.
@@ -77,4 +81,7 @@ int main(int argc, char** argv) {
   std::cout << "\n=== Trace replay, Table I comparison ===\n"
             << core::RenderComparisonTable(reports);
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

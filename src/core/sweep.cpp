@@ -11,7 +11,10 @@ namespace dreamsim::core {
 
 std::vector<int> PaperTaskCounts(double scale) {
   if (!(0.0 < scale && scale <= 1.0)) {  // NaN fails too
-    throw std::invalid_argument("PaperTaskCounts scale must be in (0, 1]");
+    // Named after the flag that both front ends (dreamsim --sweep,
+    // reproduce) read the scale from.
+    throw std::invalid_argument(
+        Format("--scale must be in (0, 1], got {}", scale));
   }
   std::vector<int> counts;
   const auto scaled = [scale](int n) {

@@ -45,7 +45,8 @@ struct SweepParams {
 
 /// The paper's x axis: 1000 then 10000..100000 step 10000. `scale` in
 /// (0, 1] shrinks every point proportionally (for fast default bench runs);
-/// points collapse to at least 1000 tasks and duplicates are removed.
+/// points collapse to at least 1000 tasks and duplicates are removed. Any
+/// other scale throws std::invalid_argument naming `--scale` and the value.
 [[nodiscard]] std::vector<int> PaperTaskCounts(double scale = 1.0);
 
 }  // namespace dreamsim::core

@@ -175,8 +175,9 @@ TEST(CliParser, TypeMismatchAccessThrows) {
 }
 
 TEST(CliParser, WasSetDistinguishesDefaultsFromExplicit) {
-  // WasSet backs the --trace-out deprecation alias: the tool must tell an
-  // explicitly passed option apart from one left at its default.
+  // WasSet backs dreamsim's --seed, --mode, --policy and --explain handling
+  // and its --scenario conflict check: the tool must tell an explicitly
+  // passed option apart from one left at its default.
   CliParser cli("test");
   cli.AddInt("n", 7, "");
   cli.AddString("out", "", "");

@@ -129,8 +129,6 @@ void RegisterFlags(CliParser& cli) {
   cli.AddString("trace-in", "", "replay this workload trace instead of generating");
   cli.AddString("workload-trace-out", "",
                 "save the generated workload as a replayable trace");
-  cli.AddString("trace-out", "",
-                "(deprecated) alias for --workload-trace-out");
   // Observability (DESIGN.md §11; all off by default, pure observers).
   cli.AddString("run-trace", "",
                 "write a per-event run trace to this path (see --trace-format)");
@@ -322,18 +320,6 @@ core::SimulationConfig BuildConfig(const CliParser& cli) {
   return config;
 }
 
-/// Resolves the workload-trace output path, honouring the deprecated
-/// --trace-out spelling (with a warning).
-std::string WorkloadTraceOut(const CliParser& cli) {
-  std::string path = cli.GetString("workload-trace-out");
-  if (path.empty() && cli.WasSet("trace-out")) {
-    path = cli.GetString("trace-out");
-    std::cerr << "warning: --trace-out is deprecated; use "
-                 "--workload-trace-out\n";
-  }
-  return path;
-}
-
 /// Under --compare each mode writes its own file: "runs.json" becomes
 /// "runs-full.json" / "runs-partial.json". Single runs keep the path as-is.
 std::string PerModePath(const std::string& path, std::string_view mode,
@@ -425,7 +411,7 @@ int RunSingleOrCompare(const CliParser& cli) {
               << "\n";
   }
 
-  const std::string trace_out = WorkloadTraceOut(cli);
+  const std::string trace_out = cli.GetString("workload-trace-out");
   const std::string run_trace = cli.GetString("run-trace");
   const std::string timeline_out = cli.GetString("timeline-out");
   const obs::TraceFormat trace_format = RequireTraceFormat(cli);
