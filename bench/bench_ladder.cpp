@@ -10,7 +10,10 @@
 //              arrival span and a bounded suspension queue, so decisions
 //              fall through every Fig. 5 phase.
 // Each indexed run is timed on a fresh Simulator with setup outside the
-// timer and the PhaseProfiler off; the fastest of the repeats counts. One
+// timer and the PhaseProfiler off, at least kMinRepeats times (more while
+// the time budget lasts) in --quick and full mode alike; the fastest of
+// the repeats counts, so host noise reaches a large rung's time through a
+// minimum of several runs, not one or two. One
 // extra profiled run per (rung, config) fills the phase rows. Up to 20k
 // nodes (and at 100k without --quick) one literal-scan run (scheduler and
 // drain index both off: the test oracle) per config checks every modeled
@@ -42,6 +45,7 @@ using dreamsim::core::MetricsReport;
 using dreamsim::core::SimulationConfig;
 using dreamsim::core::Simulator;
 
+constexpr int kMinRepeats = 5;
 constexpr int kMaxRepeats = 50;
 constexpr int kGateSmallNodes = 2000;
 constexpr int kGateLargeNodes = 100000;
@@ -147,8 +151,8 @@ struct Row {
 };
 
 /// Repeats the indexed run until `budget` seconds accumulate (at least
-/// once, at most kMaxRepeats times), then the scan oracle when asked, then
-/// the profiled run.
+/// kMinRepeats, at most kMaxRepeats times), then the scan oracle when
+/// asked, then the profiled run.
 Row RunRow(int nodes, const NamedConfig& named, double budget, bool oracle) {
   Row row;
   row.nodes = nodes;
@@ -157,7 +161,8 @@ Row RunRow(int nodes, const NamedConfig& named, double budget, bool oracle) {
   const SimulationConfig config = named.make(nodes, row.tasks);
   double spent = 0.0;
   MetricsReport indexed;
-  while (row.repeats < kMaxRepeats && (row.repeats == 0 || spent < budget)) {
+  while (row.repeats < kMaxRepeats &&
+         (row.repeats < kMinRepeats || spent < budget)) {
     TimedRun run = RunOnce(config);
     spent += run.seconds;
     if (row.repeats++ == 0 || run.seconds < row.seconds) {
@@ -247,7 +252,7 @@ int main(int argc, char** argv) {
   CliParser cli("Perf ladder (200 to 100k nodes); writes BENCH_ladder.json");
   cli.AddBool("big", false, "add the 1M-node rung");
   const BenchArgs args = ParseBenchArgs(
-      cli, "CI smoke: 0.1 s of repeats, no 100k-node scan oracle", argc, argv,
+      cli, "CI smoke: 0.1 s of repeats (5 at least), no 100k-node scan oracle", argc, argv,
       "BENCH_ladder.json");
   const bool big = cli.GetBool("big");
   const double budget = args.quick ? 0.1 : 0.5;

@@ -1,25 +1,27 @@
-// Indexed-vs-scan comparison for the suspension-queue drain queries
-// (DESIGN.md "Scheduler index"), emitted as machine-readable JSON so the
-// perf trajectory can be tracked across commits.
+// Indexed-vs-scan comparison for the suspension-queue completion drains
+// (DESIGN.md §9.1), emitted as machine-readable JSON so the perf
+// trajectory can be tracked across commits.
 //
-// One row per drain candidate-selection pattern at queue depths
-// 1k/10k/100k: ns/query of a literal counted walk of the queue (what the
-// reference Simulator::DrainSuspensionQueue does) vs the SusQueueIndex
-// answer plus its analytic bulk step charge, on identical populations.
-// End-to-end time and metric identity with the index off are
-// bench_ladder's.
+// One row per drain shape at queue depths 1k/10k/100k: ns per
+// SuspensionQueue drain call with the drain index off (the literal walk,
+// what a scan-mode Simulator runs) and on (the index answer plus its
+// analytic step charge), on identical populations beside one blank node
+// whose area sets the drain's bound. Every attempt leaves its entry
+// queued, so a call makes at most one attempt and the queue keeps its
+// content from call to call. End-to-end time and metric identity with the
+// index off are bench_ladder's.
 //
 // Output: BENCH_sus_drain.json next to the executable (override with
 // --out). --quick shrinks the grid for CI smoke runs. Exit status 1 only
 // when the JSON cannot be written.
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_sim.hpp"
+#include "resource/store.hpp"
 #include "resource/suspension_queue.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -28,88 +30,50 @@ namespace {
 
 using namespace dreamsim;
 using namespace dreamsim::bench;
-using resource::StepKind;
 using resource::SusEntryAttrs;
 using resource::SuspensionQueue;
 using resource::WorkloadMeter;
 
-/// A saturated-regime queue population: 64 distinct resolved configs, a
-/// single device family (the paper's evaluation), areas mostly too large
-/// for a freshly freed region with a sparse sprinkle of small tasks.
-/// Deterministic, so the scan and indexed queues see identical state.
-void FillQueue(SuspensionQueue& queue, std::vector<SusEntryAttrs>& attrs,
-               int depth, WorkloadMeter& meter) {
+constexpr std::uint32_t kConfigs = 64;
+
+/// A saturated-regime queue population: kConfigs distinct resolved
+/// configs, a single device family (the paper's evaluation), areas mostly
+/// too large for a freshly freed region with a sparse sprinkle of small
+/// tasks. Deterministic, so every queue sees identical state.
+void FillQueue(SuspensionQueue& queue, int depth) {
   Rng rng(11);
+  WorkloadMeter meter;
   for (int i = 0; i < depth; ++i) {
     SusEntryAttrs a;
-    a.resolved_config =
-        ConfigId{static_cast<std::uint32_t>(rng.uniform_int(0, 63))};
+    a.resolved_config = ConfigId{
+        static_cast<std::uint32_t>(rng.uniform_int(0, kConfigs - 1))};
     a.needed_area = (i % 997 == 996) ? 100 : rng.uniform_int(1000, 2000);
     a.priority = static_cast<double>(rng.uniform_int(0, 9));
     if (!queue.Add(TaskId{static_cast<std::uint32_t>(i)}, a, meter)) {
       throw std::logic_error("bench queue unexpectedly bounded");
     }
-    attrs.push_back(a);
   }
 }
 
-/// The CouldUseNode predicate in attribute form (single family).
-bool Eligible(const SusEntryAttrs& a, Area bound, ConfigId match) {
-  if (match.valid() && a.resolved_config == match) return true;
-  return a.needed_area <= bound;
-}
-
-// --- Literal reference walks (what the scan-mode drain executes) ---------
-
-std::optional<std::size_t> ScanExactMatch(
-    const SuspensionQueue& queue, const std::vector<SusEntryAttrs>& attrs,
-    ConfigId config, bool by_priority, WorkloadMeter& meter) {
-  std::optional<std::size_t> best;
-  double best_priority = 0.0;
-  std::size_t i = 0;
-  for (const TaskId task : queue) {
-    const std::size_t index = i++;
-    meter.Add(StepKind::kSchedulingSearch);
-    const SusEntryAttrs& a = attrs[task.value()];
-    if (a.resolved_config != config) continue;
-    if (!best || (by_priority && a.priority > best_priority)) {
-      best = index;
-      best_priority = a.priority;
-    }
+/// The catalogue the population resolves to (family-less, so the family
+/// check passes everywhere) and two blank nodes: `kFits` bounds a drain
+/// at 150, which admits only the sparse small tasks (first hit ~1k deep);
+/// `kFitsNone` at 50, which admits nothing (the common saturated case —
+/// the freed region fits none of the queue).
+resource::ResourceStore MakeFleet() {
+  resource::ConfigCatalogue configs;
+  for (std::uint32_t c = 0; c < kConfigs; ++c) {
+    resource::Configuration cfg;
+    cfg.required_area = 100;
+    configs.Add(cfg);
   }
-  return best;
+  resource::ResourceStore store(std::move(configs));
+  (void)store.AddNode(150);
+  (void)store.AddNode(50);
+  return store;
 }
-
-std::optional<std::size_t> ScanOldestEligible(
-    const SuspensionQueue& queue, const std::vector<SusEntryAttrs>& attrs,
-    Area bound, ConfigId match, WorkloadMeter& meter) {
-  std::size_t i = 0;
-  for (const TaskId task : queue) {
-    meter.Add(StepKind::kSchedulingSearch);
-    if (Eligible(attrs[task.value()], bound, match)) return i;
-    ++i;
-  }
-  return std::nullopt;
-}
-
-std::optional<std::size_t> ScanBestPriorityEligible(
-    const SuspensionQueue& queue, const std::vector<SusEntryAttrs>& attrs,
-    Area bound, ConfigId match, WorkloadMeter& meter) {
-  std::optional<std::size_t> best;
-  double best_priority = 0.0;
-  std::size_t i = 0;
-  for (const TaskId task : queue) {
-    const std::size_t index = i++;
-    meter.Add(StepKind::kSchedulingSearch);
-    const SusEntryAttrs& a = attrs[task.value()];
-    if (!Eligible(a, bound, match)) continue;
-    if (!best || a.priority > best_priority) {
-      best = index;
-      best_priority = a.priority;
-    }
-  }
-  return best;
-}
+constexpr NodeId kFits{0};
+constexpr NodeId kFitsNone{1};
 
 }  // namespace
 
@@ -125,106 +89,47 @@ int main(int argc, char** argv) {
                                       ? std::vector<int>{1000, 10000}
                                       : std::vector<int>{1000, 10000, 100000};
   const double min_seconds = args.quick ? 0.01 : 0.05;
-  // The node-side prefilter bound: 150 admits only the sparse small tasks
-  // (first hit ~1k deep), 50 admits nothing (the common saturated case —
-  // the freed region fits none of the queue).
-  const ConfigId target{63};
+  const ConfigId target{kConfigs - 1};
+  const resource::ResourceStore store = MakeFleet();
+  WorkloadMeter meter;
+  const auto keep = [](SuspensionQueue::Seq) {};
 
   std::vector<QueryRow> rows;
   PrintQueryHeader("depth");
   for (const int depth : depths) {
-    WorkloadMeter fill_meter;
-    // An index serves one drain order: the *_priority rows query a
-    // priority-order twin of the FIFO-order indexed queue.
-    SuspensionQueue scan_queue;
-    SuspensionQueue indexed_queue(0, resource::SusOrder::kFifo);
-    SuspensionQueue priority_queue(0, resource::SusOrder::kPriority);
-    indexed_queue.SetDrainIndexed(true);
-    priority_queue.SetDrainIndexed(true);
-    std::vector<SusEntryAttrs> attrs;
-    FillQueue(scan_queue, attrs, depth, fill_meter);
-    std::vector<SusEntryAttrs> attrs_again;
-    FillQueue(indexed_queue, attrs_again, depth, fill_meter);
-    attrs_again.clear();
-    FillQueue(priority_queue, attrs_again, depth, fill_meter);
-    WorkloadMeter scan_meter;
-    WorkloadMeter indexed_meter;
-    const auto charge_full = [&] {
-      // Indexed full-mode drains charge the whole-queue walk in bulk.
-      indexed_meter.Add(StepKind::kSchedulingSearch, indexed_queue.size());
-    };
-
-    struct NamedPair {
-      std::string name;
-      std::function<void()> scan;
-      std::function<void()> indexed;
-    };
-    const std::vector<NamedPair> pairs = {
-        {"full_exact_match",
-         [&] {
-           (void)ScanExactMatch(scan_queue, attrs, target, false,
-                                scan_meter);
-         },
-         [&] {
-           charge_full();
-           (void)indexed_queue.OldestExactMatch(target);
-         }},
-        {"full_exact_match_priority",
-         [&] {
-           (void)ScanExactMatch(scan_queue, attrs, target, true,
-                                scan_meter);
-         },
-         [&] {
-           charge_full();
-           (void)priority_queue.BestPriorityExactMatch(target);
-         }},
-        {"partial_fifo_first_hit",
-         [&] {
-           (void)ScanOldestEligible(scan_queue, attrs, 150,
-                                    ConfigId::invalid(), scan_meter);
-         },
-         [&] {
-           const auto hit = indexed_queue.OldestEligible(
-               FamilyId::invalid(), 150, 0, ConfigId::invalid());
-           // The reference walk stops at the hit (or walks the tail dry).
-           indexed_meter.Add(StepKind::kSchedulingSearch,
-                             hit ? indexed_queue.PositionOf(*hit) + 1
-                                 : indexed_queue.size());
-         }},
-        {"partial_fifo_none",
-         [&] {
-           (void)ScanOldestEligible(scan_queue, attrs, 50,
-                                    ConfigId::invalid(), scan_meter);
-         },
-         [&] {
-           const auto hit = indexed_queue.OldestEligible(
-               FamilyId::invalid(), 50, 0, ConfigId::invalid());
-           indexed_meter.Add(StepKind::kSchedulingSearch,
-                             hit ? indexed_queue.PositionOf(*hit) + 1
-                                 : indexed_queue.size());
-         }},
-        {"partial_priority_best",
-         [&] {
-           (void)ScanBestPriorityEligible(scan_queue, attrs, 150,
-                                          ConfigId::invalid(), scan_meter);
-         },
-         [&] {
-           charge_full();
-           (void)priority_queue.BestPriorityEligible(FamilyId::invalid(), 150,
-                                                     ConfigId::invalid());
-         }},
-        {"contains_miss",
-         [&] {
-           (void)scan_queue.Contains(TaskId{9999999}, scan_meter);
-         },
-         [&] {
-           (void)indexed_queue.Contains(TaskId{9999999}, indexed_meter);
-         }},
-    };
-    for (const NamedPair& pair : pairs) {
-      rows.push_back(TimeQuery(pair.name, depth, pair.scan, pair.indexed,
-                               min_seconds));
+    // One queue per (order, index mode); an index serves one drain order.
+    SuspensionQueue fifo[2] = {SuspensionQueue(0, resource::SusOrder::kFifo),
+                               SuspensionQueue(0, resource::SusOrder::kFifo)};
+    SuspensionQueue prio[2] = {
+        SuspensionQueue(0, resource::SusOrder::kPriority),
+        SuspensionQueue(0, resource::SusOrder::kPriority)};
+    for (const int indexed : {0, 1}) {
+      for (SuspensionQueue* q : {&fifo[indexed], &prio[indexed]}) {
+        q->SetDrainIndexed(indexed == 1);
+        FillQueue(*q, depth);
+      }
     }
+    /// Times `drain(queue)` on the scan and the indexed twin of `queues`.
+    const auto time_drain =
+        [&](const std::string& name, SuspensionQueue (&queues)[2],
+            const std::function<void(SuspensionQueue&)>& drain) {
+          rows.push_back(TimeQuery(
+              name, depth, [&] { drain(queues[0]); },
+              [&] { drain(queues[1]); }, min_seconds));
+        };
+    const auto full = [&](SuspensionQueue& q) {
+      q.DrainFull(store, kFits, target, meter, keep);
+    };
+    const auto partial = [&](NodeId node) {
+      return [&, node](SuspensionQueue& q) {
+        q.DrainPartial(store, node, ConfigId::invalid(), 8, meter, keep);
+      };
+    };
+    time_drain("full_exact_match", fifo, full);
+    time_drain("full_exact_match_priority", prio, full);
+    time_drain("partial_fifo_first_hit", fifo, partial(kFits));
+    time_drain("partial_fifo_none", fifo, partial(kFitsNone));
+    time_drain("partial_priority_best", prio, partial(kFits));
   }
 
   JsonWriter json;

@@ -67,14 +67,23 @@ void BM_EntryListFindMin(benchmark::State& state) {
 BENCHMARK(BM_EntryListFindMin)->Range(8, 4096);
 
 void BM_SuspensionQueueScan(benchmark::State& state) {
+  // A literal-walk partial drain that finds no candidate: it visits every
+  // queued entry.
   const auto size = static_cast<std::uint32_t>(state.range(0));
+  Rng rng(3);
+  ResourceStore store(MakeCatalogue(1, rng));
+  const NodeId node = store.AddNode(50);
   SuspensionQueue queue;
   WorkloadMeter meter;
+  resource::SusEntryAttrs attrs;
+  attrs.needed_area = 1000;
   for (std::uint32_t i = 0; i < size; ++i) {
-    (void)queue.Add(TaskId{i}, meter);
+    (void)queue.Add(TaskId{i}, attrs, meter);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(queue.Contains(TaskId{size - 1}, meter));
+    queue.DrainPartial(store, node, ConfigId::invalid(), 0, meter,
+                       [](SuspensionQueue::Seq) {});
+    benchmark::DoNotOptimize(meter.scheduling_steps_total());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

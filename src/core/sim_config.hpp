@@ -119,11 +119,12 @@ struct SimulationConfig {
   /// "Scheduler index"). Off = reference scans, for debugging and
   /// differential validation.
   bool scheduler_index = true;
-  /// Answer suspension-queue drain queries (candidate selection on task
-  /// completion) from the queue's O(log Q) index instead of the literal
-  /// FIFO scans, under the same bit-identical contract as
-  /// `scheduler_index`. The index keeps only the structures of the drain
-  /// order `priority_scheduling` selects. Off = reference scans.
+  /// Let SuspensionQueue answer its completion drains (DrainFull,
+  /// DrainPartial) from its O(log Q) index instead of the literal walks,
+  /// under the same bit-identical contract as `scheduler_index`: the queue
+  /// charges what the walk would have (DESIGN.md §9.1). The index keeps
+  /// only the structures of the drain order `priority_scheduling`
+  /// selects. Off = the literal walks (the test oracle).
   bool drain_index = true;
   /// Vestigial: the in-run sharded kernel was removed (DESIGN.md §13), and
   /// 1 is the only legal value — the Simulator constructor throws

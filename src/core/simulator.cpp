@@ -131,7 +131,6 @@ Simulator::Simulator(SimulationConfig config)
       network_(config_.network, DeriveSeed(config_.seed, kStreamNetwork)),
       metrics_(config_.waste_accounting),
       info_(store_),
-      monitor_(info_),
       jobs_(kernel_, tasks_),
       faults_(config_.faults, DeriveSeed(config_.seed, kStreamFaults)) {
   if (config_.shards != 1) {
@@ -558,55 +557,27 @@ void Simulator::HandleCompletion(TaskId id, resource::EntryRef entry) {
   if (completion_hook_) completion_hook_(id, kernel_.now());
 }
 
-bool Simulator::CouldUseNode(const resource::Task& task,
-                             const resource::Node& node,
-                             ConfigId freed_config) const {
-  // Direct reuse: the freed entry already carries the task's resolved
-  // configuration.
-  if (task.resolved_config.valid() && task.resolved_config == freed_config) {
-    return true;
-  }
-  // Family compatibility gates every other route onto this node.
-  if (task.resolved_config.valid() &&
-      !store_.configs().Get(task.resolved_config).CompatibleWith(
-          node.family())) {
-    return false;
-  }
-  // Spare fabric could host the task directly, or reclaiming the node's
-  // idle entries (Algorithm 1, restricted to this node) could free enough
-  // room. The store answers both from its incremental busy-area tally in
-  // O(1) — the same outcome as accumulating idle-entry areas slot by slot.
-  return store_.CouldEventuallyHost(node.id(), task.needed_area);
-}
-
 void Simulator::DrainSuspensionQueue(NodeId freed_node,
                                      ConfigId freed_config) {
-  // "Each time a node finishes executing a task, the suspension queue is
-  // checked using this method to determine if a suitable task is waiting in
-  // the queue which can be executed on the node." The scan is FIFO-first;
-  // each visited queue entry costs one scheduler search step (this is part
-  // of the effort to assign tasks to nodes, and it is what makes the
-  // full-reconfiguration scenario's Fig. 9 curves grow with the queue).
-  // With the drain index enabled, candidate selection is answered from the
-  // queue's O(log Q) structures and the scan's step charges are replayed
-  // analytically — decisions and metrics are bit-identical either way.
+  // Each visited queue entry costs one scheduler search step (part of the
+  // effort to assign tasks to nodes, and what makes the full-mode Fig. 9
+  // curves grow with the queue); the queue charges it, with the drain
+  // index on or off.
   const obs::ScopedPhaseTimer timer(obs::ProfPhase::kSuspensionDrain);
-  if (suspension_.empty()) return;
-  const resource::Node& node = store_.node(freed_node);
-  const std::size_t max_policy_runs = config_.suspension_batch == 0
-                                          ? suspension_.size()
-                                          : config_.suspension_batch;
+  const auto attempt = [this](resource::SuspensionQueue::Seq seq) {
+    AttemptQueuedAt(seq);
+  };
   if (config_.mode == sched::ReconfigMode::kFull) {
-    DrainFullMode(node, freed_config);
-  } else if (config_.priority_scheduling) {
-    DrainPartialPriority(node, freed_config, max_policy_runs);
+    suspension_.DrainFull(store_, freed_node, freed_config, store_.meter(),
+                          attempt);
   } else {
-    DrainPartialFifo(node, freed_config, max_policy_runs);
+    suspension_.DrainPartial(store_, freed_node, freed_config,
+                             config_.suspension_batch, store_.meter(),
+                             attempt);
   }
 }
 
-Simulator::DrainAttempt Simulator::AttemptQueuedAt(
-    resource::SuspensionQueue::Seq seq) {
+void Simulator::AttemptQueuedAt(resource::SuspensionQueue::Seq seq) {
   const TaskId id = suspension_.TaskAt(seq);
   obs::MetricInc(obs::MetricId::kDrainAttempts);
   store_.meter().BeginTask();
@@ -618,7 +589,7 @@ Simulator::DrainAttempt Simulator::AttemptQueuedAt(
     }
     suspension_.RemoveSeq(seq, store_.meter());
     MaybeAudit("queued-attempt");
-    return {outcome == sched::Outcome::kPlaced, true};
+    return;
   }
   // The prefilter was optimistic but the policy could not place the task
   // anywhere: count the retry and optionally give up on it.
@@ -636,194 +607,12 @@ Simulator::DrainAttempt Simulator::AttemptQueuedAt(
     Emit(SimEvent::Kind::kDiscarded, id);
     NoteTerminal();
     MaybeAudit("queued-attempt");
-    return {false, true};
+    return;
   }
   // The task stays queued with the attributes it was enqueued with: the
   // attempt re-resolved the same config (ResolveConfig depends only on the
   // task and the fixed catalogue), and area and priority never change.
   MaybeAudit("queued-attempt");
-  return {false, false};
-}
-
-void Simulator::DrainFullMode(const resource::Node& node,
-                              ConfigId freed_config) {
-  // Full reconfiguration: a queued task is executable *on this node*
-  // without reconfiguration only if it wants exactly the configuration
-  // the node carries. The traversal mirrors the original DReAMSim's
-  // RemoveTaskFromSusQueue: it checks every queued task (this full,
-  // per-completion queue walk is what makes the paper's Fig. 9 curves
-  // for the full scenario grow with the queue), keeping the oldest exact
-  // match and — only when no match exists anywhere — the oldest task the
-  // node's whole fabric could be reconfigured to fit (so nodes cannot
-  // idle forever once arrivals stop). Under priority scheduling "oldest"
-  // becomes "highest priority, FIFO tie-break" for both picks.
-  const bool by_priority = config_.priority_scheduling;
-  if (suspension_.drain_indexed()) {
-    // The reference walk inspects every queued entry exactly once.
-    store_.meter().Add(resource::StepKind::kSchedulingSearch,
-                       suspension_.size());
-    // The fallback is only consulted when no exact match exists anywhere,
-    // so its candidate set cannot contain a matching task — querying the
-    // family groups without exclusions is exact. A repair drain passes an
-    // invalid freed_config (a blank revived node carries nothing to reuse),
-    // skipping the exact-match pick entirely.
-    std::optional<resource::SuspensionQueue::Seq> pick;
-    if (freed_config.valid()) {
-      pick = by_priority ? suspension_.BestPriorityExactMatch(freed_config)
-                         : suspension_.OldestExactMatch(freed_config);
-    }
-    if (!pick) {
-      pick = by_priority
-                 ? suspension_.BestPriorityEligible(
-                       node.family(), node.total_area(), ConfigId::invalid())
-                 : suspension_.OldestEligible(node.family(), node.total_area(),
-                                              /*from=*/0, ConfigId::invalid());
-    }
-    if (pick) (void)AttemptQueuedAt(*pick);
-    return;
-  }
-  obs::MetricInc(obs::MetricId::kSusqScanFallback);
-  resource::SuspensionQueue::Seq match_seq = 0;
-  bool has_match = false;
-  double match_priority = 0.0;
-  resource::SuspensionQueue::Seq fallback_seq = 0;
-  bool has_fallback = false;
-  double fallback_priority = 0.0;
-  for (auto it = suspension_.begin(); it != suspension_.end(); ++it) {
-    const resource::Task& task = tasks_.Get(*it);
-    store_.meter().Add(resource::StepKind::kSchedulingSearch);
-    if (freed_config.valid() && task.resolved_config == freed_config) {
-      if (!has_match || (by_priority && task.priority > match_priority)) {
-        match_seq = it.seq();
-        match_priority = task.priority;
-        has_match = true;
-      }
-    } else if (task.needed_area <= node.total_area() &&
-               (!task.resolved_config.valid() ||
-                store_.configs()
-                    .Get(task.resolved_config)
-                    .CompatibleWith(node.family()))) {
-      if (!has_fallback ||
-          (by_priority && task.priority > fallback_priority)) {
-        fallback_seq = it.seq();
-        fallback_priority = task.priority;
-        has_fallback = true;
-      }
-    }
-  }
-  if (has_match) {
-    (void)AttemptQueuedAt(match_seq);
-  } else if (has_fallback) {
-    (void)AttemptQueuedAt(fallback_seq);
-  }
-}
-
-void Simulator::DrainPartialPriority(const resource::Node& node,
-                                     ConfigId freed_config,
-                                     std::size_t max_policy_runs) {
-  // Partial reconfiguration has "more options": a matching idle entry,
-  // spare area, or reclaimable idle regions all qualify; under priority
-  // scheduling each policy run re-walks the whole queue for the best
-  // (priority, FIFO-tie) candidate.
-  if (suspension_.drain_indexed()) {
-    for (std::size_t policy_runs = 0; policy_runs < max_policy_runs;
-         ++policy_runs) {
-      // The reference pass re-walks the (shrinking) queue every run —
-      // including the final run that finds nothing.
-      store_.meter().Add(resource::StepKind::kSchedulingSearch,
-                         suspension_.size());
-      // CouldUseNode is "exact config match, or family-compatible with
-      // needed_area within the node's could-eventually-host bound"; the
-      // store state is constant within one pass, so one bound covers it.
-      const auto best = suspension_.BestPriorityEligible(
-          node.family(), store_.CouldEventuallyHostBound(node.id()),
-          freed_config);
-      if (!best) return;
-      const DrainAttempt attempt = AttemptQueuedAt(*best);
-      // kSuspend left the task in place; re-scanning would loop.
-      if (!attempt.placed && !attempt.removed) return;
-    }
-    return;
-  }
-  for (std::size_t policy_runs = 0; policy_runs < max_policy_runs;
-       ++policy_runs) {
-    // Full counted scan for the best (priority, FIFO-tie) candidate.
-    obs::MetricInc(obs::MetricId::kSusqScanFallback);
-    resource::SuspensionQueue::Seq best_seq = 0;
-    bool found = false;
-    double best_priority = 0.0;
-    for (auto it = suspension_.begin(); it != suspension_.end(); ++it) {
-      const resource::Task& task = tasks_.Get(*it);
-      store_.meter().Add(resource::StepKind::kSchedulingSearch);
-      if (!CouldUseNode(task, node, freed_config)) continue;
-      if (!found || task.priority > best_priority) {
-        best_seq = it.seq();
-        best_priority = task.priority;
-        found = true;
-      }
-    }
-    if (!found) return;
-    const DrainAttempt attempt = AttemptQueuedAt(best_seq);
-    // kSuspend left the task in place; re-scanning would loop.
-    if (!attempt.placed && !attempt.removed) return;
-  }
-}
-
-void Simulator::DrainPartialFifo(const resource::Node& node,
-                                 ConfigId freed_config,
-                                 std::size_t max_policy_runs) {
-  // FIFO drain: one resumable pass; each queue entry is inspected at most
-  // once per completion.
-  std::size_t policy_runs = 0;
-  if (suspension_.drain_indexed()) {
-    // The cursor is a seq (`from`) plus its FIFO position (`index`), the
-    // latter kept only for the step charges.
-    resource::SuspensionQueue::Seq from = 0;
-    std::size_t index = 0;
-    while (index < suspension_.size() && policy_runs < max_policy_runs) {
-      const auto next = suspension_.OldestEligible(
-          node.family(), store_.CouldEventuallyHostBound(node.id()), from,
-          freed_config);
-      if (!next) {
-        // The reference walk visits the remaining tail without a match.
-        store_.meter().Add(resource::StepKind::kSchedulingSearch,
-                           suspension_.size() - index);
-        return;
-      }
-      // Entries in [index, position) fail the prefilter; the reference
-      // walk charges one step per visit, candidate included.
-      const std::size_t position = suspension_.PositionOf(*next);
-      store_.meter().Add(resource::StepKind::kSchedulingSearch,
-                         position - index + 1);
-      ++policy_runs;
-      const DrainAttempt attempt = AttemptQueuedAt(*next);
-      // kSuspend keeps the task queued; a repeat attempt this drain would
-      // loop, so stop. (Removal leaves `position` to the next FIFO entry,
-      // the first seq after `*next`, and the walk resumes there.)
-      if (!attempt.placed && !attempt.removed) return;
-      from = *next + 1;
-      index = position;
-    }
-    return;
-  }
-  obs::MetricInc(obs::MetricId::kSusqScanFallback);
-  auto it = suspension_.begin();
-  while (it != suspension_.end() && policy_runs < max_policy_runs) {
-    const resource::Task& task = tasks_.Get(*it);
-    store_.meter().Add(resource::StepKind::kSchedulingSearch);
-    if (!CouldUseNode(task, node, freed_config)) {
-      ++it;
-      continue;
-    }
-    ++policy_runs;
-    const auto next = std::next(it);
-    const DrainAttempt attempt = AttemptQueuedAt(it.seq());
-    // kSuspend keeps the task queued; a repeat attempt this drain would
-    // loop, so stop. (Removal cases continue the walk at the next FIFO
-    // entry.)
-    if (!attempt.placed && !attempt.removed) return;
-    it = next;
-  }
 }
 
 MetricsReport Simulator::FinishReport() {
@@ -833,10 +622,8 @@ MetricsReport Simulator::FinishReport() {
   // every decision already; auditing once more here is cheap).
   if (config_.audit != analysis::AuditMode::kOff) AuditAt("run");
   // Any task still suspended when the event queue drained can never run.
-  while (!suspension_.empty()) {
-    const auto id = suspension_.PopFirstMatching(
-        [](TaskId) { return true; }, store_.meter());
-    if (!id) break;
+  while (const std::optional<TaskId> id =
+             suspension_.PopFront(store_.meter())) {
     resource::Task& task = tasks_.Get(*id);
     task.state = resource::TaskState::kDiscarded;
     metrics_.OnDiscarded();

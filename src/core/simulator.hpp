@@ -238,33 +238,18 @@ class Simulator {
   /// The drain-relevant attribute snapshot the suspension queue indexes.
   [[nodiscard]] resource::SusEntryAttrs SusAttrs(
       const resource::Task& task) const;
-  struct DrainAttempt {
-    bool placed = false;
-    bool removed = false;  // the task left the queue (placed or discarded)
-  };
   /// Re-attempts the task queued as `seq`, removing it from the queue on
   /// success or final failure.
-  DrainAttempt AttemptQueuedAt(resource::SuspensionQueue::Seq seq);
-  void DrainFullMode(const resource::Node& node, ConfigId freed_config);
-  void DrainPartialPriority(const resource::Node& node, ConfigId freed_config,
-                            std::size_t max_policy_runs);
-  void DrainPartialFifo(const resource::Node& node, ConfigId freed_config,
-                        std::size_t max_policy_runs);
-  /// Node-targeted queue check after a completion on `freed` (the paper's
-  /// RemoveTaskFromSusQueue: find "a suitable task ... which can be
-  /// executed on the node"). Full mode prefers a task whose resolved
-  /// configuration matches the freed one (reuse without reconfiguration),
-  /// falling back to any task the node's fabric could fit; partial mode
-  /// takes the FIFO-first task the node can accommodate via allocation,
-  /// spare area, or reclaiming idle entries. The candidate scan is charged
-  /// as scheduler search effort; policy runs per completion are bounded by
-  /// suspension_batch. A node repair also drains with `freed_config`
-  /// invalid: the revived node is blank capacity with nothing to reuse.
+  void AttemptQueuedAt(resource::SuspensionQueue::Seq seq);
+  /// Node-targeted queue check after a completion on `freed_node` (the
+  /// paper's RemoveTaskFromSusQueue: find "a suitable task ... which can
+  /// be executed on the node"), one SuspensionQueue drain per call: full
+  /// mode prefers a task whose resolved configuration matches the freed
+  /// one, partial mode takes the tasks the node can accommodate, up to
+  /// suspension_batch policy runs. A node repair also drains, with
+  /// `freed_config` invalid: the revived node is blank capacity with
+  /// nothing to reuse.
   void DrainSuspensionQueue(NodeId freed_node, ConfigId freed_config);
-  /// Partial-mode prefilter: could `task` plausibly run on `node` now?
-  [[nodiscard]] bool CouldUseNode(const resource::Task& task,
-                                  const resource::Node& node,
-                                  ConfigId freed_config) const;
   [[nodiscard]] std::unique_ptr<sched::Policy> MakePolicy() const;
   [[nodiscard]] MetricsReport FinishReport();
   /// Step-mode audit hook, called after every scheduler decision site.

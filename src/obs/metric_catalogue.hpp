@@ -81,7 +81,7 @@ enum class MetricKind : std::uint8_t {
   M(SusqQueryBestPrioEligible, "susq_query_best_prio_eligible_total",         \
     kCounter, "SusQueueIndex BestPriorityEligible queries")                   \
   M(SusqScanFallback, "susq_scan_fallback_total", kCounter,                   \
-    "Suspension-queue operations answered by literal FIFO scan")              \
+    "Suspension-drain picks answered by the literal walk (drain index off)")  \
   M(SusEnqueued, "sus_enqueued_total", kCounter,                              \
     "Tasks admitted to the suspension queue")                                 \
   M(SusRemoved, "sus_removed_total", kCounter,                                \

@@ -2,6 +2,9 @@
 
 #include <stdexcept>
 
+#include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
+#include "resource/store.hpp"
 #include "util/fmt.hpp"
 
 namespace dreamsim::resource {
@@ -48,23 +51,12 @@ bool SuspensionQueue::Add(TaskId task, const SusEntryAttrs& attrs,
   return true;
 }
 
-bool SuspensionQueue::Contains(TaskId task, WorkloadMeter& meter) const {
-  if (index_) {
-    const std::uint32_t seq = SeqOf(task);
-    if (seq != kNoSlot) {
-      // The scan stops at the hit: position + 1 visited entries.
-      meter.Add(StepKind::kHousekeeping, live_.Prefix(seq) + 1);
-      return true;
-    }
-    meter.Add(StepKind::kHousekeeping, size());
-    return false;
-  }
-  obs::MetricInc(obs::MetricId::kSusqScanFallback);
-  for (const TaskId t : *this) {
-    meter.Add(StepKind::kHousekeeping);
-    if (t == task) return true;
-  }
-  return false;
+std::optional<TaskId> SuspensionQueue::PopFront(WorkloadMeter& meter) {
+  if (head_ == kNoSlot) return std::nullopt;
+  meter.Add(StepKind::kHousekeeping);
+  const TaskId task = slots_[head_].task;
+  Unlink(head_);
+  return task;
 }
 
 void SuspensionQueue::RemoveSeq(Seq seq, WorkloadMeter& meter) {
@@ -76,28 +68,6 @@ void SuspensionQueue::RemoveSeq(Seq seq, WorkloadMeter& meter) {
   Unlink(seq);
 }
 
-bool SuspensionQueue::Remove(TaskId task, WorkloadMeter& meter) {
-  if (index_) {
-    const std::uint32_t seq = SeqOf(task);
-    if (seq == kNoSlot) {
-      meter.Add(StepKind::kHousekeeping, size());
-      return false;
-    }
-    meter.Add(StepKind::kHousekeeping, live_.Prefix(seq) + 1);
-    Unlink(seq);
-    return true;
-  }
-  obs::MetricInc(obs::MetricId::kSusqScanFallback);
-  for (std::uint32_t slot = head_; slot != kNoSlot; slot = slots_[slot].next) {
-    meter.Add(StepKind::kHousekeeping);
-    if (slots_[slot].task == task) {
-      Unlink(slot);
-      return true;
-    }
-  }
-  return false;
-}
-
 void SuspensionQueue::SetDrainIndexed(bool enabled) {
   if (!enabled) {
     index_.reset();
@@ -107,6 +77,171 @@ void SuspensionQueue::SetDrainIndexed(bool enabled) {
   for (std::uint32_t slot = head_; slot != kNoSlot; slot = slots_[slot].next) {
     index_->Add(slot, AttrsAt(slot));
   }
+}
+
+namespace {
+
+/// Whether a task resolved to `config` may run on a node of `family`: an
+/// unresolved config pins no family (the literal walk's family check,
+/// read from the catalogue).
+bool FamilyAllows(const ResourceStore& store, ConfigId config,
+                  FamilyId family) {
+  return !config.valid() || store.configs().Get(config).CompatibleWith(family);
+}
+
+/// Runs one index query timed as a sus-queue query.
+template <typename Query>
+std::optional<SuspensionQueue::Seq> Timed(Query&& query) {
+  const obs::ScopedPhaseTimer timer(obs::ProfPhase::kSusQueueQuery);
+  const std::optional<std::uint64_t> seq = query();
+  if (!seq) return std::nullopt;
+  return static_cast<SuspensionQueue::Seq>(*seq);
+}
+
+}  // namespace
+
+// --- The literal walks: one scheduling-search step per visited entry ---
+
+std::optional<SuspensionQueue::Seq> SuspensionQueue::ScanFull(
+    const ResourceStore& store, NodeId node_id, ConfigId freed_config,
+    WorkloadMeter& meter) const {
+  obs::MetricInc(obs::MetricId::kSusqScanFallback);
+  const Node& node = store.node(node_id);
+  const bool by_priority = order_ == SusOrder::kPriority;
+  // The oldest (or strictly higher-priority) exact match, else the oldest
+  // (or best) entry the node's whole fabric fits.
+  std::optional<Seq> match;
+  std::optional<Seq> fallback;
+  const auto better = [&](const std::optional<Seq>& best, Seq seq) {
+    return !best || (by_priority && priorities_[seq] > priorities_[*best]);
+  };
+  for (std::uint32_t slot = head_; slot != kNoSlot; slot = slots_[slot].next) {
+    meter.Add(StepKind::kSchedulingSearch);
+    const StoredAttrs& a = attrs_[slot];
+    if (freed_config.valid() && a.resolved_config == freed_config) {
+      if (better(match, slot)) match = slot;
+    } else if (a.needed_area <= node.total_area() &&
+               FamilyAllows(store, a.resolved_config, node.family())) {
+      if (better(fallback, slot)) fallback = slot;
+    }
+  }
+  return match ? match : fallback;
+}
+
+std::optional<SuspensionQueue::Seq> SuspensionQueue::ScanBest(
+    const ResourceStore& store, NodeId node_id, ConfigId freed_config,
+    WorkloadMeter& meter) const {
+  obs::MetricInc(obs::MetricId::kSusqScanFallback);
+  const Node& node = store.node(node_id);
+  std::optional<Seq> best;
+  for (std::uint32_t slot = head_; slot != kNoSlot; slot = slots_[slot].next) {
+    meter.Add(StepKind::kSchedulingSearch);
+    if (!CouldUse(store, node, freed_config, attrs_[slot])) continue;
+    if (!best || priorities_[slot] > priorities_[*best]) best = slot;
+  }
+  return best;
+}
+
+std::optional<SuspensionQueue::Seq> SuspensionQueue::ScanNext(
+    const ResourceStore& store, NodeId node_id, ConfigId freed_config,
+    FifoCursor& cursor, WorkloadMeter& meter) const {
+  obs::MetricInc(obs::MetricId::kSusqScanFallback);
+  const Node& node = store.node(node_id);
+  for (std::uint32_t slot = cursor.slot; slot != kNoSlot;
+       slot = slots_[slot].next) {
+    meter.Add(StepKind::kSchedulingSearch);
+    if (CouldUse(store, node, freed_config, attrs_[slot])) {
+      cursor.slot = slots_[slot].next;
+      return slot;
+    }
+  }
+  cursor.slot = kNoSlot;
+  return std::nullopt;
+}
+
+// --- The index: O(log Q) answers, charged what the walk visits ---
+
+std::optional<SuspensionQueue::Seq> SuspensionQueue::IndexedFull(
+    const ResourceStore& store, NodeId node_id, ConfigId freed_config,
+    WorkloadMeter& meter) const {
+  const Node& node = store.node(node_id);
+  const bool by_priority = order_ == SusOrder::kPriority;
+  // The walk visits every entry.
+  meter.Add(StepKind::kSchedulingSearch, size());
+  if (freed_config.valid()) {
+    const std::optional<Seq> match = Timed([&] {
+      if (by_priority) {
+        obs::MetricInc(obs::MetricId::kSusqQueryBestPrioExact);
+        return index_->BestPriorityExactMatch(freed_config);
+      }
+      obs::MetricInc(obs::MetricId::kSusqQueryOldestExact);
+      return index_->OldestExactMatch(freed_config);
+    });
+    if (match) return match;
+  }
+  // The fallback is consulted only when no entry matches, so querying
+  // the family groups without the exact-match rule is exact.
+  return Timed([&] {
+    if (by_priority) {
+      obs::MetricInc(obs::MetricId::kSusqQueryBestPrioEligible);
+      return index_->BestPriorityEligible(node.family(), node.total_area(),
+                                          ConfigId::invalid());
+    }
+    obs::MetricInc(obs::MetricId::kSusqQueryOldestEligible);
+    return index_->OldestEligible(node.family(), node.total_area(), 0,
+                                  ConfigId::invalid());
+  });
+}
+
+std::optional<SuspensionQueue::Seq> SuspensionQueue::IndexedBest(
+    const ResourceStore& store, NodeId node_id, ConfigId freed_config,
+    WorkloadMeter& meter) const {
+  // The walk visits the whole (shrinking) queue for every pick. The store
+  // does not change during one pick, so one bound covers the
+  // could-eventually-host test of every entry.
+  meter.Add(StepKind::kSchedulingSearch, size());
+  return Timed([&] {
+    obs::MetricInc(obs::MetricId::kSusqQueryBestPrioEligible);
+    return index_->BestPriorityEligible(store.node(node_id).family(),
+                                        store.CouldEventuallyHostBound(node_id),
+                                        freed_config);
+  });
+}
+
+std::optional<SuspensionQueue::Seq> SuspensionQueue::IndexedNext(
+    const ResourceStore& store, NodeId node_id, ConfigId freed_config,
+    FifoCursor& cursor, WorkloadMeter& meter) const {
+  if (cursor.index >= size()) return std::nullopt;
+  const std::optional<Seq> next = Timed([&] {
+    obs::MetricInc(obs::MetricId::kSusqQueryOldestEligible);
+    return index_->OldestEligible(store.node(node_id).family(),
+                                  store.CouldEventuallyHostBound(node_id),
+                                  cursor.from, freed_config);
+  });
+  if (!next) {
+    // The walk visits the remaining tail without a match.
+    meter.Add(StepKind::kSchedulingSearch, size() - cursor.index);
+    return std::nullopt;
+  }
+  // Entries in [index, position) fail the test; the walk charges one step
+  // per visit, the candidate's included. Once the attempt removed it, its
+  // successor, the first seq after it, sits at `position`.
+  const std::size_t position = PositionOf(*next);
+  meter.Add(StepKind::kSchedulingSearch, position - cursor.index + 1);
+  cursor.from = *next + 1;
+  cursor.index = position;
+  return next;
+}
+
+bool SuspensionQueue::CouldUse(const ResourceStore& store, const Node& node,
+                               ConfigId freed_config, const StoredAttrs& a) {
+  // Direct reuse: the freed entry already carries the resolved config.
+  if (freed_config.valid() && a.resolved_config == freed_config) return true;
+  // Family compatibility gates every other route onto this node; then
+  // spare fabric, or reclaiming the node's idle entries (Algorithm 1
+  // restricted to this node), must make room.
+  return FamilyAllows(store, a.resolved_config, node.family()) &&
+         store.CouldEventuallyHost(node.id(), a.needed_area);
 }
 
 void SuspensionQueue::Unlink(std::uint32_t seq) {

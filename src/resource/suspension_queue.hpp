@@ -16,11 +16,13 @@
 // maps each queued task to its seq. Every per-entry cell is a flat array
 // cell: enqueueing allocates nothing beyond amortized array growth.
 //
-// With the drain index enabled (the default) the queue keeps a
-// SusQueueIndex over its seqs in sync, so membership tests and drain
-// candidate selection run in O(log Q) host work; every counted operation
-// still charges the WorkloadMeter exactly what the literal FIFO scan would
-// have charged (DESIGN.md "Scheduler index").
+// The queue owns the completion drain (DrainFull, DrainPartial): the
+// drain order, the choice between the literal walk and the index, the
+// resumable FIFO cursor and every step charge. With the drain index
+// enabled (the default) it keeps a SusQueueIndex over its seqs in sync, so
+// drain candidate selection runs in O(log Q) host work; every drain still
+// charges the WorkloadMeter exactly what the literal walk would have
+// charged (DESIGN.md "Scheduler index").
 #pragma once
 
 #include <cstddef>
@@ -32,14 +34,15 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "resource/index_primitives.hpp"
 #include "resource/sus_queue_index.hpp"
 #include "resource/workload_meter.hpp"
 #include "util/types.hpp"
 
 namespace dreamsim::resource {
+
+class Node;
+class ResourceStore;
 
 /// FIFO of suspended tasks with counted traversals. An optional capacity
 /// bound lets failure-injection tests exercise overflow handling.
@@ -98,49 +101,22 @@ class SuspensionQueue {
     std::uint32_t slot_ = kNoSlot;
   };
 
-  /// `capacity` of 0 means unbounded. `order` is the drain order the index
-  /// serves once enabled (SimulationConfig::priority_scheduling).
+  /// `capacity` of 0 means unbounded. `order` is the drain order
+  /// (SimulationConfig::priority_scheduling), served by the walk and the
+  /// index alike.
   explicit SuspensionQueue(std::size_t capacity = 0,
                            SusOrder order = SusOrder::kFifo)
       : capacity_(capacity), order_(order) {}
 
   /// AddTaskToSusQueue(): appends the task. Returns false when the queue is
-  /// at capacity (caller then discards the task). The overload without
-  /// attributes indexes the task with default attributes.
-  [[nodiscard]] bool Add(TaskId task, WorkloadMeter& meter) {
-    return Add(task, SusEntryAttrs{}, meter);
-  }
+  /// at capacity (caller then discards the task).
   [[nodiscard]] bool Add(TaskId task, const SusEntryAttrs& attrs,
                          WorkloadMeter& meter);
 
-  /// RemoveTaskFromSusQueue(): removes and returns the first (oldest) task
-  /// satisfying `pred`; counted scan in FIFO order. Popping the front is
-  /// O(1), so discarding a whole queue this way is linear.
-  template <typename Pred>
-  [[nodiscard]] std::optional<TaskId> PopFirstMatching(Pred&& pred,
-                                                       WorkloadMeter& meter) {
-    obs::MetricInc(obs::MetricId::kSusqScanFallback);
-    for (std::uint32_t slot = head_; slot != kNoSlot;
-         slot = slots_[slot].next) {
-      meter.Add(StepKind::kHousekeeping);
-      const TaskId task = slots_[slot].task;
-      if (pred(task)) {
-        Unlink(slot);
-        return task;
-      }
-    }
-    return std::nullopt;
-  }
-
-  /// SearchSusQueue(): counted membership test. Answered from the seq
-  /// table (O(log Q) host work) when the index is enabled, by literal scan
-  /// otherwise; the meter charge is the scan's either way (position + 1 on
-  /// a hit, queue size on a miss).
-  [[nodiscard]] bool Contains(TaskId task, WorkloadMeter& meter) const;
-
-  /// Removes a specific task (e.g. when its retry budget is exhausted).
-  /// Same indexed-or-scan split and charge contract as Contains().
-  bool Remove(TaskId task, WorkloadMeter& meter);
+  /// Removes and returns the oldest task; charges one housekeeping step
+  /// (the literal scan visits the front and stops). An empty queue answers
+  /// nullopt and charges nothing.
+  std::optional<TaskId> PopFront(WorkloadMeter& meter);
 
   /// Removes the queued entry `seq`. Used by callers that already paid
   /// the traversal to it; charges one housekeeping step for the unlink
@@ -164,46 +140,64 @@ class SuspensionQueue {
   void SetDrainIndexed(bool enabled);
   [[nodiscard]] bool drain_indexed() const { return index_ != nullptr; }
 
-  // --- Indexed drain queries (require drain_indexed()) ---
-  // Decision mirrors of the Simulator::DrainSuspensionQueue scans; the
-  // caller charges the analytic step counts. See SusQueueIndex. The FIFO
-  // queries need a FIFO-order queue, the priority queries a priority-order
-  // one (std::logic_error otherwise). That caller-charges contract is why
-  // these thin delegates carry `lint: allow(uncharged-index-query)` —
-  // dreamsim_lint's R3 otherwise requires a WorkloadMeter charge next to
-  // every drain-query call. Answers are seqs; PositionOf turns one into
-  // the FIFO position a charge needs.
+  // --- Completion drains: RemoveTaskFromSusQueue() (DESIGN.md §9.1) ---
+  //
+  // "Each time a node finishes executing a task, the suspension queue is
+  // checked ... to determine if a suitable task is waiting in the queue
+  // which can be executed on the node." A drain names the node whose entry
+  // carrying `freed_config` just freed (invalid after a repair: a revived
+  // node carries nothing to reuse) and hands each chosen entry's seq to
+  // `attempt`, which runs the scheduling policy on it and removes the
+  // entry (RemoveSeq) when it is placed or dropped. The queue's order
+  // (FIFO, or highest priority with FIFO tie-break) picks among the
+  // candidates. Each drain has two halves with one contract: the literal
+  // walk charges one scheduling-search step per visited entry, and the
+  // index answers in O(log Q) host work and charges what that walk would
+  // have. Decisions and charges are identical either way.
 
-  [[nodiscard]] std::optional<Seq> OldestExactMatch(ConfigId config) const {
-    const obs::ScopedPhaseTimer timer(obs::ProfPhase::kSusQueueQuery);
-    obs::MetricInc(obs::MetricId::kSusqQueryOldestExact);
-    // lint: allow(uncharged-index-query)
-    return AsSeq(index_->OldestExactMatch(config));
+  /// Full reconfiguration: the entry that wants exactly `freed_config`
+  /// or, only when no entry does, the entry the node's whole fabric could
+  /// be reconfigured to fit; at most one attempt. Charges the whole queue
+  /// (the walk checks every entry).
+  template <typename Attempt>
+  void DrainFull(const ResourceStore& store, NodeId node,
+                 ConfigId freed_config, WorkloadMeter& meter,
+                 Attempt&& attempt) {
+    if (empty()) return;
+    const std::optional<Seq> pick =
+        index_ ? IndexedFull(store, node, freed_config, meter)
+               : ScanFull(store, node, freed_config, meter);
+    if (pick) attempt(*pick);
   }
-  [[nodiscard]] std::optional<Seq> BestPriorityExactMatch(
-      ConfigId config) const {
-    const obs::ScopedPhaseTimer timer(obs::ProfPhase::kSusQueueQuery);
-    obs::MetricInc(obs::MetricId::kSusqQueryBestPrioExact);
-    // lint: allow(uncharged-index-query)
-    return AsSeq(index_->BestPriorityExactMatch(config));
-  }
-  /// `from` is a seq cursor: entries queued before it are skipped.
-  [[nodiscard]] std::optional<Seq> OldestEligible(FamilyId family,
-                                                  Area area_bound, Seq from,
-                                                  ConfigId match_config) const {
-    const obs::ScopedPhaseTimer timer(obs::ProfPhase::kSusQueueQuery);
-    obs::MetricInc(obs::MetricId::kSusqQueryOldestEligible);
-    return AsSeq(
-        // lint: allow(uncharged-index-query)
-        index_->OldestEligible(family, area_bound, from, match_config));
-  }
-  [[nodiscard]] std::optional<Seq> BestPriorityEligible(
-      FamilyId family, Area area_bound, ConfigId match_config) const {
-    const obs::ScopedPhaseTimer timer(obs::ProfPhase::kSusQueueQuery);
-    obs::MetricInc(obs::MetricId::kSusqQueryBestPrioEligible);
-    // lint: allow(uncharged-index-query)
-    return AsSeq(index_->BestPriorityEligible(family, area_bound,
-                                              match_config));
+
+  /// Partial reconfiguration: entries the node could use — an exact
+  /// `freed_config` match, or family-compatible with an area the node
+  /// could host now or after reclaiming its idle entries — attempted until
+  /// `batch` attempts ran (0: as many as entries were queued), an attempt
+  /// leaves its entry queued (a repeat would loop), or no candidate is
+  /// left. A FIFO queue resumes one walk after each attempt; a priority
+  /// queue walks the whole queue for each pick, the last one that finds
+  /// nothing too.
+  template <typename Attempt>
+  void DrainPartial(const ResourceStore& store, NodeId node,
+                    ConfigId freed_config, std::size_t batch,
+                    WorkloadMeter& meter, Attempt&& attempt) {
+    if (empty()) return;
+    const std::size_t max_attempts = batch == 0 ? size() : batch;
+    FifoCursor cursor{head_};
+    for (std::size_t attempts = 0; attempts < max_attempts; ++attempts) {
+      std::optional<Seq> next;
+      if (order_ == SusOrder::kPriority) {
+        next = index_ ? IndexedBest(store, node, freed_config, meter)
+                      : ScanBest(store, node, freed_config, meter);
+      } else {
+        next = index_ ? IndexedNext(store, node, freed_config, cursor, meter)
+                      : ScanNext(store, node, freed_config, cursor, meter);
+      }
+      if (!next) return;
+      attempt(*next);
+      if (TaskAt(*next).valid()) return;
+    }
   }
 
   [[nodiscard]] std::size_t size() const { return live_.Total(); }
@@ -228,12 +222,6 @@ class SuspensionQueue {
   friend class ::dreamsim::analysis::StructureAuditor;
   friend class ::dreamsim::analysis::StructureCorruptor;
 
-  [[nodiscard]] static std::optional<Seq> AsSeq(
-      std::optional<std::uint64_t> seq) {
-    if (!seq) return std::nullopt;
-    return static_cast<Seq>(*seq);
-  }
-
   /// The drain attributes of seq `seq` but its priority, which only a
   /// priority-order queue keeps (in priorities_).
   struct StoredAttrs {
@@ -249,6 +237,47 @@ class SuspensionQueue {
     return {a.resolved_config, a.config_family, a.needed_area,
             order_ == SusOrder::kPriority ? priorities_[seq] : 0.0};
   }
+
+  /// Where a FIFO drain's walk resumes: the next slot to visit (the
+  /// literal walk) and the first seq it may pick with that seq's FIFO
+  /// position (the index, which needs the position for its charges).
+  struct FifoCursor {
+    std::uint32_t slot = kNoSlot;
+    Seq from = 0;
+    std::size_t index = 0;
+  };
+
+  // The drains' candidate picks (suspension_queue.cpp): per shape, the
+  // literal walk (Scan*) and the index (Indexed*), which charges `meter`
+  // what the walk visits. The *Next picks advance `cursor` past the pick,
+  // as if the attempt removes it.
+  [[nodiscard]] std::optional<Seq> ScanFull(const ResourceStore& store,
+                                            NodeId node, ConfigId freed_config,
+                                            WorkloadMeter& meter) const;
+  [[nodiscard]] std::optional<Seq> ScanBest(const ResourceStore& store,
+                                            NodeId node, ConfigId freed_config,
+                                            WorkloadMeter& meter) const;
+  [[nodiscard]] std::optional<Seq> ScanNext(const ResourceStore& store,
+                                            NodeId node, ConfigId freed_config,
+                                            FifoCursor& cursor,
+                                            WorkloadMeter& meter) const;
+  [[nodiscard]] std::optional<Seq> IndexedFull(const ResourceStore& store,
+                                               NodeId node,
+                                               ConfigId freed_config,
+                                               WorkloadMeter& meter) const;
+  [[nodiscard]] std::optional<Seq> IndexedBest(const ResourceStore& store,
+                                               NodeId node,
+                                               ConfigId freed_config,
+                                               WorkloadMeter& meter) const;
+  [[nodiscard]] std::optional<Seq> IndexedNext(const ResourceStore& store,
+                                               NodeId node,
+                                               ConfigId freed_config,
+                                               FifoCursor& cursor,
+                                               WorkloadMeter& meter) const;
+  /// The literal walk's per-entry test of the partial drains.
+  [[nodiscard]] static bool CouldUse(const ResourceStore& store,
+                                     const Node& node, ConfigId freed_config,
+                                     const StoredAttrs& attrs);
 
   /// The seq of a queued `task`, or kNoSlot.
   [[nodiscard]] std::uint32_t SeqOf(TaskId task) const {

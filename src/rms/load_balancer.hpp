@@ -2,15 +2,10 @@
 // load balancing manager to perform a better load distribution among all
 // the nodes" — implemented here as an extension).
 //
-// Two roles:
-//   * measurement — imbalance metrics over the running-task distribution
-//     (coefficient of variation, Jain's fairness index);
-//   * advice — least-loaded node selection among feasible candidates, used
-//     by sched::Heuristic::kLeastLoaded and available to custom policies.
+// Measurement only: imbalance metrics over the running-task distribution
+// (coefficient of variation, Jain's fairness index). Least-loaded node
+// selection is sched::HeuristicPolicy's kLeastLoaded ranking.
 #pragma once
-
-#include <optional>
-#include <span>
 
 #include "resource/store.hpp"
 #include "util/types.hpp"
@@ -35,11 +30,6 @@ class LoadBalancer {
 
   /// Computes load metrics over all nodes.
   [[nodiscard]] LoadMetrics Measure() const;
-
-  /// Among `candidates`, the node with the fewest running tasks (ties by
-  /// larger available area, then lower id). Empty span => nullopt.
-  [[nodiscard]] std::optional<NodeId> PickLeastLoaded(
-      std::span<const NodeId> candidates) const;
 
  private:
   const resource::ResourceStore& store_;

@@ -4,10 +4,6 @@
 
 namespace dreamsim::rms {
 
-void MonitoringModule::Observe(Tick now, std::size_t suspended_tasks) {
-  ObserveSnapshot(info_.Snapshot(now), suspended_tasks);
-}
-
 void MonitoringModule::ObserveSnapshot(const SystemSnapshot& snapshot,
                                        std::size_t suspended_tasks) {
   const Tick now = snapshot.at;

@@ -29,15 +29,10 @@ struct UtilizationReport {
 /// Event-driven system monitor.
 class MonitoringModule {
  public:
-  explicit MonitoringModule(const ResourceInformationManager& info)
-      : info_(info) {}
-
-  /// Records the system state at tick `now` (call after each scheduling or
-  /// completion event) along with the current suspension-queue depth.
-  void Observe(Tick now, std::size_t suspended_tasks);
-
-  /// Same, from a snapshot the caller already took (the simulator shares
-  /// one Snapshot() between the monitor and the state observer).
+  /// Records the system state of `snapshot` (take one after each
+  /// scheduling or completion event) along with the current
+  /// suspension-queue depth. The simulator shares one Snapshot() between
+  /// the monitor and the state observer.
   void ObserveSnapshot(const SystemSnapshot& snapshot,
                        std::size_t suspended_tasks);
 
@@ -47,7 +42,6 @@ class MonitoringModule {
   [[nodiscard]] std::size_t observations() const { return observations_; }
 
  private:
-  const ResourceInformationManager& info_;
   TimeWeightedValue running_tasks_;
   TimeWeightedValue busy_nodes_;
   TimeWeightedValue wasted_area_;

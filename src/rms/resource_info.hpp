@@ -2,39 +2,17 @@
 //
 // "The resource information manager maintains all sorts of information
 // about the nodes ... static and dynamic information." The dynamic data
-// structures themselves live in resource::ResourceStore; this manager layers
-// the query/snapshot surface other modules consume: per-node state reports
-// for the monitoring module and aggregate utilization for load balancing.
+// structures themselves live in resource::ResourceStore, whose nodes answer
+// per-node queries; this manager layers the aggregate snapshot the
+// monitoring module and the state observers consume.
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
 #include "resource/store.hpp"
 #include "util/types.hpp"
 
 namespace dreamsim::rms {
-
-/// Static node facts (fixed for a simulation).
-struct NodeStaticInfo {
-  NodeId id;
-  Area total_area = 0;
-  FamilyId family;
-  resource::Caps caps;
-  Tick network_delay = 0;
-};
-
-/// Dynamic node state ("current set of processor configurations, the state
-/// (currently idle or busy), number of currently running tasks, available
-/// reconfigurable area").
-struct NodeDynamicInfo {
-  NodeId id;
-  Area available_area = 0;
-  std::size_t config_count = 0;
-  std::size_t running_tasks = 0;
-  bool busy = false;
-  std::uint64_t reconfig_count = 0;
-};
 
 /// Aggregate system state at one instant.
 struct SystemSnapshot {
@@ -54,10 +32,6 @@ class ResourceInformationManager {
  public:
   explicit ResourceInformationManager(const resource::ResourceStore& store)
       : store_(store) {}
-
-  [[nodiscard]] NodeStaticInfo StaticInfo(NodeId id) const;
-  [[nodiscard]] NodeDynamicInfo DynamicInfo(NodeId id) const;
-  [[nodiscard]] std::vector<NodeDynamicInfo> AllDynamicInfo() const;
 
   /// Aggregates the whole system at tick `now`. O(1): reads the store's
   /// FleetTotals. `blank_nodes` counts failed nodes too (a failed node

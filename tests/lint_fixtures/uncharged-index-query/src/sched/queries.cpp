@@ -1,20 +1,33 @@
 // Modeled-effort contract: every function body that calls an indexed
 // query must also charge the WorkloadMeter.
-struct Store;
+struct Index {
+  long OldestExactMatch(long key);
+  long BestPriorityEligible(long key);
+};
 struct Meter {
   void Add(long steps);
 };
+struct Queue {
+  Index* index_;
+  long Bad();
+  long Good(Meter& meter);
+  long Raw(Index& index);
+};
 
 // Positive: a query with no visible charge in the enclosing function.
-long Bad(Store& store) {
-  return store.OldestExactMatch(3);  // expect: uncharged-index-query
+long Queue::Bad() {
+  return index_->OldestExactMatch(3);  // expect: uncharged-index-query
 }
 
 // Negative: the charge sits beside the call.
-long Good(Store& store, Meter& meter) {
+long Queue::Good(Meter& meter) {
   meter.Add(12);
-  return store.BestPriorityEligible(3);
+  return index_->BestPriorityEligible(3);
 }
 
+// Negative: only the owner's index_ calls are modeled-effort paths; a
+// query on a standalone index (a test oracle) is not.
+long Queue::Raw(Index& index) { return index.OldestExactMatch(3); }
+
 // Negative: a qualified name is the query's definition, not a call site.
-long Store::OldestExactMatch(long key) { return key; }
+long Index::OldestExactMatch(long key) { return key; }

@@ -104,7 +104,7 @@ TEST(StructureAuditorClean, PopulatedSuspensionQueue) {
         attrs.priority = static_cast<double>(t);
         ASSERT_TRUE(queue.Add(TaskId{t}, attrs, meter));
       }
-      ASSERT_TRUE(queue.Remove(TaskId{2}, meter));
+      queue.RemoveSeq(2, meter);  // task t is seq t
       const AuditReport report =
           StructureAuditor::AuditSuspensionQueue(queue);
       EXPECT_TRUE(report.ok()) << "indexed=" << indexed
@@ -465,7 +465,7 @@ TEST(StructureAuditorCorruption, SkewedSusAttrsIsSusAttrs) {
       attrs.priority = task.priority;
       ASSERT_TRUE(queue.Add(id, attrs, meter));
     }
-    ASSERT_TRUE(queue.Remove(TaskId{0}, meter));
+    queue.RemoveSeq(0, meter);
     const auto audit = [&] {
       AuditReport report = StructureAuditor::AuditSuspensionQueue(queue);
       const AuditReport attrs =
@@ -496,9 +496,9 @@ TEST(StructureAuditorCorruption, SkewedSusLiveTreeIsSusFifo) {
     queue.SetDrainIndexed(indexed);
     WorkloadMeter meter;
     for (std::uint32_t t = 0; t < 4; ++t) {
-      ASSERT_TRUE(queue.Add(TaskId{t}, meter));
+      ASSERT_TRUE(queue.Add(TaskId{t}, {}, meter));
     }
-    ASSERT_TRUE(queue.Remove(TaskId{0}, meter));  // seq 0 is a tombstone
+    queue.RemoveSeq(0, meter);  // seq 0 is a tombstone
     // The live-seq Fenwick tree claims the removed entry is still queued:
     // slots, links, table and index are intact, so only the leaf-by-leaf
     // recount can see it.
@@ -515,7 +515,7 @@ TEST(StructureAuditorCorruption, OverfullQueueIsSusCapacity) {
   SuspensionQueue queue(/*capacity=*/4);
   WorkloadMeter meter;
   for (std::uint32_t t = 0; t < 3; ++t) {
-    ASSERT_TRUE(queue.Add(TaskId{t}, meter));
+    ASSERT_TRUE(queue.Add(TaskId{t}, {}, meter));
   }
   ASSERT_TRUE(StructureAuditor::AuditSuspensionQueue(queue).ok());
   StructureCorruptor::ShrinkSusCapacity(queue, 2);
@@ -533,7 +533,7 @@ TEST(StructureAuditorCorruption, TaskQueuedTwiceIsSusUnique) {
       queue.SetDrainIndexed(indexed);
       WorkloadMeter meter;
       for (std::uint32_t t = 0; t < 4; ++t) {
-        ASSERT_TRUE(queue.Add(TaskId{t}, meter));
+        ASSERT_TRUE(queue.Add(TaskId{t}, {}, meter));
       }
       StructureCorruptor::DuplicateSusTask(queue, TaskId{1}, TaskId{victim});
       const AuditReport report = StructureAuditor::AuditSuspensionQueue(queue);
@@ -654,7 +654,7 @@ TEST(StructureAuditorMetrics, ConservationHoldsOnInstrumentedOps) {
   attrs.needed_area = 100;
   ASSERT_TRUE(queue.Add(TaskId{0}, attrs, meter));
   ASSERT_TRUE(queue.Add(TaskId{1}, attrs, meter));
-  ASSERT_TRUE(queue.Remove(TaskId{0}, meter));
+  queue.RemoveSeq(0, meter);
   const AuditReport report =
       StructureAuditor::AuditMetrics(store, queue, events, tasks);
   EXPECT_TRUE(report.ok()) << report.Render();

@@ -5,21 +5,20 @@
 //
 // Two layers:
 //   1. Queue-level twin fuzz: one random operation stream applied to an
-//      indexed and a scan queue in lockstep; results and meters must agree
-//      after every step, and the index's drain queries must match a
-//      brute-force rescan of the queue. An index serves one drain order,
-//      so the fuzz runs once per order with the same operation mix, each
-//      instance checking every query of its order.
+//      indexed and a scan queue in lockstep, each beside its own copy of
+//      one small fleet. Every completion drain (full and partial shape,
+//      batch 0, 1, 2 and 8, repair drains with no freed config) must
+//      attempt the same seqs in the same order and charge the same steps,
+//      with attempts that place, drop or keep their entry and placements
+//      that change the node between attempts. A standalone SusQueueIndex
+//      mirrors the queue so that its raw queries, from any cursor, can be
+//      checked against a brute-force rescan. An index serves one drain
+//      order, so the fuzz runs once per order.
 //   2. Simulator-level: full runs across both reconfiguration modes,
 //      priority scheduling on/off, suspension_batch in {0, 1, 8}, retry
 //      budgets, bounded-capacity overflow, and contiguous placement —
 //      identical event sequences and bit-identical MetricsReport fields
 //      across > 100 seeded differential run pairs.
-//
-// The twin fuzz calls the drain queries raw to compare them against the
-// brute-force rescan; meter agreement is asserted separately on the
-// counted operations, so the query sites themselves carry no charge.
-// lint: allow-file(uncharged-index-query)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +28,7 @@
 
 #include "analysis/structure_auditor.hpp"
 #include "core/simulator.hpp"
+#include "resource/store.hpp"
 #include "resource/suspension_queue.hpp"
 #include "util/rng.hpp"
 
@@ -38,14 +38,16 @@ namespace {
 using core::SimEvent;
 using core::SimulationConfig;
 using core::Simulator;
+using resource::ResourceStore;
 using resource::SusEntryAttrs;
 using resource::SuspensionQueue;
+using resource::SusQueueIndex;
 using resource::WorkloadMeter;
 
 // --- Layer 1: queue-level twin fuzz ---------------------------------------
 
-/// The CouldUseNode / full-mode-fallback predicate in attribute form (the
-/// ground truth the index must reproduce).
+/// The partial-drain / full-mode-fallback predicate in attribute form
+/// with a fixed area bound (the ground truth the index must reproduce).
 bool Eligible(const SusEntryAttrs& a, FamilyId family, Area bound,
               ConfigId match) {
   if (match.valid() && a.resolved_config == match) return true;
@@ -60,6 +62,7 @@ using Seq = SuspensionQueue::Seq;
 struct Queued {
   Seq seq = 0;
   TaskId task;
+  friend bool operator==(const Queued&, const Queued&) = default;
 };
 
 /// The queue's live entries in FIFO order.
@@ -71,9 +74,9 @@ std::vector<Queued> Entries(const SuspensionQueue& queue) {
   return out;
 }
 
-/// Brute-force rescans of the queue, mirroring the simulator's literal
-/// loops (first match wins; priority replaces only when strictly greater).
-/// Answers are seqs, as the index's are.
+/// Brute-force rescans of a queue's content (first match wins; priority
+/// replaces only when strictly greater). Answers are seqs, as the
+/// index's are.
 struct BruteForce {
   const std::vector<Queued>& queue;
   const std::unordered_map<std::uint32_t, SusEntryAttrs>& attrs;
@@ -82,14 +85,15 @@ struct BruteForce {
     return attrs.at(queue[i].task.value());
   }
 
-  [[nodiscard]] std::optional<Seq> OldestExactMatch(ConfigId config) const {
+  [[nodiscard]] std::optional<std::uint64_t> OldestExactMatch(
+      ConfigId config) const {
     for (std::size_t i = 0; i < queue.size(); ++i) {
       if (At(i).resolved_config == config) return queue[i].seq;
     }
     return std::nullopt;
   }
 
-  [[nodiscard]] std::optional<Seq> BestPriorityExactMatch(
+  [[nodiscard]] std::optional<std::uint64_t> BestPriorityExactMatch(
       ConfigId config) const {
     std::optional<std::size_t> best;
     for (std::size_t i = 0; i < queue.size(); ++i) {
@@ -100,9 +104,8 @@ struct BruteForce {
   }
 
   /// Entries queued before seq `from` are skipped.
-  [[nodiscard]] std::optional<Seq> OldestEligible(FamilyId family, Area bound,
-                                                  Seq from,
-                                                  ConfigId match) const {
+  [[nodiscard]] std::optional<std::uint64_t> OldestEligible(
+      FamilyId family, Area bound, Seq from, ConfigId match) const {
     for (std::size_t i = 0; i < queue.size(); ++i) {
       if (queue[i].seq < from) continue;
       if (Eligible(At(i), family, bound, match)) return queue[i].seq;
@@ -110,9 +113,8 @@ struct BruteForce {
     return std::nullopt;
   }
 
-  [[nodiscard]] std::optional<Seq> BestPriorityEligible(FamilyId family,
-                                                        Area bound,
-                                                        ConfigId match) const {
+  [[nodiscard]] std::optional<std::uint64_t> BestPriorityEligible(
+      FamilyId family, Area bound, ConfigId match) const {
     std::optional<std::size_t> best;
     for (std::size_t i = 0; i < queue.size(); ++i) {
       if (!Eligible(At(i), family, bound, match)) continue;
@@ -122,11 +124,144 @@ struct BruteForce {
   }
 
  private:
-  [[nodiscard]] std::optional<Seq> SeqOf(std::optional<std::size_t> i) const {
+  [[nodiscard]] std::optional<std::uint64_t> SeqOf(
+      std::optional<std::size_t> i) const {
     if (!i) return std::nullopt;
     return queue[*i].seq;
   }
 };
+
+constexpr std::uint32_t kFuzzConfigs = 7;
+
+/// The family a fuzz config pins: odd configs one of three families, even
+/// ones none (a task resolved to them runs anywhere).
+FamilyId ConfigFamily(ConfigId config) {
+  if (!config.valid() || config.value() % 2 == 0) return FamilyId::invalid();
+  return FamilyId{config.value() % 3};
+}
+
+/// The fuzz fleet: kFuzzConfigs configurations and four blank nodes of
+/// three families. Every twin builds its own identical copy.
+ResourceStore MakeFleet() {
+  resource::ConfigCatalogue configs;
+  for (std::uint32_t c = 0; c < kFuzzConfigs; ++c) {
+    resource::Configuration cfg;
+    cfg.required_area = 150 + 130 * static_cast<Area>(c);
+    cfg.config_time = 10;
+    cfg.family = ConfigFamily(ConfigId{c});
+    configs.Add(cfg);
+  }
+  ResourceStore store(std::move(configs));
+  (void)store.AddNode(1200, FamilyId{0});
+  (void)store.AddNode(2000, FamilyId{1});
+  (void)store.AddNode(800, FamilyId{2});
+  (void)store.AddNode(2500, FamilyId{0});
+  return store;
+}
+
+/// One random fleet mutation (configure, assign, release, reclaim, fail
+/// or repair on one node). Twins in the same state given equal `rng`
+/// seeds make the same mutation.
+void Churn(ResourceStore& store, Rng& rng) {
+  const NodeId node{static_cast<std::uint32_t>(rng.uniform_int(
+      0, static_cast<std::int64_t>(store.node_count()) - 1))};
+  const resource::Node& n = store.node(node);
+  std::vector<resource::SlotIndex> idle;
+  std::vector<resource::SlotIndex> busy;
+  n.ForEachSlot([&](resource::SlotIndex slot,
+                    const resource::ConfigTaskPair& pair) {
+    (pair.idle() ? idle : busy).push_back(slot);
+  });
+  const auto pick = [&](const std::vector<resource::SlotIndex>& slots) {
+    return resource::EntryRef{
+        node, slots[static_cast<std::size_t>(rng.uniform_int(
+                  0, static_cast<std::int64_t>(slots.size()) - 1))]};
+  };
+  switch (rng.uniform_int(0, 6)) {
+    case 0:
+    case 1: {
+      const ConfigId config{static_cast<std::uint32_t>(
+          rng.uniform_int(0, kFuzzConfigs - 1))};
+      const resource::Configuration& c = store.configs().Get(config);
+      if (!n.failed() && c.CompatibleWith(n.family()) &&
+          n.CanHost(c.required_area)) {
+        (void)store.Configure(node, config);
+      }
+      break;
+    }
+    case 2:
+    case 3:
+      if (!idle.empty()) {
+        store.AssignTask(pick(idle),
+                         TaskId{static_cast<std::uint32_t>(
+                             rng.uniform_int(0, 1'000'000))});
+      }
+      break;
+    case 4:
+      if (!busy.empty()) (void)store.ReleaseTask(pick(busy));
+      break;
+    case 5:
+      if (!idle.empty()) store.ReclaimSlot(pick(idle));
+      break;
+    case 6:
+      if (n.failed()) {
+        store.RepairNode(node);
+      } else {
+        (void)store.FailNode(node);
+      }
+      break;
+  }
+}
+
+/// A queue beside its own fleet and meter.
+struct Twin {
+  SuspensionQueue queue;
+  ResourceStore store = MakeFleet();
+  WorkloadMeter meter;
+};
+
+/// One completion (or, with `freed` invalid, repair) drain.
+struct DrainCall {
+  bool full = false;
+  NodeId node;
+  ConfigId freed;
+  std::size_t batch = 0;
+  std::uint64_t salt = 0;  // varies the attempt outcomes per call
+};
+
+std::uint64_t Mix(std::uint64_t salt, Seq seq) {
+  std::uint64_t h = (salt + 1) * 0x9e3779b97f4a7c15ULL ^ seq;
+  h ^= h >> 31;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  return h ^ (h >> 29);
+}
+
+/// Runs `call` on `twin`; returns the attempted seqs in order. The
+/// attempt outcome is a function of (salt, seq): a quarter of the
+/// attempts leave their entry queued (the policy suspended it again), the
+/// rest remove it, and a third of those mutate the node's fleet, as a
+/// placement does, before the drain's next pick.
+std::vector<Seq> RunDrain(Twin& twin, const DrainCall& call) {
+  std::vector<Seq> attempted;
+  const auto attempt = [&](Seq seq) {
+    attempted.push_back(seq);
+    const std::uint64_t h = Mix(call.salt, seq);
+    if (h % 4 == 0) return;
+    twin.queue.RemoveSeq(seq, twin.meter);
+    if (h % 3 == 0) {
+      Rng rng(h);
+      Churn(twin.store, rng);
+    }
+  };
+  if (call.full) {
+    twin.queue.DrainFull(twin.store, call.node, call.freed, twin.meter,
+                         attempt);
+  } else {
+    twin.queue.DrainPartial(twin.store, call.node, call.freed, call.batch,
+                            twin.meter, attempt);
+  }
+  return attempted;
+}
 
 struct QueueTwinCase {
   std::uint64_t seed = 0;
@@ -145,31 +280,30 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
   const QueueTwinCase param = GetParam();
   Rng rng(param.seed);
   const bool fifo = param.order == resource::SusOrder::kFifo;
-  SuspensionQueue indexed(param.capacity, param.order);
-  SuspensionQueue scan(param.capacity);
-  indexed.SetDrainIndexed(true);
-  ASSERT_TRUE(indexed.drain_indexed());
-  ASSERT_FALSE(scan.drain_indexed());
-  WorkloadMeter meter_indexed;
-  WorkloadMeter meter_scan;
+  Twin indexed{SuspensionQueue(param.capacity, param.order)};
+  Twin scan{SuspensionQueue(param.capacity, param.order)};
+  indexed.queue.SetDrainIndexed(true);
+  scan.queue.SetDrainIndexed(false);
+  SusQueueIndex mirror(param.order);
+  Seq next_seq = 0;
   std::unordered_map<std::uint32_t, SusEntryAttrs> attrs_oracle;
   std::uint32_t next_task = 0;
+  std::uint64_t drains = 0;
+  std::uint64_t drain_attempts = 0;
 
   // Families are a function of the resolved config, as in the simulator
   // (FamilyId of the config, or invalid for unresolved / family-less).
   const auto attrs_for_config = [&rng](ConfigId config) {
     SusEntryAttrs a;
     a.resolved_config = config;
-    if (config.valid() && config.value() % 2 == 1) {
-      a.config_family = FamilyId{config.value() % 3};
-    }
+    a.config_family = ConfigFamily(config);
     a.needed_area = rng.uniform_int(100, 2000);
     a.priority = static_cast<double>(rng.uniform_int(0, 8));
     return a;
   };
   const auto random_config = [&rng] {
-    const std::int64_t pick = rng.uniform_int(0, 6);
-    if (pick == 6) return ConfigId::invalid();
+    const std::int64_t pick = rng.uniform_int(0, kFuzzConfigs);
+    if (pick == kFuzzConfigs) return ConfigId::invalid();
     return ConfigId{static_cast<std::uint32_t>(pick)};
   };
   const auto random_family = [&rng] {
@@ -182,169 +316,134 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
     return queued[static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(queued.size()) - 1))];
   };
-  const auto random_queued = [&](const std::vector<Queued>& queued) {
-    return queued.empty() ? TaskId::invalid() : random_entry(queued).task;
+  // Drops a removed entry from the oracle and the mirror index.
+  const auto forget = [&](Seq seq, TaskId task) {
+    mirror.Remove(seq, attrs_oracle.at(task.value()));
+    attrs_oracle.erase(task.value());
+  };
+  const auto drain_both = [&](const DrainCall& call,
+                              const std::vector<Queued>& before) {
+    const std::vector<Seq> seqs_indexed = RunDrain(indexed, call);
+    const std::vector<Seq> seqs_scan = RunDrain(scan, call);
+    ASSERT_EQ(seqs_indexed, seqs_scan);
+    ++drains;
+    drain_attempts += seqs_scan.size();
+    for (const Queued& q : before) {
+      if (!scan.queue.TaskAt(q.seq).valid()) forget(q.seq, q.task);
+    }
+  };
+  const auto random_drain = [&](bool repair) {
+    DrainCall call;
+    call.full = rng.uniform_int(0, 2) == 0;
+    call.node = NodeId{static_cast<std::uint32_t>(rng.uniform_int(0, 3))};
+    call.freed = repair ? ConfigId::invalid() : random_config();
+    constexpr std::size_t kBatches[] = {0, 1, 2, 8};
+    call.batch = kBatches[rng.uniform_int(0, 3)];
+    call.salt = static_cast<std::uint64_t>(rng.uniform_int(0, 1'000'000));
+    return call;
   };
 
   for (int op = 0; op < 3000; ++op) {
-    const std::vector<Queued> queued = Entries(scan);
+    const std::vector<Queued> queued = Entries(scan.queue);
     const BruteForce brute{queued, attrs_oracle};
     switch (rng.uniform_int(0, 9)) {
       case 0:
       case 1: {  // enqueue a fresh task (overflow exercised via capacity)
         const TaskId task{next_task++};
         const SusEntryAttrs attrs = attrs_for_config(random_config());
-        const bool ok_indexed = indexed.Add(task, attrs, meter_indexed);
-        const bool ok_scan = scan.Add(task, attrs, meter_scan);
+        const bool ok_indexed = indexed.queue.Add(task, attrs, indexed.meter);
+        const bool ok_scan = scan.queue.Add(task, attrs, scan.meter);
         ASSERT_EQ(ok_indexed, ok_scan);
-        if (ok_scan) attrs_oracle[task.value()] = attrs;
+        if (ok_scan) {
+          attrs_oracle[task.value()] = attrs;
+          mirror.Add(next_seq++, attrs);
+        }
         break;
       }
-      case 2: {  // counted membership, present or absent
-        const TaskId present = random_queued(queued);
-        const TaskId task = (present.valid() && rng.uniform_int(0, 1) == 0)
-                                ? present
-                                : TaskId{next_task + 17};
-        ASSERT_EQ(indexed.Contains(task, meter_indexed),
-                  scan.Contains(task, meter_scan));
+      case 2: {  // the fleet moves on between drains
+        const auto seed = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30));
+        Rng a(seed);
+        Churn(indexed.store, a);
+        Rng b(seed);
+        Churn(scan.store, b);
         break;
       }
-      case 3: {  // counted removal, present or absent
-        const TaskId present = random_queued(queued);
-        const TaskId task = (present.valid() && rng.uniform_int(0, 1) == 0)
-                                ? present
-                                : TaskId{next_task + 23};
-        ASSERT_EQ(indexed.Remove(task, meter_indexed),
-                  scan.Remove(task, meter_scan));
-        attrs_oracle.erase(task.value());
+      case 3: {  // front pop (FinishReport's sweep)
+        const auto popped_indexed = indexed.queue.PopFront(indexed.meter);
+        const auto popped_scan = scan.queue.PopFront(scan.meter);
+        ASSERT_EQ(popped_indexed, popped_scan);
+        if (popped_scan) forget(queued.front().seq, *popped_scan);
         break;
       }
       case 4: {  // removal by seq
         if (queued.empty()) break;
         const Queued entry = random_entry(queued);
-        attrs_oracle.erase(entry.task.value());
-        indexed.RemoveSeq(entry.seq, meter_indexed);
-        scan.RemoveSeq(entry.seq, meter_scan);
+        indexed.queue.RemoveSeq(entry.seq, indexed.meter);
+        scan.queue.RemoveSeq(entry.seq, scan.meter);
+        forget(entry.seq, entry.task);
         break;
       }
-      case 5: {  // predicate pop (FinishReport-style drain step)
-        const std::uint32_t residue =
-            static_cast<std::uint32_t>(rng.uniform_int(0, 2));
-        const auto pred = [residue](TaskId t) {
-          return t.value() % 3 == residue;
-        };
-        const auto popped_indexed =
-            indexed.PopFirstMatching(pred, meter_indexed);
-        const auto popped_scan = scan.PopFirstMatching(pred, meter_scan);
-        ASSERT_EQ(popped_indexed, popped_scan);
-        if (popped_scan) attrs_oracle.erase(popped_scan->value());
+      case 5:
+      case 6:
+      case 7: {  // a completion drain
+        drain_both(random_drain(/*repair=*/false), queued);
         break;
       }
-      case 6: {  // the partial drain's own call pattern
-        // DrainPartialFifo: a seq cursor that only moves forward (with its
-        // FIFO position for the charges), each answer attempted and
-        // removed, until nothing is eligible or an attempt leaves its task
-        // queued. DrainPartialPriority: the same loop on the best-priority
-        // pick, without a cursor.
+      case 8: {  // a repair drain: nothing to reuse on the revived node
+        drain_both(random_drain(/*repair=*/true), queued);
+        break;
+      }
+      case 9: {  // raw index queries from any cursor, against a rescan
         const FamilyId family = random_family();
         const Area bound = rng.uniform_int(0, 2200);
-        const ConfigId match = random_config();
-        Seq from = 0;
-        std::size_t index = 0;
-        while (index < scan.size()) {
-          const std::vector<Queued> live = Entries(scan);
-          const BruteForce now{live, attrs_oracle};
-          const std::optional<Seq> pick =
-              fifo ? indexed.OldestEligible(family, bound, from, match)
-                   : indexed.BestPriorityEligible(family, bound, match);
-          ASSERT_EQ(pick, fifo ? now.OldestEligible(family, bound, from, match)
-                               : now.BestPriorityEligible(family, bound,
-                                                          match));
-          if (!pick || rng.uniform_int(0, 4) == 0) break;  // task stays
-          const std::size_t position = scan.PositionOf(*pick);
-          ASSERT_EQ(indexed.PositionOf(*pick), position);
-          ASSERT_EQ(live.at(position).seq, *pick);
-          attrs_oracle.erase(scan.TaskAt(*pick).value());
-          indexed.RemoveSeq(*pick, meter_indexed);
-          scan.RemoveSeq(*pick, meter_scan);
-          if (fifo) {
-            from = *pick + 1;
-            index = position;
-          }
-        }
-        break;
-      }
-      case 7: {  // full-mode exact-match pick
         const ConfigId config = random_config();
-        if (fifo) {
-          ASSERT_EQ(indexed.OldestExactMatch(config),
-                    brute.OldestExactMatch(config));
-        } else {
-          ASSERT_EQ(indexed.BestPriorityExactMatch(config),
-                    brute.BestPriorityExactMatch(config));
-        }
-        break;
-      }
-      case 8: {  // partial FIFO pick from a cursor / partial priority pick
-        if (queued.empty()) break;
-        const FamilyId family = random_family();
-        const Area bound = rng.uniform_int(0, 2200);
-        const Seq from = random_entry(queued).seq;
         const ConfigId match = random_config();
         if (fifo) {
-          ASSERT_EQ(indexed.OldestEligible(family, bound, from, match),
+          const Seq from = queued.empty() ? 0 : random_entry(queued).seq;
+          ASSERT_EQ(mirror.OldestExactMatch(config),
+                    brute.OldestExactMatch(config));
+          ASSERT_EQ(mirror.OldestEligible(family, bound, from, match),
                     brute.OldestEligible(family, bound, from, match));
         } else {
-          ASSERT_EQ(indexed.BestPriorityEligible(family, bound, match),
+          ASSERT_EQ(mirror.BestPriorityExactMatch(config),
+                    brute.BestPriorityExactMatch(config));
+          ASSERT_EQ(mirror.BestPriorityEligible(family, bound, match),
                     brute.BestPriorityEligible(family, bound, match));
         }
         break;
       }
-      case 9: {  // full-mode fallback pick (no exact-match rule)
-        const FamilyId family = random_family();
-        const Area bound = rng.uniform_int(0, 2200);
-        if (fifo) {
-          ASSERT_EQ(indexed.OldestEligible(family, bound, 0,
-                                           ConfigId::invalid()),
-                    brute.OldestEligible(family, bound, 0,
-                                         ConfigId::invalid()));
-        } else {
-          ASSERT_EQ(indexed.BestPriorityEligible(family, bound,
-                                                 ConfigId::invalid()),
-                    brute.BestPriorityEligible(family, bound,
-                                               ConfigId::invalid()));
-        }
-        break;
-      }
     }
-    ASSERT_EQ(meter_indexed.scheduling_steps_total(),
-              meter_scan.scheduling_steps_total());
-    ASSERT_EQ(meter_indexed.housekeeping_steps_total(),
-              meter_scan.housekeeping_steps_total());
-    ASSERT_EQ(indexed.size(), scan.size());
+    if (HasFatalFailure()) return;
+    ASSERT_EQ(indexed.meter.scheduling_steps_total(),
+              scan.meter.scheduling_steps_total())
+        << "op " << op;
+    ASSERT_EQ(indexed.meter.housekeeping_steps_total(),
+              scan.meter.housekeeping_steps_total())
+        << "op " << op;
+    ASSERT_EQ(Entries(indexed.queue), Entries(scan.queue)) << "op " << op;
     if (op % 250 == 0) {
       const analysis::AuditReport audit =
-          analysis::StructureAuditor::AuditSuspensionQueue(indexed);
+          analysis::StructureAuditor::AuditSuspensionQueue(indexed.queue);
       ASSERT_TRUE(audit.ok()) << "op " << op << "\n" << audit.Render();
     }
   }
 
   // Rebuilding from live content (index toggled mid-run) preserves both
-  // attributes and query answers.
-  indexed.SetDrainIndexed(false);
-  indexed.SetDrainIndexed(true);
+  // attributes and drain answers.
+  indexed.queue.SetDrainIndexed(false);
+  indexed.queue.SetDrainIndexed(true);
   const analysis::AuditReport audit =
-      analysis::StructureAuditor::AuditSuspensionQueue(indexed);
+      analysis::StructureAuditor::AuditSuspensionQueue(indexed.queue);
   ASSERT_TRUE(audit.ok()) << audit.Render();
-  const std::vector<Queued> queued = Entries(scan);
-  const BruteForce brute{queued, attrs_oracle};
-  if (fifo) {
-    ASSERT_EQ(indexed.OldestEligible(FamilyId{1}, 1500, 0, ConfigId{2}),
-              brute.OldestEligible(FamilyId{1}, 1500, 0, ConfigId{2}));
-  } else {
-    ASSERT_EQ(indexed.BestPriorityEligible(FamilyId{1}, 1500, ConfigId{2}),
-              brute.BestPriorityEligible(FamilyId{1}, 1500, ConfigId{2}));
+  for (int i = 0; i < 20 && !scan.queue.empty(); ++i) {
+    drain_both(random_drain(i % 5 == 0), Entries(scan.queue));
+    if (HasFatalFailure()) return;
   }
+  ASSERT_EQ(indexed.meter.scheduling_steps_total(),
+            scan.meter.scheduling_steps_total());
+  // The stream must have drained for real, attempts included.
+  EXPECT_GT(drains, 500u);
+  EXPECT_GT(drain_attempts, 100u);
 }
 
 constexpr resource::SusOrder kPrio = resource::SusOrder::kPriority;
@@ -355,108 +454,79 @@ TEST(SusDrainIndex, ExactMatchesBehindTheCursorAreSkipped) {
   // so its walk takes no step; an arbitrary cursor makes it walk, up to
   // running off the list's tail. Every cursor seq, a removed one and one
   // past the newest included, must agree with the brute-force rescan.
-  SuspensionQueue indexed;
-  indexed.SetDrainIndexed(true);
-  WorkloadMeter meter;
+  SusQueueIndex index(resource::SusOrder::kFifo);
   std::unordered_map<std::uint32_t, SusEntryAttrs> attrs;
+  std::vector<Queued> queued;
   for (std::uint32_t t = 0; t < 12; ++t) {
     SusEntryAttrs a;
     a.resolved_config = ConfigId{t % 3 == 0 ? 7u : t % 2};
     a.needed_area = t % 3 == 0 ? 1900 : 1000 + t;
     attrs[t] = a;
-    ASSERT_TRUE(indexed.Add(TaskId{t}, a, meter));
+    index.Add(t, a);  // task t is seq t
+    if (t != 3) queued.push_back({t, TaskId{t}});
   }
-  ASSERT_TRUE(indexed.Remove(TaskId{3}, meter));  // a hole in config 7's list
+  index.Remove(3, attrs.at(3));  // a hole in config 7's list
   attrs.erase(3);
-  const std::vector<Queued> queued = Entries(indexed);
   const BruteForce brute{queued, attrs};
   for (const Area bound : {Area{500}, Area{1005}}) {
     for (Seq from = 0; from <= 12; ++from) {
-      EXPECT_EQ(indexed.OldestEligible(FamilyId::invalid(), bound, from,
-                                       ConfigId{7}),
-                brute.OldestEligible(FamilyId::invalid(), bound, from,
-                                     ConfigId{7}))
+      EXPECT_EQ(
+          index.OldestEligible(FamilyId::invalid(), bound, from, ConfigId{7}),
+          brute.OldestEligible(FamilyId::invalid(), bound, from, ConfigId{7}))
           << "bound " << bound << " from " << from;
     }
   }
 }
 
 TEST(SusDrainIndex, CursorResumesOnTheSeqAfterARemovedEntry) {
-  // DrainPartialFifo's indexed pass against its literal walk: each pick is
-  // removed at the cursor and the pass resumes on the next seq, whose
-  // FIFO position is the removed entry's. Tombstones (removed before the
-  // pass) and exact matches past the area bound sit among the picks; the
-  // removed tasks and the step charges must agree.
-  SuspensionQueue indexed;
-  SuspensionQueue scan;
-  indexed.SetDrainIndexed(true);
-  WorkloadMeter meter_indexed;
-  WorkloadMeter meter_scan;
-  std::unordered_map<std::uint32_t, SusEntryAttrs> attrs;
-  for (std::uint32_t t = 0; t < 10; ++t) {
-    SusEntryAttrs a;
-    a.resolved_config = ConfigId{t % 3};
-    a.needed_area = t % 4 == 1 ? 900 : 300;
-    attrs[t] = a;
-    ASSERT_TRUE(indexed.Add(TaskId{t}, a, meter_indexed));
-    ASSERT_TRUE(scan.Add(TaskId{t}, a, meter_scan));
+  // A FIFO partial drain's indexed pass against its literal walk: each
+  // pick is removed at the cursor and the pass resumes on the next seq,
+  // whose FIFO position is the removed entry's. Tombstones (removed
+  // before the pass) and exact matches past the area bound sit among the
+  // picks; the removed tasks and the step charges must agree.
+  resource::ConfigCatalogue configs;
+  for (int c = 0; c < 3; ++c) {
+    resource::Configuration cfg;
+    cfg.required_area = 100;
+    configs.Add(cfg);
   }
-  for (const TaskId gone : {TaskId{2}, TaskId{6}}) {
-    ASSERT_TRUE(indexed.Remove(gone, meter_indexed));
-    ASSERT_TRUE(scan.Remove(gone, meter_scan));
-  }
-  const Area bound = 500;
-  const ConfigId match{1};  // tasks 1, 4, 7: 900, 300, 300
-  const auto eligible = [&](TaskId t) {
-    return Eligible(attrs.at(t.value()), FamilyId::invalid(), bound, match);
-  };
-
-  std::vector<TaskId> removed_indexed;
-  Seq from = 0;
-  std::size_t index = 0;
-  while (index < indexed.size()) {
-    const std::optional<Seq> next =
-        indexed.OldestEligible(FamilyId::invalid(), bound, from, match);
-    if (!next) {
-      meter_indexed.Add(resource::StepKind::kSchedulingSearch,
-                        indexed.size() - index);
-      break;
+  ResourceStore fleet(std::move(configs));
+  const NodeId node = fleet.AddNode(500);  // blank: the area bound is 500
+  std::vector<std::vector<TaskId>> removed;
+  std::vector<WorkloadMeter> meters(2);
+  for (const bool indexed : {true, false}) {
+    SuspensionQueue queue;
+    queue.SetDrainIndexed(indexed);
+    WorkloadMeter& meter = meters[indexed ? 0 : 1];
+    for (std::uint32_t t = 0; t < 10; ++t) {
+      SusEntryAttrs a;
+      a.resolved_config = ConfigId{t % 3};
+      a.needed_area = t % 4 == 1 ? 900 : 300;
+      ASSERT_TRUE(queue.Add(TaskId{t}, a, meter));
     }
-    const std::size_t position = indexed.PositionOf(*next);
-    meter_indexed.Add(resource::StepKind::kSchedulingSearch,
-                      position - index + 1);
-    removed_indexed.push_back(indexed.TaskAt(*next));
-    indexed.RemoveSeq(*next, meter_indexed);
-    EXPECT_EQ(indexed.TaskAt(*next), TaskId::invalid());
-    from = *next + 1;
-    index = position;
+    queue.RemoveSeq(2, meter);
+    queue.RemoveSeq(6, meter);
+    std::vector<TaskId>& out = removed.emplace_back();
+    // The exact-match rule admits config 1 (tasks 1, 4, 7: 900, 300, 300).
+    queue.DrainPartial(fleet, node, ConfigId{1}, 0, meter, [&](Seq seq) {
+      out.push_back(queue.TaskAt(seq));
+      queue.RemoveSeq(seq, meter);
+      EXPECT_EQ(queue.TaskAt(seq), TaskId::invalid());
+    });
+    EXPECT_EQ(Entries(queue).size(), 2u);
+    const analysis::AuditReport audit =
+        analysis::StructureAuditor::AuditSuspensionQueue(queue);
+    EXPECT_TRUE(audit.ok()) << audit.Render();
   }
-
-  std::vector<TaskId> removed_scan;
-  auto it = scan.begin();
-  while (it != scan.end()) {
-    meter_scan.Add(resource::StepKind::kSchedulingSearch);
-    const auto following = std::next(it);
-    if (eligible(*it)) {
-      removed_scan.push_back(*it);
-      scan.RemoveSeq(it.seq(), meter_scan);
-    }
-    it = following;
-  }
-
   // Every entry but 2, 6 (gone) and 5, 9 (area 900, not config 1).
-  EXPECT_EQ(removed_indexed,
+  EXPECT_EQ(removed[0],
             (std::vector<TaskId>{TaskId{0}, TaskId{1}, TaskId{3}, TaskId{4},
                                  TaskId{7}, TaskId{8}}));
-  EXPECT_EQ(removed_indexed, removed_scan);
-  EXPECT_EQ(meter_indexed.scheduling_steps_total(),
-            meter_scan.scheduling_steps_total());
-  EXPECT_EQ(meter_indexed.housekeeping_steps_total(),
-            meter_scan.housekeeping_steps_total());
-  EXPECT_EQ(Entries(indexed).size(), 2u);
-  const analysis::AuditReport audit =
-      analysis::StructureAuditor::AuditSuspensionQueue(indexed);
-  EXPECT_TRUE(audit.ok()) << audit.Render();
+  EXPECT_EQ(removed[0], removed[1]);
+  EXPECT_EQ(meters[0].scheduling_steps_total(),
+            meters[1].scheduling_steps_total());
+  EXPECT_EQ(meters[0].housekeeping_steps_total(),
+            meters[1].housekeeping_steps_total());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,9 +1,7 @@
-// Tests for the suspension queue (SusList).
-//
-// The drain queries are exercised raw against expected positions here —
-// the tests assert what the queries answer, not the modeled effort, which
-// the simulator-level differential suites pin down.
-// lint: allow-file(uncharged-index-query)
+// Tests for the suspension queue (SusList): its FIFO structure, front
+// pops and removals by seq, and the completion drains on small hand-made
+// populations, with the drain index on and off. The random twin fuzz of
+// the drains is test_sus_drain_diff's.
 #include "resource/suspension_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +12,7 @@
 #include <vector>
 
 #include "analysis/structure_auditor.hpp"
+#include "resource/store.hpp"
 #include "util/rng.hpp"
 
 namespace dreamsim::resource {
@@ -27,9 +26,9 @@ std::vector<TaskId> Fifo(const SuspensionQueue& q) {
 TEST(SuspensionQueue, FifoOrder) {
   SuspensionQueue q;
   WorkloadMeter meter;
-  ASSERT_TRUE(q.Add(TaskId{1}, meter));
-  ASSERT_TRUE(q.Add(TaskId{2}, meter));
-  ASSERT_TRUE(q.Add(TaskId{3}, meter));
+  ASSERT_TRUE(q.Add(TaskId{1}, {}, meter));
+  ASSERT_TRUE(q.Add(TaskId{2}, {}, meter));
+  ASSERT_TRUE(q.Add(TaskId{3}, {}, meter));
   EXPECT_EQ(q.size(), 3u);
   EXPECT_EQ(Fifo(q), (std::vector<TaskId>{TaskId{1}, TaskId{2}, TaskId{3}}));
 }
@@ -37,9 +36,9 @@ TEST(SuspensionQueue, FifoOrder) {
 TEST(SuspensionQueue, CapacityBound) {
   SuspensionQueue q(2);
   WorkloadMeter meter;
-  EXPECT_TRUE(q.Add(TaskId{1}, meter));
-  EXPECT_TRUE(q.Add(TaskId{2}, meter));
-  EXPECT_FALSE(q.Add(TaskId{3}, meter));  // overflow
+  EXPECT_TRUE(q.Add(TaskId{1}, {}, meter));
+  EXPECT_TRUE(q.Add(TaskId{2}, {}, meter));
+  EXPECT_FALSE(q.Add(TaskId{3}, {}, meter));  // overflow
   EXPECT_EQ(q.size(), 2u);
 }
 
@@ -47,67 +46,56 @@ TEST(SuspensionQueue, UnboundedByDefault) {
   SuspensionQueue q;
   WorkloadMeter meter;
   for (std::uint32_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(q.Add(TaskId{i}, meter));
+    ASSERT_TRUE(q.Add(TaskId{i}, {}, meter));
   }
   EXPECT_EQ(q.size(), 1000u);
 }
 
-TEST(SuspensionQueue, PopFirstMatchingTakesOldest) {
+TEST(SuspensionQueue, PopFrontTakesOldest) {
   SuspensionQueue q;
   WorkloadMeter meter;
-  (void)q.Add(TaskId{1}, meter);
-  (void)q.Add(TaskId{2}, meter);
-  (void)q.Add(TaskId{3}, meter);
-  const auto popped = q.PopFirstMatching(
-      [](TaskId id) { return id.value() >= 2; }, meter);
-  ASSERT_TRUE(popped.has_value());
-  EXPECT_EQ(*popped, TaskId{2});
+  (void)q.Add(TaskId{1}, {}, meter);
+  (void)q.Add(TaskId{2}, {}, meter);
+  (void)q.Add(TaskId{3}, {}, meter);
+  EXPECT_EQ(q.PopFront(meter), std::optional<TaskId>{TaskId{1}});
   EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(Fifo(q), (std::vector<TaskId>{TaskId{2}, TaskId{3}}));
 }
 
-TEST(SuspensionQueue, PopFirstMatchingNoneMatches) {
+TEST(SuspensionQueue, PopFrontOfAnEmptyQueueTakesNothing) {
   SuspensionQueue q;
   WorkloadMeter meter;
-  (void)q.Add(TaskId{1}, meter);
-  const auto popped =
-      q.PopFirstMatching([](TaskId) { return false; }, meter);
-  EXPECT_FALSE(popped.has_value());
-  EXPECT_EQ(q.size(), 1u);
+  EXPECT_FALSE(q.PopFront(meter).has_value());
+  (void)q.Add(TaskId{1}, {}, meter);
+  q.RemoveSeq(0, meter);
+  const Steps before = meter.housekeeping_steps_total();
+  EXPECT_FALSE(q.PopFront(meter).has_value());
+  EXPECT_EQ(meter.housekeeping_steps_total(), before);  // no entry visited
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(SuspensionQueue, PopChargesScanSteps) {
+  // The literal scan visits the front and stops: one step per pop, also
+  // behind tombstones left by earlier removals.
   SuspensionQueue q;
   WorkloadMeter meter;
-  for (std::uint32_t i = 0; i < 10; ++i) (void)q.Add(TaskId{i}, meter);
+  for (std::uint32_t i = 0; i < 10; ++i) (void)q.Add(TaskId{i}, {}, meter);
+  for (const SuspensionQueue::Seq seq : {0u, 1u, 2u, 4u}) {
+    q.RemoveSeq(seq, meter);
+  }
   const Steps before = meter.housekeeping_steps_total();
-  (void)q.PopFirstMatching([](TaskId id) { return id.value() == 6; }, meter);
-  EXPECT_EQ(meter.housekeeping_steps_total() - before, 7u);
-}
-
-TEST(SuspensionQueue, ContainsScan) {
-  SuspensionQueue q;
-  WorkloadMeter meter;
-  (void)q.Add(TaskId{5}, meter);
-  EXPECT_TRUE(q.Contains(TaskId{5}, meter));
-  EXPECT_FALSE(q.Contains(TaskId{6}, meter));
-}
-
-TEST(SuspensionQueue, RemoveSpecificTask) {
-  SuspensionQueue q;
-  WorkloadMeter meter;
-  (void)q.Add(TaskId{1}, meter);
-  (void)q.Add(TaskId{2}, meter);
-  EXPECT_TRUE(q.Remove(TaskId{1}, meter));
-  EXPECT_FALSE(q.Remove(TaskId{1}, meter));
-  EXPECT_EQ(Fifo(q), std::vector<TaskId>{TaskId{2}});
+  EXPECT_EQ(q.PopFront(meter), std::optional<TaskId>{TaskId{3}});
+  EXPECT_EQ(meter.housekeeping_steps_total() - before, 1u);
+  EXPECT_EQ(q.PopFront(meter), std::optional<TaskId>{TaskId{5}});
+  EXPECT_EQ(meter.housekeeping_steps_total() - before, 2u);
 }
 
 TEST(SuspensionQueue, RemoveBySeq) {
   SuspensionQueue q;
   WorkloadMeter meter;
-  (void)q.Add(TaskId{1}, meter);
-  (void)q.Add(TaskId{2}, meter);
-  (void)q.Add(TaskId{3}, meter);
+  (void)q.Add(TaskId{1}, {}, meter);
+  (void)q.Add(TaskId{2}, {}, meter);
+  (void)q.Add(TaskId{3}, {}, meter);
   const Steps before_unlink = meter.housekeeping_steps_total();
   q.RemoveSeq(1, meter);
   EXPECT_EQ(meter.housekeeping_steps_total(), before_unlink + 1);
@@ -130,10 +118,10 @@ TEST(SuspensionQueue, RemoveBySeq) {
 TEST(SuspensionQueue, PreservesFifoAcrossMixedOps) {
   SuspensionQueue q;
   WorkloadMeter meter;
-  for (std::uint32_t i = 0; i < 6; ++i) (void)q.Add(TaskId{i}, meter);
-  (void)q.Remove(TaskId{2}, meter);
+  for (std::uint32_t i = 0; i < 6; ++i) (void)q.Add(TaskId{i}, {}, meter);
+  q.RemoveSeq(2, meter);
   q.RemoveSeq(0, meter);
-  (void)q.Add(TaskId{9}, meter);
+  (void)q.Add(TaskId{9}, {}, meter);
   std::vector<std::uint32_t> order;
   for (const TaskId id : q) order.push_back(id.value());
   EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 3, 4, 5, 9}));
@@ -149,89 +137,174 @@ SusEntryAttrs Attrs(std::uint32_t config, Area area, double priority,
   return a;
 }
 
-TEST(SuspensionQueue, IndexedChargesMatchTheScanContract) {
-  // Contains/Remove answered from the index still charge what the literal
-  // FIFO scan would have: position + 1 on a hit, queue size on a miss.
-  SuspensionQueue q;
-  q.SetDrainIndexed(true);
-  WorkloadMeter meter;
-  for (std::uint32_t i = 0; i < 5; ++i) {
-    (void)q.Add(TaskId{i}, Attrs(i, 100, 0.0), meter);
+using Seq = SuspensionQueue::Seq;
+
+constexpr NodeId kNode{0};
+
+/// A store with `config_count` family-less configurations and one blank
+/// node of `node_area` (kNode, family 0): a partial drain's area bound on
+/// it is `node_area`.
+ResourceStore OneNodeStore(Area node_area, std::uint32_t config_count = 8) {
+  ConfigCatalogue configs;
+  for (std::uint32_t i = 0; i < config_count; ++i) {
+    Configuration c;
+    c.required_area = 100;
+    configs.Add(c);
   }
-  const Steps base = meter.housekeeping_steps_total();
-  EXPECT_TRUE(q.Contains(TaskId{3}, meter));
-  EXPECT_EQ(meter.housekeeping_steps_total(), base + 4);  // positions 0..3
-  EXPECT_FALSE(q.Contains(TaskId{42}, meter));
-  EXPECT_EQ(meter.housekeeping_steps_total(), base + 9);  // full miss scan
-  EXPECT_TRUE(q.Remove(TaskId{1}, meter));
-  EXPECT_EQ(meter.housekeeping_steps_total(), base + 11);  // positions 0..1
-  EXPECT_FALSE(q.Remove(TaskId{42}, meter));
-  EXPECT_EQ(meter.housekeeping_steps_total(), base + 15);  // 4 remaining
+  ResourceStore store(std::move(configs));
+  (void)store.AddNode(node_area);
+  return store;
+}
+
+/// What one drain attempted, in order, and the scheduling steps it
+/// charged.
+struct Drained {
+  std::vector<Seq> seqs;
+  Steps steps = 0;
+};
+
+/// Runs one drain on kNode. An attempted entry in `keep` stays queued
+/// (the policy suspended it); any other is removed (placed).
+Drained Drain(SuspensionQueue& q, const ResourceStore& store, bool full,
+              ConfigId freed, std::size_t batch,
+              const std::vector<Seq>& keep = {}) {
+  WorkloadMeter meter;
+  Drained out;
+  const auto attempt = [&](Seq seq) {
+    out.seqs.push_back(seq);
+    if (std::find(keep.begin(), keep.end(), seq) == keep.end()) {
+      q.RemoveSeq(seq, meter);
+    }
+  };
+  if (full) {
+    q.DrainFull(store, kNode, freed, meter, attempt);
+  } else {
+    q.DrainPartial(store, kNode, freed, batch, meter, attempt);
+  }
+  out.steps = meter.scheduling_steps_total();
+  return out;
+}
+
+/// The seq a full drain attempts, left queued (nullopt: none).
+std::optional<Seq> FullPick(SuspensionQueue& q, const ResourceStore& store,
+                            ConfigId freed) {
+  WorkloadMeter meter;
+  std::optional<Seq> pick;
+  q.DrainFull(store, kNode, freed, meter, [&](Seq seq) {
+    EXPECT_FALSE(pick.has_value());
+    pick = seq;
+  });
+  return pick;
+}
+
+TEST(SuspensionQueue, IndexedChargesMatchTheScanContract) {
+  // Every drain charges one scheduling-search step per entry the literal
+  // walk visits, with the index on or off: a FIFO pass resumes after each
+  // attempt and walks a dry tail to the end, a priority pick and a full
+  // drain visit the whole queue.
+  const ResourceStore store = OneNodeStore(500);
+  for (const bool indexed : {false, true}) {
+    SCOPED_TRACE(indexed ? "indexed" : "scan");
+    SuspensionQueue fifo;
+    fifo.SetDrainIndexed(indexed);
+    WorkloadMeter meter;
+    const Area areas[] = {900, 800, 300, 700, 400, 900};
+    for (std::uint32_t i = 0; i < 6; ++i) {
+      (void)fifo.Add(TaskId{i}, Attrs(i, areas[i], 0.0), meter);
+    }
+    // An attempt that leaves its entry queued ends the pass: 3 visits.
+    Drained d = Drain(fifo, store, false, ConfigId::invalid(), 0, {2});
+    EXPECT_EQ(d.seqs, std::vector<Seq>{2});
+    EXPECT_EQ(d.steps, 3u);
+    // Visits 0 1 2, resumes at 3 4, walks 5 dry.
+    d = Drain(fifo, store, false, ConfigId::invalid(), 0);
+    EXPECT_EQ(d.seqs, (std::vector<Seq>{2, 4}));
+    EXPECT_EQ(d.steps, 6u);
+    // Nothing fits: the whole (shrunk) queue.
+    d = Drain(fifo, store, false, ConfigId::invalid(), 0);
+    EXPECT_TRUE(d.seqs.empty());
+    EXPECT_EQ(d.steps, 4u);
+    // The exact-match rule admits config 3 (area 700); batch 1 stops there.
+    d = Drain(fifo, store, false, ConfigId{3}, 1);
+    EXPECT_EQ(d.seqs, std::vector<Seq>{3});
+    EXPECT_EQ(d.steps, 3u);
+    // Full mode charges the whole queue, match or not.
+    d = Drain(fifo, store, true, ConfigId{5}, 0);
+    EXPECT_EQ(d.seqs, std::vector<Seq>{5});
+    EXPECT_EQ(d.steps, 3u);
+
+    SuspensionQueue prio(0, SusOrder::kPriority);
+    prio.SetDrainIndexed(indexed);
+    (void)prio.Add(TaskId{0}, Attrs(0, 300, 1.0), meter);
+    (void)prio.Add(TaskId{1}, Attrs(1, 900, 5.0), meter);
+    (void)prio.Add(TaskId{2}, Attrs(2, 400, 2.0), meter);
+    // Picks 2 (3 visits) and 0 (2 visits); the last pick finds none (1).
+    d = Drain(prio, store, false, ConfigId::invalid(), 0);
+    EXPECT_EQ(d.seqs, (std::vector<Seq>{2, 0}));
+    EXPECT_EQ(d.steps, 6u);
+  }
 }
 
 TEST(SuspensionQueue, IndexedDrainQueriesPickScanWinners) {
-  // One population, queried through a FIFO-order and a priority-order
-  // index: each index serves only its own order's queries.
-  SuspensionQueue fifo(0, SusOrder::kFifo);
-  SuspensionQueue prio(0, SusOrder::kPriority);
-  WorkloadMeter meter;
-  for (SuspensionQueue* q : {&fifo, &prio}) {
-    q->SetDrainIndexed(true);
-    (void)q->Add(TaskId{0}, Attrs(7, 900, 1.0), meter);
-    (void)q->Add(TaskId{1}, Attrs(5, 400, 3.0), meter);
-    (void)q->Add(TaskId{2}, Attrs(7, 300, 9.0), meter);
-    (void)q->Add(TaskId{3}, Attrs(5, 200, 3.0), meter);
+  // One population in a FIFO-order and a priority-order queue, drained
+  // with the index on and off: each order picks its own winner, and the
+  // two halves agree.
+  for (const bool indexed : {false, true}) {
+    SCOPED_TRACE(indexed ? "indexed" : "scan");
+    SuspensionQueue fifo(0, SusOrder::kFifo);
+    SuspensionQueue prio(0, SusOrder::kPriority);
+    WorkloadMeter meter;
+    for (SuspensionQueue* q : {&fifo, &prio}) {
+      q->SetDrainIndexed(indexed);
+      (void)q->Add(TaskId{0}, Attrs(7, 900, 1.0), meter);
+      (void)q->Add(TaskId{1}, Attrs(5, 400, 3.0), meter);
+      (void)q->Add(TaskId{2}, Attrs(7, 300, 9.0), meter);
+      (void)q->Add(TaskId{3}, Attrs(5, 200, 3.0), meter);
+    }
+    // Task i was queued as seq i. A 350-area node fits seqs 2 and 3.
+    const ResourceStore store = OneNodeStore(350);
+    // Oldest vs best-priority exact matches for config 5; equal
+    // priorities: the FIFO-older entry wins.
+    EXPECT_EQ(FullPick(fifo, store, ConfigId{5}), std::optional<Seq>{1});
+    EXPECT_EQ(FullPick(prio, store, ConfigId{5}), std::optional<Seq>{1});
+    // No match anywhere: the fabric-fit fallback.
+    EXPECT_EQ(FullPick(fifo, store, ConfigId{6}), std::optional<Seq>{2});
+    EXPECT_EQ(FullPick(prio, store, ConfigId{6}), std::optional<Seq>{2});
+    // The partial exact-match rule admits config 7 regardless of its area.
+    EXPECT_EQ(Drain(fifo, store, false, ConfigId{7}, 0, {0}).seqs,
+              std::vector<Seq>{0});
+    EXPECT_EQ(Drain(prio, store, false, ConfigId::invalid(), 0, {2}).seqs,
+              std::vector<Seq>{2});
+    const ResourceStore tiny = OneNodeStore(100);
+    EXPECT_EQ(FullPick(fifo, tiny, ConfigId::invalid()), std::nullopt);
+    EXPECT_TRUE(Drain(fifo, tiny, false, ConfigId::invalid(), 0).seqs.empty());
+    // Removals ahead of the answer move its position, not its seq.
+    fifo.RemoveSeq(0, meter);
+    prio.RemoveSeq(1, meter);
+    EXPECT_EQ(FullPick(fifo, store, ConfigId{5}), std::optional<Seq>{1});
+    EXPECT_EQ(fifo.PositionOf(1), 0u);
+    EXPECT_EQ(FullPick(prio, store, ConfigId{5}), std::optional<Seq>{3});
+    EXPECT_EQ(prio.PositionOf(3), 2u);
   }
-  // Answers are seqs (here task i was queued as seq i).
-  using Seq = SuspensionQueue::Seq;
-  // Oldest vs best-priority exact matches for config 5.
-  EXPECT_EQ(fifo.OldestExactMatch(ConfigId{5}), std::optional<Seq>{1});
-  // Equal priorities: the FIFO-older entry wins.
-  EXPECT_EQ(prio.BestPriorityExactMatch(ConfigId{5}), std::optional<Seq>{1});
-  // Area-bounded eligibility (family-less tasks match any family).
-  EXPECT_EQ(
-      fifo.OldestEligible(FamilyId::invalid(), 350, 0, ConfigId::invalid()),
-      std::optional<Seq>{2});
-  EXPECT_EQ(
-      fifo.OldestEligible(FamilyId::invalid(), 350, 3, ConfigId::invalid()),
-      std::optional<Seq>{3});
-  // The exact-match rule admits config 7 regardless of its area.
-  EXPECT_EQ(fifo.OldestEligible(FamilyId::invalid(), 100, 0, ConfigId{7}),
-            std::optional<Seq>{0});
-  EXPECT_EQ(prio.BestPriorityEligible(FamilyId::invalid(), 500,
-                                      ConfigId::invalid()),
-            std::optional<Seq>{2});
-  EXPECT_EQ(
-      fifo.OldestEligible(FamilyId::invalid(), 100, 0, ConfigId::invalid()),
-      std::nullopt);
-  // Removals ahead of the answer move its position, not its seq.
-  ASSERT_TRUE(fifo.Remove(TaskId{0}, meter));
-  ASSERT_TRUE(prio.Remove(TaskId{1}, meter));
-  EXPECT_EQ(fifo.OldestExactMatch(ConfigId{5}), std::optional<Seq>{1});
-  EXPECT_EQ(fifo.PositionOf(1), 0u);
-  EXPECT_EQ(prio.BestPriorityExactMatch(ConfigId{5}), std::optional<Seq>{3});
-  EXPECT_EQ(prio.PositionOf(3), 2u);
 }
 
 TEST(SuspensionQueue, QueriesOfTheOtherOrderThrow) {
-  SuspensionQueue fifo(0, SusOrder::kFifo);
-  SuspensionQueue prio(0, SusOrder::kPriority);
-  fifo.SetDrainIndexed(true);
-  prio.SetDrainIndexed(true);
+  // The index a queue builds serves the queue's own drain order only.
+  SusQueueIndex fifo(SusOrder::kFifo);
+  SusQueueIndex prio(SusOrder::kPriority);
   EXPECT_THROW((void)fifo.BestPriorityExactMatch(ConfigId{1}),
                std::logic_error);
   EXPECT_THROW((void)fifo.BestPriorityEligible(FamilyId::invalid(), 100,
                                                ConfigId::invalid()),
                std::logic_error);
   EXPECT_THROW((void)prio.OldestExactMatch(ConfigId{1}), std::logic_error);
-  WorkloadMeter meter;
-  (void)prio.Add(TaskId{1}, Attrs(1, 100, 0.0), meter);
+  prio.Add(0, Attrs(1, 100, 0.0));
   EXPECT_THROW((void)prio.OldestEligible(FamilyId::invalid(), 100, 0,
                                          ConfigId::invalid()),
                std::logic_error);
   EXPECT_EQ(fifo.OldestExactMatch(ConfigId{1}), std::nullopt);
   EXPECT_EQ(prio.BestPriorityExactMatch(ConfigId{1}),
-            std::optional<SuspensionQueue::Seq>{0});
+            std::optional<std::uint64_t>{0});
 }
 
 TEST(SuspensionQueue, RequeueAfterKillChargesOneHousekeepingStep) {
@@ -270,21 +343,22 @@ TEST(SuspensionQueue, IndexRebuildsAcrossToggle) {
   const analysis::AuditReport rebuilt =
       analysis::StructureAuditor::AuditSuspensionQueue(q);
   EXPECT_TRUE(rebuilt.ok()) << rebuilt.Render();
-  using Seq = SuspensionQueue::Seq;
-  EXPECT_EQ(q.OldestExactMatch(ConfigId{3}), std::optional<Seq>{1});
+  // A node too small for any task: a full drain picks exact matches only.
+  const ResourceStore store = OneNodeStore(100);
+  EXPECT_EQ(FullPick(q, store, ConfigId{3}), std::optional<Seq>{1});
   // Removals and a requeue while the index is off survive the next rebuild.
   q.SetDrainIndexed(false);
-  ASSERT_TRUE(q.Remove(TaskId{4}, meter));
+  q.RemoveSeq(0, meter);
   (void)q.Add(TaskId{4}, Attrs(3, 700, 5.0), meter);
   q.SetDrainIndexed(true);
   const analysis::AuditReport toggled =
       analysis::StructureAuditor::AuditSuspensionQueue(q);
   EXPECT_TRUE(toggled.ok()) << toggled.Render();
-  EXPECT_EQ(q.OldestExactMatch(ConfigId{2}), std::nullopt);
-  EXPECT_EQ(q.OldestExactMatch(ConfigId{3}), std::optional<Seq>{1});
-  ASSERT_TRUE(q.Remove(TaskId{5}, meter));
+  EXPECT_EQ(FullPick(q, store, ConfigId{2}), std::nullopt);
+  EXPECT_EQ(FullPick(q, store, ConfigId{3}), std::optional<Seq>{1});
+  q.RemoveSeq(1, meter);
   // The requeued task 4 holds seq 2, now at the front.
-  EXPECT_EQ(q.OldestExactMatch(ConfigId{3}), std::optional<Seq>{2});
+  EXPECT_EQ(FullPick(q, store, ConfigId{3}), std::optional<Seq>{2});
   EXPECT_EQ(q.TaskAt(2), TaskId{4});
   EXPECT_EQ(q.PositionOf(2), 0u);
 }
@@ -298,31 +372,31 @@ TEST(SuspensionQueue, FrontPopsAfterRemovalsKeepOrderAndChargeOneStepEach) {
     q.SetDrainIndexed(indexed);
     WorkloadMeter meter;
     for (std::uint32_t i = 0; i < 8; ++i) {
-      ASSERT_TRUE(q.Add(TaskId{i}, meter));
+      ASSERT_TRUE(q.Add(TaskId{i}, {}, meter));
     }
-    const auto always = [](TaskId) { return true; };
     std::vector<std::uint32_t> popped;
     const auto pop = [&] {
       const Steps before = meter.housekeeping_steps_total();
-      const std::optional<TaskId> id = q.PopFirstMatching(always, meter);
+      const std::optional<TaskId> id = q.PopFront(meter);
       ASSERT_TRUE(id.has_value());
       EXPECT_EQ(meter.housekeeping_steps_total(), before + 1) << indexed;
       popped.push_back(id->value());
     };
-    pop();                                   // 0
-    ASSERT_TRUE(q.Remove(TaskId{1}, meter));  // the new front
-    q.RemoveSeq(4, meter);                   // task 4 of 2 3 4 5 6 7
-    pop();                                   // 2
-    ASSERT_TRUE(q.Remove(TaskId{7}, meter));  // the back
-    ASSERT_TRUE(q.Add(TaskId{9}, meter));
-    ASSERT_TRUE(q.Remove(TaskId{3}, meter));  // the front again
-    while (!q.empty()) pop();                // 5 6 9
+    // Task i is queued as seq i until the requeues.
+    pop();                          // 0
+    q.RemoveSeq(1, meter);          // the new front
+    q.RemoveSeq(4, meter);          // task 4 of 2 3 4 5 6 7
+    pop();                          // 2
+    q.RemoveSeq(7, meter);          // the back
+    ASSERT_TRUE(q.Add(TaskId{9}, {}, meter));
+    q.RemoveSeq(3, meter);          // the front again
+    while (!q.empty()) pop();       // 5 6 9
     EXPECT_EQ(popped, (std::vector<std::uint32_t>{0, 2, 5, 6, 9})) << indexed;
     const Steps before = meter.housekeeping_steps_total();
-    EXPECT_FALSE(q.PopFirstMatching(always, meter).has_value());
+    EXPECT_FALSE(q.PopFront(meter).has_value());
     EXPECT_EQ(meter.housekeeping_steps_total(), before);  // empty: no visit
     // The emptied queue accepts new work at the front.
-    ASSERT_TRUE(q.Add(TaskId{4}, meter));
+    ASSERT_TRUE(q.Add(TaskId{4}, {}, meter));
     EXPECT_EQ(Fifo(q), std::vector<TaskId>{TaskId{4}});
     EXPECT_EQ(q.PositionOf(q.begin().seq()), 0u);
   }
@@ -332,8 +406,8 @@ TEST(SuspensionQueue, FrontPopsAfterRemovalsKeepOrderAndChargeOneStepEach) {
 enum class IndexMode { kOff, kFifo, kPriority, kToggled };
 
 /// Queue-level differential fuzz: the queue against a plain std::vector
-/// FIFO model under random Add / Remove / RemoveSeq / PopFirstMatching /
-/// Contains operations, requeues of tasks that left, and index toggles.
+/// FIFO model under random Add / RemoveSeq / PopFront operations, requeues
+/// of tasks that left, and index toggles.
 /// After every operation the FIFO order, size, every entry's position and
 /// the meter charges must equal the model's; the structure audit runs
 /// along.
@@ -364,13 +438,6 @@ void FuzzAgainstVectorModel(std::uint64_t seed, IndexMode mode,
                  static_cast<double>(rng.uniform_int(0, 4)),
                  rng.uniform_int(0, 2) == 0 ? FamilyId::kInvalidValue : 1);
   };
-  const auto some_task = [&]() -> TaskId {
-    if (!model.empty() && rng.uniform_int(0, 3) != 0) {
-      return model[static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(model.size()) - 1))];
-    }
-    return TaskId{next_task + 1000};  // never queued
-  };
 
   for (int op = 0; op < 1500; ++op) {
     switch (rng.uniform_int(0, 9)) {
@@ -384,22 +451,20 @@ void FuzzAgainstVectorModel(std::uint64_t seed, IndexMode mode,
         if (fits) model.push_back(task);
         break;
       }
-      case 3: {
-        const TaskId task = some_task();
-        const auto pos = model_pos(task);
-        ASSERT_EQ(q.Contains(task, meter), pos.has_value());
-        charged += pos ? *pos + 1 : model.size();
-        break;
-      }
+      case 3:
       case 4: {
-        const TaskId task = some_task();
-        const auto pos = model_pos(task);
-        charged += pos ? *pos + 1 : model.size();
-        ASSERT_EQ(q.Remove(task, meter), pos.has_value());
-        if (pos) model.erase(model.begin() + static_cast<std::ptrdiff_t>(*pos));
+        const std::optional<TaskId> popped = q.PopFront(meter);
+        if (model.empty()) {
+          ASSERT_FALSE(popped.has_value());
+        } else {
+          ASSERT_EQ(popped, std::optional<TaskId>{model.front()});
+          charged += 1;
+          model.erase(model.begin());
+        }
         break;
       }
-      case 5: {
+      case 5:
+      case 6: {
         if (model.empty()) break;
         const auto pos = static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(model.size()) - 1));
@@ -407,24 +472,6 @@ void FuzzAgainstVectorModel(std::uint64_t seed, IndexMode mode,
                     meter);
         charged += 1;
         model.erase(model.begin() + static_cast<std::ptrdiff_t>(pos));
-        break;
-      }
-      case 6: {  // front pop, or the first task of a residue class
-        const std::uint32_t residue =
-            static_cast<std::uint32_t>(rng.uniform_int(0, 3));
-        const auto pred = [residue](TaskId t) {
-          return residue == 3 || t.value() % 3 == residue;
-        };
-        const auto it = std::find_if(model.begin(), model.end(), pred);
-        const std::optional<TaskId> popped = q.PopFirstMatching(pred, meter);
-        if (it == model.end()) {
-          ASSERT_FALSE(popped.has_value());
-          charged += model.size();
-        } else {
-          ASSERT_EQ(popped, std::optional<TaskId>{*it});
-          charged += static_cast<Steps>(it - model.begin()) + 1;
-          model.erase(it);
-        }
         break;
       }
       case 7:

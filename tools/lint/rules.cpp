@@ -80,11 +80,13 @@ class UnchargedIndexQueryRule : public Rule {
   }
 
   void Check(Source& src, const Tree&, Reporter& out) override {
-    // Call-site spellings of the modeled-effort query paths. Qualified
-    // names (Foo::OldestExactMatch) are definitions, not calls: skipped.
+    // Call-site spellings of the modeled-effort query paths: the index
+    // calls inside ResourceStore and SuspensionQueue, whose bodies charge
+    // what the literal scan would have.
     static const std::vector<std::string_view> kQueries = {
-        "OldestExactMatch", "BestPriorityExactMatch", "OldestEligible",
-        "BestPriorityEligible", "index_->BestBlank",
+        "index_->OldestExactMatch", "index_->BestPriorityExactMatch",
+        "index_->OldestEligible", "index_->BestPriorityEligible",
+        "index_->BestBlank",
         "index_->BestPartiallyBlank", "index_->FindAnyIdle",
         "index_->AnyBusyFit", "index_->BestIdleConfigured",
         "index_->RankedHost"};
