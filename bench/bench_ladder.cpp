@@ -19,6 +19,13 @@
 // drain index both off: the test oracle) per config checks every modeled
 // metric against the indexed run (SameRun).
 //
+// The saturated config's us/task ratio of 100k over 2k nodes comes from
+// kRatioPairs interleaved pairs of single runs (2k then 100k, then the
+// other way round) after the ladder: back-to-back repeats of one rung
+// share a host phase, so a per-rung minimum lets whole phases into the
+// ratio, while the two runs of a pair see the same one. The median
+// per-pair ratio is recorded, not gated.
+//
 // Output: BENCH_ladder.json next to the executable (override with --out).
 // Exit status 1 unless every oracle point is metrics-identical and the
 // defaults config's us/task at 100k nodes is at most 3x its value at 2k.
@@ -47,9 +54,12 @@ using dreamsim::core::Simulator;
 
 constexpr int kMinRepeats = 5;
 constexpr int kMaxRepeats = 50;
+constexpr int kRatioPairs = 7;
 constexpr int kGateSmallNodes = 2000;
 constexpr int kGateLargeNodes = 100000;
 constexpr double kMaxPerTaskRatio = 3.0;
+
+int LadderTasks(int nodes) { return nodes / 2 * 3; }
 
 SimulationConfig DefaultsConfig(int nodes, int tasks) {
   SimulationConfig config;
@@ -156,7 +166,7 @@ struct Row {
 Row RunRow(int nodes, const NamedConfig& named, double budget, bool oracle) {
   Row row;
   row.nodes = nodes;
-  row.tasks = nodes / 2 * 3;
+  row.tasks = LadderTasks(nodes);
   row.config = named.name;
   const SimulationConfig config = named.make(nodes, row.tasks);
   double spent = 0.0;
@@ -185,6 +195,8 @@ Row RunRow(int nodes, const NamedConfig& named, double budget, bool oracle) {
   return row;
 }
 
+/// us/task at kGateLargeNodes over that at kGateSmallNodes, from the
+/// rows' fastest repeats.
 double PerTaskRatio(const std::vector<Row>& rows, const std::string& config) {
   double small = 0.0;
   double large = 0.0;
@@ -196,9 +208,42 @@ double PerTaskRatio(const std::vector<Row>& rows, const std::string& config) {
   return small > 0.0 ? large / small : 0.0;
 }
 
+/// us/task of the saturated config at kGateLargeNodes over that at
+/// kGateSmallNodes, one ratio per interleaved pair of single runs, the
+/// order alternating from pair to pair.
+std::vector<double> SaturatedPairRatios() {
+  const int small_tasks = LadderTasks(kGateSmallNodes);
+  const int large_tasks = LadderTasks(kGateLargeNodes);
+  const SimulationConfig small = SaturatedConfig(kGateSmallNodes, small_tasks);
+  const SimulationConfig large = SaturatedConfig(kGateLargeNodes, large_tasks);
+  std::vector<double> ratios;
+  for (int pair = 0; pair < kRatioPairs; ++pair) {
+    double small_s = 0.0;
+    double large_s = 0.0;
+    if (pair % 2 == 0) {
+      small_s = RunOnce(small).seconds;
+      large_s = RunOnce(large).seconds;
+    } else {
+      large_s = RunOnce(large).seconds;
+      small_s = RunOnce(small).seconds;
+    }
+    ratios.push_back((large_s / static_cast<double>(large_tasks)) /
+                     (small_s / static_cast<double>(small_tasks)));
+  }
+  return ratios;
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : (values[mid - 1] + values[mid]) / 2.0;
+}
+
 [[nodiscard]] bool WriteJson(const std::string& path, bool quick, bool big,
                              const std::vector<Row>& rows,
-                             double defaults_ratio, double saturated_ratio,
+                             double defaults_ratio,
+                             const std::vector<double>& saturated_pairs,
                              bool identical, bool scaling) {
   JsonWriter json;
   json.Field("bench", "ladder")
@@ -234,11 +279,15 @@ double PerTaskRatio(const std::vector<Row>& rows, const std::string& config) {
                        .Add("total_ns", p.total_ns));
     }
   }
+  json.End().BeginArray("saturated_pair_ratios");
+  for (const double ratio : saturated_pairs) {
+    json.Element(JsonFixed(ratio, 2));
+  }
   json.End()
       .Field("per_task_ratio",
              JsonRow()
                  .Add("defaults", JsonFixed(defaults_ratio, 2))
-                 .Add("saturated", JsonFixed(saturated_ratio, 2))
+                 .Add("saturated", JsonFixed(Median(saturated_pairs), 2))
                  .Add("bound", kMaxPerTaskRatio))
       .Field("gate", JsonRow()
                          .Add("metrics_identical", identical)
@@ -280,16 +329,16 @@ int main(int argc, char** argv) {
       std::all_of(rows.begin(), rows.end(),
                   [](const Row& r) { return r.metrics_identical; });
   const double defaults_ratio = PerTaskRatio(rows, "defaults");
-  const double saturated_ratio = PerTaskRatio(rows, "saturated");
+  const std::vector<double> saturated_pairs = SaturatedPairRatios();
   const bool scaling = defaults_ratio <= kMaxPerTaskRatio;
   std::cout << Format(
       "\nus/task at {} over {} nodes: defaults {}x (gate <= {}x), "
-      "saturated {}x\n",
+      "saturated {}x (median of {} interleaved pairs)\n",
       kGateLargeNodes, kGateSmallNodes, Fixed(defaults_ratio, 2),
-      kMaxPerTaskRatio, Fixed(saturated_ratio, 2));
+      kMaxPerTaskRatio, Fixed(Median(saturated_pairs), 2), kRatioPairs);
 
   if (!WriteJson(args.out_path, args.quick, big, rows, defaults_ratio,
-                 saturated_ratio, identical, scaling)) {
+                 saturated_pairs, identical, scaling)) {
     return 1;
   }
   if (!identical) {

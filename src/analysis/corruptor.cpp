@@ -5,6 +5,7 @@
 #include "analysis/corruptor.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -152,6 +153,23 @@ void StructureCorruptor::InjectStrayIndexKey(resource::ResourceStore& store,
   IndexOf(store, "InjectStrayIndexKey")
       .global_.partial_by_avail.insert(
           {store.nodes_.at(node.value()).available_area() + 1, node.value()});
+}
+
+void StructureCorruptor::SkewIndexBucketBitmap(
+    resource::ResourceStore& store) {
+  resource::StoreIndex::View& view =
+      IndexOf(store, "SkewIndexBucketBitmap").global_;
+  for (resource::AreaBucketSet* keys :
+       {&view.blank_by_total, &view.partial_by_avail,
+        &view.idle_cfg_by_total}) {
+    for (std::uint64_t& word : keys->words_) {
+      if (word != 0 && ~word != 0) {
+        word |= ~word & (word + 1);  // lowest clear bit
+        return;
+      }
+    }
+  }
+  throw std::logic_error("SkewIndexBucketBitmap: no partly filled word");
 }
 
 void StructureCorruptor::DropFamilyView(resource::ResourceStore& store,

@@ -100,6 +100,12 @@ class StructureCorruptor {
   static void InjectStrayIndexKey(resource::ResourceStore& store,
                                   NodeId node);
 
+  /// Sets the bitmap bit of an empty bucket in a StoreIndex global-view
+  /// key set, in a word that already marks a non-empty bucket, so every
+  /// bucket's keys and the summary word stay right (requires the index and
+  /// a non-empty key set). Expected slug: idx.bitmap.
+  static void SkewIndexBucketBitmap(resource::ResourceStore& store);
+
   /// Deletes the StoreIndex view of `node`'s family (requires the index
   /// over a fleet of two or more family values). Expected slug: idx.view.
   static void DropFamilyView(resource::ResourceStore& store, NodeId node);

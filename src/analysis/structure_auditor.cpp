@@ -13,6 +13,7 @@
 
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -36,6 +37,8 @@
 namespace dreamsim::analysis {
 namespace {
 
+using resource::AreaBucketSet;
+using resource::AreaKey;
 using resource::AreaTreap;
 using resource::EntryList;
 using resource::EntryRef;
@@ -542,9 +545,9 @@ void StructureAuditor::AuditStoreIndex(const ResourceStore& store,
              Format("tree sizes disagree with {} members", count));
       return;
     }
-    std::vector<StoreIndex::AreaKey> want_blank;
-    std::vector<StoreIndex::AreaKey> want_partial;
-    std::vector<StoreIndex::AreaKey> want_idle_cfg;
+    std::vector<AreaKey> want_blank;
+    std::vector<AreaKey> want_partial;
+    std::vector<AreaKey> want_idle_cfg;
     for (std::size_t pos = 0; pos < count; ++pos) {
       const std::uint32_t id = view.ids[pos];
       const Node& node = store.nodes_[id];
@@ -586,41 +589,74 @@ void StructureAuditor::AuditStoreIndex(const ResourceStore& store,
       if (!blank) want_partial.push_back({node.available_area(), id});
       if (!blank && !busy) want_idle_cfg.push_back({node.total_area(), id});
     }
-    const auto diff_set = [&](const std::set<StoreIndex::AreaKey>& live,
-                              const std::vector<StoreIndex::AreaKey>& keys,
-                              const char* name) {
-      // Node ids make the wanted keys distinct, so equal sizes plus every
-      // wanted key present means equal sets; only a divergence pays for
-      // building the wanted set to name the first stray or missing key.
-      if (live.size() == keys.size() &&
-          std::all_of(keys.begin(), keys.end(),
-                      [&live](const StoreIndex::AreaKey& key) {
-                        return live.contains(key);
-                      })) {
+    const auto diff_set = [&](const AreaBucketSet& live,
+                              std::vector<AreaKey>& want, const char* name) {
+      const auto where = [&] { return Format("{} {}", label, name); };
+      // Walk the buckets themselves, not the bitmap: a bad bit must not
+      // hide or invent keys, it is reported on its own below.
+      std::vector<AreaKey> have;
+      std::array<std::uint64_t, AreaBucketSet::kWords> bits{};
+      for (std::size_t w = 0; w < AreaBucketSet::kWords; ++w) {
+        for (const auto& bucket : live.dirs_[w]) {
+          if (bucket.size == 0 || bucket.size > bucket.cap ||
+              std::size_t{bucket.begin} + bucket.cap > live.pool_.size()) {
+            Report(report, "idx.set", where(),
+                   Format("bucket run [{}, +{}) of cap {} in a pool of {}",
+                          bucket.begin, bucket.size, bucket.cap,
+                          live.pool_.size()));
+            return;
+          }
+          const std::uint64_t number =
+              live.BucketOf(live.pool_[bucket.begin].area);
+          for (std::uint32_t k = 0; k < bucket.size; ++k) {
+            const AreaKey& key = live.pool_[bucket.begin + k];
+            if (live.BucketOf(key.area) != number ||
+                number / AreaBucketSet::kWordBits != w ||
+                (!have.empty() && !(have.back() < key))) {
+              Report(report, "idx.set",
+                     Format("{} (area {}, node {})", where(), key.area,
+                            key.id),
+                     "key out of (area, id) order or in the wrong bucket");
+              return;
+            }
+            have.push_back(key);
+          }
+          bits[w] |= std::uint64_t{1} << (number % AreaBucketSet::kWordBits);
+        }
+      }
+      for (std::size_t w = 0; w < AreaBucketSet::kWords; ++w) {
+        const bool summary = ((live.summary_ >> w) & 1) != 0;
+        if (live.words_[w] != bits[w] || summary != (bits[w] != 0)) {
+          Report(report, "idx.bitmap", Format("{} word {}", where(), w),
+                 Format("bits {} (summary {}) for non-empty buckets {}",
+                        live.words_[w], summary ? 1 : 0, bits[w]));
+          break;
+        }
+      }
+      if (live.size() != have.size()) {
+        Report(report, "idx.set", where(),
+               Format("size {} for {} bucketed keys", live.size(),
+                      have.size()));
+      }
+      // Node ids make the wanted keys distinct; both sides are sorted, so
+      // the first difference names a stray or a missing key.
+      std::sort(want.begin(), want.end());
+      const auto [stray, missing] =
+          std::mismatch(have.begin(), have.end(), want.begin(), want.end());
+      if (stray == have.end() && missing == want.end()) return;
+      if (stray != have.end() &&
+          (missing == want.end() || *stray < *missing)) {
+        const bool failed = stray->id < truth.size() && truth[stray->id].failed;
+        Report(report, failed ? "fault.visibility" : "idx.set",
+               Format("{} (area {}, node {})", where(), stray->area,
+                      stray->id),
+               failed ? "failed node still keyed in the index" : "stray key");
         return;
       }
-      const std::set<StoreIndex::AreaKey> want(keys.begin(), keys.end());
-      for (const StoreIndex::AreaKey& key : live) {
-        if (!want.contains(key)) {
-          const bool failed = key.second < truth.size() &&
-                              truth[key.second].failed;
-          Report(report, failed ? "fault.visibility" : "idx.set",
-                 Format("{} {} (area {}, node {})", label, name, key.first,
-                        key.second),
-                 failed ? "failed node still keyed in the index"
-                        : "stray key");
-          return;
-        }
-      }
-      for (const StoreIndex::AreaKey& key : want) {
-        if (!live.contains(key)) {
-          Report(report, "idx.set",
-                 Format("{} {} (area {}, node {})", label, name, key.first,
-                        key.second),
-                 "expected key missing");
-          return;
-        }
-      }
+      Report(report, "idx.set",
+             Format("{} (area {}, node {})", where(), missing->area,
+                    missing->id),
+             "expected key missing");
     };
     diff_set(view.blank_by_total, want_blank, "blank-by-total");
     diff_set(view.partial_by_avail, want_partial, "partial-by-avail");

@@ -1,5 +1,6 @@
 #include "resource/config.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "ptype/ptype.hpp"
@@ -14,6 +15,10 @@ ConfigId ConfigCatalogue::Add(Configuration config) {
   }
   max_area_ = std::max(max_area_, config.required_area);
   configs_.push_back(config);
+  // Ids only grow, so an equal area's new entry goes after its peers.
+  const std::pair<Area, std::uint32_t> key{config.required_area, id.value()};
+  by_area_.insert(std::upper_bound(by_area_.begin(), by_area_.end(), key),
+                  key);
   return id;
 }
 
@@ -43,16 +48,11 @@ ConfigCatalogue ConfigCatalogue::Generate(const ConfigGenParams& params,
   return catalogue;
 }
 
-const Configuration& ConfigCatalogue::Get(ConfigId id) const {
-  if (!Contains(id)) throw std::out_of_range("unknown ConfigId");
-  return configs_[id.value()];
+void ConfigCatalogue::ThrowUnknownId() {
+  throw std::out_of_range("unknown ConfigId");
 }
 
-bool ConfigCatalogue::Contains(ConfigId id) const {
-  return id.valid() && id.value() < configs_.size();
-}
-
-std::optional<ConfigId> ConfigCatalogue::FindPreferred(ConfigId preferred,
+std::optional<ConfigId> ConfigCatalogue::ScanPreferred(ConfigId preferred,
                                                        Steps& steps) const {
   // The paper keeps this a deliberate linear search ("currently, a simple
   // linear search is employed") because the metric of interest is the
@@ -64,7 +64,7 @@ std::optional<ConfigId> ConfigCatalogue::FindPreferred(ConfigId preferred,
   return std::nullopt;
 }
 
-std::optional<ConfigId> ConfigCatalogue::FindClosestMatch(Area needed_area,
+std::optional<ConfigId> ConfigCatalogue::ScanClosestMatch(Area needed_area,
                                                           Steps& steps) const {
   std::optional<ConfigId> best;
   Area best_area = 0;

@@ -1,6 +1,7 @@
 #include "resource/index_primitives.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace dreamsim::resource {
 
@@ -124,6 +125,249 @@ std::size_t MaxSegTree::Descend(std::size_t cell, std::size_t lo,
   const std::size_t left = Descend(2 * cell, lo, mid, from, threshold);
   if (left != npos) return left;
   return Descend(2 * cell + 1, mid, hi, from, threshold);
+}
+
+// --- AreaBucketSet ---
+
+namespace {
+
+// log2(AreaBucketSet::kMaxBuckets): areas of this many bits need no shift.
+constexpr int kBucketBits = std::countr_zero(AreaBucketSet::kMaxBuckets);
+
+// Set bits of `x`. Without -mpopcnt (the baseline x86-64 target)
+// std::popcount is a libgcc call; this SWAR sum stays inline.
+constexpr std::size_t PopCount(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return static_cast<std::size_t>((x * 0x0101010101010101ULL) >> 56);
+}
+
+}  // namespace
+
+AreaBucketSet::Iterator& AreaBucketSet::Iterator::operator++() {
+  const std::vector<Bucket>& dir = set_->dirs_[word_];
+  if (++pos_ < dir[slot_].size) return *this;
+  pos_ = 0;
+  if (++slot_ < dir.size()) return *this;
+  slot_ = 0;
+  word_ = set_->NextWord(word_ + 1);
+  return *this;
+}
+
+AreaBucketSet::Iterator& AreaBucketSet::Iterator::operator--() {
+  if (pos_ > 0) {
+    --pos_;
+    return *this;
+  }
+  if (slot_ == 0) {  // first bucket of its word, or end()
+    word_ = set_->PrevWord(word_);
+    slot_ = set_->dirs_[word_].size();
+  }
+  --slot_;
+  pos_ = set_->dirs_[word_][slot_].size - 1;
+  return *this;
+}
+
+void AreaBucketSet::Cover(std::int64_t max_area) {
+  if (max_area <= max_area_) return;
+  max_area_ = max_area;
+  const int width =
+      static_cast<int>(std::bit_width(static_cast<std::uint64_t>(max_area)));
+  const int shift = std::max(0, width - kBucketBits);
+  if (shift == shift_) return;
+  const std::vector<AreaKey> keys(begin(), end());
+  shift_ = shift;
+  AssignSorted(keys);
+}
+
+void AreaBucketSet::Commit() {
+  if (staged_.empty()) return;
+  std::sort(staged_.begin(), staged_.end());
+  Cover(staged_.back().area);
+  if (staged_.size() * 8 < size_) {
+    for (const AreaKey& key : staged_) insert(key);
+  } else {
+    std::vector<AreaKey> keys;
+    keys.reserve(size_ + staged_.size());
+    std::merge(begin(), end(), staged_.begin(), staged_.end(),
+               std::back_inserter(keys));
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    AssignSorted(keys);
+  }
+  staged_ = {};
+}
+
+void AreaBucketSet::AssignSorted(const std::vector<AreaKey>& keys) {
+  summary_ = 0;
+  words_.fill(0);
+  for (std::vector<Bucket>& dir : dirs_) dir.clear();
+  pool_.assign(keys.begin(), keys.end());
+  size_ = keys.size();
+  garbage_ = 0;
+  spare_.clear();
+  // One pass over the ascending keys: each starts a bucket or extends the
+  // one just opened.
+  std::uint64_t open = kMaxBuckets;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::uint64_t bucket = BucketOf(keys[i].area);
+    const auto word = static_cast<std::size_t>(bucket / kWordBits);
+    if (bucket != open) {
+      dirs_[word].push_back(Bucket{static_cast<std::uint32_t>(i), 0, 0});
+      words_[word] |= std::uint64_t{1} << (bucket % kWordBits);
+      summary_ |= std::uint64_t{1} << word;
+      open = bucket;
+    }
+    Bucket& last = dirs_[word].back();
+    ++last.size;
+    ++last.cap;
+  }
+}
+
+std::uint64_t AreaBucketSet::BucketOf(std::int64_t area) const {
+  return area <= 0 ? 0 : static_cast<std::uint64_t>(area) >> shift_;
+}
+
+AreaBucketSet::Place AreaBucketSet::Locate(std::int64_t area) const {
+  const std::uint64_t bucket = BucketOf(area);
+  Place at;
+  at.word = static_cast<std::size_t>(bucket / kWordBits);
+  at.bit = std::uint64_t{1} << (bucket % kWordBits);
+  at.slot = PopCount(words_[at.word] & (at.bit - 1));
+  return at;
+}
+
+std::size_t AreaBucketSet::NextWord(std::size_t from) const {
+  if (from >= kWords) return kWords;
+  const std::uint64_t rest = summary_ & (~std::uint64_t{0} << from);
+  return rest == 0 ? kWords : static_cast<std::size_t>(std::countr_zero(rest));
+}
+
+std::size_t AreaBucketSet::PrevWord(std::size_t before) const {
+  const std::uint64_t below =
+      before >= kWords ? summary_
+                       : summary_ & ((std::uint64_t{1} << before) - 1);
+  return kWords - 1 - static_cast<std::size_t>(std::countl_zero(below));
+}
+
+AreaBucketSet::Iterator AreaBucketSet::lower_bound(const AreaKey& key) const {
+  if (key.area > max_area_) return end();
+  const Place at = Locate(key.area);
+  std::size_t slot = at.slot;
+  if ((words_[at.word] & at.bit) != 0) {
+    const Bucket& bucket = dirs_[at.word][slot];
+    const AreaKey* first = pool_.data() + bucket.begin;
+    const AreaKey* hit = std::lower_bound(first, first + bucket.size, key);
+    if (hit != first + bucket.size) {
+      return Iterator(this, at.word, slot,
+                      static_cast<std::uint32_t>(hit - first));
+    }
+    ++slot;  // every key of the bucket is smaller: the next bucket starts
+  }
+  if (slot < dirs_[at.word].size()) return Iterator(this, at.word, slot, 0);
+  return Iterator(this, NextWord(at.word + 1), 0, 0);
+}
+
+bool AreaBucketSet::insert(const AreaKey& key) {
+  Cover(key.area);
+  const Place at = Locate(key.area);
+  std::vector<Bucket>& dir = dirs_[at.word];
+  const auto slot = static_cast<std::ptrdiff_t>(at.slot);
+  if ((words_[at.word] & at.bit) == 0) {
+    auto begin = static_cast<std::uint32_t>(pool_.size());
+    if (spare_.empty()) {
+      pool_.push_back(key);
+    } else {
+      begin = spare_.back();
+      spare_.pop_back();
+      --garbage_;
+      pool_[begin] = key;
+    }
+    dir.insert(dir.begin() + slot, Bucket{begin, 1, 1});
+    words_[at.word] |= at.bit;
+    summary_ |= std::uint64_t{1} << at.word;
+    ++size_;
+    return true;
+  }
+  Bucket& bucket = dir[at.slot];
+  const AreaKey* first = pool_.data() + bucket.begin;
+  const AreaKey* hit = std::lower_bound(first, first + bucket.size, key);
+  if (hit != first + bucket.size && *hit == key) return false;
+  const auto offset = static_cast<std::size_t>(hit - first);
+  if (bucket.size == bucket.cap) Grow(bucket);
+  AreaKey* run = pool_.data() + bucket.begin;
+  std::copy_backward(run + offset, run + bucket.size, run + bucket.size + 1);
+  run[offset] = key;
+  ++bucket.size;
+  ++size_;
+  MaybeCompact();
+  return true;
+}
+
+bool AreaBucketSet::erase(const AreaKey& key) {
+  if (key.area > max_area_) return false;
+  const Place at = Locate(key.area);
+  if ((words_[at.word] & at.bit) == 0) return false;
+  std::vector<Bucket>& dir = dirs_[at.word];
+  Bucket& bucket = dir[at.slot];
+  AreaKey* first = pool_.data() + bucket.begin;
+  AreaKey* last = first + bucket.size;
+  AreaKey* hit = std::lower_bound(first, last, key);
+  if (hit == last || *hit != key) return false;
+  std::copy(hit + 1, last, hit);
+  --size_;
+  if (--bucket.size == 0) {
+    Discard(bucket);
+    dir.erase(dir.begin() + static_cast<std::ptrdiff_t>(at.slot));
+    words_[at.word] &= ~at.bit;
+    if (words_[at.word] == 0) summary_ &= ~(std::uint64_t{1} << at.word);
+  }
+  MaybeCompact();
+  return true;
+}
+
+void AreaBucketSet::Grow(Bucket& bucket) {
+  const std::size_t end = pool_.size();
+  if (bucket.begin + bucket.cap == end) {
+    pool_.resize(end + bucket.cap);
+  } else {
+    pool_.resize(end + 2 * std::size_t{bucket.cap});
+    std::copy_n(pool_.data() + bucket.begin, bucket.size, pool_.data() + end);
+    Discard(bucket);
+    bucket.begin = static_cast<std::uint32_t>(end);
+  }
+  bucket.cap *= 2;
+}
+
+void AreaBucketSet::Discard(const Bucket& bucket) {
+  garbage_ += bucket.cap;
+  if (bucket.cap == 1) spare_.push_back(bucket.begin);
+}
+
+void AreaBucketSet::MaybeCompact() {
+  if (size_ == 0) {
+    pool_.clear();
+    garbage_ = 0;
+    spare_.clear();
+    return;
+  }
+  if (garbage_ < 64 || 2 * garbage_ <= pool_.size()) return;
+  // Each bucket's run shrinks to its keys; a bucket that grows again
+  // doubles from there.
+  std::vector<AreaKey> fresh(size_);
+  std::size_t end = 0;
+  for (std::vector<Bucket>& dir : dirs_) {
+    for (Bucket& bucket : dir) {
+      std::copy_n(pool_.data() + bucket.begin, bucket.size,
+                  fresh.data() + end);
+      bucket.begin = static_cast<std::uint32_t>(end);
+      bucket.cap = bucket.size;
+      end += bucket.size;
+    }
+  }
+  pool_.swap(fresh);
+  garbage_ = 0;
+  spare_.clear();
 }
 
 }  // namespace dreamsim::resource

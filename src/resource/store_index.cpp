@@ -35,7 +35,15 @@ void StoreIndex::AddNode(const Node& node, Area busy_area) {
 
 void StoreIndex::AddNodes(std::span<const Node> nodes,
                           std::span<const Area> busy_area) {
-  KeyBatches batches;
+  Area batch_max = max_total_;
+  for (const Node& node : nodes) {
+    batch_max = std::max(batch_max, node.total_area());
+  }
+  if (batch_max > max_total_) {
+    max_total_ = batch_max;
+    global_.Cover(max_total_);
+    for (auto& [family, view] : family_views_) view.Cover(max_total_);
+  }
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const std::uint32_t id = nodes[i].id().value();
     if (id != cached_.size()) {
@@ -44,32 +52,28 @@ void StoreIndex::AddNodes(std::span<const Node> nodes,
     Snapshot snap = Capture(nodes[i], busy_area[i]);
     if (family_views_.empty() && !cached_.empty() &&
         snap.family != cached_.front().family) {
-      SplitFamilyViews(batches);
+      SplitFamilyViews();
     }
     if (family_views_.empty()) {
       snap.family_pos = id;
     } else {
       View& fam = family_views_[snap.family];
       snap.family_pos = fam.ids.size();
-      AppendToView(fam, snap, id, batches);
+      AppendToView(fam, snap, id);
     }
-    AppendToView(global_, snap, id, batches);
+    AppendToView(global_, snap, id);
     cached_.push_back(snap);
   }
-  // A sorted range insert hints at end(), so each key costs O(1) amortized
-  // when it lands past the set's current maximum — every key of a fresh set.
-  for (auto& [keys, batch] : batches) {
-    std::sort(batch.begin(), batch.end());
-    keys->insert(batch.begin(), batch.end());
-  }
+  global_.Commit();
+  for (auto& [family, view] : family_views_) view.Commit();
 }
 
-void StoreIndex::SplitFamilyViews(KeyBatches& batches) {
+void StoreIndex::SplitFamilyViews() {
   for (std::size_t id = 0; id < cached_.size(); ++id) {
     Snapshot& snap = cached_[id];
     View& fam = family_views_[snap.family];
     snap.family_pos = fam.ids.size();
-    AppendToView(fam, snap, static_cast<std::uint32_t>(id), batches);
+    AppendToView(fam, snap, static_cast<std::uint32_t>(id));
   }
 }
 
@@ -85,21 +89,30 @@ void StoreIndex::Refresh(const Node& node, Area busy_area) {
   was = now;
 }
 
+void StoreIndex::View::Cover(Area max_total) {
+  blank_by_total.Cover(max_total);
+  partial_by_avail.Cover(max_total);
+  idle_cfg_by_total.Cover(max_total);
+}
+
+void StoreIndex::View::Commit() {
+  blank_by_total.Commit();
+  partial_by_avail.Commit();
+  idle_cfg_by_total.Commit();
+}
+
 void StoreIndex::AppendToView(View& view, const Snapshot& snap,
-                              std::uint32_t id, KeyBatches& batches) {
+                              std::uint32_t id) {
+  view.Cover(max_total_);  // a fresh family view starts uncovered
   view.ids.push_back(id);
   view.potential.Append(PotentialKey(snap));
   view.busy_total.Append(snap.busy ? snap.total : MaxSegTree::kNegInf);
   view.available.Append(AvailableKey(snap));
   view.config_count.Append(snap.config_count);
-  if (snap.blank && !snap.failed) {
-    batches[&view.blank_by_total].push_back({snap.total, id});
-  }
-  if (!snap.blank) {
-    batches[&view.partial_by_avail].push_back({snap.available, id});
-  }
+  if (snap.blank && !snap.failed) view.blank_by_total.Stage({snap.total, id});
+  if (!snap.blank) view.partial_by_avail.Stage({snap.available, id});
   if (!snap.blank && !snap.busy) {
-    batches[&view.idle_cfg_by_total].push_back({snap.total, id});
+    view.idle_cfg_by_total.Stage({snap.total, id});
   }
 }
 
@@ -118,7 +131,7 @@ void StoreIndex::ApplyToView(View& view, std::size_t pos, const Snapshot& was,
     view.config_count.Assign(pos, now.config_count);
   }
 
-  const auto resync = [&](std::set<AreaKey>& keys, bool was_in, Area was_key,
+  const auto resync = [&](AreaBucketSet& keys, bool was_in, Area was_key,
                           bool now_in, Area now_key) {
     if (was_in == now_in && (!now_in || was_key == now_key)) return;
     if (was_in) keys.erase({was_key, id});
@@ -156,11 +169,11 @@ std::optional<NodeId> StoreIndex::BestBlank(
   // among ties on the minimal TotalArea, and that incidental order is part
   // of the bit-identity contract: walk the tie range and compare blank-list
   // positions. The range only spans blank nodes of one exact area.
-  const Area tightest = it->first;
-  std::uint32_t best = it->second;
+  const Area tightest = it->area;
+  std::uint32_t best = it->id;
   for (auto tie = std::next(it);
-       tie != view->blank_by_total.end() && tie->first == tightest; ++tie) {
-    if (blank_pos[tie->second] < blank_pos[best]) best = tie->second;
+       tie != view->blank_by_total.end() && tie->area == tightest; ++tie) {
+    if (blank_pos[tie->id] < blank_pos[best]) best = tie->id;
   }
   return NodeId{best};
 }
@@ -175,7 +188,7 @@ std::optional<NodeId> StoreIndex::BestPartiallyBlank(
   // walk to the next candidate.
   for (auto it = view->partial_by_avail.lower_bound({needed_area, 0});
        it != view->partial_by_avail.end(); ++it) {
-    const Node& n = nodes[it->second];
+    const Node& n = nodes[it->id];
     if (n.CanHost(needed_area)) return n.id();
   }
   return std::nullopt;
@@ -187,7 +200,7 @@ std::optional<NodeId> StoreIndex::BestIdleConfigured(Area needed_area,
   if (view == nullptr) return std::nullopt;
   const auto it = view->idle_cfg_by_total.lower_bound({needed_area, 0});
   if (it == view->idle_cfg_by_total.end()) return std::nullopt;
-  return NodeId{it->second};
+  return NodeId{it->id};
 }
 
 StoreIndex::BusyFit StoreIndex::AnyBusyFit(Area needed_area,
@@ -289,7 +302,7 @@ std::optional<NodeId> StoreIndex::RankedHost(
       while (partial != partial_end || blank != blank_end) {
         const bool from_partial =
             blank == blank_end || (partial != partial_end && *partial < *blank);
-        const Node& n = nodes[(from_partial ? partial++ : blank++)->second];
+        const Node& n = nodes[(from_partial ? partial++ : blank++)->id];
         if (n.CanHost(needed_area)) return n.id();
       }
       return std::nullopt;
@@ -306,10 +319,10 @@ std::optional<NodeId> StoreIndex::RankedHost(
       auto blank_end = view->blank_by_total.end();
       while (partial_floor != partial_end || blank_floor != blank_end) {
         const Area partial_top = partial_floor != partial_end
-                                     ? std::prev(partial_end)->first
+                                     ? std::prev(partial_end)->area
                                      : needed_area - 1;
         const Area blank_top = blank_floor != blank_end
-                                   ? std::prev(blank_end)->first
+                                   ? std::prev(blank_end)->area
                                    : needed_area - 1;
         const Area group_area = std::max(partial_top, blank_top);
         const auto partial_group =
@@ -325,8 +338,8 @@ std::optional<NodeId> StoreIndex::RankedHost(
         while (partial != partial_end || blank != blank_end) {
           const bool from_partial =
               blank == blank_end ||
-              (partial != partial_end && partial->second < blank->second);
-          const Node& n = nodes[(from_partial ? partial++ : blank++)->second];
+              (partial != partial_end && partial->id < blank->id);
+          const Node& n = nodes[(from_partial ? partial++ : blank++)->id];
           if (n.CanHost(needed_area)) return n.id();
         }
         partial_end = partial_group;

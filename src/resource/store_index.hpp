@@ -30,18 +30,22 @@
 //   - config_count: Fenwick tree of live-entry counts, evaluating the
 //                  analytic step formulas (prefix sums of slots a scan
 //                  would have visited);
-//   - ordered sets keyed by (area, node id): blank nodes by TotalArea,
+//   - AreaBucketSets keyed by (area, node id): blank nodes by TotalArea,
 //                  non-blank nodes by AvailableArea, idle configured nodes
 //                  by TotalArea. A blank node's AvailableArea is its
 //                  TotalArea (Eq. 4) and only a blank node can fail, so the
 //                  first two sets together hold every live node keyed by
 //                  AvailableArea, the order the best/worst-fit ranks walk.
+//                  Every key lies in [0, largest TotalArea], so each set
+//                  buckets its keys by area >> shift with the shift fixed
+//                  from the fleet's largest TotalArea (at most 4096
+//                  buckets; shift 0 for Table II's 1000-4000): a flat,
+//                  bitmap-searched layout with no heap node per key, since
+//                  every Configure/Assign/Release/Reclaim rewrites keys.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -68,10 +72,10 @@ class StoreIndex {
   void AddNode(const Node& node, Area busy_area);
 
   /// AddNode for each of `nodes` (same id rules) with `busy_area[i]` for
-  /// nodes[i], reaching the same state. The ordered-set keys are sorted
-  /// and inserted in one linear pass instead of one O(log N) insert each,
-  /// which dominated building a large population. The first node whose
-  /// family value differs from node 0's splits off the per-family views.
+  /// nodes[i]. The bucket range widens once, to the batch's largest
+  /// TotalArea, and each key set takes the batch's keys in one Commit().
+  /// The first node whose family value differs from node 0's splits off
+  /// the per-family views.
   void AddNodes(std::span<const Node> nodes, std::span<const Area> busy_area);
 
   /// Re-derives every indexed property of `node` and applies the delta.
@@ -124,19 +128,20 @@ class StoreIndex {
   friend class ::dreamsim::analysis::StructureAuditor;
   friend class ::dreamsim::analysis::StructureCorruptor;
 
-  /// (area, node id): ordered first by key area, then by id — lower_bound
-  /// on {area, 0} lands on the tightest fit with the smallest id.
-  using AreaKey = std::pair<Area, std::uint32_t>;
-
   struct View {
     std::vector<std::uint32_t> ids;  // ascending node ids in this view
     MaxSegTree potential;
     MaxSegTree busy_total;
     MaxSegTree available;
     PrefixSumTree config_count;
-    std::set<AreaKey> blank_by_total;
-    std::set<AreaKey> partial_by_avail;
-    std::set<AreaKey> idle_cfg_by_total;
+    AreaBucketSet blank_by_total;
+    AreaBucketSet partial_by_avail;
+    AreaBucketSet idle_cfg_by_total;
+
+    /// Widens every key set's range to [0, max_total].
+    void Cover(Area max_total);
+    /// Inserts every key set's staged keys (AddNodes).
+    void Commit();
   };
 
   /// Last-applied snapshot of one node's indexed properties.
@@ -164,13 +169,10 @@ class StoreIndex {
   /// invalid (unconstrained) family and, while the fleet has one family
   /// value, for that value; nullptr for a family no node belongs to.
   [[nodiscard]] const View* ViewFor(FamilyId family) const;
-  /// Ordered-set keys awaiting one sorted insert per set (AddNodes).
-  using KeyBatches = std::map<std::set<AreaKey>*, std::vector<AreaKey>>;
-  static void AppendToView(View& view, const Snapshot& snap, std::uint32_t id,
-                           KeyBatches& batches);
+  void AppendToView(View& view, const Snapshot& snap, std::uint32_t id);
   /// Builds every per-family view from the cached snapshots in id order
   /// (the fleet just gained its second family value).
-  void SplitFamilyViews(KeyBatches& batches);
+  void SplitFamilyViews();
   static void ApplyToView(View& view, std::size_t pos, const Snapshot& was,
                           const Snapshot& now, std::uint32_t id);
   [[nodiscard]] std::optional<ReconfigPlan> ReplayReclaimScan(
@@ -181,6 +183,7 @@ class StoreIndex {
   // Empty while every node shares one family value (see ViewFor).
   std::unordered_map<std::uint32_t, View> family_views_;
   std::vector<Snapshot> cached_;  // indexed by node id
+  Area max_total_ = 0;            // largest TotalArea: every view's range
 };
 
 }  // namespace dreamsim::resource

@@ -27,11 +27,16 @@ std::optional<ResolvedConfig> ResolveConfig(const resource::Task& task,
   resource::WorkloadMeter& meter = store.meter();
   Steps steps = 0;
   const auto& catalogue = store.configs();
+  // Scan mode walks the catalogue as the paper does; the indexed store's
+  // answers and step counts are the same without the walk.
+  const bool indexed = store.indexed();
 
   // "Initially, the scheduler decides whether the exact-match configuration
   // (or C_pref) of the task is available in the configurations list."
   if (task.preferred_config.valid()) {
-    const auto exact = catalogue.FindPreferred(task.preferred_config, steps);
+    const auto exact =
+        indexed ? catalogue.FindPreferred(task.preferred_config, steps)
+                : catalogue.ScanPreferred(task.preferred_config, steps);
     meter.Add(resource::StepKind::kSchedulingSearch, steps);
     if (exact) return ResolvedConfig{*exact, false};
   } else {
@@ -42,7 +47,9 @@ std::optional<ResolvedConfig> ResolveConfig(const resource::Task& task,
   // "If the C_pref of the task is not available, then the algorithm
   // searches for a closest-match configuration."
   steps = 0;
-  const auto closest = catalogue.FindClosestMatch(task.needed_area, steps);
+  const auto closest =
+      indexed ? catalogue.FindClosestMatch(task.needed_area, steps)
+              : catalogue.ScanClosestMatch(task.needed_area, steps);
   meter.Add(resource::StepKind::kSchedulingSearch, steps);
   if (closest) return ResolvedConfig{*closest, true};
   return std::nullopt;  // "if CClosestMatch is also not available, discard"

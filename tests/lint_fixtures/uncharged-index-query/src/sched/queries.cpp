@@ -7,6 +7,10 @@ struct Index {
 struct Meter {
   void Add(long steps);
 };
+struct Catalogue {
+  long FindPreferred(long id, long& steps) const;
+  long FindClosestMatch(long area, long& steps) const;
+};
 struct Queue {
   Index* index_;
   long Bad();
@@ -23,6 +27,21 @@ long Queue::Bad() {
 long Queue::Good(Meter& meter) {
   meter.Add(12);
   return index_->BestPriorityEligible(3);
+}
+
+// Positive: a catalogue index answer reports the scan's steps, but
+// nothing here charges them.
+long ClosestUncharged(const Catalogue& catalogue) {
+  long steps = 0;
+  return catalogue.FindClosestMatch(400, steps);  // expect: uncharged-index-query
+}
+
+// Negative: the catalogue answers' steps reach the meter.
+long ResolveCharged(const Catalogue& catalogue, Meter& meter) {
+  long steps = 0;
+  const long exact = catalogue.FindPreferred(2, steps);
+  meter.Add(steps);
+  return exact;
 }
 
 // Negative: only the owner's index_ calls are modeled-effort paths; a

@@ -1,0 +1,209 @@
+// AreaBucketSet against a std::set<AreaKey> oracle: every insert, erase,
+// staged batch, lower_bound and iterator step must agree, across bucket
+// shifts from 0 (areas below 4096) to coarse ones (areas near 2^40).
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <iterator>
+#include <set>
+#include <vector>
+
+#include "resource/index_primitives.hpp"
+#include "util/rng.hpp"
+
+namespace dreamsim {
+namespace {
+
+using resource::AreaBucketSet;
+using resource::AreaKey;
+
+using Oracle = std::set<AreaKey>;
+
+/// Walks both sets front to back and back to front.
+void ExpectSameOrder(const AreaBucketSet& set, const Oracle& oracle) {
+  ASSERT_EQ(set.size(), oracle.size());
+  ASSERT_EQ(set.empty(), oracle.empty());
+  const std::vector<AreaKey> forward(set.begin(), set.end());
+  ASSERT_EQ(forward, std::vector<AreaKey>(oracle.begin(), oracle.end()));
+  std::vector<AreaKey> backward;
+  for (auto it = set.end(); it != set.begin();) backward.push_back(*--it);
+  ASSERT_EQ(backward, std::vector<AreaKey>(oracle.rbegin(), oracle.rend()));
+}
+
+/// lower_bound at `probe`, then a few steps each way from there.
+void ExpectSameNeighbourhood(const AreaBucketSet& set, const Oracle& oracle,
+                             const AreaKey& probe) {
+  auto got = set.lower_bound(probe);
+  auto want = oracle.lower_bound(probe);
+  ASSERT_EQ(got == set.end(), want == oracle.end())
+      << "probe (" << probe.area << ", " << probe.id << ")";
+  if (want != oracle.end()) {
+    ASSERT_EQ(*got, *want);
+    auto up = got;
+    auto up_want = want;
+    for (int k = 0; k < 3 && ++up_want != oracle.end(); ++k) {
+      ASSERT_EQ(*++up, *up_want);
+    }
+  }
+  for (int k = 0; k < 3 && want != oracle.begin(); ++k) {
+    ASSERT_EQ(*--got, *--want);
+  }
+  if (!oracle.empty()) {
+    ASSERT_EQ(*std::prev(set.end()), *std::prev(oracle.end()));
+  }
+}
+
+struct FuzzCase {
+  std::uint64_t seed = 0;
+  std::int64_t min_area = 0;
+  std::int64_t max_area = 0;
+  std::uint32_t max_id = 0;
+};
+
+void PrintTo(const FuzzCase& c, std::ostream* os) {
+  *os << "seed=" << c.seed << " areas=[" << c.min_area << ", " << c.max_area
+      << "] ids<=" << c.max_id;
+}
+
+class AreaBucketSetFuzz : public ::testing::TestWithParam<FuzzCase> {};
+
+TEST_P(AreaBucketSetFuzz, MatchesOrderedSetOracle) {
+  const FuzzCase c = GetParam();
+  Rng rng(c.seed);
+  AreaBucketSet set;
+  Oracle oracle;
+  // Areas on bitmap word edges (buckets 63/64 and the last bucket at
+  // shift 0, the first past it) and the range ends, where in range; the
+  // rest uniform in [min_area, max_area].
+  std::vector<std::int64_t> edges = {c.min_area, c.max_area};
+  for (const std::int64_t edge : {63, 64, 4095, 4096}) {
+    if (c.min_area <= edge && edge <= c.max_area) edges.push_back(edge);
+  }
+  const auto random_key = [&] {
+    std::int64_t area = rng.uniform_int(c.min_area, c.max_area);
+    if (rng.uniform_int(0, 4) == 0) {
+      area = edges[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(edges.size()) - 1))];
+    }
+    return AreaKey{area, static_cast<std::uint32_t>(rng.uniform_int(
+                             0, static_cast<std::int64_t>(c.max_id)))};
+  };
+  for (int op = 0; op < 4000; ++op) {
+    const AreaKey key = random_key();
+    const std::int64_t pick = rng.uniform_int(0, 10);
+    if (pick == 10) {
+      // A staged batch, small (key-by-key inserts) or large next to the
+      // set (one merge pass), duplicates included. Large batches only
+      // while the set is small, so erases keep its size bounded.
+      const auto size = static_cast<std::int64_t>(set.size());
+      const std::int64_t count =
+          rng.uniform_int(0, 1) == 0 && size < 500
+              ? rng.uniform_int(size / 8 + 1, size / 4 + 8)
+              : rng.uniform_int(1, 4);
+      for (std::int64_t k = 0; k < count; ++k) {
+        const AreaKey staged = k == 0 ? key : random_key();
+        set.Stage(staged);
+        oracle.insert(staged);
+      }
+      set.Commit();
+      ExpectSameOrder(set, oracle);
+    } else if (pick < 5) {
+      ASSERT_EQ(set.insert(key), oracle.insert(key).second) << "op " << op;
+    } else if (pick < 8) {
+      // Half the erases target a present key, the rest are usually absent.
+      AreaKey victim = key;
+      if (!oracle.empty() && rng.uniform_int(0, 1) == 0) {
+        auto it = oracle.lower_bound(key);
+        if (it == oracle.end()) it = oracle.begin();
+        victim = *it;
+      }
+      ASSERT_EQ(set.erase(victim), oracle.erase(victim) == 1) << "op " << op;
+    } else {
+      ExpectSameNeighbourhood(set, oracle, key);
+      ExpectSameNeighbourhood(set, oracle, {key.area, 0});
+    }
+    if (HasFatalFailure()) return;
+    if (op % 500 == 0) ExpectSameOrder(set, oracle);
+    if (HasFatalFailure()) return;
+  }
+  ExpectSameOrder(set, oracle);
+  // Drain to empty: the set must come back to a clean begin() == end().
+  while (!oracle.empty()) {
+    ASSERT_TRUE(set.erase(*oracle.begin()));
+    oracle.erase(oracle.begin());
+  }
+  EXPECT_TRUE(set.empty());
+  EXPECT_TRUE(set.begin() == set.end());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ranges, AreaBucketSetFuzz,
+    ::testing::Values(
+        // Table II node areas: shift 0, one bucket per area.
+        FuzzCase{1, 1000, 4000, 300},
+        // Dense ties: few areas, many ids per bucket.
+        FuzzCase{2, 60, 70, 5000},
+        // Every area below 4096: shift 0 across all 64 words.
+        FuzzCase{3, 0, 4095, 200},
+        // One past: shift 1, so 4095 and 4096 share a bucket.
+        FuzzCase{7, 0, 4096, 200},
+        // Coarse buckets around 2^33-2^34.
+        FuzzCase{4, std::int64_t{1} << 33, std::int64_t{1} << 34, 500},
+        // Areas near 2^40 beside small ones: long runs of empty buckets.
+        FuzzCase{5, 0, std::int64_t{1} << 40, 100},
+        FuzzCase{6, (std::int64_t{1} << 40) - 4096, std::int64_t{1} << 40,
+                 50}));
+
+TEST(AreaBucketSet, ShiftFollowsTheCoveredRange) {
+  AreaBucketSet set;
+  set.Cover(4000);
+  EXPECT_EQ(set.shift(), 0);
+  set.Cover(4095);
+  EXPECT_EQ(set.shift(), 0);
+  set.Cover(4096);
+  EXPECT_EQ(set.shift(), 1);
+  set.Cover(std::int64_t{1} << 40);
+  EXPECT_EQ(set.shift(), 29);
+  set.Cover(100);  // never narrows
+  EXPECT_EQ(set.shift(), 29);
+}
+
+TEST(AreaBucketSet, RebucketingKeepsKeysAndOrder) {
+  AreaBucketSet set;
+  Oracle oracle;
+  for (std::uint32_t id = 0; id < 300; ++id) {
+    const AreaKey key{static_cast<std::int64_t>(id % 97) * 41, id};
+    set.insert(key);
+    oracle.insert(key);
+  }
+  ASSERT_EQ(set.shift(), 0);
+  // A key far past the range forces a coarser shift mid-life.
+  const AreaKey far{std::int64_t{1} << 36, 7};
+  set.insert(far);
+  oracle.insert(far);
+  EXPECT_EQ(set.shift(), 25);
+  ExpectSameOrder(set, oracle);
+  ExpectSameNeighbourhood(set, oracle, {41 * 50, 0});
+}
+
+TEST(AreaBucketSet, QueriesOutsideTheRange) {
+  AreaBucketSet set;
+  EXPECT_TRUE(set.lower_bound({5, 0}) == set.end());
+  EXPECT_FALSE(set.erase({5, 0}));
+  set.insert({10, 1});
+  set.insert({10, 0});
+  EXPECT_TRUE(set.lower_bound({11, 0}) == set.end());
+  EXPECT_EQ(*set.lower_bound({-3, 0}), (AreaKey{10, 0}));
+  EXPECT_FALSE(set.erase({1'000'000, 0}));
+  EXPECT_FALSE(set.erase({-1, 0}));
+  // A negative area (an over-committed node) sorts first, in bucket 0.
+  EXPECT_TRUE(set.insert({-1, 3}));
+  EXPECT_EQ(*set.begin(), (AreaKey{-1, 3}));
+  EXPECT_EQ(*set.lower_bound({-3, 0}), (AreaKey{-1, 3}));
+  EXPECT_EQ(*set.lower_bound({0, 0}), (AreaKey{10, 0}));
+  EXPECT_TRUE(set.erase({-1, 3}));
+  EXPECT_EQ(set.size(), 2U);
+}
+
+}  // namespace
+}  // namespace dreamsim

@@ -5,7 +5,10 @@
 // Two layers:
 //   1. Store-level twin fuzz: one random operation/query stream applied to
 //      an indexed and a scan store in lockstep; results, meters, and
-//      invariants must agree after every step.
+//      invariants must agree after every step. Some cases scale every area
+//      by 2^23 (nodes around 2^33-2^35), so the index's key sets run on
+//      coarse buckets; the catalogue's index answers are checked against
+//      its literal scans the same way.
 //   2. Simulator-level: full runs across both reconfiguration modes,
 //      priority scheduling on/off, contiguous placement on/off, multiple
 //      families, and the heuristic baselines — identical event sequences
@@ -18,6 +21,8 @@
 #include "analysis/structure_auditor.hpp"
 #include "core/simulator.hpp"
 #include "resource/store.hpp"
+#include "resource/task.hpp"
+#include "sched/policy.hpp"
 #include "util/rng.hpp"
 
 namespace dreamsim {
@@ -41,24 +46,31 @@ struct TwinCase {
   // Halfway through, both stores gain nodes of a family value none of
   // their nodes had: the indexed store's one-family layout splits.
   bool late_family = false;
+  // Every node, configuration and query area is drawn from the Table II
+  // ranges scaled by this factor.
+  Area unit = 1;
 };
+
+// Scales Table II's 1000-4000 node areas to about 2^33-2^35.
+constexpr Area kCoarseUnit = Area{1} << 23;
 
 void PrintTo(const TwinCase& c, std::ostream* os) {
   *os << "seed=" << c.seed << (c.contiguous ? " contiguous" : " scalar")
       << " families=" << c.families;
   if (c.late_family) *os << " late-family";
+  if (c.unit != 1) *os << " unit=" << c.unit;
 }
 
 class TwinStores {
  public:
-  TwinStores(Rng& rng, bool contiguous, int families)
-      : indexed_(MakeCatalogue(rng, families)),
+  TwinStores(Rng& rng, bool contiguous, int families, Area unit)
+      : indexed_(MakeCatalogue(rng, families, unit)),
         scan_(indexed_.configs()) {
     scan_.SetIndexed(false);
     EXPECT_TRUE(indexed_.indexed());
     EXPECT_FALSE(scan_.indexed());
     for (int i = 0; i < 40; ++i) {
-      const Area area = rng.uniform_int(1000, 4000);
+      const Area area = rng.uniform_int(1000 * unit, 4000 * unit);
       const auto family =
           FamilyId{static_cast<std::uint32_t>(i % std::max(1, families))};
       (void)indexed_.AddNode(area, family, {}, 0, contiguous);
@@ -87,11 +99,11 @@ class TwinStores {
   }
 
  private:
-  static ConfigCatalogue MakeCatalogue(Rng& rng, int families) {
+  static ConfigCatalogue MakeCatalogue(Rng& rng, int families, Area unit) {
     ConfigCatalogue catalogue;
     for (int i = 0; i < 12; ++i) {
       Configuration cfg;
-      cfg.required_area = rng.uniform_int(200, 2000);
+      cfg.required_area = rng.uniform_int(200 * unit, 2000 * unit);
       cfg.config_time = rng.uniform_int(10, 20);
       if (families > 1) {
         cfg.family = FamilyId{static_cast<std::uint32_t>(i % families)};
@@ -110,7 +122,7 @@ class StoreIndexTwinFuzz : public ::testing::TestWithParam<TwinCase> {};
 TEST_P(StoreIndexTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
   const TwinCase param = GetParam();
   Rng rng(param.seed);
-  TwinStores twins(rng, param.contiguous, param.families);
+  TwinStores twins(rng, param.contiguous, param.families, param.unit);
   ResourceStore& a = twins.indexed();
   ResourceStore& b = twins.scan();
 
@@ -125,13 +137,16 @@ TEST_P(StoreIndexTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
     if (pick == 0) return FamilyId::invalid();
     return FamilyId{static_cast<std::uint32_t>(pick - 1)};
   };
-  const auto random_area = [&] { return rng.uniform_int(100, 4200); };
+  const Area unit = param.unit;
+  const auto random_area = [&] {
+    return rng.uniform_int(100 * unit, 4200 * unit);
+  };
 
   for (int op = 0; op < 1200; ++op) {
     if (param.late_family && op == 600) {
       const auto late = FamilyId{static_cast<std::uint32_t>(param.families)};
       for (int i = 0; i < 8; ++i) {
-        const Area area = rng.uniform_int(1000, 4000);
+        const Area area = rng.uniform_int(1000 * unit, 4000 * unit);
         ASSERT_EQ(a.AddNode(area, late, {}, 0, param.contiguous),
                   b.AddNode(area, late, {}, 0, param.contiguous));
       }
@@ -268,7 +283,7 @@ TEST_P(StoreIndexTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
   // index is rebuilt from scratch (SetIndexed toggling mid-run).
   a.SetIndexed(false);
   a.SetIndexed(true);
-  ASSERT_EQ(a.FindBestBlankNode(500), b.FindBestBlankNode(500));
+  ASSERT_EQ(a.FindBestBlankNode(500 * unit), b.FindBestBlankNode(500 * unit));
   twins.ExpectConsistent();
 }
 
@@ -278,7 +293,11 @@ INSTANTIATE_TEST_SUITE_P(
                       TwinCase{103, true, 1}, TwinCase{104, true, 3},
                       TwinCase{105, false, 2}, TwinCase{106, true, 2},
                       TwinCase{107, false, 1, true},
-                      TwinCase{108, true, 1, true}));
+                      TwinCase{108, true, 1, true},
+                      TwinCase{109, false, 1, false, kCoarseUnit},
+                      TwinCase{110, true, 1, false, kCoarseUnit},
+                      TwinCase{111, false, 3, false, kCoarseUnit},
+                      TwinCase{112, true, 2, true, kCoarseUnit}));
 
 TEST(StoreIndexRankedHost, BlankAndNonBlankTiesFallToTheLowestId) {
   // Best and worst fit walk the blank and non-blank sets merged; inside
@@ -320,6 +339,55 @@ TEST(StoreIndexRankedHost, BlankAndNonBlankTiesFallToTheLowestId) {
   }
 }
 
+TEST(StoreIndexCatalogue, ResolveConfigMatchesTheScans) {
+  // Catalogues with duplicate ReqAreas (ties fall to the lowest id), C_pref
+  // ids past the catalogue or invalid, and needed areas above the largest
+  // ReqArea (600): the indexed store's ResolveConfig must pick what the
+  // scan store's does and charge the same steps, and each index answer
+  // must equal its literal scan, steps included.
+  Rng rng(113);
+  for (int round = 0; round < 30; ++round) {
+    ConfigCatalogue configs;
+    const std::int64_t count = rng.uniform_int(0, 12);
+    for (std::int64_t i = 0; i < count; ++i) {
+      Configuration cfg;
+      cfg.required_area = 100 * rng.uniform_int(1, 6);
+      cfg.config_time = 10;
+      configs.Add(cfg);
+    }
+    ResourceStore indexed(configs);
+    ResourceStore scan(indexed.configs());
+    scan.SetIndexed(false);
+    for (int q = 0; q < 60; ++q) {
+      resource::Task task;
+      const std::int64_t pick = rng.uniform_int(-1, count + 2);
+      task.preferred_config = pick < 0
+                                  ? ConfigId::invalid()
+                                  : ConfigId{static_cast<std::uint32_t>(pick)};
+      task.needed_area = rng.uniform_int(0, 700);
+      const auto want = sched::ResolveConfig(task, scan);
+      const auto got = sched::ResolveConfig(task, indexed);
+      ASSERT_EQ(got.has_value(), want.has_value());
+      if (want) {
+        ASSERT_EQ(got->config, want->config);
+        ASSERT_EQ(got->used_closest_match, want->used_closest_match);
+      }
+      ASSERT_EQ(indexed.meter().scheduling_steps_total(),
+                scan.meter().scheduling_steps_total());
+
+      Steps found = 0;
+      Steps scanned = 0;
+      ASSERT_EQ(configs.FindPreferred(task.preferred_config, found),
+                configs.ScanPreferred(task.preferred_config, scanned));
+      ASSERT_EQ(found, scanned);
+      found = scanned = 0;
+      ASSERT_EQ(configs.FindClosestMatch(task.needed_area, found),
+                configs.ScanClosestMatch(task.needed_area, scanned));
+      ASSERT_EQ(found, scanned);
+    }
+  }
+}
+
 // --- Layer 2: full-simulation differential runs ---------------------------
 
 struct SimCase {
@@ -328,6 +396,8 @@ struct SimCase {
   bool contiguous = false;
   int families = 1;
   core::PolicyChoice policy = core::PolicyChoice::kDreamSim;
+  // Node, configuration and unknown-C_pref task areas scale by this.
+  Area unit = 1;
 };
 
 void PrintTo(const SimCase& c, std::ostream* os) {
@@ -335,6 +405,7 @@ void PrintTo(const SimCase& c, std::ostream* os) {
       << (c.priority ? " priority" : " fifo")
       << (c.contiguous ? " contiguous" : " scalar") << " families="
       << c.families;
+  if (c.unit != 1) *os << " unit=" << c.unit;
 }
 
 struct RunResult {
@@ -349,6 +420,12 @@ RunResult RunOne(const SimCase& c, std::uint64_t seed, bool indexed) {
   config.nodes.contiguous_placement = c.contiguous;
   config.configs.count = 10;
   config.configs.family_count = c.families;
+  config.nodes.min_area *= c.unit;
+  config.nodes.max_area *= c.unit;
+  config.configs.min_area *= c.unit;
+  config.configs.max_area *= c.unit;
+  config.tasks.unknown_min_area *= c.unit;
+  config.tasks.unknown_max_area *= c.unit;
   config.tasks.total_tasks = 150;
   config.mode = c.mode;
   config.policy = c.policy;
@@ -437,6 +514,21 @@ INSTANTIATE_TEST_SUITE_P(
         SimCase{sched::ReconfigMode::kFull, false, true, 1},
         SimCase{sched::ReconfigMode::kFull, true, false, 1},
         SimCase{sched::ReconfigMode::kFull, true, true, 3}));
+
+// Areas around 2^33-2^35: the index's key sets run on coarse buckets.
+INSTANTIATE_TEST_SUITE_P(
+    CoarseAreas, StoreIndexSimDiff,
+    ::testing::Values(
+        SimCase{sched::ReconfigMode::kPartial, false, false, 1,
+                core::PolicyChoice::kDreamSim, kCoarseUnit},
+        SimCase{sched::ReconfigMode::kPartial, true, true, 2,
+                core::PolicyChoice::kDreamSim, kCoarseUnit},
+        SimCase{sched::ReconfigMode::kFull, false, true, 1,
+                core::PolicyChoice::kDreamSim, kCoarseUnit},
+        SimCase{sched::ReconfigMode::kPartial, false, true, 1,
+                core::PolicyChoice::kBestFit, kCoarseUnit},
+        SimCase{sched::ReconfigMode::kPartial, false, true, 1,
+                core::PolicyChoice::kWorstFit, kCoarseUnit}));
 
 class StoreIndexHeuristicDiff
     : public ::testing::TestWithParam<core::PolicyChoice> {};

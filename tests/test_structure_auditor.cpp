@@ -367,6 +367,15 @@ TEST(StructureAuditorCorruption, StrayIndexKeyIsIdxSet) {
       << report.Render();
 }
 
+TEST(StructureAuditorCorruption, SkewedBucketBitmapIsIdxBitmap) {
+  ResourceStore store = MakePopulatedStore(/*indexed=*/true);
+  StructureCorruptor::SkewIndexBucketBitmap(store);
+  const AuditReport report = StructureAuditor::AuditStore(store);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"idx.bitmap"})
+      << report.Render();
+}
+
 TEST(StructureAuditorCorruption, DroppedFamilyViewIsIdxView) {
   // Only a fleet of two or more family values keeps family views.
   ResourceStore store = MakePopulatedStore(/*indexed=*/true);

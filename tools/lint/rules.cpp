@@ -81,15 +81,17 @@ class UnchargedIndexQueryRule : public Rule {
 
   void Check(Source& src, const Tree&, Reporter& out) override {
     // Call-site spellings of the modeled-effort query paths: the index
-    // calls inside ResourceStore and SuspensionQueue, whose bodies charge
-    // what the literal scan would have.
+    // calls inside ResourceStore and SuspensionQueue and the catalogue's
+    // index answers in ResolveConfig, whose bodies charge what the literal
+    // scan would have.
     static const std::vector<std::string_view> kQueries = {
         "index_->OldestExactMatch", "index_->BestPriorityExactMatch",
         "index_->OldestEligible", "index_->BestPriorityEligible",
         "index_->BestBlank",
         "index_->BestPartiallyBlank", "index_->FindAnyIdle",
         "index_->AnyBusyFit", "index_->BestIdleConfigured",
-        "index_->RankedHost"};
+        "index_->RankedHost", "catalogue.FindPreferred",
+        "catalogue.FindClosestMatch"};
     const std::vector<Body> bodies = FunctionBodies(src.clean);
     for (const std::string_view token : kQueries) {
       std::size_t pos = 0;
