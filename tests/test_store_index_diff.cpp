@@ -405,6 +405,9 @@ void PrintTo(const SimCase& c, std::ostream* os) {
       << (c.priority ? " priority" : " fifo")
       << (c.contiguous ? " contiguous" : " scalar") << " families="
       << c.families;
+  if (c.policy != core::PolicyChoice::kDreamSim) {
+    *os << " " << core::ToString(c.policy);
+  }
   if (c.unit != 1) *os << " unit=" << c.unit;
 }
 
