@@ -251,7 +251,7 @@ std::size_t AreaBucketSet::PrevWord(std::size_t before) const {
 }
 
 AreaBucketSet::Iterator AreaBucketSet::lower_bound(const AreaKey& key) const {
-  if (key.area > max_area_) return end();
+  if (size_ == 0 || key.area > max_area_) return end();
   const Place at = Locate(key.area);
   std::size_t slot = at.slot;
   if ((words_[at.word] & at.bit) != 0) {
