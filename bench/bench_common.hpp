@@ -244,10 +244,12 @@ inline void PrintQueryHeader(std::string_view size_label) {
             << std::setw(10) << "speedup" << "\n";
 }
 
-/// The `queries` array; `size_key` names QueryRow::size ("nodes", "depth").
-inline void WriteQueries(JsonWriter& json, const std::vector<QueryRow>& rows,
+/// The array `key` of query rows; `size_key` names QueryRow::size
+/// ("nodes", "depth").
+inline void WriteQueries(JsonWriter& json, std::string_view key,
+                         const std::vector<QueryRow>& rows,
                          std::string_view size_key) {
-  json.BeginArray("queries");
+  json.BeginArray(key);
   for (const QueryRow& r : rows) {
     json.Element(JsonRow()
                      .Add("query", r.query)

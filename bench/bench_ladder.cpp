@@ -13,11 +13,22 @@
 // timer and the PhaseProfiler off, at least kMinRepeats times (more while
 // the time budget lasts) in --quick and full mode alike; the fastest of
 // the repeats counts, so host noise reaches a large rung's time through a
-// minimum of several runs, not one or two. One
-// extra profiled run per (rung, config) fills the phase rows. Up to 20k
-// nodes (and at 100k without --quick) one literal-scan run (scheduler and
-// drain index both off: the test oracle) per config checks every modeled
-// metric against the indexed run (SameRun).
+// minimum of several runs, not one or two. The setup (the Simulator's
+// construction: node generation plus the per-configuration EntryList
+// reservations ResourceStore::InitNodes makes from the node-count hint,
+// DESIGN.md §14) is timed on its own, fastest of the same repeats; the
+// reservations keep list growth out of the timed run's first saturation
+// wave. One extra profiled run per (rung, config) fills the phase rows.
+// Up to 20k nodes (and at 100k without --quick) one literal-scan run
+// (scheduler and drain index both off: the test oracle) per config checks
+// every modeled metric against the indexed run (SameRun).
+//
+// A policy axis follows the rungs: every PolicyChoice on the saturated
+// config at 2k nodes (and 20k without --quick), timed the same way and
+// each checked against its scan oracle. It joins the metrics-identity
+// gate but not the scaling gate: random-fit ranks by one RNG draw per
+// node and keeps its scan, and round-robin and least-loaded have no index
+// for their class B search yet.
 //
 // The saturated config's us/task ratio of 100k over 2k nodes comes from
 // kRatioPairs interleaved pairs of single runs (2k then 100k, then the
@@ -27,8 +38,9 @@
 // per-pair ratio is recorded, not gated.
 //
 // Output: BENCH_ladder.json next to the executable (override with --out).
-// Exit status 1 unless every oracle point is metrics-identical and the
-// defaults config's us/task at 100k nodes is at most 3x its value at 2k.
+// Exit status 1 unless every oracle point (rungs and policies) is
+// metrics-identical and the defaults config's us/task at 100k nodes is at
+// most 3x its value at 2k.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -94,17 +106,20 @@ struct NamedConfig {
   SimulationConfig (*make)(int nodes, int tasks);
 };
 
-constexpr NamedConfig kConfigs[] = {{"defaults", DefaultsConfig},
-                                    {"saturated", SaturatedConfig}};
+constexpr NamedConfig kSaturated = {"saturated", SaturatedConfig};
+constexpr NamedConfig kConfigs[] = {{"defaults", DefaultsConfig}, kSaturated};
 
 struct TimedRun {
+  double setup_seconds = 0.0;
   double seconds = 0.0;
   MetricsReport report;
 };
 
 TimedRun RunOnce(const SimulationConfig& config) {
-  Simulator sim(config);  // setup (node generation) outside the timer
   TimedRun run;
+  const auto setup_start = Clock::now();
+  Simulator sim(config);  // setup (node generation) outside the run timer
+  run.setup_seconds = SecondsSince(setup_start);
   const auto start = Clock::now();
   run.report = sim.Run();
   run.seconds = SecondsSince(start);
@@ -146,7 +161,9 @@ struct Row {
   int nodes = 0;
   int tasks = 0;
   std::string config;
-  double seconds = 0.0;  // fastest repeat
+  std::string policy;
+  double seconds = 0.0;        // fastest repeat
+  double setup_seconds = 0.0;  // fastest construction
   int repeats = 0;
   std::uint64_t completed = 0;
   bool oracle = false;  // scan_seconds and metrics_identical are set
@@ -162,13 +179,16 @@ struct Row {
 
 /// Repeats the indexed run until `budget` seconds accumulate (at least
 /// kMinRepeats, at most kMaxRepeats times), then the scan oracle when
-/// asked, then the profiled run.
-Row RunRow(int nodes, const NamedConfig& named, double budget, bool oracle) {
+/// asked, then, for a rung, the profiled run.
+Row RunRow(int nodes, const NamedConfig& named, core::PolicyChoice policy,
+           double budget, bool oracle, bool profile) {
   Row row;
   row.nodes = nodes;
   row.tasks = LadderTasks(nodes);
   row.config = named.name;
-  const SimulationConfig config = named.make(nodes, row.tasks);
+  row.policy = core::ToString(policy);
+  SimulationConfig config = named.make(nodes, row.tasks);
+  config.policy = policy;
   double spent = 0.0;
   MetricsReport indexed;
   while (row.repeats < kMaxRepeats &&
@@ -177,6 +197,9 @@ Row RunRow(int nodes, const NamedConfig& named, double budget, bool oracle) {
     spent += run.seconds;
     if (row.repeats++ == 0 || run.seconds < row.seconds) {
       row.seconds = run.seconds;
+    }
+    if (row.repeats == 1 || run.setup_seconds < row.setup_seconds) {
+      row.setup_seconds = run.setup_seconds;
     }
     indexed = std::move(run.report);
   }
@@ -190,7 +213,7 @@ Row RunRow(int nodes, const NamedConfig& named, double budget, bool oracle) {
     row.scan_seconds = scan.seconds;
     row.metrics_identical = SameRun(scan.report, indexed);
   }
-  row.phases = ProfiledPhases(config);
+  if (profile) row.phases = ProfiledPhases(config);
   row.rss_mb = RssHighWaterMb();
   return row;
 }
@@ -240,8 +263,26 @@ double Median(std::vector<double> values) {
                                 : (values[mid - 1] + values[mid]) / 2.0;
 }
 
+/// `row` (a rung's or a policy row's key fields) with the timings and the
+/// oracle check appended.
+JsonRow WithTimings(JsonRow row, const Row& r) {
+  row.Add("seconds", JsonFixed(r.seconds, 6))
+      .Add("setup_s", JsonFixed(r.setup_seconds, 6))
+      .Add("us_per_task", JsonFixed(r.UsPerTask(), 3))
+      .Add("tasks_per_second",
+           JsonFixed(static_cast<double>(r.tasks) / r.seconds, 1))
+      .Add("completed_tasks", r.completed)
+      .Add("repeats", r.repeats);
+  if (r.oracle) {
+    row.Add("scan_seconds", JsonFixed(r.scan_seconds, 6))
+        .Add("metrics_identical", r.metrics_identical);
+  }
+  return row;
+}
+
 [[nodiscard]] bool WriteJson(const std::string& path, bool quick, bool big,
                              const std::vector<Row>& rows,
+                             const std::vector<Row>& policies,
                              double defaults_ratio,
                              const std::vector<double>& saturated_pairs,
                              bool identical, bool scaling) {
@@ -252,21 +293,20 @@ double Median(std::vector<double> values) {
       .Field("hardware_threads", std::thread::hardware_concurrency());
   json.BeginArray("rungs");
   for (const Row& r : rows) {
-    JsonRow row;
-    row.Add("nodes", r.nodes)
-        .Add("tasks", r.tasks)
-        .Add("config", r.config)
-        .Add("seconds", JsonFixed(r.seconds, 6))
-        .Add("us_per_task", JsonFixed(r.UsPerTask(), 3))
-        .Add("tasks_per_second",
-             JsonFixed(static_cast<double>(r.tasks) / r.seconds, 1))
-        .Add("completed_tasks", r.completed)
-        .Add("repeats", r.repeats);
-    if (r.oracle) {
-      row.Add("scan_seconds", JsonFixed(r.scan_seconds, 6))
-          .Add("metrics_identical", r.metrics_identical);
-    }
-    json.Element(row.Add("rss_high_water_mb", JsonFixed(r.rss_mb, 1)));
+    json.Element(WithTimings(JsonRow()
+                                 .Add("nodes", r.nodes)
+                                 .Add("tasks", r.tasks)
+                                 .Add("config", r.config),
+                             r)
+                     .Add("rss_high_water_mb", JsonFixed(r.rss_mb, 1)));
+  }
+  json.End().BeginArray("policies");
+  for (const Row& r : policies) {
+    json.Element(WithTimings(JsonRow()
+                                 .Add("nodes", r.nodes)
+                                 .Add("tasks", r.tasks)
+                                 .Add("policy", r.policy),
+                             r));
   }
   json.End().BeginArray("phases");
   for (const Row& r : rows) {
@@ -308,26 +348,46 @@ int main(int argc, char** argv) {
   std::vector<int> rungs = {200, 2000, 20000, 100000};
   if (big) rungs.push_back(1000000);
 
-  std::cout << Format("{:>8} {:>10} {:>10} {:>9} {:>8} {:>10} {:>10}\n",
-                      "nodes", "config", "seconds", "us/task", "repeats",
-                      "scan s", "identical");
+  const auto print = [](const std::string& label, const Row& row) {
+    std::cout << Format(
+        "{:>8} {:>12} {:>10} {:>9} {:>9} {:>8} {:>10} {:>10}\n", row.nodes,
+        label, Fixed(row.seconds, 4), Fixed(row.UsPerTask(), 3),
+        Fixed(row.setup_seconds, 4), row.repeats,
+        row.oracle ? Fixed(row.scan_seconds, 3) : "-",
+        row.oracle ? (row.metrics_identical ? "yes" : "NO") : "-");
+  };
+  std::cout << Format("{:>8} {:>12} {:>10} {:>9} {:>9} {:>8} {:>10} {:>10}\n",
+                      "nodes", "config", "seconds", "us/task", "setup s",
+                      "repeats", "scan s", "identical");
   std::vector<Row> rows;
   for (const int nodes : rungs) {
     const bool oracle = nodes <= 20000 || (nodes == 100000 && !args.quick);
     for (const NamedConfig& named : kConfigs) {
-      rows.push_back(RunRow(nodes, named, budget, oracle));
-      const Row& row = rows.back();
-      std::cout << Format(
-          "{:>8} {:>10} {:>10} {:>9} {:>8} {:>10} {:>10}\n", row.nodes,
-          row.config, Fixed(row.seconds, 4), Fixed(row.UsPerTask(), 3),
-          row.repeats, row.oracle ? Fixed(row.scan_seconds, 3) : "-",
-          row.oracle ? (row.metrics_identical ? "yes" : "NO") : "-");
+      rows.push_back(RunRow(nodes, named, core::PolicyChoice::kDreamSim,
+                            budget, oracle, /*profile=*/true));
+      print(rows.back().config, rows.back());
     }
   }
 
-  const bool identical =
-      std::all_of(rows.begin(), rows.end(),
-                  [](const Row& r) { return r.metrics_identical; });
+  std::cout << "\nsaturated, by policy\n";
+  std::vector<Row> policies;
+  for (const int nodes : args.quick ? std::vector<int>{kGateSmallNodes}
+                                    : std::vector<int>{kGateSmallNodes,
+                                                       20000}) {
+    for (const auto policy :
+         {core::PolicyChoice::kDreamSim, core::PolicyChoice::kFirstFit,
+          core::PolicyChoice::kBestFit, core::PolicyChoice::kWorstFit,
+          core::PolicyChoice::kRandomFit, core::PolicyChoice::kRoundRobin,
+          core::PolicyChoice::kLeastLoaded}) {
+      policies.push_back(RunRow(nodes, kSaturated, policy, budget,
+                                /*oracle=*/true, /*profile=*/false));
+      print(policies.back().policy, policies.back());
+    }
+  }
+
+  const auto same = [](const Row& r) { return r.metrics_identical; };
+  const bool identical = std::all_of(rows.begin(), rows.end(), same) &&
+                         std::all_of(policies.begin(), policies.end(), same);
   const double defaults_ratio = PerTaskRatio(rows, "defaults");
   const std::vector<double> saturated_pairs = SaturatedPairRatios();
   const bool scaling = defaults_ratio <= kMaxPerTaskRatio;
@@ -337,8 +397,8 @@ int main(int argc, char** argv) {
       kGateLargeNodes, kGateSmallNodes, Fixed(defaults_ratio, 2),
       kMaxPerTaskRatio, Fixed(Median(saturated_pairs), 2), kRatioPairs);
 
-  if (!WriteJson(args.out_path, args.quick, big, rows, defaults_ratio,
-                 saturated_pairs, identical, scaling)) {
+  if (!WriteJson(args.out_path, args.quick, big, rows, policies,
+                 defaults_ratio, saturated_pairs, identical, scaling)) {
     return 1;
   }
   if (!identical) {

@@ -11,8 +11,9 @@
 // registry + snapshots < 5%; --audit=end < 1% (an upper bound on the
 // off-mode branch); faults armed but never firing < 5%; the disabled
 // profiler and metric hooks < 5 ns in optimized builds. Ungated context:
-// tracer + sampler, the profiler on, one --audit=step run, and a run with
-// faults firing, for its fault counts.
+// tracer + sampler, the profiler on, one --audit=step run, the monitoring
+// module (the CLI default) over a run without it, and a run with faults
+// firing, for its fault counts.
 //
 // Output: BENCH_overhead.json next to the executable (override with
 // --out); --quick shrinks the workload for CI. Exits 1 if any row's
@@ -244,6 +245,8 @@ std::vector<Base> Bases(int tasks, const std::string& scratch) {
 
   // Faults off is the original zero-overhead path; armed with an MTBF far
   // past any reachable tick, all the bookkeeping runs and nothing fails.
+  // The monitoring row prices the per-event fleet snapshot every CLI run
+  // pays by default.
   Base unmonitored{"unmonitored", table2, {}};
   unmonitored.config.enable_monitoring = false;
   unmonitored.rows = {
@@ -254,6 +257,9 @@ std::vector<Base> Bases(int tasks, const std::string& scratch) {
              c.faults.mtbf = 1e12;
              c.faults.mttr = 1e6;
            }},
+      {.name = "monitoring",
+       .configure =
+           [](SimulationConfig& c) { c.enable_monitoring = true; }},
   };
 
   // Context: faults firing and repairing, with kills kept recoverable.

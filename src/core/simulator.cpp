@@ -495,10 +495,7 @@ sched::Outcome Simulator::AttemptSchedule(TaskId id, bool is_arrival) {
     case sched::Outcome::kSuspend:
       return decision.outcome;
     case sched::Outcome::kDiscard: {
-      task.state = resource::TaskState::kDiscarded;
-      metrics_.OnDiscarded();
-      Emit(SimEvent::Kind::kDiscarded, id);
-      NoteTerminal();
+      Discard(id, nullptr);
       DREAMSIM_LOG(LogLevel::kDebug, "t={} task {} discarded", kernel_.now(),
                    id.value());
       return decision.outcome;
@@ -521,19 +518,22 @@ resource::SusEntryAttrs Simulator::SusAttrs(const resource::Task& task) const {
 void Simulator::EnqueueSuspended(TaskId id) {
   if (!suspension_.Add(id, SusAttrs(tasks_.Get(id)), store_.meter())) {
     // Queue overflow: the system sheds load by discarding the task.
-    resource::Task& task = tasks_.Get(id);
-    task.state = resource::TaskState::kDiscarded;
-    metrics_.OnDiscarded();
-    if (ShouldExplain(id)) {
-      EmitExplain(id, /*is_arrival=*/false, sched::Outcome::kDiscard,
-                  "queue-overflow", nullptr);
-    }
-    Emit(SimEvent::Kind::kDiscarded, id);
-    NoteTerminal();
+    Discard(id, "queue-overflow");
     DREAMSIM_LOG(LogLevel::kWarning,
                  "t={} suspension queue full; task {} discarded",
                  kernel_.now(), id.value());
   }
+}
+
+void Simulator::Discard(TaskId id, const char* reason) {
+  tasks_.Get(id).state = resource::TaskState::kDiscarded;
+  metrics_.OnDiscarded();
+  if (reason != nullptr && ShouldExplain(id)) {
+    EmitExplain(id, /*is_arrival=*/false, sched::Outcome::kDiscard, reason,
+                nullptr);
+  }
+  Emit(SimEvent::Kind::kDiscarded, id);
+  NoteTerminal();
 }
 
 void Simulator::HandleCompletion(TaskId id, resource::EntryRef entry) {
@@ -598,14 +598,7 @@ void Simulator::AttemptQueuedAt(resource::SuspensionQueue::Seq seq) {
   if (config_.max_suspension_retries != 0 &&
       failed.sus_retry >= config_.max_suspension_retries) {
     suspension_.RemoveSeq(seq, store_.meter());
-    failed.state = resource::TaskState::kDiscarded;
-    metrics_.OnDiscarded();
-    if (ShouldExplain(id)) {
-      EmitExplain(id, /*is_arrival=*/false, sched::Outcome::kDiscard,
-                  "retry-budget-exhausted", nullptr);
-    }
-    Emit(SimEvent::Kind::kDiscarded, id);
-    NoteTerminal();
+    Discard(id, "retry-budget-exhausted");
     MaybeAudit("queued-attempt");
     return;
   }
@@ -624,15 +617,7 @@ MetricsReport Simulator::FinishReport() {
   // Any task still suspended when the event queue drained can never run.
   while (const std::optional<TaskId> id =
              suspension_.PopFront(store_.meter())) {
-    resource::Task& task = tasks_.Get(*id);
-    task.state = resource::TaskState::kDiscarded;
-    metrics_.OnDiscarded();
-    if (ShouldExplain(*id)) {
-      EmitExplain(*id, /*is_arrival=*/false, sched::Outcome::kDiscard,
-                  "drained-at-end", nullptr);
-    }
-    Emit(SimEvent::Kind::kDiscarded, *id);
-    NoteTerminal();
+    Discard(*id, "drained-at-end");
   }
   utilization_ = monitor_.Finish(end);
   MetricsReport report = metrics_.Finish(config_, policy_->name(), store_, end);
@@ -784,14 +769,7 @@ void Simulator::HandleNodeFailure(NodeId node_id) {
     // attempts, and re-queuing a victim is not one.
     if (config_.max_suspension_retries != 0 &&
         task.sus_retry >= config_.max_suspension_retries) {
-      task.state = resource::TaskState::kDiscarded;
-      metrics_.OnDiscarded();
-      if (ShouldExplain(id)) {
-        EmitExplain(id, /*is_arrival=*/false, sched::Outcome::kDiscard,
-                    "killed-retry-exhausted", nullptr);
-      }
-      Emit(SimEvent::Kind::kDiscarded, id);
-      NoteTerminal();
+      Discard(id, "killed-retry-exhausted");
       continue;
     }
     task.state = resource::TaskState::kSuspended;

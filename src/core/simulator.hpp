@@ -235,6 +235,10 @@ class Simulator {
   /// the outcome (kSuspend leaves queue management to the caller).
   sched::Outcome AttemptSchedule(TaskId id, bool is_arrival);
   void EnqueueSuspended(TaskId id);
+  /// Marks task `id` discarded: the metric, an explain record carrying
+  /// `reason` (none when `reason` is null, for a caller that explained the
+  /// decision already), the kDiscarded event and the terminal count.
+  void Discard(TaskId id, const char* reason);
   /// The drain-relevant attribute snapshot the suspension queue indexes.
   [[nodiscard]] resource::SusEntryAttrs SusAttrs(
       const resource::Task& task) const;

@@ -249,7 +249,7 @@ void ResourceStore::ReserveEntryLists(int node_count) {
   // the population it will plausibly hold. Entries spread across the
   // catalogue, so a couple of list slots per node per config amortizes the
   // growth reallocations without over-committing memory at large N
-  // (micro_simulator's mutation benches measure the effect).
+  // (bench_ladder's per-rung setup_s times the construction).
   const std::size_t per_list = std::min<std::size_t>(
       static_cast<std::size_t>(node_count),
       static_cast<std::size_t>(node_count) * 2 /

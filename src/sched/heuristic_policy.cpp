@@ -30,7 +30,8 @@ HeuristicPolicy::HeuristicPolicy(Heuristic heuristic, std::uint64_t seed)
     : heuristic_(heuristic), rng_(seed) {}
 
 std::int64_t HeuristicPolicy::Rank(const resource::Node& n,
-                                   std::size_t scan_position) {
+                                   std::size_t scan_position,
+                                   std::size_t node_count) {
   switch (heuristic_) {
     case Heuristic::kFirstFit:
       return static_cast<std::int64_t>(scan_position);
@@ -41,10 +42,11 @@ std::int64_t HeuristicPolicy::Rank(const resource::Node& n,
     case Heuristic::kRandomFit:
       return rng_.uniform_int(0, std::numeric_limits<std::int32_t>::max());
     case Heuristic::kRoundRobin: {
-      // Distance ahead of the rotating cursor, by node id.
+      // Distance ahead of the rotating cursor, by node id, wrapping once
+      // round the fleet.
       const std::size_t id = n.id().value();
       return static_cast<std::int64_t>(
-          id >= rr_cursor_ ? id - rr_cursor_ : id + (1u << 20) - rr_cursor_);
+          id >= rr_cursor_ ? id - rr_cursor_ : id + node_count - rr_cursor_);
     }
     case Heuristic::kLeastLoaded:
       // Primary key: running tasks; secondary: leftover area.
@@ -87,7 +89,8 @@ Decision HeuristicPolicy::Schedule(const resource::Task& task,
   {
     const auto best = store.idle_list(cfg.id).FindMinPositional(
         [&](EntryRef e, std::size_t position) {
-          return static_cast<long long>(Rank(store.node(e.node), position));
+          return static_cast<long long>(
+              Rank(store.node(e.node), position, store.node_count()));
         },
         store.meter(), StepKind::kSchedulingSearch);
     if (best) return finish(*best, 0, PlacementKind::kAllocation);
@@ -119,7 +122,7 @@ Decision HeuristicPolicy::Schedule(const resource::Task& task,
         ++position;
         if (!cfg.CompatibleWith(n.family())) continue;
         if (!n.CanHost(cfg.required_area)) continue;
-        const std::int64_t rank = Rank(n, position - 1);
+        const std::int64_t rank = Rank(n, position - 1, store.node_count());
         if (!best || rank < best_rank) {
           best = n.id();
           best_blank = n.blank();

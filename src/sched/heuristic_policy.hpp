@@ -52,9 +52,11 @@ class HeuristicPolicy final : public Policy {
                                   resource::ResourceStore& store) override;
 
  private:
-  /// Ranks node `n` under the active heuristic; smaller wins.
+  /// Ranks node `n` of a fleet of `node_count` under the active heuristic;
+  /// smaller wins.
   [[nodiscard]] std::int64_t Rank(const resource::Node& n,
-                                  std::size_t scan_position);
+                                  std::size_t scan_position,
+                                  std::size_t node_count);
 
   Heuristic heuristic_;
   Rng rng_;

@@ -102,13 +102,14 @@ class RoundRobinTest : public HeuristicFixture {};
 TEST_F(RoundRobinTest, RotatesAcrossNodes) {
   HeuristicPolicy policy(Heuristic::kRoundRobin);
   std::vector<std::uint32_t> picks;
-  for (std::uint32_t i = 0; i < 3; ++i) {
+  for (std::uint32_t i = 0; i < 4; ++i) {
     const Decision d = policy.Schedule(MakeTask(0, 300, i), store_);
     ASSERT_EQ(d.outcome, Outcome::kPlaced);
     picks.push_back(d.entry.node.value());
   }
-  // Each placement advances the cursor past the chosen node.
-  EXPECT_EQ(picks, (std::vector<std::uint32_t>{0, 1, 2}));
+  // Each placement advances the cursor past the chosen node; past the last
+  // node it wraps to the first.
+  EXPECT_EQ(picks, (std::vector<std::uint32_t>{0, 1, 2, 0}));
 }
 
 class RandomFitTest : public HeuristicFixture {};

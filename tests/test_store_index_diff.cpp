@@ -563,7 +563,10 @@ TEST_P(StoreIndexHeuristicDiff, OneFamilyHeuristicBaselinesMatchScans) {
 INSTANTIATE_TEST_SUITE_P(Heuristics, StoreIndexHeuristicDiff,
                          ::testing::Values(core::PolicyChoice::kFirstFit,
                                            core::PolicyChoice::kBestFit,
-                                           core::PolicyChoice::kWorstFit));
+                                           core::PolicyChoice::kWorstFit,
+                                           core::PolicyChoice::kRandomFit,
+                                           core::PolicyChoice::kRoundRobin,
+                                           core::PolicyChoice::kLeastLoaded));
 
 }  // namespace
 }  // namespace dreamsim
