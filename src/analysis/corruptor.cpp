@@ -194,6 +194,49 @@ void StructureCorruptor::SkewIndexConfigCount(resource::ResourceStore& store,
   counts.Assign(pos, counts.Value(pos) + 1);
 }
 
+void StructureCorruptor::RaiseFirstSummaryCell(resource::MaxSegTree& tree,
+                                               const char* who) {
+  if (tree.levels_.size() < 2) {
+    throw std::logic_error(
+        std::string(who) + ": the tree has no summary level (too small)");
+  }
+  ++tree.levels_[1][0];
+}
+
+void StructureCorruptor::SkewTreeSummary(resource::ResourceStore& store,
+                                         IndexTree tree) {
+  resource::StoreIndex::View& view =
+      IndexOf(store, "SkewTreeSummary").global_;
+  switch (tree) {
+    case IndexTree::kPotential:
+      RaiseFirstSummaryCell(view.potential, "SkewTreeSummary");
+      return;
+    case IndexTree::kBusyTotal:
+      RaiseFirstSummaryCell(view.busy_total, "SkewTreeSummary");
+      return;
+    case IndexTree::kAvailable:
+      RaiseFirstSummaryCell(view.available, "SkewTreeSummary");
+      return;
+    case IndexTree::kConfigCount:
+      if (view.config_count.size() < 2) {
+        throw std::logic_error("SkewTreeSummary: needs two or more nodes");
+      }
+      ++view.config_count.tree_[1];  // 1-based cell 2 covers (0, 2]
+      return;
+  }
+}
+
+void StructureCorruptor::SkewTreeSummary(resource::SuspensionQueue& queue) {
+  if (queue.index_ == nullptr ||
+      queue.index_->order_ != resource::SusOrder::kFifo ||
+      queue.index_->fifo_groups_.empty()) {
+    throw std::logic_error(
+        "SkewTreeSummary: needs a non-empty FIFO-order drain index");
+  }
+  RaiseFirstSummaryCell(queue.index_->fifo_groups_.begin()->second,
+                        "SkewTreeSummary");
+}
+
 void StructureCorruptor::ExposeFailedNode(resource::ResourceStore& store,
                                           NodeId node) {
   store.nodes_.at(node.value()).failed_ = true;

@@ -19,6 +19,14 @@ namespace dreamsim::analysis {
 
 class StructureCorruptor {
  public:
+  /// The trees of a StoreIndex view.
+  enum class IndexTree : std::uint8_t {
+    kPotential,
+    kBusyTotal,
+    kAvailable,
+    kConfigCount,
+  };
+
   /// Fig. 3 orphan: appends `entry` to `config`'s idle list, keeping the
   /// position map internally consistent — only the cross-structure diff
   /// against the node slots can catch it. Expected slug: fig3.idle-list.
@@ -105,6 +113,18 @@ class StructureCorruptor {
   /// bucket's keys and the summary word stay right (requires the index and
   /// a non-empty key set). Expected slug: idx.bitmap.
   static void SkewIndexBucketBitmap(resource::ResourceStore& store);
+
+  /// Raises one summary cell of the StoreIndex global view's `tree`, its
+  /// leaves untouched: the first cell above the leaves of a max tree, the
+  /// Fenwick cell over positions 0 and 1 of the config-count tree
+  /// (requires the index, and more than one group of nodes for a max
+  /// tree). Expected slug: idx.tree, or idx.count for kConfigCount.
+  static void SkewTreeSummary(resource::ResourceStore& store, IndexTree tree);
+
+  /// Raises the first summary cell of the first family group's seq tree,
+  /// its leaves untouched (requires a FIFO-order drain index whose group
+  /// spans more than one group of seqs). Expected slug: susidx.group.
+  static void SkewTreeSummary(resource::SuspensionQueue& queue);
 
   /// Deletes the StoreIndex view of `node`'s family (requires the index
   /// over a fleet of two or more family values). Expected slug: idx.view.
@@ -193,6 +213,10 @@ class StructureCorruptor {
                                    sim::TickView ticks);
 
  private:
+  /// Raises cell 0 of `tree`'s first summary level (the max over
+  /// positions [0, kFanout)); throws naming `who` when there is none.
+  static void RaiseFirstSummaryCell(resource::MaxSegTree& tree,
+                                    const char* who);
   static void AppendOrphan(resource::EntryList& list,
                            resource::EntryRef entry);
   /// The store's index; throws naming `who` when it is disabled.

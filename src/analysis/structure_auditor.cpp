@@ -589,6 +589,21 @@ void StructureAuditor::AuditStoreIndex(const ResourceStore& store,
       if (!blank) want_partial.push_back({node.available_area(), id});
       if (!blank && !busy) want_idle_cfg.push_back({node.total_area(), id});
     }
+    // The queries descend through the summaries, not the leaves: a stale
+    // cell misroutes them even when every leaf is right.
+    for (const auto& [tree, name] :
+         {std::pair{&view.potential, "potential"},
+          std::pair{&view.busy_total, "busy-total"},
+          std::pair{&view.available, "available"}}) {
+      if (const std::string stale = StaleMaxSummary(*tree); !stale.empty()) {
+        Report(report, "idx.tree", Format("{} {} tree", label, name), stale);
+      }
+    }
+    if (const std::string stale = StaleFenwickCell(view.config_count);
+        !stale.empty()) {
+      Report(report, "idx.count", Format("{} config-count tree", label),
+             stale);
+    }
     const auto diff_set = [&](const AreaBucketSet& live,
                               std::vector<AreaKey>& want, const char* name) {
       const auto where = [&] { return Format("{} {}", label, name); };
@@ -852,6 +867,9 @@ void StructureAuditor::AuditSusIndex(
                  "member beyond the seq tree");
         }
       }
+      if (const std::string stale = StaleMaxSummary(tree); !stale.empty()) {
+        Report(report, "susidx.group", Format("{} seq tree", label), stale);
+      }
     }
   } else {
     // Treaps: in-order walk must yield exactly the members sorted by
@@ -1020,7 +1038,7 @@ AuditReport StructureAuditor::AuditSuspensionQueue(
     }
     if (attrs_sized) queued.emplace_back(seq, queue.AttrsAt(seq));
   }
-  const std::vector<std::uint32_t>& table = queue.seq_of_task_;
+  const RunVector<std::uint32_t>& table = queue.seq_of_task_;
   for (std::uint32_t task = 0; task < table.size(); ++task) {
     const std::uint32_t seq = table[task];
     if (seq != kNoSlot &&
@@ -1061,9 +1079,11 @@ AuditReport StructureAuditor::AuditSusAttrs(
              "queued task has no task-store row or attribute cell");
       continue;
     }
-    // The attributes a queued task must carry, recomputed from the task
-    // and the catalogue; none of them may change while it waits.
+    // The attributes a queued task must carry, recomputed from the task's
+    // state, its spec and the catalogue; none of them may change while it
+    // waits.
     const resource::Task& task = tasks.Get(id);
+    const resource::TaskSpec& spec = tasks.Spec(id);
     const SusEntryAttrs stored = queue.AttrsAt(seq);
     const FamilyId family = task.resolved_config.valid() &&
                                     configs.Contains(task.resolved_config)
@@ -1077,14 +1097,82 @@ AuditReport StructureAuditor::AuditSusAttrs(
     };
     field(stored.resolved_config == task.resolved_config, "resolved_config");
     field(stored.config_family == family, "config_family");
-    field(stored.needed_area == task.needed_area, "needed_area");
-    field(!by_priority || stored.priority == task.priority, "priority");
+    field(stored.needed_area == spec.needed_area, "needed_area");
+    field(!by_priority || stored.priority == spec.priority, "priority");
     if (!diverged.empty()) {
       Report(report, "sus.attrs", path(),
              Format("stored {} differ from the task's", diverged));
     }
   }
   return report;
+}
+
+// --- Index trees ------------------------------------------------------------
+
+std::string StructureAuditor::StaleMaxSummary(const MaxSegTree& tree) {
+  constexpr std::size_t kFanout = MaxSegTree::kFanout;
+  const auto& levels = tree.levels_;
+  if (levels.empty()) {
+    return tree.size_ == 0 ? std::string()
+                           : Format("no leaves for size {}", tree.size_);
+  }
+  // Whole groups on every level, one group on top, and each level just
+  // large enough to summarize every group below it.
+  for (std::size_t k = 0; k < levels.size(); ++k) {
+    const std::size_t cells = levels[k].size();
+    const bool top = k + 1 == levels.size();
+    const std::size_t want_groups =
+        k == 0 ? std::max<std::size_t>(1, (tree.size_ + kFanout - 1) / kFanout)
+               : (levels[k - 1].size() / kFanout + kFanout - 1) / kFanout;
+    if (cells % kFanout != 0 || cells / kFanout != want_groups ||
+        (top && cells != kFanout) || (!top && cells == kFanout)) {
+      return Format("level {} holds {} cells for size {}", k, cells,
+                    tree.size_);
+    }
+  }
+  for (std::size_t pos = tree.size_; pos < levels[0].size(); ++pos) {
+    if (levels[0][pos] != MaxSegTree::kNegInf) {
+      return Format("padding leaf {} past size {} holds {}", pos, tree.size_,
+                    levels[0][pos]);
+    }
+  }
+  for (std::size_t k = 1; k < levels.size(); ++k) {
+    for (std::size_t cell = 0; cell < levels[k].size(); ++cell) {
+      std::int64_t max = MaxSegTree::kNegInf;
+      const std::size_t first = cell * kFanout;
+      for (std::size_t c = first;
+           c < std::min(first + kFanout, levels[k - 1].size()); ++c) {
+        max = std::max(max, levels[k - 1][c]);
+      }
+      if (levels[k][cell] != max) {
+        return Format("level {} cell {} holds {}, its group's max is {}", k,
+                      cell, levels[k][cell], max);
+      }
+    }
+  }
+  return {};
+}
+
+std::string StructureAuditor::StaleFenwickCell(
+    const resource::PrefixSumTree& tree) {
+  const std::vector<std::int64_t>& values = tree.values_;
+  if (tree.tree_.size() != values.size()) {
+    return Format("{} cells for {} values", tree.tree_.size(), values.size());
+  }
+  // Cell i (1-based) holds the sum of the values in (i - lowbit(i), i].
+  std::vector<std::int64_t> prefix(values.size() + 1, 0);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    prefix[i + 1] = prefix[i] + values[i];
+  }
+  for (std::size_t i = 1; i <= values.size(); ++i) {
+    const std::size_t low = i & (~i + 1);
+    const std::int64_t want = prefix[i] - prefix[i - low];
+    if (tree.tree_[i - 1] != want) {
+      return Format("cell {} holds {}, its range ({}, {}] sums to {}", i,
+                    tree.tree_[i - 1], i - low, i, want);
+    }
+  }
+  return {};
 }
 
 // --- Event queue ------------------------------------------------------------

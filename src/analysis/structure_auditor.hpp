@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "resource/index_primitives.hpp"
 #include "resource/store.hpp"
 #include "resource/suspension_queue.hpp"
 #include "resource/task.hpp"
@@ -133,6 +134,15 @@ class StructureAuditor {
       const std::vector<std::pair<std::uint64_t, resource::SusEntryAttrs>>&
           queued,
       AuditReport& report);
+  /// Recomputes every summary cell of `tree` from the level below and
+  /// checks the level shapes and the padding past its size; describes the
+  /// first divergence, empty when there is none.
+  [[nodiscard]] static std::string StaleMaxSummary(
+      const resource::MaxSegTree& tree);
+  /// Recomputes every Fenwick cell of `tree` from its point values;
+  /// describes the first divergence, empty when there is none.
+  [[nodiscard]] static std::string StaleFenwickCell(
+      const resource::PrefixSumTree& tree);
 };
 
 }  // namespace dreamsim::analysis

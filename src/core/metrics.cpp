@@ -69,11 +69,12 @@ void MetricsCollector::OnPlaced(const sched::Decision& decision) {
   }
 }
 
-void MetricsCollector::OnCompleted(const resource::Task& task) {
+void MetricsCollector::OnCompleted(const resource::TaskSpec& spec,
+                                   const resource::Task& task) {
   ++completed_;
   obs::MetricInc(obs::MetricId::kTasksCompleted);
-  waiting_.Add(static_cast<double>(task.WaitingTime()));
-  turnaround_.Add(static_cast<double>(task.TurnaroundTime()));
+  waiting_.Add(static_cast<double>(resource::WaitingTime(spec, task)));
+  turnaround_.Add(static_cast<double>(resource::TurnaroundTime(spec, task)));
   retries_.Add(static_cast<double>(task.sus_retry));
 }
 

@@ -130,8 +130,8 @@ class MetricsCollector {
     obs::MetricInc(obs::MetricId::kClosestMatchPlacements);
   }
 
-  /// Task finished; called with the final Task record.
-  void OnCompleted(const resource::Task& task);
+  /// Task finished; called with its spec and final run-time state.
+  void OnCompleted(const resource::TaskSpec& spec, const resource::Task& task);
 
   /// Produces the report. `store` supplies node-side aggregates; `end` is
   /// the final simulation tick (Eq. 5).

@@ -46,12 +46,13 @@ resource::ConfigCatalogue BuildConfigs(const SimulationConfig& config,
   return resource::ConfigCatalogue::Generate(config.configs, selected, rng);
 }
 
-/// `task`'s execution time on a closest match: t_required stretched by
+/// Task `id`'s execution time on a closest match: t_required stretched by
 /// `slowdown` (at least 1; the constructor checks). Throws
 /// std::overflow_error where the stretched time plus the task's comm and
 /// configuration wait would leave the Tick range, instead of wrapping.
-Tick StretchedExecution(const resource::Task& task, double slowdown) {
-  const double stretched = static_cast<double>(task.required_time) * slowdown;
+Tick StretchedExecution(TaskId id, const resource::TaskSpec& spec,
+                        const resource::Task& task, double slowdown) {
+  const double stretched = static_cast<double>(spec.required_time) * slowdown;
   const Tick overhead = task.comm_time + task.config_wait;
   // 2^63 is the first double past the Tick range, so the cast is defined.
   if (stretched < 0x1p63) {
@@ -63,7 +64,7 @@ Tick StretchedExecution(const resource::Task& task, double slowdown) {
   throw std::overflow_error(
       Format("task {}: closest-match execution {} x {} overflows the tick "
              "range",
-             task.id.value(), task.required_time, slowdown));
+             id.value(), spec.required_time, slowdown));
 }
 
 }  // namespace
@@ -254,16 +255,17 @@ TaskId Simulator::SubmitTaskAt(const workload::GeneratedTask& task, Tick at) {
 }
 
 MetricsReport Simulator::Run() {
+  // Checked before generated_ is replaced: tasks_ may borrow it.
+  if (ran_) throw std::logic_error("Simulator instances are single-use");
   if (!config_.task_classes.empty()) {
-    const workload::MultiClassWorkload wl =
-        workload::GenerateMultiClassWorkload(
-            config_.task_classes, store_.configs(),
-            DeriveSeed(config_.seed, kStreamWorkload));
-    return RunMultiClass(wl);
+    generated_ = workload::GenerateMultiClassWorkload(
+        config_.task_classes, store_.configs(),
+        DeriveSeed(config_.seed, kStreamWorkload));
+    return RunMultiClass(generated_);
   }
-  const workload::Workload wl =
+  generated_.tasks =
       workload::GenerateWorkload(config_.tasks, store_.configs(), rng_);
-  return RunWithWorkload(wl);
+  return RunWithWorkload(generated_.tasks);
 }
 
 MetricsReport Simulator::RunMultiClass(const workload::MultiClassWorkload& wl) {
@@ -419,7 +421,8 @@ void Simulator::EmitExplain(TaskId id, bool is_arrival, sched::Outcome outcome,
 
 sched::Outcome Simulator::AttemptSchedule(TaskId id, bool is_arrival) {
   resource::Task& task = tasks_.Get(id);
-  const sched::Decision decision = policy_->Schedule(task, store_);
+  const resource::TaskSpec& spec = tasks_.Spec(id);
+  const sched::Decision decision = policy_->Schedule(id, spec, store_);
   metrics_.OnScheduleAttempt(kernel_.now(), is_arrival, store_);
   if (decision.config.valid()) task.resolved_config = decision.config;
   if (ShouldExplain(id)) {
@@ -441,7 +444,7 @@ sched::Outcome Simulator::AttemptSchedule(TaskId id, bool is_arrival) {
       task.start_time = now;
       task.comm_time =
           network_.TransferTime(store_.node(decision.entry.node),
-                                task.data_size);
+                                spec.data_size);
       task.config_wait = decision.config_time;
       if (decision.config_time > 0) {
         // A fresh configuration was loaded: ship its bitstream unless the
@@ -467,10 +470,11 @@ sched::Outcome Simulator::AttemptSchedule(TaskId id, bool is_arrival) {
       }
       // Running on the closest match instead of C_pref may be slower
       // (Eq. 3 defines t_required on the *preferred* configuration).
-      Tick execution = task.required_time;
+      Tick execution = spec.required_time;
       if (decision.used_closest_match &&
           config_.closest_match_slowdown != 1.0) {
-        execution = StretchedExecution(task, config_.closest_match_slowdown);
+        execution = StretchedExecution(id, spec, task,
+                                       config_.closest_match_slowdown);
       }
       const Tick span = task.comm_time + task.config_wait + execution;
       const resource::EntryRef entry = decision.entry;
@@ -504,19 +508,21 @@ sched::Outcome Simulator::AttemptSchedule(TaskId id, bool is_arrival) {
   throw std::logic_error("unreachable scheduling outcome");
 }
 
-resource::SusEntryAttrs Simulator::SusAttrs(const resource::Task& task) const {
+resource::SusEntryAttrs Simulator::SusAttrs(TaskId id) const {
+  const resource::Task& task = tasks_.Get(id);
+  const resource::TaskSpec& spec = tasks_.Spec(id);
   resource::SusEntryAttrs attrs;
   attrs.resolved_config = task.resolved_config;
   attrs.config_family = task.resolved_config.valid()
                             ? store_.configs().Get(task.resolved_config).family
                             : FamilyId::invalid();
-  attrs.needed_area = task.needed_area;
-  attrs.priority = task.priority;
+  attrs.needed_area = spec.needed_area;
+  attrs.priority = spec.priority;
   return attrs;
 }
 
 void Simulator::EnqueueSuspended(TaskId id) {
-  if (!suspension_.Add(id, SusAttrs(tasks_.Get(id)), store_.meter())) {
+  if (!suspension_.Add(id, SusAttrs(id), store_.meter())) {
     // Queue overflow: the system sheds load by discarding the task.
     Discard(id, "queue-overflow");
     DREAMSIM_LOG(LogLevel::kWarning,
@@ -548,7 +554,7 @@ void Simulator::HandleCompletion(TaskId id, resource::EntryRef entry) {
   if (released != id) {
     throw std::logic_error("completion released a different task");
   }
-  metrics_.OnCompleted(task);
+  metrics_.OnCompleted(tasks_.Spec(id), task);
   Emit(SimEvent::Kind::kCompleted, id, entry.node, freed_config);
   NoteTerminal();
   DrainSuspensionQueue(entry.node, freed_config);

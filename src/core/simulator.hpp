@@ -129,16 +129,20 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   /// Generates the synthetic workload from the config and runs to
-  /// completion. Returns the Table I metrics.
+  /// completion. Returns the Table I metrics. The Simulator keeps the
+  /// generated workload, which holds the tasks' specs.
   [[nodiscard]] MetricsReport Run();
 
-  /// Runs a pre-materialized workload (trace replay / tests).
+  /// Runs a pre-materialized workload (trace replay / tests). The task
+  /// store borrows the entries of `wl` as the tasks' specs, so `wl` must
+  /// outlive the Simulator, or at least every read of tasks().Spec().
   [[nodiscard]] MetricsReport RunWithWorkload(const workload::Workload& wl);
 
   /// Runs a merged multi-class workload (scenario path): submits the
   /// timeline and releases each chain successor when its predecessor
   /// completes (composing with any user-installed completion hook). A
   /// chain-free workload delegates to RunWithWorkload(wl.tasks) verbatim.
+  /// Borrows `wl.tasks` like RunWithWorkload(); chain links are copied.
   [[nodiscard]] MetricsReport RunMultiClass(
       const workload::MultiClassWorkload& wl);
 
@@ -240,8 +244,7 @@ class Simulator {
   /// decision already), the kDiscarded event and the terminal count.
   void Discard(TaskId id, const char* reason);
   /// The drain-relevant attribute snapshot the suspension queue indexes.
-  [[nodiscard]] resource::SusEntryAttrs SusAttrs(
-      const resource::Task& task) const;
+  [[nodiscard]] resource::SusEntryAttrs SusAttrs(TaskId id) const;
   /// Re-attempts the task queued as `seq`, removing it from the queue on
   /// success or final failure.
   void AttemptQueuedAt(resource::SuspensionQueue::Seq seq);
@@ -301,6 +304,9 @@ class Simulator {
   sim::Kernel kernel_;
   resource::ResourceStore store_;
   resource::TaskStore tasks_;
+  /// The workload Run() generated (empty otherwise): tasks_ borrows its
+  /// timeline.
+  workload::MultiClassWorkload generated_;
   resource::SuspensionQueue suspension_;
   std::unique_ptr<sched::Policy> policy_;
   net::NetworkModel network_;

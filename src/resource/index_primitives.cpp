@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 
 namespace dreamsim::resource {
 
@@ -80,51 +81,100 @@ std::size_t CountTree::Prefix(std::size_t count) const {
 
 // --- MaxSegTree ---
 
-void MaxSegTree::Grow() {
-  const std::size_t new_cap = cap_ == 0 ? 1 : cap_ * 2;
-  std::vector<std::int64_t> fresh(2 * new_cap, kNegInf);
-  for (std::size_t i = 0; i < size_; ++i) fresh[new_cap + i] = tree_[cap_ + i];
-  for (std::size_t i = new_cap - 1; i > 0; --i) {
-    fresh[i] = std::max(fresh[2 * i], fresh[2 * i + 1]);
+namespace {
+
+using Group = const std::int64_t*;  // kFanout consecutive cells
+
+std::int64_t GroupMax(Group group) {
+  std::int64_t max = group[0];
+  for (std::size_t t = 1; t < MaxSegTree::kFanout; ++t) {
+    max = std::max(max, group[t]);
   }
-  cap_ = new_cap;
-  tree_ = std::move(fresh);
+  return max;
+}
+
+// Bit t set when group[t] >= threshold.
+unsigned GroupHits(Group group, std::int64_t threshold) {
+  unsigned hits = 0;
+  for (unsigned t = 0; t < MaxSegTree::kFanout; ++t) {
+    hits |= static_cast<unsigned>(group[t] >= threshold) << t;
+  }
+  return hits;
+}
+
+}  // namespace
+
+void MaxSegTree::AddGroup() {
+  if (levels_.empty()) levels_.emplace_back();
+  for (std::size_t k = 0;; ++k) {
+    RunVector<std::int64_t>& level = levels_[k];
+    level.resize(level.size() + kFanout, kNegInf);
+    const std::size_t groups = level.size() / kFanout;
+    if (groups == 1) return;  // the first group: level k is the top
+    if (k + 1 == levels_.size()) {
+      // The top outgrew one group: a new top summarizes its two groups.
+      RunVector<std::int64_t> top(kFanout, kNegInf);
+      top[0] = GroupMax(level.data());
+      levels_.push_back(std::move(top));
+      return;
+    }
+    if (levels_[k + 1].size() >= groups) return;  // the cell is padding
+  }
 }
 
 void MaxSegTree::Append(std::int64_t value) {
-  if (size_ == cap_) Grow();
-  ++size_;
-  Assign(size_ - 1, value);
+  if (levels_.empty() || size_ == levels_[0].size()) AddGroup();
+  const std::size_t pos = size_++;
+  if (value != kNegInf) Assign(pos, value);
 }
 
 void MaxSegTree::Assign(std::size_t pos, std::int64_t value) {
-  std::size_t i = cap_ + pos;
-  tree_[i] = value;
-  for (i /= 2; i >= 1; i /= 2) {
-    tree_[i] = std::max(tree_[2 * i], tree_[2 * i + 1]);
+  levels_[0][pos] = value;
+  for (std::size_t k = 0; k + 1 < levels_.size(); ++k) {
+    const std::size_t parent = pos / kFanout;
+    const std::int64_t max = GroupMax(levels_[k].data() + parent * kFanout);
+    std::int64_t& cell = levels_[k + 1][parent];
+    if (cell == max) return;
+    cell = max;
+    pos = parent;
   }
-}
-
-std::int64_t MaxSegTree::Value(std::size_t pos) const {
-  return tree_[cap_ + pos];
 }
 
 std::size_t MaxSegTree::FirstAtLeast(std::size_t from,
                                      std::int64_t threshold) const {
   if (from >= size_) return npos;
-  return Descend(1, 0, cap_, from, threshold);
-}
-
-std::size_t MaxSegTree::Descend(std::size_t cell, std::size_t lo,
-                                std::size_t hi, std::size_t from,
-                                std::int64_t threshold) const {
-  // Padding leaves past size_ hold kNegInf, so they can never match.
-  if (hi <= from || tree_[cell] < threshold) return npos;
-  if (hi - lo == 1) return lo;
-  const std::size_t mid = lo + (hi - lo) / 2;
-  const std::size_t left = Descend(2 * cell, lo, mid, from, threshold);
-  if (left != npos) return left;
-  return Descend(2 * cell + 1, mid, hi, from, threshold);
+  std::size_t k = 0;
+  std::size_t pos = from;
+  // Up: the first hit at or after `pos` in its group; while the rest of
+  // the group has none, on to the next cell of the level above. Padding
+  // holds kNegInf, which no threshold reaches.
+  for (;;) {
+    const RunVector<std::int64_t>& level = levels_[k];
+    if (pos < level.size()) {
+      const std::size_t start = pos - pos % kFanout;
+      const auto skip = static_cast<unsigned>(pos - start);
+      const unsigned hits =
+          GroupHits(level.data() + start, threshold) >> skip << skip;
+      if (hits != 0) {
+        pos = start + static_cast<std::size_t>(std::countr_zero(hits));
+        break;
+      }
+    }
+    if (k + 1 == levels_.size()) return npos;
+    pos = pos / kFanout + 1;
+    ++k;
+  }
+  // Down: the first hit in each group below. A summary cell is its
+  // group's max, so the group it points into has a hit.
+  for (; k > 0; --k) {
+    const unsigned hits =
+        GroupHits(levels_[k - 1].data() + pos * kFanout, threshold);
+    if (hits == 0) {
+      throw std::logic_error("MaxSegTree: a summary cell exceeds its group");
+    }
+    pos = pos * kFanout + static_cast<std::size_t>(std::countr_zero(hits));
+  }
+  return pos;
 }
 
 // --- AreaBucketSet ---

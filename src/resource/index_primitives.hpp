@@ -13,6 +13,8 @@
 #include <limits>
 #include <vector>
 
+#include "util/run_vector.hpp"
+
 namespace dreamsim::analysis {
 class StructureAuditor;    // correctness tooling (src/analysis); read-only
 class StructureCorruptor;  // test-only seeded-corruption injector
@@ -185,6 +187,9 @@ class PrefixSumTree {
   [[nodiscard]] std::size_t size() const { return values_.size(); }
 
  private:
+  friend class ::dreamsim::analysis::StructureAuditor;
+  friend class ::dreamsim::analysis::StructureCorruptor;
+
   std::vector<std::int64_t> values_;  // current point values
   std::vector<std::int64_t> tree_;    // 1-based Fenwick array
 };
@@ -205,36 +210,52 @@ class CountTree {
   [[nodiscard]] std::size_t size() const { return tree_.size(); }
 
  private:
-  std::vector<std::uint32_t> tree_;  // 1-based Fenwick array
+  RunVector<std::uint32_t> tree_;  // 1-based Fenwick array
   std::size_t total_ = 0;
 };
 
-/// Append-only max segment tree with a "first position >= threshold"
-/// descent — the ordered-scan primitive behind the O(log N) queries.
+/// Append-only max tree with a "first position >= threshold" search — the
+/// ordered-scan primitive behind the O(log N) queries. It is wide and
+/// flat: level 0 holds the leaves, and cell c of level k + 1 holds the max
+/// of cells [kFanout * c, kFanout * (c + 1)) of level k, one cache line of
+/// values. Every level is padded with kNegInf to whole groups of kFanout
+/// cells and grows by whole groups (its vector doubling its capacity), and
+/// the top level is one group whose max is not stored, so n leaves carry
+/// about n / 7 summary cells.
 class MaxSegTree {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   static constexpr std::int64_t kNegInf =
       std::numeric_limits<std::int64_t>::min();
+  static constexpr std::size_t kFanout = 8;
 
+  /// Appends one leaf. Appending kNegInf changes no summary cell, so it
+  /// touches none.
   void Append(std::int64_t value);
+  /// Sets leaf `pos` and its ancestors, stopping at the first whose max
+  /// does not change.
   void Assign(std::size_t pos, std::int64_t value);
-  [[nodiscard]] std::int64_t Value(std::size_t pos) const;
+  [[nodiscard]] std::int64_t Value(std::size_t pos) const {
+    return levels_[0][pos];
+  }
   /// Smallest position >= `from` whose value >= `threshold` (npos when
-  /// none). `threshold` must exceed kNegInf.
+  /// none). `threshold` must exceed kNegInf. Throws std::logic_error when
+  /// a summary cell exceeds the max of its group (a corrupted tree).
   [[nodiscard]] std::size_t FirstAtLeast(std::size_t from,
                                          std::int64_t threshold) const;
   [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
-  [[nodiscard]] std::size_t Descend(std::size_t cell, std::size_t lo,
-                                    std::size_t hi, std::size_t from,
-                                    std::int64_t threshold) const;
-  void Grow();
+  friend class ::dreamsim::analysis::StructureAuditor;
+  friend class ::dreamsim::analysis::StructureCorruptor;
+
+  /// Adds one group of kNegInf leaves, and a group to each level above
+  /// that needs a cell for it (a new top level when the old top outgrows
+  /// one group).
+  void AddGroup();
 
   std::size_t size_ = 0;
-  std::size_t cap_ = 0;
-  std::vector<std::int64_t> tree_;  // 1-based heap layout, 2*cap_ cells
+  std::vector<RunVector<std::int64_t>> levels_;  // [0] = leaves
 };
 
 }  // namespace dreamsim::resource

@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "resource/index_primitives.hpp"
+#include "util/run_vector.hpp"
 #include "util/types.hpp"
 
 namespace dreamsim::analysis {
@@ -219,7 +220,7 @@ class SusQueueIndex {
   SusOrder order_;
   // FIFO order (empty in a priority-order index).
   std::vector<SeqList> fifo_lists_;  // by ListSlot(resolved_config)
-  std::vector<SeqLink> fifo_links_;  // by seq; reset on removal
+  RunVector<SeqLink> fifo_links_;  // by seq; reset on removal
   std::map<std::uint32_t, MaxSegTree> fifo_groups_;  // by family (+ wildcard)
   // Priority order (empty in a FIFO-order index).
   std::unordered_map<std::uint32_t, std::set<PrioKey>>

@@ -37,6 +37,7 @@
 #include "resource/index_primitives.hpp"
 #include "resource/sus_queue_index.hpp"
 #include "resource/workload_meter.hpp"
+#include "util/run_vector.hpp"
 #include "util/types.hpp"
 
 namespace dreamsim::resource {
@@ -94,10 +95,10 @@ class SuspensionQueue {
 
    private:
     friend class SuspensionQueue;
-    const_iterator(const std::vector<Slot>* slots, std::uint32_t slot)
+    const_iterator(const RunVector<Slot>* slots, std::uint32_t slot)
         : slots_(slots), slot_(slot) {}
 
-    const std::vector<Slot>* slots_ = nullptr;
+    const RunVector<Slot>* slots_ = nullptr;
     std::uint32_t slot_ = kNoSlot;
   };
 
@@ -292,13 +293,13 @@ class SuspensionQueue {
 
   std::size_t capacity_;
   SusOrder order_;
-  std::vector<Slot> slots_;            // by seq; append-only
-  std::vector<StoredAttrs> attrs_;     // by seq; append-only
-  std::vector<double> priorities_;     // by seq; priority order only
+  RunVector<Slot> slots_;            // by seq; append-only
+  RunVector<StoredAttrs> attrs_;     // by seq; append-only
+  RunVector<double> priorities_;     // by seq; priority order only
   std::uint32_t head_ = kNoSlot;       // oldest live slot
   std::uint32_t tail_ = kNoSlot;       // newest live slot
   CountTree live_;                     // seq -> 1 while queued
-  std::vector<std::uint32_t> seq_of_task_;  // by TaskId value; kNoSlot
+  RunVector<std::uint32_t> seq_of_task_;  // by TaskId value; kNoSlot
   std::unique_ptr<SusQueueIndex> index_;
 };
 

@@ -15,28 +15,56 @@ std::string_view ToString(TaskState state) {
   return "?";
 }
 
-TaskId TaskStore::Create(Task task) {
-  const auto id = TaskId{static_cast<std::uint32_t>(tasks_.size())};
-  task.id = id;
-  if (task.required_time <= 0) {
+void TaskStore::Validate(const TaskSpec& spec) {
+  if (spec.required_time <= 0) {
     throw std::invalid_argument("task required_time must be positive");
   }
-  if (task.needed_area <= 0) {
+  if (spec.needed_area <= 0) {
     throw std::invalid_argument("task needed_area must be positive");
   }
-  tasks_.push_back(task);
-  return id;
 }
 
-Task& TaskStore::Get(TaskId id) {
+void TaskStore::Submit(std::span<const TaskSpec> specs) {
+  for (const TaskSpec& spec : specs) Validate(spec);
+  if (specs.empty()) return;
+  runs_.push_back({static_cast<std::uint32_t>(size()), specs.data(), 0});
+  tasks_.resize(size() + specs.size());
+}
+
+TaskId TaskStore::SubmitOne(const TaskSpec& spec) {
+  Validate(spec);
+  const auto id = static_cast<std::uint32_t>(size());
+  // Consecutive owned tasks share one run.
+  if (runs_.empty() || runs_.back().borrowed != nullptr) {
+    runs_.push_back({id, nullptr, owned_.size()});
+  }
+  owned_.push_back(spec);
+  tasks_.emplace_back();
+  return TaskId{id};
+}
+
+std::uint32_t TaskStore::CheckedId(TaskId id) const {
   if (!id.valid() || id.value() >= tasks_.size()) {
     throw std::out_of_range("unknown TaskId");
   }
-  return tasks_[id.value()];
+  return id.value();
 }
 
-const Task& TaskStore::Get(TaskId id) const {
-  return const_cast<TaskStore*>(this)->Get(id);
+Task& TaskStore::Get(TaskId id) { return tasks_[CheckedId(id)]; }
+
+const Task& TaskStore::Get(TaskId id) const { return tasks_[CheckedId(id)]; }
+
+const TaskSpec& TaskStore::Spec(TaskId id) const {
+  const std::uint32_t at = CheckedId(id);
+  // Runs are few (one per workload, one per stretch of single
+  // submissions), and the latest is the likeliest.
+  auto run = runs_.end();
+  do {
+    --run;
+  } while (run->first > at);
+  const std::size_t offset = at - run->first;
+  return run->borrowed != nullptr ? run->borrowed[offset]
+                                  : owned_[run->owned_at + offset];
 }
 
 std::size_t TaskStore::CountInState(TaskState state) const {

@@ -3,18 +3,46 @@
 //   Task_i(t_required, C_pref, data)
 //
 // A task asks for a preferred processor configuration; when that is not in
-// the catalogue the scheduler falls back to the closest match by area. The
-// store owns every generated task and tracks its lifecycle and the
-// timestamps the metrics system needs (Eq. 8/9).
+// the catalogue the scheduler falls back to the closest match by area. A
+// task is two records: its TaskSpec, the generated tuple, which never
+// changes once submitted, and its Task, the run-time state the simulator
+// writes (lifecycle plus the timestamps the metrics system needs, Eq. 8/9).
+// The store keeps the run-time state of every task and borrows the specs
+// of a submitted workload in place, so a run holds the workload only once.
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <span>
 #include <string_view>
 #include <vector>
 
+#include "util/run_vector.hpp"
 #include "util/types.hpp"
 
 namespace dreamsim::resource {
+
+/// The generated tuple of one task: its creation tick plus Eq. 3's
+/// (t_required, C_pref, data), and its scheduling priority.
+struct TaskSpec {
+  Tick create_time = 0;
+  /// Preferred processor configuration C_pref. Valid = a catalogue
+  /// configuration; invalid = the paper's "C_pref not in configurations
+  /// list" case (the 15% closest-match experiments), where the scheduler
+  /// matches by `needed_area`.
+  ConfigId preferred_config;
+  /// Area of the preferred configuration (drives closest-match search).
+  Area needed_area = 0;
+  /// Execution time on C_pref (t_required).
+  Tick required_time = 0;
+  /// Size of the task's input `data` (shipped over the network model).
+  Bytes data_size = 0;
+  /// Scheduling priority; only consulted when the simulation runs with
+  /// priority_scheduling (the task-graph critical-path extension). Higher
+  /// wins; ties fall back to FIFO. The task-graph session sets this to the
+  /// vertex's upward rank.
+  double priority = 0.0;
+};
 
 /// Lifecycle of a task inside the simulator.
 enum class TaskState : std::uint8_t {
@@ -27,29 +55,8 @@ enum class TaskState : std::uint8_t {
 
 [[nodiscard]] std::string_view ToString(TaskState state);
 
-/// One application task (Eq. 3) plus scheduling bookkeeping.
+/// The run-time state of one task; its TaskSpec holds the rest.
 struct Task {
-  TaskId id;
-
-  /// Preferred processor configuration C_pref. May name a configuration
-  /// that does not exist in the catalogue (the paper's 15% closest-match
-  /// experiments); the scheduler then matches by `needed_area`.
-  ConfigId preferred_config;
-
-  /// Area of the preferred configuration (drives closest-match search).
-  Area needed_area = 0;
-
-  /// Execution time on C_pref (t_required).
-  Tick required_time = 0;
-
-  /// Size of the task's input `data` (shipped over the network model).
-  Bytes data_size = 0;
-
-  /// Scheduling priority under priority_scheduling (higher wins; ties are
-  /// FIFO). The task-graph session sets this to the vertex's upward rank.
-  double priority = 0.0;
-
-  // --- Mutable scheduling state ---
   TaskState state = TaskState::kCreated;
   /// Cached result of the first ResolveConfig() for this task (C_pref when
   /// it exists in the catalogue, else the closest match). Lets the
@@ -59,8 +66,7 @@ struct Task {
   ConfigId assigned_config;
   /// Node the task ran on (diagnostics).
   NodeId assigned_node;
-  Tick create_time = kNoTick;
-  Tick start_time = kNoTick;       // submission to the node (Eq. 8 t_start)
+  Tick start_time = kNoTick;  // submission to the node (Eq. 8 t_start)
   Tick completion_time = kNoTick;
   /// Communication + configuration components of the wait (Eq. 8).
   Tick comm_time = 0;
@@ -69,40 +75,69 @@ struct Task {
   std::uint32_t sus_retry = 0;
   /// Times a node failure killed this task mid-execution (fault injection).
   std::uint32_t kill_count = 0;
-
-  /// Waiting time per Eq. 8: t_start - t_create + t_comm + t_config.
-  /// Only meaningful once the task has started.
-  [[nodiscard]] Tick WaitingTime() const {
-    return start_time - create_time + comm_time + config_wait;
-  }
-
-  /// Total time in system: completion - creation (Table I "average running
-  /// time of each task").
-  [[nodiscard]] Tick TurnaroundTime() const {
-    return completion_time - create_time;
-  }
 };
+// One cell per task for the whole run: keep it to the run-time state.
+static_assert(sizeof(Task) <= 56);
 
-/// Owning, densely indexed container of all generated tasks.
+/// Waiting time per Eq. 8: t_start - t_create + t_comm + t_config. Only
+/// meaningful once the task has started.
+[[nodiscard]] inline Tick WaitingTime(const TaskSpec& spec, const Task& task) {
+  return task.start_time - spec.create_time + task.comm_time +
+         task.config_wait;
+}
+
+/// Total time in system: completion - creation (Table I "average running
+/// time of each task").
+[[nodiscard]] inline Tick TurnaroundTime(const TaskSpec& spec,
+                                         const Task& task) {
+  return task.completion_time - spec.create_time;
+}
+
+/// Densely indexed table of every submitted task: the run-time state of
+/// each, and its spec, either borrowed from a submitted workload or owned.
+/// Ids are dense and consecutive: the n-th submitted task has id n.
 class TaskStore {
  public:
-  /// CreateTask(): registers a task; the stored copy receives its id.
-  /// Ids are dense and consecutive: the n-th created task has id n.
-  TaskId Create(Task task);
+  /// Registers `specs` as the next tasks, in order, borrowing them: the
+  /// store reads each spec in place, so `specs` must outlive every Spec()
+  /// call for these ids. Throws std::invalid_argument, registering none,
+  /// when a spec has a non-positive required_time or needed_area.
+  void Submit(std::span<const TaskSpec> specs);
+  /// Registers one task with a copy of `spec` the store owns. Throws like
+  /// Submit().
+  TaskId SubmitOne(const TaskSpec& spec);
 
-  /// Pre-reserves room for `tasks` tasks in total.
+  /// Pre-reserves room for the run-time state of `tasks` tasks in total.
   void Reserve(std::size_t tasks) { tasks_.reserve(tasks); }
 
   [[nodiscard]] Task& Get(TaskId id);
   [[nodiscard]] const Task& Get(TaskId id) const;
+  /// The spec of task `id`.
+  [[nodiscard]] const TaskSpec& Spec(TaskId id) const;
   [[nodiscard]] std::size_t size() const { return tasks_.size(); }
-  [[nodiscard]] const std::vector<Task>& all() const { return tasks_; }
+  /// Run-time state of every task, indexed by id.
+  [[nodiscard]] const RunVector<Task>& all() const { return tasks_; }
 
   /// Number of tasks currently in `state`.
   [[nodiscard]] std::size_t CountInState(TaskState state) const;
 
  private:
-  std::vector<Task> tasks_;
+  /// Consecutive ids [first, next run's first) whose specs sit together:
+  /// borrowed[id - first], or owned_[owned_at + id - first] when
+  /// `borrowed` is null.
+  struct SpecRun {
+    std::uint32_t first = 0;
+    const TaskSpec* borrowed = nullptr;
+    std::size_t owned_at = 0;
+  };
+
+  static void Validate(const TaskSpec& spec);
+  [[nodiscard]] std::uint32_t CheckedId(TaskId id) const;
+
+  RunVector<Task> tasks_;
+  std::vector<SpecRun> runs_;  // ascending by first
+  std::deque<TaskSpec> owned_;  // stable: a Spec() reference outlives
+                                // later SubmitOne() calls
 };
 
 }  // namespace dreamsim::resource

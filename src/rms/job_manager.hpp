@@ -19,23 +19,23 @@ class JobSubmissionManager {
   JobSubmissionManager(sim::Kernel& kernel, resource::TaskStore& tasks)
       : kernel_(kernel), tasks_(tasks) {}
 
-  /// Creates one Task (state kCreated, create_time set) per workload entry,
-  /// with consecutive ids in workload order, and registers their arrivals:
-  /// each fires at its create_time, ties in submission order. A workload
-  /// in create_time order is read in place by the kernel's arrival cursor,
-  /// so `workload` must outlive the kernel run that delivers it. Returns
-  /// the number of arrivals scheduled.
+  /// Registers one task (state kCreated) per workload entry, with
+  /// consecutive ids in workload order, and their arrivals: each fires at
+  /// its create_time, ties in submission order. The task store borrows the
+  /// entries as the tasks' specs, and a workload in create_time order is
+  /// read in place by the kernel's arrival cursor, so `workload` must
+  /// outlive both the kernel run and every later read of a spec. Throws
+  /// std::invalid_argument, registering nothing, on an invalid entry.
+  /// Returns the number of arrivals scheduled.
   std::size_t Submit(const workload::Workload& workload);
 
-  /// Submits one task to arrive at `at` (>= kernel.now()).
+  /// Submits a copy of `task`, created at `at` (>= kernel.now()), to
+  /// arrive at `at`.
   TaskId SubmitOne(const workload::GeneratedTask& task, Tick at);
 
   [[nodiscard]] std::size_t submitted() const { return submitted_; }
 
  private:
-  /// Stores the task described by `gen`, created at `at`.
-  TaskId CreateTask(const workload::GeneratedTask& gen, Tick at);
-
   sim::Kernel& kernel_;
   resource::TaskStore& tasks_;
   std::size_t submitted_ = 0;

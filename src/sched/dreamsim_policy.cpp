@@ -38,22 +38,22 @@ Decision SuspendOrDiscard(const resource::Configuration& cfg,
 
 }  // namespace
 
-Decision DreamSimPolicy::Schedule(const resource::Task& task,
+Decision DreamSimPolicy::Schedule(TaskId id, const resource::TaskSpec& spec,
                                   resource::ResourceStore& store) {
-  const auto resolved = ResolveConfig(task, store);
+  const auto resolved = ResolveConfig(spec, store);
   if (!resolved) {
     // Neither C_pref nor any closest match exists: discard immediately.
     Decision d;
     d.outcome = Outcome::kDiscard;
-    d.used_closest_match = !task.preferred_config.valid();
+    d.used_closest_match = !spec.preferred_config.valid();
     return d;
   }
   return mode_ == ReconfigMode::kPartial
-             ? SchedulePartial(task, store, *resolved)
-             : ScheduleFull(task, store, *resolved);
+             ? SchedulePartial(id, store, *resolved)
+             : ScheduleFull(id, store, *resolved);
 }
 
-Decision DreamSimPolicy::SchedulePartial(const resource::Task& task,
+Decision DreamSimPolicy::SchedulePartial(TaskId id,
                                          resource::ResourceStore& store,
                                          const ResolvedConfig& resolved) {
   const resource::Configuration& cfg = store.configs().Get(resolved.config);
@@ -64,7 +64,7 @@ Decision DreamSimPolicy::SchedulePartial(const resource::Task& task,
   {
     const obs::ScopedPhaseTimer timer(obs::ProfPhase::kAllocation);
     if (const auto entry = store.FindBestIdleEntry(cfg.id)) {
-      store.AssignTask(*entry, task.id);
+      store.AssignTask(*entry, id);
       return Placed(*entry, cfg.id, 0, PlacementKind::kAllocation,
                     resolved.used_closest_match);
     }
@@ -76,7 +76,7 @@ Decision DreamSimPolicy::SchedulePartial(const resource::Task& task,
     if (const auto node_id =
             store.FindBestBlankNode(cfg.required_area, cfg.family)) {
       const EntryRef entry = store.Configure(*node_id, cfg.id);
-      store.AssignTask(entry, task.id);
+      store.AssignTask(entry, id);
       return Placed(entry, cfg.id, cfg.config_time,
                     PlacementKind::kConfiguration,
                     resolved.used_closest_match);
@@ -91,7 +91,7 @@ Decision DreamSimPolicy::SchedulePartial(const resource::Task& task,
     if (const auto node_id =
             store.FindBestPartiallyBlankNode(cfg.required_area, cfg.family)) {
       const EntryRef entry = store.Configure(*node_id, cfg.id);
-      store.AssignTask(entry, task.id);
+      store.AssignTask(entry, id);
       return Placed(entry, cfg.id, cfg.config_time,
                     PlacementKind::kPartialConfiguration,
                     resolved.used_closest_match);
@@ -107,7 +107,7 @@ Decision DreamSimPolicy::SchedulePartial(const resource::Task& task,
         store.ReclaimSlot(EntryRef{plan->node, slot});
       }
       const EntryRef entry = store.Configure(plan->node, cfg.id);
-      store.AssignTask(entry, task.id);
+      store.AssignTask(entry, id);
       return Placed(entry, cfg.id, cfg.config_time,
                     PlacementKind::kPartialReconfiguration,
                     resolved.used_closest_match);
@@ -118,7 +118,7 @@ Decision DreamSimPolicy::SchedulePartial(const resource::Task& task,
                           resolved.used_closest_match);
 }
 
-Decision DreamSimPolicy::ScheduleFull(const resource::Task& task,
+Decision DreamSimPolicy::ScheduleFull(TaskId id,
                                       resource::ResourceStore& store,
                                       const ResolvedConfig& resolved) {
   const resource::Configuration& cfg = store.configs().Get(resolved.config);
@@ -128,7 +128,7 @@ Decision DreamSimPolicy::ScheduleFull(const resource::Task& task,
   {
     const obs::ScopedPhaseTimer timer(obs::ProfPhase::kAllocation);
     if (const auto entry = store.FindBestIdleEntry(cfg.id)) {
-      store.AssignTask(*entry, task.id);
+      store.AssignTask(*entry, id);
       return Placed(*entry, cfg.id, 0, PlacementKind::kAllocation,
                     resolved.used_closest_match);
     }
@@ -140,7 +140,7 @@ Decision DreamSimPolicy::ScheduleFull(const resource::Task& task,
     if (const auto node_id =
             store.FindBestBlankNode(cfg.required_area, cfg.family)) {
       const EntryRef entry = store.Configure(*node_id, cfg.id);
-      store.AssignTask(entry, task.id);
+      store.AssignTask(entry, id);
       return Placed(entry, cfg.id, cfg.config_time,
                     PlacementKind::kConfiguration,
                     resolved.used_closest_match);
@@ -156,7 +156,7 @@ Decision DreamSimPolicy::ScheduleFull(const resource::Task& task,
             store.FindBestIdleConfiguredNode(cfg.required_area, cfg.family)) {
       store.BlankNode(*node_id);
       const EntryRef entry = store.Configure(*node_id, cfg.id);
-      store.AssignTask(entry, task.id);
+      store.AssignTask(entry, id);
       return Placed(entry, cfg.id, cfg.config_time,
                     PlacementKind::kFullReconfiguration,
                     resolved.used_closest_match);

@@ -32,14 +32,14 @@ class DreamSimPolicy final : public Policy {
 
   [[nodiscard]] ReconfigMode mode() const { return mode_; }
 
-  [[nodiscard]] Decision Schedule(const resource::Task& task,
+  [[nodiscard]] Decision Schedule(TaskId id, const resource::TaskSpec& spec,
                                   resource::ResourceStore& store) override;
 
  private:
-  [[nodiscard]] Decision SchedulePartial(const resource::Task& task,
+  [[nodiscard]] Decision SchedulePartial(TaskId id,
                                          resource::ResourceStore& store,
                                          const ResolvedConfig& resolved);
-  [[nodiscard]] Decision ScheduleFull(const resource::Task& task,
+  [[nodiscard]] Decision ScheduleFull(TaskId id,
                                       resource::ResourceStore& store,
                                       const ResolvedConfig& resolved);
 

@@ -56,20 +56,20 @@ std::int64_t HeuristicPolicy::Rank(const resource::Node& n,
   return 0;
 }
 
-Decision HeuristicPolicy::Schedule(const resource::Task& task,
+Decision HeuristicPolicy::Schedule(TaskId id, const resource::TaskSpec& spec,
                                    resource::ResourceStore& store) {
-  const auto resolved = ResolveConfig(task, store);
+  const auto resolved = ResolveConfig(spec, store);
   if (!resolved) {
     Decision d;
     d.outcome = Outcome::kDiscard;
-    d.used_closest_match = !task.preferred_config.valid();
+    d.used_closest_match = !spec.preferred_config.valid();
     return d;
   }
   const resource::Configuration& cfg = store.configs().Get(resolved->config);
 
   const auto finish = [&](EntryRef entry, Tick config_time,
                           PlacementKind kind) {
-    store.AssignTask(entry, task.id);
+    store.AssignTask(entry, id);
     rr_cursor_ = (entry.node.value() + 1) % std::max<std::size_t>(
                                                 1, store.node_count());
     Decision d;

@@ -48,7 +48,7 @@ class HeuristicPolicy final : public Policy {
     return ToString(heuristic_);
   }
 
-  [[nodiscard]] Decision Schedule(const resource::Task& task,
+  [[nodiscard]] Decision Schedule(TaskId id, const resource::TaskSpec& spec,
                                   resource::ResourceStore& store) override;
 
  private:

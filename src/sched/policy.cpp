@@ -22,7 +22,7 @@ std::string_view ToString(PlacementKind kind) {
   return "?";
 }
 
-std::optional<ResolvedConfig> ResolveConfig(const resource::Task& task,
+std::optional<ResolvedConfig> ResolveConfig(const resource::TaskSpec& spec,
                                             resource::ResourceStore& store) {
   resource::WorkloadMeter& meter = store.meter();
   Steps steps = 0;
@@ -33,10 +33,10 @@ std::optional<ResolvedConfig> ResolveConfig(const resource::Task& task,
 
   // "Initially, the scheduler decides whether the exact-match configuration
   // (or C_pref) of the task is available in the configurations list."
-  if (task.preferred_config.valid()) {
+  if (spec.preferred_config.valid()) {
     const auto exact =
-        indexed ? catalogue.FindPreferred(task.preferred_config, steps)
-                : catalogue.ScanPreferred(task.preferred_config, steps);
+        indexed ? catalogue.FindPreferred(spec.preferred_config, steps)
+                : catalogue.ScanPreferred(spec.preferred_config, steps);
     meter.Add(resource::StepKind::kSchedulingSearch, steps);
     if (exact) return ResolvedConfig{*exact, false};
   } else {
@@ -48,8 +48,8 @@ std::optional<ResolvedConfig> ResolveConfig(const resource::Task& task,
   // searches for a closest-match configuration."
   steps = 0;
   const auto closest =
-      indexed ? catalogue.FindClosestMatch(task.needed_area, steps)
-              : catalogue.ScanClosestMatch(task.needed_area, steps);
+      indexed ? catalogue.FindClosestMatch(spec.needed_area, steps)
+              : catalogue.ScanClosestMatch(spec.needed_area, steps);
   meter.Add(resource::StepKind::kSchedulingSearch, steps);
   if (closest) return ResolvedConfig{*closest, true};
   return std::nullopt;  // "if CClosestMatch is also not available, discard"

@@ -63,18 +63,19 @@ struct Decision {
 };
 
 /// Abstract policy. Implementations mutate the store on success: after a
-/// kPlaced decision the chosen entry is busy with `task.id`.
+/// kPlaced decision the chosen entry is busy with the task's id.
 class Policy {
  public:
   virtual ~Policy() = default;
 
   [[nodiscard]] virtual std::string_view name() const = 0;
 
-  /// One scheduling attempt for `task`. Must call
+  /// One scheduling attempt for task `id`, described by `spec`. Must call
   /// store.meter().BeginTask() exactly never — the caller resets the
   /// per-task counter so that retries from the suspension queue accumulate
   /// into the same task's step count.
-  [[nodiscard]] virtual Decision Schedule(const resource::Task& task,
+  [[nodiscard]] virtual Decision Schedule(TaskId id,
+                                          const resource::TaskSpec& spec,
                                           resource::ResourceStore& store) = 0;
 };
 
@@ -86,6 +87,6 @@ struct ResolvedConfig {
   bool used_closest_match = false;
 };
 [[nodiscard]] std::optional<ResolvedConfig> ResolveConfig(
-    const resource::Task& task, resource::ResourceStore& store);
+    const resource::TaskSpec& spec, resource::ResourceStore& store);
 
 }  // namespace dreamsim::sched

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "resource/config.hpp"
+#include "resource/task.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -54,20 +55,9 @@ struct TaskGenParams {
 };
 
 /// One generated task before it enters the simulator: creation tick plus
-/// the Eq. 3 tuple.
-struct GeneratedTask {
-  Tick create_time = 0;
-  /// Valid id = a catalogue configuration; invalid = the paper's
-  /// "C_pref not in configurations list" case.
-  ConfigId preferred_config;
-  Area needed_area = 0;
-  Tick required_time = 0;
-  Bytes data_size = 0;
-  /// Scheduling priority; only consulted when the simulation runs with
-  /// priority_scheduling (the task-graph critical-path extension). Higher
-  /// wins; ties fall back to FIFO.
-  double priority = 0.0;
-};
+/// the Eq. 3 tuple (resource::TaskSpec, which the task store reads in
+/// place).
+using GeneratedTask = resource::TaskSpec;
 
 /// A fully materialized workload: tasks ordered by non-decreasing
 /// create_time.

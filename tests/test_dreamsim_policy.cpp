@@ -14,7 +14,7 @@ using resource::ConfigCatalogue;
 using resource::Configuration;
 using resource::EntryRef;
 using resource::ResourceStore;
-using resource::Task;
+using resource::TaskSpec;
 
 ConfigCatalogue MakeCatalogue(std::initializer_list<Area> areas) {
   ConfigCatalogue c;
@@ -27,18 +27,16 @@ ConfigCatalogue MakeCatalogue(std::initializer_list<Area> areas) {
   return c;
 }
 
-Task MakeTask(std::uint32_t preferred, Area area, TaskId id = TaskId{0}) {
-  Task t;
-  t.id = id;
+TaskSpec MakeTask(std::uint32_t preferred, Area area) {
+  TaskSpec t;
   t.preferred_config = ConfigId{preferred};
   t.needed_area = area;
   t.required_time = 100;
   return t;
 }
 
-Task MakeUnknownPrefTask(Area area, TaskId id = TaskId{0}) {
-  Task t;
-  t.id = id;
+TaskSpec MakeUnknownPrefTask(Area area) {
+  TaskSpec t;
   t.preferred_config = ConfigId::invalid();
   t.needed_area = area;
   t.required_time = 100;
@@ -91,7 +89,7 @@ TEST_F(PartialPolicyTest, Phase1AllocationPrefersMinAvailableArea) {
   (void)store_.Configure(small, ConfigId{0});  // avail 700
   (void)store_.Configure(large, ConfigId{0});  // avail 3700
 
-  const Decision d = policy_.Schedule(MakeTask(0, 300), store_);
+  const Decision d = policy_.Schedule(TaskId{0}, MakeTask(0, 300), store_);
   EXPECT_EQ(d.outcome, Outcome::kPlaced);
   EXPECT_EQ(d.kind, PlacementKind::kAllocation);
   EXPECT_EQ(d.entry.node, small);
@@ -105,7 +103,7 @@ TEST_F(PartialPolicyTest, Phase2ConfigurationUsesTightestBlankNode) {
   (void)store_.AddNode(4000);
   const NodeId tight = store_.AddNode(1000);
 
-  const Decision d = policy_.Schedule(MakeTask(1, 500), store_);
+  const Decision d = policy_.Schedule(TaskId{0}, MakeTask(1, 500), store_);
   EXPECT_EQ(d.outcome, Outcome::kPlaced);
   EXPECT_EQ(d.kind, PlacementKind::kConfiguration);
   EXPECT_EQ(d.entry.node, tight);
@@ -120,7 +118,7 @@ TEST_F(PartialPolicyTest, Phase3PartialConfigurationOnOperativeNode) {
   const EntryRef busy = store_.Configure(node, ConfigId{1});  // 500
   store_.AssignTask(busy, TaskId{99});
   // No blank nodes left, no idle entry with config 0; node has 1500 spare.
-  const Decision d = policy_.Schedule(MakeTask(0, 300, TaskId{1}), store_);
+  const Decision d = policy_.Schedule(TaskId{1}, MakeTask(0, 300), store_);
   EXPECT_EQ(d.outcome, Outcome::kPlaced);
   EXPECT_EQ(d.kind, PlacementKind::kPartialConfiguration);
   EXPECT_EQ(d.entry.node, node);
@@ -140,13 +138,13 @@ TEST_F(PartialPolicyTest, Phase4PartialReconfigurationReclaimsIdleEntries) {
   // Config 2 needs 800: no idle entry, no blank node, spare area only 200,
   // but reclaiming the idle 500-entry yields 700... still short. Give the
   // task config 1's area? Use a task needing config 1 -> 500 <= 200+500.
-  const Decision d = policy_.Schedule(MakeTask(2, 800, TaskId{1}), store_);
+  const Decision d = policy_.Schedule(TaskId{1}, MakeTask(2, 800), store_);
   // 200 + 500 = 700 < 800: impossible now, but the busy node's TotalArea
   // (1000) could fit 800 later -> suspension.
   EXPECT_EQ(d.outcome, Outcome::kSuspend);
 
   // A 500-area task CAN be served by reclaiming: spare 200 + idle 500.
-  const Decision d2 = policy_.Schedule(MakeTask(1, 500, TaskId{2}), store_);
+  const Decision d2 = policy_.Schedule(TaskId{2}, MakeTask(1, 500), store_);
   // Direct allocation wins here (the idle entry has config 1 already).
   EXPECT_EQ(d2.outcome, Outcome::kPlaced);
   EXPECT_EQ(d2.kind, PlacementKind::kAllocation);
@@ -160,7 +158,7 @@ TEST_F(PartialPolicyTest, Phase4ReconfiguresWhenNoDirectOption) {
 
   // Task wants config 1 (500): no idle entry with config 1, no blank, spare
   // 400 < 500, but reclaiming the idle 300-entry gives 700 >= 500.
-  const Decision d = policy_.Schedule(MakeTask(1, 500, TaskId{1}), store_);
+  const Decision d = policy_.Schedule(TaskId{1}, MakeTask(1, 500), store_);
   EXPECT_EQ(d.outcome, Outcome::kPlaced);
   EXPECT_EQ(d.kind, PlacementKind::kPartialReconfiguration);
   EXPECT_EQ(d.entry.node, node);
@@ -176,7 +174,7 @@ TEST_F(PartialPolicyTest, SuspendsWhenBusyNodeCouldFitLater) {
   const NodeId node = store_.AddNode(1000);
   const EntryRef busy = store_.Configure(node, ConfigId{2});  // 800 busy
   store_.AssignTask(busy, TaskId{99});
-  const Decision d = policy_.Schedule(MakeTask(2, 800, TaskId{1}), store_);
+  const Decision d = policy_.Schedule(TaskId{1}, MakeTask(2, 800), store_);
   EXPECT_EQ(d.outcome, Outcome::kSuspend);
   EXPECT_EQ(d.config, ConfigId{2});  // resolution is reported on suspend
 }
@@ -185,7 +183,8 @@ TEST_F(PartialPolicyTest, DiscardsWhenNothingCouldEverFit) {
   (void)store_.AddNode(1000);  // idle and blank, but too small for nothing...
   // All catalogue configs fit 1000, so use an unknown-pref task needing
   // more area than the largest config: resolution itself fails.
-  const Decision d = policy_.Schedule(MakeUnknownPrefTask(900), store_);
+  const Decision d =
+      policy_.Schedule(TaskId{0}, MakeUnknownPrefTask(900), store_);
   // Closest match = config 2 (800)? 800 < 900 -> no config >= 900 exists.
   EXPECT_EQ(d.outcome, Outcome::kDiscard);
 }
@@ -196,7 +195,7 @@ TEST_F(PartialPolicyTest, DiscardsWhenNoBusyCandidateExists) {
   const NodeId node = store_.AddNode(500);
   const EntryRef busy = store_.Configure(node, ConfigId{0});
   store_.AssignTask(busy, TaskId{99});
-  const Decision d = policy_.Schedule(MakeTask(2, 800, TaskId{1}), store_);
+  const Decision d = policy_.Schedule(TaskId{1}, MakeTask(2, 800), store_);
   EXPECT_EQ(d.outcome, Outcome::kDiscard);
 }
 
@@ -214,7 +213,7 @@ class FullPolicyTest : public ::testing::Test {
 TEST_F(FullPolicyTest, AllocationReusesIdleConfiguredNode) {
   const NodeId node = store_.AddNode(1000);
   (void)store_.Configure(node, ConfigId{0});
-  const Decision d = policy_.Schedule(MakeTask(0, 300), store_);
+  const Decision d = policy_.Schedule(TaskId{0}, MakeTask(0, 300), store_);
   EXPECT_EQ(d.outcome, Outcome::kPlaced);
   EXPECT_EQ(d.kind, PlacementKind::kAllocation);
   EXPECT_EQ(d.config_time, 0);
@@ -222,7 +221,7 @@ TEST_F(FullPolicyTest, AllocationReusesIdleConfiguredNode) {
 
 TEST_F(FullPolicyTest, ConfigurationOnBlankNode) {
   (void)store_.AddNode(1000);
-  const Decision d = policy_.Schedule(MakeTask(1, 500), store_);
+  const Decision d = policy_.Schedule(TaskId{0}, MakeTask(1, 500), store_);
   EXPECT_EQ(d.outcome, Outcome::kPlaced);
   EXPECT_EQ(d.kind, PlacementKind::kConfiguration);
   EXPECT_EQ(d.config_time, 10);
@@ -232,7 +231,7 @@ TEST_F(FullPolicyTest, FullReconfigurationWipesIdleNode) {
   const NodeId node = store_.AddNode(1000);
   (void)store_.Configure(node, ConfigId{0});  // idle with config 0
   // Task wants config 1; no idle entry for it, no blank nodes.
-  const Decision d = policy_.Schedule(MakeTask(1, 500), store_);
+  const Decision d = policy_.Schedule(TaskId{0}, MakeTask(1, 500), store_);
   EXPECT_EQ(d.outcome, Outcome::kPlaced);
   EXPECT_EQ(d.kind, PlacementKind::kFullReconfiguration);
   EXPECT_EQ(d.entry.node, node);
@@ -249,7 +248,7 @@ TEST_F(FullPolicyTest, FullReconfigurationPrefersTightestNode) {
   const NodeId small = store_.AddNode(1000);
   (void)store_.Configure(big, ConfigId{0});
   (void)store_.Configure(small, ConfigId{0});
-  const Decision d = policy_.Schedule(MakeTask(1, 500), store_);
+  const Decision d = policy_.Schedule(TaskId{0}, MakeTask(1, 500), store_);
   EXPECT_EQ(d.kind, PlacementKind::kFullReconfiguration);
   EXPECT_EQ(d.entry.node, small);
 }
@@ -258,8 +257,8 @@ TEST_F(FullPolicyTest, BusyNodesSuspendElseDiscard) {
   const NodeId node = store_.AddNode(1000);
   const EntryRef e = store_.Configure(node, ConfigId{0});
   store_.AssignTask(e, TaskId{99});
-  const Decision suspend = policy_.Schedule(MakeTask(1, 500, TaskId{1}),
-                                            store_);
+  const Decision suspend =
+      policy_.Schedule(TaskId{1}, MakeTask(1, 500), store_);
   EXPECT_EQ(suspend.outcome, Outcome::kSuspend);
 
   // Nothing in the system can ever fit config 2 (800)? The busy node's
@@ -270,7 +269,7 @@ TEST_F(FullPolicyTest, BusyNodesSuspendElseDiscard) {
   const EntryRef te = tiny.Configure(t, ConfigId{0});
   tiny.AssignTask(te, TaskId{99});
   DreamSimPolicy policy(ReconfigMode::kFull);
-  const Decision discard = policy.Schedule(MakeTask(2, 800, TaskId{1}), tiny);
+  const Decision discard = policy.Schedule(TaskId{1}, MakeTask(2, 800), tiny);
   EXPECT_EQ(discard.outcome, Outcome::kDiscard);
 }
 

@@ -103,13 +103,12 @@ TEST(FamilyCompatibility, PolicyPlacesOnlyOnCompatibleNodes) {
   const NodeId family1 = store.AddNode(1000, FamilyId{1});
 
   sched::DreamSimPolicy policy(sched::ReconfigMode::kPartial);
-  resource::Task task;
-  task.id = TaskId{1};
-  task.preferred_config = ConfigId{1};
-  task.needed_area = 300;
-  task.required_time = 100;
+  resource::TaskSpec spec;
+  spec.preferred_config = ConfigId{1};
+  spec.needed_area = 300;
+  spec.required_time = 100;
 
-  const sched::Decision d = policy.Schedule(task, store);
+  const sched::Decision d = policy.Schedule(TaskId{1}, spec, store);
   ASSERT_EQ(d.outcome, sched::Outcome::kPlaced);
   EXPECT_EQ(d.entry.node, family1);  // the big family-0 node is off limits
   (void)family0;
@@ -187,10 +186,11 @@ TEST(ClosestMatchSlowdown, DefaultReproducesPaperTiming) {
   config.seed = 31;
   core::Simulator sim(std::move(config));
   (void)sim.Run();
-  for (const resource::Task& t : sim.tasks().all()) {
+  for (std::uint32_t i = 0; i < sim.tasks().size(); ++i) {
+    const resource::Task& t = sim.tasks().Get(TaskId{i});
     if (t.state != resource::TaskState::kCompleted) continue;
-    EXPECT_EQ(t.completion_time,
-              t.start_time + t.comm_time + t.config_wait + t.required_time);
+    EXPECT_EQ(t.completion_time, t.start_time + t.comm_time + t.config_wait +
+                                     sim.tasks().Spec(TaskId{i}).required_time);
   }
 }
 

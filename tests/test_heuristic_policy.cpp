@@ -14,7 +14,7 @@ using resource::ConfigCatalogue;
 using resource::Configuration;
 using resource::EntryRef;
 using resource::ResourceStore;
-using resource::Task;
+using resource::TaskSpec;
 
 ConfigCatalogue MakeCatalogue(std::initializer_list<Area> areas) {
   ConfigCatalogue c;
@@ -27,9 +27,8 @@ ConfigCatalogue MakeCatalogue(std::initializer_list<Area> areas) {
   return c;
 }
 
-Task MakeTask(std::uint32_t preferred, Area area, std::uint32_t id = 0) {
-  Task t;
-  t.id = TaskId{id};
+TaskSpec MakeTask(std::uint32_t preferred, Area area) {
+  TaskSpec t;
   t.preferred_config = ConfigId{preferred};
   t.needed_area = area;
   t.required_time = 100;
@@ -62,7 +61,7 @@ class FirstFitTest : public HeuristicFixture {};
 
 TEST_F(FirstFitTest, TakesFirstFeasibleNode) {
   HeuristicPolicy policy(Heuristic::kFirstFit);
-  const Decision d = policy.Schedule(MakeTask(0, 300), store_);
+  const Decision d = policy.Schedule(TaskId{0}, MakeTask(0, 300), store_);
   EXPECT_EQ(d.outcome, Outcome::kPlaced);
   EXPECT_EQ(d.entry.node, n1_);
   const analysis::AuditReport audit =
@@ -73,7 +72,7 @@ TEST_F(FirstFitTest, TakesFirstFeasibleNode) {
 TEST_F(FirstFitTest, PrefersIdleEntryOverNewConfiguration) {
   HeuristicPolicy policy(Heuristic::kFirstFit);
   (void)store_.Configure(n3_, ConfigId{0});
-  const Decision d = policy.Schedule(MakeTask(0, 300), store_);
+  const Decision d = policy.Schedule(TaskId{0}, MakeTask(0, 300), store_);
   EXPECT_EQ(d.kind, PlacementKind::kAllocation);
   EXPECT_EQ(d.entry.node, n3_);
   EXPECT_EQ(d.config_time, 0);
@@ -83,7 +82,7 @@ class BestFitTest : public HeuristicFixture {};
 
 TEST_F(BestFitTest, PicksMinimalLeftoverNode) {
   HeuristicPolicy policy(Heuristic::kBestFit);
-  const Decision d = policy.Schedule(MakeTask(1, 500), store_);
+  const Decision d = policy.Schedule(TaskId{0}, MakeTask(1, 500), store_);
   EXPECT_EQ(d.outcome, Outcome::kPlaced);
   EXPECT_EQ(d.entry.node, n1_);  // 1000 is the tightest
 }
@@ -92,7 +91,7 @@ class WorstFitTest : public HeuristicFixture {};
 
 TEST_F(WorstFitTest, PicksLargestLeftoverNode) {
   HeuristicPolicy policy(Heuristic::kWorstFit);
-  const Decision d = policy.Schedule(MakeTask(1, 500), store_);
+  const Decision d = policy.Schedule(TaskId{0}, MakeTask(1, 500), store_);
   EXPECT_EQ(d.outcome, Outcome::kPlaced);
   EXPECT_EQ(d.entry.node, n3_);  // 4000 is the roomiest
 }
@@ -103,7 +102,7 @@ TEST_F(RoundRobinTest, RotatesAcrossNodes) {
   HeuristicPolicy policy(Heuristic::kRoundRobin);
   std::vector<std::uint32_t> picks;
   for (std::uint32_t i = 0; i < 4; ++i) {
-    const Decision d = policy.Schedule(MakeTask(0, 300, i), store_);
+    const Decision d = policy.Schedule(TaskId{i}, MakeTask(0, 300), store_);
     ASSERT_EQ(d.outcome, Outcome::kPlaced);
     picks.push_back(d.entry.node.value());
   }
@@ -125,8 +124,8 @@ TEST_F(RandomFitTest, DeterministicPerSeedAndSpreads) {
       (void)sa.AddNode(1000);
       (void)sb.AddNode(1000);
     }
-    const Decision da = a.Schedule(MakeTask(0, 300, i), sa);
-    const Decision db = b.Schedule(MakeTask(0, 300, i), sb);
+    const Decision da = a.Schedule(TaskId{i}, MakeTask(0, 300), sa);
+    const Decision db = b.Schedule(TaskId{i}, MakeTask(0, 300), sb);
     ASSERT_EQ(da.outcome, Outcome::kPlaced);
     EXPECT_EQ(da.entry.node, db.entry.node);
     seen.insert(da.entry.node.value());
@@ -143,7 +142,7 @@ TEST_F(LeastLoadedTest, AvoidsBusyNodes) {
   store_.AssignTask(e1, TaskId{90});
   const EntryRef e2 = store_.Configure(n2_, ConfigId{0});
   store_.AssignTask(e2, TaskId{91});
-  const Decision d = policy.Schedule(MakeTask(1, 500, 1), store_);
+  const Decision d = policy.Schedule(TaskId{1}, MakeTask(1, 500), store_);
   ASSERT_EQ(d.outcome, Outcome::kPlaced);
   EXPECT_EQ(d.entry.node, n3_);  // zero running tasks
 }
@@ -160,11 +159,11 @@ TEST(HeuristicPolicy, ReclaimPathWhenNoSpareArea) {
   // reclaiming the idle 300-entry frees 300 -> 300 avail < 500? avail was
   // 0; reclaim gives 300 -> still short. Expect suspend (busy node total
   // 600 >= 500).
-  const Decision d = policy.Schedule(MakeTask(1, 500, 1), store);
+  const Decision d = policy.Schedule(TaskId{1}, MakeTask(1, 500), store);
   EXPECT_EQ(d.outcome, Outcome::kSuspend);
 
   // A 300-area task CAN be placed via allocation on the idle entry.
-  const Decision d2 = policy.Schedule(MakeTask(0, 300, 2), store);
+  const Decision d2 = policy.Schedule(TaskId{2}, MakeTask(0, 300), store);
   EXPECT_EQ(d2.outcome, Outcome::kPlaced);
   EXPECT_EQ(d2.kind, PlacementKind::kAllocation);
 }
@@ -178,7 +177,7 @@ TEST(HeuristicPolicy, PartialReconfigurationViaAlgorithm1) {
 
   HeuristicPolicy policy(Heuristic::kFirstFit);
   // Wants 500: spare 200 < 500; reclaim one idle 300 -> 500. Fits.
-  const Decision d = policy.Schedule(MakeTask(1, 500, 1), store);
+  const Decision d = policy.Schedule(TaskId{1}, MakeTask(1, 500), store);
   EXPECT_EQ(d.outcome, Outcome::kPlaced);
   EXPECT_EQ(d.kind, PlacementKind::kPartialReconfiguration);
   const analysis::AuditReport audit =
@@ -190,7 +189,7 @@ TEST(HeuristicPolicy, DiscardWhenNothingEverFits) {
   ResourceStore store(MakeCatalogue({300}));
   (void)store.AddNode(250);  // smaller than every config
   HeuristicPolicy policy(Heuristic::kBestFit);
-  const Decision d = policy.Schedule(MakeTask(0, 300, 1), store);
+  const Decision d = policy.Schedule(TaskId{1}, MakeTask(0, 300), store);
   EXPECT_EQ(d.outcome, Outcome::kDiscard);
 }
 
@@ -198,12 +197,11 @@ TEST(HeuristicPolicy, ClosestMatchFlagPropagates) {
   ResourceStore store(MakeCatalogue({300, 500}));
   (void)store.AddNode(1000);
   HeuristicPolicy policy(Heuristic::kFirstFit);
-  Task t;
-  t.id = TaskId{1};
+  TaskSpec t;
   t.preferred_config = ConfigId::invalid();
   t.needed_area = 400;
   t.required_time = 100;
-  const Decision d = policy.Schedule(t, store);
+  const Decision d = policy.Schedule(TaskId{1}, t, store);
   EXPECT_EQ(d.outcome, Outcome::kPlaced);
   EXPECT_TRUE(d.used_closest_match);
   EXPECT_EQ(d.config, ConfigId{1});

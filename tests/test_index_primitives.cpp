@@ -1,8 +1,12 @@
 // AreaBucketSet against a std::set<AreaKey> oracle: every insert, erase,
 // staged batch, lower_bound and iterator step must agree, across bucket
-// shifts from 0 (areas below 4096) to coarse ones (areas near 2^40).
+// shifts from 0 (areas below 4096) to coarse ones (areas near 2^40). The
+// trees (MaxSegTree, CountTree, PrefixSumTree) against a plain vector:
+// every query after appends across capacity doublings and random point
+// updates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <set>
@@ -16,6 +20,9 @@ namespace {
 
 using resource::AreaBucketSet;
 using resource::AreaKey;
+using resource::CountTree;
+using resource::MaxSegTree;
+using resource::PrefixSumTree;
 
 using Oracle = std::set<AreaKey>;
 
@@ -204,6 +211,157 @@ TEST(AreaBucketSet, QueriesOutsideTheRange) {
   EXPECT_TRUE(set.erase({-1, 3}));
   EXPECT_EQ(set.size(), 2U);
 }
+
+// --- Trees against a plain vector -------------------------------------------
+
+// Sizes around the max tree's group width (8) and level boundaries (64,
+// 512), where a level is added or a group is padded.
+class TreeFuzz : public ::testing::TestWithParam<std::size_t> {};
+
+/// The oracle's FirstAtLeast(from, threshold) for every from, plus from =
+/// size (npos).
+std::vector<std::size_t> ScanFirstAtLeast(const std::vector<std::int64_t>& v,
+                                          std::int64_t threshold) {
+  std::vector<std::size_t> first(v.size() + 1, MaxSegTree::npos);
+  for (std::size_t i = v.size(); i-- > 0;) {
+    first[i] = v[i] >= threshold ? i : first[i + 1];
+  }
+  return first;
+}
+
+void ExpectSameMax(const MaxSegTree& tree, const std::vector<std::int64_t>& v,
+                   Rng& rng) {
+  ASSERT_EQ(tree.size(), v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) ASSERT_EQ(tree.Value(i), v[i]);
+  // Thresholds over the value range and just past it, and the smallest
+  // legal one (every live leaf matches, no padding does).
+  const std::int64_t thresholds[] = {rng.uniform_int(-12, 12),
+                                     rng.uniform_int(-12, 12), 11,
+                                     MaxSegTree::kNegInf + 1};
+  for (const std::int64_t threshold : thresholds) {
+    const std::vector<std::size_t> want = ScanFirstAtLeast(v, threshold);
+    for (std::size_t from = 0; from <= v.size() + 1; ++from) {
+      ASSERT_EQ(tree.FirstAtLeast(from, threshold),
+                want[std::min(from, v.size())])
+          << "from " << from << " threshold " << threshold;
+    }
+  }
+}
+
+TEST_P(TreeFuzz, MaxSegTreeMatchesVector) {
+  const std::size_t size = GetParam();
+  Rng rng(101 + size);
+  // Few distinct values, so maxima repeat; a quarter kNegInf (removed).
+  const auto random_value = [&rng] {
+    return rng.uniform_int(0, 3) == 0 ? MaxSegTree::kNegInf
+                                      : rng.uniform_int(-10, 10);
+  };
+  MaxSegTree tree;
+  std::vector<std::int64_t> v;
+  ExpectSameMax(tree, v, rng);
+  for (std::size_t i = 0; i < size; ++i) {
+    v.push_back(random_value());
+    tree.Append(v.back());
+    if (i < 80 || i % 37 == 0) ExpectSameMax(tree, v, rng);
+    if (HasFatalFailure()) return;
+  }
+  ExpectSameMax(tree, v, rng);
+  if (size == 0) return;
+  for (int op = 0; op < 600; ++op) {
+    auto pos = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
+    std::int64_t value = random_value();
+    if (op % 3 == 0) {
+      // Lower the current max holder: its ancestors must be recomputed
+      // from its siblings, not kept.
+      pos = static_cast<std::size_t>(
+          std::max_element(v.begin(), v.end()) - v.begin());
+      value = v[pos] == MaxSegTree::kNegInf ? v[pos] : v[pos] - 1;
+    } else if (op % 7 == 0) {
+      value = v[pos];  // unchanged
+    }
+    v[pos] = value;
+    tree.Assign(pos, value);
+    if (op % 20 == 0 || size <= 65) ExpectSameMax(tree, v, rng);
+    if (HasFatalFailure()) return;
+  }
+  ExpectSameMax(tree, v, rng);
+}
+
+TEST_P(TreeFuzz, CountTreeMatchesVector) {
+  const std::size_t size = GetParam();
+  Rng rng(202 + size);
+  CountTree tree;
+  std::vector<bool> bits;
+  const auto expect_same = [&] {
+    ASSERT_EQ(tree.size(), bits.size());
+    std::size_t prefix = 0;
+    for (std::size_t count = 0; count <= bits.size(); ++count) {
+      ASSERT_EQ(tree.Prefix(count), prefix) << "count " << count;
+      if (count < bits.size() && bits[count]) ++prefix;
+    }
+    ASSERT_EQ(tree.Total(), prefix);
+  };
+  for (std::size_t i = 0; i < size; ++i) {
+    bits.push_back(rng.uniform_int(0, 1) == 1);
+    tree.Append(bits.back());
+    expect_same();
+    if (HasFatalFailure()) return;
+  }
+  if (size == 0) return;
+  for (int op = 0; op < 300; ++op) {
+    const auto pos = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
+    // The owner keeps the bits: only a cleared bit is set, and back.
+    if (bits[pos]) {
+      tree.Clear(pos);
+    } else {
+      tree.Set(pos);
+    }
+    bits[pos] = !bits[pos];
+    if (op % 10 == 0) expect_same();
+    if (HasFatalFailure()) return;
+  }
+  expect_same();
+}
+
+TEST_P(TreeFuzz, PrefixSumTreeMatchesVector) {
+  const std::size_t size = GetParam();
+  Rng rng(303 + size);
+  PrefixSumTree tree;
+  std::vector<std::int64_t> v;
+  const auto expect_same = [&] {
+    ASSERT_EQ(tree.size(), v.size());
+    std::int64_t prefix = 0;
+    for (std::size_t count = 0; count <= v.size(); ++count) {
+      ASSERT_EQ(tree.Prefix(count), prefix) << "count " << count;
+      if (count < v.size()) {
+        ASSERT_EQ(tree.Value(count), v[count]);
+        prefix += v[count];
+      }
+    }
+    ASSERT_EQ(tree.Total(), prefix);
+  };
+  for (std::size_t i = 0; i < size; ++i) {
+    v.push_back(rng.uniform_int(-50, 50));
+    tree.Append(v.back());
+    expect_same();
+    if (HasFatalFailure()) return;
+  }
+  if (size == 0) return;
+  for (int op = 0; op < 300; ++op) {
+    const auto pos = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
+    v[pos] = op % 5 == 0 ? v[pos] : rng.uniform_int(-50, 50);
+    tree.Assign(pos, v[pos]);
+    if (op % 10 == 0) expect_same();
+    if (HasFatalFailure()) return;
+  }
+  expect_same();
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, TreeFuzz,
+                         ::testing::Values(0, 1, 7, 8, 9, 63, 64, 65, 513));
 
 }  // namespace
 }  // namespace dreamsim

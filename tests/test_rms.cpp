@@ -90,8 +90,9 @@ TEST(JobSubmissionManager, SubmitsArrivalsInOrder) {
   ASSERT_EQ(arrivals.size(), 3u);
   EXPECT_EQ(arrivals[0], (std::pair<Tick, std::uint32_t>{10, 0}));
   EXPECT_EQ(arrivals[2], (std::pair<Tick, std::uint32_t>{30, 2}));
-  // Task records carry their creation times.
-  EXPECT_EQ(tasks.Get(TaskId{1}).create_time, 20);
+  // Task specs carry their creation times, read from the workload in place.
+  EXPECT_EQ(tasks.Spec(TaskId{1}).create_time, 20);
+  EXPECT_EQ(&tasks.Spec(TaskId{1}), &wl[1]);
   EXPECT_EQ(tasks.Get(TaskId{1}).state, resource::TaskState::kCreated);
 }
 
@@ -129,6 +130,76 @@ TEST(JobSubmissionManager, UnsortedWorkloadMatchesItsStableSortedCopy) {
   EXPECT_EQ(via_heap, via_cursor);
   EXPECT_EQ(via_heap.front(), (std::pair<Tick, std::uint32_t>{0, 5}));
   EXPECT_EQ(via_heap[1], (std::pair<Tick, std::uint32_t>{10, 1}));
+}
+
+// Task k of `wl` is task first + k of the store: same spec, read in place.
+void ExpectBorrowed(const resource::TaskStore& tasks,
+                    const workload::Workload& wl, std::uint32_t first) {
+  for (std::uint32_t k = 0; k < wl.size(); ++k) {
+    EXPECT_EQ(&tasks.Spec(TaskId{first + k}), &wl[k]) << "task " << first + k;
+  }
+}
+
+TEST(JobSubmissionManager, SubmitThenSubmitOneKeepsIdsDense) {
+  sim::Kernel kernel;
+  resource::TaskStore tasks;
+  JobSubmissionManager jobs(kernel, tasks);
+  const workload::Workload wl = MakeWorkload({10, 20, 30});
+  (void)jobs.Submit(wl);
+  workload::GeneratedTask extra = wl[0];
+  extra.needed_area = 777;
+  const TaskId late = jobs.SubmitOne(extra, 25);
+  EXPECT_EQ(late.value(), 3u);
+  EXPECT_EQ(jobs.submitted(), 4u);
+  ExpectBorrowed(tasks, wl, 0);
+  // The single submission is created at its arrival tick, whatever the
+  // spec it was copied from says.
+  EXPECT_EQ(tasks.Spec(late).create_time, 25);
+  EXPECT_EQ(tasks.Spec(late).needed_area, 777);
+  const Arrivals arrivals = RunArrivals(kernel);
+  EXPECT_EQ(arrivals, (Arrivals{{10, 0}, {20, 1}, {25, 3}, {30, 2}}));
+}
+
+TEST(JobSubmissionManager, SubmitOneAlone) {
+  sim::Kernel kernel;
+  resource::TaskStore tasks;
+  JobSubmissionManager jobs(kernel, tasks);
+  const workload::Workload wl = MakeWorkload({0, 0});
+  EXPECT_EQ(jobs.SubmitOne(wl[0], 40).value(), 0u);
+  EXPECT_EQ(jobs.SubmitOne(wl[1], 15).value(), 1u);
+  EXPECT_EQ(tasks.size(), 2u);
+  EXPECT_EQ(tasks.Spec(TaskId{0}).create_time, 40);
+  EXPECT_EQ(tasks.Spec(TaskId{1}).create_time, 15);
+  EXPECT_EQ(RunArrivals(kernel), (Arrivals{{15, 1}, {40, 0}}));
+}
+
+TEST(JobSubmissionManager, UnsortedWorkloadSpecsStayInWorkloadOrder) {
+  const workload::Workload unsorted = MakeWorkload({40, 10, 30, 0});
+  sim::Kernel kernel;
+  resource::TaskStore tasks;
+  JobSubmissionManager jobs(kernel, tasks);
+  (void)jobs.SubmitOne(unsorted[0], 0);
+  (void)jobs.Submit(unsorted);  // the heap path
+  EXPECT_EQ(kernel.queue().cursor_pending(), 0u);
+  ExpectBorrowed(tasks, unsorted, 1);
+  EXPECT_EQ(RunArrivals(kernel),
+            (Arrivals{{0, 0}, {0, 4}, {10, 2}, {30, 3}, {40, 1}}));
+}
+
+TEST(JobSubmissionManager, InvalidWorkloadSubmitsNothing) {
+  workload::Workload wl = MakeWorkload({10, 20, 30});
+  wl[1].required_time = -1;
+  sim::Kernel kernel;
+  resource::TaskStore tasks;
+  JobSubmissionManager jobs(kernel, tasks);
+  EXPECT_THROW((void)jobs.Submit(wl), std::invalid_argument);
+  EXPECT_EQ(tasks.size(), 0u);
+  EXPECT_EQ(jobs.submitted(), 0u);
+  EXPECT_EQ(kernel.pending_events(), 0u);
+  EXPECT_THROW((void)jobs.SubmitOne(wl[1], 5), std::invalid_argument);
+  EXPECT_EQ(tasks.size(), 0u);
+  EXPECT_EQ(jobs.submitted(), 0u);
+  EXPECT_EQ(kernel.pending_events(), 0u);
 }
 
 TEST(MonitoringModule, TimeWeightedUtilization) {

@@ -24,10 +24,11 @@ TEST(Simulator, AllTasksReachTerminalState) {
   const MetricsReport report = sim.Run();
   EXPECT_EQ(report.total_tasks, 200u);
   EXPECT_EQ(report.completed_tasks + report.discarded_tasks, 200u);
-  for (const resource::Task& t : sim.tasks().all()) {
+  for (std::uint32_t i = 0; i < sim.tasks().size(); ++i) {
+    const resource::Task& t = sim.tasks().Get(TaskId{i});
     EXPECT_TRUE(t.state == resource::TaskState::kCompleted ||
                 t.state == resource::TaskState::kDiscarded)
-        << "task " << t.id.value() << " ended as " << ToString(t.state);
+        << "task " << i << " ended as " << ToString(t.state);
   }
 }
 
@@ -45,14 +46,38 @@ TEST(Simulator, StoreConsistentAfterRun) {
 TEST(Simulator, CompletedTaskTimestampsAreCoherent) {
   Simulator sim(SmallConfig());
   (void)sim.Run();
-  for (const resource::Task& t : sim.tasks().all()) {
+  for (std::uint32_t i = 0; i < sim.tasks().size(); ++i) {
+    const resource::Task& t = sim.tasks().Get(TaskId{i});
+    const resource::TaskSpec& spec = sim.tasks().Spec(TaskId{i});
     if (t.state != resource::TaskState::kCompleted) continue;
-    EXPECT_GE(t.start_time, t.create_time);
+    EXPECT_GE(t.start_time, spec.create_time);
     EXPECT_EQ(t.completion_time,
-              t.start_time + t.comm_time + t.config_wait + t.required_time);
-    EXPECT_GE(t.WaitingTime(), 0);
+              t.start_time + t.comm_time + t.config_wait + spec.required_time);
+    EXPECT_GE(resource::WaitingTime(spec, t), 0);
     EXPECT_TRUE(t.assigned_config.valid());
     EXPECT_TRUE(t.assigned_node.valid());
+  }
+}
+
+// Run() keeps the workload it generated: the task store reads the specs
+// from it, so they must still be there after Run() returns.
+TEST(Simulator, SpecsOutliveRun) {
+  const SimulationConfig config = SmallConfig(300, 12, 9);
+  Simulator sim(config);
+  (void)sim.Run();
+  Rng rng(DeriveSeed(config.seed, 1));  // the stream Run() draws from
+  const workload::Workload regenerated =
+      workload::GenerateWorkload(config.tasks, sim.store().configs(), rng);
+  ASSERT_EQ(sim.tasks().size(), regenerated.size());
+  for (std::uint32_t i = 0; i < regenerated.size(); ++i) {
+    const resource::TaskSpec& spec = sim.tasks().Spec(TaskId{i});
+    const resource::TaskSpec& want = regenerated[i];
+    EXPECT_EQ(spec.create_time, want.create_time) << "task " << i;
+    EXPECT_EQ(spec.preferred_config, want.preferred_config) << "task " << i;
+    EXPECT_EQ(spec.needed_area, want.needed_area) << "task " << i;
+    EXPECT_EQ(spec.required_time, want.required_time) << "task " << i;
+    EXPECT_EQ(spec.data_size, want.data_size) << "task " << i;
+    EXPECT_EQ(spec.priority, want.priority) << "task " << i;
   }
 }
 

@@ -182,10 +182,12 @@ TEST_P(SimulatorFuzz, GlobalInvariantsHold) {
   }
 
   // Completed tasks carry coherent records.
-  for (const resource::Task& t : sim.tasks().all()) {
+  for (std::uint32_t i = 0; i < sim.tasks().size(); ++i) {
+    const resource::Task& t = sim.tasks().Get(TaskId{i});
+    const resource::TaskSpec& spec = sim.tasks().Spec(TaskId{i});
     if (t.state != resource::TaskState::kCompleted) continue;
-    EXPECT_GE(t.start_time, t.create_time);
-    EXPECT_GE(t.completion_time, t.start_time + t.required_time);
+    EXPECT_GE(t.start_time, spec.create_time);
+    EXPECT_GE(t.completion_time, t.start_time + spec.required_time);
     EXPECT_TRUE(t.assigned_config.valid());
   }
 }

@@ -359,7 +359,7 @@ TEST(StoreIndexCatalogue, ResolveConfigMatchesTheScans) {
     ResourceStore scan(indexed.configs());
     scan.SetIndexed(false);
     for (int q = 0; q < 60; ++q) {
-      resource::Task task;
+      resource::TaskSpec task;
       const std::int64_t pick = rng.uniform_int(-1, count + 2);
       task.preferred_config = pick < 0
                                   ? ConfigId::invalid()

@@ -358,6 +358,40 @@ TEST(StructureAuditorCorruption, SkewedIndexPotentialIsIdxTree) {
       << report.Render();
 }
 
+// The populated store plus blank nodes, so the index's max trees carry a
+// summary level above their leaves.
+ResourceStore MakeWideStore() {
+  ResourceStore store = MakePopulatedStore(/*indexed=*/true);
+  for (int i = 0; i < 14; ++i) (void)store.AddNode(1000 + 100 * i);
+  return store;
+}
+
+// A summary cell above correct leaves: every leaf check passes, and only
+// the recomputation of the summaries sees it.
+TEST(StructureAuditorCorruption, SkewedIndexTreeSummaryIsIdxTree) {
+  using Tree = StructureCorruptor::IndexTree;
+  for (const Tree tree :
+       {Tree::kPotential, Tree::kBusyTotal, Tree::kAvailable}) {
+    ResourceStore store = MakeWideStore();
+    ASSERT_TRUE(StructureAuditor::AuditStore(store).ok());
+    StructureCorruptor::SkewTreeSummary(store, tree);
+    const AuditReport report = StructureAuditor::AuditStore(store);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(Slugs(report), std::set<std::string>{"idx.tree"})
+        << report.Render();
+  }
+}
+
+TEST(StructureAuditorCorruption, SkewedFenwickCellIsIdxCount) {
+  ResourceStore store = MakePopulatedStore(/*indexed=*/true);
+  StructureCorruptor::SkewTreeSummary(
+      store, StructureCorruptor::IndexTree::kConfigCount);
+  const AuditReport report = StructureAuditor::AuditStore(store);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"idx.count"})
+      << report.Render();
+}
+
 TEST(StructureAuditorCorruption, StrayIndexKeyIsIdxSet) {
   ResourceStore store = MakePopulatedStore(/*indexed=*/true);
   StructureCorruptor::InjectStrayIndexKey(store, NodeId{0});
@@ -435,6 +469,24 @@ TEST(StructureAuditorCorruption, SkewedGroupLeafIsSusidxGroup) {
       << report.Render();
 }
 
+TEST(StructureAuditorCorruption, SkewedSeqTreeSummaryIsSusidxGroup) {
+  SuspensionQueue queue(/*capacity=*/0);
+  queue.SetDrainIndexed(true);
+  WorkloadMeter meter;
+  for (std::uint32_t t = 0; t < 20; ++t) {
+    SusEntryAttrs attrs;
+    attrs.resolved_config = ConfigId{t % 2};
+    attrs.needed_area = 100 + t;
+    ASSERT_TRUE(queue.Add(TaskId{t}, attrs, meter));
+  }
+  ASSERT_TRUE(StructureAuditor::AuditSuspensionQueue(queue).ok());
+  StructureCorruptor::SkewTreeSummary(queue);
+  const AuditReport report = StructureAuditor::AuditSuspensionQueue(queue);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"susidx.group"})
+      << report.Render();
+}
+
 TEST(StructureAuditorCorruption, SkewedTreapMinAreaIsSusidxTreap) {
   SuspensionQueue queue(/*capacity=*/0, resource::SusOrder::kPriority);
   queue.SetDrainIndexed(true);
@@ -461,17 +513,18 @@ TEST(StructureAuditorCorruption, SkewedSusAttrsIsSusAttrs) {
     queue.SetDrainIndexed(indexed);
     WorkloadMeter meter;
     for (std::uint32_t t = 0; t < 4; ++t) {
-      resource::Task task;
-      task.required_time = 10;
+      resource::TaskSpec spec;
+      spec.required_time = 10;
+      spec.needed_area = 100 + t;
+      spec.priority = static_cast<double>(t);
+      const TaskId id = tasks.SubmitOne(spec);
+      resource::Task& task = tasks.Get(id);
       task.resolved_config = ConfigId{t % 2};
-      task.needed_area = 100 + t;
-      task.priority = static_cast<double>(t);
-      const TaskId id = tasks.Create(task);
       SusEntryAttrs attrs;
       attrs.resolved_config = task.resolved_config;
       attrs.config_family = configs.Get(task.resolved_config).family;
-      attrs.needed_area = task.needed_area;
-      attrs.priority = task.priority;
+      attrs.needed_area = spec.needed_area;
+      attrs.priority = spec.priority;
       ASSERT_TRUE(queue.Add(id, attrs, meter));
     }
     queue.RemoveSeq(0, meter);
