@@ -19,10 +19,8 @@ namespace dreamsim::analysis {
 
 void StructureCorruptor::AppendOrphan(resource::EntryList& list,
                                       resource::EntryRef entry) {
-  // Keep the flat map fully consistent with the orphan, so only the
+  // Only the cell is added: no slot records it, so only the
   // cross-structure diff against the node slots can catch it.
-  list.InsertSlot(resource::PackEntryRef(entry)).pos =
-      static_cast<std::uint32_t>(list.cells_.size());
   list.cells_.push_back(entry);
 }
 
@@ -46,18 +44,25 @@ void StructureCorruptor::InjectOrphanBusyEntry(resource::ResourceStore& store,
   AppendOrphan(store.busy_lists_.at(config.value()), entry);
 }
 
+void StructureCorruptor::DropIdleCell(resource::ResourceStore& store,
+                                      ConfigId config) {
+  resource::EntryList& list = store.idle_lists_.at(config.value());
+  if (list.cells_.empty()) {
+    throw std::logic_error("DropIdleCell: need an idle entry");
+  }
+  list.cells_.pop_back();
+}
+
 void StructureCorruptor::CorruptPositionMap(resource::ResourceStore& store,
                                             ConfigId config) {
-  resource::EntryList& list = store.idle_lists_.at(config.value());
+  const resource::EntryList& list = store.idle_lists_.at(config.value());
   if (list.cells_.size() < 2) {
     throw std::logic_error("CorruptPositionMap: need >= 2 idle entries");
   }
-  const std::size_t s0 = list.FindSlot(resource::PackEntryRef(list.cells_[0]));
-  const std::size_t s1 = list.FindSlot(resource::PackEntryRef(list.cells_[1]));
-  if (s0 == list.table_.size() || s1 == list.table_.size()) {
-    throw std::logic_error("CorruptPositionMap: cells missing from the map");
-  }
-  std::swap(list.table_[s0].pos, list.table_[s1].pos);
+  const auto pos_of = [&store](resource::EntryRef entry) -> std::uint32_t& {
+    return store.nodes_.at(entry.node.value()).slots_.at(entry.slot).list_pos;
+  };
+  std::swap(pos_of(list.cells_[0]), pos_of(list.cells_[1]));
 }
 
 void StructureCorruptor::SkewSlotCounter(resource::ResourceStore& store,
@@ -122,7 +127,7 @@ void StructureCorruptor::OverlapFabricHole(resource::ResourceStore& store,
     if (!live) live = n.SlotExtent(slot);
   });
   if (!live) throw std::logic_error("OverlapFabricHole: no live slot");
-  std::vector<resource::Extent>& holes = n.layout_->free_;
+  std::vector<resource::Extent>& holes = n.fabric_->layout.free_;
   holes.insert(std::upper_bound(holes.begin(), holes.end(), *live,
                                 [](const resource::Extent& a,
                                    const resource::Extent& b) {

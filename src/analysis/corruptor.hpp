@@ -27,9 +27,9 @@ class StructureCorruptor {
     kConfigCount,
   };
 
-  /// Fig. 3 orphan: appends `entry` to `config`'s idle list, keeping the
-  /// position map internally consistent — only the cross-structure diff
-  /// against the node slots can catch it. Expected slug: fig3.idle-list.
+  /// Fig. 3 orphan: appends `entry` to `config`'s idle list, a cell no
+  /// slot records — only the cross-structure diff against the node slots
+  /// can catch it. Expected slug: fig3.idle-list.
   static void InjectOrphanIdleEntry(resource::ResourceStore& store,
                                     ConfigId config,
                                     resource::EntryRef entry);
@@ -40,8 +40,14 @@ class StructureCorruptor {
                                     ConfigId config,
                                     resource::EntryRef entry);
 
-  /// Swaps the position-map entries of the first two cells of `config`'s
-  /// idle list (requires >= 2 entries). Expected slug: fig3.positions.
+  /// Pops the last cell of `config`'s idle list (requires one), leaving
+  /// its slot live and idle: the live slot is missing from its list.
+  /// Expected slug: fig3.idle-list.
+  static void DropIdleCell(resource::ResourceStore& store, ConfigId config);
+
+  /// Swaps the list positions recorded in the slots of the first two cells
+  /// of `config`'s idle list (requires >= 2 entries). Expected slug:
+  /// fig3.positions.
   static void CorruptPositionMap(resource::ResourceStore& store,
                                  ConfigId config);
 

@@ -22,7 +22,6 @@
 #include <map>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -42,10 +41,8 @@ using resource::AreaKey;
 using resource::AreaTreap;
 using resource::EntryList;
 using resource::EntryRef;
-using resource::EntryRefHash;
 using resource::MaxSegTree;
 using resource::Node;
-using resource::PackEntryRef;
 using resource::ResourceStore;
 using resource::StoreIndex;
 using resource::SusEntryAttrs;
@@ -131,92 +128,83 @@ void StructureAuditor::AuditEntryLists(const ResourceStore& store,
     return;
   }
 
-  // Ground truth: walk every live slot of every node.
-  using EntrySet = std::unordered_set<EntryRef, EntryRefHash>;
-  std::vector<EntrySet> expected_idle(config_count);
-  std::vector<EntrySet> expected_busy(config_count);
-  for (const Node& node : store.nodes_) {
-    node.ForEachSlot([&](resource::SlotIndex slot,
-                         const resource::ConfigTaskPair& pair) {
-      if (pair.config.value() >= config_count) return;  // fig3.slot above
-      const EntryRef entry{node.id(), slot};
-      (pair.idle() ? expected_idle : expected_busy)[pair.config.value()]
-          .insert(entry);
-    });
-  }
-
-  const auto audit_list = [&](ConfigId config, const EntryList& list,
-                              const EntrySet& expected, const char* label,
-                              const char* slug) {
-    EntrySet seen;
+  // Cells: each names a live slot of the list's config and state that
+  // records this very position (the Inext/Bnext of Fig. 3 kept in the
+  // pair), so cells and live slots are in bijection.
+  const auto audit_cells = [&](ConfigId config, const EntryList& list,
+                               bool idle, const char* label,
+                               const char* slug) {
     for (std::size_t pos = 0; pos < list.cells_.size(); ++pos) {
       const EntryRef entry = list.cells_[pos];
-      if (!seen.insert(entry).second) {
-        Report(report, slug,
-               EntryPath(config, label, pos, entry), "duplicate entry");
-        continue;
-      }
-      if (expected.contains(entry)) continue;
-      // Diagnose the orphan: failed node, dead slot, or mismatched state.
       if (entry.node.value() >= store.nodes_.size()) {
         Report(report, slug,
                EntryPath(config, label, pos, entry), "unknown node");
         continue;
       }
       const Node& node = store.nodes_[entry.node.value()];
+      const resource::ConfigTaskPair* pair =
+          node.SlotLive(entry.slot) ? &node.Slot(entry.slot) : nullptr;
+      if (pair != nullptr && pair->config == config && pair->idle() == idle) {
+        const std::uint32_t recorded = pair->list_pos;
+        if (recorded == pos) continue;
+        if (recorded < list.cells_.size() && list.cells_[recorded] == entry) {
+          Report(report, slug,
+                 EntryPath(config, label, pos, entry), "duplicate entry");
+        } else {
+          Report(report, "fig3.positions",
+                 EntryPath(config, label, pos, entry),
+                 Format("slot records list position {}", recorded));
+        }
+        continue;
+      }
+      // Diagnose the orphan: failed node, dead slot, or mismatched state.
       if (node.failed()) {
         Report(report, "fault.visibility",
                EntryPath(config, label, pos, entry),
                Format("failed node still visible in the {} list", label));
-      } else if (!node.SlotLive(entry.slot)) {
+      } else if (pair == nullptr) {
         Report(report, slug,
                EntryPath(config, label, pos, entry),
                "entry references a dead slot");
       } else {
-        const resource::ConfigTaskPair& pair = node.Slot(entry.slot);
         Report(report, slug,
                EntryPath(config, label, pos, entry),
                Format("slot holds config {} ({}); list expects config {} ({})",
-                      pair.config.value(), pair.idle() ? "idle" : "busy",
+                      pair->config.value(), pair->idle() ? "idle" : "busy",
                       config.value(), label));
       }
     }
-    for (const EntryRef& entry : expected) {
-      if (!seen.contains(entry)) {
-        Report(report, slug,
-               Format("config {} {} list", config.value(), label),
-               Format("node {} slot {} is {} but missing from the list",
-                      entry.node.value(), entry.slot, label));
-      }
-    }
-    // Position map (open-addressing flat table): exact inverse of the cell
-    // vector.
-    if (list.table_used_ != list.cells_.size()) {
-      Report(report, "fig3.positions",
-             Format("config {} {} list", config.value(), label),
-             Format("{} occupied table slots for {} cells", list.table_used_,
-                    list.cells_.size()));
-    }
-    for (std::size_t pos = 0; pos < list.cells_.size(); ++pos) {
-      const std::size_t slot = list.FindSlot(PackEntryRef(list.cells_[pos]));
-      if (slot == list.table_.size()) {
-        Report(report, "fig3.positions",
-               EntryPath(config, label, pos, list.cells_[pos]),
-               "cell has no position entry");
-      } else if (list.table_[slot].pos != pos) {
-        Report(report, "fig3.positions",
-               EntryPath(config, label, pos, list.cells_[pos]),
-               Format("position map says {}", list.table_[slot].pos));
-      }
-    }
   };
-
   for (std::size_t c = 0; c < config_count; ++c) {
     const ConfigId config{static_cast<std::uint32_t>(c)};
-    audit_list(config, store.idle_lists_[c], expected_idle[c], "idle",
-               "fig3.idle-list");
-    audit_list(config, store.busy_lists_[c], expected_busy[c], "busy",
-               "fig3.busy-list");
+    audit_cells(config, store.idle_lists_[c], true, "idle", "fig3.idle-list");
+    audit_cells(config, store.busy_lists_[c], false, "busy", "fig3.busy-list");
+  }
+
+  // Live slots: each sits in its list at the position it records. A slot
+  // found elsewhere was reported with its cell above (fig3.positions);
+  // only the error path searches.
+  for (const Node& node : store.nodes_) {
+    node.ForEachSlot([&](resource::SlotIndex slot,
+                         const resource::ConfigTaskPair& pair) {
+      if (pair.config.value() >= config_count) return;  // fig3.slot above
+      const EntryRef entry{node.id(), slot};
+      const auto& lists = pair.idle() ? store.idle_lists_ : store.busy_lists_;
+      const EntryList& list = lists[pair.config.value()];
+      if (pair.list_pos < list.cells_.size() &&
+          list.cells_[pair.list_pos] == entry) {
+        return;
+      }
+      if (std::find(list.cells_.begin(), list.cells_.end(), entry) !=
+          list.cells_.end()) {
+        return;
+      }
+      const char* label = pair.idle() ? "idle" : "busy";
+      Report(report, pair.idle() ? "fig3.idle-list" : "fig3.busy-list",
+             Format("config {} {} list", pair.config.value(), label),
+             Format("node {} slot {} is {} but missing from the list",
+                    entry.node.value(), slot, label));
+    });
   }
 }
 
@@ -337,34 +325,37 @@ void StructureAuditor::AuditFabricLayout(const ResourceStore& store,
 
 void StructureAuditor::AuditBlankList(const ResourceStore& store,
                                       AuditReport& report) {
-  std::unordered_set<std::uint32_t> expected;
+  // Per node id: expected in the list (blank, not failed), and seen there.
+  const std::size_t node_count = store.nodes_.size();
+  std::vector<char> expected(node_count, 0);
+  std::vector<char> seen(node_count, 0);
   for (const Node& node : store.nodes_) {
     bool any_slot = false;
     node.ForEachSlot([&](resource::SlotIndex, const resource::ConfigTaskPair&) {
       any_slot = true;
     });
-    if (!any_slot && !node.failed()) expected.insert(node.id().value());
+    if (!any_slot && !node.failed()) expected[node.id().value()] = 1;
   }
-  std::unordered_set<std::uint32_t> seen;
   for (std::size_t pos = 0; pos < store.blank_.size(); ++pos) {
     const NodeId id = store.blank_[pos];
     const auto path = [&] {
       return Format("blank list pos {} (node {})", pos, id.value());
     };
-    if (!seen.insert(id.value()).second) {
+    const bool known = id.value() < node_count;
+    if (known && seen[id.value()]) {
       Report(report, "blank.list", path(), "duplicate entry");
       continue;
     }
-    if (!expected.contains(id.value())) {
-      const bool failed = id.value() < store.nodes_.size() &&
-                          store.nodes_[id.value()].failed();
+    if (known) seen[id.value()] = 1;
+    if (!known || !expected[id.value()]) {
+      const bool failed = known && store.nodes_[id.value()].failed();
       Report(report, failed ? "fault.visibility" : "blank.list", path(),
              failed ? "failed node still in the blank list"
                     : "node has live configurations");
     }
   }
-  for (const std::uint32_t id : expected) {
-    if (!seen.contains(id)) {
+  for (std::size_t id = 0; id < node_count; ++id) {
+    if (expected[id] && !seen[id]) {
       Report(report, "blank.list", Format("node {}", id),
              "blank node missing from the blank list");
     }

@@ -16,8 +16,7 @@
 // self-validators of their own, and the membership rules here are restated
 // from the documented invariants rather than from the code that maintains
 // the structures. Only leaf checks with no derived twin stay next to their
-// code: FabricLayout::Validate (which the fabric.layout pass reuses) and
-// EntryList::PositionsConsistent.
+// code: FabricLayout::Validate (which the fabric.layout pass reuses).
 //
 // Read-only by construction: every entry point takes const references and
 // never charges the WorkloadMeter (an audit is tooling, not scheduler

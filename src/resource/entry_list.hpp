@@ -11,14 +11,14 @@
 // all searches are counted linear traversals — the same step costs the
 // paper's metrics measure on its linked lists, with better locality.
 //
-// Positions are kept in an open-addressing flat map over the packed 8-byte
-// EntryRef instead of an unordered_map, so the mutation hot path allocates
-// no hash nodes; that changes no charge.
+// As the paper's Inext/Bnext links live in the node, each entry's cell
+// position lives in its config-task pair (ConfigTaskPair::list_pos): Add
+// hands the position out and Remove takes it back, and the store records
+// both in the slot records. The list itself holds nothing but the cells.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -42,7 +42,7 @@ struct EntryRef {
 };
 static_assert(sizeof(EntryRef) == 8, "EntryRef must stay 8 bytes (packed)");
 
-/// Packs an EntryRef into the 8-byte key the flat position map hashes.
+/// Packs an EntryRef into 8 bytes (the completion event's payload).
 constexpr std::uint64_t PackEntryRef(EntryRef e) {
   return (static_cast<std::uint64_t>(e.node.value()) << 32) | e.slot;
 }
@@ -53,34 +53,37 @@ constexpr EntryRef UnpackEntryRef(std::uint64_t packed) {
                   static_cast<SlotIndex>(packed & 0xffffffffu)};
 }
 
-struct EntryRefHash {
-  std::size_t operator()(EntryRef e) const noexcept {
-    return std::hash<std::uint64_t>{}(PackEntryRef(e));
-  }
-};
-
 /// Counted-traversal membership list of entries.
 ///
-/// A position map makes removal O(1) host work; the meter is still charged
-/// what the counted linear search would have cost (position + 1 cells, or
-/// the full list on a miss), so the paper's step metrics are unchanged.
-/// Entries must be unique (the store never double-adds).
+/// The caller keeps each entry's position, so removal is O(1) host work;
+/// the meter is still charged what the counted linear search would have
+/// cost (position + 1 cells, or the full list on a miss), so the paper's
+/// step metrics are unchanged. Entries must be unique (the store never
+/// double-adds).
 class EntryList {
  public:
-  /// O(1) insertion (push-front semantics of a linked list).
-  void Add(EntryRef entry, WorkloadMeter& meter);
+  /// What Remove did: whether the entry was there, and which entry the
+  /// swap-remove moved into its position (slot kInvalidSlot when the
+  /// removed entry was the last cell).
+  struct Removal {
+    bool removed = false;
+    EntryRef moved;
+  };
 
-  /// Removes `entry`; O(1) via the position map, charged as the counted
-  /// linear search. Returns false when absent.
-  bool Remove(EntryRef entry, WorkloadMeter& meter);
+  /// O(1) insertion (push-front semantics of a linked list). Returns the
+  /// entry's position.
+  std::uint32_t Add(EntryRef entry, WorkloadMeter& meter);
+
+  /// Removes `entry`, which Add placed at `pos` (or a later Remove moved
+  /// there); O(1), charged as the counted linear search. The last cell
+  /// moves into `pos`. Not removed (charged the whole list) when `entry`
+  /// is not at `pos`.
+  [[nodiscard]] Removal Remove(EntryRef entry, std::size_t pos,
+                               WorkloadMeter& meter);
 
   /// Counted linear membership test.
   [[nodiscard]] bool Contains(EntryRef entry, WorkloadMeter& meter,
                               StepKind kind) const;
-
-  /// Pre-sizes the cell vector and the flat position map for `n` entries
-  /// (reservation discipline). Never changes contents.
-  void Reserve(std::size_t n);
 
   /// Visits every entry (one counted step each) and returns the first for
   /// which `pred(entry)` is true, or nullopt. The predicate itself may add
@@ -141,10 +144,6 @@ class EntryList {
   [[nodiscard]] bool empty() const { return cells_.empty(); }
   [[nodiscard]] const std::vector<EntryRef>& cells() const { return cells_; }
 
-  /// True when the position map is the exact inverse of the cell vector
-  /// (consistency checks).
-  [[nodiscard]] bool PositionsConsistent() const;
-
  private:
   // The auditor reconstructs ground truth from the raw cells; the
   // corruptor breaks them on purpose in tests. Neither is part of the
@@ -152,27 +151,7 @@ class EntryList {
   friend class ::dreamsim::analysis::StructureAuditor;
   friend class ::dreamsim::analysis::StructureCorruptor;
 
-  /// Open-addressing (linear probing, backward-shift deletion) map from
-  /// packed EntryRef to its cell position. The all-ones key doubles as the
-  /// empty sentinel; it packs the (invalid node, invalid slot) pair, which
-  /// no live entry ever carries.
-  struct PosSlot {
-    static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
-    std::uint64_t key = kEmptyKey;
-    std::uint32_t pos = 0;
-  };
-
-  [[nodiscard]] std::size_t ProbeStart(std::uint64_t key) const;
-  /// Index of `key`'s slot, or the table size when absent.
-  [[nodiscard]] std::size_t FindSlot(std::uint64_t key) const;
-  /// Slot for inserting `key` (grows + rehashes at 11/16 load).
-  [[nodiscard]] PosSlot& InsertSlot(std::uint64_t key);
-  void EraseSlot(std::size_t index);
-  void Rehash(std::size_t capacity);
-
   std::vector<EntryRef> cells_;
-  std::vector<PosSlot> table_;  // power-of-two size; empty vector = empty map
-  std::size_t table_used_ = 0;
 };
 
 }  // namespace dreamsim::resource

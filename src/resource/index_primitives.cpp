@@ -143,6 +143,9 @@ void MaxSegTree::Assign(std::size_t pos, std::int64_t value) {
 std::size_t MaxSegTree::FirstAtLeast(std::size_t from,
                                      std::int64_t threshold) const {
   if (from >= size_) return npos;
+  // The top group summarizes every position: without a hit there, no
+  // position has one, and the climb would end at the top with a miss.
+  if (GroupHits(levels_.back().data(), threshold) == 0) return npos;
   std::size_t k = 0;
   std::size_t pos = from;
   // Up: the first hit at or after `pos` in its group; while the rest of

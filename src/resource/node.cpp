@@ -7,37 +7,39 @@ namespace dreamsim::resource {
 Node::Node(NodeId id, Area total_area, FamilyId family, Caps caps,
            bool contiguous_placement, Placement placement)
     : id_(id),
+      family_(family),
       total_area_(total_area),
       available_area_(total_area),
-      family_(family),
-      caps_(caps),
-      placement_(placement) {
+      caps_(caps) {
   if (total_area <= 0) {
     throw std::invalid_argument("node total_area must be positive");
   }
-  if (contiguous_placement) layout_.emplace(total_area);
+  if (contiguous_placement) {
+    fabric_ = std::make_unique<Fabric>(
+        Fabric{FabricLayout(total_area), {}, placement});
+  }
 }
 
 const FabricLayout& Node::layout() const {
-  if (!layout_) throw std::logic_error("node has no contiguous fabric layout");
-  return *layout_;
+  if (!fabric_) throw std::logic_error("node has no contiguous fabric layout");
+  return fabric_->layout;
 }
 
 const Extent& Node::SlotExtent(SlotIndex slot) const {
-  if (!layout_) throw std::logic_error("node has no contiguous fabric layout");
+  if (!fabric_) throw std::logic_error("node has no contiguous fabric layout");
   if (!SlotLive(slot)) throw std::out_of_range("SlotExtent: dead slot");
-  return slot_extents_[slot];
+  return fabric_->slot_extents[slot];
 }
 
 bool Node::CanHost(Area area) const {
   if (failed_) return false;
-  if (layout_) return layout_->CanAllocate(area);
+  if (fabric_) return fabric_->layout.CanAllocate(area);
   return available_area_ >= area;
 }
 
 bool Node::CanHostAfterReclaiming(std::span<const SlotIndex> idle_slots,
                                   Area area) const {
-  if (!layout_) {
+  if (!fabric_) {
     // Scalar model: feasibility is the store's accumulated-area test
     // (the node does not know configuration areas, only ids).
     throw std::logic_error(
@@ -47,31 +49,36 @@ bool Node::CanHostAfterReclaiming(std::span<const SlotIndex> idle_slots,
   pending.reserve(idle_slots.size());
   for (const SlotIndex slot : idle_slots) {
     if (!Slot(slot).idle()) throw std::logic_error("reclaiming a busy slot");
-    pending.push_back(slot_extents_[slot]);
+    pending.push_back(fabric_->slot_extents[slot]);
   }
-  return layout_->CanAllocateAfterFreeing(pending, area);
+  return fabric_->layout.CanAllocateAfterFreeing(pending, area);
 }
 
 std::optional<SlotIndex> Node::TrySendBitstream(const Configuration& config) {
+  if (!config.id.valid()) {
+    throw std::invalid_argument("SendBitstream: invalid configuration id");
+  }
   if (failed_) return std::nullopt;
   if (config.required_area > available_area_) return std::nullopt;
   Extent extent{0, config.required_area};
-  if (layout_) {
-    const auto allocated = layout_->Allocate(config.required_area, placement_);
+  if (fabric_) {
+    const auto allocated =
+        fabric_->layout.Allocate(config.required_area, fabric_->placement);
     if (!allocated) return std::nullopt;  // fragmented
     extent = *allocated;
   }
+  const ConfigTaskPair pair{config.id, TaskId::invalid()};
   SlotIndex slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot] = ConfigTaskPair{config.id, TaskId::invalid()};
+  if (free_head_ != kInvalidSlot) {
+    slot = free_head_;
+    free_head_ = slots_[slot].list_pos;
+    slots_[slot] = pair;
   } else {
     slot = static_cast<SlotIndex>(slots_.size());
-    slots_.emplace_back(ConfigTaskPair{config.id, TaskId::invalid()});
-    if (layout_) slot_extents_.emplace_back();
+    slots_.push_back(pair);
+    if (fabric_) fabric_->slot_extents.emplace_back();
   }
-  if (layout_) slot_extents_[slot] = extent;
+  if (fabric_) fabric_->slot_extents[slot] = extent;
   available_area_ -= config.required_area;
   ++live_entries_;
   ++reconfig_count_;
@@ -91,12 +98,16 @@ void Node::MakeNodeBlank() {
   if (running_tasks_ > 0) {
     throw std::logic_error("MakeNodeBlank: node has running tasks");
   }
-  slots_.clear();
-  free_slots_.clear();
-  slot_extents_.clear();
-  live_entries_ = 0;
+  ForgetSlots();
   available_area_ = total_area_;
-  if (layout_) layout_->Reset();
+  if (fabric_) fabric_->layout.Reset();
+}
+
+void Node::ForgetSlots() {
+  slots_.clear();
+  free_head_ = kInvalidSlot;
+  live_entries_ = 0;
+  if (fabric_) fabric_->slot_extents.clear();
 }
 
 void Node::MarkFailed() {
@@ -120,29 +131,27 @@ void Node::MakeNodePartiallyBlank(SlotIndex slot, Area reclaimed_area) {
   if (reclaimed_area < 0 || available_area_ + reclaimed_area > total_area_) {
     throw std::logic_error("MakeNodePartiallyBlank: area accounting violated");
   }
-  if (layout_) {
-    const Extent& extent = slot_extents_[slot];
+  if (fabric_) {
+    const Extent& extent = fabric_->slot_extents[slot];
     if (extent.size != reclaimed_area) {
       throw std::logic_error(
           "MakeNodePartiallyBlank: reclaimed area disagrees with the extent");
     }
-    layout_->Free(extent);
+    fabric_->layout.Free(extent);
   }
-  slots_[slot].reset();
-  free_slots_.push_back(slot);
+  // The dead slot heads the free list, so slots come back newest first.
+  slots_[slot] = ConfigTaskPair{ConfigId::invalid(), TaskId::invalid(),
+                                free_head_};
+  free_head_ = slot;
   --live_entries_;
   available_area_ += reclaimed_area;
-  if (live_entries_ == 0) {
-    // All slots gone: normalize storage like MakeNodeBlank().
-    slots_.clear();
-    free_slots_.clear();
-    slot_extents_.clear();
-  }
+  // All slots gone: normalize storage like MakeNodeBlank().
+  if (live_entries_ == 0) ForgetSlots();
 }
 
 void Node::AddTaskToNode(SlotIndex slot, TaskId task) {
   if (!SlotLive(slot)) throw std::out_of_range("AddTaskToNode: dead slot");
-  ConfigTaskPair& pair = *slots_[slot];
+  ConfigTaskPair& pair = slots_[slot];
   if (!pair.idle()) throw std::logic_error("AddTaskToNode: slot already busy");
   if (!task.valid()) throw std::invalid_argument("AddTaskToNode: invalid task");
   pair.task = task;
@@ -151,7 +160,7 @@ void Node::AddTaskToNode(SlotIndex slot, TaskId task) {
 
 void Node::RemoveTaskFromNode(SlotIndex slot) {
   if (!SlotLive(slot)) throw std::out_of_range("RemoveTaskFromNode: dead slot");
-  ConfigTaskPair& pair = *slots_[slot];
+  ConfigTaskPair& pair = slots_[slot];
   if (pair.idle()) throw std::logic_error("RemoveTaskFromNode: slot is idle");
   pair.task = TaskId::invalid();
   --running_tasks_;
@@ -159,7 +168,7 @@ void Node::RemoveTaskFromNode(SlotIndex slot) {
 
 const ConfigTaskPair& Node::Slot(SlotIndex slot) const {
   if (!SlotLive(slot)) throw std::out_of_range("dead slot");
-  return *slots_[slot];
+  return slots_[slot];
 }
 
 }  // namespace dreamsim::resource

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -24,6 +25,8 @@ class StructureCorruptor;  // test-only seeded-corruption injector
 
 namespace dreamsim::resource {
 
+class ResourceStore;  // maintains the slots' list positions
+
 /// Stable index of a config-task-pair slot within one node. Slots are
 /// reused via a free list, so a SlotIndex stays valid until that specific
 /// entry is removed.
@@ -32,12 +35,20 @@ inline constexpr SlotIndex kInvalidSlot = static_cast<SlotIndex>(-1);
 
 /// One entry of the config-task-pair list: a live configuration plus the
 /// task running on it (invalid TaskId = idle entry, the paper's NULL).
+///
+/// Like the paper's Inext/Bnext links, the record carries its own place in
+/// the Fig. 3 lists: a live slot sits in exactly one list (the idle or the
+/// busy list of its config), at cell `list_pos`. A dead slot has an invalid
+/// config, and its `list_pos` links it to the next free slot.
 struct ConfigTaskPair {
-  ConfigId config;
-  TaskId task;  // invalid => idle
+  ConfigId config;  // invalid => dead slot
+  TaskId task;      // invalid => idle
+  std::uint32_t list_pos = 0;
 
   [[nodiscard]] bool idle() const { return !task.valid(); }
 };
+static_assert(sizeof(ConfigTaskPair) == 12,
+              "ConfigTaskPair must stay 12 bytes");
 
 /// Hardware capabilities of a node (the `caps` of Eq. 1): "embedded memory,
 /// DSP slices, configuration bandwidth, etc."
@@ -153,7 +164,7 @@ class Node {
   template <typename Fn>
   void ForEachSlot(Fn&& fn) const {
     for (SlotIndex i = 0; i < slots_.size(); ++i) {
-      if (slots_[i].has_value()) fn(i, *slots_[i]);
+      if (slots_[i].config.valid()) fn(i, slots_[i]);
     }
   }
 
@@ -162,15 +173,12 @@ class Node {
     return static_cast<SlotIndex>(slots_.size());
   }
 
-  /// Pre-reserves slot-list capacity (hint only; slots still grow on
-  /// demand past it).
-  void ReserveSlots(std::size_t expected) { slots_.reserve(expected); }
   [[nodiscard]] bool SlotLive(SlotIndex slot) const {
-    return slot < slots_.size() && slots_[slot].has_value();
+    return slot < slots_.size() && slots_[slot].config.valid();
   }
 
   /// Whether contiguous placement is active on this node.
-  [[nodiscard]] bool contiguous() const { return layout_.has_value(); }
+  [[nodiscard]] bool contiguous() const { return fabric_ != nullptr; }
 
   /// Fabric layout (contiguous placement only; throws otherwise).
   [[nodiscard]] const FabricLayout& layout() const;
@@ -180,33 +188,49 @@ class Node {
 
   /// External fragmentation index; 0 under the scalar model.
   [[nodiscard]] double Fragmentation() const {
-    return layout_ ? layout_->FragmentationIndex() : 0.0;
+    return fabric_ ? fabric_->layout.FragmentationIndex() : 0.0;
   }
 
  private:
+  // The store records each slot's Fig. 3 list position (SetListPos).
+  friend class ResourceStore;
   // Test-only seeded corruption (src/analysis): flips failed_ behind the
   // store's back so the auditor's fault-visibility checks can be proven
   // non-vacuous. See resource/entry_list.hpp.
   friend class ::dreamsim::analysis::StructureCorruptor;
 
+  /// The contiguous-placement state, allocated only by nodes that use it.
+  struct Fabric {
+    FabricLayout layout;
+    std::vector<Extent> slot_extents;  // parallel to slots_
+    Placement placement;
+  };
+
+  /// Empties the slot list, the free list and the slot extents.
+  void ForgetSlots();
+
+  /// Records that live `slot` now sits at cell `pos` of its list.
+  void SetListPos(SlotIndex slot, std::uint32_t pos) {
+    slots_[slot].list_pos = pos;
+  }
+
   NodeId id_;
+  FamilyId family_;
   Area total_area_;
   Area available_area_;
-  FamilyId family_;
   Caps caps_;
   Tick network_delay_ = 0;
+  std::unique_ptr<Fabric> fabric_;  // null under the scalar model
 
-  std::optional<FabricLayout> layout_;
-  Placement placement_ = Placement::kFirstFit;
-  std::vector<Extent> slot_extents_;  // parallel to slots_ when contiguous
-
-  std::vector<std::optional<ConfigTaskPair>> slots_;
-  std::vector<SlotIndex> free_slots_;
-  std::size_t live_entries_ = 0;
-  std::size_t running_tasks_ = 0;
+  std::vector<ConfigTaskPair> slots_;
   std::uint64_t reconfig_count_ = 0;
+  SlotIndex free_head_ = kInvalidSlot;  // newest dead slot; chained by list_pos
+  std::uint32_t live_entries_ = 0;
+  std::uint32_t running_tasks_ = 0;
   bool failed_ = false;
 };
+
+static_assert(sizeof(Node) <= 128, "Node must stay compact");
 
 /// Parameters for synthetic node generation (Table II: "Node TotalArea
 /// range [1000...4000]").

@@ -73,13 +73,7 @@ ResourceStore::ResourceStore(ConfigCatalogue configs)
     : configs_(std::move(configs)),
       idle_lists_(configs_.size()),
       busy_lists_(configs_.size()),
-      index_(std::make_unique<StoreIndex>(configs_)) {
-  for (const Configuration& c : configs_.all()) {
-    if (min_config_area_ == 0 || c.required_area < min_config_area_) {
-      min_config_area_ = c.required_area;
-    }
-  }
-}
+      index_(std::make_unique<StoreIndex>(configs_)) {}
 
 // Out of line so the header can hold StoreIndex behind a forward
 // declaration. Moves re-bind the index's catalogue pointer, which refers
@@ -97,7 +91,6 @@ ResourceStore::ResourceStore(ResourceStore&& other) noexcept
       failed_count_(other.failed_count_),
       fleet_totals_(other.fleet_totals_),
       index_(std::move(other.index_)),
-      min_config_area_(other.min_config_area_),
       meter_(other.meter_) {
   if (index_) index_->RebindCatalogue(configs_);
 }
@@ -114,7 +107,6 @@ ResourceStore& ResourceStore::operator=(ResourceStore&& other) noexcept {
   failed_count_ = other.failed_count_;
   fleet_totals_ = other.fleet_totals_;
   index_ = std::move(other.index_);
-  min_config_area_ = other.min_config_area_;
   meter_ = other.meter_;
   if (index_) index_->RebindCatalogue(configs_);
   return *this;
@@ -142,14 +134,6 @@ NodeId ResourceStore::AppendNode(Area total_area, FamilyId family, Caps caps,
   const auto id = NodeId{static_cast<std::uint32_t>(nodes_.size())};
   nodes_.emplace_back(id, total_area, family, caps, contiguous, placement);
   nodes_.back().set_network_delay(network_delay);
-  if (min_config_area_ > 0) {
-    // A node can hold at most total/min-config-area live slots; capped
-    // tightly (occupancy rarely passes a handful) so the hint kills the
-    // small-vector reallocation churn without bloating per-node memory —
-    // at a million nodes a generous cap costs real cache locality.
-    nodes_.back().ReserveSlots(std::min<std::size_t>(
-        static_cast<std::size_t>(total_area / min_config_area_) + 1, 16));
-  }
   blank_pos_.push_back(blank_.size());
   blank_.push_back(id);
   busy_area_.push_back(0);
@@ -181,6 +165,9 @@ void ResourceStore::InitNodes(const NodeGenParams& params, Rng& rng) {
     throw std::invalid_argument("invalid node area range");
   }
   const std::size_t first = nodes_.size();
+  // One exact allocation: growing by doubling would copy every Node
+  // log2(count) times and leave the outgrown arrays in the heap.
+  nodes_.reserve(first + static_cast<std::size_t>(params.count));
   for (int i = 0; i < params.count; ++i) {
     const Area area = rng.uniform_int(params.min_area, params.max_area);
     const auto family =
@@ -197,7 +184,6 @@ void ResourceStore::InitNodes(const NodeGenParams& params, Rng& rng) {
                params.placement);
   }
   IndexNodesFrom(first);
-  ReserveEntryLists(params.count);
 }
 
 void ResourceStore::InitDeviceClasses(
@@ -205,9 +191,9 @@ void ResourceStore::InitDeviceClasses(
   if (classes.empty()) {
     throw std::invalid_argument("need at least one device class");
   }
-  int total = 0;
   // Validate every class before generating any node: the population is
   // indexed in one batch at the end.
+  std::size_t total = 0;
   for (const DeviceClassParams& p : classes) {
     if (p.count <= 0) {
       throw std::invalid_argument(
@@ -217,9 +203,10 @@ void ResourceStore::InitDeviceClasses(
       throw std::invalid_argument(
           "device class '" + p.name + "' has an invalid area range");
     }
-    total += p.count;
+    total += static_cast<std::size_t>(p.count);
   }
   const std::size_t first = nodes_.size();
+  nodes_.reserve(first + total);  // as in InitNodes
   for (std::size_t c = 0; c < classes.size(); ++c) {
     const DeviceClassParams& p = classes[c];
     // Class 0 replays the homogeneous InitNodes stream verbatim; later
@@ -241,22 +228,6 @@ void ResourceStore::InitDeviceClasses(
     }
   }
   IndexNodesFrom(first);
-  ReserveEntryLists(total);
-}
-
-void ResourceStore::ReserveEntryLists(int node_count) {
-  // Reservation discipline (DESIGN.md §14): size each per-config list for
-  // the population it will plausibly hold. Entries spread across the
-  // catalogue, so a couple of list slots per node per config amortizes the
-  // growth reallocations without over-committing memory at large N
-  // (bench_ladder's per-rung setup_s times the construction).
-  const std::size_t per_list = std::min<std::size_t>(
-      static_cast<std::size_t>(node_count),
-      static_cast<std::size_t>(node_count) * 2 /
-              std::max<std::size_t>(configs_.size(), 1) +
-          16);
-  for (EntryList& l : idle_lists_) l.Reserve(per_list);
-  for (EntryList& l : busy_lists_) l.Reserve(per_list);
 }
 
 Node& ResourceStore::node(NodeId id) {
@@ -536,6 +507,19 @@ void ResourceStore::PushBlank(NodeId node_id) {
   blank_.push_back(node_id);
 }
 
+void ResourceStore::ListAdd(EntryList& list, EntryRef entry) {
+  node(entry.node).SetListPos(entry.slot, list.Add(entry, meter_));
+}
+
+bool ResourceStore::ListRemove(EntryList& list, EntryRef entry) {
+  const std::uint32_t pos = node(entry.node).Slot(entry.slot).list_pos;
+  const EntryList::Removal removal = list.Remove(entry, pos, meter_);
+  if (removal.moved.slot != kInvalidSlot) {
+    node(removal.moved.node).SetListPos(removal.moved.slot, pos);
+  }
+  return removal.removed;
+}
+
 EntryRef ResourceStore::Configure(NodeId node_id, ConfigId config) {
   const Configuration& c = configs_.Get(config);
   Node& n = node(node_id);
@@ -551,7 +535,7 @@ EntryRef ResourceStore::Configure(NodeId node_id, ConfigId config) {
   const SlotIndex slot = n.SendBitstream(c);
   if (was_blank) RemoveFromBlank(node_id);
   const EntryRef entry{node_id, slot};
-  idle_list_mut(config).Add(entry, meter_);
+  ListAdd(idle_list_mut(config), entry);
   RefreshIndex(node_id);
   return entry;
 }
@@ -561,7 +545,7 @@ void ResourceStore::ReclaimSlot(EntryRef entry) {
   const ConfigTaskPair& pair = n.Slot(entry.slot);
   if (!pair.idle()) throw std::logic_error("ReclaimSlot: entry is busy");
   const TotalsDelta delta(fleet_totals_, n);
-  if (!idle_list_mut(pair.config).Remove(entry, meter_)) {
+  if (!ListRemove(idle_list_mut(pair.config), entry)) {
     throw std::logic_error("ReclaimSlot: entry missing from idle list");
   }
   const Area area = configs_.Get(pair.config).required_area;
@@ -576,7 +560,7 @@ void ResourceStore::BlankNode(NodeId node_id) {
   if (n.blank()) return;
   const TotalsDelta delta(fleet_totals_, n);
   n.ForEachSlot([&](SlotIndex slot, const ConfigTaskPair& pair) {
-    if (!idle_list_mut(pair.config).Remove(EntryRef{node_id, slot}, meter_)) {
+    if (!ListRemove(idle_list_mut(pair.config), EntryRef{node_id, slot})) {
       throw std::logic_error("BlankNode: entry missing from idle list");
     }
   });
@@ -589,11 +573,11 @@ void ResourceStore::AssignTask(EntryRef entry, TaskId task) {
   Node& n = node(entry.node);
   const ConfigId config = n.Slot(entry.slot).config;
   const TotalsDelta delta(fleet_totals_, n);
-  if (!idle_list_mut(config).Remove(entry, meter_)) {
+  if (!ListRemove(idle_list_mut(config), entry)) {
     throw std::logic_error("AssignTask: entry missing from idle list");
   }
   n.AddTaskToNode(entry.slot, task);
-  busy_list_mut(config).Add(entry, meter_);
+  ListAdd(busy_list_mut(config), entry);
   busy_area_[entry.node.value()] += configs_.Get(config).required_area;
   RefreshIndex(entry.node);
 }
@@ -604,11 +588,11 @@ TaskId ResourceStore::ReleaseTask(EntryRef entry) {
   const ConfigId config = pair.config;
   const TaskId task = pair.task;
   const TotalsDelta delta(fleet_totals_, n);
-  if (!busy_list_mut(config).Remove(entry, meter_)) {
+  if (!ListRemove(busy_list_mut(config), entry)) {
     throw std::logic_error("ReleaseTask: entry missing from busy list");
   }
   n.RemoveTaskFromNode(entry.slot);
-  idle_list_mut(config).Add(entry, meter_);
+  ListAdd(idle_list_mut(config), entry);
   busy_area_[entry.node.value()] -= configs_.Get(config).required_area;
   RefreshIndex(entry.node);
   return task;
@@ -625,12 +609,12 @@ std::vector<TaskId> ResourceStore::FailNode(NodeId node_id) {
     const ConfigId config = pair.config;
     const TaskId task = pair.task;
     if (pair.idle()) {
-      if (!idle_list_mut(config).Remove(entry, meter_)) {
+      if (!ListRemove(idle_list_mut(config), entry)) {
         throw std::logic_error("FailNode: entry missing from idle list");
       }
       return;
     }
-    if (!busy_list_mut(config).Remove(entry, meter_)) {
+    if (!ListRemove(busy_list_mut(config), entry)) {
       throw std::logic_error("FailNode: entry missing from busy list");
     }
     busy_area_[node_id.value()] -= configs_.Get(config).required_area;

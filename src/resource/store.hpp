@@ -273,9 +273,12 @@ class ResourceStore {
                     Tick network_delay, bool contiguous, Placement placement);
   /// Registers nodes [first, node_count()) with the index in one batch.
   void IndexNodesFrom(std::size_t first);
-  /// Shared InitNodes/InitDeviceClasses tail: pre-sizes the per-config
-  /// idle/busy lists for a population of `node_count` nodes.
-  void ReserveEntryLists(int node_count);
+  /// Appends `entry` to `list` and records the position in its slot.
+  void ListAdd(EntryList& list, EntryRef entry);
+  /// Removes `entry` from `list` at the position its slot records, and
+  /// records the new position of the entry the removal moved there.
+  /// False when the entry is not at that position.
+  bool ListRemove(EntryList& list, EntryRef entry);
   void RemoveFromBlank(NodeId node_id);
   void PushBlank(NodeId node_id);
   void RefreshIndex(NodeId node_id);
@@ -289,7 +292,6 @@ class ResourceStore {
   std::size_t failed_count_ = 0;        // nodes currently failed
   FleetTotals fleet_totals_;            // fleet-wide aggregates
   std::unique_ptr<StoreIndex> index_;   // null = scan mode
-  Area min_config_area_ = 0;            // smallest catalogue area (slot hint)
   WorkloadMeter meter_;
 };
 

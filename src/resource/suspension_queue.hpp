@@ -185,7 +185,8 @@ class SuspensionQueue {
                     WorkloadMeter& meter, Attempt&& attempt) {
     if (empty()) return;
     const std::size_t max_attempts = batch == 0 ? size() : batch;
-    FifoCursor cursor{head_};
+    // No live seq lies below the head, so the index may start there.
+    FifoCursor cursor{head_, head_};
     for (std::size_t attempts = 0; attempts < max_attempts; ++attempts) {
       std::optional<Seq> next;
       if (order_ == SusOrder::kPriority) {

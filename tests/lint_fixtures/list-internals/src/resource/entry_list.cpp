@@ -1,7 +1,5 @@
 // Negative: entry_list.cpp is the owner and touches its state freely.
 void Reset() {
   int cells_ = 0;
-  int table_used_ = 0;
   (void)cells_;
-  (void)table_used_;
 }

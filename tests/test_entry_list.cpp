@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace dreamsim::resource {
 namespace {
 
@@ -29,25 +35,46 @@ TEST(EntryList, AddChargesOneHousekeepingStep) {
   EXPECT_EQ(meter.scheduling_steps_total(), 0u);
 }
 
+TEST(EntryList, AddReturnsThePosition) {
+  EntryList list;
+  WorkloadMeter meter;
+  EXPECT_EQ(list.Add(E(4, 0), meter), 0u);
+  EXPECT_EQ(list.Add(E(2, 3), meter), 1u);
+  EXPECT_EQ(list.Add(E(9, 1), meter), 2u);
+}
+
 TEST(EntryList, RemoveExistingAndMissing) {
   EntryList list;
   WorkloadMeter meter;
   list.Add(E(1, 0), meter);
   list.Add(E(2, 0), meter);
-  EXPECT_TRUE(list.Remove(E(1, 0), meter));
+  const EntryList::Removal removal = list.Remove(E(1, 0), 0, meter);
+  EXPECT_TRUE(removal.removed);
+  // The last cell moved into the freed position.
+  EXPECT_EQ(removal.moved, E(2, 0));
   EXPECT_EQ(list.size(), 1u);
-  EXPECT_FALSE(list.Remove(E(1, 0), meter));
+  EXPECT_FALSE(list.Remove(E(1, 0), 0, meter).removed);
+  EXPECT_FALSE(list.Remove(E(1, 0), 5, meter).removed);
   EXPECT_TRUE(list.Contains(E(2, 0), meter, StepKind::kHousekeeping));
+  // Removing the last cell moves nothing.
+  const EntryList::Removal last = list.Remove(E(2, 0), 0, meter);
+  EXPECT_TRUE(last.removed);
+  EXPECT_EQ(last.moved.slot, kInvalidSlot);
+  EXPECT_TRUE(list.empty());
 }
 
 TEST(EntryList, RemoveChargesTraversalSteps) {
   EntryList list;
   WorkloadMeter meter;
   for (std::uint32_t i = 0; i < 10; ++i) list.Add(E(i, 0), meter);
-  const Steps before = meter.housekeeping_steps_total();
+  Steps before = meter.housekeeping_steps_total();
   // Element at position 7 costs 8 visited cells.
-  EXPECT_TRUE(list.Remove(E(7, 0), meter));
+  EXPECT_TRUE(list.Remove(E(7, 0), 7, meter).removed);
   EXPECT_EQ(meter.housekeeping_steps_total() - before, 8u);
+  // A miss costs the whole list.
+  before = meter.housekeeping_steps_total();
+  EXPECT_FALSE(list.Remove(E(7, 0), 7, meter).removed);
+  EXPECT_EQ(meter.housekeeping_steps_total() - before, 9u);
 }
 
 TEST(EntryList, SlotDistinguishesEntriesOnSameNode) {
@@ -55,7 +82,8 @@ TEST(EntryList, SlotDistinguishesEntriesOnSameNode) {
   WorkloadMeter meter;
   list.Add(E(1, 0), meter);
   list.Add(E(1, 1), meter);
-  EXPECT_TRUE(list.Remove(E(1, 1), meter));
+  EXPECT_FALSE(list.Remove(E(1, 1), 0, meter).removed);
+  EXPECT_TRUE(list.Remove(E(1, 1), 1, meter).removed);
   EXPECT_TRUE(list.Contains(E(1, 0), meter, StepKind::kHousekeeping));
   EXPECT_FALSE(list.Contains(E(1, 1), meter, StepKind::kHousekeeping));
 }
@@ -136,20 +164,58 @@ TEST(EntryList, FindMinTieKeepsEarliest) {
   EXPECT_EQ(best->slot, 0u);
 }
 
-TEST(EntryList, ReserveNeverChangesContentsOrCharges) {
-  EntryList reserved;
-  EntryList bare;
-  WorkloadMeter mr;
-  WorkloadMeter mb;
-  reserved.Reserve(512);
-  for (std::uint32_t i = 0; i < 300; ++i) {
-    reserved.Add(E(i, 0), mr);
-    bare.Add(E(i, 0), mb);
+// Random Add/Remove, absent entries included, against a plain vector
+// walked the way the paper's linked list is: the cells, the positions the
+// caller records and the charges agree after every operation.
+TEST(EntryList, MatchesTheLinearSearchModel) {
+  Rng rng(77);
+  EntryList list;
+  WorkloadMeter meter;
+  std::vector<EntryRef> model;
+  Steps model_steps = 0;
+  std::map<std::uint64_t, std::size_t> recorded;  // packed entry -> position
+  for (int step = 0; step < 20000; ++step) {
+    const EntryRef entry = E(static_cast<std::uint32_t>(rng.uniform_int(0, 40)),
+                             static_cast<SlotIndex>(rng.uniform_int(0, 3)));
+    const auto it = recorded.find(PackEntryRef(entry));
+    if (it == recorded.end() && rng.uniform_int(0, 2) != 0) {
+      recorded[PackEntryRef(entry)] = list.Add(entry, meter);
+      model.push_back(entry);
+      model_steps += 1;
+    } else {
+      // A present entry at its recorded position, or an absent one at any
+      // position, in range or not.
+      const bool present = it != recorded.end();
+      const std::size_t pos =
+          present ? it->second
+                  : static_cast<std::size_t>(rng.uniform_int(0, 60));
+      const EntryList::Removal removal = list.Remove(entry, pos, meter);
+      const auto found = std::find(model.begin(), model.end(), entry);
+      ASSERT_EQ(removal.removed, found != model.end()) << "step " << step;
+      if (found == model.end()) {
+        model_steps += model.size();
+      } else {
+        const auto at = static_cast<std::size_t>(found - model.begin());
+        model_steps += at + 1;
+        *found = model.back();
+        model.pop_back();
+        recorded.erase(it);
+        if (at < model.size()) {
+          ASSERT_EQ(removal.moved, model[at]) << "step " << step;
+          recorded[PackEntryRef(removal.moved)] = pos;
+        } else {
+          ASSERT_EQ(removal.moved.slot, kInvalidSlot) << "step " << step;
+        }
+      }
+    }
+    // lint: allow(entry-cells-iteration) — the model compares raw storage
+    ASSERT_EQ(list.cells(), model) << "step " << step;
+    ASSERT_EQ(meter.housekeeping_steps_total(), model_steps) << "step " << step;
+    ASSERT_EQ(recorded.size(), model.size());
+    for (const auto& [packed, pos] : recorded) {
+      ASSERT_EQ(model[pos], UnpackEntryRef(packed)) << "step " << step;
+    }
   }
-  EXPECT_EQ(mr.total_workload(), mb.total_workload());
-  // lint: allow(entry-cells-iteration) — twin equality needs raw storage
-  EXPECT_EQ(reserved.cells(), bare.cells());
-  EXPECT_TRUE(reserved.PositionsConsistent());
 }
 
 TEST(WorkloadMeter, SeparatesKindsAndTotals) {

@@ -5,9 +5,25 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
+
 #include "analysis/structure_auditor.hpp"
 #include "resource/store.hpp"
 #include "util/rng.hpp"
+
+// Counts global allocations, so a test can tell what a Node allocates.
+namespace {
+std::size_t g_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dreamsim::resource {
 namespace {
@@ -191,6 +207,46 @@ TEST(ContiguousNode, ScalarNodeRejectsLayoutQueries) {
   EXPECT_THROW((void)n.layout(), std::logic_error);
   EXPECT_THROW((void)n.CanHostAfterReclaiming({}, 100), std::logic_error);
   EXPECT_DOUBLE_EQ(n.Fragmentation(), 0.0);
+}
+
+TEST(ContiguousNode, OnlyContiguousNodesAllocateFabricState) {
+  const std::size_t before = g_allocations;
+  const Node scalar(NodeId{0}, 1000, FamilyId{0}, Caps{});
+  EXPECT_EQ(g_allocations, before) << "a scalar node allocated on creation";
+  const Node contiguous(NodeId{1}, 1000, FamilyId{0}, Caps{},
+                        /*contiguous=*/true);
+  EXPECT_GT(g_allocations, before);
+  EXPECT_TRUE(contiguous.contiguous());
+  EXPECT_FALSE(scalar.contiguous());
+}
+
+TEST(ContiguousNode, ExtentsFollowSlotReuse) {
+  Node n(NodeId{0}, 1000, FamilyId{0}, Caps{}, /*contiguous=*/true);
+  const SlotIndex a = n.SendBitstream(MakeConfig(0, 300));  // [0,300)
+  const SlotIndex b = n.SendBitstream(MakeConfig(1, 200));  // [300,500)
+  const SlotIndex c = n.SendBitstream(MakeConfig(2, 100));  // [500,600)
+  n.MakeNodePartiallyBlank(b, 200);
+  n.MakeNodePartiallyBlank(a, 300);
+  // Freed slots come back newest first; each takes its new extent.
+  const SlotIndex d = n.SendBitstream(MakeConfig(3, 150));
+  EXPECT_EQ(d, a);
+  EXPECT_EQ(n.SlotExtent(d), (Extent{0, 150}));
+  const SlotIndex e = n.SendBitstream(MakeConfig(4, 350));
+  EXPECT_EQ(e, b);
+  EXPECT_EQ(n.SlotExtent(e), (Extent{150, 350}));
+  EXPECT_EQ(n.SlotExtent(c), (Extent{500, 100}));
+  const SlotIndex f = n.SendBitstream(MakeConfig(5, 50));
+  EXPECT_EQ(f, 3u);
+  EXPECT_EQ(n.SlotExtent(f), (Extent{600, 50}));
+  // An emptied node starts again from slot 0 on a fresh fabric.
+  for (const SlotIndex slot : {c, d, e, f}) {
+    n.MakeNodePartiallyBlank(slot, n.SlotExtent(slot).size);
+  }
+  EXPECT_EQ(n.layout().hole_count(), 1u);
+  const SlotIndex g = n.SendBitstream(MakeConfig(6, 400));
+  EXPECT_EQ(g, 0u);
+  EXPECT_EQ(n.SlotExtent(g), (Extent{0, 400}));
+  EXPECT_THROW((void)n.SlotExtent(1), std::out_of_range);
 }
 
 TEST(ContiguousNode, BlankResetsLayout) {

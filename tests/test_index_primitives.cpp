@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -286,6 +287,60 @@ TEST_P(TreeFuzz, MaxSegTreeMatchesVector) {
     if (HasFatalFailure()) return;
   }
   ExpectSameMax(tree, v, rng);
+}
+
+// Thresholds above the global max miss from every start (the top group
+// answers them); the max itself still hits, as the live max moves down
+// and back up.
+TEST_P(TreeFuzz, MaxSegTreeMissesAboveTheGlobalMax) {
+  const std::size_t size = GetParam();
+  Rng rng(404 + size);
+  MaxSegTree tree;
+  std::vector<std::int64_t> v;
+  const auto expect_edges = [&] {
+    const std::int64_t max =
+        v.empty() ? MaxSegTree::kNegInf : *std::max_element(v.begin(), v.end());
+    // With every leaf removed, even the smallest threshold misses.
+    const std::int64_t above[] = {max + 1,
+                                  std::max<std::int64_t>(max, 0) + 1000,
+                                  std::numeric_limits<std::int64_t>::max()};
+    for (const std::int64_t threshold : above) {
+      for (std::size_t from = 0; from <= v.size() + 1; ++from) {
+        ASSERT_EQ(tree.FirstAtLeast(from, threshold), MaxSegTree::npos)
+            << "from " << from << " threshold " << threshold;
+      }
+    }
+    if (max == MaxSegTree::kNegInf) return;
+    const std::vector<std::size_t> want = ScanFirstAtLeast(v, max);
+    for (std::size_t from = 0; from <= v.size() + 1; ++from) {
+      ASSERT_EQ(tree.FirstAtLeast(from, max), want[std::min(from, v.size())])
+          << "from " << from << " threshold " << max;
+    }
+  };
+  for (std::size_t i = 0; i < size; ++i) {
+    v.push_back(rng.uniform_int(0, 4) == 0 ? MaxSegTree::kNegInf
+                                           : rng.uniform_int(-10, 10));
+    tree.Append(v.back());
+  }
+  expect_edges();
+  if (size == 0) return;
+  for (int op = 0; op < 200; ++op) {
+    const auto top = static_cast<std::size_t>(
+        std::max_element(v.begin(), v.end()) - v.begin());
+    // Alternately remove the max holder and raise a random leaf past it.
+    std::size_t pos = top;
+    std::int64_t value = MaxSegTree::kNegInf;
+    if (op % 2 == 1) {
+      pos = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
+      value = (v[top] == MaxSegTree::kNegInf ? 0 : v[top]) + 1;
+    }
+    v[pos] = value;
+    tree.Assign(pos, value);
+    if (op % 10 == 0 || size <= 65) expect_edges();
+    if (HasFatalFailure()) return;
+  }
+  expect_edges();
 }
 
 TEST_P(TreeFuzz, CountTreeMatchesVector) {

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace dreamsim::resource {
 namespace {
 
@@ -51,6 +55,16 @@ TEST(Node, SendBitstreamRejectsOversize) {
   EXPECT_THROW((void)n.SendBitstream(MakeConfig(0, 1001)), std::logic_error);
   (void)n.SendBitstream(MakeConfig(0, 600));
   EXPECT_THROW((void)n.SendBitstream(MakeConfig(1, 500)), std::logic_error);
+}
+
+TEST(Node, SendBitstreamRejectsAnInvalidConfigId) {
+  // An invalid config marks a dead slot, so no live slot may hold one.
+  Node n(NodeId{0}, 1000, FamilyId{0}, Caps{});
+  Configuration c = MakeConfig(0, 100);
+  c.id = ConfigId::invalid();
+  EXPECT_THROW((void)n.TrySendBitstream(c), std::invalid_argument);
+  EXPECT_TRUE(n.blank());
+  EXPECT_EQ(n.available_area(), 1000);
 }
 
 TEST(Node, TaskLifecycleOnSlot) {
@@ -144,6 +158,98 @@ TEST(Node, SlotReuseAfterReclaim) {
   EXPECT_EQ(c, a);
   EXPECT_TRUE(n.SlotLive(b));
   EXPECT_EQ(n.Slot(c).config, ConfigId{2});
+}
+
+// Pins the slot indices a reclaim sequence hands out: freed slots come back
+// newest first, and a node that empties (by its last partial reclaim or by
+// MakeNodeBlank) starts again from slot 0. Completion events carry slot
+// indices, so any other order would change decisions.
+TEST(Node, SlotReusePinnedForReclaimSequences) {
+  Node n(NodeId{0}, 1000, FamilyId{0}, Caps{});
+  const auto send = [&n] { return n.SendBitstream(MakeConfig(0, 100)); };
+  EXPECT_EQ(send(), 0u);
+  EXPECT_EQ(send(), 1u);
+  EXPECT_EQ(send(), 2u);
+  EXPECT_EQ(send(), 3u);
+  n.MakeNodePartiallyBlank(1, 100);
+  n.MakeNodePartiallyBlank(3, 100);
+  n.MakeNodePartiallyBlank(0, 100);
+  EXPECT_EQ(send(), 0u);
+  EXPECT_EQ(send(), 3u);
+  EXPECT_EQ(send(), 1u);
+  EXPECT_EQ(send(), 4u);
+  n.MakeNodePartiallyBlank(2, 100);
+  EXPECT_EQ(send(), 2u);
+  // Emptying the node slot by slot forgets the old slot range.
+  for (const SlotIndex slot : {4u, 0u, 2u, 1u, 3u}) {
+    n.MakeNodePartiallyBlank(slot, 100);
+  }
+  EXPECT_TRUE(n.blank());
+  EXPECT_EQ(n.slot_bound(), 0u);
+  EXPECT_EQ(send(), 0u);
+  EXPECT_EQ(send(), 1u);
+  EXPECT_EQ(send(), 2u);
+  n.MakeNodePartiallyBlank(0, 100);
+  n.MakeNodeBlank();
+  EXPECT_EQ(n.slot_bound(), 0u);
+  EXPECT_EQ(send(), 0u);
+  EXPECT_EQ(send(), 1u);
+  n.MakeNodePartiallyBlank(0, 100);
+  EXPECT_EQ(send(), 0u);
+  EXPECT_EQ(send(), 2u);
+}
+
+// The same rule against a model, over random sends and reclaims: a stack
+// of freed slots, cleared whenever the node empties.
+TEST(Node, SlotReuseFollowsTheFreedStack) {
+  Rng rng(2024);
+  Node n(NodeId{0}, 1600, FamilyId{0}, Caps{});
+  std::vector<bool> live;
+  std::vector<SlotIndex> freed;
+  std::size_t live_count = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const bool send = live_count == 0 ||
+                      (live_count < 16 && rng.uniform_int(0, 2) != 0);
+    if (step % 997 == 0 && n.running_tasks() == 0) {
+      n.MakeNodeBlank();
+      live.clear();
+      freed.clear();
+      live_count = 0;
+      continue;
+    }
+    if (send) {
+      SlotIndex expected;
+      if (!freed.empty()) {
+        expected = freed.back();
+        freed.pop_back();
+        live[expected] = true;
+      } else {
+        expected = static_cast<SlotIndex>(live.size());
+        live.push_back(true);
+      }
+      ASSERT_EQ(n.SendBitstream(MakeConfig(expected % 7, 100)), expected)
+          << "step " << step;
+      ++live_count;
+    } else {
+      SlotIndex victim = 0;
+      auto skip = rng.uniform_int(0, static_cast<std::int64_t>(live_count) - 1);
+      for (SlotIndex s = 0; s < live.size(); ++s) {
+        if (live[s] && skip-- == 0) {
+          victim = s;
+          break;
+        }
+      }
+      n.MakeNodePartiallyBlank(victim, 100);
+      live[victim] = false;
+      freed.push_back(victim);
+      if (--live_count == 0) {
+        live.clear();
+        freed.clear();
+      }
+    }
+    ASSERT_EQ(n.config_count(), live_count);
+    ASSERT_EQ(n.slot_bound(), live.size());
+  }
 }
 
 TEST(Node, ForEachSlotVisitsOnlyLive) {

@@ -145,8 +145,9 @@ TEST(StructureAuditorCorruption, OrphanIdleEntryIsFig3IdleList) {
 
 TEST(StructureAuditorCorruption, SwappedPositionsAreFig3Positions) {
   ResourceStore store = MakePopulatedStore(/*indexed=*/false);
-  // Config 0 has two idle entries (nodes a and b); swap their position-map
-  // slots. Membership is intact, so only the inverse-map check can see it.
+  // Config 0 has two idle entries (nodes a and b); swap the list positions
+  // their slots record. Membership is intact, so only the position check
+  // can see it.
   StructureCorruptor::CorruptPositionMap(store, ConfigId{0});
   const AuditReport report = StructureAuditor::AuditStore(store);
   ASSERT_FALSE(report.ok());
@@ -154,6 +155,21 @@ TEST(StructureAuditorCorruption, SwappedPositionsAreFig3Positions) {
       << report.Render();
   // Both displaced cells are reported.
   EXPECT_EQ(report.violations.size(), 2u) << report.Render();
+}
+
+TEST(StructureAuditorCorruption, DroppedIdleCellIsFig3IdleList) {
+  ResourceStore store = MakePopulatedStore(/*indexed=*/false);
+  // The list loses a cell whose slot is still live and idle: no cell is
+  // wrong, the slot is simply missing from its list.
+  StructureCorruptor::DropIdleCell(store, ConfigId{0});
+  const AuditReport report = StructureAuditor::AuditStore(store);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"fig3.idle-list"})
+      << report.Render();
+  ASSERT_EQ(report.violations.size(), 1u) << report.Render();
+  EXPECT_NE(report.violations[0].detail.find("missing from the list"),
+            std::string::npos)
+      << report.Render();
 }
 
 TEST(StructureAuditorCorruption, SkewedFenwickLeafIsIdxCount) {

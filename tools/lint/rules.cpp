@@ -32,7 +32,7 @@ namespace {
   return s.rfind(prefix, 0) == 0;
 }
 
-// --- list-internals / store-internals --------------------------------------
+// --- store-internals ---------------------------------------------------------
 
 class OwnedTokensRule : public Rule {
  public:
@@ -65,6 +65,78 @@ class OwnedTokensRule : public Rule {
   std::vector<std::string_view> tokens_;
   std::string what_;
   std::string hint_;
+};
+
+// --- list-internals ---------------------------------------------------------
+
+// EntryList's cells belong to entry_list.{hpp,cpp}; the list position each
+// config-task pair records (ConfigTaskPair::list_pos, Fig. 3's Inext/Bnext)
+// is written only by the node, which threads its free list through it, and
+// the store, which keeps it in step with the lists. Reading it is free.
+class ListInternalsRule : public Rule {
+ public:
+  [[nodiscard]] const RuleInfo& info() const override {
+    static const RuleInfo kInfo{
+        "list-internals", Severity::kError,
+        "EntryList's cells_ are touched only by entry_list.{hpp,cpp}; a "
+        "slot's list_pos is written only by node and store"};
+    return kInfo;
+  }
+
+  void Check(Source& src, const Tree&, Reporter& out) override {
+    const std::string stem = Stem(src.path);
+    if (stem != "entry_list") {
+      for (const std::size_t hit : FindWord(src.clean, "cells_")) {
+        out.Report(src, hit, info(),
+                   "cells_ is EntryList's intrusive state; mutate it through "
+                   "entry_list's interface",
+                   "route the access through EntryList's public interface");
+      }
+    }
+    if (stem == "node" || stem == "store") return;
+    for (const std::size_t hit : FindWord(src.clean, "list_pos")) {
+      if (!IsWrite(src.clean, hit, hit + 8)) continue;
+      out.Report(src, hit, info(),
+                 "write to a slot's list_pos outside node and store: the "
+                 "position must match the slot's cell in its Fig. 3 list",
+                 "let ResourceStore's list maintenance record positions");
+    }
+  }
+
+ private:
+  /// True when the member access ending at `end` (starting at the member
+  /// name `begin`) is assigned, compound-assigned, incremented or
+  /// decremented.
+  [[nodiscard]] static bool IsWrite(const std::string& text, std::size_t begin,
+                                    std::size_t end) {
+    std::size_t after = end;
+    while (after < text.size() && IsSpace(text[after])) ++after;
+    const std::string_view rest = std::string_view(text).substr(after, 3);
+    if (rest.starts_with("++") || rest.starts_with("--")) return true;
+    if (rest.starts_with("==")) return false;
+    if (rest.starts_with("=")) return true;
+    static constexpr std::string_view kCompound[] = {
+        "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="};
+    for (const std::string_view op : kCompound) {
+      if (rest.starts_with(op)) return true;
+    }
+    // Pre-increment: walk back over the object expression (names, member
+    // access, subscripts) to the operator before it.
+    std::size_t pos = begin;
+    while (pos > 0) {
+      const char c = text[pos - 1];
+      if (IsWordChar(c) || c == '.' || c == '[' || c == ']' || c == ':' ||
+          IsSpace(c)) {
+        --pos;
+      } else if (c == '>' && pos > 1 && text[pos - 2] == '-') {
+        pos -= 2;
+      } else {
+        break;
+      }
+    }
+    return pos >= 2 && ((text[pos - 2] == '+' && text[pos - 1] == '+') ||
+                        (text[pos - 2] == '-' && text[pos - 1] == '-'));
+  }
 };
 
 // --- uncharged-index-query --------------------------------------------------
@@ -516,14 +588,7 @@ class AtomicsDisciplineRule : public Rule {
 
 std::vector<std::unique_ptr<Rule>> BuiltinRules() {
   std::vector<std::unique_ptr<Rule>> rules;
-  rules.push_back(std::make_unique<OwnedTokensRule>(
-      RuleInfo{"list-internals", Severity::kError,
-               "EntryList's cells_/table_/table_used_ are touched only by "
-               "entry_list.{hpp,cpp}"},
-      "entry_list",
-      std::vector<std::string_view>{"cells_", "table_", "table_used_"},
-      "EntryList's intrusive state",
-      "route the access through EntryList's public interface"));
+  rules.push_back(std::make_unique<ListInternalsRule>());
   rules.push_back(std::make_unique<OwnedTokensRule>(
       RuleInfo{"store-internals", Severity::kError,
                "ResourceStore's intrusive mirrors are touched only by "
