@@ -160,6 +160,16 @@ void StructureCorruptor::InjectStrayIndexKey(resource::ResourceStore& store,
           {store.nodes_.at(node.value()).available_area() + 1, node.value()});
 }
 
+void StructureCorruptor::DropIndexKey(resource::ResourceStore& store,
+                                      NodeId node) {
+  if (!IndexOf(store, "DropIndexKey")
+           .global_.partial_by_avail.erase(
+               {store.nodes_.at(node.value()).available_area(),
+                node.value()})) {
+    throw std::logic_error("DropIndexKey: node has no partially-blank key");
+  }
+}
+
 void StructureCorruptor::SkewIndexBucketBitmap(
     resource::ResourceStore& store) {
   resource::StoreIndex::View& view =
@@ -343,6 +353,11 @@ void StructureCorruptor::SkewSusLive(resource::SuspensionQueue& queue) {
   queue.live_.Set(0);
 }
 
+void StructureCorruptor::SkipSusHead(resource::SuspensionQueue& queue) {
+  if (queue.empty()) throw std::logic_error("SkipSusHead: empty queue");
+  ++queue.head_;
+}
+
 void StructureCorruptor::ShrinkSusCapacity(resource::SuspensionQueue& queue,
                                            std::size_t capacity) {
   if (capacity == 0 || capacity >= queue.size()) {
@@ -359,8 +374,16 @@ void StructureCorruptor::DuplicateSusTask(resource::SuspensionQueue& queue,
       into == resource::SuspensionQueue::kNoSlot || from == into) {
     throw std::logic_error("DuplicateSusTask: need two distinct queued tasks");
   }
-  queue.slots_[into].task = task;
-  queue.seq_of_task_[victim.value()] = resource::SuspensionQueue::kNoSlot;
+  queue.slots_[into] = task;
+  FlipSusQueuedBit(queue, victim);
+}
+
+void StructureCorruptor::FlipSusQueuedBit(resource::SuspensionQueue& queue,
+                                          TaskId task) {
+  const std::size_t word =
+      task.value() / resource::SuspensionQueue::kWordBits;
+  if (queue.queued_.size() <= word) queue.queued_.resize(word + 1, 0);
+  queue.queued_[word] ^= resource::SuspensionQueue::BitOf(task);
 }
 
 void StructureCorruptor::SwapEventHeapHead(sim::EventQueue& queue) {

@@ -114,6 +114,11 @@ class StructureCorruptor {
   static void InjectStrayIndexKey(resource::ResourceStore& store,
                                   NodeId node);
 
+  /// Erases configured `node`'s (AvailableArea, node) key from the
+  /// StoreIndex global view's partially-blank set (requires the index).
+  /// Expected slug: idx.set.
+  static void DropIndexKey(resource::ResourceStore& store, NodeId node);
+
   /// Sets the bitmap bit of an empty bucket in a StoreIndex global-view
   /// key set, in a word that already marks a non-empty bucket, so every
   /// bucket's keys and the summary word stay right (requires the index and
@@ -181,17 +186,28 @@ class StructureCorruptor {
   static void ShrinkSusCapacity(resource::SuspensionQueue& queue,
                                 std::size_t capacity);
 
-  /// Writes queued `task` over queued `victim`'s slot and drops `victim`'s
-  /// seq-table row, so the FIFO holds `task` twice and `victim` nowhere,
-  /// with links, live tree, attributes and index untouched. Expected slug:
-  /// sus.unique.
+  /// Writes queued `task` over queued `victim`'s slot and clears
+  /// `victim`'s queued bit, so the FIFO holds `task` twice and `victim`
+  /// nowhere, with head, live tree, attributes and index untouched.
+  /// Expected slug: sus.unique.
   static void DuplicateSusTask(resource::SuspensionQueue& queue, TaskId task,
                                TaskId victim);
+
+  /// Flips `task`'s queued bit: a queued task loses it, as an Add that
+  /// forgot the bit would leave it, and any other task gains one, as an
+  /// unlink that forgot it would. Expected slug: sus.unique.
+  static void FlipSusQueuedBit(resource::SuspensionQueue& queue, TaskId task);
 
   /// Bumps the suspension queue's live-seq Fenwick leaf for seq 0 by one
   /// (requires at least one slot ever used), as an unlink that forgot the
   /// tree would. Expected slug: sus.fifo.
   static void SkewSusLive(resource::SuspensionQueue& queue);
+
+  /// Moves the suspension queue's head one seq past the oldest live entry
+  /// (requires a non-empty queue), as an unlink that advanced it too far
+  /// would: walks and front pops then skip that entry. Expected slug:
+  /// sus.fifo.
+  static void SkipSusHead(resource::SuspensionQueue& queue);
 
   /// Adds one to the event queue's live count without scheduling anything,
   /// as a push or cancel that forgot the counter would. Expected slug:

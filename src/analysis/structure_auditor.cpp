@@ -20,6 +20,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -475,58 +476,65 @@ void StructureAuditor::AuditStoreIndex(const ResourceStore& store,
     return;
   }
 
-  // Ground truth per node, recomputed from the slots.
+  // Ground truth per node, recomputed from the slots: what the index
+  // derives from them. This table (16 bytes per node) is the pass's one
+  // whole-fleet buffer besides a bit per node; views and key sets are
+  // compared in place.
   struct IndexTruth {
-    NodeTruth counts;
-    bool failed = false;
-    std::uint32_t family = 0;
+    Area busy_area = 0;
+    std::uint32_t live = 0;
+    std::uint32_t running = 0;
   };
   std::vector<IndexTruth> truth(store.nodes_.size());
-  for (const Node& node : store.nodes_) {
-    IndexTruth& t = truth[node.id().value()];
-    t.counts = RecountNode(store, node, report);
-    t.failed = node.failed();
-    t.family = node.family().value();
-  }
-
-  // Snapshot cache: every field must match a fresh recapture.
+  std::set<std::uint32_t> families;
   for (const Node& node : store.nodes_) {
     const std::uint32_t id = node.id().value();
+    const NodeTruth counts = RecountNode(store, node, report);
+    IndexTruth& t = truth[id];
+    t = {counts.busy_area, static_cast<std::uint32_t>(counts.live),
+         static_cast<std::uint32_t>(counts.running)};
+    families.insert(node.family().value());
+    // Snapshot cache: every field must match a fresh recapture.
     const StoreIndex::Snapshot& snap = index.cached_[id];
-    const IndexTruth& t = truth[id];
     if (snap.total != node.total_area() ||
         snap.available != node.available_area() ||
-        snap.potential != node.total_area() - t.counts.busy_area ||
-        snap.config_count != static_cast<std::int64_t>(t.counts.live) ||
-        snap.blank != (t.counts.live == 0) ||
-        snap.busy != (t.counts.running > 0) || snap.failed != t.failed ||
-        snap.family != t.family) {
+        snap.potential != node.total_area() - t.busy_area ||
+        snap.config_count != static_cast<std::int64_t>(t.live) ||
+        snap.blank != (t.live == 0) || snap.busy != (t.running > 0) ||
+        snap.failed != node.failed() ||
+        snap.family != node.family().value()) {
       Report(report, "idx.snapshot", Format("node {}", id),
              Format("cached snapshot diverges from node state "
                     "(cached potential {}, count {}; truth {}, {})",
                     snap.potential, snap.config_count,
-                    node.total_area() - t.counts.busy_area, t.counts.live));
+                    node.total_area() - t.busy_area, t.live));
     }
   }
 
-  // Reconstruct the view composition: every node is in the global view
-  // and, once the fleet holds two or more family values, in the view of
-  // its family value (including the invalid "familyless" value), in
-  // ascending id order. A one-family fleet keeps no family view.
-  std::map<std::uint32_t, std::vector<std::uint32_t>> expected_families;
-  std::vector<std::uint32_t> expected_global;
-  for (const Node& node : store.nodes_) {
-    expected_global.push_back(node.id().value());
-    expected_families[node.family().value()].push_back(node.id().value());
-  }
-
+  // The view composition: every node is in the global view and, once the
+  // fleet holds two or more family values, in the view of its family value
+  // (including the invalid "familyless" value), in ascending id order. A
+  // one-family fleet keeps no family view. `family` names the family
+  // value of a family view, nullopt the global view.
+  std::vector<bool> seen;  // per node id: its key was found in a set
   const auto audit_view = [&](const StoreIndex::View& view,
-                              const std::vector<std::uint32_t>& expected_ids,
+                              std::optional<std::uint32_t> family,
                               const std::string& label) {
-    if (view.ids != expected_ids) {
+    const auto member = [&](std::uint32_t id) {
+      return id < store.nodes_.size() &&
+             (!family || store.nodes_[id].family().value() == *family);
+    };
+    std::size_t members = 0;
+    bool same = true;
+    for (std::uint32_t id = 0; id < store.nodes_.size(); ++id) {
+      if (!member(id)) continue;
+      same = same && members < view.ids.size() && view.ids[members] == id;
+      ++members;
+    }
+    if (!same || members != view.ids.size()) {
       Report(report, "idx.view", label,
              Format("view holds {} members, ground truth {}",
-                    view.ids.size(), expected_ids.size()));
+                    view.ids.size(), members));
       return;
     }
     const std::size_t count = view.ids.size();
@@ -536,9 +544,6 @@ void StructureAuditor::AuditStoreIndex(const ResourceStore& store,
              Format("tree sizes disagree with {} members", count));
       return;
     }
-    std::vector<AreaKey> want_blank;
-    std::vector<AreaKey> want_partial;
-    std::vector<AreaKey> want_idle_cfg;
     for (std::size_t pos = 0; pos < count; ++pos) {
       const std::uint32_t id = view.ids[pos];
       const Node& node = store.nodes_[id];
@@ -546,39 +551,33 @@ void StructureAuditor::AuditStoreIndex(const ResourceStore& store,
       const auto path = [&] {
         return Format("{} pos {} (node {})", label, pos, id);
       };
-      const bool blank = t.counts.live == 0;
-      const bool busy = t.counts.running > 0;
+      const bool failed = node.failed();
       const std::int64_t potential =
-          t.failed ? MaxSegTree::kNegInf
-                   : node.total_area() - t.counts.busy_area;
+          failed ? MaxSegTree::kNegInf : node.total_area() - t.busy_area;
       if (view.potential.Value(pos) != potential) {
         Report(report, "idx.tree", path(),
                Format("potential {} != {}", view.potential.Value(pos),
                       potential));
       }
       const std::int64_t busy_total =
-          busy ? node.total_area() : MaxSegTree::kNegInf;
+          t.running > 0 ? node.total_area() : MaxSegTree::kNegInf;
       if (view.busy_total.Value(pos) != busy_total) {
         Report(report, "idx.tree", path(),
                Format("busy-total {} != {}", view.busy_total.Value(pos),
                       busy_total));
       }
       const std::int64_t available =
-          t.failed ? MaxSegTree::kNegInf : node.available_area();
+          failed ? MaxSegTree::kNegInf : node.available_area();
       if (view.available.Value(pos) != available) {
         Report(report, "idx.tree", path(),
                Format("available {} != {}", view.available.Value(pos),
                       available));
       }
-      if (view.config_count.Value(pos) !=
-          static_cast<std::int64_t>(t.counts.live)) {
+      if (view.config_count.Value(pos) != static_cast<std::int64_t>(t.live)) {
         Report(report, "idx.count", path(),
                Format("config-count leaf {} != {} live slots",
-                      view.config_count.Value(pos), t.counts.live));
+                      view.config_count.Value(pos), t.live));
       }
-      if (blank && !t.failed) want_blank.push_back({node.total_area(), id});
-      if (!blank) want_partial.push_back({node.available_area(), id});
-      if (!blank && !busy) want_idle_cfg.push_back({node.total_area(), id});
     }
     // The queries descend through the summaries, not the leaves: a stale
     // cell misroutes them even when every leaf is right.
@@ -595,12 +594,25 @@ void StructureAuditor::AuditStoreIndex(const ResourceStore& store,
       Report(report, "idx.count", Format("{} config-count tree", label),
              stale);
     }
-    const auto diff_set = [&](const AreaBucketSet& live,
-                              std::vector<AreaKey>& want, const char* name) {
+    // Diffs key set `live` against the key each member must have in it
+    // (`want` gives its area, nullopt when it has none). The first key in
+    // (area, id) order that only one side holds is reported, as a merge of
+    // the two sorted sequences would find it: the smallest stray key is
+    // the first one the ordered walk cannot match, and the smallest missing
+    // one is the least unmatched wanted key.
+    const auto diff_set = [&](const AreaBucketSet& live, const auto& want,
+                              const char* name) {
       const auto where = [&] { return Format("{} {}", label, name); };
+      const auto want_area = [&](std::uint32_t id) -> std::optional<Area> {
+        if (!member(id)) return std::nullopt;
+        return want(store.nodes_[id], truth[id]);
+      };
+      seen.assign(store.nodes_.size(), false);
       // Walk the buckets themselves, not the bitmap: a bad bit must not
       // hide or invent keys, it is reported on its own below.
-      std::vector<AreaKey> have;
+      std::size_t walked = 0;
+      std::optional<AreaKey> prev;
+      std::optional<AreaKey> stray;
       std::array<std::uint64_t, AreaBucketSet::kWords> bits{};
       for (std::size_t w = 0; w < AreaBucketSet::kWords; ++w) {
         for (const auto& bucket : live.dirs_[w]) {
@@ -618,14 +630,20 @@ void StructureAuditor::AuditStoreIndex(const ResourceStore& store,
             const AreaKey& key = live.pool_[bucket.begin + k];
             if (live.BucketOf(key.area) != number ||
                 number / AreaBucketSet::kWordBits != w ||
-                (!have.empty() && !(have.back() < key))) {
+                (prev && !(*prev < key))) {
               Report(report, "idx.set",
                      Format("{} (area {}, node {})", where(), key.area,
                             key.id),
                      "key out of (area, id) order or in the wrong bucket");
               return;
             }
-            have.push_back(key);
+            prev = key;
+            ++walked;
+            if (want_area(key.id) == std::optional<Area>{key.area}) {
+              seen[key.id] = true;
+            } else if (!stray) {
+              stray = key;
+            }
           }
           bits[w] |= std::uint64_t{1} << (number % AreaBucketSet::kWordBits);
         }
@@ -639,45 +657,63 @@ void StructureAuditor::AuditStoreIndex(const ResourceStore& store,
           break;
         }
       }
-      if (live.size() != have.size()) {
+      if (live.size() != walked) {
         Report(report, "idx.set", where(),
-               Format("size {} for {} bucketed keys", live.size(),
-                      have.size()));
+               Format("size {} for {} bucketed keys", live.size(), walked));
       }
-      // Node ids make the wanted keys distinct; both sides are sorted, so
-      // the first difference names a stray or a missing key.
-      std::sort(want.begin(), want.end());
-      const auto [stray, missing] =
-          std::mismatch(have.begin(), have.end(), want.begin(), want.end());
-      if (stray == have.end() && missing == want.end()) return;
-      if (stray != have.end() &&
-          (missing == want.end() || *stray < *missing)) {
-        const bool failed = stray->id < truth.size() && truth[stray->id].failed;
+      std::optional<AreaKey> missing;
+      for (const std::uint32_t id : view.ids) {
+        const std::optional<Area> area = want_area(id);
+        if (!area || seen[id]) continue;
+        const AreaKey key{*area, id};
+        if (!missing || key < *missing) missing = key;
+      }
+      if (stray && (!missing || *stray < *missing)) {
+        const bool failed =
+            stray->id < store.nodes_.size() && store.nodes_[stray->id].failed();
         Report(report, failed ? "fault.visibility" : "idx.set",
                Format("{} (area {}, node {})", where(), stray->area,
                       stray->id),
                failed ? "failed node still keyed in the index" : "stray key");
-        return;
+      } else if (missing) {
+        Report(report, "idx.set",
+               Format("{} (area {}, node {})", where(), missing->area,
+                      missing->id),
+               "expected key missing");
       }
-      Report(report, "idx.set",
-             Format("{} (area {}, node {})", where(), missing->area,
-                    missing->id),
-             "expected key missing");
     };
-    diff_set(view.blank_by_total, want_blank, "blank-by-total");
-    diff_set(view.partial_by_avail, want_partial, "partial-by-avail");
-    diff_set(view.idle_cfg_by_total, want_idle_cfg, "idle-cfg-by-total");
+    using WantArea = std::optional<Area>;
+    diff_set(view.blank_by_total,
+             [](const Node& node, const IndexTruth& t) {
+               return t.live == 0 && !node.failed()
+                          ? WantArea{node.total_area()}
+                          : std::nullopt;
+             },
+             "blank-by-total");
+    diff_set(view.partial_by_avail,
+             [](const Node& node, const IndexTruth& t) {
+               return t.live != 0 ? WantArea{node.available_area()}
+                                  : std::nullopt;
+             },
+             "partial-by-avail");
+    diff_set(view.idle_cfg_by_total,
+             [](const Node& node, const IndexTruth& t) {
+               return t.live != 0 && t.running == 0
+                          ? WantArea{node.total_area()}
+                          : std::nullopt;
+             },
+             "idle-cfg-by-total");
   };
 
-  audit_view(index.global_, expected_global, "global view");
-  if (expected_families.size() <= 1) {
+  audit_view(index.global_, std::nullopt, "global view");
+  if (families.size() <= 1) {
     if (!index.family_views_.empty()) {
       Report(report, "idx.view", "index",
              Format("{} family views in a one-family fleet",
                     index.family_views_.size()));
     }
     // family_pos: the global view serves the family, at the node id.
-    for (const std::uint32_t id : expected_global) {
+    for (std::uint32_t id = 0; id < store.nodes_.size(); ++id) {
       if (index.cached_[id].family_pos != id) {
         Report(report, "idx.snapshot", Format("node {}", id),
                Format("family_pos {} != global view position {}",
@@ -686,28 +722,31 @@ void StructureAuditor::AuditStoreIndex(const ResourceStore& store,
     }
     return;
   }
-  for (const auto& [family, ids] : expected_families) {
+  for (const std::uint32_t family : families) {
     const auto it = index.family_views_.find(family);
     if (it == index.family_views_.end()) {
       Report(report, "idx.view", Format("family {} view", family),
              "view missing");
       continue;
     }
-    audit_view(it->second, ids, Format("family {} view", family));
+    audit_view(it->second, family, Format("family {} view", family));
     // family_pos: the cached position must point at this view slot.
-    for (std::size_t pos = 0; pos < ids.size(); ++pos) {
-      if (index.cached_[ids[pos]].family_pos != pos) {
-        Report(report, "idx.snapshot",
-               Format("node {}", ids[pos]),
+    std::size_t pos = 0;
+    for (const Node& node : store.nodes_) {
+      if (node.family().value() != family) continue;
+      const std::uint32_t id = node.id().value();
+      if (index.cached_[id].family_pos != pos) {
+        Report(report, "idx.snapshot", Format("node {}", id),
                Format("family_pos {} != view position {}",
-                      index.cached_[ids[pos]].family_pos, pos));
+                      index.cached_[id].family_pos, pos));
       }
+      ++pos;
     }
   }
-  if (index.family_views_.size() != expected_families.size()) {
+  if (index.family_views_.size() != families.size()) {
     Report(report, "idx.view", "index",
            Format("{} family views for {} distinct family values",
-                  index.family_views_.size(), expected_families.size()));
+                  index.family_views_.size(), families.size()));
   }
 }
 
@@ -928,13 +967,12 @@ void StructureAuditor::AuditSusIndex(
 AuditReport StructureAuditor::AuditSuspensionQueue(
     const SuspensionQueue& queue) {
   AuditReport report;
-  constexpr std::uint32_t kNoSlot = SuspensionQueue::kNoSlot;
   const auto& slots = queue.slots_;
   // Ground truth: the live (non-tombstone) slots, in seq == FIFO order.
   std::vector<std::uint32_t> live;
   std::unordered_map<std::uint32_t, std::uint32_t> seq_of_task;
   for (std::uint32_t seq = 0; seq < slots.size(); ++seq) {
-    const TaskId task = slots[seq].task;
+    const TaskId task = slots[seq];
     if (!task.valid()) continue;
     live.push_back(seq);
     const auto [it, fresh] = seq_of_task.emplace(task.value(), seq);
@@ -945,32 +983,12 @@ AuditReport StructureAuditor::AuditSuspensionQueue(
     }
   }
 
-  // The linked list threads exactly the live slots, oldest first.
-  std::vector<std::uint32_t> linked;
-  std::uint32_t prev = kNoSlot;
-  for (std::uint32_t slot = queue.head_; slot != kNoSlot;
-       slot = slots[slot].next) {
-    if (slot >= slots.size() || linked.size() > slots.size()) {
-      Report(report, "sus.fifo", Format("link after seq {}", prev),
-             "link leaves the slot array or cycles");
-      break;
-    }
-    if (slots[slot].prev != prev) {
-      Report(report, "sus.fifo", Format("seq {}", slot),
-             Format("back link {} != predecessor {}", slots[slot].prev, prev));
-    }
-    linked.push_back(slot);
-    prev = slot;
-  }
-  if (queue.tail_ != prev) {
+  // The head is the oldest live seq (the slot count when none is live):
+  // every walk and front pop starts there.
+  const std::size_t want_head = live.empty() ? slots.size() : live.front();
+  if (queue.head_ != want_head) {
     Report(report, "sus.fifo", "suspension queue",
-           Format("tail {} != last linked seq {}", queue.tail_, prev));
-  }
-  if (linked != live) {
-    Report(report, "sus.fifo", "suspension queue",
-           Format("list links {} slots, {} are live (FIFO order == seq "
-                  "order)",
-                  linked.size(), live.size()));
+           Format("head {} != oldest live seq {}", queue.head_, want_head));
   }
 
   // Live count == Fenwick total (which is size()), and every Fenwick leaf
@@ -987,7 +1005,7 @@ AuditReport StructureAuditor::AuditSuspensionQueue(
     std::size_t prefix = 0;
     for (std::size_t seq = 0; seq < slots.size(); ++seq) {
       const std::size_t next = queue.live_.Prefix(seq + 1);
-      const std::size_t want = slots[seq].task.valid() ? 1 : 0;
+      const std::size_t want = slots[seq].valid() ? 1 : 0;
       if (next - prefix != want) {
         Report(report, "sus.fifo", Format("live tree seq {}", seq),
                Format("leaf {} != {}", next - prefix, want));
@@ -1002,8 +1020,27 @@ AuditReport StructureAuditor::AuditSuspensionQueue(
     }
   }
 
-  // Seq table: a row per live slot pointing back at it, and no stale row;
-  // one attribute cell per slot, and a priority cell per slot exactly in a
+  // Queued bits: set exactly for the tasks some live slot holds.
+  const RunVector<std::uint64_t>& bits = queue.queued_;
+  for (const auto& [task, seq] : seq_of_task) {
+    if (!queue.Queued(TaskId{task})) {
+      Report(report, "sus.unique", Format("seq {} (task {})", seq, task),
+             "live slot's task has no queued bit");
+    }
+  }
+  for (std::size_t word = 0; word < bits.size(); ++word) {
+    for (std::uint64_t rest = bits[word]; rest != 0; rest &= rest - 1) {
+      const auto task = static_cast<std::uint32_t>(
+          word * SuspensionQueue::kWordBits +
+          static_cast<std::size_t>(std::countr_zero(rest)));
+      if (seq_of_task.count(task) == 0) {
+        Report(report, "sus.unique", Format("task {}", task),
+               "queued bit for a task no live slot holds");
+      }
+    }
+  }
+
+  // One attribute cell per slot, and a priority cell per slot exactly in a
   // priority-order queue.
   const std::size_t want_priorities =
       queue.order_ == resource::SusOrder::kPriority ? slots.size() : 0;
@@ -1015,29 +1052,6 @@ AuditReport StructureAuditor::AuditSuspensionQueue(
                   queue.attrs_.size(), queue.priorities_.size(),
                   slots.size()));
   }
-  std::vector<std::pair<std::uint64_t, SusEntryAttrs>> queued;
-  for (const std::uint32_t seq : live) {
-    const TaskId task = slots[seq].task;
-    const std::uint32_t row = queue.SeqOf(task);
-    // A task in two live slots has one row for both; that is sus.unique.
-    const bool duplicate = row < slots.size() && slots[row].task == task;
-    if (row != seq && !duplicate) {
-      Report(report, "sus.fifo", Format("seq {} (task {})", seq, task.value()),
-             row == kNoSlot ? std::string("live slot has no seq-table row")
-                            : Format("seq-table row points at seq {}", row));
-      continue;
-    }
-    if (attrs_sized) queued.emplace_back(seq, queue.AttrsAt(seq));
-  }
-  const RunVector<std::uint32_t>& table = queue.seq_of_task_;
-  for (std::uint32_t task = 0; task < table.size(); ++task) {
-    const std::uint32_t seq = table[task];
-    if (seq != kNoSlot &&
-        (seq >= slots.size() || slots[seq].task.value() != task)) {
-      Report(report, "sus.fifo", Format("task {}", task),
-             "seq-table row for a task no live slot holds");
-    }
-  }
 
   if (queue.capacity_ != 0 && queue.size() > queue.capacity_) {
     Report(report, "sus.capacity", "suspension queue",
@@ -1046,6 +1060,11 @@ AuditReport StructureAuditor::AuditSuspensionQueue(
   }
   // The index audit compares against the attributes, so it needs them all.
   if (queue.index_ != nullptr && attrs_sized) {
+    std::vector<std::pair<std::uint64_t, SusEntryAttrs>> queued;
+    queued.reserve(live.size());
+    for (const std::uint32_t seq : live) {
+      queued.emplace_back(seq, queue.AttrsAt(seq));
+    }
     AuditSusIndex(queue, queued, report);
   }
   return report;
@@ -1059,7 +1078,7 @@ AuditReport StructureAuditor::AuditSusAttrs(
   // Only a priority-order queue keeps (and reads) the priority.
   const bool by_priority = queue.order_ == resource::SusOrder::kPriority;
   for (std::uint32_t seq = 0; seq < slots.size(); ++seq) {
-    const TaskId id = slots[seq].task;
+    const TaskId id = slots[seq];
     if (!id.valid()) continue;
     const auto path = [&] {
       return Format("seq {} (task {})", seq, id.value());
@@ -1070,15 +1089,21 @@ AuditReport StructureAuditor::AuditSusAttrs(
              "queued task has no task-store row or attribute cell");
       continue;
     }
-    // The attributes a queued task must carry, recomputed from the task's
-    // state, its spec and the catalogue; none of them may change while it
-    // waits.
-    const resource::Task& task = tasks.Get(id);
+    // The attributes a queued task must carry, recomputed from its spec
+    // and the catalogue: the config ResolveConfig picks (C_pref when the
+    // catalogue has it, else the closest match), resolved again here with
+    // the uncounted lookups; none of them may change while it waits.
     const resource::TaskSpec& spec = tasks.Spec(id);
     const SusEntryAttrs stored = queue.AttrsAt(seq);
-    const FamilyId family = task.resolved_config.valid() &&
-                                    configs.Contains(task.resolved_config)
-                                ? configs.Get(task.resolved_config).family
+    Steps uncounted = 0;
+    std::optional<ConfigId> config;
+    if (spec.preferred_config.valid()) {
+      config = configs.FindPreferred(spec.preferred_config, uncounted);
+    }
+    if (!config) config = configs.FindClosestMatch(spec.needed_area, uncounted);
+    const ConfigId want_config = config.value_or(ConfigId::invalid());
+    const FamilyId family = want_config.valid()
+                                ? configs.Get(want_config).family
                                 : FamilyId::invalid();
     std::string diverged;
     const auto field = [&diverged](bool same, const char* name) {
@@ -1086,7 +1111,7 @@ AuditReport StructureAuditor::AuditSusAttrs(
       if (!diverged.empty()) diverged += ", ";
       diverged += name;
     };
-    field(stored.resolved_config == task.resolved_config, "resolved_config");
+    field(stored.resolved_config == want_config, "resolved_config");
     field(stored.config_family == family, "config_family");
     field(stored.needed_area == spec.needed_area, "needed_area");
     field(!by_priority || stored.priority == spec.priority, "priority");

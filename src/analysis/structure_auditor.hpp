@@ -72,15 +72,16 @@ class StructureAuditor {
   [[nodiscard]] static AuditReport AuditStore(
       const resource::ResourceStore& store);
 
-  /// Audits the suspension FIFO (slot array, live links, live-seq Fenwick
-  /// tree, seq table) and (when enabled) the SusQueueIndex buckets and
-  /// groups of its drain order.
+  /// Audits the suspension FIFO (slot array, head, live-seq Fenwick tree,
+  /// queued bits) and (when enabled) the SusQueueIndex buckets and groups
+  /// of its drain order.
   [[nodiscard]] static AuditReport AuditSuspensionQueue(
       const resource::SuspensionQueue& queue);
 
   /// Checks each queued entry's stored drain attributes against the ones
-  /// its task implies: resolved config, that config's family (from
-  /// `configs`), needed area and priority ("sus.attrs").
+  /// its spec implies: the config resolution picks from `configs` (C_pref,
+  /// else the closest match), that config's family, needed area and
+  /// priority ("sus.attrs").
   [[nodiscard]] static AuditReport AuditSusAttrs(
       const resource::SuspensionQueue& queue,
       const resource::TaskStore& tasks,

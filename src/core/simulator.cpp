@@ -366,13 +366,13 @@ void Simulator::HandleArrival(TaskId id) {
   metrics_.OnTaskGenerated();
   Emit(SimEvent::Kind::kArrival, id);
   store_.meter().BeginTask();
-  const sched::Outcome outcome = AttemptSchedule(id, /*is_arrival=*/true);
-  if (outcome == sched::Outcome::kSuspend) {
+  const sched::Decision decision = AttemptSchedule(id, /*is_arrival=*/true);
+  if (decision.outcome == sched::Outcome::kSuspend) {
     resource::Task& task = tasks_.Get(id);
     task.state = resource::TaskState::kSuspended;
     metrics_.OnSuspendedFirstTime();
     Emit(SimEvent::Kind::kSuspended, id);
-    EnqueueSuspended(id);
+    EnqueueSuspended(id, decision.config);
   }
   ObserveState();
   MaybeAudit("arrival");
@@ -419,12 +419,11 @@ void Simulator::EmitExplain(TaskId id, bool is_arrival, sched::Outcome outcome,
   explain_observer_(record);
 }
 
-sched::Outcome Simulator::AttemptSchedule(TaskId id, bool is_arrival) {
+sched::Decision Simulator::AttemptSchedule(TaskId id, bool is_arrival) {
   resource::Task& task = tasks_.Get(id);
   const resource::TaskSpec& spec = tasks_.Spec(id);
   const sched::Decision decision = policy_->Schedule(id, spec, store_);
   metrics_.OnScheduleAttempt(kernel_.now(), is_arrival, store_);
-  if (decision.config.valid()) task.resolved_config = decision.config;
   if (ShouldExplain(id)) {
     const char* reason = "placed";
     if (decision.outcome == sched::Outcome::kSuspend) {
@@ -494,35 +493,34 @@ sched::Outcome Simulator::AttemptSchedule(TaskId id, bool is_arrival) {
                    "t={} task {} placed on node {} slot {} via {}", now,
                    id.value(), entry.node.value(), entry.slot,
                    sched::ToString(decision.kind));
-      return decision.outcome;
+      return decision;
     }
     case sched::Outcome::kSuspend:
-      return decision.outcome;
+      return decision;
     case sched::Outcome::kDiscard: {
       Discard(id, nullptr);
       DREAMSIM_LOG(LogLevel::kDebug, "t={} task {} discarded", kernel_.now(),
                    id.value());
-      return decision.outcome;
+      return decision;
     }
   }
   throw std::logic_error("unreachable scheduling outcome");
 }
 
-resource::SusEntryAttrs Simulator::SusAttrs(TaskId id) const {
-  const resource::Task& task = tasks_.Get(id);
+resource::SusEntryAttrs Simulator::SusAttrs(TaskId id,
+                                           ConfigId config) const {
   const resource::TaskSpec& spec = tasks_.Spec(id);
   resource::SusEntryAttrs attrs;
-  attrs.resolved_config = task.resolved_config;
-  attrs.config_family = task.resolved_config.valid()
-                            ? store_.configs().Get(task.resolved_config).family
-                            : FamilyId::invalid();
+  attrs.resolved_config = config;
+  attrs.config_family = config.valid() ? store_.configs().Get(config).family
+                                       : FamilyId::invalid();
   attrs.needed_area = spec.needed_area;
   attrs.priority = spec.priority;
   return attrs;
 }
 
-void Simulator::EnqueueSuspended(TaskId id) {
-  if (!suspension_.Add(id, SusAttrs(id), store_.meter())) {
+void Simulator::EnqueueSuspended(TaskId id, ConfigId config) {
+  if (!suspension_.Add(id, SusAttrs(id, config), store_.meter())) {
     // Queue overflow: the system sheds load by discarding the task.
     Discard(id, "queue-overflow");
     DREAMSIM_LOG(LogLevel::kWarning,
@@ -587,7 +585,8 @@ void Simulator::AttemptQueuedAt(resource::SuspensionQueue::Seq seq) {
   const TaskId id = suspension_.TaskAt(seq);
   obs::MetricInc(obs::MetricId::kDrainAttempts);
   store_.meter().BeginTask();
-  const sched::Outcome outcome = AttemptSchedule(id, /*is_arrival=*/false);
+  const sched::Outcome outcome =
+      AttemptSchedule(id, /*is_arrival=*/false).outcome;
   if (outcome == sched::Outcome::kPlaced ||
       outcome == sched::Outcome::kDiscard) {
     if (outcome == sched::Outcome::kPlaced) {
@@ -642,7 +641,7 @@ MetricsReport Simulator::FinishReport() {
   report.total_downtime = downtime;
   if (faults_.enabled()) {
     for (const resource::Task& task : tasks_.all()) {
-      if (task.kill_count == 0) continue;
+      if (!task.killed) continue;
       if (task.state == resource::TaskState::kCompleted) {
         ++report.tasks_recovered;
       } else if (task.state == resource::TaskState::kDiscarded) {
@@ -753,8 +752,12 @@ void Simulator::HandleNodeFailure(NodeId node_id) {
       completion_events_[id.value()] = {};
     }
     ++tasks_killed_;
-    ++task.kill_count;
-    const Area area = store_.configs().Get(task.assigned_config).required_area;
+    task.killed = true;
+    // The victim is requeued resolved to the config it ran on: the config
+    // its arrival resolved (resolution depends only on the task and the
+    // fixed catalogue).
+    const ConfigId config = task.assigned_config;
+    const Area area = store_.configs().Get(config).required_area;
     // Only destroyed execution counts as lost work: a task killed inside
     // its comm/config window has not run yet, and the setup cost is paid
     // again in full on the next placement regardless.
@@ -765,7 +768,7 @@ void Simulator::HandleNodeFailure(NodeId node_id) {
       lost_work_area_ticks_ += lost;
       obs::MetricInc(obs::MetricId::kFaultLostWorkTicks, lost);
     }
-    Emit(SimEvent::Kind::kKilled, id, node_id, task.assigned_config);
+    Emit(SimEvent::Kind::kKilled, id, node_id, config);
     task.assigned_config = ConfigId::invalid();
     task.assigned_node = NodeId::invalid();
     task.comm_time = 0;
@@ -780,7 +783,7 @@ void Simulator::HandleNodeFailure(NodeId node_id) {
     }
     task.state = resource::TaskState::kSuspended;
     Emit(SimEvent::Kind::kRequeued, id);
-    EnqueueSuspended(id);
+    EnqueueSuspended(id, config);
   }
   ObserveState();
   MaybeAudit("node-failure");

@@ -236,15 +236,20 @@ class Simulator {
   void HandleArrival(TaskId id);
   void HandleCompletion(TaskId id, resource::EntryRef entry);
   /// One policy attempt; performs all placed/discard bookkeeping. Returns
-  /// the outcome (kSuspend leaves queue management to the caller).
-  sched::Outcome AttemptSchedule(TaskId id, bool is_arrival);
-  void EnqueueSuspended(TaskId id);
+  /// the decision (kSuspend leaves queue management to the caller, which
+  /// enqueues the task with the decision's config).
+  sched::Decision AttemptSchedule(TaskId id, bool is_arrival);
+  /// Queues task `id`, resolved to `config`, or discards it when the queue
+  /// is full.
+  void EnqueueSuspended(TaskId id, ConfigId config);
   /// Marks task `id` discarded: the metric, an explain record carrying
   /// `reason` (none when `reason` is null, for a caller that explained the
   /// decision already), the kDiscarded event and the terminal count.
   void Discard(TaskId id, const char* reason);
-  /// The drain-relevant attribute snapshot the suspension queue indexes.
-  [[nodiscard]] resource::SusEntryAttrs SusAttrs(TaskId id) const;
+  /// The drain-relevant attribute snapshot the suspension queue indexes
+  /// for task `id` resolved to `config`.
+  [[nodiscard]] resource::SusEntryAttrs SusAttrs(TaskId id,
+                                                 ConfigId config) const;
   /// Re-attempts the task queued as `seq`, removing it from the queue on
   /// success or final failure.
   void AttemptQueuedAt(resource::SuspensionQueue::Seq seq);

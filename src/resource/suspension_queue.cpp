@@ -22,24 +22,18 @@ bool SuspensionQueue::Add(TaskId task, const SusEntryAttrs& attrs,
   if (slots_.size() >= kNoSlot) {
     throw std::length_error("SuspensionQueue: insertion seqs exhausted");
   }
-  if (SeqOf(task) != kNoSlot) {
+  if (Queued(task)) {
     throw std::logic_error("SuspensionQueue::Add: task already queued");
   }
+  const std::size_t word = task.value() / kWordBits;
+  if (queued_.size() <= word) queued_.resize(word + 1, 0);
+  queued_[word] |= BitOf(task);
+  // An empty queue's head is slots_.size(), which is the new seq.
   const auto seq = static_cast<std::uint32_t>(slots_.size());
-  if (seq_of_task_.size() <= task.value()) {
-    seq_of_task_.resize(std::size_t{task.value()} + 1, kNoSlot);
-  }
-  seq_of_task_[task.value()] = seq;
-  slots_.push_back(Slot{task, tail_, kNoSlot});
+  slots_.push_back(task);
   attrs_.push_back({attrs.resolved_config, attrs.config_family,
                     attrs.needed_area});
   if (order_ == SusOrder::kPriority) priorities_.push_back(attrs.priority);
-  if (tail_ == kNoSlot) {
-    head_ = seq;
-  } else {
-    slots_[tail_].next = seq;
-  }
-  tail_ = seq;
   live_.Append(true);
   if (index_) index_->Add(seq, attrs);
   if (obs::MetricsRegistry::enabled()) {
@@ -52,9 +46,9 @@ bool SuspensionQueue::Add(TaskId task, const SusEntryAttrs& attrs,
 }
 
 std::optional<TaskId> SuspensionQueue::PopFront(WorkloadMeter& meter) {
-  if (head_ == kNoSlot) return std::nullopt;
+  if (empty()) return std::nullopt;
   meter.Add(StepKind::kHousekeeping);
-  const TaskId task = slots_[head_].task;
+  const TaskId task = slots_[head_];
   Unlink(head_);
   return task;
 }
@@ -74,8 +68,9 @@ void SuspensionQueue::SetDrainIndexed(bool enabled) {
     return;
   }
   index_ = std::make_unique<SusQueueIndex>(order_);
-  for (std::uint32_t slot = head_; slot != kNoSlot; slot = slots_[slot].next) {
-    index_->Add(slot, AttrsAt(slot));
+  for (std::uint32_t seq = NextLive(slots_, head_); seq != kNoSlot;
+       seq = NextLive(slots_, seq + 1)) {
+    index_->Add(seq, AttrsAt(seq));
   }
 }
 
@@ -115,14 +110,15 @@ std::optional<SuspensionQueue::Seq> SuspensionQueue::ScanFull(
   const auto better = [&](const std::optional<Seq>& best, Seq seq) {
     return !best || (by_priority && priorities_[seq] > priorities_[*best]);
   };
-  for (std::uint32_t slot = head_; slot != kNoSlot; slot = slots_[slot].next) {
+  for (std::uint32_t seq = NextLive(slots_, head_); seq != kNoSlot;
+       seq = NextLive(slots_, seq + 1)) {
     meter.Add(StepKind::kSchedulingSearch);
-    const StoredAttrs& a = attrs_[slot];
+    const StoredAttrs& a = attrs_[seq];
     if (freed_config.valid() && a.resolved_config == freed_config) {
-      if (better(match, slot)) match = slot;
+      if (better(match, seq)) match = seq;
     } else if (a.needed_area <= node.total_area() &&
                FamilyAllows(store, a.resolved_config, node.family())) {
-      if (better(fallback, slot)) fallback = slot;
+      if (better(fallback, seq)) fallback = seq;
     }
   }
   return match ? match : fallback;
@@ -134,10 +130,11 @@ std::optional<SuspensionQueue::Seq> SuspensionQueue::ScanBest(
   obs::MetricInc(obs::MetricId::kSusqScanFallback);
   const Node& node = store.node(node_id);
   std::optional<Seq> best;
-  for (std::uint32_t slot = head_; slot != kNoSlot; slot = slots_[slot].next) {
+  for (std::uint32_t seq = NextLive(slots_, head_); seq != kNoSlot;
+       seq = NextLive(slots_, seq + 1)) {
     meter.Add(StepKind::kSchedulingSearch);
-    if (!CouldUse(store, node, freed_config, attrs_[slot])) continue;
-    if (!best || priorities_[slot] > priorities_[*best]) best = slot;
+    if (!CouldUse(store, node, freed_config, attrs_[seq])) continue;
+    if (!best || priorities_[seq] > priorities_[*best]) best = seq;
   }
   return best;
 }
@@ -147,15 +144,15 @@ std::optional<SuspensionQueue::Seq> SuspensionQueue::ScanNext(
     FifoCursor& cursor, WorkloadMeter& meter) const {
   obs::MetricInc(obs::MetricId::kSusqScanFallback);
   const Node& node = store.node(node_id);
-  for (std::uint32_t slot = cursor.slot; slot != kNoSlot;
-       slot = slots_[slot].next) {
+  for (std::uint32_t seq = NextLive(slots_, cursor.from); seq != kNoSlot;
+       seq = NextLive(slots_, seq + 1)) {
     meter.Add(StepKind::kSchedulingSearch);
-    if (CouldUse(store, node, freed_config, attrs_[slot])) {
-      cursor.slot = slots_[slot].next;
-      return slot;
+    if (CouldUse(store, node, freed_config, attrs_[seq])) {
+      cursor.from = seq + 1;
+      return seq;
     }
   }
-  cursor.slot = kNoSlot;
+  cursor.from = static_cast<Seq>(slots_.size());
   return std::nullopt;
 }
 
@@ -245,21 +242,13 @@ bool SuspensionQueue::CouldUse(const ResourceStore& store, const Node& node,
 }
 
 void SuspensionQueue::Unlink(std::uint32_t seq) {
-  Slot& slot = slots_[seq];
+  TaskId& task = slots_[seq];
   if (index_) index_->Remove(seq, AttrsAt(seq));
-  seq_of_task_[slot.task.value()] = kNoSlot;
+  queued_[task.value() / kWordBits] &= ~BitOf(task);
   live_.Clear(seq);
-  if (slot.prev == kNoSlot) {
-    head_ = slot.next;
-  } else {
-    slots_[slot.prev].next = slot.next;
-  }
-  if (slot.next == kNoSlot) {
-    tail_ = slot.prev;
-  } else {
-    slots_[slot.next].prev = slot.prev;
-  }
-  slot.task = TaskId::invalid();
+  task = TaskId::invalid();
+  // No live seq lies below the head, and removals never revive one.
+  while (head_ < slots_.size() && !slots_[head_].valid()) ++head_;
   if (obs::MetricsRegistry::enabled()) {
     auto& reg = obs::MetricsRegistry::Instance();
     reg.Add(obs::MetricId::kSusRemoved);

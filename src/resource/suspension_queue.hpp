@@ -6,15 +6,19 @@
 // suitable task is waiting in the queue which can be executed".
 //
 // Layout. Every enqueued task gets the next insertion seq, which is its
-// slot in an append-only slot array. Removal leaves a tombstone and unlinks
-// the slot from a doubly-linked list threaded through the live slots in
-// seq (= FIFO) order, so walks and front pops visit live entries only.
-// Drains address entries by seq; a Fenwick tree of live seqs converts a
-// seq to its FIFO position where a step charge needs one. The drain
-// attributes sit in arrays by seq (the priority only in a priority-order
-// queue, the one order that reads it), and a dense array by TaskId value
-// maps each queued task to its seq. Every per-entry cell is a flat array
-// cell: enqueueing allocates nothing beyond amortized array growth.
+// slot in an append-only slot array, so FIFO order is seq order and no
+// link list is needed. Removal leaves a tombstone (an invalid TaskId) in
+// its slot. `head_` is the oldest live seq: when the head leaves it steps
+// forward past tombstones and never moves back, so front pops are
+// amortized O(1), and every walk steps seq by seq from it, skipping
+// tombstones (a walk charges its live entries only). Drains address
+// entries by seq; a Fenwick tree of live seqs converts a seq to its FIFO
+// position where a step charge needs one. The drain attributes sit in
+// arrays by seq (the priority only in a priority-order queue, the one
+// order that reads it), and one bit per TaskId value marks the queued
+// tasks, which is all Add's double-enqueue check needs. A queued task
+// costs its per-seq cells and that bit: enqueueing allocates nothing
+// beyond amortized array growth.
 //
 // The queue owns the completion drain (DrainFull, DrainPartial): the
 // drain order, the choice between the literal walk and the index, the
@@ -57,14 +61,6 @@ class SuspensionQueue {
   static constexpr std::uint32_t kNoSlot =
       std::numeric_limits<std::uint32_t>::max();
 
-  /// One insertion seq. `task` is invalid once the entry left the queue
-  /// (a tombstone); live slots are linked in seq order.
-  struct Slot {
-    TaskId task;
-    std::uint32_t prev = kNoSlot;
-    std::uint32_t next = kNoSlot;
-  };
-
  public:
   /// Forward iterator over the queued tasks in FIFO order (oldest first).
   /// Appending keeps it valid; removing the entry it points at does not.
@@ -77,9 +73,9 @@ class SuspensionQueue {
     using reference = TaskId;
 
     const_iterator() = default;
-    TaskId operator*() const { return (*slots_)[slot_].task; }
+    TaskId operator*() const { return (*slots_)[slot_]; }
     const_iterator& operator++() {
-      slot_ = (*slots_)[slot_].next;
+      slot_ = NextLive(*slots_, slot_ + 1);
       return *this;
     }
     const_iterator operator++(int) {
@@ -95,10 +91,10 @@ class SuspensionQueue {
 
    private:
     friend class SuspensionQueue;
-    const_iterator(const RunVector<Slot>* slots, std::uint32_t slot)
+    const_iterator(const RunVector<TaskId>* slots, std::uint32_t slot)
         : slots_(slots), slot_(slot) {}
 
-    const RunVector<Slot>* slots_ = nullptr;
+    const RunVector<TaskId>* slots_ = nullptr;
     std::uint32_t slot_ = kNoSlot;
   };
 
@@ -127,7 +123,15 @@ class SuspensionQueue {
   /// The task queued as `seq` (uncounted, O(1)); invalid once the entry
   /// left the queue.
   [[nodiscard]] TaskId TaskAt(Seq seq) const {
-    return seq < slots_.size() ? slots_[seq].task : TaskId::invalid();
+    return seq < slots_.size() ? slots_[seq] : TaskId::invalid();
+  }
+
+  /// The attributes seq `seq` was enqueued with (uncounted, O(1); priority
+  /// 0 in a FIFO-order queue). `seq` must have been issued.
+  [[nodiscard]] SusEntryAttrs AttrsAt(Seq seq) const {
+    const StoredAttrs& a = attrs_[seq];
+    return {a.resolved_config, a.config_family, a.needed_area,
+            order_ == SusOrder::kPriority ? priorities_[seq] : 0.0};
   }
 
   /// The FIFO position (0 = oldest) of the queued entry `seq` (uncounted,
@@ -186,7 +190,7 @@ class SuspensionQueue {
     if (empty()) return;
     const std::size_t max_attempts = batch == 0 ? size() : batch;
     // No live seq lies below the head, so the index may start there.
-    FifoCursor cursor{head_, head_};
+    FifoCursor cursor{head_, 0};
     for (std::size_t attempts = 0; attempts < max_attempts; ++attempts) {
       std::optional<Seq> next;
       if (order_ == SusOrder::kPriority) {
@@ -206,16 +210,18 @@ class SuspensionQueue {
   [[nodiscard]] bool empty() const { return size() == 0; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  [[nodiscard]] const_iterator begin() const { return {&slots_, head_}; }
+  [[nodiscard]] const_iterator begin() const {
+    return {&slots_, head_ < slots_.size() ? head_ : kNoSlot};
+  }
   [[nodiscard]] const_iterator end() const { return {&slots_, kNoSlot}; }
 
-  /// Pre-reserves the per-seq arrays for `expected` entries and the seq
-  /// table for task ids below `expected`.
+  /// Pre-reserves the per-seq arrays for `expected` entries and the
+  /// queued bits for task ids below `expected`.
   void Reserve(std::size_t expected) {
     slots_.reserve(expected);
     attrs_.reserve(expected);
     if (order_ == SusOrder::kPriority) priorities_.reserve(expected);
-    seq_of_task_.reserve(expected);
+    queued_.reserve((expected + kWordBits - 1) / kWordBits);
   }
 
  private:
@@ -232,22 +238,32 @@ class SuspensionQueue {
     Area needed_area = 0;
   };
 
-  /// The attributes seq `seq` was enqueued with (priority 0 in a
-  /// FIFO-order queue).
-  [[nodiscard]] SusEntryAttrs AttrsAt(std::uint32_t seq) const {
-    const StoredAttrs& a = attrs_[seq];
-    return {a.resolved_config, a.config_family, a.needed_area,
-            order_ == SusOrder::kPriority ? priorities_[seq] : 0.0};
-  }
-
-  /// Where a FIFO drain's walk resumes: the next slot to visit (the
-  /// literal walk) and the first seq it may pick with that seq's FIFO
-  /// position (the index, which needs the position for its charges).
+  /// Where a FIFO drain's walk resumes: the first seq it may pick (the
+  /// literal walk steps on from it) and that seq's FIFO position (the
+  /// index, which needs the position for its charges).
   struct FifoCursor {
-    std::uint32_t slot = kNoSlot;
     Seq from = 0;
     std::size_t index = 0;
   };
+
+  static constexpr std::size_t kWordBits = 64;
+
+  /// The first live seq at or after `seq` in `slots`, or kNoSlot.
+  [[nodiscard]] static std::uint32_t NextLive(const RunVector<TaskId>& slots,
+                                              std::uint32_t seq) {
+    while (seq < slots.size() && !slots[seq].valid()) ++seq;
+    return seq < slots.size() ? seq : kNoSlot;
+  }
+
+  /// `task`'s bit within its word queued_[task / kWordBits].
+  [[nodiscard]] static std::uint64_t BitOf(TaskId task) {
+    return std::uint64_t{1} << (task.value() % kWordBits);
+  }
+  /// Whether `task` is queued (its bit in queued_).
+  [[nodiscard]] bool Queued(TaskId task) const {
+    const std::size_t word = task.value() / kWordBits;
+    return word < queued_.size() && (queued_[word] & BitOf(task)) != 0;
+  }
 
   // The drains' candidate picks (suspension_queue.cpp): per shape, the
   // literal walk (Scan*) and the index (Indexed*), which charges `meter`
@@ -281,26 +297,30 @@ class SuspensionQueue {
                                      const Node& node, ConfigId freed_config,
                                      const StoredAttrs& attrs);
 
-  /// The seq of a queued `task`, or kNoSlot.
+  /// The oldest seq holding `task`, or kNoSlot: a linear search for the
+  /// correctness tooling, which no run path calls.
   [[nodiscard]] std::uint32_t SeqOf(TaskId task) const {
-    return task.value() < seq_of_task_.size() ? seq_of_task_[task.value()]
-                                              : kNoSlot;
+    for (std::uint32_t seq = head_; seq < slots_.size(); ++seq) {
+      if (slots_[seq] == task) return seq;
+    }
+    return kNoSlot;
   }
 
-  /// Removes the live slot `seq` from the list, the live tree, the seq
-  /// table and the index (uncounted; callers charge per their own
-  /// contract).
+  /// Tombstones the live slot `seq` and drops it from the live tree, the
+  /// queued bits and the index; moves the head past tombstones when it
+  /// was the head (uncounted; callers charge per their own contract).
   void Unlink(std::uint32_t seq);
 
   std::size_t capacity_;
   SusOrder order_;
-  RunVector<Slot> slots_;            // by seq; append-only
+  RunVector<TaskId> slots_;          // by seq; append-only; invalid =
+                                     // tombstone
   RunVector<StoredAttrs> attrs_;     // by seq; append-only
   RunVector<double> priorities_;     // by seq; priority order only
-  std::uint32_t head_ = kNoSlot;       // oldest live slot
-  std::uint32_t tail_ = kNoSlot;       // newest live slot
-  CountTree live_;                     // seq -> 1 while queued
-  RunVector<std::uint32_t> seq_of_task_;  // by TaskId value; kNoSlot
+  std::uint32_t head_ = 0;           // oldest live seq; slots_.size()
+                                     // when none is live
+  CountTree live_;                   // seq -> 1 while queued
+  RunVector<std::uint64_t> queued_;  // bit per TaskId value: queued
   std::unique_ptr<SusQueueIndex> index_;
 };
 

@@ -55,29 +55,28 @@ enum class TaskState : std::uint8_t {
 
 [[nodiscard]] std::string_view ToString(TaskState state);
 
-/// The run-time state of one task; its TaskSpec holds the rest.
+/// The run-time state of one task; its TaskSpec holds the rest. A queued
+/// task's resolved configuration lives in its suspension-queue attributes,
+/// not here.
 struct Task {
   TaskState state = TaskState::kCreated;
-  /// Cached result of the first ResolveConfig() for this task (C_pref when
-  /// it exists in the catalogue, else the closest match). Lets the
-  /// suspension-queue prefilters test config compatibility in O(1).
-  ConfigId resolved_config;
+  /// Whether a node failure ever killed this task mid-execution (fault
+  /// injection).
+  bool killed = false;
   /// Configuration actually used (C_pref or closest match).
   ConfigId assigned_config;
   /// Node the task ran on (diagnostics).
   NodeId assigned_node;
+  /// Times the task was re-queued from the suspension queue.
+  std::uint32_t sus_retry = 0;
   Tick start_time = kNoTick;  // submission to the node (Eq. 8 t_start)
   Tick completion_time = kNoTick;
   /// Communication + configuration components of the wait (Eq. 8).
   Tick comm_time = 0;
   Tick config_wait = 0;
-  /// Times the task was re-queued from the suspension queue.
-  std::uint32_t sus_retry = 0;
-  /// Times a node failure killed this task mid-execution (fault injection).
-  std::uint32_t kill_count = 0;
 };
 // One cell per task for the whole run: keep it to the run-time state.
-static_assert(sizeof(Task) <= 56);
+static_assert(sizeof(Task) <= 48);
 
 /// Waiting time per Eq. 8: t_start - t_create + t_comm + t_config. Only
 /// meaningful once the task has started.

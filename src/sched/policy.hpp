@@ -51,8 +51,9 @@ struct Decision {
   /// Filled when outcome == kPlaced.
   resource::EntryRef entry{};
   /// The resolved configuration (C_pref or closest match). Set whenever
-  /// resolution succeeded — including on kSuspend — so the caller can cache
-  /// it; invalid only when the task was discarded for lack of any match.
+  /// resolution succeeded — including on kSuspend, so the caller can queue
+  /// the task with it; invalid only when the task was discarded for lack of
+  /// any match.
   ConfigId config;
   /// Ticks of configuration delay incurred before execution starts
   /// (0 when the task reused an already-loaded configuration).

@@ -264,5 +264,58 @@ TEST(FaultSemantics, KillDuringExecutionExcludesSetupTicks) {
   EXPECT_LE(r.lost_work_area_ticks, area * (kill_at - placed_at - 10));
 }
 
+// A killed task re-enters the suspension queue with the attributes its
+// arrival queued it with: the config it resolved to (here a closest match,
+// so not its C_pref), that config's family, its area and its priority.
+TEST(FaultSemantics, KilledTaskIsRequeuedWithItsArrivalAttributes) {
+  SimulationConfig config;
+  config.nodes.count = 1;
+  config.configs.count = 4;
+  config.seed = 7;
+  config.mode = sched::ReconfigMode::kFull;  // one task per node
+  config.faults.script = {{5'000, NodeId{0}, FaultAction::kFail},
+                          {6'000, NodeId{0}, FaultAction::kRepair}};
+  Simulator sim(std::move(config));
+  const TaskId victim{1};
+  // The victim's queue attributes at each event that finds it queued,
+  // split by whether it was killed yet.
+  std::vector<resource::SusEntryAttrs> before_kill;
+  std::vector<resource::SusEntryAttrs> after_kill;
+  bool killed = false;
+  std::vector<SimEvent::Kind> victim_events;
+  sim.SetEventLogger([&](const SimEvent& e) {
+    if (e.task == victim) victim_events.push_back(e.kind);
+    if (e.task == victim && e.kind == SimEvent::Kind::kKilled) killed = true;
+    const resource::SuspensionQueue& queue = sim.suspension();
+    for (auto it = queue.begin(); it != queue.end(); ++it) {
+      if (*it != victim) continue;
+      (killed ? after_kill : before_kill).push_back(queue.AttrsAt(it.seq()));
+    }
+  });
+  workload::GeneratedTask closest = MakeTask(1, /*required=*/100'000, 0);
+  closest.preferred_config = ConfigId::invalid();
+  const MetricsReport r = sim.RunWithWorkload(
+      {MakeTask(0, /*required=*/1'000, 0), closest});
+
+  ASSERT_EQ(r.tasks_killed, 1u);
+  EXPECT_EQ(r.tasks_recovered, 1u);
+  EXPECT_EQ(victim_events,
+            (std::vector<SimEvent::Kind>{
+                SimEvent::Kind::kArrival, SimEvent::Kind::kSuspended,
+                SimEvent::Kind::kPlaced, SimEvent::Kind::kKilled,
+                SimEvent::Kind::kRequeued, SimEvent::Kind::kPlaced,
+                SimEvent::Kind::kCompleted}));
+  ASSERT_FALSE(before_kill.empty());
+  ASSERT_FALSE(after_kill.empty());
+  const resource::SusEntryAttrs& arrival = before_kill.front();
+  EXPECT_TRUE(arrival.resolved_config.valid());
+  for (const resource::SusEntryAttrs& requeued : after_kill) {
+    EXPECT_EQ(requeued.resolved_config, arrival.resolved_config);
+    EXPECT_EQ(requeued.config_family, arrival.config_family);
+    EXPECT_EQ(requeued.needed_area, arrival.needed_area);
+    EXPECT_EQ(requeued.priority, arrival.priority);
+  }
+}
+
 }  // namespace
 }  // namespace dreamsim

@@ -163,7 +163,7 @@ TEST_P(SimulatorFuzz, GlobalInvariantsHold) {
   // nodes end blank, and fault-free runs report all-zero fault metrics.
   std::uint64_t killed_ever = 0;
   for (const resource::Task& t : sim.tasks().all()) {
-    if (t.kill_count > 0) ++killed_ever;
+    if (t.killed) ++killed_ever;
   }
   EXPECT_EQ(report.tasks_recovered + report.tasks_lost_to_failure,
             killed_ever);

@@ -415,6 +415,21 @@ TEST(StructureAuditorCorruption, StrayIndexKeyIsIdxSet) {
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(Slugs(report), std::set<std::string>{"idx.set"})
       << report.Render();
+  EXPECT_NE(report.Render().find("stray key"), std::string::npos)
+      << report.Render();
+}
+
+TEST(StructureAuditorCorruption, DroppedIndexKeyIsIdxSet) {
+  ResourceStore store = MakePopulatedStore(/*indexed=*/true);
+  StructureCorruptor::DropIndexKey(store, NodeId{1});
+  const AuditReport report = StructureAuditor::AuditStore(store);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"idx.set"})
+      << report.Render();
+  // Node 1's key, not a neighbour's, is the one reported.
+  EXPECT_NE(report.Render().find("node 1): expected key missing"),
+            std::string::npos)
+      << report.Render();
 }
 
 TEST(StructureAuditorCorruption, SkewedBucketBitmapIsIdxBitmap) {
@@ -533,12 +548,11 @@ TEST(StructureAuditorCorruption, SkewedSusAttrsIsSusAttrs) {
       spec.required_time = 10;
       spec.needed_area = 100 + t;
       spec.priority = static_cast<double>(t);
+      spec.preferred_config = ConfigId{t % 2};
       const TaskId id = tasks.SubmitOne(spec);
-      resource::Task& task = tasks.Get(id);
-      task.resolved_config = ConfigId{t % 2};
       SusEntryAttrs attrs;
-      attrs.resolved_config = task.resolved_config;
-      attrs.config_family = configs.Get(task.resolved_config).family;
+      attrs.resolved_config = spec.preferred_config;
+      attrs.config_family = configs.Get(spec.preferred_config).family;
       attrs.needed_area = spec.needed_area;
       attrs.priority = spec.priority;
       ASSERT_TRUE(queue.Add(id, attrs, meter));
@@ -568,6 +582,52 @@ TEST(StructureAuditorCorruption, SkewedSusAttrsIsSusAttrs) {
   }
 }
 
+TEST(StructureAuditorCorruption, SusAttrsResolveTheConfigFromTheSpec) {
+  // The expected config is the one resolution picks: C_pref when the
+  // catalogue has it (task 0), else the closest match by area (task 1
+  // names no C_pref, task 2 one the catalogue lacks).
+  const ConfigCatalogue configs = MakeCatalogue({300, 500});
+  resource::TaskStore tasks;
+  const std::pair<ConfigId, Area> specs[] = {
+      {ConfigId{1}, 100}, {ConfigId::invalid(), 400}, {ConfigId{7}, 200}};
+  const ConfigId resolved[] = {ConfigId{1}, ConfigId{1}, ConfigId{0}};
+  for (const auto& [preferred, area] : specs) {
+    resource::TaskSpec spec;
+    spec.required_time = 10;
+    spec.preferred_config = preferred;
+    spec.needed_area = area;
+    (void)tasks.SubmitOne(spec);
+  }
+  for (const bool indexed : {false, true}) {
+    // Queue every task resolved as `resolved`, but task `wrong` to the
+    // other config.
+    for (const std::uint32_t wrong : {3u, 0u, 1u, 2u}) {
+      SuspensionQueue queue;
+      queue.SetDrainIndexed(indexed);
+      WorkloadMeter meter;
+      for (std::uint32_t t = 0; t < 3; ++t) {
+        SusEntryAttrs attrs;
+        attrs.resolved_config =
+            t == wrong ? ConfigId{1 - resolved[t].value()} : resolved[t];
+        attrs.config_family = configs.Get(attrs.resolved_config).family;
+        attrs.needed_area = tasks.Spec(TaskId{t}).needed_area;
+        ASSERT_TRUE(queue.Add(TaskId{t}, attrs, meter));
+      }
+      const AuditReport report =
+          StructureAuditor::AuditSusAttrs(queue, tasks, configs);
+      if (wrong == 3) {
+        EXPECT_TRUE(report.ok()) << report.Render();
+        continue;
+      }
+      EXPECT_EQ(Slugs(report), std::set<std::string>{"sus.attrs"})
+          << "indexed=" << indexed << " wrong=" << wrong << "\n"
+          << report.Render();
+      EXPECT_NE(report.Render().find("resolved_config"), std::string::npos)
+          << report.Render();
+    }
+  }
+}
+
 TEST(StructureAuditorCorruption, SkewedSusLiveTreeIsSusFifo) {
   for (const bool indexed : {false, true}) {
     SuspensionQueue queue;
@@ -578,14 +638,63 @@ TEST(StructureAuditorCorruption, SkewedSusLiveTreeIsSusFifo) {
     }
     queue.RemoveSeq(0, meter);  // seq 0 is a tombstone
     // The live-seq Fenwick tree claims the removed entry is still queued:
-    // slots, links, table and index are intact, so only the leaf-by-leaf
-    // recount can see it.
+    // slots, head, queued bits and index are intact, so only the
+    // leaf-by-leaf recount can see it.
     StructureCorruptor::SkewSusLive(queue);
     const AuditReport report = StructureAuditor::AuditSuspensionQueue(queue);
     ASSERT_FALSE(report.ok());
     EXPECT_EQ(Slugs(report), std::set<std::string>{"sus.fifo"})
         << "indexed=" << indexed << "\n"
         << report.Render();
+  }
+}
+
+TEST(StructureAuditorCorruption, SkippedSusHeadIsSusFifo) {
+  for (const bool indexed : {false, true}) {
+    // The head may sit behind a tombstone run or on seq 0.
+    for (const std::uint32_t removed : {0u, 2u}) {
+      SuspensionQueue queue;
+      queue.SetDrainIndexed(indexed);
+      WorkloadMeter meter;
+      for (std::uint32_t t = 0; t < 4; ++t) {
+        ASSERT_TRUE(queue.Add(TaskId{t}, {}, meter));
+      }
+      for (std::uint32_t seq = 0; seq < removed; ++seq) {
+        queue.RemoveSeq(seq, meter);
+      }
+      ASSERT_TRUE(StructureAuditor::AuditSuspensionQueue(queue).ok());
+      // Walks and front pops would skip the oldest entry; slots, live
+      // tree, bits and index still hold it.
+      StructureCorruptor::SkipSusHead(queue);
+      const AuditReport report = StructureAuditor::AuditSuspensionQueue(queue);
+      ASSERT_FALSE(report.ok());
+      EXPECT_EQ(Slugs(report), std::set<std::string>{"sus.fifo"})
+          << "indexed=" << indexed << " removed=" << removed << "\n"
+          << report.Render();
+    }
+  }
+}
+
+TEST(StructureAuditorCorruption, FlippedSusQueuedBitIsSusUnique) {
+  for (const bool indexed : {false, true}) {
+    // A queued task that lost its bit, a removed one and a never-queued
+    // one (past the bit table) that gained one.
+    for (const std::uint32_t task : {1u, 0u, 200u}) {
+      SuspensionQueue queue;
+      queue.SetDrainIndexed(indexed);
+      WorkloadMeter meter;
+      for (std::uint32_t t = 0; t < 4; ++t) {
+        ASSERT_TRUE(queue.Add(TaskId{t}, {}, meter));
+      }
+      queue.RemoveSeq(0, meter);
+      ASSERT_TRUE(StructureAuditor::AuditSuspensionQueue(queue).ok());
+      StructureCorruptor::FlipSusQueuedBit(queue, TaskId{task});
+      const AuditReport report = StructureAuditor::AuditSuspensionQueue(queue);
+      ASSERT_FALSE(report.ok());
+      EXPECT_EQ(Slugs(report), std::set<std::string>{"sus.unique"})
+          << "indexed=" << indexed << " task=" << task << "\n"
+          << report.Render();
+    }
   }
 }
 

@@ -115,6 +115,26 @@ TEST(SuspensionQueue, RemoveBySeq) {
   EXPECT_EQ(q.size(), 2u);
 }
 
+TEST(SuspensionQueue, AddRejectsATaskAlreadyQueued) {
+  // One queued bit per task id backs the check, across word boundaries.
+  SuspensionQueue q;
+  WorkloadMeter meter;
+  for (const std::uint32_t t : {3u, 63u, 64u, 1000u}) {
+    ASSERT_TRUE(q.Add(TaskId{t}, {}, meter));
+  }
+  for (const std::uint32_t t : {3u, 63u, 64u, 1000u}) {
+    EXPECT_THROW((void)q.Add(TaskId{t}, {}, meter), std::logic_error) << t;
+  }
+  EXPECT_EQ(q.size(), 4u);
+  // A task that left may be queued again, behind the others.
+  q.RemoveSeq(1, meter);
+  ASSERT_TRUE(q.Add(TaskId{63}, {}, meter));
+  EXPECT_EQ(Fifo(q), (std::vector<TaskId>{TaskId{3}, TaskId{64}, TaskId{1000},
+                                          TaskId{63}}));
+  EXPECT_THROW((void)q.Add(TaskId::invalid(), {}, meter),
+               std::invalid_argument);
+}
+
 TEST(SuspensionQueue, PreservesFifoAcrossMixedOps) {
   SuspensionQueue q;
   WorkloadMeter meter;
@@ -517,6 +537,245 @@ TEST(SuspensionQueue, MatchesVectorModelUnderRandomOperations) {
                                  IndexMode::kPriority, IndexMode::kToggled}) {
       for (const std::size_t capacity : {std::size_t{0}, std::size_t{24}}) {
         FuzzAgainstVectorModel(seed, mode, capacity);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+/// One queued entry of the drain model: the task and its attributes.
+struct ModelEntry {
+  TaskId task;
+  SusEntryAttrs attrs;
+};
+
+/// Literal-walk drains over a plain vector of (task, attrs) in FIFO order,
+/// on OneNodeStore's blank node of `node_area` with family-less configs:
+/// an entry is usable when it wants the freed config or fits the node.
+class DrainModel {
+ public:
+  DrainModel(SusOrder order, Area node_area)
+      : order_(order), node_area_(node_area) {}
+
+  std::vector<ModelEntry> entries;
+
+  /// The tasks a full drain attempts (at most one) and its charge; `keep`
+  /// says whether the attempt leaves its entry queued.
+  Steps Full(ConfigId freed, bool keep, std::vector<TaskId>& picks) {
+    const Steps steps = entries.size();
+    std::optional<std::size_t> match;
+    std::optional<std::size_t> fallback;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      const SusEntryAttrs& a = entries[i].attrs;
+      if (freed.valid() && a.resolved_config == freed) {
+        if (Better(match, i)) match = i;
+      } else if (a.needed_area <= node_area_ && Better(fallback, i)) {
+        fallback = i;
+      }
+    }
+    const std::optional<std::size_t> pick = match ? match : fallback;
+    if (pick) Attempt(*pick, keep, picks);
+    return steps;
+  }
+
+  /// A partial drain of at most `batch` attempts (0: the queue's size);
+  /// `keeps` are the attempts' keep flags in order.
+  Steps Partial(ConfigId freed, std::size_t batch,
+                const std::vector<bool>& keeps, std::vector<TaskId>& picks) {
+    Steps steps = 0;
+    const std::size_t max_attempts = batch == 0 ? entries.size() : batch;
+    std::size_t pos = 0;  // the FIFO walk's cursor
+    for (std::size_t attempts = 0; attempts < max_attempts; ++attempts) {
+      std::optional<std::size_t> pick;
+      if (order_ == SusOrder::kPriority) {
+        steps += entries.size();
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+          if (Usable(i, freed) && Better(pick, i)) pick = i;
+        }
+      } else {
+        for (; pos < entries.size(); ++pos) {
+          ++steps;
+          if (Usable(pos, freed)) {
+            pick = pos;
+            break;
+          }
+        }
+      }
+      if (!pick) break;
+      const bool keep = keeps[attempts];
+      Attempt(*pick, keep, picks);
+      if (keep) break;
+    }
+    return steps;
+  }
+
+ private:
+  [[nodiscard]] bool Usable(std::size_t i, ConfigId freed) const {
+    const SusEntryAttrs& a = entries[i].attrs;
+    return (freed.valid() && a.resolved_config == freed) ||
+           a.needed_area <= node_area_;
+  }
+  /// Whether entry `i` beats `best` in the drain order (FIFO: only an
+  /// absent best; priority: a strictly higher priority).
+  [[nodiscard]] bool Better(const std::optional<std::size_t>& best,
+                            std::size_t i) const {
+    return !best || (order_ == SusOrder::kPriority &&
+                     entries[i].attrs.priority > entries[*best].attrs.priority);
+  }
+  void Attempt(std::size_t i, bool keep, std::vector<TaskId>& picks) {
+    picks.push_back(entries[i].task);
+    if (!keep) entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+
+  SusOrder order_;
+  Area node_area_;
+};
+
+/// Queue-level model fuzz with drains: the queue against DrainModel under
+/// random adds, front pops, single removals, tombstone runs at the head,
+/// in the middle and at the tail, remove-newest-then-append, and full and
+/// partial drains whose attempts randomly place or keep their entry.
+/// After every operation the FIFO order, size, every entry's position and
+/// both meter totals must equal the model's.
+void FuzzDrainsAgainstModel(std::uint64_t seed, SusOrder order, bool indexed) {
+  SCOPED_TRACE(::testing::Message() << "seed " << seed << " order "
+                                    << static_cast<int>(order) << " indexed "
+                                    << indexed);
+  Rng rng(seed);
+  constexpr Area kNodeArea = 1000;
+  const ResourceStore store = OneNodeStore(kNodeArea);
+  SuspensionQueue q(0, order);
+  q.SetDrainIndexed(indexed);
+  DrainModel model(order, kNodeArea);
+  WorkloadMeter meter;
+  Steps housekeeping = 0;
+  Steps scheduling = 0;
+  std::uint32_t next_task = 0;
+  const auto random_attrs = [&rng] {
+    return Attrs(static_cast<std::uint32_t>(rng.uniform_int(0, 7)),
+                 rng.uniform_int(100, 2000),
+                 static_cast<double>(rng.uniform_int(0, 4)));
+  };
+  const auto add = [&](TaskId task) {
+    const SusEntryAttrs attrs = random_attrs();
+    ASSERT_TRUE(q.Add(task, attrs, meter));
+    ++housekeeping;
+    model.entries.push_back({task, attrs});
+  };
+  // Removes the entries at FIFO positions [first, first + count).
+  const auto remove_run = [&](std::size_t first, std::size_t count) {
+    for (std::size_t k = 0; k < count && first < model.entries.size(); ++k) {
+      q.RemoveSeq(
+          std::next(q.begin(), static_cast<std::ptrdiff_t>(first)).seq(),
+          meter);
+      ++housekeeping;
+      model.entries.erase(model.entries.begin() +
+                          static_cast<std::ptrdiff_t>(first));
+    }
+  };
+  const auto run_length = [&rng] {
+    return static_cast<std::size_t>(rng.uniform_int(1, 6));
+  };
+
+  for (int op = 0; op < 1200; ++op) {
+    const std::size_t n = model.entries.size();
+    switch (rng.uniform_int(0, 10)) {
+      case 0:
+      case 1:
+      case 2:
+        add(TaskId{next_task++});
+        break;
+      case 3: {
+        const std::optional<TaskId> popped = q.PopFront(meter);
+        if (n == 0) {
+          ASSERT_FALSE(popped.has_value());
+        } else {
+          ASSERT_EQ(popped, std::optional<TaskId>{model.entries.front().task});
+          ++housekeeping;
+          model.entries.erase(model.entries.begin());
+        }
+        break;
+      }
+      case 4:  // a tombstone run at the head
+        remove_run(0, run_length());
+        break;
+      case 5:  // one in the middle
+        if (n > 2) {
+          remove_run(static_cast<std::size_t>(rng.uniform_int(
+                         1, static_cast<std::int64_t>(n) - 2)),
+                     run_length());
+        }
+        break;
+      case 6: {  // one at the tail
+        const std::size_t count = std::min(n, run_length());
+        remove_run(n - count, count);
+        break;
+      }
+      case 7:  // remove the newest, then append
+        if (n > 0) {
+          const TaskId newest = model.entries.back().task;
+          remove_run(n - 1, 1);
+          add(rng.uniform_int(0, 1) == 0 ? newest : TaskId{next_task++});
+        }
+        break;
+      case 8: {  // a full drain
+        const ConfigId freed{static_cast<std::uint32_t>(rng.uniform_int(0, 8))};
+        const bool keep = rng.uniform_int(0, 2) == 0;
+        std::vector<TaskId> got;
+        q.DrainFull(store, kNode, freed, meter, [&](Seq seq) {
+          got.push_back(q.TaskAt(seq));
+          if (!keep) q.RemoveSeq(seq, meter);
+        });
+        std::vector<TaskId> want;
+        scheduling += model.Full(freed, keep, want);
+        housekeeping += want.size() - (keep ? want.size() : 0);
+        ASSERT_EQ(got, want) << "op " << op;
+        break;
+      }
+      case 9:
+      case 10: {  // a partial drain
+        const ConfigId freed =
+            rng.uniform_int(0, 1) == 0
+                ? ConfigId::invalid()
+                : ConfigId{static_cast<std::uint32_t>(rng.uniform_int(0, 7))};
+        const auto batch = static_cast<std::size_t>(rng.uniform_int(0, 3));
+        std::vector<bool> keeps;
+        std::vector<TaskId> got;
+        q.DrainPartial(store, kNode, freed, batch, meter, [&](Seq seq) {
+          got.push_back(q.TaskAt(seq));
+          keeps.push_back(rng.uniform_int(0, 5) == 0);
+          if (!keeps.back()) q.RemoveSeq(seq, meter);
+        });
+        std::vector<TaskId> want;
+        scheduling += model.Partial(freed, batch, keeps, want);
+        for (const bool keep : keeps) housekeeping += keep ? 0 : 1;
+        ASSERT_EQ(got, want) << "op " << op;
+        break;
+      }
+    }
+    ASSERT_EQ(q.size(), model.entries.size()) << "op " << op;
+    std::size_t i = 0;
+    for (auto it = q.begin(); it != q.end(); ++it, ++i) {
+      ASSERT_LT(i, model.entries.size()) << "op " << op;
+      ASSERT_EQ(*it, model.entries[i].task) << "op " << op;
+      ASSERT_EQ(q.PositionOf(it.seq()), i) << "op " << op;
+    }
+    ASSERT_EQ(i, model.entries.size()) << "op " << op;
+    ASSERT_EQ(meter.housekeeping_steps_total(), housekeeping) << "op " << op;
+    ASSERT_EQ(meter.scheduling_steps_total(), scheduling) << "op " << op;
+    if (op % 100 == 0) {
+      const analysis::AuditReport report =
+          analysis::StructureAuditor::AuditSuspensionQueue(q);
+      ASSERT_TRUE(report.ok()) << "op " << op << "\n" << report.Render();
+    }
+  }
+}
+
+TEST(SuspensionQueue, DrainsMatchModelAcrossTombstoneRuns) {
+  for (const std::uint64_t seed : {41u, 42u, 43u}) {
+    for (const SusOrder order : {SusOrder::kFifo, SusOrder::kPriority}) {
+      for (const bool indexed : {false, true}) {
+        FuzzDrainsAgainstModel(seed, order, indexed);
         if (HasFatalFailure()) return;
       }
     }

@@ -184,7 +184,7 @@ TEST(Task, DefaultStateIsCreated) {
   const Task t;
   EXPECT_EQ(t.state, TaskState::kCreated);
   EXPECT_FALSE(t.assigned_config.valid());
-  EXPECT_FALSE(t.resolved_config.valid());
+  EXPECT_FALSE(t.killed);
   EXPECT_EQ(t.sus_retry, 0u);
 }
 
