@@ -348,6 +348,11 @@ void StructureCorruptor::SkewSusAttrs(resource::SuspensionQueue& queue,
       -attrs.needed_area);
 }
 
+void StructureCorruptor::SetTaskState(resource::TaskStore& tasks, TaskId task,
+                                      resource::TaskState state) {
+  tasks.Get(task).state = state;
+}
+
 void StructureCorruptor::SkewSusLive(resource::SuspensionQueue& queue) {
   if (queue.slots_.empty()) throw std::logic_error("SkewSusLive: no slots");
   queue.live_.Set(0);

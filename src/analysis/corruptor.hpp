@@ -12,6 +12,7 @@
 #include "resource/entry_list.hpp"
 #include "resource/store.hpp"
 #include "resource/suspension_queue.hpp"
+#include "resource/task.hpp"
 #include "sim/event_queue.hpp"
 #include "util/types.hpp"
 
@@ -208,6 +209,12 @@ class StructureCorruptor {
   /// would: walks and front pops then skip that entry. Expected slug:
   /// sus.fifo.
   static void SkipSusHead(resource::SuspensionQueue& queue);
+
+  /// Overwrites `task`'s state with `state`, as a lifecycle step that
+  /// forgot (or misordered) its state write would leave it. Expected slug:
+  /// task.state when `state` disagrees with the structure holding the task.
+  static void SetTaskState(resource::TaskStore& tasks, TaskId task,
+                           resource::TaskState state);
 
   /// Adds one to the event queue's live count without scheduling anything,
   /// as a push or cancel that forgot the counter would. Expected slug:

@@ -1123,6 +1123,68 @@ AuditReport StructureAuditor::AuditSusAttrs(
   return report;
 }
 
+AuditReport StructureAuditor::AuditTaskStates(
+    const ResourceStore& store, const SuspensionQueue& queue,
+    const resource::TaskStore& tasks) {
+  using resource::TaskState;
+  AuditReport report;
+  // The row of a task id some structure holds, null when there is none.
+  const auto row = [&tasks](TaskId id) -> const resource::Task* {
+    return id.valid() && id.value() < tasks.size() ? &tasks.all()[id.value()]
+                                                   : nullptr;
+  };
+  // Every live queue slot holds a suspended task.
+  const auto& slots = queue.slots_;
+  for (std::uint32_t seq = 0; seq < slots.size(); ++seq) {
+    const TaskId id = slots[seq];
+    if (!id.valid()) continue;
+    const resource::Task* task = row(id);
+    if (task == nullptr || task->state != TaskState::kSuspended) {
+      Report(report, "task.state", Format("seq {} (task {})", seq, id.value()),
+             task == nullptr ? std::string("queued task has no task-store row")
+                             : Format("queued task is {}",
+                                      resource::ToString(task->state)));
+    }
+  }
+  // Every busy slot holds a running task whose execution has a start.
+  std::size_t busy_slots = 0;
+  for (const Node& node : store.nodes()) {
+    node.ForEachSlot([&](resource::SlotIndex slot,
+                        const resource::ConfigTaskPair& pair) {
+      if (pair.idle()) return;
+      ++busy_slots;
+      const resource::Task* task = row(pair.task);
+      std::string problem;
+      if (task == nullptr) {
+        problem = "running task has no task-store row";
+      } else if (task->state != TaskState::kRunning) {
+        problem = Format("running task is {}", resource::ToString(task->state));
+      } else if (task->ready_time == kNoTick) {
+        problem = "running task has no ready tick";
+      }
+      if (!problem.empty()) {
+        Report(report, "task.state",
+               Format("node {} slot {} (task {})", node.id().value(), slot,
+                      pair.task.value()),
+               std::move(problem));
+      }
+    });
+  }
+  // And no task claims either state without such a slot.
+  const resource::TaskStateCounts counts = tasks.CountStates();
+  if (counts[TaskState::kSuspended] != queue.size()) {
+    Report(report, "task.state", "task store",
+           Format("{} suspended tasks, {} queued",
+                  counts[TaskState::kSuspended], queue.size()));
+  }
+  if (counts[TaskState::kRunning] != busy_slots) {
+    Report(report, "task.state", "task store",
+           Format("{} running tasks, {} busy slots",
+                  counts[TaskState::kRunning], busy_slots));
+  }
+  return report;
+}
+
 // --- Index trees ------------------------------------------------------------
 
 std::string StructureAuditor::StaleMaxSummary(const MaxSegTree& tree) {
@@ -1401,10 +1463,9 @@ AuditReport StructureAuditor::AuditMetrics(const ResourceStore& store,
 
   // Terminal task counters vs the TaskStore's ground-truth states (the
   // counter increments share the call sites that set the states).
-  const std::size_t completed =
-      tasks.CountInState(resource::TaskState::kCompleted);
-  const std::size_t discarded =
-      tasks.CountInState(resource::TaskState::kDiscarded);
+  const resource::TaskStateCounts counts = tasks.CountStates();
+  const std::size_t completed = counts[resource::TaskState::kCompleted];
+  const std::size_t discarded = counts[resource::TaskState::kDiscarded];
   check(value(MetricId::kTasksCompleted) == completed, "tasks",
         Format("completed counter {} != completed tasks {}",
                value(MetricId::kTasksCompleted), completed));
@@ -1422,6 +1483,7 @@ AuditReport StructureAuditor::AuditAll(const ResourceStore& store,
   AuditReport report = AuditStore(store);
   for (AuditReport part : {AuditSuspensionQueue(queue),
                            AuditSusAttrs(queue, tasks, store.configs()),
+                           AuditTaskStates(store, queue, tasks),
                            AuditEventQueue(events, now)}) {
     report.violations.insert(
         report.violations.end(),

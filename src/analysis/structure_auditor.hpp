@@ -87,6 +87,16 @@ class StructureAuditor {
       const resource::TaskStore& tasks,
       const resource::ConfigCatalogue& configs);
 
+  /// Re-derives each task's state from the structures that hold it
+  /// ("task.state"): every live queue slot holds a suspended task, every
+  /// busy store slot a running task with a ready tick, and the table counts
+  /// exactly as many suspended tasks as the queue holds and running tasks
+  /// as there are busy slots (the store's running-task total).
+  [[nodiscard]] static AuditReport AuditTaskStates(
+      const resource::ResourceStore& store,
+      const resource::SuspensionQueue& queue,
+      const resource::TaskStore& tasks);
+
   /// Audits the pending-event set: heap order, sequence bounds and
   /// uniqueness (heap and arrival cursor), the cursor's position and tick
   /// order, size() against a recount of the done bitset, and that no live
@@ -94,7 +104,7 @@ class StructureAuditor {
   [[nodiscard]] static AuditReport AuditEventQueue(
       const sim::EventQueue& queue, Tick now);
 
-  /// All four passes, concatenated in the order above.
+  /// All five passes, concatenated in the order above.
   [[nodiscard]] static AuditReport AuditAll(
       const resource::ResourceStore& store,
       const resource::SuspensionQueue& queue,

@@ -70,11 +70,13 @@ void MetricsCollector::OnPlaced(const sched::Decision& decision) {
 }
 
 void MetricsCollector::OnCompleted(const resource::TaskSpec& spec,
-                                   const resource::Task& task) {
+                                   const resource::Task& task,
+                                   Tick completion) {
   ++completed_;
   obs::MetricInc(obs::MetricId::kTasksCompleted);
   waiting_.Add(static_cast<double>(resource::WaitingTime(spec, task)));
-  turnaround_.Add(static_cast<double>(resource::TurnaroundTime(spec, task)));
+  turnaround_.Add(
+      static_cast<double>(resource::TurnaroundTime(spec, completion)));
   retries_.Add(static_cast<double>(task.sus_retry));
 }
 

@@ -130,8 +130,10 @@ class MetricsCollector {
     obs::MetricInc(obs::MetricId::kClosestMatchPlacements);
   }
 
-  /// Task finished; called with its spec and final run-time state.
-  void OnCompleted(const resource::TaskSpec& spec, const resource::Task& task);
+  /// Task finished at tick `completion`; called with its spec and final
+  /// run-time state.
+  void OnCompleted(const resource::TaskSpec& spec, const resource::Task& task,
+                   Tick completion);
 
   /// Produces the report. `store` supplies node-side aggregates; `end` is
   /// the final simulation tick (Eq. 5).

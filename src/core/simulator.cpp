@@ -48,12 +48,12 @@ resource::ConfigCatalogue BuildConfigs(const SimulationConfig& config,
 
 /// Task `id`'s execution time on a closest match: t_required stretched by
 /// `slowdown` (at least 1; the constructor checks). Throws
-/// std::overflow_error where the stretched time plus the task's comm and
-/// configuration wait would leave the Tick range, instead of wrapping.
+/// std::overflow_error where the stretched time plus `overhead`, the
+/// placement's comm and configuration wait, would leave the Tick range,
+/// instead of wrapping.
 Tick StretchedExecution(TaskId id, const resource::TaskSpec& spec,
-                        const resource::Task& task, double slowdown) {
+                        Tick overhead, double slowdown) {
   const double stretched = static_cast<double>(spec.required_time) * slowdown;
-  const Tick overhead = task.comm_time + task.config_wait;
   // 2^63 is the first double past the Tick range, so the cast is defined.
   if (stretched < 0x1p63) {
     const auto execution = static_cast<Tick>(stretched);
@@ -437,20 +437,18 @@ sched::Decision Simulator::AttemptSchedule(TaskId id, bool is_arrival) {
   switch (decision.outcome) {
     case sched::Outcome::kPlaced: {
       const Tick now = kernel_.now();
-      task.state = resource::TaskState::kRunning;
-      task.assigned_config = decision.config;
-      task.assigned_node = decision.entry.node;
-      task.start_time = now;
-      task.comm_time =
-          network_.TransferTime(store_.node(decision.entry.node),
-                                spec.data_size);
-      task.config_wait = decision.config_time;
+      const Tick comm_time = network_.TransferTime(
+          store_.node(decision.entry.node), spec.data_size);
+      Tick config_wait = decision.config_time;
       if (decision.config_time > 0) {
         // A fresh configuration was loaded: ship its bitstream unless the
         // node still has it cached.
-        task.config_wait +=
+        config_wait +=
             BitstreamDelay(store_.node(decision.entry.node), decision.config);
       }
+      const Tick overhead = comm_time + config_wait;
+      task.state = resource::TaskState::kRunning;
+      task.ready_time = now + overhead;
       if (decision.used_closest_match) metrics_.OnClosestMatchUsed();
       if (decision.config_time > 0) {
         metrics_.OnConfigured(
@@ -463,8 +461,8 @@ sched::Decision Simulator::AttemptSchedule(TaskId id, bool is_arrival) {
         SimEvent placed{SimEvent::Kind::kPlaced, now, id, decision.entry.node,
                         decision.config};
         placed.placement = decision.kind;
-        placed.comm_time = task.comm_time;
-        placed.config_wait = task.config_wait;
+        placed.comm_time = comm_time;
+        placed.config_wait = config_wait;
         event_logger_(placed);
       }
       // Running on the closest match instead of C_pref may be slower
@@ -472,10 +470,10 @@ sched::Decision Simulator::AttemptSchedule(TaskId id, bool is_arrival) {
       Tick execution = spec.required_time;
       if (decision.used_closest_match &&
           config_.closest_match_slowdown != 1.0) {
-        execution = StretchedExecution(id, spec, task,
+        execution = StretchedExecution(id, spec, overhead,
                                        config_.closest_match_slowdown);
       }
-      const Tick span = task.comm_time + task.config_wait + execution;
+      const Tick span = overhead + execution;
       const resource::EntryRef entry = decision.entry;
       const sim::EventHandle completion = kernel_.ScheduleAfter(
           span, sim::EventPriority::kCompletion,
@@ -542,7 +540,6 @@ void Simulator::Discard(TaskId id, const char* reason) {
 
 void Simulator::HandleCompletion(TaskId id, resource::EntryRef entry) {
   resource::Task& task = tasks_.Get(id);
-  task.completion_time = kernel_.now();
   task.state = resource::TaskState::kCompleted;
   if (id.value() < completion_events_.size()) {
     completion_events_[id.value()] = {};
@@ -552,7 +549,7 @@ void Simulator::HandleCompletion(TaskId id, resource::EntryRef entry) {
   if (released != id) {
     throw std::logic_error("completion released a different task");
   }
-  metrics_.OnCompleted(tasks_.Spec(id), task);
+  metrics_.OnCompleted(tasks_.Spec(id), task, kernel_.now());
   Emit(SimEvent::Kind::kCompleted, id, entry.node, freed_config);
   NoteTerminal();
   DrainSuspensionQueue(entry.node, freed_config);
@@ -737,14 +734,14 @@ void Simulator::HandleNodeFailure(NodeId node_id) {
   failed_since_[node_id.value()] = now;
   Emit(SimEvent::Kind::kNodeFailed, TaskId::invalid(), node_id);
   DREAMSIM_LOG(LogLevel::kDebug, "t={} node {} failed", now, node_id.value());
-  const std::vector<TaskId> killed = store_.FailNode(node_id);
+  const std::vector<resource::KilledTask> killed = store_.FailNode(node_id);
   if (obs::MetricsRegistry::enabled()) {
     auto& reg = obs::MetricsRegistry::Instance();
     reg.Add(obs::MetricId::kFaultFailures);
     reg.Add(obs::MetricId::kFaultKills, killed.size());
     reg.GaugeSet(obs::MetricId::kFaultFailedNodes, store_.failed_node_count());
   }
-  for (const TaskId id : killed) {
+  for (const auto [id, config] : killed) {
     resource::Task& task = tasks_.Get(id);
     if (id.value() < completion_events_.size() &&
         completion_events_[id.value()].valid()) {
@@ -753,26 +750,22 @@ void Simulator::HandleNodeFailure(NodeId node_id) {
     }
     ++tasks_killed_;
     task.killed = true;
-    // The victim is requeued resolved to the config it ran on: the config
-    // its arrival resolved (resolution depends only on the task and the
-    // fixed catalogue).
-    const ConfigId config = task.assigned_config;
+    // The victim is requeued resolved to the config it ran on, which the
+    // failed slot held: the config its arrival resolved (resolution
+    // depends only on the task and the fixed catalogue).
     const Area area = store_.configs().Get(config).required_area;
     // Only destroyed execution counts as lost work: a task killed inside
     // its comm/config window has not run yet, and the setup cost is paid
     // again in full on the next placement regardless.
-    const Tick setup_done = task.start_time + task.comm_time + task.config_wait;
-    if (now > setup_done) {
-      const std::uint64_t lost = static_cast<std::uint64_t>(area) *
-                                 static_cast<std::uint64_t>(now - setup_done);
+    if (now > task.ready_time) {
+      const std::uint64_t lost =
+          static_cast<std::uint64_t>(area) *
+          static_cast<std::uint64_t>(now - task.ready_time);
       lost_work_area_ticks_ += lost;
       obs::MetricInc(obs::MetricId::kFaultLostWorkTicks, lost);
     }
     Emit(SimEvent::Kind::kKilled, id, node_id, config);
-    task.assigned_config = ConfigId::invalid();
-    task.assigned_node = NodeId::invalid();
-    task.comm_time = 0;
-    task.config_wait = 0;
+    task.ready_time = kNoTick;
     // A kill is not a scheduling attempt: no BeginTask, no search charge,
     // and no sus_retry increment — the retry budget meters re-scheduling
     // attempts, and re-queuing a victim is not one.

@@ -598,12 +598,12 @@ TaskId ResourceStore::ReleaseTask(EntryRef entry) {
   return task;
 }
 
-std::vector<TaskId> ResourceStore::FailNode(NodeId node_id) {
+std::vector<KilledTask> ResourceStore::FailNode(NodeId node_id) {
   Node& n = node(node_id);
   if (n.failed()) throw std::logic_error("FailNode: node already failed");
   const TotalsDelta delta(fleet_totals_, n);
   const bool was_blank = n.blank();
-  std::vector<TaskId> killed;
+  std::vector<KilledTask> killed;
   n.ForEachSlot([&](SlotIndex slot, const ConfigTaskPair& pair) {
     const EntryRef entry{node_id, slot};
     const ConfigId config = pair.config;
@@ -618,7 +618,7 @@ std::vector<TaskId> ResourceStore::FailNode(NodeId node_id) {
       throw std::logic_error("FailNode: entry missing from busy list");
     }
     busy_area_[node_id.value()] -= configs_.Get(config).required_area;
-    killed.push_back(task);
+    killed.push_back({task, config});
     n.RemoveTaskFromNode(slot);
   });
   n.MakeNodeBlank();

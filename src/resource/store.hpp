@@ -33,6 +33,12 @@ struct ReconfigPlan {
   std::vector<SlotIndex> removable_entries;
 };
 
+/// A task a node failure killed, and the configuration it was running on.
+struct KilledTask {
+  TaskId task;
+  ConfigId config;
+};
+
 /// Host-selection order for FindRankedHostNode (the heuristic baselines'
 /// Class B search over every node).
 enum class HostRank : std::uint8_t {
@@ -211,11 +217,11 @@ class ResourceStore {
   /// Node failure: atomically removes the node from every structure —
   /// idle/busy entry lists, the blank list, and the query index — wipes
   /// all of its configurations, and marks it failed. Returns the tasks
-  /// that were running there (in slot order) so the simulator can re-enter
-  /// them through the suspension path. List removals charge the same
+  /// that were running there with their configurations (in slot order) so
+  /// the simulator can re-enter them through the suspension path. List removals charge the same
   /// housekeeping steps a completion-time removal would; the charges do
   /// not depend on the index mode. Throws if the node is already failed.
-  std::vector<TaskId> FailNode(NodeId node_id);
+  std::vector<KilledTask> FailNode(NodeId node_id);
 
   /// Node repair: re-inserts the node as a blank node (it pays full
   /// configuration time again). Throws if the node is not failed.

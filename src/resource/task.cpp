@@ -67,12 +67,12 @@ const TaskSpec& TaskStore::Spec(TaskId id) const {
                                   : owned_[run->owned_at + offset];
 }
 
-std::size_t TaskStore::CountInState(TaskState state) const {
-  std::size_t count = 0;
+TaskStateCounts TaskStore::CountStates() const {
+  TaskStateCounts counts;
   for (const Task& t : tasks_) {
-    if (t.state == state) ++count;
+    ++counts.by_state[static_cast<std::size_t>(t.state)];
   }
-  return count;
+  return counts;
 }
 
 }  // namespace dreamsim::resource

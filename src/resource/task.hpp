@@ -6,11 +6,13 @@
 // the catalogue the scheduler falls back to the closest match by area. A
 // task is two records: its TaskSpec, the generated tuple, which never
 // changes once submitted, and its Task, the run-time state the simulator
-// writes (lifecycle plus the timestamps the metrics system needs, Eq. 8/9).
+// writes (lifecycle, retry count and the tick Eq. 8's wait ends).
 // The store keeps the run-time state of every task and borrows the specs
 // of a submitted workload in place, so a run holds the workload only once.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <span>
@@ -52,45 +54,52 @@ enum class TaskState : std::uint8_t {
   kCompleted,  // finished
   kDiscarded,  // rejected: no feasible configuration/node
 };
+inline constexpr std::size_t kTaskStateCount =
+    static_cast<std::size_t>(TaskState::kDiscarded) + 1;
 
 [[nodiscard]] std::string_view ToString(TaskState state);
 
 /// The run-time state of one task; its TaskSpec holds the rest. A queued
 /// task's resolved configuration lives in its suspension-queue attributes,
-/// not here.
+/// and a running task's configuration and node in its store slot, not
+/// here; the placement's comm and configuration waits reach observers
+/// through the kPlaced event.
 struct Task {
   TaskState state = TaskState::kCreated;
   /// Whether a node failure ever killed this task mid-execution (fault
   /// injection).
   bool killed = false;
-  /// Configuration actually used (C_pref or closest match).
-  ConfigId assigned_config;
-  /// Node the task ran on (diagnostics).
-  NodeId assigned_node;
   /// Times the task was re-queued from the suspension queue.
   std::uint32_t sus_retry = 0;
-  Tick start_time = kNoTick;  // submission to the node (Eq. 8 t_start)
-  Tick completion_time = kNoTick;
-  /// Communication + configuration components of the wait (Eq. 8).
-  Tick comm_time = 0;
-  Tick config_wait = 0;
+  /// Tick the latest placement's execution begins: t_start + t_comm +
+  /// t_config (Eq. 8). kNoTick until the task is placed, and again once a
+  /// kill re-queues it.
+  Tick ready_time = kNoTick;
 };
 // One cell per task for the whole run: keep it to the run-time state.
-static_assert(sizeof(Task) <= 48);
+static_assert(sizeof(Task) <= 16);
 
 /// Waiting time per Eq. 8: t_start - t_create + t_comm + t_config. Only
 /// meaningful once the task has started.
 [[nodiscard]] inline Tick WaitingTime(const TaskSpec& spec, const Task& task) {
-  return task.start_time - spec.create_time + task.comm_time +
-         task.config_wait;
+  return task.ready_time - spec.create_time;
 }
 
-/// Total time in system: completion - creation (Table I "average running
-/// time of each task").
+/// Total time in system of a task that completed at `completion`:
+/// completion - creation (Table I "average running time of each task").
 [[nodiscard]] inline Tick TurnaroundTime(const TaskSpec& spec,
-                                         const Task& task) {
-  return task.completion_time - spec.create_time;
+                                         Tick completion) {
+  return completion - spec.create_time;
 }
+
+/// Number of tasks in each TaskState.
+struct TaskStateCounts {
+  std::array<std::size_t, kTaskStateCount> by_state{};
+
+  [[nodiscard]] std::size_t operator[](TaskState state) const {
+    return by_state[static_cast<std::size_t>(state)];
+  }
+};
 
 /// Densely indexed table of every submitted task: the run-time state of
 /// each, and its spec, either borrowed from a submitted workload or owned.
@@ -117,8 +126,9 @@ class TaskStore {
   /// Run-time state of every task, indexed by id.
   [[nodiscard]] const RunVector<Task>& all() const { return tasks_; }
 
-  /// Number of tasks currently in `state`.
-  [[nodiscard]] std::size_t CountInState(TaskState state) const;
+  /// Number of tasks currently in each state, from one pass over the
+  /// table.
+  [[nodiscard]] TaskStateCounts CountStates() const;
 
  private:
   /// Consecutive ids [first, next run's first) whose specs sit together:

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/simulator.hpp"
+#include "task_times.hpp"
 
 namespace dreamsim::core {
 namespace {
@@ -83,6 +84,7 @@ TEST(DrainSemantics, FullModePrefersMatchOverOlderNonMatch) {
   // the freed node serves the *matching* task (configuration reuse), the
   // non-matching one waits for the next completion.
   Simulator sim(PinnedConfig(1000, 2, sched::ReconfigMode::kFull));
+  const testtimes::TaskTimeLog log(sim);
   const MetricsReport report = sim.RunWithWorkload({
       TaskFor(0, 1, 100),   // runs first
       TaskFor(1, 2, 100),   // older queued non-match
@@ -91,22 +93,20 @@ TEST(DrainSemantics, FullModePrefersMatchOverOlderNonMatch) {
   EXPECT_EQ(report.completed_tasks, 3u);
   // Reuse for the matching task + one reconfiguration for the non-match.
   EXPECT_EQ(report.total_reconfigurations, 2u);
-  const resource::Task& non_match = sim.tasks().Get(TaskId{1});
-  const resource::Task& match = sim.tasks().Get(TaskId{2});
-  EXPECT_GT(non_match.start_time, match.start_time);
+  EXPECT_GT(log[TaskId{1}].placed, log[TaskId{2}].placed);
 }
 
 TEST(DrainSemantics, PartialModeFifoAmongEquallyEligible) {
   // Two queued tasks both fit the freed region: FIFO order wins.
   Simulator sim(PinnedConfig(1000, 2, sched::ReconfigMode::kPartial));
+  const testtimes::TaskTimeLog log(sim);
   const MetricsReport report = sim.RunWithWorkload({
       TaskFor(0, 1, 100),
       TaskFor(1, 2, 100),  // older
       TaskFor(1, 3, 100),  // younger, same needs
   });
   EXPECT_EQ(report.completed_tasks, 3u);
-  EXPECT_LT(sim.tasks().Get(TaskId{1}).start_time,
-            sim.tasks().Get(TaskId{2}).start_time);
+  EXPECT_LT(log[TaskId{1}].placed, log[TaskId{2}].placed);
 }
 
 TEST(DrainSemantics, PriorityOverridesFifoWhenEnabled) {
@@ -114,6 +114,7 @@ TEST(DrainSemantics, PriorityOverridesFifoWhenEnabled) {
                                          sched::ReconfigMode::kPartial);
   config.priority_scheduling = true;
   Simulator sim(std::move(config));
+  const testtimes::TaskTimeLog log(sim);
   workload::GeneratedTask older = TaskFor(1, 2, 100);
   older.priority = 1.0;
   workload::GeneratedTask younger = TaskFor(1, 3, 100);
@@ -121,8 +122,7 @@ TEST(DrainSemantics, PriorityOverridesFifoWhenEnabled) {
   const MetricsReport report =
       sim.RunWithWorkload({TaskFor(0, 1, 100), older, younger});
   EXPECT_EQ(report.completed_tasks, 3u);
-  EXPECT_GT(sim.tasks().Get(TaskId{1}).start_time,
-            sim.tasks().Get(TaskId{2}).start_time);
+  EXPECT_GT(log[TaskId{1}].placed, log[TaskId{2}].placed);
 }
 
 TEST(DrainSemantics, QueueScanChargedAsSchedulerEffort) {

@@ -5,9 +5,11 @@
 
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "core/simulator.hpp"
 #include "sched/dreamsim_policy.hpp"
+#include "task_times.hpp"
 
 namespace dreamsim {
 namespace {
@@ -185,12 +187,13 @@ TEST(ClosestMatchSlowdown, DefaultReproducesPaperTiming) {
   config.tasks.total_tasks = 200;
   config.seed = 31;
   core::Simulator sim(std::move(config));
+  const testtimes::TaskTimeLog log(sim);
   (void)sim.Run();
-  for (std::uint32_t i = 0; i < sim.tasks().size(); ++i) {
-    const resource::Task& t = sim.tasks().Get(TaskId{i});
-    if (t.state != resource::TaskState::kCompleted) continue;
-    EXPECT_EQ(t.completion_time, t.start_time + t.comm_time + t.config_wait +
-                                     sim.tasks().Spec(TaskId{i}).required_time);
+  ASSERT_FALSE(log.completions().empty());
+  for (const TaskId id : log.completions()) {
+    const testtimes::TaskTimes& times = log[id];
+    EXPECT_EQ(times.completed,
+              times.ready() + sim.tasks().Spec(id).required_time);
   }
 }
 
@@ -215,8 +218,10 @@ TEST(ClosestMatchSlowdown, RejectsValuesOutsideTheFiniteRange) {
 }
 
 /// Runs one closest-match task (its C_pref is not in the catalogue) with
-/// `required` ticks alone under `slowdown`; returns its final state.
-resource::Task RunOneClosestMatchTask(Tick required, double slowdown) {
+/// `required` ticks alone under `slowdown`; returns its final state and
+/// its placement and completion times.
+std::pair<resource::Task, testtimes::TaskTimes> RunOneClosestMatchTask(
+    Tick required, double slowdown) {
   core::SimulationConfig config;
   config.nodes.count = 4;
   config.tasks.total_tasks = 0;
@@ -225,18 +230,19 @@ resource::Task RunOneClosestMatchTask(Tick required, double slowdown) {
   workload::GeneratedTask task;
   task.needed_area = 500;
   task.required_time = required;
-  (void)sim.SubmitTaskAt(task, 0);
+  const testtimes::TaskTimeLog log(sim);
+  const TaskId id = sim.SubmitTaskAt(task, 0);
   (void)sim.RunWithWorkload({});
-  return sim.tasks().all().at(0);
+  return {sim.tasks().Get(id), log[id]};
 }
 
 TEST(ClosestMatchSlowdown, LargeStretchIsExactOrThrowsPastTheTickRange) {
   const Tick required = Tick{1} << 40;
-  const resource::Task t =
+  const auto [t, times] =
       RunOneClosestMatchTask(required, core::kMaxClosestMatchSlowdown);
   ASSERT_EQ(t.state, resource::TaskState::kCompleted);
-  EXPECT_EQ(t.completion_time, t.start_time + t.comm_time + t.config_wait +
-                                   required * 1000);
+  EXPECT_EQ(times.completed, times.ready() + required * 1000);
+  EXPECT_EQ(t.ready_time, times.ready());
   // 2^62 x 4 leaves the Tick range: a diagnostic, never a wrapped time.
   EXPECT_THROW((void)RunOneClosestMatchTask(Tick{1} << 62, 4.0),
                std::overflow_error);

@@ -6,6 +6,8 @@
 
 #include <stdexcept>
 
+#include "task_times.hpp"
+
 namespace dreamsim::core {
 namespace {
 
@@ -45,18 +47,65 @@ TEST(Simulator, StoreConsistentAfterRun) {
 
 TEST(Simulator, CompletedTaskTimestampsAreCoherent) {
   Simulator sim(SmallConfig());
+  const testtimes::TaskTimeLog log(sim);
   (void)sim.Run();
   for (std::uint32_t i = 0; i < sim.tasks().size(); ++i) {
     const resource::Task& t = sim.tasks().Get(TaskId{i});
     const resource::TaskSpec& spec = sim.tasks().Spec(TaskId{i});
     if (t.state != resource::TaskState::kCompleted) continue;
-    EXPECT_GE(t.start_time, spec.create_time);
-    EXPECT_EQ(t.completion_time,
-              t.start_time + t.comm_time + t.config_wait + spec.required_time);
+    const testtimes::TaskTimes& times = log[TaskId{i}];
+    EXPECT_GE(times.placed, spec.create_time);
+    EXPECT_EQ(times.completed, times.ready() + spec.required_time);
+    EXPECT_EQ(t.ready_time, times.ready());
     EXPECT_GE(resource::WaitingTime(spec, t), 0);
-    EXPECT_TRUE(t.assigned_config.valid());
-    EXPECT_TRUE(t.assigned_node.valid());
+    EXPECT_TRUE(times.config.valid());
+    EXPECT_TRUE(times.node.valid());
   }
+}
+
+TEST(Simulator, Eq8And9MeansFollowFromTheEventStream) {
+  // Waiting time (Eq. 8) and turnaround recomputed from the kPlaced and
+  // kCompleted events must equal the report's Table I means, also when
+  // kills re-place tasks and closest matches stretch their execution.
+  SimulationConfig config = SmallConfig(400, 15, 7);
+  config.tasks.max_required_time = 3000;
+  config.tasks.closest_match_fraction = 0.3;
+  config.closest_match_slowdown = 1.5;
+  config.max_suspension_retries = 10;
+  config.faults.mtbf = 20'000;
+  config.faults.mttr = 4'000;
+  Simulator sim(std::move(config));
+  const testtimes::TaskTimeLog log(sim);
+  const MetricsReport report = sim.Run();
+  ASSERT_GT(report.tasks_killed, 0u);
+  ASSERT_GT(report.closest_match_tasks, 0u);
+
+  OnlineStats waiting;
+  OnlineStats turnaround;
+  for (const TaskId id : log.completions()) {
+    const resource::TaskSpec& spec = sim.tasks().Spec(id);
+    const testtimes::TaskTimes& times = log[id];
+    waiting.Add(static_cast<double>(times.ready() - spec.create_time));
+    turnaround.Add(static_cast<double>(times.completed - spec.create_time));
+  }
+  ASSERT_EQ(waiting.count(), report.completed_tasks);
+  ASSERT_GT(waiting.count(), 0u);
+  const auto n = static_cast<double>(waiting.count());
+  // Integer ticks sum exactly in any order.
+  EXPECT_EQ(report.waiting_time_stats.sum(), waiting.sum());
+  EXPECT_EQ(report.turnaround_stats.sum(), turnaround.sum());
+  EXPECT_EQ(report.waiting_time_stats.min(), waiting.min());
+  EXPECT_EQ(report.waiting_time_stats.max(), waiting.max());
+  EXPECT_EQ(report.turnaround_stats.min(), turnaround.min());
+  EXPECT_EQ(report.turnaround_stats.max(), turnaround.max());
+  // The report's means are Welford running means: equal to sum / n up to
+  // rounding.
+  const double want_waiting = waiting.sum() / n;
+  const double want_turnaround = turnaround.sum() / n;
+  EXPECT_NEAR(report.avg_waiting_time_per_task, want_waiting,
+              1e-12 * want_waiting);
+  EXPECT_NEAR(report.avg_task_running_time, want_turnaround,
+              1e-12 * want_turnaround);
 }
 
 // Run() keeps the workload it generated: the task store reads the specs
@@ -180,12 +229,14 @@ TEST(Simulator, NetworkDelayEntersWaitingTime) {
   with_net.network.bytes_per_tick = 10;
   with_net.network.base_latency = 5;
   Simulator sim(std::move(with_net));
+  const testtimes::TaskTimeLog log(sim);
   (void)sim.Run();
   bool saw_comm = false;
-  for (const resource::Task& t : sim.tasks().all()) {
-    if (t.state == resource::TaskState::kCompleted && t.comm_time > 0) {
+  for (const TaskId id : log.completions()) {
+    const Tick comm_time = log[id].comm_time;
+    if (comm_time > 0) {
       saw_comm = true;
-      EXPECT_GE(t.comm_time, 5);
+      EXPECT_GE(comm_time, 5);
     }
   }
   EXPECT_TRUE(saw_comm);
@@ -197,10 +248,11 @@ TEST(Simulator, ConfigTimeZeroOnAllocationReuse) {
   SimulationConfig config = SmallConfig(300, 60);
   config.configs.count = 3;
   Simulator sim(std::move(config));
+  const testtimes::TaskTimeLog log(sim);
   (void)sim.Run();
   bool saw_reuse = false;
-  for (const resource::Task& t : sim.tasks().all()) {
-    if (t.state == resource::TaskState::kCompleted && t.config_wait == 0) {
+  for (const TaskId id : log.completions()) {
+    if (log[id].config_wait == 0) {
       saw_reuse = true;
       break;
     }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/simulator.hpp"
+#include "task_times.hpp"
 #include "util/fmt.hpp"
 
 namespace dreamsim::core {
@@ -120,6 +121,7 @@ TEST_P(SimulatorFuzz, GlobalInvariantsHold) {
 #endif
 
   Simulator sim(std::move(config));
+  const testtimes::TaskTimeLog log(sim);
   const MetricsReport report = sim.Run();
 
   // Explicit auditor hook on top of the config-driven audits: the end
@@ -186,9 +188,11 @@ TEST_P(SimulatorFuzz, GlobalInvariantsHold) {
     const resource::Task& t = sim.tasks().Get(TaskId{i});
     const resource::TaskSpec& spec = sim.tasks().Spec(TaskId{i});
     if (t.state != resource::TaskState::kCompleted) continue;
-    EXPECT_GE(t.start_time, spec.create_time);
-    EXPECT_GE(t.completion_time, t.start_time + spec.required_time);
-    EXPECT_TRUE(t.assigned_config.valid());
+    const testtimes::TaskTimes& times = log[TaskId{i}];
+    EXPECT_GE(times.placed, spec.create_time);
+    EXPECT_GE(times.completed, times.placed + spec.required_time);
+    EXPECT_EQ(t.ready_time, times.ready());
+    EXPECT_TRUE(times.config.valid());
   }
 }
 

@@ -302,7 +302,10 @@ TEST_F(StoreTest, AggregatesTrackEveryMutation) {
   ASSERT_EQ(store_.failed_node_count(), 1u);
   EXPECT_EQ(store_.blank_node_count(), 1u);
   ExpectAggregatesMatchScan(store_, "fail blank b");
-  EXPECT_EQ(store_.FailNode(node_c_), std::vector<TaskId>{TaskId{1}});
+  const std::vector<KilledTask> killed = store_.FailNode(node_c_);
+  ASSERT_EQ(killed.size(), 1u);
+  EXPECT_EQ(killed[0].task, TaskId{1});
+  EXPECT_EQ(killed[0].config, ConfigId{0});
   ExpectAggregatesMatchScan(store_, "fail busy c");
   store_.RepairNode(node_b_);
   ExpectAggregatesMatchScan(store_, "repair b");

@@ -536,6 +536,78 @@ TEST(StructureAuditorCorruption, SkewedTreapMinAreaIsSusidxTreap) {
       << report.Render();
 }
 
+TEST(StructureAuditorCorruption, SetTaskStateIsTaskState) {
+  using resource::TaskState;
+  // Tasks 0-2 wait in the queue, task 3 runs on b's busy slot, task 4
+  // completed; seq 0 (task 0) left, so task 0 is discarded.
+  const auto build = [](ResourceStore& store, SuspensionQueue& queue,
+                        resource::TaskStore& tasks) {
+    const NodeId b = store.AddNode(2000);
+    const EntryRef busy = store.Configure(b, ConfigId{1});
+    WorkloadMeter meter;
+    for (std::uint32_t t = 0; t < 5; ++t) {
+      resource::TaskSpec spec;
+      spec.required_time = 10;
+      spec.needed_area = 100;
+      (void)tasks.SubmitOne(spec);
+    }
+    for (std::uint32_t t = 0; t < 3; ++t) {
+      tasks.Get(TaskId{t}).state = TaskState::kSuspended;
+      ASSERT_TRUE(queue.Add(TaskId{t}, {}, meter));
+    }
+    queue.RemoveSeq(0, meter);
+    tasks.Get(TaskId{0}).state = TaskState::kDiscarded;
+    store.AssignTask(busy, TaskId{3});
+    tasks.Get(TaskId{3}).state = TaskState::kRunning;
+    tasks.Get(TaskId{3}).ready_time = 25;
+    tasks.Get(TaskId{4}).state = TaskState::kCompleted;
+  };
+  struct Case {
+    const char* what;
+    std::uint32_t task;
+    TaskState state;
+    const char* detail;
+  };
+  const Case cases[] = {
+      {"queued task marked running", 1, TaskState::kRunning,
+       "queued task is running"},
+      {"running task marked completed", 3, TaskState::kCompleted,
+       "running task is completed"},
+      {"completed task marked suspended", 4, TaskState::kSuspended,
+       "3 suspended tasks, 2 queued"},
+      {"discarded task marked running", 0, TaskState::kRunning,
+       "2 running tasks, 1 busy slots"},
+  };
+  for (const Case& c : cases) {
+    ResourceStore store(MakeCatalogue({300, 500}));
+    SuspensionQueue queue;
+    resource::TaskStore tasks;
+    build(store, queue, tasks);
+    ASSERT_TRUE(StructureAuditor::AuditTaskStates(store, queue, tasks).ok())
+        << StructureAuditor::AuditTaskStates(store, queue, tasks).Render();
+    StructureCorruptor::SetTaskState(tasks, TaskId{c.task}, c.state);
+    const AuditReport report =
+        StructureAuditor::AuditTaskStates(store, queue, tasks);
+    ASSERT_FALSE(report.ok()) << c.what;
+    EXPECT_EQ(Slugs(report), std::set<std::string>{"task.state"})
+        << c.what << "\n" << report.Render();
+    EXPECT_NE(report.Render().find(c.detail), std::string::npos)
+        << c.what << "\n" << report.Render();
+  }
+  // A running task with no ready tick is caught as well.
+  ResourceStore store(MakeCatalogue({300, 500}));
+  SuspensionQueue queue;
+  resource::TaskStore tasks;
+  build(store, queue, tasks);
+  tasks.Get(TaskId{3}).ready_time = kNoTick;
+  const AuditReport report =
+      StructureAuditor::AuditTaskStates(store, queue, tasks);
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"task.state"})
+      << report.Render();
+  EXPECT_NE(report.Render().find("no ready tick"), std::string::npos)
+      << report.Render();
+}
+
 TEST(StructureAuditorCorruption, SkewedSusAttrsIsSusAttrs) {
   const ConfigCatalogue configs = MakeCatalogue({300, 500});
   for (const bool indexed : {false, true}) {

@@ -61,15 +61,19 @@ TEST(TaskStore, MutationThroughGet) {
   EXPECT_EQ(store.Get(id).state, TaskState::kRunning);
 }
 
-TEST(TaskStore, CountInState) {
+TEST(TaskStore, CountStates) {
   TaskStore store;
-  for (int i = 0; i < 5; ++i) (void)store.SubmitOne(MakeSpec());
+  for (int i = 0; i < 6; ++i) (void)store.SubmitOne(MakeSpec());
   store.Get(TaskId{0}).state = TaskState::kCompleted;
   store.Get(TaskId{1}).state = TaskState::kCompleted;
   store.Get(TaskId{2}).state = TaskState::kDiscarded;
-  EXPECT_EQ(store.CountInState(TaskState::kCompleted), 2u);
-  EXPECT_EQ(store.CountInState(TaskState::kDiscarded), 1u);
-  EXPECT_EQ(store.CountInState(TaskState::kCreated), 2u);
+  store.Get(TaskId{3}).state = TaskState::kRunning;
+  const TaskStateCounts counts = store.CountStates();
+  EXPECT_EQ(counts[TaskState::kCompleted], 2u);
+  EXPECT_EQ(counts[TaskState::kDiscarded], 1u);
+  EXPECT_EQ(counts[TaskState::kRunning], 1u);
+  EXPECT_EQ(counts[TaskState::kSuspended], 0u);
+  EXPECT_EQ(counts[TaskState::kCreated], 2u);
 }
 
 TEST(TaskStore, SubmitBorrowsTheWorkloadInPlace) {
@@ -166,24 +170,20 @@ TEST(TaskStore, InvalidWorkloadRegistersNothing) {
 TEST(Task, WaitingTimeEq8) {
   const TaskSpec spec = MakeSpec(500, 1000, 100);
   Task t;
-  t.start_time = 150;
-  t.comm_time = 5;
-  t.config_wait = 12;
+  t.ready_time = 150 + 5 + 12;  // t_start + t_comm + t_config
   // Eq. 8: t_start - t_create + t_comm + t_config.
   EXPECT_EQ(WaitingTime(spec, t), 67);
 }
 
 TEST(Task, TurnaroundTime) {
   const TaskSpec spec = MakeSpec(500, 1000, 100);
-  Task t;
-  t.completion_time = 450;
-  EXPECT_EQ(TurnaroundTime(spec, t), 350);
+  EXPECT_EQ(TurnaroundTime(spec, 450), 350);
 }
 
 TEST(Task, DefaultStateIsCreated) {
   const Task t;
   EXPECT_EQ(t.state, TaskState::kCreated);
-  EXPECT_FALSE(t.assigned_config.valid());
+  EXPECT_EQ(t.ready_time, kNoTick);
   EXPECT_FALSE(t.killed);
   EXPECT_EQ(t.sus_retry, 0u);
 }
