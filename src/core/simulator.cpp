@@ -247,10 +247,7 @@ TaskId Simulator::SubmitTaskAt(const workload::GeneratedTask& task, Tick at) {
       faults_.enabled() && terminal_tasks_ >= submitted_tasks_;
   ++submitted_tasks_;
   const TaskId id = jobs_.SubmitOne(task, at);
-  if (was_drained) {
-    kernel_role_.AssertHeld();
-    RearmFaults();
-  }
+  if (was_drained) RearmFaults();
   return id;
 }
 
@@ -332,10 +329,7 @@ MetricsReport Simulator::RunWithWorkload(const workload::Workload& wl) {
   if (ran_) throw std::logic_error("Simulator instances are single-use");
   ran_ = true;
   submitted_tasks_ += jobs_.Submit(wl);
-  if (faults_.enabled() && submitted_tasks_ > terminal_tasks_) {
-    kernel_role_.AssertHeld();
-    RearmFaults();
-  }
+  if (faults_.enabled() && submitted_tasks_ > terminal_tasks_) RearmFaults();
   (void)kernel_.Run(
       [this](const sim::FiredEvent& fired) { Dispatch(fired.event); });
   return FinishReport();
@@ -666,14 +660,12 @@ void Simulator::ArmRepair(NodeId node) {
 }
 
 void Simulator::HandleFailureEvent(NodeId node) {
-  kernel_role_.AssertHeld();
   fault_process_events_[node.value()] = {};
   ApplyFault(node, FaultAction::kFail);
   if (faults_.params().repairs_enabled()) ArmRepair(node);
 }
 
 void Simulator::HandleRepairEvent(NodeId node) {
-  kernel_role_.AssertHeld();
   fault_process_events_[node.value()] = {};
   ApplyFault(node, FaultAction::kRepair);
   ArmFailure(node);
@@ -710,7 +702,6 @@ void Simulator::ScheduleFaultScript() {
 }
 
 void Simulator::HandleScriptedFault(std::size_t index) {
-  kernel_role_.AssertHeld();
   ScriptedFault& entry = fault_script_[index];
   entry.handle = {};
   entry.fired = true;
@@ -805,7 +796,6 @@ void Simulator::HandleNodeRepair(NodeId node_id) {
 void Simulator::NoteTerminal() {
   ++terminal_tasks_;
   if (faults_.enabled() && terminal_tasks_ >= submitted_tasks_) {
-    kernel_role_.AssertHeld();
     CancelPendingFaultEvents();
   }
 }

@@ -32,8 +32,6 @@
 #include "rms/resource_info.hpp"
 #include "sched/policy.hpp"
 #include "sim/kernel.hpp"
-#include "util/sync.hpp"
-#include "util/thread_annotations.hpp"
 #include "workload/generator.hpp"
 #include "workload/task_classes.hpp"
 
@@ -274,8 +272,8 @@ class Simulator {
 
   // --- Fault injection (DESIGN.md §10) ---
   /// Arms one node's next random failure/repair (kControl priority).
-  void ArmFailure(NodeId node) REQUIRES(kernel_role_);
-  void ArmRepair(NodeId node) REQUIRES(kernel_role_);
+  void ArmFailure(NodeId node);
+  void ArmRepair(NodeId node);
   /// Kernel events of the fault process and the fault script: clear the
   /// fired handle, apply the fault, and renew the node's process chain.
   void HandleFailureEvent(NodeId node);
@@ -287,11 +285,11 @@ class Simulator {
   /// SubmitTaskAt() revives a drained system, so the two entry points can
   /// never double-arm a node (a graph session submits its roots before
   /// RunWithWorkload()).
-  void RearmFaults() REQUIRES(kernel_role_);
+  void RearmFaults();
   /// Schedules every scripted event that has not fired, has no pending
   /// kernel event, and lies at or after the current tick (entries whose
   /// tick passed while the system was drained would have been no-ops).
-  void ScheduleFaultScript() REQUIRES(kernel_role_);
+  void ScheduleFaultScript();
   /// Applies a fault event if it changes the node's state (scripted events
   /// may race the random process; the loser is a no-op).
   void ApplyFault(NodeId node, FaultAction action);
@@ -302,7 +300,7 @@ class Simulator {
   /// an ever-renewing MTBF chain cannot keep the kernel alive (or stretch
   /// Eq. 5's end time) past the workload.
   void NoteTerminal();
-  void CancelPendingFaultEvents() REQUIRES(kernel_role_);
+  void CancelPendingFaultEvents();
 
   SimulationConfig config_;
   Rng rng_;
@@ -331,15 +329,8 @@ class Simulator {
 
   // --- Fault injection state (all dormant when faults are disabled) ---
   FaultModel faults_;
-  /// The fault-arming renewal chain is mutated only by the thread driving
-  /// the kernel: arming entry points and every kControl callback assert
-  /// this role (DESIGN.md §17), so a handle armed or cancelled off the
-  /// kernel thread fails under -Werror=thread-safety and aborts in debug
-  /// builds.
-  util::ThreadRole kernel_role_;
   /// Per-node pending process event (failure or repair), for cancellation.
-  std::vector<sim::EventHandle> fault_process_events_
-      GUARDED_BY(kernel_role_);
+  std::vector<sim::EventHandle> fault_process_events_;
   /// Scripted events, validated and copied from FaultParams::script at
   /// construction. The entry outlives its kernel event: a transient
   /// terminal==submitted drain cancels the handles, and the next reviving
@@ -349,7 +340,7 @@ class Simulator {
     sim::EventHandle handle;
     bool fired = false;
   };
-  std::vector<ScriptedFault> fault_script_ GUARDED_BY(kernel_role_);
+  std::vector<ScriptedFault> fault_script_;
   /// Tick each currently failed node went down (kNoTick = healthy).
   std::vector<Tick> failed_since_;
   /// Pending completion events, indexed by the (dense) task id, so a node

@@ -157,7 +157,7 @@ class MetricsRegistry {
 
   /// Every slot is a relaxed atomic: concurrent replication drivers
   /// (tools/sweep, tools/replication) share this process-global registry,
-  /// so it has no stable owning thread to bind a ThreadRole to (DESIGN.md
+  /// so unlike the per-run observers no single thread owns it (DESIGN.md
   /// §17). The atomics-discipline lint rule enforces the rest of the
   /// contract: the slots stay memory_order_relaxed, and model-plane code
   /// never grows its own atomics.

@@ -16,8 +16,6 @@
 
 #include "core/simulator.hpp"
 #include "obs/metrics.hpp"
-#include "util/sync.hpp"
-#include "util/thread_annotations.hpp"
 #include "util/types.hpp"
 
 namespace dreamsim::obs {
@@ -74,7 +72,7 @@ class MetricsSnapshotWriter {
   [[nodiscard]] std::size_t snapshots_written() const { return snapshots_; }
 
  private:
-  std::ofstream out_ GUARDED_BY(role_);
+  std::ofstream out_;
   MetricsFormat format_;
   Tick interval_;
   Tick last_tick_ = 0;
@@ -84,9 +82,6 @@ class MetricsSnapshotWriter {
   std::uint64_t seq_ = 0;
   std::size_t snapshots_ = 0;
   bool finished_ = false;
-  /// Single-writer contract (DESIGN.md §17): the simulation thread owns
-  /// the snapshot stream; OnEvent/Finish assert the role.
-  util::ThreadRole role_;
 };
 
 }  // namespace dreamsim::obs

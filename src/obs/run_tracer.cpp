@@ -161,7 +161,6 @@ RunTracer::~RunTracer() {
 }
 
 void RunTracer::OnEvent(const core::SimEvent& event) {
-  role_.AssertHeld();
   ++events_seen_;
   last_tick_ = event.tick;
   if (format_ == TraceFormat::kJsonl) {
@@ -173,7 +172,6 @@ void RunTracer::OnEvent(const core::SimEvent& event) {
 }
 
 void RunTracer::OnExplain(const core::ExplainRecord& record) {
-  role_.AssertHeld();
   if (format_ != TraceFormat::kJsonl) return;
   // Flush buffered events first so the explain line lands at its true
   // position in the stream.
@@ -218,7 +216,6 @@ void RunTracer::OnExplain(const core::ExplainRecord& record) {
 }
 
 void RunTracer::Finish(Tick end) {
-  role_.AssertHeld();
   if (finished_) return;
   finished_ = true;
   if (format_ == TraceFormat::kJsonl) {

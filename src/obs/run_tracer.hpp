@@ -25,8 +25,6 @@
 #include <vector>
 
 #include "core/simulator.hpp"
-#include "util/sync.hpp"
-#include "util/thread_annotations.hpp"
 #include "util/types.hpp"
 
 namespace dreamsim::obs {
@@ -92,23 +90,22 @@ class RunTracer {
     sched::PlacementKind placement{};
   };
 
-  void WriteJsonlMeta() REQUIRES(role_);
-  void WriteJsonlEvent(const core::SimEvent& event) REQUIRES(role_);
+  void WriteJsonlMeta();
+  void WriteJsonlEvent(const core::SimEvent& event);
   /// Serializes the pending JSONL events in one burst.
-  void SerializeJsonlPending() REQUIRES(role_);
+  void SerializeJsonlPending();
   /// Writes the buffered JSONL batch to the output stream.
-  void FlushJsonlBatch() REQUIRES(role_);
-  void ChromeOnEvent(const core::SimEvent& event) REQUIRES(role_);
+  void FlushJsonlBatch();
+  void ChromeOnEvent(const core::SimEvent& event);
   /// Emits the setup + execution spans of one placement ending (completed
   /// or killed) at `end_tick`.
   void ChromeCloseTask(TaskId task, const OpenTask& open, Tick end_tick,
-                       bool killed) REQUIRES(role_);
+                       bool killed);
   void ChromeSpan(std::string_view name, std::string_view category,
-                  std::uint32_t tid, Tick start, Tick duration)
-      REQUIRES(role_);
+                  std::uint32_t tid, Tick start, Tick duration);
   void ChromeInstant(std::string_view name, std::string_view category,
-                     std::uint32_t tid, Tick at) REQUIRES(role_);
-  void WriteChromeDocument(Tick end) REQUIRES(role_);
+                     std::uint32_t tid, Tick at);
+  void WriteChromeDocument(Tick end);
   /// The scheduler (non-node) track id: one past the node tracks.
   [[nodiscard]] std::uint32_t SchedulerTid() const;
 
@@ -125,24 +122,16 @@ class RunTracer {
   /// batch (not one ostream call) at a time. The burst keeps the serializer
   /// and its buffers cache-warm, and batching the writes avoids a stream
   /// sentry per event (bench_overhead gates the overhead).
-  std::vector<core::SimEvent> pending_ GUARDED_BY(role_);
-  std::string batch_ GUARDED_BY(role_);
+  std::vector<core::SimEvent> pending_;
+  std::string batch_;
 
   // --- Chrome-format buffering ---
   /// Pre-rendered JSON objects.
-  std::vector<std::string> chrome_events_ GUARDED_BY(role_);
-  std::unordered_map<std::uint32_t, OpenTask> open_tasks_
-      GUARDED_BY(role_);  // by TaskId
-  std::unordered_map<std::uint32_t, Tick> down_since_
-      GUARDED_BY(role_);  // by NodeId
+  std::vector<std::string> chrome_events_;
+  std::unordered_map<std::uint32_t, OpenTask> open_tasks_;  // by TaskId
+  std::unordered_map<std::uint32_t, Tick> down_since_;      // by NodeId
   /// Tracks needing thread metadata.
-  std::vector<bool> node_seen_ GUARDED_BY(role_);
-
-  /// Single-writer contract (DESIGN.md §17): the simulation thread owns
-  /// every buffer above; each hook asserts the role, so a second writer
-  /// thread aborts in debug builds and new unguarded paths fail under
-  /// -Werror=thread-safety.
-  util::ThreadRole role_;
+  std::vector<bool> node_seen_;
 };
 
 }  // namespace dreamsim::obs

@@ -20,8 +20,6 @@
 #include <string>
 
 #include "core/simulator.hpp"
-#include "util/sync.hpp"
-#include "util/thread_annotations.hpp"
 #include "util/types.hpp"
 
 namespace dreamsim::obs {
@@ -54,11 +52,11 @@ class TimeSeriesSampler {
   [[nodiscard]] std::size_t observations() const { return observations_; }
 
  private:
-  void EmitRow(Tick at) REQUIRES(role_);
+  void EmitRow(Tick at);
   /// Emits every grid point strictly before `t` (they see the held sample).
-  void CatchUpTo(Tick t) REQUIRES(role_);
+  void CatchUpTo(Tick t);
   /// Writes the buffered rows to the output stream.
-  void FlushBatch() REQUIRES(role_);
+  void FlushBatch();
 
   std::ofstream owned_out_;
   std::ostream& sink_;
@@ -66,7 +64,7 @@ class TimeSeriesSampler {
   /// are serialized with std::to_chars into this batch and written out one
   /// batch (not one ostream call) at a time (bench_overhead gates the
   /// overhead).
-  std::string batch_ GUARDED_BY(role_);
+  std::string batch_;
   std::size_t rows_ = 0;
   Tick interval_;
   Tick next_grid_ = 0;         // next grid tick to emit
@@ -74,9 +72,6 @@ class TimeSeriesSampler {
   bool have_sample_ = false;
   std::size_t observations_ = 0;
   bool finished_ = false;
-  /// Single-writer contract (DESIGN.md §17): the simulation thread owns
-  /// the row batch; Observe/Finish assert the role.
-  util::ThreadRole role_;
 };
 
 }  // namespace dreamsim::obs

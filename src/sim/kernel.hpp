@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "sim/clock.hpp"
 #include "sim/event_queue.hpp"
 #include "util/types.hpp"
 
@@ -62,9 +61,9 @@ class Kernel {
   /// Requests the Run() loop to stop after the current event.
   void RequestStop() { stop_requested_ = true; }
 
-  [[nodiscard]] Tick now() const { return clock_.now(); }
-  [[nodiscard]] const Clock& clock() const { return clock_; }
-  [[nodiscard]] Clock& clock() { return clock_; }
+  /// The current tick: the tick of the last executed event (0 before the
+  /// first). Eq. 5's total simulation time is the tick count.
+  [[nodiscard]] Tick now() const { return now_; }
   /// Read-only view of the pending-event set (structure audits).
   [[nodiscard]] const EventQueue& queue() const { return queue_; }
   [[nodiscard]] bool idle() const { return queue_.empty(); }
@@ -84,7 +83,7 @@ class Kernel {
   /// Pops the next live event and advances the clock to it.
   FiredEvent Advance();
 
-  Clock clock_;
+  Tick now_ = 0;
   EventQueue queue_;
   std::uint64_t executed_ = 0;
   bool stop_requested_ = false;

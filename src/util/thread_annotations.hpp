@@ -1,19 +1,17 @@
 // Clang thread-safety annotation shim (DESIGN.md §17).
 //
-// Wraps Clang's `-Wthread-safety` attribute set so the concurrency
-// contracts that TSan and the differential suites check at runtime are also
-// enforced at compile time: which mutex guards which member, which
-// capability a function requires, and which scopes acquire/release. Under
-// any compiler without the attributes (GCC) every macro expands to nothing,
-// so the annotated tree builds everywhere; the dedicated CI job compiles
-// with Clang and `-Werror=thread-safety` (see cmake/ThreadSafety.cmake,
-// which also proves the annotations are load-bearing with a negative
-// compile check).
+// Wraps the part of Clang's `-Wthread-safety` attribute set that the
+// process-global log sink uses: which mutex guards which state, which
+// capability a function requires, and which scopes acquire and release
+// it. Under any compiler without the attributes (GCC) every macro expands
+// to nothing, so the annotated tree builds everywhere; the dedicated CI
+// job compiles with Clang and `-Werror=thread-safety` (see
+// cmake/ThreadSafety.cmake, whose negative probe proves the annotations
+// are load-bearing). Runs themselves are single-threaded and carry no
+// annotations; TSan checks the code that starts threads.
 //
-// Use the annotated primitives in util/sync.hpp (util::Mutex,
-// util::MutexLock, util::ThreadRole) — std::mutex under
-// libstdc++ carries no capability attributes, so the analysis cannot see
-// plain standard-library locks.
+// Lock through util::Mutex / util::MutexLock (util/sync.hpp): std::mutex
+// under libstdc++ carries no capability attributes.
 #pragma once
 
 #if defined(__clang__) && defined(__has_attribute)
@@ -25,8 +23,8 @@
 #define DREAMSIM_THREAD_ANNOTATION(x)  // no-op outside Clang
 #endif
 
-/// Marks a type as a capability (a lock, or a phantom role) the analysis
-/// tracks. `x` names the capability kind in diagnostics ("mutex", "role").
+/// Marks a type as a capability (a lock) the analysis tracks. `x` names
+/// the capability kind in diagnostics ("mutex").
 #define CAPABILITY(x) DREAMSIM_THREAD_ANNOTATION(capability(x))
 
 /// Marks an RAII type whose constructor acquires and destructor releases a
@@ -36,9 +34,6 @@
 /// Declares that a member is protected by the given capability: every read
 /// or write must happen with the capability held.
 #define GUARDED_BY(x) DREAMSIM_THREAD_ANNOTATION(guarded_by(x))
-
-/// Like GUARDED_BY for the data a pointer points to.
-#define PT_GUARDED_BY(x) DREAMSIM_THREAD_ANNOTATION(pt_guarded_by(x))
 
 /// The function may only be called while holding the capability; it is
 /// still held on return.
@@ -52,25 +47,3 @@
 /// The function releases the capability (and must be called with it).
 #define RELEASE(...) \
   DREAMSIM_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-
-/// The function acquires the capability when it returns `b`.
-#define TRY_ACQUIRE(b, ...) \
-  DREAMSIM_THREAD_ANNOTATION(try_acquire_capability(b, __VA_ARGS__))
-
-/// The function must be called *without* the capability (deadlock guard).
-#define EXCLUDES(...) DREAMSIM_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-/// Tells the analysis the capability is held here without acquiring it —
-/// the bridge for facts the analysis cannot see (a thread role established
-/// at thread entry, a lock handed across a queue). util::ThreadRole backs
-/// this with a debug-build runtime owner check so asserted roles stay
-/// honest under plain ctest too.
-#define ASSERT_CAPABILITY(x) DREAMSIM_THREAD_ANNOTATION(assert_capability(x))
-
-/// Returns the capability object guarding the returned data.
-#define RETURN_CAPABILITY(x) DREAMSIM_THREAD_ANNOTATION(lock_returned(x))
-
-/// Escape hatch: disables the analysis for one function. Use only with a
-/// comment explaining which invariant makes the unchecked access safe.
-#define NO_THREAD_SAFETY_ANALYSIS \
-  DREAMSIM_THREAD_ANNOTATION(no_thread_safety_analysis)

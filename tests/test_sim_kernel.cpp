@@ -1,4 +1,4 @@
-// Tests for the discrete-event kernel, event queue, and clock.
+// Tests for the discrete-event kernel and its event queue.
 #include "sim/kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -36,20 +36,6 @@ struct Arrival {
 
 TickView TicksOf(const std::vector<Arrival>& arrivals) {
   return TickView::Of(arrivals.data(), arrivals.size(), &Arrival::at);
-}
-
-TEST(Clock, StartsAtZeroAndTicks) {
-  Clock c;
-  EXPECT_EQ(c.now(), 0);
-  c.IncreaseTimeTick();
-  c.IncreaseTimeTick();
-  EXPECT_EQ(c.now(), 2);
-  c.DecreaseTimeTick();
-  EXPECT_EQ(c.now(), 1);
-  c.AdvanceTo(100);
-  EXPECT_EQ(c.now(), 100);
-  c.Reset();
-  EXPECT_EQ(c.now(), 0);
 }
 
 TEST(EventQueue, OrdersByTick) {
@@ -226,6 +212,8 @@ TEST(Kernel, ResetClearsState) {
   const EventHandle h = k.ScheduleAt(5, EventPriority::kArrival, Tagged(1));
   const std::vector<Arrival> arrivals = {{0, 1, 0}, {0, 2, 0}};
   k.ScheduleArrivals(TicksOf(arrivals), 0);
+  ASSERT_TRUE(k.Step([](const FiredEvent&) {}));
+  ASSERT_EQ(k.now(), 1);
   k.Reset();
   EXPECT_TRUE(k.idle());
   EXPECT_TRUE(k.queue().cursor_free());

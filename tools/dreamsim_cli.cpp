@@ -576,15 +576,19 @@ void WarnUnsupportedObs(const CliParser& cli, std::string_view where) {
   }
 }
 
+/// Enables and zeroes the phase profiler under --profile. Its counters are
+/// atomic, so parallel sweep and replication workers can share it; the
+/// report then aggregates every run.
+bool StartProfile(const CliParser& cli) {
+  if (!cli.GetBool("profile")) return false;
+  obs::PhaseProfiler::SetEnabled(true);
+  obs::PhaseProfiler::Instance().Reset();
+  return true;
+}
+
 int RunSweepMode(const CliParser& cli, unsigned threads) {
   WarnUnsupportedObs(cli, "sweep");
-  const bool profile = cli.GetBool("profile");
-  if (profile) {
-    // The profiler's counters are atomic, so parallel sweep workers can
-    // share it; the report then aggregates the whole sweep.
-    obs::PhaseProfiler::SetEnabled(true);
-    obs::PhaseProfiler::Instance().Reset();
-  }
+  const bool profile = StartProfile(cli);
 
   core::SweepParams params;
   params.base = BuildConfig(cli);
@@ -680,8 +684,13 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(IntAtLeast(cli, "replications", 1));
     if (replications > 1) {
       WarnUnsupportedObs(cli, "replications");
+      const bool profile = StartProfile(cli);
       const core::ReplicationReport report = core::RunReplications(
           BuildConfig(cli), replications, threads);
+      if (profile) {
+        std::cout << "[replications] "
+                  << obs::PhaseProfiler::Instance().Report() << "\n";
+      }
       std::cout << core::RenderReplicationTable(report);
       return 0;
     }
