@@ -10,12 +10,17 @@
 //                same code.
 //   drain        one row per drain shape at queue depths 1k/10k/100k: ns
 //                per SuspensionQueue drain call with the drain index off
-//                (the literal walk, what a scan-mode Simulator runs) and on
-//                (the index answer plus its analytic step charge), on
-//                identical populations beside one blank node whose area
-//                sets the drain's bound. Every attempt leaves its entry
-//                queued, so a call makes at most one attempt and the queue
-//                keeps its content from call to call.
+//                (the literal walk, what a scan-mode Simulator runs; it
+//                reads each entry's area and priority from the task's
+//                spec) and on (the index answer plus its analytic step
+//                charge), on identical populations beside one blank node
+//                whose area sets the drain's bound. Every attempt leaves
+//                its entry queued, so a call makes at most one attempt and
+//                the queue keeps its content from call to call.
+//                drain_bytes_per_seq beside it is the queue's memory per
+//                entry: the growth of the process's peak RSS (VmHWM) over
+//                2^20 FIFO-order enqueues with the drain index on, into a
+//                queue reserved for them as the Simulator reserves it.
 //   event_queue  ns per event of the kernel queue at heap depths
 //                1k/10k/100k: a push and a pop on a full heap, and the
 //                simulator's arrival-cursor merge. One implementation, so
@@ -28,9 +33,11 @@
 // --out). --quick shrinks the grid for CI smoke runs. Exit status 1 only
 // when the JSON cannot be written.
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -52,8 +59,9 @@ using resource::Configuration;
 using resource::EntryRef;
 using resource::HostRank;
 using resource::ResourceStore;
-using resource::SusEntryAttrs;
 using resource::SuspensionQueue;
+using resource::TaskSpec;
+using resource::TaskStore;
 using resource::WorkloadMeter;
 
 // --- store -------------------------------------------------------------------
@@ -132,20 +140,31 @@ std::vector<NamedQuery> StoreQueries() {
 
 constexpr std::uint32_t kConfigs = 64;
 
-/// A saturated-regime queue population: kConfigs distinct resolved
-/// configs, a single device family (the paper's evaluation), areas mostly
-/// too large for a freshly freed region with a sparse sprinkle of small
-/// tasks. Deterministic, so every queue sees identical state.
-void FillQueue(SuspensionQueue& queue, int depth) {
+/// The specs of a saturated-regime queue population of `depth` tasks:
+/// areas mostly too large for a freshly freed region with a sparse
+/// sprinkle of small tasks. Deterministic, so every queue sees identical
+/// state.
+std::vector<TaskSpec> MakeSpecs(int depth) {
   Rng rng(11);
+  std::vector<TaskSpec> specs(static_cast<std::size_t>(depth));
+  for (int i = 0; i < depth; ++i) {
+    TaskSpec& spec = specs[static_cast<std::size_t>(i)];
+    spec.required_time = 10;
+    spec.needed_area = (i % 997 == 996) ? 100 : rng.uniform_int(1000, 2000);
+    spec.priority = static_cast<double>(rng.uniform_int(0, 9));
+  }
+  return specs;
+}
+
+/// Queues task i of the population, resolved to one of kConfigs distinct
+/// configs, for every i below `depth`.
+void FillQueue(SuspensionQueue& queue, int depth) {
+  Rng rng(13);
   WorkloadMeter meter;
   for (int i = 0; i < depth; ++i) {
-    SusEntryAttrs a;
-    a.resolved_config = ConfigId{
+    const ConfigId config{
         static_cast<std::uint32_t>(rng.uniform_int(0, kConfigs - 1))};
-    a.needed_area = (i % 997 == 996) ? 100 : rng.uniform_int(1000, 2000);
-    a.priority = static_cast<double>(rng.uniform_int(0, 9));
-    if (!queue.Add(TaskId{static_cast<std::uint32_t>(i)}, a, meter)) {
+    if (!queue.Add(TaskId{static_cast<std::uint32_t>(i)}, config, meter)) {
       throw std::logic_error("bench queue unexpectedly bounded");
     }
   }
@@ -174,14 +193,19 @@ constexpr NodeId kFitsNone{1};
 void TimeDrains(int depth, double min_seconds, std::vector<QueryRow>& rows) {
   const ConfigId target{kConfigs - 1};
   const ResourceStore store = MakeDrainFleet();
+  const std::vector<TaskSpec> specs = MakeSpecs(depth);
+  TaskStore tasks;
+  tasks.Submit(specs);
   WorkloadMeter meter;
   const auto keep = [](SuspensionQueue::Seq) {};
   // One queue per (order, index mode); an index serves one drain order.
-  SuspensionQueue fifo[2] = {SuspensionQueue(0, resource::SusOrder::kFifo),
-                             SuspensionQueue(0, resource::SusOrder::kFifo)};
-  SuspensionQueue prio[2] = {
-      SuspensionQueue(0, resource::SusOrder::kPriority),
-      SuspensionQueue(0, resource::SusOrder::kPriority)};
+  const auto queue = [&](resource::SusOrder order) {
+    return SuspensionQueue(tasks, store.configs(), 0, order);
+  };
+  SuspensionQueue fifo[2] = {queue(resource::SusOrder::kFifo),
+                             queue(resource::SusOrder::kFifo)};
+  SuspensionQueue prio[2] = {queue(resource::SusOrder::kPriority),
+                             queue(resource::SusOrder::kPriority)};
   for (const int indexed : {0, 1}) {
     for (SuspensionQueue* q : {&fifo[indexed], &prio[indexed]}) {
       q->SetDrainIndexed(indexed == 1);
@@ -209,6 +233,41 @@ void TimeDrains(int depth, double min_seconds, std::vector<QueryRow>& rows) {
   time_drain("partial_fifo_first_hit", fifo, partial(kFits));
   time_drain("partial_fifo_none", fifo, partial(kFitsNone));
   time_drain("partial_priority_best", prio, partial(kFits));
+}
+
+/// The process's peak resident set (VmHWM in /proc/self/status), in
+/// bytes; 0 when it cannot be read.
+std::size_t PeakRssBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmHWM:") {
+      std::size_t kib = 0;
+      status >> kib;
+      return kib * 1024;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
+
+/// The suspension queue's bytes per seq: the VmHWM growth over 2^20
+/// FIFO-order enqueues with the drain index on. The specs are built
+/// first, so only the queue's own arrays grow the peak; run it before
+/// anything else raises the peak above the current RSS.
+double QueueBytesPerSeq() {
+  constexpr int kSeqs = 1 << 20;
+  const ResourceStore store = MakeDrainFleet();
+  const std::vector<TaskSpec> specs = MakeSpecs(kSeqs);
+  TaskStore tasks;
+  tasks.Submit(specs);
+  const std::size_t before = PeakRssBytes();
+  SuspensionQueue queue(tasks, store.configs());
+  queue.SetDrainIndexed(true);
+  queue.Reserve(kSeqs);
+  FillQueue(queue, kSeqs);
+  const std::size_t after = PeakRssBytes();
+  return static_cast<double>(after - before) / kSeqs;
 }
 
 // --- event queue -------------------------------------------------------------
@@ -307,6 +366,8 @@ int main(int argc, char** argv) {
                                      ? std::vector<int>{1000, 10000}
                                      : std::vector<int>{1000, 10000, 100000};
   const double min_seconds = args.quick ? 0.01 : 0.05;
+  // First, while the peak RSS is still the current one.
+  const double bytes_per_seq = QueueBytesPerSeq();
 
   std::vector<QueryRow> store_rows;
   PrintQueryHeader("nodes");
@@ -324,6 +385,8 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   PrintQueryHeader("depth");
   for (const int depth : sizes) TimeDrains(depth, min_seconds, drain_rows);
+  std::cout << "suspension queue: " << Fixed(bytes_per_seq, 2)
+            << " bytes per FIFO-order seq (drain index on)\n";
 
   std::vector<EventQueueRow> event_rows;
   std::cout << "\n"
@@ -339,6 +402,7 @@ int main(int argc, char** argv) {
       .Field("quick", args.quick)
       .Field("hardware_threads", std::thread::hardware_concurrency());
   WriteQueries(json, "store", store_rows, "nodes");
+  json.Field("drain_bytes_per_seq", bytes_per_seq);
   WriteQueries(json, "drain", drain_rows, "depth");
   json.BeginArray("event_queue");
   for (const EventQueueRow& r : event_rows) {

@@ -276,25 +276,50 @@ void StructureCorruptor::MisplaceSusBucketEntry(
   }
   SusQueueIndex& index = *queue.index_;
   constexpr std::uint32_t kNoSeq = SusQueueIndex::kNoSeq;
-  auto& links = index.fifo_links_;
-  SusQueueIndex::SeqLink& link = links[seq];
-  // Unlink from the home list, then splice into `wrong_config`'s list at
-  // its seq-order spot, so both lists stay well-formed.
+  auto& next = index.fifo_next_;
+  // Unlink from the home order (its head stepping on to the next live seq
+  // when it was the head), then splice into `wrong_config`'s order at its
+  // seq-order spot, so both orders stay well-formed.
   {
     SusQueueIndex::SeqList& home = index.fifo_lists_.at(
-        SusQueueIndex::ListSlot(queue.attrs_[seq].resolved_config));
-    (link.prev == kNoSeq ? home.head : links[link.prev].next) = link.next;
-    (link.next == kNoSeq ? home.tail : links[link.next].prev) = link.prev;
+        SusQueueIndex::ListSlot(queue.entries_[seq].config));
+    std::uint32_t prev = kNoSeq;
+    for (std::uint32_t at = home.head; at != seq; at = next[at]) prev = at;
+    if (prev == kNoSeq) {
+      home.head = next[seq];
+      while (home.head != kNoSeq && !queue.entries_[home.head].task.valid()) {
+        home.head = next[home.head];
+      }
+      if (home.head == kNoSeq) home.tail = kNoSeq;
+    } else {
+      next[prev] = next[seq];
+      if (home.tail == seq) home.tail = prev;
+    }
   }
   const std::size_t slot = SusQueueIndex::ListSlot(wrong_config);
   if (index.fifo_lists_.size() <= slot) index.fifo_lists_.resize(slot + 1);
   SusQueueIndex::SeqList& wrong = index.fifo_lists_[slot];
-  std::uint32_t next = wrong.head;
-  while (next != kNoSeq && next < seq) next = links[next].next;
-  const std::uint32_t prev = next == kNoSeq ? wrong.tail : links[next].prev;
-  link = SusQueueIndex::SeqLink{prev, next};
-  (prev == kNoSeq ? wrong.head : links[prev].next) = seq;
-  (next == kNoSeq ? wrong.tail : links[next].prev) = seq;
+  std::uint32_t prev = kNoSeq;
+  std::uint32_t after = wrong.head;
+  while (after != kNoSeq && after < seq) {
+    prev = after;
+    after = next[after];
+  }
+  next[seq] = after;
+  (prev == kNoSeq ? wrong.head : next[prev]) = seq;
+  if (after == kNoSeq) wrong.tail = seq;
+}
+
+void StructureCorruptor::RepointSusOrderHead(resource::SuspensionQueue& queue,
+                                             ConfigId config,
+                                             std::uint32_t seq) {
+  using resource::SusQueueIndex;
+  if (queue.index_ == nullptr ||
+      queue.index_->order_ != resource::SusOrder::kFifo) {
+    throw std::logic_error(
+        "RepointSusOrderHead: needs a FIFO-order drain index");
+  }
+  queue.index_->fifo_lists_.at(SusQueueIndex::ListSlot(config)).head = seq;
 }
 
 void StructureCorruptor::SkewSusGroupLeaf(resource::SuspensionQueue& queue,
@@ -330,22 +355,14 @@ void StructureCorruptor::SkewSusTreapMinArea(
 }
 
 void StructureCorruptor::SkewSusAttrs(resource::SuspensionQueue& queue,
-                                      TaskId task) {
-  using resource::SusQueueIndex;
+                                      TaskId task, ConfigId config) {
   const std::uint32_t seq = queue.SeqOf(task);
   if (seq == resource::SuspensionQueue::kNoSlot) {
     throw std::logic_error("SkewSusAttrs: task is not queued");
   }
-  if (queue.index_ != nullptr &&
-      queue.index_->order_ != resource::SusOrder::kFifo) {
-    throw std::logic_error("SkewSusAttrs: needs no index or a FIFO-order one");
-  }
-  ++queue.attrs_[seq].needed_area;
-  if (queue.index_ == nullptr) return;
-  const resource::SusEntryAttrs attrs = queue.AttrsAt(seq);
-  SusQueueIndex::AssignSeqLeaf(
-      queue.index_->fifo_groups_.at(SusQueueIndex::GroupKeyOf(attrs)), seq,
-      -attrs.needed_area);
+  queue.entries_[seq].config = config;
+  // Rebuilt from the cells, the index agrees with the queue again.
+  if (queue.index_ != nullptr) queue.SetDrainIndexed(true);
 }
 
 void StructureCorruptor::SetTaskState(resource::TaskStore& tasks, TaskId task,
@@ -354,8 +371,15 @@ void StructureCorruptor::SetTaskState(resource::TaskStore& tasks, TaskId task,
 }
 
 void StructureCorruptor::SkewSusLive(resource::SuspensionQueue& queue) {
-  if (queue.slots_.empty()) throw std::logic_error("SkewSusLive: no slots");
+  if (queue.entries_.empty()) throw std::logic_error("SkewSusLive: no cells");
   queue.live_.Set(0);
+}
+
+void StructureCorruptor::SkewSusLiveCount(resource::SuspensionQueue& queue) {
+  if (queue.entries_.empty()) {
+    throw std::logic_error("SkewSusLiveCount: no cells");
+  }
+  ++queue.live_.counts_[0];
 }
 
 void StructureCorruptor::SkipSusHead(resource::SuspensionQueue& queue) {
@@ -379,7 +403,7 @@ void StructureCorruptor::DuplicateSusTask(resource::SuspensionQueue& queue,
       into == resource::SuspensionQueue::kNoSlot || from == into) {
     throw std::logic_error("DuplicateSusTask: need two distinct queued tasks");
   }
-  queue.slots_[into] = task;
+  queue.entries_[into].task = task;
   FlipSusQueuedBit(queue, victim);
 }
 

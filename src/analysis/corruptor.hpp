@@ -157,12 +157,19 @@ class StructureCorruptor {
   /// path that forgot its delta would. Expected slug: fleet.totals.
   static void SkewFleetTotals(resource::ResourceStore& store);
 
-  /// Moves a queued task's seq from its home config list to
-  /// `wrong_config`'s list in the SusQueueIndex, at its seq-order spot
+  /// Moves a queued task's seq from its home config's forward order to
+  /// `wrong_config`'s in the SusQueueIndex, at its seq-order spot
   /// (requires a FIFO-order drain index). Expected slug: susidx.bucket.
   static void MisplaceSusBucketEntry(resource::SuspensionQueue& queue,
                                      TaskId task,
                                      ConfigId wrong_config);
+
+  /// Points `config`'s forward-order head at `seq` in the SusQueueIndex,
+  /// as a removal that forgot to step the head (a removed seq) or stepped
+  /// it too far (a later live seq) would leave it (requires a FIFO-order
+  /// drain index). Expected slug: susidx.bucket.
+  static void RepointSusOrderHead(resource::SuspensionQueue& queue,
+                                  ConfigId config, std::uint32_t seq);
 
   /// Lowers queued `task`'s leaf in its family group's seq tree by one (as
   /// if it needed one more unit of area), leaving its attributes alone
@@ -174,12 +181,12 @@ class StructureCorruptor {
   /// queued entry). Expected slug: susidx.treap.
   static void SkewSusTreapMinArea(resource::SuspensionQueue& queue);
 
-  /// Bumps the stored needed_area of queued `task` by one, and its group
-  /// leaf with it when a FIFO-order drain index is on (a priority-order
-  /// index is rejected), so the queue and its index still agree and only
-  /// the check against the task itself can see it. Expected slug:
-  /// sus.attrs.
-  static void SkewSusAttrs(resource::SuspensionQueue& queue, TaskId task);
+  /// Points queued `task`'s cell at `config`, then rebuilds the drain
+  /// index (when one is on) from the cells, so the queue and its index
+  /// still agree and only the check against the task's spec can see it.
+  /// Expected slug: sus.attrs.
+  static void SkewSusAttrs(resource::SuspensionQueue& queue, TaskId task,
+                           ConfigId config);
 
   /// Lowers the suspension queue's capacity to `capacity`, below its size,
   /// as an Add that skipped the bound would leave it. Expected slug:
@@ -187,9 +194,9 @@ class StructureCorruptor {
   static void ShrinkSusCapacity(resource::SuspensionQueue& queue,
                                 std::size_t capacity);
 
-  /// Writes queued `task` over queued `victim`'s slot and clears
+  /// Writes queued `task` over queued `victim`'s cell and clears
   /// `victim`'s queued bit, so the FIFO holds `task` twice and `victim`
-  /// nowhere, with head, live tree, attributes and index untouched.
+  /// nowhere, with head, live bits, config and index untouched.
   /// Expected slug: sus.unique.
   static void DuplicateSusTask(resource::SuspensionQueue& queue, TaskId task,
                                TaskId victim);
@@ -199,10 +206,15 @@ class StructureCorruptor {
   /// unlink that forgot it would. Expected slug: sus.unique.
   static void FlipSusQueuedBit(resource::SuspensionQueue& queue, TaskId task);
 
-  /// Bumps the suspension queue's live-seq Fenwick leaf for seq 0 by one
-  /// (requires at least one slot ever used), as an unlink that forgot the
-  /// tree would. Expected slug: sus.fifo.
+  /// Sets the suspension queue's live bit of seq 0 (requires at least
+  /// one cell ever used) and counts it in its word's count, as an unlink
+  /// that forgot the bit would. Expected slug: sus.fifo.
   static void SkewSusLive(resource::SuspensionQueue& queue);
+
+  /// Bumps the suspension queue's first live word count (the Fenwick cell
+  /// over word 0) by one, its bits untouched (requires at least one cell
+  /// ever used). Expected slug: sus.fifo.
+  static void SkewSusLiveCount(resource::SuspensionQueue& queue);
 
   /// Moves the suspension queue's head one seq past the oldest live entry
   /// (requires a non-empty queue), as an unlink that advanced it too far

@@ -764,7 +764,7 @@ void StructureAuditor::AuditSusIndex(
   }
   // A single-order index keeps nothing of the other order.
   if (fifo ? !index.prio_buckets_.empty()
-           : !index.fifo_lists_.empty() || !index.fifo_links_.empty()) {
+           : !index.fifo_lists_.empty() || !index.fifo_next_.empty()) {
     Report(report, "susidx.bucket", "suspension index",
            fifo ? "FIFO-order index holds priority buckets"
                 : "priority-order index holds seq lists");
@@ -783,7 +783,10 @@ void StructureAuditor::AuditSusIndex(
       want_bucket_prio;
   std::map<std::uint32_t, std::map<std::uint64_t, SusEntryAttrs>> want_groups;
   std::unordered_map<std::uint64_t, std::uint32_t> config_of_seq;
+  std::unordered_map<std::uint32_t, std::uint32_t> want_groups_of_config;
   for (const auto& [seq, attrs] : queued) {
+    want_groups_of_config.try_emplace(attrs.resolved_config.value(),
+                                      SusQueueIndex::GroupKeyOf(attrs));
     want_bucket_seqs[attrs.resolved_config.value()].insert(seq);
     want_bucket_prio[attrs.resolved_config.value()].insert(
         {-attrs.priority, seq});
@@ -791,42 +794,61 @@ void StructureAuditor::AuditSusIndex(
     config_of_seq.emplace(seq, attrs.resolved_config.value());
   }
 
-  // Buckets, keyed by resolved config: the seq lists (FIFO order; each
-  // walked with its links, seq order and tail checked) or the
+  // Buckets, keyed by resolved config: the live seqs each forward order
+  // reaches from its head (FIFO order; seq order, the live head, the tail,
+  // the group and the config of every seq passed checked) or the
   // (-priority, seq) sets (priority order).
   std::map<std::uint32_t, std::set<std::uint64_t>> buckets;
   if (fifo) {
     constexpr std::uint32_t kNoSeq = SusQueueIndex::kNoSeq;
-    const auto& links = index.fifo_links_;
+    const auto& next = index.fifo_next_;
+    const auto& cells = queue.entries_;
     for (std::size_t slot = 0; slot < index.fifo_lists_.size(); ++slot) {
       const SusQueueIndex::SeqList& list = index.fifo_lists_[slot];
       const std::uint32_t config =
           slot == 0 ? ConfigId::invalid().value()
                     : static_cast<std::uint32_t>(slot - 1);
+      const auto label = [config] {
+        return Format("config {} order", config);
+      };
       std::set<std::uint64_t>& seqs = buckets[config];
+      if (list.head != kNoSeq && !config_of_seq.contains(list.head)) {
+        Report(report, "susidx.bucket", label(),
+               Format("head {} is not a live seq", list.head));
+      }
+      // A removed seq may stay in its order until the head passes it, but
+      // only in its own config's order.
       std::uint32_t prev = kNoSeq;
-      for (std::uint32_t seq = list.head; seq != kNoSeq;
-           seq = links[seq].next) {
-        if (seq >= links.size() || (prev != kNoSeq && seq <= prev)) {
+      for (std::uint32_t seq = list.head; seq != kNoSeq; seq = next[seq]) {
+        if (seq >= next.size() || seq >= cells.size() ||
+            (prev != kNoSeq && seq <= prev)) {
           Report(report, "susidx.bucket",
-                 Format("config {} list after seq {}", config, prev),
-                 Format("link to seq {} leaves the link array or breaks seq "
+                 Format("{} after seq {}", label(), prev),
+                 Format("link to seq {} leaves the order array or breaks seq "
                         "order (FIFO order == seq order)",
                         seq));
           break;
         }
-        if (links[seq].prev != prev) {
-          Report(report, "susidx.bucket",
-                 Format("config {} list (seq {})", config, seq),
-                 Format("back link {} != predecessor {}", links[seq].prev,
-                        prev));
+        if (config_of_seq.contains(seq)) {
+          seqs.insert(seq);
+        } else if (cells[seq].config.value() != config) {
+          Report(report, "susidx.bucket", Format("{} (seq {})", label(), seq),
+                 Format("removed seq of config {}",
+                        cells[seq].config.value()));
         }
-        seqs.insert(seq);
         prev = seq;
       }
       if (list.tail != prev) {
-        Report(report, "susidx.bucket", Format("config {} list", config),
+        Report(report, "susidx.bucket", label(),
                Format("tail {} != last linked seq {}", list.tail, prev));
+      }
+      // (A config no live seq resolved to has its strays reported below.)
+      if (const auto want = want_groups_of_config.find(config);
+          list.head != kNoSeq && want != want_groups_of_config.end() &&
+          list.group != want->second) {
+        Report(report, "susidx.bucket", label(),
+               Format("group {} != the config's group {}", list.group,
+                      want->second));
       }
     }
   } else {
@@ -967,12 +989,12 @@ void StructureAuditor::AuditSusIndex(
 AuditReport StructureAuditor::AuditSuspensionQueue(
     const SuspensionQueue& queue) {
   AuditReport report;
-  const auto& slots = queue.slots_;
-  // Ground truth: the live (non-tombstone) slots, in seq == FIFO order.
+  const auto& cells = queue.entries_;
+  // Ground truth: the live (non-tombstone) cells, in seq == FIFO order.
   std::vector<std::uint32_t> live;
   std::unordered_map<std::uint32_t, std::uint32_t> seq_of_task;
-  for (std::uint32_t seq = 0; seq < slots.size(); ++seq) {
-    const TaskId task = slots[seq];
+  for (std::uint32_t seq = 0; seq < cells.size(); ++seq) {
+    const TaskId task = cells[seq].task;
     if (!task.valid()) continue;
     live.push_back(seq);
     const auto [it, fresh] = seq_of_task.emplace(task.value(), seq);
@@ -983,74 +1005,87 @@ AuditReport StructureAuditor::AuditSuspensionQueue(
     }
   }
 
-  // The head is the oldest live seq (the slot count when none is live):
+  // The head is the oldest live seq (the cell count when none is live):
   // every walk and front pop starts there.
-  const std::size_t want_head = live.empty() ? slots.size() : live.front();
+  const std::size_t want_head = live.empty() ? cells.size() : live.front();
   if (queue.head_ != want_head) {
     Report(report, "sus.fifo", "suspension queue",
            Format("head {} != oldest live seq {}", queue.head_, want_head));
   }
 
-  // Live count == Fenwick total (which is size()), and every Fenwick leaf
-  // matches its slot's tombstone state.
-  if (live.size() != queue.live_.Total()) {
-    Report(report, "sus.fifo", "suspension queue",
-           Format("{} live slots, live tree total {}", live.size(),
-                  queue.live_.Total()));
-  }
-  if (queue.live_.size() != slots.size()) {
-    Report(report, "sus.fifo", "live tree",
-           Format("{} leaves for {} slots", queue.live_.size(), slots.size()));
+  // The live bits, recomputed from the cells: one per cell, set exactly
+  // for the live ones, none past the last cell; their total is size().
+  const resource::CountTree& bits = queue.live_;
+  constexpr std::size_t kBits = resource::CountTree::kWordBits;
+  const std::size_t want_words = (cells.size() + kBits - 1) / kBits;
+  if (bits.size_ != cells.size() || bits.words_.size() != want_words) {
+    Report(report, "sus.fifo", "live bits",
+           Format("{} bits in {} words for {} cells", bits.size_,
+                  bits.words_.size(), cells.size()));
   } else {
-    std::size_t prefix = 0;
-    for (std::size_t seq = 0; seq < slots.size(); ++seq) {
-      const std::size_t next = queue.live_.Prefix(seq + 1);
-      const std::size_t want = slots[seq].valid() ? 1 : 0;
-      if (next - prefix != want) {
-        Report(report, "sus.fifo", Format("live tree seq {}", seq),
-               Format("leaf {} != {}", next - prefix, want));
+    for (std::size_t w = 0; w < want_words; ++w) {
+      std::uint64_t want = 0;
+      for (std::size_t seq = w * kBits;
+           seq < std::min(cells.size(), (w + 1) * kBits); ++seq) {
+        if (cells[seq].task.valid()) want |= std::uint64_t{1} << (seq % kBits);
+      }
+      if (bits.words_[w] != want) {
+        const std::size_t seq =
+            w * kBits + static_cast<std::size_t>(
+                            std::countr_zero(bits.words_[w] ^ want));
+        Report(report, "sus.fifo", Format("live bit of seq {}", seq),
+               seq < cells.size() && cells[seq].task.valid()
+                   ? std::string("clear for a live cell")
+                   : std::string("set for a tombstone or past the cells"));
         break;
       }
-      prefix = next;
     }
-    if (prefix != queue.live_.Total()) {
-      Report(report, "sus.fifo", "live tree",
-             Format("leaves sum to {}, total says {}", prefix,
-                    queue.live_.Total()));
+  }
+  if (live.size() != bits.total_) {
+    Report(report, "sus.fifo", "live bits",
+           Format("{} live cells, total {}", live.size(), bits.total_));
+  }
+  // The word counts, recomputed from the words: Fenwick cell i (1-based)
+  // holds the set bits of words (i - lowbit(i), i].
+  if (bits.counts_.size() != bits.words_.size()) {
+    Report(report, "sus.fifo", "live word counts",
+           Format("{} count cells for {} words", bits.counts_.size(),
+                  bits.words_.size()));
+  } else {
+    std::vector<std::size_t> prefix(bits.words_.size() + 1, 0);
+    for (std::size_t w = 0; w < bits.words_.size(); ++w) {
+      prefix[w + 1] = prefix[w] + static_cast<std::size_t>(
+                                      std::popcount(bits.words_[w]));
+    }
+    for (std::size_t i = 1; i <= bits.counts_.size(); ++i) {
+      const std::size_t want = prefix[i] - prefix[i - (i & (~i + 1))];
+      if (bits.counts_[i - 1] != want) {
+        Report(report, "sus.fifo", Format("live word count cell {}", i),
+               Format("{} != {} set bits in its words", bits.counts_[i - 1],
+                      want));
+        break;
+      }
     }
   }
 
-  // Queued bits: set exactly for the tasks some live slot holds.
-  const RunVector<std::uint64_t>& bits = queue.queued_;
+  // Queued bits: set exactly for the tasks some live cell holds.
+  const RunVector<std::uint64_t>& queued_bits = queue.queued_;
   for (const auto& [task, seq] : seq_of_task) {
     if (!queue.Queued(TaskId{task})) {
       Report(report, "sus.unique", Format("seq {} (task {})", seq, task),
-             "live slot's task has no queued bit");
+             "live cell's task has no queued bit");
     }
   }
-  for (std::size_t word = 0; word < bits.size(); ++word) {
-    for (std::uint64_t rest = bits[word]; rest != 0; rest &= rest - 1) {
+  for (std::size_t word = 0; word < queued_bits.size(); ++word) {
+    for (std::uint64_t rest = queued_bits[word]; rest != 0; rest &= rest - 1) {
       const auto task = static_cast<std::uint32_t>(
           word * SuspensionQueue::kWordBits +
           static_cast<std::size_t>(std::countr_zero(rest)));
       if (seq_of_task.count(task) == 0) {
         Report(report, "sus.unique", Format("task {}", task),
-               "queued bit for a task no live slot holds");
+               "queued bit for a task no live cell holds");
       }
     }
-  }
-
-  // One attribute cell per slot, and a priority cell per slot exactly in a
-  // priority-order queue.
-  const std::size_t want_priorities =
-      queue.order_ == resource::SusOrder::kPriority ? slots.size() : 0;
-  const bool attrs_sized = queue.attrs_.size() == slots.size() &&
-                           queue.priorities_.size() == want_priorities;
-  if (!attrs_sized) {
-    Report(report, "sus.fifo", "attribute arrays",
-           Format("{} attribute and {} priority cells for {} slots",
-                  queue.attrs_.size(), queue.priorities_.size(),
-                  slots.size()));
   }
 
   if (queue.capacity_ != 0 && queue.size() > queue.capacity_) {
@@ -1058,8 +1093,23 @@ AuditReport StructureAuditor::AuditSuspensionQueue(
            Format("{} queued tasks exceed capacity {}", queue.size(),
                   queue.capacity_));
   }
-  // The index audit compares against the attributes, so it needs them all.
-  if (queue.index_ != nullptr && attrs_sized) {
+  // A live cell's attributes come from its task's spec and its config's
+  // catalogue entry; the index audit compares against them, so it needs
+  // every live cell to have both.
+  bool resolvable = true;
+  for (const std::uint32_t seq : live) {
+    const resource::SuspensionQueue::Cell& cell = cells[seq];
+    if (cell.task.value() < queue.tasks_->size() &&
+        (!cell.config.valid() || queue.configs_->Contains(cell.config))) {
+      continue;
+    }
+    Report(report, "sus.attrs", Format("seq {} (task {})", seq,
+                                       cell.task.value()),
+           "queued task has no task-store row or its config no catalogue "
+           "entry");
+    resolvable = false;
+  }
+  if (queue.index_ != nullptr && resolvable) {
     std::vector<std::pair<std::uint64_t, SusEntryAttrs>> queued;
     queued.reserve(live.size());
     for (const std::uint32_t seq : live) {
@@ -1074,50 +1124,29 @@ AuditReport StructureAuditor::AuditSusAttrs(
     const SuspensionQueue& queue, const resource::TaskStore& tasks,
     const resource::ConfigCatalogue& configs) {
   AuditReport report;
-  const auto& slots = queue.slots_;
-  // Only a priority-order queue keeps (and reads) the priority.
-  const bool by_priority = queue.order_ == resource::SusOrder::kPriority;
-  for (std::uint32_t seq = 0; seq < slots.size(); ++seq) {
-    const TaskId id = slots[seq];
-    if (!id.valid()) continue;
-    const auto path = [&] {
-      return Format("seq {} (task {})", seq, id.value());
-    };
-    if (id.value() >= tasks.size() || seq >= queue.attrs_.size() ||
-        (by_priority && seq >= queue.priorities_.size())) {
-      Report(report, "sus.attrs", path(),
-             "queued task has no task-store row or attribute cell");
-      continue;
-    }
-    // The attributes a queued task must carry, recomputed from its spec
-    // and the catalogue: the config ResolveConfig picks (C_pref when the
+  const auto& cells = queue.entries_;
+  for (std::uint32_t seq = 0; seq < cells.size(); ++seq) {
+    const TaskId id = cells[seq].task;
+    // AuditSuspensionQueue reports a live cell without a task-store row.
+    if (!id.valid() || id.value() >= tasks.size()) continue;
+    // The config a queued task must carry, recomputed from its spec and
+    // the catalogue: the one ResolveConfig picks (C_pref when the
     // catalogue has it, else the closest match), resolved again here with
-    // the uncounted lookups; none of them may change while it waits.
+    // the uncounted lookups. It cannot change while the task waits; the
+    // area, priority and family the drains read come from the spec and
+    // the catalogue themselves.
     const resource::TaskSpec& spec = tasks.Spec(id);
-    const SusEntryAttrs stored = queue.AttrsAt(seq);
     Steps uncounted = 0;
     std::optional<ConfigId> config;
     if (spec.preferred_config.valid()) {
       config = configs.FindPreferred(spec.preferred_config, uncounted);
     }
     if (!config) config = configs.FindClosestMatch(spec.needed_area, uncounted);
-    const ConfigId want_config = config.value_or(ConfigId::invalid());
-    const FamilyId family = want_config.valid()
-                                ? configs.Get(want_config).family
-                                : FamilyId::invalid();
-    std::string diverged;
-    const auto field = [&diverged](bool same, const char* name) {
-      if (same) return;
-      if (!diverged.empty()) diverged += ", ";
-      diverged += name;
-    };
-    field(stored.resolved_config == want_config, "resolved_config");
-    field(stored.config_family == family, "config_family");
-    field(stored.needed_area == spec.needed_area, "needed_area");
-    field(!by_priority || stored.priority == spec.priority, "priority");
-    if (!diverged.empty()) {
-      Report(report, "sus.attrs", path(),
-             Format("stored {} differ from the task's", diverged));
+    const ConfigId want = config.value_or(ConfigId::invalid());
+    if (cells[seq].config != want) {
+      Report(report, "sus.attrs", Format("seq {} (task {})", seq, id.value()),
+             Format("cell's resolved_config {} differs from the task's {}",
+                    cells[seq].config.value(), want.value()));
     }
   }
   return report;
@@ -1133,10 +1162,10 @@ AuditReport StructureAuditor::AuditTaskStates(
     return id.valid() && id.value() < tasks.size() ? &tasks.all()[id.value()]
                                                    : nullptr;
   };
-  // Every live queue slot holds a suspended task.
-  const auto& slots = queue.slots_;
-  for (std::uint32_t seq = 0; seq < slots.size(); ++seq) {
-    const TaskId id = slots[seq];
+  // Every live queue cell holds a suspended task.
+  const auto& cells = queue.entries_;
+  for (std::uint32_t seq = 0; seq < cells.size(); ++seq) {
+    const TaskId id = cells[seq].task;
     if (!id.valid()) continue;
     const resource::Task* task = row(id);
     if (task == nullptr || task->state != TaskState::kSuspended) {

@@ -72,16 +72,16 @@ class StructureAuditor {
   [[nodiscard]] static AuditReport AuditStore(
       const resource::ResourceStore& store);
 
-  /// Audits the suspension FIFO (slot array, head, live-seq Fenwick tree,
-  /// queued bits) and (when enabled) the SusQueueIndex buckets and groups
-  /// of its drain order.
+  /// Audits the suspension FIFO (cell array, head, live bits and their
+  /// word counts, queued bits; "sus.attrs" for a live cell whose task or
+  /// config the tables lack) and (when enabled) the SusQueueIndex buckets
+  /// (the forward orders in FIFO order) and groups of its drain order.
   [[nodiscard]] static AuditReport AuditSuspensionQueue(
       const resource::SuspensionQueue& queue);
 
-  /// Checks each queued entry's stored drain attributes against the ones
-  /// its spec implies: the config resolution picks from `configs` (C_pref,
-  /// else the closest match), that config's family, needed area and
-  /// priority ("sus.attrs").
+  /// Checks each queued cell's config against the one resolution picks
+  /// for its task from `tasks` and `configs` (C_pref, else the closest
+  /// match) ("sus.attrs").
   [[nodiscard]] static AuditReport AuditSusAttrs(
       const resource::SuspensionQueue& queue,
       const resource::TaskStore& tasks,
@@ -137,8 +137,8 @@ class StructureAuditor {
                                AuditReport& report);
   static void AuditStoreIndex(const resource::ResourceStore& store,
                               AuditReport& report);
-  /// `queued` is the ground truth: (seq, attrs) of every live slot with a
-  /// consistent table row, in FIFO order.
+  /// `queued` is the ground truth: (seq, attrs) of every live cell, in
+  /// FIFO order.
   static void AuditSusIndex(
       const resource::SuspensionQueue& queue,
       const std::vector<std::pair<std::uint64_t, resource::SusEntryAttrs>>&

@@ -125,7 +125,7 @@ Simulator::Simulator(SimulationConfig config)
         Rng resource_rng(DeriveSeed(config_.seed, kStreamResources));
         return resource::ResourceStore(BuildConfigs(config_, resource_rng));
       }()),
-      suspension_(config_.suspension_capacity,
+      suspension_(tasks_, store_.configs(), config_.suspension_capacity,
                   config_.priority_scheduling ? resource::SusOrder::kPriority
                                               : resource::SusOrder::kFifo),
       policy_(MakePolicy()),
@@ -499,20 +499,8 @@ sched::Decision Simulator::AttemptSchedule(TaskId id, bool is_arrival) {
   throw std::logic_error("unreachable scheduling outcome");
 }
 
-resource::SusEntryAttrs Simulator::SusAttrs(TaskId id,
-                                           ConfigId config) const {
-  const resource::TaskSpec& spec = tasks_.Spec(id);
-  resource::SusEntryAttrs attrs;
-  attrs.resolved_config = config;
-  attrs.config_family = config.valid() ? store_.configs().Get(config).family
-                                       : FamilyId::invalid();
-  attrs.needed_area = spec.needed_area;
-  attrs.priority = spec.priority;
-  return attrs;
-}
-
 void Simulator::EnqueueSuspended(TaskId id, ConfigId config) {
-  if (!suspension_.Add(id, SusAttrs(id, config), store_.meter())) {
+  if (!suspension_.Add(id, config, store_.meter())) {
     // Queue overflow: the system sheds load by discarding the task.
     Discard(id, "queue-overflow");
     DREAMSIM_LOG(LogLevel::kWarning,
@@ -598,9 +586,9 @@ void Simulator::AttemptQueuedAt(resource::SuspensionQueue::Seq seq) {
     MaybeAudit("queued-attempt");
     return;
   }
-  // The task stays queued with the attributes it was enqueued with: the
-  // attempt re-resolved the same config (ResolveConfig depends only on the
-  // task and the fixed catalogue), and area and priority never change.
+  // The task stays queued with the config it was enqueued with: the
+  // attempt re-resolved the same one (ResolveConfig depends only on the
+  // task and the fixed catalogue), and its spec never changes.
   MaybeAudit("queued-attempt");
 }
 

@@ -244,10 +244,6 @@ class Simulator {
   /// `reason` (none when `reason` is null, for a caller that explained the
   /// decision already), the kDiscarded event and the terminal count.
   void Discard(TaskId id, const char* reason);
-  /// The drain-relevant attribute snapshot the suspension queue indexes
-  /// for task `id` resolved to `config`.
-  [[nodiscard]] resource::SusEntryAttrs SusAttrs(TaskId id,
-                                                 ConfigId config) const;
   /// Re-attempts the task queued as `seq`, removing it from the queue on
   /// success or final failure.
   void AttemptQueuedAt(resource::SuspensionQueue::Seq seq);

@@ -10,6 +10,15 @@ namespace {
 
 constexpr std::size_t LowBit(std::size_t i) { return i & (~i + 1); }
 
+// Set bits of `x`. Without -mpopcnt (the baseline x86-64 target)
+// std::popcount is a libgcc call; this SWAR sum stays inline.
+constexpr std::size_t PopCount(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return static_cast<std::size_t>((x * 0x0101010101010101ULL) >> 56);
+}
+
 }  // namespace
 
 // --- PrefixSumTree ---
@@ -47,36 +56,73 @@ std::int64_t PrefixSumTree::Prefix(std::size_t count) const {
 // --- CountTree ---
 
 void CountTree::Append(bool bit) {
-  // Same seeding as PrefixSumTree::Append: the fresh trailing cell covers
-  // (i - lowbit(i), i], whose earlier part is the sum of the cells that
-  // hop into it.
-  const std::size_t i = tree_.size() + 1;
-  std::uint32_t covered = bit ? 1 : 0;
-  for (std::size_t j = i - 1; j > i - LowBit(i); j -= LowBit(j)) {
-    covered += tree_[j - 1];
+  if (size_ % kWordBits == 0) {
+    // Same seeding as PrefixSumTree::Append: the fresh trailing cell covers
+    // words (i - lowbit(i), i], whose earlier part is the sum of the cells
+    // that hop into it (the new word is still empty).
+    words_.push_back(0);
+    const std::size_t i = words_.size();
+    std::uint32_t covered = 0;
+    for (std::size_t j = i - 1; j > i - LowBit(i); j -= LowBit(j)) {
+      covered += counts_[j - 1];
+    }
+    counts_.push_back(covered);
   }
-  tree_.push_back(covered);
-  if (bit) ++total_;
+  ++size_;
+  if (bit) Set(size_ - 1);
+}
+
+void CountTree::AddToWord(std::size_t word, std::int32_t delta) {
+  for (std::size_t j = word + 1; j <= counts_.size(); j += LowBit(j)) {
+    counts_[j - 1] = static_cast<std::uint32_t>(
+        static_cast<std::int64_t>(counts_[j - 1]) + delta);
+  }
 }
 
 void CountTree::Set(std::size_t pos) {
-  for (std::size_t j = pos + 1; j <= tree_.size(); j += LowBit(j)) {
-    ++tree_[j - 1];
-  }
+  const std::uint64_t bit = std::uint64_t{1} << (pos % kWordBits);
+  std::uint64_t& word = words_[pos / kWordBits];
+  if ((word & bit) != 0) return;
+  word |= bit;
+  AddToWord(pos / kWordBits, 1);
   ++total_;
 }
 
 void CountTree::Clear(std::size_t pos) {
-  for (std::size_t j = pos + 1; j <= tree_.size(); j += LowBit(j)) {
-    --tree_[j - 1];
-  }
+  const std::uint64_t bit = std::uint64_t{1} << (pos % kWordBits);
+  std::uint64_t& word = words_[pos / kWordBits];
+  if ((word & bit) == 0) return;
+  word &= ~bit;
+  AddToWord(pos / kWordBits, -1);
   --total_;
 }
 
 std::size_t CountTree::Prefix(std::size_t count) const {
+  const std::size_t whole = count / kWordBits;
   std::size_t sum = 0;
-  for (std::size_t j = count; j > 0; j -= LowBit(j)) sum += tree_[j - 1];
+  for (std::size_t j = whole; j > 0; j -= LowBit(j)) sum += counts_[j - 1];
+  if (const std::size_t rest = count % kWordBits; rest != 0) {
+    sum += PopCount(words_[whole] & ((std::uint64_t{1} << rest) - 1));
+  }
   return sum;
+}
+
+std::size_t CountTree::NextSet(std::size_t from) const {
+  if (from >= size_) return size_;
+  std::size_t w = from / kWordBits;
+  // No bit at or past size_ is ever set.
+  std::uint64_t word = words_[w] & (~std::uint64_t{0} << (from % kWordBits));
+  while (word == 0) {
+    if (++w == words_.size()) return size_;
+    word = words_[w];
+  }
+  return w * kWordBits + static_cast<std::size_t>(std::countr_zero(word));
+}
+
+void CountTree::Reserve(std::size_t positions) {
+  const std::size_t words = (positions + kWordBits - 1) / kWordBits;
+  words_.reserve(words);
+  counts_.reserve(words);
 }
 
 // --- MaxSegTree ---
@@ -104,8 +150,26 @@ unsigned GroupHits(Group group, std::int64_t threshold) {
 
 }  // namespace
 
+void MaxSegTree::Reserve(std::size_t leaves) {
+  reserved_ = std::max(reserved_, leaves);
+  for (std::size_t k = 0; k < levels_.size(); ++k) ReserveLevel(k);
+}
+
+void MaxSegTree::ReserveLevel(std::size_t k) {
+  // Level k of n leaves holds ceil(n / kFanout^k) cells, padded to whole
+  // groups.
+  std::size_t cells = reserved_;
+  for (std::size_t level = 0; level < k; ++level) {
+    cells = (cells + kFanout - 1) / kFanout;
+  }
+  levels_[k].reserve((cells + kFanout - 1) / kFanout * kFanout);
+}
+
 void MaxSegTree::AddGroup() {
-  if (levels_.empty()) levels_.emplace_back();
+  if (levels_.empty()) {
+    levels_.emplace_back();
+    ReserveLevel(0);
+  }
   for (std::size_t k = 0;; ++k) {
     RunVector<std::int64_t>& level = levels_[k];
     level.resize(level.size() + kFanout, kNegInf);
@@ -116,6 +180,7 @@ void MaxSegTree::AddGroup() {
       RunVector<std::int64_t> top(kFanout, kNegInf);
       top[0] = GroupMax(level.data());
       levels_.push_back(std::move(top));
+      ReserveLevel(k + 1);
       return;
     }
     if (levels_[k + 1].size() >= groups) return;  // the cell is padding
@@ -186,15 +251,6 @@ namespace {
 
 // log2(AreaBucketSet::kMaxBuckets): areas of this many bits need no shift.
 constexpr int kBucketBits = std::countr_zero(AreaBucketSet::kMaxBuckets);
-
-// Set bits of `x`. Without -mpopcnt (the baseline x86-64 target)
-// std::popcount is a libgcc call; this SWAR sum stays inline.
-constexpr std::size_t PopCount(std::uint64_t x) {
-  x -= (x >> 1) & 0x5555555555555555ULL;
-  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
-  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
-  return static_cast<std::size_t>((x * 0x0101010101010101ULL) >> 56);
-}
 
 }  // namespace
 

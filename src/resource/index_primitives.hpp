@@ -194,23 +194,39 @@ class PrefixSumTree {
   std::vector<std::int64_t> tree_;    // 1-based Fenwick array
 };
 
-/// Append-only Fenwick tree of 0/1 membership bits with rank queries.
-/// Only the tree cells are stored (4 bytes per position): the owner keeps
-/// the bits themselves and must only Set() a cleared bit and Clear() a set
-/// one.
+/// Append-only bitset with rank queries: the bits themselves, one per
+/// position, and a Fenwick tree over the set-bit count of each 64-bit word
+/// (4 bytes per 64 positions), so a rank reads O(log(n / 64)) word counts
+/// and one word. NextSet() steps to the next set bit by bit scan.
 class CountTree {
  public:
+  static constexpr std::size_t kWordBits = 64;
+
   /// Appends one position holding `bit`.
   void Append(bool bit);
+  /// Sets (Clear: clears) the bit at `pos`; a no-op when it already is.
   void Set(std::size_t pos);
   void Clear(std::size_t pos);
   /// Set bits among the first `count` positions.
   [[nodiscard]] std::size_t Prefix(std::size_t count) const;
+  /// The first set position at or after `from`, or size() when none.
+  [[nodiscard]] std::size_t NextSet(std::size_t from) const;
   [[nodiscard]] std::size_t Total() const { return total_; }
-  [[nodiscard]] std::size_t size() const { return tree_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  /// Pre-reserves room for `positions` positions.
+  void Reserve(std::size_t positions);
 
  private:
-  RunVector<std::uint32_t> tree_;  // 1-based Fenwick array
+  friend class ::dreamsim::analysis::StructureAuditor;
+  friend class ::dreamsim::analysis::StructureCorruptor;
+
+  /// Adds `delta` to the count of word `word`.
+  void AddToWord(std::size_t word, std::int32_t delta);
+
+  RunVector<std::uint64_t> words_;   // bit p % 64 of word p / 64
+  RunVector<std::uint32_t> counts_;  // 1-based Fenwick array over the
+                                     // words' set-bit counts
+  std::size_t size_ = 0;
   std::size_t total_ = 0;
 };
 
@@ -232,6 +248,10 @@ class MaxSegTree {
   /// Appends one leaf. Appending kNegInf changes no summary cell, so it
   /// touches none.
   void Append(std::int64_t value);
+  /// Pre-reserves every level for `leaves` leaves, the levels a later
+  /// append creates included, so the tree grows to that size without
+  /// copying a level.
+  void Reserve(std::size_t leaves);
   /// Sets leaf `pos` and its ancestors, stopping at the first whose max
   /// does not change.
   void Assign(std::size_t pos, std::int64_t value);
@@ -253,8 +273,11 @@ class MaxSegTree {
   /// that needs a cell for it (a new top level when the old top outgrows
   /// one group).
   void AddGroup();
+  /// Reserves level `k` for reserved_ leaves.
+  void ReserveLevel(std::size_t k);
 
   std::size_t size_ = 0;
+  std::size_t reserved_ = 0;  // leaves Reserve() made room for
   std::vector<RunVector<std::int64_t>> levels_;  // [0] = leaves
 };
 

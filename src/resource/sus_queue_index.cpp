@@ -143,6 +143,13 @@ void SusQueueIndex::AssignSeqLeaf(MaxSegTree& tree, std::uint64_t seq,
   tree.Assign(static_cast<std::size_t>(seq), value);
 }
 
+void SusQueueIndex::Reserve(std::size_t seqs) {
+  if (order_ != SusOrder::kFifo) return;
+  reserved_ = std::max(reserved_, seqs);
+  fifo_next_.reserve(reserved_);
+  for (auto& [key, tree] : fifo_groups_) tree.Reserve(reserved_);
+}
+
 void SusQueueIndex::Add(std::uint64_t seq, const SusEntryAttrs& attrs) {
   if (order_ == SusOrder::kPriority) {
     prio_buckets_[attrs.resolved_config.value()].emplace(-attrs.priority, seq);
@@ -157,18 +164,24 @@ void SusQueueIndex::Add(std::uint64_t seq, const SusEntryAttrs& attrs) {
   const std::size_t slot = ListSlot(attrs.resolved_config);
   if (fifo_lists_.size() <= slot) fifo_lists_.resize(slot + 1);
   SeqList& list = fifo_lists_[slot];
-  if (list.tail != kNoSeq && list.tail >= s) {
-    throw std::logic_error("SusQueueIndex::Add: seqs must increase");
+  const std::uint32_t group = GroupKeyOf(attrs);
+  if (list.tail != kNoSeq && (list.tail >= s || list.group != group)) {
+    throw std::logic_error(
+        "SusQueueIndex::Add: seqs must increase, and one config's seqs "
+        "share a family");
   }
-  if (fifo_links_.size() <= s) fifo_links_.resize(std::size_t{s} + 1);
-  fifo_links_[s] = SeqLink{list.tail, kNoSeq};
+  if (fifo_next_.size() <= s) fifo_next_.resize(std::size_t{s} + 1, kNoSeq);
+  fifo_next_[s] = kNoSeq;
   if (list.tail == kNoSeq) {
     list.head = s;
   } else {
-    fifo_links_[list.tail].next = s;
+    fifo_next_[list.tail] = s;
   }
   list.tail = s;
-  AssignSeqLeaf(fifo_groups_[GroupKeyOf(attrs)], seq, -attrs.needed_area);
+  list.group = group;
+  const auto [tree, fresh] = fifo_groups_.try_emplace(group);
+  if (fresh) tree->second.Reserve(reserved_);
+  AssignSeqLeaf(tree->second, seq, -attrs.needed_area);
 }
 
 void SusQueueIndex::Remove(std::uint64_t seq, const SusEntryAttrs& attrs) {
@@ -179,19 +192,20 @@ void SusQueueIndex::Remove(std::uint64_t seq, const SusEntryAttrs& attrs) {
     return;
   }
   SeqList& list = fifo_lists_.at(ListSlot(attrs.resolved_config));
-  SeqLink& link = fifo_links_.at(static_cast<std::size_t>(seq));
-  if (link.prev == kNoSeq) {
-    list.head = link.next;
-  } else {
-    fifo_links_[link.prev].next = link.next;
+  MaxSegTree& tree = fifo_groups_.at(GroupKeyOf(attrs));
+  const auto s = static_cast<std::uint32_t>(seq);
+  if (seq >= kNoSeq || !Indexed(tree, s)) {
+    throw std::logic_error(
+        Format("SusQueueIndex::Remove: seq {} is not indexed", seq));
   }
-  if (link.next == kNoSeq) {
-    list.tail = link.prev;
-  } else {
-    fifo_links_[link.next].prev = link.prev;
-  }
-  link = SeqLink{};
-  AssignSeqLeaf(fifo_groups_.at(GroupKeyOf(attrs)), seq, MaxSegTree::kNegInf);
+  tree.Assign(static_cast<std::size_t>(seq), MaxSegTree::kNegInf);
+  // The seq stays in its config's order; only the head steps past it,
+  // and past the removed seqs behind it.
+  if (list.head != s) return;
+  std::uint32_t head = fifo_next_[s];
+  while (head != kNoSeq && !Indexed(tree, head)) head = fifo_next_[head];
+  list.head = head;
+  if (head == kNoSeq) list.tail = kNoSeq;
 }
 
 template <typename Group, typename Fn>
@@ -231,12 +245,16 @@ std::optional<std::uint64_t> SusQueueIndex::OldestEligible(
     ConfigId match_config) const {
   Require(SusOrder::kFifo, "OldestEligible");
   std::optional<std::uint64_t> best;
-  if (const SeqList* list = match_config.valid() ? FindList(match_config)
-                                                  : nullptr) {
-    // The drain's cursor never passes an exact match it did not remove,
-    // so on the simulator's path this walk takes no step.
+  const SeqList* list = match_config.valid() ? FindList(match_config) : nullptr;
+  if (list != nullptr && list->head != kNoSeq) {
+    // The head is live, and the drain's cursor never passes a live exact
+    // match it did not remove, so on the simulator's path this walk takes
+    // no step.
+    const MaxSegTree& tree = fifo_groups_.at(list->group);
     std::uint32_t seq = list->head;
-    while (seq != kNoSeq && seq < from_seq) seq = fifo_links_[seq].next;
+    while (seq != kNoSeq && (seq < from_seq || !Indexed(tree, seq))) {
+      seq = fifo_next_[seq];
+    }
     if (seq != kNoSeq) best = seq;
   }
   ForEachGroupFor(fifo_groups_, family, [&](const MaxSegTree& tree) {

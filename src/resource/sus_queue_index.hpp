@@ -20,16 +20,21 @@
 // order — the one SimulationConfig::priority_scheduling picks — and keeps
 // only that order's structures:
 //   - FIFO order:
-//       - per-resolved_config seq lists: intrusive doubly-linked lists in
-//         seq order, threaded through per-seq link arrays, with a head and
-//         tail per config. A new seq is the largest ever issued, so Add
-//         appends; the head is the oldest exact match, and the exact-match
-//         rule of the eligibility query walks from the head past seqs
-//         below its cursor (the simulator's drain never leaves one there,
-//         so that walk takes no step on its path);
-//       - per-family-group MaxSegTrees over seqs storing -needed_area, so
-//         "earliest entry at/after a cursor with needed_area <= bound" is
-//         one FirstAtLeast(cursor, -bound) descent;
+//       - per-family-group MaxSegTrees over seqs storing -needed_area
+//         (kNegInf once removed), so "earliest entry at/after a cursor with
+//         needed_area <= bound" is one FirstAtLeast(cursor, -bound)
+//         descent; a seq's leaf in its group also says whether it is
+//         still indexed;
+//       - per-resolved_config forward orders: one 4-byte next-seq cell per
+//         seq chains each config's seqs in seq order, with a head and tail
+//         per config. A new seq is the largest ever issued, so Add
+//         appends. Removal is lazy: a removed seq stays in its order and
+//         is skipped once, when its config's head passes it, so the head
+//         is always the oldest live exact match. The exact-match rule of
+//         the eligibility query walks from the head past seqs below its
+//         cursor and removed ones (the simulator's drain never leaves a
+//         live match below the cursor, so that walk takes no step on its
+//         path);
 //   - priority order:
 //       - per-resolved_config buckets: a (-priority, seq) set (best
 //         priority, FIFO tie-break);
@@ -40,7 +45,7 @@
 // device family, plus a wildcard group for tasks that are compatible with
 // every family (unresolved config or family-less config). A task lives in
 // exactly one bucket and one group. A FIFO-order entry costs flat per-seq
-// cells only (its list links and its group leaf), no heap node; the
+// cells only (its next-seq cell and its group leaf), no heap node; the
 // priority-order structures keep one set node and one treap node per
 // entry. The index never touches the WorkloadMeter — the simulator charges
 // the analytic step counts.
@@ -66,10 +71,12 @@ class StructureCorruptor;  // test-only seeded-corruption injector
 
 namespace dreamsim::resource {
 
-/// The drain-relevant attributes of one suspended task, captured at
-/// enqueue time. None of them can change while the task is queued:
-/// needed_area and priority are fixed at submission, and the resolved
-/// config depends only on the task and the run's fixed catalogue.
+/// The drain-relevant attributes of one suspended task, which the queue
+/// derives from its cell (the resolved config), the config's catalogue
+/// entry (the family) and the task's spec (area and priority). None of
+/// them can change while the task is queued: needed_area and priority are
+/// fixed at submission, and the resolved config depends only on the task
+/// and the run's fixed catalogue.
 struct SusEntryAttrs {
   ConfigId resolved_config;  // invalid = not resolved yet
   FamilyId config_family;    // family of resolved config; invalid = any
@@ -139,8 +146,13 @@ class SusQueueIndex {
   /// seq indexed so far (the queue issues seqs in increasing order).
   void Add(std::uint64_t seq, const SusEntryAttrs& attrs);
 
-  /// Drops the entry `seq`, indexed under `attrs`.
+  /// Drops the entry `seq`, indexed under `attrs`. Throws
+  /// std::logic_error when a FIFO-order index does not hold it.
   void Remove(std::uint64_t seq, const SusEntryAttrs& attrs);
+
+  /// Pre-reserves the per-seq arrays (the forward order and the group
+  /// trees, those created later included) for seqs below `seqs`.
+  void Reserve(std::size_t seqs);
 
   // --- FIFO-order queries (decision only; the caller charges the steps) ---
 
@@ -181,15 +193,13 @@ class SusQueueIndex {
       FamilyId().value();  // invalid family value
   static constexpr std::uint32_t kNoSeq = 0xffffffffu;
 
-  /// Links of one seq in its config's FIFO list.
-  struct SeqLink {
-    std::uint32_t prev = kNoSeq;
-    std::uint32_t next = kNoSeq;
-  };
-  /// One config's FIFO list: its oldest and newest seq.
+  /// One config's forward order: its oldest live seq, its newest seq
+  /// (live or removed) and the key of the family group its seqs' leaves
+  /// sit in. head == tail == kNoSeq when none of its seqs is live.
   struct SeqList {
     std::uint32_t head = kNoSeq;
     std::uint32_t tail = kNoSeq;
+    std::uint32_t group = kWildcardGroup;
   };
 
   /// Slot of `config` in fifo_lists_: 0 for an unresolved config, value + 1
@@ -200,6 +210,11 @@ class SusQueueIndex {
   [[nodiscard]] const SeqList* FindList(ConfigId config) const {
     const std::size_t slot = ListSlot(config);
     return slot < fifo_lists_.size() ? &fifo_lists_[slot] : nullptr;
+  }
+  /// Whether `seq` is indexed in `group`, the seq tree of its family.
+  [[nodiscard]] static bool Indexed(const MaxSegTree& group,
+                                    std::uint32_t seq) {
+    return seq < group.size() && group.Value(seq) != MaxSegTree::kNegInf;
   }
 
   [[nodiscard]] static std::uint32_t GroupKeyOf(const SusEntryAttrs& attrs) {
@@ -218,9 +233,11 @@ class SusQueueIndex {
                               FamilyId family, Fn&& fn);
 
   SusOrder order_;
+  std::size_t reserved_ = 0;  // seqs Reserve() made room for
   // FIFO order (empty in a priority-order index).
   std::vector<SeqList> fifo_lists_;  // by ListSlot(resolved_config)
-  RunVector<SeqLink> fifo_links_;  // by seq; reset on removal
+  RunVector<std::uint32_t> fifo_next_;  // by seq: the next seq of its
+                                        // config's order, or kNoSeq
   std::map<std::uint32_t, MaxSegTree> fifo_groups_;  // by family (+ wildcard)
   // Priority order (empty in a FIFO-order index).
   std::unordered_map<std::uint32_t, std::set<PrioKey>>

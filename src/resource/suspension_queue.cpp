@@ -9,7 +9,7 @@
 
 namespace dreamsim::resource {
 
-bool SuspensionQueue::Add(TaskId task, const SusEntryAttrs& attrs,
+bool SuspensionQueue::Add(TaskId task, ConfigId config,
                           WorkloadMeter& meter) {
   meter.Add(StepKind::kHousekeeping);
   if (capacity_ != 0 && size() >= capacity_) {
@@ -19,7 +19,7 @@ bool SuspensionQueue::Add(TaskId task, const SusEntryAttrs& attrs,
   if (!task.valid()) {
     throw std::invalid_argument("SuspensionQueue::Add: invalid task id");
   }
-  if (slots_.size() >= kNoSlot) {
+  if (entries_.size() >= kNoSlot) {
     throw std::length_error("SuspensionQueue: insertion seqs exhausted");
   }
   if (Queued(task)) {
@@ -28,14 +28,11 @@ bool SuspensionQueue::Add(TaskId task, const SusEntryAttrs& attrs,
   const std::size_t word = task.value() / kWordBits;
   if (queued_.size() <= word) queued_.resize(word + 1, 0);
   queued_[word] |= BitOf(task);
-  // An empty queue's head is slots_.size(), which is the new seq.
-  const auto seq = static_cast<std::uint32_t>(slots_.size());
-  slots_.push_back(task);
-  attrs_.push_back({attrs.resolved_config, attrs.config_family,
-                    attrs.needed_area});
-  if (order_ == SusOrder::kPriority) priorities_.push_back(attrs.priority);
+  // An empty queue's head is entries_.size(), which is the new seq.
+  const auto seq = static_cast<std::uint32_t>(entries_.size());
+  entries_.push_back({task, config});
   live_.Append(true);
-  if (index_) index_->Add(seq, attrs);
+  if (index_) index_->Add(seq, AttrsAt(seq));
   if (obs::MetricsRegistry::enabled()) {
     auto& reg = obs::MetricsRegistry::Instance();
     reg.Add(obs::MetricId::kSusEnqueued);
@@ -48,7 +45,7 @@ bool SuspensionQueue::Add(TaskId task, const SusEntryAttrs& attrs,
 std::optional<TaskId> SuspensionQueue::PopFront(WorkloadMeter& meter) {
   if (empty()) return std::nullopt;
   meter.Add(StepKind::kHousekeeping);
-  const TaskId task = slots_[head_];
+  const TaskId task = entries_[head_].task;
   Unlink(head_);
   return task;
 }
@@ -68,21 +65,24 @@ void SuspensionQueue::SetDrainIndexed(bool enabled) {
     return;
   }
   index_ = std::make_unique<SusQueueIndex>(order_);
-  for (std::uint32_t seq = NextLive(slots_, head_); seq != kNoSlot;
-       seq = NextLive(slots_, seq + 1)) {
+  index_->Reserve(entries_.capacity());
+  for (std::uint32_t seq = NextLive(head_); seq != kNoSlot;
+       seq = NextLive(seq + 1)) {
     index_->Add(seq, AttrsAt(seq));
   }
 }
 
-namespace {
-
-/// Whether a task resolved to `config` may run on a node of `family`: an
-/// unresolved config pins no family (the literal walk's family check,
-/// read from the catalogue).
-bool FamilyAllows(const ResourceStore& store, ConfigId config,
-                  FamilyId family) {
-  return !config.valid() || store.configs().Get(config).CompatibleWith(family);
+SusEntryAttrs SuspensionQueue::AttrsAt(Seq seq) const {
+  const Cell& cell = entries_[seq];
+  const TaskSpec& spec = tasks_->Spec(cell.task);
+  return {cell.config,
+          cell.config.valid() ? configs_->Get(cell.config).family
+                              : FamilyId::invalid(),
+          spec.needed_area,
+          order_ == SusOrder::kPriority ? spec.priority : 0.0};
 }
+
+namespace {
 
 /// Runs one index query timed as a sus-queue query.
 template <typename Query>
@@ -108,16 +108,17 @@ std::optional<SuspensionQueue::Seq> SuspensionQueue::ScanFull(
   std::optional<Seq> match;
   std::optional<Seq> fallback;
   const auto better = [&](const std::optional<Seq>& best, Seq seq) {
-    return !best || (by_priority && priorities_[seq] > priorities_[*best]);
+    return !best || (by_priority &&
+                     SpecAt(seq).priority > SpecAt(*best).priority);
   };
-  for (std::uint32_t seq = NextLive(slots_, head_); seq != kNoSlot;
-       seq = NextLive(slots_, seq + 1)) {
+  for (std::uint32_t seq = NextLive(head_); seq != kNoSlot;
+       seq = NextLive(seq + 1)) {
     meter.Add(StepKind::kSchedulingSearch);
-    const StoredAttrs& a = attrs_[seq];
-    if (freed_config.valid() && a.resolved_config == freed_config) {
+    const ConfigId config = entries_[seq].config;
+    if (freed_config.valid() && config == freed_config) {
       if (better(match, seq)) match = seq;
-    } else if (a.needed_area <= node.total_area() &&
-               FamilyAllows(store, a.resolved_config, node.family())) {
+    } else if (SpecAt(seq).needed_area <= node.total_area() &&
+               FamilyAllows(config, node.family())) {
       if (better(fallback, seq)) fallback = seq;
     }
   }
@@ -130,11 +131,11 @@ std::optional<SuspensionQueue::Seq> SuspensionQueue::ScanBest(
   obs::MetricInc(obs::MetricId::kSusqScanFallback);
   const Node& node = store.node(node_id);
   std::optional<Seq> best;
-  for (std::uint32_t seq = NextLive(slots_, head_); seq != kNoSlot;
-       seq = NextLive(slots_, seq + 1)) {
+  for (std::uint32_t seq = NextLive(head_); seq != kNoSlot;
+       seq = NextLive(seq + 1)) {
     meter.Add(StepKind::kSchedulingSearch);
-    if (!CouldUse(store, node, freed_config, attrs_[seq])) continue;
-    if (!best || priorities_[seq] > priorities_[*best]) best = seq;
+    if (!CouldUse(store, node, freed_config, seq)) continue;
+    if (!best || SpecAt(seq).priority > SpecAt(*best).priority) best = seq;
   }
   return best;
 }
@@ -144,15 +145,15 @@ std::optional<SuspensionQueue::Seq> SuspensionQueue::ScanNext(
     FifoCursor& cursor, WorkloadMeter& meter) const {
   obs::MetricInc(obs::MetricId::kSusqScanFallback);
   const Node& node = store.node(node_id);
-  for (std::uint32_t seq = NextLive(slots_, cursor.from); seq != kNoSlot;
-       seq = NextLive(slots_, seq + 1)) {
+  for (std::uint32_t seq = NextLive(cursor.from); seq != kNoSlot;
+       seq = NextLive(seq + 1)) {
     meter.Add(StepKind::kSchedulingSearch);
-    if (CouldUse(store, node, freed_config, attrs_[seq])) {
+    if (CouldUse(store, node, freed_config, seq)) {
       cursor.from = seq + 1;
       return seq;
     }
   }
-  cursor.from = static_cast<Seq>(slots_.size());
+  cursor.from = static_cast<Seq>(entries_.size());
   return std::nullopt;
 }
 
@@ -231,24 +232,26 @@ std::optional<SuspensionQueue::Seq> SuspensionQueue::IndexedNext(
 }
 
 bool SuspensionQueue::CouldUse(const ResourceStore& store, const Node& node,
-                               ConfigId freed_config, const StoredAttrs& a) {
+                               ConfigId freed_config,
+                               std::uint32_t seq) const {
+  const ConfigId config = entries_[seq].config;
   // Direct reuse: the freed entry already carries the resolved config.
-  if (freed_config.valid() && a.resolved_config == freed_config) return true;
+  if (freed_config.valid() && config == freed_config) return true;
   // Family compatibility gates every other route onto this node; then
   // spare fabric, or reclaiming the node's idle entries (Algorithm 1
   // restricted to this node), must make room.
-  return FamilyAllows(store, a.resolved_config, node.family()) &&
-         store.CouldEventuallyHost(node.id(), a.needed_area);
+  return FamilyAllows(config, node.family()) &&
+         store.CouldEventuallyHost(node.id(), SpecAt(seq).needed_area);
 }
 
 void SuspensionQueue::Unlink(std::uint32_t seq) {
-  TaskId& task = slots_[seq];
+  TaskId& task = entries_[seq].task;
   if (index_) index_->Remove(seq, AttrsAt(seq));
   queued_[task.value() / kWordBits] &= ~BitOf(task);
   live_.Clear(seq);
   task = TaskId::invalid();
   // No live seq lies below the head, and removals never revive one.
-  while (head_ < slots_.size() && !slots_[head_].valid()) ++head_;
+  if (seq == head_) head_ = static_cast<std::uint32_t>(live_.NextSet(seq));
   if (obs::MetricsRegistry::enabled()) {
     auto& reg = obs::MetricsRegistry::Instance();
     reg.Add(obs::MetricId::kSusRemoved);

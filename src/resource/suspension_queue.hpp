@@ -6,19 +6,22 @@
 // suitable task is waiting in the queue which can be executed".
 //
 // Layout. Every enqueued task gets the next insertion seq, which is its
-// slot in an append-only slot array, so FIFO order is seq order and no
-// link list is needed. Removal leaves a tombstone (an invalid TaskId) in
-// its slot. `head_` is the oldest live seq: when the head leaves it steps
-// forward past tombstones and never moves back, so front pops are
-// amortized O(1), and every walk steps seq by seq from it, skipping
-// tombstones (a walk charges its live entries only). Drains address
-// entries by seq; a Fenwick tree of live seqs converts a seq to its FIFO
-// position where a step charge needs one. The drain attributes sit in
-// arrays by seq (the priority only in a priority-order queue, the one
-// order that reads it), and one bit per TaskId value marks the queued
-// tasks, which is all Add's double-enqueue check needs. A queued task
-// costs its per-seq cells and that bit: enqueueing allocates nothing
-// beyond amortized array growth.
+// cell in an append-only cell array, so FIFO order is seq order and no
+// link list is needed. A cell holds the task and the configuration it
+// resolved to (8 bytes); everything else a drain reads about the task
+// stays where it already is: the needed area and the priority in the
+// task's spec, the family in the catalogue entry of the configuration.
+// None of them changes while the task is queued. Removal leaves a
+// tombstone (an invalid TaskId) in its cell, and a bitset of live seqs
+// with a Fenwick tree over its 64-seq word counts (0.19 bytes per seq)
+// converts a seq to its FIFO position where a step charge needs one.
+// `head_` is the oldest live seq: when the head leaves it steps forward
+// by bit scan and never moves back, so front pops are amortized O(1), and
+// every walk steps from it, skipping tombstones (a walk charges its live
+// entries only). One bit per TaskId value marks the queued tasks, which
+// is all Add's double-enqueue check needs. A queued task costs its cell,
+// its live bit and that queued bit: enqueueing allocates nothing beyond
+// amortized array growth.
 //
 // The queue owns the completion drain (DrainFull, DrainPartial): the
 // drain order, the choice between the literal walk and the index, the
@@ -38,8 +41,10 @@
 #include <utility>
 #include <vector>
 
+#include "resource/config.hpp"
 #include "resource/index_primitives.hpp"
 #include "resource/sus_queue_index.hpp"
+#include "resource/task.hpp"
 #include "resource/workload_meter.hpp"
 #include "util/run_vector.hpp"
 #include "util/types.hpp"
@@ -73,9 +78,9 @@ class SuspensionQueue {
     using reference = TaskId;
 
     const_iterator() = default;
-    TaskId operator*() const { return (*slots_)[slot_]; }
+    TaskId operator*() const { return queue_->entries_[seq_].task; }
     const_iterator& operator++() {
-      slot_ = NextLive(*slots_, slot_ + 1);
+      seq_ = queue_->NextLive(seq_ + 1);
       return *this;
     }
     const_iterator operator++(int) {
@@ -84,31 +89,36 @@ class SuspensionQueue {
       return before;
     }
     friend bool operator==(const const_iterator& a, const const_iterator& b) {
-      return a.slot_ == b.slot_;
+      return a.seq_ == b.seq_;
     }
     /// The seq of the entry pointed at.
-    [[nodiscard]] Seq seq() const { return slot_; }
+    [[nodiscard]] Seq seq() const { return seq_; }
 
    private:
     friend class SuspensionQueue;
-    const_iterator(const RunVector<TaskId>* slots, std::uint32_t slot)
-        : slots_(slots), slot_(slot) {}
+    const_iterator(const SuspensionQueue* queue, std::uint32_t seq)
+        : queue_(queue), seq_(seq) {}
 
-    const RunVector<TaskId>* slots_ = nullptr;
-    std::uint32_t slot_ = kNoSlot;
+    const SuspensionQueue* queue_ = nullptr;
+    std::uint32_t seq_ = kNoSlot;
   };
 
-  /// `capacity` of 0 means unbounded. `order` is the drain order
+  /// `tasks` and `configs` are where the queue reads a queued task's area,
+  /// priority and family; both must outlive the queue. `capacity` of 0
+  /// means unbounded. `order` is the drain order
   /// (SimulationConfig::priority_scheduling), served by the walk and the
   /// index alike.
-  explicit SuspensionQueue(std::size_t capacity = 0,
-                           SusOrder order = SusOrder::kFifo)
-      : capacity_(capacity), order_(order) {}
+  SuspensionQueue(const TaskStore& tasks, const ConfigCatalogue& configs,
+                  std::size_t capacity = 0, SusOrder order = SusOrder::kFifo)
+      : tasks_(&tasks),
+        configs_(&configs),
+        capacity_(capacity),
+        order_(order) {}
 
   /// AddTaskToSusQueue(): appends the task. Returns false when the queue is
   /// at capacity (caller then discards the task).
-  [[nodiscard]] bool Add(TaskId task, const SusEntryAttrs& attrs,
-                         WorkloadMeter& meter);
+  /// `config` is the configuration the task resolved to (invalid: none).
+  [[nodiscard]] bool Add(TaskId task, ConfigId config, WorkloadMeter& meter);
 
   /// Removes and returns the oldest task; charges one housekeeping step
   /// (the literal scan visits the front and stops). An empty queue answers
@@ -123,16 +133,13 @@ class SuspensionQueue {
   /// The task queued as `seq` (uncounted, O(1)); invalid once the entry
   /// left the queue.
   [[nodiscard]] TaskId TaskAt(Seq seq) const {
-    return seq < slots_.size() ? slots_[seq] : TaskId::invalid();
+    return seq < entries_.size() ? entries_[seq].task : TaskId::invalid();
   }
 
-  /// The attributes seq `seq` was enqueued with (uncounted, O(1); priority
-  /// 0 in a FIFO-order queue). `seq` must have been issued.
-  [[nodiscard]] SusEntryAttrs AttrsAt(Seq seq) const {
-    const StoredAttrs& a = attrs_[seq];
-    return {a.resolved_config, a.config_family, a.needed_area,
-            order_ == SusOrder::kPriority ? priorities_[seq] : 0.0};
-  }
+  /// The drain attributes of the queued entry `seq` (uncounted, O(1);
+  /// priority 0 in a FIFO-order queue): its cell's config, that config's
+  /// family and the task's area and priority.
+  [[nodiscard]] SusEntryAttrs AttrsAt(Seq seq) const;
 
   /// The FIFO position (0 = oldest) of the queued entry `seq` (uncounted,
   /// O(log Q)): the entries a FIFO walk visits before reaching it.
@@ -141,7 +148,7 @@ class SuspensionQueue {
   }
 
   /// Enables or disables the drain index, rebuilding it from the current
-  /// queue content (attributes are retained across toggles).
+  /// queue content.
   void SetDrainIndexed(bool enabled);
   [[nodiscard]] bool drain_indexed() const { return index_ != nullptr; }
 
@@ -211,17 +218,18 @@ class SuspensionQueue {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
   [[nodiscard]] const_iterator begin() const {
-    return {&slots_, head_ < slots_.size() ? head_ : kNoSlot};
+    return {this, head_ < entries_.size() ? head_ : kNoSlot};
   }
-  [[nodiscard]] const_iterator end() const { return {&slots_, kNoSlot}; }
+  [[nodiscard]] const_iterator end() const { return {this, kNoSlot}; }
 
-  /// Pre-reserves the per-seq arrays for `expected` entries and the
+  /// Pre-reserves the per-seq arrays for `expected` entries, the drain
+  /// index's included (an index enabled later reserves as much), and the
   /// queued bits for task ids below `expected`.
   void Reserve(std::size_t expected) {
-    slots_.reserve(expected);
-    attrs_.reserve(expected);
-    if (order_ == SusOrder::kPriority) priorities_.reserve(expected);
+    entries_.reserve(expected);
+    live_.Reserve(expected);
     queued_.reserve((expected + kWordBits - 1) / kWordBits);
+    if (index_) index_->Reserve(expected);
   }
 
  private:
@@ -230,13 +238,13 @@ class SuspensionQueue {
   friend class ::dreamsim::analysis::StructureAuditor;
   friend class ::dreamsim::analysis::StructureCorruptor;
 
-  /// The drain attributes of seq `seq` but its priority, which only a
-  /// priority-order queue keeps (in priorities_).
-  struct StoredAttrs {
-    ConfigId resolved_config;
-    FamilyId config_family;
-    Area needed_area = 0;
+  /// One seq's cell: the task (invalid once it left) and the config it
+  /// resolved to.
+  struct Cell {
+    TaskId task;
+    ConfigId config;
   };
+  static_assert(sizeof(Cell) == 8);
 
   /// Where a FIFO drain's walk resumes: the first seq it may pick (the
   /// literal walk steps on from it) and that seq's FIFO position (the
@@ -248,11 +256,15 @@ class SuspensionQueue {
 
   static constexpr std::size_t kWordBits = 64;
 
-  /// The first live seq at or after `seq` in `slots`, or kNoSlot.
-  [[nodiscard]] static std::uint32_t NextLive(const RunVector<TaskId>& slots,
-                                              std::uint32_t seq) {
-    while (seq < slots.size() && !slots[seq].valid()) ++seq;
-    return seq < slots.size() ? seq : kNoSlot;
+  /// The first live seq at or after `seq`, or kNoSlot.
+  [[nodiscard]] std::uint32_t NextLive(std::uint32_t seq) const {
+    const std::size_t next = live_.NextSet(seq);
+    return next < entries_.size() ? static_cast<std::uint32_t>(next)
+                                  : kNoSlot;
+  }
+  /// The spec of the task queued as `seq`.
+  [[nodiscard]] const TaskSpec& SpecAt(std::uint32_t seq) const {
+    return tasks_->Spec(entries_[seq].task);
   }
 
   /// `task`'s bit within its word queued_[task / kWordBits].
@@ -293,33 +305,37 @@ class SuspensionQueue {
                                                FifoCursor& cursor,
                                                WorkloadMeter& meter) const;
   /// The literal walk's per-entry test of the partial drains.
-  [[nodiscard]] static bool CouldUse(const ResourceStore& store,
-                                     const Node& node, ConfigId freed_config,
-                                     const StoredAttrs& attrs);
+  [[nodiscard]] bool CouldUse(const ResourceStore& store, const Node& node,
+                              ConfigId freed_config, std::uint32_t seq) const;
+  /// Whether a task resolved to `config` may run on a node of `family`: an
+  /// unresolved config pins no family.
+  [[nodiscard]] bool FamilyAllows(ConfigId config, FamilyId family) const {
+    return !config.valid() || configs_->Get(config).CompatibleWith(family);
+  }
 
   /// The oldest seq holding `task`, or kNoSlot: a linear search for the
   /// correctness tooling, which no run path calls.
   [[nodiscard]] std::uint32_t SeqOf(TaskId task) const {
-    for (std::uint32_t seq = head_; seq < slots_.size(); ++seq) {
-      if (slots_[seq] == task) return seq;
+    for (std::uint32_t seq = head_; seq < entries_.size(); ++seq) {
+      if (entries_[seq].task == task) return seq;
     }
     return kNoSlot;
   }
 
-  /// Tombstones the live slot `seq` and drops it from the live tree, the
-  /// queued bits and the index; moves the head past tombstones when it
-  /// was the head (uncounted; callers charge per their own contract).
+  /// Tombstones the live cell `seq` and drops it from the live bits, the
+  /// queued bits and the index; moves the head to the next live seq when
+  /// it was the head (uncounted; callers charge per their own contract).
   void Unlink(std::uint32_t seq);
 
+  const TaskStore* tasks_;
+  const ConfigCatalogue* configs_;
   std::size_t capacity_;
   SusOrder order_;
-  RunVector<TaskId> slots_;          // by seq; append-only; invalid =
-                                     // tombstone
-  RunVector<StoredAttrs> attrs_;     // by seq; append-only
-  RunVector<double> priorities_;     // by seq; priority order only
-  std::uint32_t head_ = 0;           // oldest live seq; slots_.size()
+  RunVector<Cell> entries_;          // by seq; append-only; an invalid
+                                     // task = tombstone
+  std::uint32_t head_ = 0;           // oldest live seq; entries_.size()
                                      // when none is live
-  CountTree live_;                   // seq -> 1 while queued
+  CountTree live_;                   // bit per seq: live
   RunVector<std::uint64_t> queued_;  // bit per TaskId value: queued
   std::unique_ptr<SusQueueIndex> index_;
 };

@@ -43,29 +43,7 @@ TaskId TaskStore::SubmitOne(const TaskSpec& spec) {
   return TaskId{id};
 }
 
-std::uint32_t TaskStore::CheckedId(TaskId id) const {
-  if (!id.valid() || id.value() >= tasks_.size()) {
-    throw std::out_of_range("unknown TaskId");
-  }
-  return id.value();
-}
-
-Task& TaskStore::Get(TaskId id) { return tasks_[CheckedId(id)]; }
-
-const Task& TaskStore::Get(TaskId id) const { return tasks_[CheckedId(id)]; }
-
-const TaskSpec& TaskStore::Spec(TaskId id) const {
-  const std::uint32_t at = CheckedId(id);
-  // Runs are few (one per workload, one per stretch of single
-  // submissions), and the latest is the likeliest.
-  auto run = runs_.end();
-  do {
-    --run;
-  } while (run->first > at);
-  const std::size_t offset = at - run->first;
-  return run->borrowed != nullptr ? run->borrowed[offset]
-                                  : owned_[run->owned_at + offset];
-}
+void TaskStore::ThrowUnknownId() { throw std::out_of_range("unknown TaskId"); }
 
 TaskStateCounts TaskStore::CountStates() const {
   TaskStateCounts counts;

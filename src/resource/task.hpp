@@ -118,10 +118,24 @@ class TaskStore {
   /// Pre-reserves room for the run-time state of `tasks` tasks in total.
   void Reserve(std::size_t tasks) { tasks_.reserve(tasks); }
 
-  [[nodiscard]] Task& Get(TaskId id);
-  [[nodiscard]] const Task& Get(TaskId id) const;
-  /// The spec of task `id`.
-  [[nodiscard]] const TaskSpec& Spec(TaskId id) const;
+  [[nodiscard]] Task& Get(TaskId id) { return tasks_[CheckedId(id)]; }
+  [[nodiscard]] const Task& Get(TaskId id) const {
+    return tasks_[CheckedId(id)];
+  }
+  /// The spec of task `id` (inline: the suspension queue's literal walks
+  /// read one per visited entry).
+  [[nodiscard]] const TaskSpec& Spec(TaskId id) const {
+    const std::uint32_t at = CheckedId(id);
+    // Runs are few (one per workload, one per stretch of single
+    // submissions), and the latest is the likeliest.
+    auto run = runs_.end();
+    do {
+      --run;
+    } while (run->first > at);
+    const std::size_t offset = at - run->first;
+    return run->borrowed != nullptr ? run->borrowed[offset]
+                                    : owned_[run->owned_at + offset];
+  }
   [[nodiscard]] std::size_t size() const { return tasks_.size(); }
   /// Run-time state of every task, indexed by id.
   [[nodiscard]] const RunVector<Task>& all() const { return tasks_; }
@@ -141,7 +155,11 @@ class TaskStore {
   };
 
   static void Validate(const TaskSpec& spec);
-  [[nodiscard]] std::uint32_t CheckedId(TaskId id) const;
+  [[nodiscard]] std::uint32_t CheckedId(TaskId id) const {
+    if (!id.valid() || id.value() >= tasks_.size()) ThrowUnknownId();
+    return id.value();
+  }
+  [[noreturn]] static void ThrowUnknownId();
 
   RunVector<Task> tasks_;
   std::vector<SpecRun> runs_;  // ascending by first

@@ -2,8 +2,8 @@
 // staged batch, lower_bound and iterator step must agree, across bucket
 // shifts from 0 (areas below 4096) to coarse ones (areas near 2^40). The
 // trees (MaxSegTree, CountTree, PrefixSumTree) against a plain vector:
-// every query after appends across capacity doublings and random point
-// updates.
+// every query after appends across capacity doublings (and reserved
+// capacity) and random point updates.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -292,6 +292,30 @@ TEST_P(TreeFuzz, MaxSegTreeMatchesVector) {
 // Thresholds above the global max miss from every start (the top group
 // answers them); the max itself still hits, as the live max moves down
 // and back up.
+TEST_P(TreeFuzz, ReservedMaxSegTreeMatchesAGrownOne) {
+  // Reserving ahead, for fewer leaves or more, changes no answer.
+  const std::size_t size = GetParam();
+  Rng rng(404 + size);
+  MaxSegTree grown;
+  MaxSegTree reserved;
+  reserved.Reserve(size % 2 == 0 ? size : size / 2);
+  std::vector<std::int64_t> v;
+  for (std::size_t i = 0; i < size; ++i) {
+    v.push_back(rng.uniform_int(-50, 50));
+    grown.Append(v.back());
+    reserved.Append(v.back());
+    if (i % 5 == 0) reserved.Reserve(size + i);
+  }
+  ASSERT_EQ(reserved.size(), grown.size());
+  for (std::size_t from = 0; from <= size; ++from) {
+    for (const std::int64_t threshold : {-50, -10, 0, 25, 50, 51}) {
+      ASSERT_EQ(reserved.FirstAtLeast(from, threshold),
+                grown.FirstAtLeast(from, threshold))
+          << "from " << from << " threshold " << threshold;
+    }
+  }
+}
+
 TEST_P(TreeFuzz, MaxSegTreeMissesAboveTheGlobalMax) {
   const std::size_t size = GetParam();
   Rng rng(404 + size);
@@ -347,10 +371,19 @@ TEST_P(TreeFuzz, CountTreeMatchesVector) {
   const std::size_t size = GetParam();
   Rng rng(202 + size);
   CountTree tree;
+  if (size % 2 == 1) tree.Reserve(size);
   std::vector<bool> bits;
   const auto expect_same = [&] {
     ASSERT_EQ(tree.size(), bits.size());
     std::size_t prefix = 0;
+    std::size_t next_set = bits.size();
+    for (std::size_t count = bits.size() + 1; count-- > 0;) {
+      ASSERT_EQ(tree.NextSet(count), count < bits.size() && bits[count]
+                                         ? count
+                                         : next_set)
+          << "from " << count;
+      if (count < bits.size() && bits[count]) next_set = count;
+    }
     for (std::size_t count = 0; count <= bits.size(); ++count) {
       ASSERT_EQ(tree.Prefix(count), prefix) << "count " << count;
       if (count < bits.size() && bits[count]) ++prefix;
@@ -367,13 +400,14 @@ TEST_P(TreeFuzz, CountTreeMatchesVector) {
   for (int op = 0; op < 300; ++op) {
     const auto pos = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
-    // The owner keeps the bits: only a cleared bit is set, and back.
-    if (bits[pos]) {
-      tree.Clear(pos);
-    } else {
+    // Setting a set bit and clearing a clear one change nothing.
+    const bool set = rng.uniform_int(0, 1) == 1;
+    if (set) {
       tree.Set(pos);
+    } else {
+      tree.Clear(pos);
     }
-    bits[pos] = !bits[pos];
+    bits[pos] = set;
     if (op % 10 == 0) expect_same();
     if (HasFatalFailure()) return;
   }

@@ -398,6 +398,9 @@ struct SimCase {
   core::PolicyChoice policy = core::PolicyChoice::kDreamSim;
   // Node, configuration and unknown-C_pref task areas scale by this.
   Area unit = 1;
+  // Random node failures and repairs (MTBF 3000, MTTR 600 ticks) under
+  // tasks of 80-900 ticks.
+  bool faults = false;
 };
 
 void PrintTo(const SimCase& c, std::ostream* os) {
@@ -409,6 +412,8 @@ void PrintTo(const SimCase& c, std::ostream* os) {
     *os << " " << core::ToString(c.policy);
   }
   if (c.unit != 1) *os << " unit=" << c.unit;
+  if (c.faults) *os << " faults";
+  if (c.faults) *os << " faults";
 }
 
 struct RunResult {
@@ -434,6 +439,14 @@ RunResult RunOne(const SimCase& c, std::uint64_t seed, bool indexed) {
   config.policy = c.policy;
   config.priority_scheduling = c.priority;
   config.scheduler_index = indexed;
+  if (c.faults) {
+    // Execution times short next to the MTBF, so failures interrupt
+    // running tasks without livelocking the retry loop.
+    config.tasks.min_required_time = 80;
+    config.tasks.max_required_time = 900;
+    config.faults.mtbf = 3000;
+    config.faults.mttr = 600;
+  }
   config.seed = seed;
   // Step-mode structure audit rides along in Debug (end-of-run in Release):
   // the indexed and scan twins must both reconstruct cleanly at every
@@ -536,16 +549,24 @@ INSTANTIATE_TEST_SUITE_P(
 class StoreIndexHeuristicDiff
     : public ::testing::TestWithParam<core::PolicyChoice> {};
 
-void ExpectHeuristicRunsIdentical(core::PolicyChoice policy, int families) {
+void ExpectHeuristicRunsIdentical(core::PolicyChoice policy, int families,
+                                  bool faults = false) {
   SimCase c;
   c.policy = policy;
   c.families = families;
+  c.faults = faults;
+  std::uint64_t kills = 0;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const RunResult idx = RunOne(c, seed * 104729, true);
     const RunResult ref = RunOne(c, seed * 104729, false);
     ExpectIdentical(idx, ref);
+    EXPECT_EQ(idx.report.failures_injected, ref.report.failures_injected);
+    EXPECT_EQ(idx.report.tasks_killed, ref.report.tasks_killed);
+    kills += ref.report.tasks_killed;
     if (::testing::Test::HasFatalFailure()) return;
   }
+  // With faults on, nodes must fail under running tasks for real.
+  if (faults) EXPECT_GT(kills, 0u);
 }
 
 TEST_P(StoreIndexHeuristicDiff, HeuristicBaselinesMatchScans) {
@@ -558,6 +579,12 @@ TEST_P(StoreIndexHeuristicDiff, OneFamilyHeuristicBaselinesMatchScans) {
   // the global view, where best and worst fit merge the blank and
   // non-blank sets.
   ExpectHeuristicRunsIdentical(GetParam(), 1);
+}
+
+TEST_P(StoreIndexHeuristicDiff, FaultyHeuristicBaselinesMatchScans) {
+  // Failed nodes leave every view and repaired ones rejoin it; killed
+  // tasks re-enter the queue.
+  ExpectHeuristicRunsIdentical(GetParam(), 2, /*faults=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Heuristics, StoreIndexHeuristicDiff,

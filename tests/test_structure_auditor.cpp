@@ -24,7 +24,6 @@ using resource::ConfigCatalogue;
 using resource::Configuration;
 using resource::EntryRef;
 using resource::ResourceStore;
-using resource::SusEntryAttrs;
 using resource::SuspensionQueue;
 using resource::WorkloadMeter;
 
@@ -38,6 +37,21 @@ ConfigCatalogue MakeCatalogue(std::initializer_list<Area> areas) {
     c.Add(cfg);
   }
   return c;
+}
+
+/// A task table of `count` tasks: task t prefers config t % 2 and has
+/// area 100 + t and priority t % 3.
+resource::TaskStore MakeTasks(std::uint32_t count) {
+  resource::TaskStore tasks;
+  for (std::uint32_t t = 0; t < count; ++t) {
+    resource::TaskSpec spec;
+    spec.required_time = 10;
+    spec.preferred_config = ConfigId{t % 2};
+    spec.needed_area = 100 + t;
+    spec.priority = static_cast<double>(t % 3);
+    (void)tasks.SubmitOne(spec);
+  }
+  return tasks;
 }
 
 /// Distinct invariant slugs present in the report, in sorted order — the
@@ -94,15 +108,13 @@ TEST(StructureAuditorClean, PopulatedSuspensionQueue) {
   for (const bool indexed : {false, true}) {
     for (const resource::SusOrder order :
          {resource::SusOrder::kFifo, resource::SusOrder::kPriority}) {
-      SuspensionQueue queue(/*capacity=*/8, order);
+      const resource::TaskStore tasks = MakeTasks(5);
+      const ConfigCatalogue configs = MakeCatalogue({300, 500});
+      SuspensionQueue queue(tasks, configs, /*capacity=*/8, order);
       queue.SetDrainIndexed(indexed);
       WorkloadMeter meter;
       for (std::uint32_t t = 0; t < 5; ++t) {
-        SusEntryAttrs attrs;
-        attrs.resolved_config = ConfigId{t % 2};
-        attrs.needed_area = 100 + t;
-        attrs.priority = static_cast<double>(t);
-        ASSERT_TRUE(queue.Add(TaskId{t}, attrs, meter));
+        ASSERT_TRUE(queue.Add(TaskId{t}, ConfigId{t % 2}, meter));
       }
       queue.RemoveSeq(2, meter);  // task t is seq t
       const AuditReport report =
@@ -466,14 +478,13 @@ TEST(StructureAuditorCorruption, FamilyViewInOneFamilyFleetIsIdxView) {
 }
 
 TEST(StructureAuditorCorruption, MisplacedBucketSeqIsSusidxBucket) {
-  SuspensionQueue queue(/*capacity=*/0);
+  const resource::TaskStore tasks = MakeTasks(4);
+  const ConfigCatalogue configs = MakeCatalogue({300, 500});
+  SuspensionQueue queue(tasks, configs);
   queue.SetDrainIndexed(true);
   WorkloadMeter meter;
   for (std::uint32_t t = 0; t < 4; ++t) {
-    SusEntryAttrs attrs;
-    attrs.resolved_config = ConfigId{t % 2};
-    attrs.needed_area = 100;
-    ASSERT_TRUE(queue.Add(TaskId{t}, attrs, meter));
+    ASSERT_TRUE(queue.Add(TaskId{t}, ConfigId{t % 2}, meter));
   }
   // Task 1 resolved to config 1; move its seq into config 5's bucket.
   StructureCorruptor::MisplaceSusBucketEntry(queue, TaskId{1}, ConfigId{5});
@@ -484,14 +495,13 @@ TEST(StructureAuditorCorruption, MisplacedBucketSeqIsSusidxBucket) {
 }
 
 TEST(StructureAuditorCorruption, SkewedGroupLeafIsSusidxGroup) {
-  SuspensionQueue queue(/*capacity=*/0);
+  const resource::TaskStore tasks = MakeTasks(4);
+  const ConfigCatalogue configs = MakeCatalogue({300, 500});
+  SuspensionQueue queue(tasks, configs);
   queue.SetDrainIndexed(true);
   WorkloadMeter meter;
   for (std::uint32_t t = 0; t < 4; ++t) {
-    SusEntryAttrs attrs;
-    attrs.resolved_config = ConfigId{t % 2};
-    attrs.needed_area = 100 + t;
-    ASSERT_TRUE(queue.Add(TaskId{t}, attrs, meter));
+    ASSERT_TRUE(queue.Add(TaskId{t}, ConfigId{t % 2}, meter));
   }
   StructureCorruptor::SkewSusGroupLeaf(queue, TaskId{2});
   const AuditReport report = StructureAuditor::AuditSuspensionQueue(queue);
@@ -501,14 +511,13 @@ TEST(StructureAuditorCorruption, SkewedGroupLeafIsSusidxGroup) {
 }
 
 TEST(StructureAuditorCorruption, SkewedSeqTreeSummaryIsSusidxGroup) {
-  SuspensionQueue queue(/*capacity=*/0);
+  const resource::TaskStore tasks = MakeTasks(20);
+  const ConfigCatalogue configs = MakeCatalogue({300, 500});
+  SuspensionQueue queue(tasks, configs);
   queue.SetDrainIndexed(true);
   WorkloadMeter meter;
   for (std::uint32_t t = 0; t < 20; ++t) {
-    SusEntryAttrs attrs;
-    attrs.resolved_config = ConfigId{t % 2};
-    attrs.needed_area = 100 + t;
-    ASSERT_TRUE(queue.Add(TaskId{t}, attrs, meter));
+    ASSERT_TRUE(queue.Add(TaskId{t}, ConfigId{t % 2}, meter));
   }
   ASSERT_TRUE(StructureAuditor::AuditSuspensionQueue(queue).ok());
   StructureCorruptor::SkewTreeSummary(queue);
@@ -519,15 +528,14 @@ TEST(StructureAuditorCorruption, SkewedSeqTreeSummaryIsSusidxGroup) {
 }
 
 TEST(StructureAuditorCorruption, SkewedTreapMinAreaIsSusidxTreap) {
-  SuspensionQueue queue(/*capacity=*/0, resource::SusOrder::kPriority);
+  const resource::TaskStore tasks = MakeTasks(5);
+  const ConfigCatalogue configs = MakeCatalogue({300, 500});
+  SuspensionQueue queue(tasks, configs, /*capacity=*/0,
+                        resource::SusOrder::kPriority);
   queue.SetDrainIndexed(true);
   WorkloadMeter meter;
   for (std::uint32_t t = 0; t < 5; ++t) {
-    SusEntryAttrs attrs;
-    attrs.resolved_config = ConfigId{t % 2};
-    attrs.needed_area = 100 + t;
-    attrs.priority = static_cast<double>(t % 3);
-    ASSERT_TRUE(queue.Add(TaskId{t}, attrs, meter));
+    ASSERT_TRUE(queue.Add(TaskId{t}, ConfigId{t % 2}, meter));
   }
   StructureCorruptor::SkewSusTreapMinArea(queue);
   const AuditReport report = StructureAuditor::AuditSuspensionQueue(queue);
@@ -545,12 +553,6 @@ TEST(StructureAuditorCorruption, SetTaskStateIsTaskState) {
     const NodeId b = store.AddNode(2000);
     const EntryRef busy = store.Configure(b, ConfigId{1});
     WorkloadMeter meter;
-    for (std::uint32_t t = 0; t < 5; ++t) {
-      resource::TaskSpec spec;
-      spec.required_time = 10;
-      spec.needed_area = 100;
-      (void)tasks.SubmitOne(spec);
-    }
     for (std::uint32_t t = 0; t < 3; ++t) {
       tasks.Get(TaskId{t}).state = TaskState::kSuspended;
       ASSERT_TRUE(queue.Add(TaskId{t}, {}, meter));
@@ -580,8 +582,8 @@ TEST(StructureAuditorCorruption, SetTaskStateIsTaskState) {
   };
   for (const Case& c : cases) {
     ResourceStore store(MakeCatalogue({300, 500}));
-    SuspensionQueue queue;
-    resource::TaskStore tasks;
+    resource::TaskStore tasks = MakeTasks(5);
+    SuspensionQueue queue(tasks, store.configs());
     build(store, queue, tasks);
     ASSERT_TRUE(StructureAuditor::AuditTaskStates(store, queue, tasks).ok())
         << StructureAuditor::AuditTaskStates(store, queue, tasks).Render();
@@ -596,8 +598,8 @@ TEST(StructureAuditorCorruption, SetTaskStateIsTaskState) {
   }
   // A running task with no ready tick is caught as well.
   ResourceStore store(MakeCatalogue({300, 500}));
-  SuspensionQueue queue;
-  resource::TaskStore tasks;
+  resource::TaskStore tasks = MakeTasks(5);
+  SuspensionQueue queue(tasks, store.configs());
   build(store, queue, tasks);
   tasks.Get(TaskId{3}).ready_time = kNoTick;
   const AuditReport report =
@@ -610,47 +612,39 @@ TEST(StructureAuditorCorruption, SetTaskStateIsTaskState) {
 
 TEST(StructureAuditorCorruption, SkewedSusAttrsIsSusAttrs) {
   const ConfigCatalogue configs = MakeCatalogue({300, 500});
-  for (const bool indexed : {false, true}) {
-    resource::TaskStore tasks;
-    SuspensionQueue queue;
-    queue.SetDrainIndexed(indexed);
-    WorkloadMeter meter;
-    for (std::uint32_t t = 0; t < 4; ++t) {
-      resource::TaskSpec spec;
-      spec.required_time = 10;
-      spec.needed_area = 100 + t;
-      spec.priority = static_cast<double>(t);
-      spec.preferred_config = ConfigId{t % 2};
-      const TaskId id = tasks.SubmitOne(spec);
-      SusEntryAttrs attrs;
-      attrs.resolved_config = spec.preferred_config;
-      attrs.config_family = configs.Get(spec.preferred_config).family;
-      attrs.needed_area = spec.needed_area;
-      attrs.priority = spec.priority;
-      ASSERT_TRUE(queue.Add(id, attrs, meter));
+  const resource::TaskStore tasks = MakeTasks(4);
+  for (const resource::SusOrder order :
+       {resource::SusOrder::kFifo, resource::SusOrder::kPriority}) {
+    for (const bool indexed : {false, true}) {
+      SuspensionQueue queue(tasks, configs, 0, order);
+      queue.SetDrainIndexed(indexed);
+      WorkloadMeter meter;
+      for (std::uint32_t t = 0; t < 4; ++t) {
+        ASSERT_TRUE(queue.Add(TaskId{t}, ConfigId{t % 2}, meter));
+      }
+      queue.RemoveSeq(0, meter);
+      const auto audit = [&] {
+        AuditReport report = StructureAuditor::AuditSuspensionQueue(queue);
+        const AuditReport attrs =
+            StructureAuditor::AuditSusAttrs(queue, tasks, configs);
+        report.violations.insert(report.violations.end(),
+                                 attrs.violations.begin(),
+                                 attrs.violations.end());
+        return report;
+      };
+      ASSERT_TRUE(audit().ok()) << audit().Render();
+      // Task 2 prefers config 0. The queue and its rebuilt index agree on
+      // config 1; only the task itself disagrees.
+      StructureCorruptor::SkewSusAttrs(queue, TaskId{2}, ConfigId{1});
+      const AuditReport report = audit();
+      ASSERT_FALSE(report.ok());
+      EXPECT_EQ(Slugs(report), std::set<std::string>{"sus.attrs"})
+          << "indexed=" << indexed << "\n"
+          << report.Render();
+      EXPECT_NE(report.violations[0].detail.find("resolved_config"),
+                std::string::npos)
+          << report.Render();
     }
-    queue.RemoveSeq(0, meter);
-    const auto audit = [&] {
-      AuditReport report = StructureAuditor::AuditSuspensionQueue(queue);
-      const AuditReport attrs =
-          StructureAuditor::AuditSusAttrs(queue, tasks, configs);
-      report.violations.insert(report.violations.end(),
-                               attrs.violations.begin(),
-                               attrs.violations.end());
-      return report;
-    };
-    ASSERT_TRUE(audit().ok()) << audit().Render();
-    // The queue and its index agree on the skewed area; only the task
-    // itself disagrees.
-    StructureCorruptor::SkewSusAttrs(queue, TaskId{2});
-    const AuditReport report = audit();
-    ASSERT_FALSE(report.ok());
-    EXPECT_EQ(Slugs(report), std::set<std::string>{"sus.attrs"})
-        << "indexed=" << indexed << "\n"
-        << report.Render();
-    EXPECT_NE(report.violations[0].detail.find("needed_area"),
-              std::string::npos)
-        << report.Render();
   }
 }
 
@@ -674,16 +668,14 @@ TEST(StructureAuditorCorruption, SusAttrsResolveTheConfigFromTheSpec) {
     // Queue every task resolved as `resolved`, but task `wrong` to the
     // other config.
     for (const std::uint32_t wrong : {3u, 0u, 1u, 2u}) {
-      SuspensionQueue queue;
+      SuspensionQueue queue(tasks, configs);
       queue.SetDrainIndexed(indexed);
       WorkloadMeter meter;
       for (std::uint32_t t = 0; t < 3; ++t) {
-        SusEntryAttrs attrs;
-        attrs.resolved_config =
-            t == wrong ? ConfigId{1 - resolved[t].value()} : resolved[t];
-        attrs.config_family = configs.Get(attrs.resolved_config).family;
-        attrs.needed_area = tasks.Spec(TaskId{t}).needed_area;
-        ASSERT_TRUE(queue.Add(TaskId{t}, attrs, meter));
+        ASSERT_TRUE(queue.Add(
+            TaskId{t},
+            t == wrong ? ConfigId{1 - resolved[t].value()} : resolved[t],
+            meter));
       }
       const AuditReport report =
           StructureAuditor::AuditSusAttrs(queue, tasks, configs);
@@ -702,7 +694,9 @@ TEST(StructureAuditorCorruption, SusAttrsResolveTheConfigFromTheSpec) {
 
 TEST(StructureAuditorCorruption, SkewedSusLiveTreeIsSusFifo) {
   for (const bool indexed : {false, true}) {
-    SuspensionQueue queue;
+    const resource::TaskStore tasks = MakeTasks(4);
+    const ConfigCatalogue configs = MakeCatalogue({300, 500});
+    SuspensionQueue queue(tasks, configs);
     queue.SetDrainIndexed(indexed);
     WorkloadMeter meter;
     for (std::uint32_t t = 0; t < 4; ++t) {
@@ -721,11 +715,68 @@ TEST(StructureAuditorCorruption, SkewedSusLiveTreeIsSusFifo) {
   }
 }
 
+TEST(StructureAuditorCorruption, SkewedSusLiveWordCountIsSusFifo) {
+  // The word counts span two words, so a cell covering both is checked.
+  for (const bool indexed : {false, true}) {
+    const resource::TaskStore tasks = MakeTasks(70);
+    const ConfigCatalogue configs = MakeCatalogue({300, 500});
+    SuspensionQueue queue(tasks, configs);
+    queue.SetDrainIndexed(indexed);
+    WorkloadMeter meter;
+    for (std::uint32_t t = 0; t < 70; ++t) {
+      ASSERT_TRUE(queue.Add(TaskId{t}, ConfigId{t % 2}, meter));
+    }
+    queue.RemoveSeq(3, meter);
+    ASSERT_TRUE(StructureAuditor::AuditSuspensionQueue(queue).ok());
+    // The count over word 0 disagrees with its bits: cells, bits, head and
+    // index are intact, so only the recount of the words can see it.
+    StructureCorruptor::SkewSusLiveCount(queue);
+    const AuditReport report = StructureAuditor::AuditSuspensionQueue(queue);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(Slugs(report), std::set<std::string>{"sus.fifo"})
+        << "indexed=" << indexed << "\n"
+        << report.Render();
+    EXPECT_NE(report.Render().find("live word count"), std::string::npos)
+        << report.Render();
+  }
+}
+
+TEST(StructureAuditorCorruption, RepointedSusOrderHeadIsSusidxBucket) {
+  // Config 0's order holds seqs 0, 2, 4, 6; seqs 0 and 4 are removed, so
+  // its head is seq 2 and removed seq 4 still sits in the order. A head
+  // left on a removed seq and one stepped past a live seq are both caught.
+  for (const std::uint32_t head : {0u, 4u, 6u}) {
+    const resource::TaskStore tasks = MakeTasks(8);
+    const ConfigCatalogue configs = MakeCatalogue({300, 500});
+    SuspensionQueue queue(tasks, configs);
+    queue.SetDrainIndexed(true);
+    WorkloadMeter meter;
+    for (std::uint32_t t = 0; t < 8; ++t) {
+      ASSERT_TRUE(queue.Add(TaskId{t}, ConfigId{t % 2}, meter));
+    }
+    queue.RemoveSeq(0, meter);
+    queue.RemoveSeq(4, meter);
+    ASSERT_TRUE(StructureAuditor::AuditSuspensionQueue(queue).ok());
+    StructureCorruptor::RepointSusOrderHead(queue, ConfigId{0}, head);
+    const AuditReport report = StructureAuditor::AuditSuspensionQueue(queue);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(Slugs(report), std::set<std::string>{"susidx.bucket"})
+        << "head=" << head << "\n"
+        << report.Render();
+    EXPECT_NE(report.Render().find(head == 6 ? "expected entry missing"
+                                             : "is not a live seq"),
+              std::string::npos)
+        << report.Render();
+  }
+}
+
 TEST(StructureAuditorCorruption, SkippedSusHeadIsSusFifo) {
   for (const bool indexed : {false, true}) {
     // The head may sit behind a tombstone run or on seq 0.
     for (const std::uint32_t removed : {0u, 2u}) {
-      SuspensionQueue queue;
+      const resource::TaskStore tasks = MakeTasks(4);
+      const ConfigCatalogue configs = MakeCatalogue({300, 500});
+      SuspensionQueue queue(tasks, configs);
       queue.SetDrainIndexed(indexed);
       WorkloadMeter meter;
       for (std::uint32_t t = 0; t < 4; ++t) {
@@ -752,7 +803,9 @@ TEST(StructureAuditorCorruption, FlippedSusQueuedBitIsSusUnique) {
     // A queued task that lost its bit, a removed one and a never-queued
     // one (past the bit table) that gained one.
     for (const std::uint32_t task : {1u, 0u, 200u}) {
-      SuspensionQueue queue;
+      const resource::TaskStore tasks = MakeTasks(4);
+      const ConfigCatalogue configs = MakeCatalogue({300, 500});
+      SuspensionQueue queue(tasks, configs);
       queue.SetDrainIndexed(indexed);
       WorkloadMeter meter;
       for (std::uint32_t t = 0; t < 4; ++t) {
@@ -771,7 +824,9 @@ TEST(StructureAuditorCorruption, FlippedSusQueuedBitIsSusUnique) {
 }
 
 TEST(StructureAuditorCorruption, OverfullQueueIsSusCapacity) {
-  SuspensionQueue queue(/*capacity=*/4);
+  const resource::TaskStore tasks = MakeTasks(3);
+  const ConfigCatalogue configs = MakeCatalogue({300, 500});
+  SuspensionQueue queue(tasks, configs, /*capacity=*/4);
   WorkloadMeter meter;
   for (std::uint32_t t = 0; t < 3; ++t) {
     ASSERT_TRUE(queue.Add(TaskId{t}, {}, meter));
@@ -788,7 +843,17 @@ TEST(StructureAuditorCorruption, TaskQueuedTwiceIsSusUnique) {
   for (const bool indexed : {false, true}) {
     // Either order: the duplicate may land before or after the original.
     for (const std::uint32_t victim : {0u, 3u}) {
-      SuspensionQueue queue;
+      // Equal specs: the victim's cell reads the same area through either
+      // task, so the index still agrees with it.
+      resource::TaskStore tasks;
+      for (std::uint32_t t = 0; t < 4; ++t) {
+        resource::TaskSpec spec;
+        spec.required_time = 10;
+        spec.needed_area = 100;
+        (void)tasks.SubmitOne(spec);
+      }
+      const ConfigCatalogue configs = MakeCatalogue({300, 500});
+      SuspensionQueue queue(tasks, configs);
       queue.SetDrainIndexed(indexed);
       WorkloadMeter meter;
       for (std::uint32_t t = 0; t < 4; ++t) {
@@ -888,9 +953,9 @@ struct ScopedMetricsRegistry {
 
 TEST(StructureAuditorMetrics, DisabledRegistryAuditsEmpty) {
   const ResourceStore store = MakePopulatedStore(/*indexed=*/false);
-  const SuspensionQueue queue;
-  const sim::EventQueue events;
   const resource::TaskStore tasks;
+  const SuspensionQueue queue(tasks, store.configs());
+  const sim::EventQueue events;
   ASSERT_FALSE(obs::MetricsRegistry::enabled());
   EXPECT_TRUE(
       StructureAuditor::AuditMetrics(store, queue, events, tasks).ok());
@@ -899,20 +964,17 @@ TEST(StructureAuditorMetrics, DisabledRegistryAuditsEmpty) {
 TEST(StructureAuditorMetrics, ConservationHoldsOnInstrumentedOps) {
   const ScopedMetricsRegistry scoped;
   const ResourceStore store = MakePopulatedStore(/*indexed=*/false);
-  SuspensionQueue queue;
+  const resource::TaskStore tasks;
+  SuspensionQueue queue(tasks, store.configs());
   WorkloadMeter meter;
   sim::EventQueue events;
-  const resource::TaskStore tasks;
   // Drive only instrumented paths: counters and structures move together.
   (void)events.Push(10, sim::EventPriority::kArrival, sim::Event{});
   const sim::EventHandle h =
       events.Push(20, sim::EventPriority::kCompletion, sim::Event{});
   ASSERT_TRUE(events.Cancel(h));
-  SusEntryAttrs attrs;
-  attrs.resolved_config = ConfigId{0};
-  attrs.needed_area = 100;
-  ASSERT_TRUE(queue.Add(TaskId{0}, attrs, meter));
-  ASSERT_TRUE(queue.Add(TaskId{1}, attrs, meter));
+  ASSERT_TRUE(queue.Add(TaskId{0}, ConfigId{0}, meter));
+  ASSERT_TRUE(queue.Add(TaskId{1}, ConfigId{0}, meter));
   queue.RemoveSeq(0, meter);
   const AuditReport report =
       StructureAuditor::AuditMetrics(store, queue, events, tasks);
@@ -922,14 +984,11 @@ TEST(StructureAuditorMetrics, ConservationHoldsOnInstrumentedOps) {
 TEST(StructureAuditorMetrics, SkewedCounterIsMetricsConservation) {
   const ScopedMetricsRegistry scoped;
   const ResourceStore store = MakePopulatedStore(/*indexed=*/false);
-  SuspensionQueue queue;
+  const resource::TaskStore tasks;
+  SuspensionQueue queue(tasks, store.configs());
   WorkloadMeter meter;
   const sim::EventQueue events;
-  const resource::TaskStore tasks;
-  SusEntryAttrs attrs;
-  attrs.resolved_config = ConfigId{0};
-  attrs.needed_area = 100;
-  ASSERT_TRUE(queue.Add(TaskId{0}, attrs, meter));
+  ASSERT_TRUE(queue.Add(TaskId{0}, ConfigId{0}, meter));
   ASSERT_TRUE(
       StructureAuditor::AuditMetrics(store, queue, events, tasks).ok());
   // Seeded corruption: the counter claims one enqueue the FIFO never saw.
@@ -944,9 +1003,9 @@ TEST(StructureAuditorMetrics, SkewedCounterIsMetricsConservation) {
 TEST(StructureAuditorMetrics, SkewedGaugeIsMetricsConservation) {
   const ScopedMetricsRegistry scoped;
   const ResourceStore store = MakePopulatedStore(/*indexed=*/false);
-  const SuspensionQueue queue;
-  sim::EventQueue events;
   const resource::TaskStore tasks;
+  const SuspensionQueue queue(tasks, store.configs());
+  sim::EventQueue events;
   (void)events.Push(10, sim::EventPriority::kArrival, sim::Event{});
   ASSERT_TRUE(
       StructureAuditor::AuditMetrics(store, queue, events, tasks).ok());

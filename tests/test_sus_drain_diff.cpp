@@ -9,8 +9,10 @@
 //      one small fleet. Every completion drain (full and partial shape,
 //      batch 0, 1, 2 and 8, repair drains with no freed config) must
 //      attempt the same seqs in the same order and charge the same steps,
-//      with attempts that place, drop or keep their entry and placements
-//      that change the node between attempts. A standalone SusQueueIndex
+//      with attempts that place, drop or keep their entry, placements
+//      that change the node between attempts, tombstone runs across
+//      64-seq words and removed seqs inside a config's forward order
+//      behind its head. A standalone SusQueueIndex
 //      mirrors the queue so that its raw queries, from any cursor, can be
 //      checked against a brute-force rescan. An index serves one drain
 //      order, so the fuzz runs once per order.
@@ -213,10 +215,17 @@ void Churn(ResourceStore& store, Rng& rng) {
   }
 }
 
-/// A queue beside its own fleet and meter.
+/// A queue beside its own fleet (whose catalogue it reads) and meter.
 struct Twin {
-  SuspensionQueue queue;
+  Twin(const resource::TaskStore& tasks, std::size_t capacity,
+       resource::SusOrder order)
+      : queue(tasks, store.configs(), capacity, order) {}
+  // The queue holds the address of the store's catalogue.
+  Twin(const Twin&) = delete;
+  Twin& operator=(const Twin&) = delete;
+
   ResourceStore store = MakeFleet();
+  SuspensionQueue queue;
   WorkloadMeter meter;
 };
 
@@ -280,26 +289,32 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
   const QueueTwinCase param = GetParam();
   Rng rng(param.seed);
   const bool fifo = param.order == resource::SusOrder::kFifo;
-  Twin indexed{SuspensionQueue(param.capacity, param.order)};
-  Twin scan{SuspensionQueue(param.capacity, param.order)};
+  resource::TaskStore tasks;
+  Twin indexed(tasks, param.capacity, param.order);
+  Twin scan(tasks, param.capacity, param.order);
   indexed.queue.SetDrainIndexed(true);
   scan.queue.SetDrainIndexed(false);
   SusQueueIndex mirror(param.order);
   Seq next_seq = 0;
   std::unordered_map<std::uint32_t, SusEntryAttrs> attrs_oracle;
-  std::uint32_t next_task = 0;
   std::uint64_t drains = 0;
   std::uint64_t drain_attempts = 0;
 
-  // Families are a function of the resolved config, as in the simulator
-  // (FamilyId of the config, or invalid for unresolved / family-less).
-  const auto attrs_for_config = [&rng](ConfigId config) {
+  // A fresh task with a random area and priority in its spec, resolved to
+  // `config`. Families are a function of the resolved config, as in the
+  // simulator (FamilyId of the config, or invalid for unresolved /
+  // family-less).
+  const auto new_task = [&](ConfigId config) {
+    resource::TaskSpec spec;
+    spec.required_time = 10;
+    spec.needed_area = rng.uniform_int(100, 2000);
+    spec.priority = static_cast<double>(rng.uniform_int(0, 8));
     SusEntryAttrs a;
     a.resolved_config = config;
     a.config_family = ConfigFamily(config);
-    a.needed_area = rng.uniform_int(100, 2000);
-    a.priority = static_cast<double>(rng.uniform_int(0, 8));
-    return a;
+    a.needed_area = spec.needed_area;
+    a.priority = fifo ? 0.0 : spec.priority;
+    return std::make_pair(tasks.SubmitOne(spec), a);
   };
   const auto random_config = [&rng] {
     const std::int64_t pick = rng.uniform_int(0, kFuzzConfigs);
@@ -320,6 +335,27 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
   const auto forget = [&](Seq seq, TaskId task) {
     mirror.Remove(seq, attrs_oracle.at(task.value()));
     attrs_oracle.erase(task.value());
+  };
+  // Enqueues a fresh task in both twins and the mirror.
+  const auto enqueue = [&] {
+    const auto [task, attrs] = new_task(random_config());
+    const bool ok_indexed =
+        indexed.queue.Add(task, attrs.resolved_config, indexed.meter);
+    const bool ok_scan = scan.queue.Add(task, attrs.resolved_config,
+                                        scan.meter);
+    ASSERT_EQ(ok_indexed, ok_scan);
+    if (ok_scan) {
+      attrs_oracle[task.value()] = attrs;
+      mirror.Add(next_seq, attrs);
+      ASSERT_EQ(indexed.queue.AttrsAt(next_seq).needed_area, attrs.needed_area);
+      ++next_seq;
+    }
+  };
+  // Removes `entry` from both twins, the oracle and the mirror.
+  const auto remove = [&](const Queued& entry) {
+    indexed.queue.RemoveSeq(entry.seq, indexed.meter);
+    scan.queue.RemoveSeq(entry.seq, scan.meter);
+    forget(entry.seq, entry.task);
   };
   const auto drain_both = [&](const DrainCall& call,
                               const std::vector<Queued>& before) {
@@ -346,20 +382,11 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
   for (int op = 0; op < 3000; ++op) {
     const std::vector<Queued> queued = Entries(scan.queue);
     const BruteForce brute{queued, attrs_oracle};
-    switch (rng.uniform_int(0, 9)) {
+    switch (rng.uniform_int(0, 11)) {
       case 0:
-      case 1: {  // enqueue a fresh task (overflow exercised via capacity)
-        const TaskId task{next_task++};
-        const SusEntryAttrs attrs = attrs_for_config(random_config());
-        const bool ok_indexed = indexed.queue.Add(task, attrs, indexed.meter);
-        const bool ok_scan = scan.queue.Add(task, attrs, scan.meter);
-        ASSERT_EQ(ok_indexed, ok_scan);
-        if (ok_scan) {
-          attrs_oracle[task.value()] = attrs;
-          mirror.Add(next_seq++, attrs);
-        }
+      case 1:  // enqueue a fresh task (overflow exercised via capacity)
+        enqueue();
         break;
-      }
       case 2: {  // the fleet moves on between drains
         const auto seed = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30));
         Rng a(seed);
@@ -377,10 +404,7 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
       }
       case 4: {  // removal by seq
         if (queued.empty()) break;
-        const Queued entry = random_entry(queued);
-        indexed.queue.RemoveSeq(entry.seq, indexed.meter);
-        scan.queue.RemoveSeq(entry.seq, scan.meter);
-        forget(entry.seq, entry.task);
+        remove(random_entry(queued));
         break;
       }
       case 5:
@@ -409,6 +433,36 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
                     brute.BestPriorityExactMatch(config));
           ASSERT_EQ(mirror.BestPriorityEligible(family, bound, match),
                     brute.BestPriorityEligible(family, bound, match));
+        }
+        break;
+      }
+      case 10: {  // a burst, then a tombstone run across 64-seq words
+        const auto burst = rng.uniform_int(20, 140);
+        for (std::int64_t k = 0; k < burst && !HasFatalFailure(); ++k) {
+          enqueue();
+        }
+        const std::vector<Queued> now = Entries(scan.queue);
+        if (now.empty()) break;
+        auto first = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(now.size()) - 1));
+        const auto run = static_cast<std::size_t>(rng.uniform_int(1, 130));
+        for (std::size_t k = first; k < std::min(now.size(), first + run);
+             ++k) {
+          remove(now[k]);
+        }
+        break;
+      }
+      case 11: {  // removals inside one config's order, behind its head
+        if (queued.empty()) break;
+        const ConfigId config =
+            attrs_oracle.at(random_entry(queued).task.value()).resolved_config;
+        bool behind_head = false;
+        for (const Queued& entry : queued) {
+          if (attrs_oracle.at(entry.task.value()).resolved_config != config) {
+            continue;
+          }
+          if (behind_head && rng.uniform_int(0, 1) == 0) remove(entry);
+          behind_head = true;
         }
         break;
       }
@@ -492,17 +546,21 @@ TEST(SusDrainIndex, CursorResumesOnTheSeqAfterARemovedEntry) {
   }
   ResourceStore fleet(std::move(configs));
   const NodeId node = fleet.AddNode(500);  // blank: the area bound is 500
+  resource::TaskStore tasks;
+  for (std::uint32_t t = 0; t < 10; ++t) {
+    resource::TaskSpec spec;
+    spec.required_time = 10;
+    spec.needed_area = t % 4 == 1 ? 900 : 300;
+    (void)tasks.SubmitOne(spec);
+  }
   std::vector<std::vector<TaskId>> removed;
   std::vector<WorkloadMeter> meters(2);
   for (const bool indexed : {true, false}) {
-    SuspensionQueue queue;
+    SuspensionQueue queue(tasks, fleet.configs());
     queue.SetDrainIndexed(indexed);
     WorkloadMeter& meter = meters[indexed ? 0 : 1];
     for (std::uint32_t t = 0; t < 10; ++t) {
-      SusEntryAttrs a;
-      a.resolved_config = ConfigId{t % 3};
-      a.needed_area = t % 4 == 1 ? 900 : 300;
-      ASSERT_TRUE(queue.Add(TaskId{t}, a, meter));
+      ASSERT_TRUE(queue.Add(TaskId{t}, ConfigId{t % 3}, meter));
     }
     queue.RemoveSeq(2, meter);
     queue.RemoveSeq(6, meter);

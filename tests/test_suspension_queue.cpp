@@ -23,8 +23,39 @@ std::vector<TaskId> Fifo(const SuspensionQueue& q) {
   return {q.begin(), q.end()};
 }
 
+/// The task table and catalogue a test queue reads its entries' area,
+/// priority and family from: `config_count` configurations (family-less
+/// unless `family_of_odd` is valid, which odd configs then pin) and
+/// `tasks` tasks of area 100 and priority 0, so task ids below `tasks` may
+/// be queued with any config.
+struct Tables {
+  explicit Tables(std::uint32_t tasks = 0, std::uint32_t config_count = 8,
+                  FamilyId family_of_odd = FamilyId::invalid()) {
+    for (std::uint32_t i = 0; i < config_count; ++i) {
+      Configuration c;
+      c.required_area = 100;
+      if (i % 2 == 1) c.family = family_of_odd;
+      configs.Add(c);
+    }
+    for (std::uint32_t i = 0; i < tasks; ++i) (void)Task(100);
+  }
+
+  /// Registers the next task id with `area` and `priority`.
+  TaskId Task(Area area, double priority = 0.0) {
+    TaskSpec spec;
+    spec.required_time = 10;
+    spec.needed_area = area;
+    spec.priority = priority;
+    return this->tasks.SubmitOne(spec);
+  }
+
+  TaskStore tasks;
+  ConfigCatalogue configs;
+};
+
 TEST(SuspensionQueue, FifoOrder) {
-  SuspensionQueue q;
+  const Tables t(10);
+  SuspensionQueue q(t.tasks, t.configs);
   WorkloadMeter meter;
   ASSERT_TRUE(q.Add(TaskId{1}, {}, meter));
   ASSERT_TRUE(q.Add(TaskId{2}, {}, meter));
@@ -34,7 +65,8 @@ TEST(SuspensionQueue, FifoOrder) {
 }
 
 TEST(SuspensionQueue, CapacityBound) {
-  SuspensionQueue q(2);
+  const Tables t(4);
+  SuspensionQueue q(t.tasks, t.configs, 2);
   WorkloadMeter meter;
   EXPECT_TRUE(q.Add(TaskId{1}, {}, meter));
   EXPECT_TRUE(q.Add(TaskId{2}, {}, meter));
@@ -43,7 +75,8 @@ TEST(SuspensionQueue, CapacityBound) {
 }
 
 TEST(SuspensionQueue, UnboundedByDefault) {
-  SuspensionQueue q;
+  const Tables t(1000);
+  SuspensionQueue q(t.tasks, t.configs);
   WorkloadMeter meter;
   for (std::uint32_t i = 0; i < 1000; ++i) {
     ASSERT_TRUE(q.Add(TaskId{i}, {}, meter));
@@ -52,7 +85,8 @@ TEST(SuspensionQueue, UnboundedByDefault) {
 }
 
 TEST(SuspensionQueue, PopFrontTakesOldest) {
-  SuspensionQueue q;
+  const Tables t(10);
+  SuspensionQueue q(t.tasks, t.configs);
   WorkloadMeter meter;
   (void)q.Add(TaskId{1}, {}, meter);
   (void)q.Add(TaskId{2}, {}, meter);
@@ -63,7 +97,8 @@ TEST(SuspensionQueue, PopFrontTakesOldest) {
 }
 
 TEST(SuspensionQueue, PopFrontOfAnEmptyQueueTakesNothing) {
-  SuspensionQueue q;
+  const Tables t(10);
+  SuspensionQueue q(t.tasks, t.configs);
   WorkloadMeter meter;
   EXPECT_FALSE(q.PopFront(meter).has_value());
   (void)q.Add(TaskId{1}, {}, meter);
@@ -77,7 +112,8 @@ TEST(SuspensionQueue, PopFrontOfAnEmptyQueueTakesNothing) {
 TEST(SuspensionQueue, PopChargesScanSteps) {
   // The literal scan visits the front and stops: one step per pop, also
   // behind tombstones left by earlier removals.
-  SuspensionQueue q;
+  const Tables t(10);
+  SuspensionQueue q(t.tasks, t.configs);
   WorkloadMeter meter;
   for (std::uint32_t i = 0; i < 10; ++i) (void)q.Add(TaskId{i}, {}, meter);
   for (const SuspensionQueue::Seq seq : {0u, 1u, 2u, 4u}) {
@@ -91,7 +127,8 @@ TEST(SuspensionQueue, PopChargesScanSteps) {
 }
 
 TEST(SuspensionQueue, RemoveBySeq) {
-  SuspensionQueue q;
+  const Tables t(10);
+  SuspensionQueue q(t.tasks, t.configs);
   WorkloadMeter meter;
   (void)q.Add(TaskId{1}, {}, meter);
   (void)q.Add(TaskId{2}, {}, meter);
@@ -117,7 +154,8 @@ TEST(SuspensionQueue, RemoveBySeq) {
 
 TEST(SuspensionQueue, AddRejectsATaskAlreadyQueued) {
   // One queued bit per task id backs the check, across word boundaries.
-  SuspensionQueue q;
+  const Tables t(1001);
+  SuspensionQueue q(t.tasks, t.configs);
   WorkloadMeter meter;
   for (const std::uint32_t t : {3u, 63u, 64u, 1000u}) {
     ASSERT_TRUE(q.Add(TaskId{t}, {}, meter));
@@ -136,7 +174,8 @@ TEST(SuspensionQueue, AddRejectsATaskAlreadyQueued) {
 }
 
 TEST(SuspensionQueue, PreservesFifoAcrossMixedOps) {
-  SuspensionQueue q;
+  const Tables t(10);
+  SuspensionQueue q(t.tasks, t.configs);
   WorkloadMeter meter;
   for (std::uint32_t i = 0; i < 6; ++i) (void)q.Add(TaskId{i}, {}, meter);
   q.RemoveSeq(2, meter);
@@ -145,16 +184,6 @@ TEST(SuspensionQueue, PreservesFifoAcrossMixedOps) {
   std::vector<std::uint32_t> order;
   for (const TaskId id : q) order.push_back(id.value());
   EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 3, 4, 5, 9}));
-}
-
-SusEntryAttrs Attrs(std::uint32_t config, Area area, double priority,
-                    std::uint32_t family = FamilyId::kInvalidValue) {
-  SusEntryAttrs a;
-  a.resolved_config = ConfigId{config};
-  a.config_family = FamilyId{family};
-  a.needed_area = area;
-  a.priority = priority;
-  return a;
 }
 
 using Seq = SuspensionQueue::Seq;
@@ -225,12 +254,13 @@ TEST(SuspensionQueue, IndexedChargesMatchTheScanContract) {
   const ResourceStore store = OneNodeStore(500);
   for (const bool indexed : {false, true}) {
     SCOPED_TRACE(indexed ? "indexed" : "scan");
-    SuspensionQueue fifo;
+    Tables fifo_tables;
+    SuspensionQueue fifo(fifo_tables.tasks, fifo_tables.configs);
     fifo.SetDrainIndexed(indexed);
     WorkloadMeter meter;
     const Area areas[] = {900, 800, 300, 700, 400, 900};
     for (std::uint32_t i = 0; i < 6; ++i) {
-      (void)fifo.Add(TaskId{i}, Attrs(i, areas[i], 0.0), meter);
+      (void)fifo.Add(fifo_tables.Task(areas[i]), ConfigId{i}, meter);
     }
     // An attempt that leaves its entry queued ends the pass: 3 visits.
     Drained d = Drain(fifo, store, false, ConfigId::invalid(), 0, {2});
@@ -253,11 +283,13 @@ TEST(SuspensionQueue, IndexedChargesMatchTheScanContract) {
     EXPECT_EQ(d.seqs, std::vector<Seq>{5});
     EXPECT_EQ(d.steps, 3u);
 
-    SuspensionQueue prio(0, SusOrder::kPriority);
+    Tables prio_tables;
+    SuspensionQueue prio(prio_tables.tasks, prio_tables.configs, 0,
+                         SusOrder::kPriority);
     prio.SetDrainIndexed(indexed);
-    (void)prio.Add(TaskId{0}, Attrs(0, 300, 1.0), meter);
-    (void)prio.Add(TaskId{1}, Attrs(1, 900, 5.0), meter);
-    (void)prio.Add(TaskId{2}, Attrs(2, 400, 2.0), meter);
+    (void)prio.Add(prio_tables.Task(300, 1.0), ConfigId{0}, meter);
+    (void)prio.Add(prio_tables.Task(900, 5.0), ConfigId{1}, meter);
+    (void)prio.Add(prio_tables.Task(400, 2.0), ConfigId{2}, meter);
     // Picks 2 (3 visits) and 0 (2 visits); the last pick finds none (1).
     d = Drain(prio, store, false, ConfigId::invalid(), 0);
     EXPECT_EQ(d.seqs, (std::vector<Seq>{2, 0}));
@@ -271,15 +303,20 @@ TEST(SuspensionQueue, IndexedDrainQueriesPickScanWinners) {
   // two halves agree.
   for (const bool indexed : {false, true}) {
     SCOPED_TRACE(indexed ? "indexed" : "scan");
-    SuspensionQueue fifo(0, SusOrder::kFifo);
-    SuspensionQueue prio(0, SusOrder::kPriority);
+    Tables t;
+    (void)t.Task(900, 1.0);
+    (void)t.Task(400, 3.0);
+    (void)t.Task(300, 9.0);
+    (void)t.Task(200, 3.0);
+    SuspensionQueue fifo(t.tasks, t.configs, 0, SusOrder::kFifo);
+    SuspensionQueue prio(t.tasks, t.configs, 0, SusOrder::kPriority);
     WorkloadMeter meter;
     for (SuspensionQueue* q : {&fifo, &prio}) {
       q->SetDrainIndexed(indexed);
-      (void)q->Add(TaskId{0}, Attrs(7, 900, 1.0), meter);
-      (void)q->Add(TaskId{1}, Attrs(5, 400, 3.0), meter);
-      (void)q->Add(TaskId{2}, Attrs(7, 300, 9.0), meter);
-      (void)q->Add(TaskId{3}, Attrs(5, 200, 3.0), meter);
+      (void)q->Add(TaskId{0}, ConfigId{7}, meter);
+      (void)q->Add(TaskId{1}, ConfigId{5}, meter);
+      (void)q->Add(TaskId{2}, ConfigId{7}, meter);
+      (void)q->Add(TaskId{3}, ConfigId{5}, meter);
     }
     // Task i was queued as seq i. A 350-area node fits seqs 2 and 3.
     const ResourceStore store = OneNodeStore(350);
@@ -318,7 +355,10 @@ TEST(SuspensionQueue, QueriesOfTheOtherOrderThrow) {
                                                ConfigId::invalid()),
                std::logic_error);
   EXPECT_THROW((void)prio.OldestExactMatch(ConfigId{1}), std::logic_error);
-  prio.Add(0, Attrs(1, 100, 0.0));
+  SusEntryAttrs attrs;
+  attrs.resolved_config = ConfigId{1};
+  attrs.needed_area = 100;
+  prio.Add(0, attrs);
   EXPECT_THROW((void)prio.OldestEligible(FamilyId::invalid(), 100, 0,
                                          ConfigId::invalid()),
                std::logic_error);
@@ -334,15 +374,16 @@ TEST(SuspensionQueue, RequeueAfterKillChargesOneHousekeepingStep) {
   // one enqueue housekeeping step (no scheduling-search charge), in both
   // drain modes, so fault runs keep the paper's step accounting honest.
   for (const bool indexed : {false, true}) {
-    SuspensionQueue q;
+    const Tables t(3);
+    SuspensionQueue q(t.tasks, t.configs);
     q.SetDrainIndexed(indexed);
     WorkloadMeter meter;
-    (void)q.Add(TaskId{1}, Attrs(2, 300, 0.0), meter);
-    (void)q.Add(TaskId{2}, Attrs(3, 400, 0.0), meter);
+    (void)q.Add(TaskId{1}, ConfigId{2}, meter);
+    (void)q.Add(TaskId{2}, ConfigId{3}, meter);
     q.RemoveSeq(0, meter);  // drained and placed on the doomed node
     const Steps sched_before = meter.scheduling_steps_total();
     const Steps house_before = meter.housekeeping_steps_total();
-    ASSERT_TRUE(q.Add(TaskId{1}, Attrs(2, 300, 0.0), meter));
+    ASSERT_TRUE(q.Add(TaskId{1}, ConfigId{2}, meter));
     EXPECT_EQ(meter.scheduling_steps_total(), sched_before) << indexed;
     EXPECT_EQ(meter.housekeeping_steps_total(), house_before + 1) << indexed;
     // The victim re-enters at the FIFO tail, behind tasks queued earlier.
@@ -355,11 +396,14 @@ TEST(SuspensionQueue, RequeueAfterKillChargesOneHousekeepingStep) {
 }
 
 TEST(SuspensionQueue, IndexRebuildsAcrossToggle) {
-  SuspensionQueue q;
+  Tables t(4);
+  ASSERT_EQ(t.Task(700), TaskId{4});
+  ASSERT_EQ(t.Task(600), TaskId{5});
+  SuspensionQueue q(t.tasks, t.configs);
   WorkloadMeter meter;
-  (void)q.Add(TaskId{4}, Attrs(2, 700, 5.0), meter);
-  (void)q.Add(TaskId{5}, Attrs(3, 600, 1.0), meter);
-  q.SetDrainIndexed(true);  // rebuild from retained attributes
+  (void)q.Add(TaskId{4}, ConfigId{2}, meter);
+  (void)q.Add(TaskId{5}, ConfigId{3}, meter);
+  q.SetDrainIndexed(true);  // rebuild from the cells
   const analysis::AuditReport rebuilt =
       analysis::StructureAuditor::AuditSuspensionQueue(q);
   EXPECT_TRUE(rebuilt.ok()) << rebuilt.Render();
@@ -369,7 +413,7 @@ TEST(SuspensionQueue, IndexRebuildsAcrossToggle) {
   // Removals and a requeue while the index is off survive the next rebuild.
   q.SetDrainIndexed(false);
   q.RemoveSeq(0, meter);
-  (void)q.Add(TaskId{4}, Attrs(3, 700, 5.0), meter);
+  (void)q.Add(TaskId{4}, ConfigId{3}, meter);
   q.SetDrainIndexed(true);
   const analysis::AuditReport toggled =
       analysis::StructureAuditor::AuditSuspensionQueue(q);
@@ -388,7 +432,8 @@ TEST(SuspensionQueue, FrontPopsAfterRemovalsKeepOrderAndChargeOneStepEach) {
   // pop must cost exactly one housekeeping step however many entries were
   // removed ahead of or behind the front, and return the FIFO order.
   for (const bool indexed : {false, true}) {
-    SuspensionQueue q;
+    const Tables t(10);
+    SuspensionQueue q(t.tasks, t.configs);
     q.SetDrainIndexed(indexed);
     WorkloadMeter meter;
     for (std::uint32_t i = 0; i < 8; ++i) {
@@ -441,7 +486,9 @@ void FuzzAgainstVectorModel(std::uint64_t seed, IndexMode mode,
                           (mode == IndexMode::kToggled && seed % 2 == 1))
                              ? SusOrder::kPriority
                              : SusOrder::kFifo;
-  SuspensionQueue q(capacity, order);
+  // Odd configs pin family 1, even ones none.
+  Tables t(0, 6, FamilyId{1});
+  SuspensionQueue q(t.tasks, t.configs, capacity, order);
   q.SetDrainIndexed(mode != IndexMode::kOff);
   WorkloadMeter meter;
   std::vector<TaskId> model;
@@ -452,11 +499,17 @@ void FuzzAgainstVectorModel(std::uint64_t seed, IndexMode mode,
     if (it == model.end()) return std::nullopt;
     return static_cast<std::size_t>(it - model.begin());
   };
-  const auto random_attrs = [&rng] {
-    return Attrs(static_cast<std::uint32_t>(rng.uniform_int(0, 5)),
-                 rng.uniform_int(100, 2000),
-                 static_cast<double>(rng.uniform_int(0, 4)),
-                 rng.uniform_int(0, 2) == 0 ? FamilyId::kInvalidValue : 1);
+  // A task's area and priority are its spec's; each enqueue resolves a
+  // config of its own (none, one time in seven).
+  const auto new_task = [&] {
+    ++next_task;
+    return t.Task(rng.uniform_int(100, 2000),
+                  static_cast<double>(rng.uniform_int(0, 4)));
+  };
+  const auto random_config = [&rng] {
+    const std::int64_t pick = rng.uniform_int(0, 6);
+    return pick == 6 ? ConfigId::invalid()
+                     : ConfigId{static_cast<std::uint32_t>(pick)};
   };
 
   for (int op = 0; op < 1500; ++op) {
@@ -464,9 +517,9 @@ void FuzzAgainstVectorModel(std::uint64_t seed, IndexMode mode,
       case 0:
       case 1:
       case 2: {
-        const TaskId task{next_task++};
+        const TaskId task = new_task();
         const bool fits = capacity == 0 || model.size() < capacity;
-        ASSERT_EQ(q.Add(task, random_attrs(), meter), fits);
+        ASSERT_EQ(q.Add(task, random_config(), meter), fits);
         charged += 1;
         if (fits) model.push_back(task);
         break;
@@ -501,7 +554,7 @@ void FuzzAgainstVectorModel(std::uint64_t seed, IndexMode mode,
             rng.uniform_int(0, static_cast<std::int64_t>(next_task) - 1))};
         if (model_pos(task)) break;
         const bool fits = capacity == 0 || model.size() < capacity;
-        ASSERT_EQ(q.Add(task, random_attrs(), meter), fits);
+        ASSERT_EQ(q.Add(task, random_config(), meter), fits);
         charged += 1;
         if (fits) model.push_back(task);
         break;
@@ -644,22 +697,28 @@ void FuzzDrainsAgainstModel(std::uint64_t seed, SusOrder order, bool indexed) {
   Rng rng(seed);
   constexpr Area kNodeArea = 1000;
   const ResourceStore store = OneNodeStore(kNodeArea);
-  SuspensionQueue q(0, order);
+  Tables t;
+  SuspensionQueue q(t.tasks, t.configs, 0, order);
   q.SetDrainIndexed(indexed);
   DrainModel model(order, kNodeArea);
   WorkloadMeter meter;
   Steps housekeeping = 0;
   Steps scheduling = 0;
-  std::uint32_t next_task = 0;
-  const auto random_attrs = [&rng] {
-    return Attrs(static_cast<std::uint32_t>(rng.uniform_int(0, 7)),
-                 rng.uniform_int(100, 2000),
-                 static_cast<double>(rng.uniform_int(0, 4)));
+  const auto new_task = [&] {
+    return t.Task(rng.uniform_int(100, 2000),
+                  static_cast<double>(rng.uniform_int(0, 4)));
   };
+  // Queues `task` resolved to a random config; the model reads its area
+  // and priority from its spec, as the queue does.
   const auto add = [&](TaskId task) {
-    const SusEntryAttrs attrs = random_attrs();
-    ASSERT_TRUE(q.Add(task, attrs, meter));
+    const ConfigId config{static_cast<std::uint32_t>(rng.uniform_int(0, 7))};
+    ASSERT_TRUE(q.Add(task, config, meter));
     ++housekeeping;
+    const TaskSpec& spec = t.tasks.Spec(task);
+    SusEntryAttrs attrs;
+    attrs.resolved_config = config;
+    attrs.needed_area = spec.needed_area;
+    attrs.priority = spec.priority;
     model.entries.push_back({task, attrs});
   };
   // Removes the entries at FIFO positions [first, first + count).
@@ -683,7 +742,7 @@ void FuzzDrainsAgainstModel(std::uint64_t seed, SusOrder order, bool indexed) {
       case 0:
       case 1:
       case 2:
-        add(TaskId{next_task++});
+        add(new_task());
         break;
       case 3: {
         const std::optional<TaskId> popped = q.PopFront(meter);
@@ -715,7 +774,7 @@ void FuzzDrainsAgainstModel(std::uint64_t seed, SusOrder order, bool indexed) {
         if (n > 0) {
           const TaskId newest = model.entries.back().task;
           remove_run(n - 1, 1);
-          add(rng.uniform_int(0, 1) == 0 ? newest : TaskId{next_task++});
+          add(rng.uniform_int(0, 1) == 0 ? newest : new_task());
         }
         break;
       case 8: {  // a full drain
