@@ -15,9 +15,9 @@
 // module (the CLI default) over a run without it, and a run with faults
 // firing, for its fault counts.
 //
-// Output: BENCH_overhead.json next to the executable (override with
-// --out); --quick shrinks the workload for CI. Exits 1 if any row's
-// metrics diverge, any audit fails or any gate is breached.
+// Output: BENCH_overhead.json next to the binary (or --out); --quick shrinks
+// the workload for CI and repeats each round's runs until it holds 0.2 s of
+// CPU. Exits 1 if any row's metrics diverge, any audit fails or a gate breaks.
 #include <cstdio>
 #include <functional>
 #include <iostream>
@@ -163,9 +163,9 @@ double RunOnce(SimulationConfig config, const Row& row,
 }
 
 /// Times every row of `base`: the baseline and the per-round rows in
-/// `rounds` paired rounds, then each `once` row against the fastest
-/// baseline. Results come baseline first.
-std::vector<Result> Measure(const Base& base, int rounds) {
+/// `rounds` paired rounds of at least `min_seconds` each, then each `once`
+/// row against the fastest baseline. Results come baseline first.
+std::vector<Result> Measure(const Base& base, int rounds, double min_seconds) {
   std::vector<Row> levels{Row{"off"}};
   for (const Row& row : base.rows) {
     if (!row.once) levels.push_back(row);
@@ -173,7 +173,7 @@ std::vector<Result> Measure(const Base& base, int rounds) {
   std::vector<Result> results(levels.size());
   std::optional<MetricsReport> reference;
   const RoundStats stats =
-      PairedRounds(levels.size(), rounds, [&](std::size_t i) {
+      PairedRounds(levels.size(), rounds, min_seconds, [&](std::size_t i) {
         return RunOnce(base.config, levels[i], reference, results[i]);
       });
   for (std::size_t i = 0; i < levels.size(); ++i) {
@@ -282,10 +282,13 @@ int main(int argc, char** argv) {
   const std::string scratch = args.out_path + ".scratch";
   const int tasks = args.quick ? 5000 : 20000;
   const int rounds = args.quick ? 3 : 7;
+  const double min_seconds = args.quick ? 0.2 : 0.0;  // CPU s per round
 
   std::vector<Result> results;
   for (const Base& base : Bases(tasks, scratch)) {
-    for (Result& r : Measure(base, rounds)) results.push_back(std::move(r));
+    for (Result& r : Measure(base, rounds, min_seconds)) {
+      results.push_back(std::move(r));
+    }
   }
   for (const char* suffix : {".trace.jsonl", ".timeline.csv",
                              ".metrics.jsonl"}) {
@@ -343,6 +346,7 @@ int main(int argc, char** argv) {
       .Field("nodes", results[0].report.total_nodes)
       .Field("tasks", tasks)
       .Field("rounds", rounds)
+      .Field("min_round_seconds", min_seconds)
       .BeginArray("rows");
   for (const Result& r : results) {
     json.Element(JsonRow()

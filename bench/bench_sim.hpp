@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <iterator>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -73,7 +74,7 @@ inline bool SameRun(const core::MetricsReport& a, const core::MetricsReport& b) 
 
 /// Timings of PairedRounds, per level.
 struct RoundStats {
-  std::vector<double> best_seconds;      // fastest round
+  std::vector<double> best_seconds;      // fastest round, per run
   std::vector<std::vector<double>> pct;  // per round, vs that round's level 0
 
   [[nodiscard]] double MinPct(std::size_t level) const {
@@ -94,16 +95,22 @@ struct RoundStats {
 /// the cleanest round is the closest estimate of the true cost, while a
 /// genuine regression inflates every round, the minimum included. The
 /// median is reported as context. `run_level(i)` runs level i once and
-/// returns its CPU seconds.
+/// returns its CPU seconds; a round runs every level again until it holds
+/// `min_seconds` in all, and a level's sample is its mean over the round.
 template <typename RunLevel>
-RoundStats PairedRounds(std::size_t levels, int rounds,
+RoundStats PairedRounds(std::size_t levels, int rounds, double min_seconds,
                         const RunLevel& run_level) {
   RoundStats stats{std::vector<double>(levels, 1e300),
                    std::vector<std::vector<double>>(levels)};
-  std::vector<double> seconds(levels);
   for (int round = 0; round < rounds; ++round) {
+    std::vector<double> seconds(levels, 0.0);
+    int passes = 0;
+    do {
+      for (std::size_t i = 0; i < levels; ++i) seconds[i] += run_level(i);
+      ++passes;
+    } while (std::reduce(seconds.begin(), seconds.end()) < min_seconds);
     for (std::size_t i = 0; i < levels; ++i) {
-      seconds[i] = run_level(i);
+      seconds[i] /= passes;
       stats.best_seconds[i] = std::min(stats.best_seconds[i], seconds[i]);
     }
     for (std::size_t i = 0; i < levels; ++i) {

@@ -9,7 +9,6 @@
 #include <limits>
 
 #include "core/simulator.hpp"
-#include "rms/load_balancer.hpp"
 #include "util/cli.hpp"
 #include "util/fmt.hpp"
 
@@ -53,23 +52,18 @@ int main(int argc, char** argv) try {
     const core::MetricsReport report = simulator.Run();
 
     // Load-balance quality at end of run (the extension the paper lists as
-    // future work): Jain's fairness over cumulative per-node activity.
-    const rms::LoadBalancer balancer(simulator.store());
-    double fairness;
-    {
-      // Fairness over reconfiguration activity, since running tasks are
-      // zero after the run drains.
-      double sum = 0.0;
-      double sum_sq = 0.0;
-      for (const resource::Node& n : simulator.store().nodes()) {
-        const auto x = static_cast<double>(n.reconfig_count());
-        sum += x;
-        sum_sq += x * x;
-      }
-      const auto count = static_cast<double>(simulator.store().node_count());
-      fairness = sum_sq > 0.0 ? (sum * sum) / (count * sum_sq) : 1.0;
+    // future work): Jain's fairness over per-node reconfiguration activity,
+    // since running tasks are zero after the run drains.
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    for (const resource::Node& n : simulator.store().nodes()) {
+      const auto x = static_cast<double>(n.reconfig_count());
+      sum += x;
+      sum_sq += x * x;
     }
-    (void)balancer;
+    const auto count = static_cast<double>(simulator.store().node_count());
+    const double fairness =
+        sum_sq > 0.0 ? (sum * sum) / (count * sum_sq) : 1.0;
 
     std::cout << Format(
         "{:<14}{:>11}{:>11}{:>15}{:>15}{:>14}{:>11}\n",

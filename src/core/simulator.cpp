@@ -503,7 +503,7 @@ void Simulator::EnqueueSuspended(TaskId id, ConfigId config) {
   if (!suspension_.Add(id, config, store_.meter())) {
     // Queue overflow: the system sheds load by discarding the task.
     Discard(id, "queue-overflow");
-    DREAMSIM_LOG(LogLevel::kWarning,
+    DREAMSIM_LOG(LogLevel::kDebug,
                  "t={} suspension queue full; task {} discarded",
                  kernel_.now(), id.value());
   }

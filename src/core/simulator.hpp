@@ -136,14 +136,6 @@ class Simulator {
   /// outlive the Simulator, or at least every read of tasks().Spec().
   [[nodiscard]] MetricsReport RunWithWorkload(const workload::Workload& wl);
 
-  /// Runs a merged multi-class workload (scenario path): submits the
-  /// timeline and releases each chain successor when its predecessor
-  /// completes (composing with any user-installed completion hook). A
-  /// chain-free workload delegates to RunWithWorkload(wl.tasks) verbatim.
-  /// Borrows `wl.tasks` like RunWithWorkload(); chain links are copied.
-  [[nodiscard]] MetricsReport RunMultiClass(
-      const workload::MultiClassWorkload& wl);
-
   /// Optional hook invoked after every task completion (used by the
   /// task-graph session to release successors). Set before Run*().
   void SetCompletionHook(std::function<void(TaskId, Tick)> hook) {
@@ -207,6 +199,13 @@ class Simulator {
   [[nodiscard]] analysis::AuditReport AuditStructures() const;
 
  private:
+  /// Run() with task classes (scenario path): submits the merged timeline
+  /// and releases each chain successor when its predecessor completes
+  /// (composing with any user-installed completion hook). A chain-free
+  /// workload delegates to RunWithWorkload(wl.tasks) verbatim. Borrows
+  /// `wl.tasks` like RunWithWorkload(); chain links are copied.
+  [[nodiscard]] MetricsReport RunMultiClass(
+      const workload::MultiClassWorkload& wl);
   /// Ticks spent shipping the bitstream for a fresh configuration on
   /// `node` (0 on cache hit or when shipping is disabled).
   [[nodiscard]] Tick BitstreamDelay(const resource::Node& node,
