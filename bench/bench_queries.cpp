@@ -11,8 +11,8 @@
 //   drain        one row per drain shape at queue depths 1k/10k/100k: ns
 //                per SuspensionQueue drain call with the drain index off
 //                (the literal walk, what a scan-mode Simulator runs; it
-//                reads each entry's area and priority from the task's
-//                spec) and on (the index answer plus its analytic step
+//                reads each entry's area from the task's spec and its
+//                priority from the task store's column) and on (the index answer plus its analytic step
 //                charge), on identical populations beside one blank node
 //                whose area sets the drain's bound. Every attempt leaves
 //                its entry queued, so a call makes at most one attempt and
@@ -140,20 +140,29 @@ std::vector<NamedQuery> StoreQueries() {
 
 constexpr std::uint32_t kConfigs = 64;
 
-/// The specs of a saturated-regime queue population of `depth` tasks:
-/// areas mostly too large for a freshly freed region with a sparse
-/// sprinkle of small tasks. Deterministic, so every queue sees identical
-/// state.
-std::vector<TaskSpec> MakeSpecs(int depth) {
+/// A saturated-regime queue population of `depth` tasks: areas mostly
+/// too large for a freshly freed region with a sparse sprinkle of small
+/// tasks, and priorities in [0, 9]. Deterministic, so every queue sees
+/// identical state.
+struct Population {
+  std::vector<TaskSpec> specs;
+  std::vector<double> priority;
+
+  /// Submits the population to `tasks`, which borrows both arrays.
+  void SubmitTo(TaskStore& tasks) const { tasks.Submit(specs, {}, priority); }
+};
+
+Population MakePopulation(int depth) {
   Rng rng(11);
-  std::vector<TaskSpec> specs(static_cast<std::size_t>(depth));
-  for (int i = 0; i < depth; ++i) {
-    TaskSpec& spec = specs[static_cast<std::size_t>(i)];
+  const auto count = static_cast<std::size_t>(depth);
+  Population pop{std::vector<TaskSpec>(count), std::vector<double>(count)};
+  for (std::size_t i = 0; i < count; ++i) {
+    TaskSpec& spec = pop.specs[i];
     spec.required_time = 10;
     spec.needed_area = (i % 997 == 996) ? 100 : rng.uniform_int(1000, 2000);
-    spec.priority = static_cast<double>(rng.uniform_int(0, 9));
+    pop.priority[i] = static_cast<double>(rng.uniform_int(0, 9));
   }
-  return specs;
+  return pop;
 }
 
 /// Queues task i of the population, resolved to one of kConfigs distinct
@@ -193,9 +202,9 @@ constexpr NodeId kFitsNone{1};
 void TimeDrains(int depth, double min_seconds, std::vector<QueryRow>& rows) {
   const ConfigId target{kConfigs - 1};
   const ResourceStore store = MakeDrainFleet();
-  const std::vector<TaskSpec> specs = MakeSpecs(depth);
+  const Population pop = MakePopulation(depth);
   TaskStore tasks;
-  tasks.Submit(specs);
+  pop.SubmitTo(tasks);
   WorkloadMeter meter;
   const auto keep = [](SuspensionQueue::Seq) {};
   // One queue per (order, index mode); an index serves one drain order.
@@ -258,9 +267,9 @@ std::size_t PeakRssBytes() {
 double QueueBytesPerSeq() {
   constexpr int kSeqs = 1 << 20;
   const ResourceStore store = MakeDrainFleet();
-  const std::vector<TaskSpec> specs = MakeSpecs(kSeqs);
+  const Population pop = MakePopulation(kSeqs);
   TaskStore tasks;
-  tasks.Submit(specs);
+  pop.SubmitTo(tasks);
   const std::size_t before = PeakRssBytes();
   SuspensionQueue queue(tasks, store.configs());
   queue.SetDrainIndexed(true);

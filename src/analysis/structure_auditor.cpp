@@ -1133,8 +1133,8 @@ AuditReport StructureAuditor::AuditSusAttrs(
     // the catalogue: the one ResolveConfig picks (C_pref when the
     // catalogue has it, else the closest match), resolved again here with
     // the uncounted lookups. It cannot change while the task waits; the
-    // area, priority and family the drains read come from the spec and
-    // the catalogue themselves.
+    // area, priority and family the drains read come from the spec, the
+    // task store's priority column and the catalogue themselves.
     const resource::TaskSpec& spec = tasks.Spec(id);
     Steps uncounted = 0;
     std::optional<ConfigId> config;

@@ -86,7 +86,7 @@ struct SimulationConfig {
   /// Suspended tasks re-attempted per completion event (bounds the cost of
   /// queue drains; the FIFO order of the paper is preserved).
   std::size_t suspension_batch = 8;
-  /// Select suspended tasks by priority (Task::priority, higher first;
+  /// Select suspended tasks by priority (TaskStore::Priority, higher first;
   /// FIFO ties) instead of pure FIFO when draining the queue. Used by the
   /// critical-path-first task-graph scheduler; the paper's scheduler is
   /// FIFO (default).

@@ -432,7 +432,7 @@ sched::Decision Simulator::AttemptSchedule(TaskId id, bool is_arrival) {
     case sched::Outcome::kPlaced: {
       const Tick now = kernel_.now();
       const Tick comm_time = network_.TransferTime(
-          store_.node(decision.entry.node), spec.data_size);
+          store_.node(decision.entry.node), tasks_.DataSize(id));
       Tick config_wait = decision.config_time;
       if (decision.config_time > 0) {
         // A fresh configuration was loaded: ship its bitstream unless the

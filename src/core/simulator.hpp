@@ -132,8 +132,9 @@ class Simulator {
   [[nodiscard]] MetricsReport Run();
 
   /// Runs a pre-materialized workload (trace replay / tests). The task
-  /// store borrows the entries of `wl` as the tasks' specs, so `wl` must
-  /// outlive the Simulator, or at least every read of tasks().Spec().
+  /// store borrows the specs and side columns of `wl`, so `wl` must
+  /// outlive the Simulator, or at least every read of tasks().Spec(),
+  /// DataSize() or Priority().
   [[nodiscard]] MetricsReport RunWithWorkload(const workload::Workload& wl);
 
   /// Optional hook invoked after every task completion (used by the

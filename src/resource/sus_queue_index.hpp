@@ -73,7 +73,8 @@ namespace dreamsim::resource {
 
 /// The drain-relevant attributes of one suspended task, which the queue
 /// derives from its cell (the resolved config), the config's catalogue
-/// entry (the family) and the task's spec (area and priority). None of
+/// entry (the family) and the task store (the spec's area and the
+/// priority column). None of
 /// them can change while the task is queued: needed_area and priority are
 /// fixed at submission, and the resolved config depends only on the task
 /// and the run's fixed catalogue.

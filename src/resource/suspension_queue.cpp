@@ -74,12 +74,11 @@ void SuspensionQueue::SetDrainIndexed(bool enabled) {
 
 SusEntryAttrs SuspensionQueue::AttrsAt(Seq seq) const {
   const Cell& cell = entries_[seq];
-  const TaskSpec& spec = tasks_->Spec(cell.task);
   return {cell.config,
           cell.config.valid() ? configs_->Get(cell.config).family
                               : FamilyId::invalid(),
-          spec.needed_area,
-          order_ == SusOrder::kPriority ? spec.priority : 0.0};
+          tasks_->Spec(cell.task).needed_area,
+          order_ == SusOrder::kPriority ? tasks_->Priority(cell.task) : 0.0};
 }
 
 namespace {
@@ -108,8 +107,8 @@ std::optional<SuspensionQueue::Seq> SuspensionQueue::ScanFull(
   std::optional<Seq> match;
   std::optional<Seq> fallback;
   const auto better = [&](const std::optional<Seq>& best, Seq seq) {
-    return !best || (by_priority &&
-                     SpecAt(seq).priority > SpecAt(*best).priority);
+    return !best ||
+           (by_priority && PriorityAt(seq) > PriorityAt(*best));
   };
   for (std::uint32_t seq = NextLive(head_); seq != kNoSlot;
        seq = NextLive(seq + 1)) {
@@ -135,7 +134,7 @@ std::optional<SuspensionQueue::Seq> SuspensionQueue::ScanBest(
        seq = NextLive(seq + 1)) {
     meter.Add(StepKind::kSchedulingSearch);
     if (!CouldUse(store, node, freed_config, seq)) continue;
-    if (!best || SpecAt(seq).priority > SpecAt(*best).priority) best = seq;
+    if (!best || PriorityAt(seq) > PriorityAt(*best)) best = seq;
   }
   return best;
 }

@@ -9,8 +9,9 @@
 // cell in an append-only cell array, so FIFO order is seq order and no
 // link list is needed. A cell holds the task and the configuration it
 // resolved to (8 bytes); everything else a drain reads about the task
-// stays where it already is: the needed area and the priority in the
-// task's spec, the family in the catalogue entry of the configuration.
+// stays where it already is: the needed area in the task's spec, the
+// priority in the task store's priority column (read only in priority
+// order), the family in the catalogue entry of the configuration.
 // None of them changes while the task is queued. Removal leaves a
 // tombstone (an invalid TaskId) in its cell, and a bitset of live seqs
 // with a Fenwick tree over its 64-seq word counts (0.19 bytes per seq)
@@ -265,6 +266,10 @@ class SuspensionQueue {
   /// The spec of the task queued as `seq`.
   [[nodiscard]] const TaskSpec& SpecAt(std::uint32_t seq) const {
     return tasks_->Spec(entries_[seq].task);
+  }
+  /// The priority of the task queued as `seq` (priority-order walks only).
+  [[nodiscard]] double PriorityAt(std::uint32_t seq) const {
+    return tasks_->Priority(entries_[seq].task);
   }
 
   /// `task`'s bit within its word queued_[task / kWordBits].

@@ -22,7 +22,7 @@ class JobSubmissionManager {
   /// Registers one task (state kCreated) per workload entry, with
   /// consecutive ids in workload order, and their arrivals: each fires at
   /// its create_time, ties in submission order. The task store borrows the
-  /// entries as the tasks' specs, and a workload in create_time order is
+  /// workload's specs and side columns, and a workload in create_time order is
   /// read in place by the kernel's arrival cursor, so `workload` must
   /// outlive both the kernel run and every later read of a spec. Throws
   /// std::invalid_argument, registering nothing, on an invalid entry.

@@ -3,10 +3,74 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "util/fmt.hpp"
 
 namespace dreamsim::workload {
+namespace {
+
+/// Appends `value` to the side column `column` of a workload that now
+/// holds `tasks` specs (this one included), creating the column, zeros
+/// first, on its first non-zero value.
+template <typename T>
+void PushColumn(std::vector<T>& column, T value, std::size_t tasks,
+                std::size_t capacity) {
+  if (column.empty()) {
+    if (value == T{}) return;
+    column.reserve(capacity);
+    column.resize(tasks - 1, T{});
+  }
+  column.push_back(value);
+}
+
+}  // namespace
+
+Workload::Workload(std::initializer_list<GeneratedTask> tasks)
+    : Workload(std::span<const GeneratedTask>(tasks.begin(), tasks.size())) {}
+
+Workload::Workload(std::span<const GeneratedTask> tasks) {
+  reserve(tasks.size());
+  for (const GeneratedTask& t : tasks) push_back(t);
+}
+
+Workload::Workload(std::vector<resource::TaskSpec> specs,
+                   std::vector<Bytes> data_size, std::vector<double> priority)
+    : specs_(std::move(specs)),
+      data_size_(std::move(data_size)),
+      priority_(std::move(priority)) {
+  if ((!data_size_.empty() && data_size_.size() != specs_.size()) ||
+      (!priority_.empty() && priority_.size() != specs_.size())) {
+    throw std::invalid_argument(
+        "workload side column size differs from the spec count");
+  }
+}
+
+void Workload::push_back(const GeneratedTask& task) {
+  specs_.push_back(task);
+  PushColumn(data_size_, task.data_size, specs_.size(), specs_.capacity());
+  PushColumn(priority_, task.priority, specs_.size(), specs_.capacity());
+}
+
+void Workload::reserve(std::size_t tasks) {
+  specs_.reserve(tasks);
+  if (!data_size_.empty()) data_size_.reserve(tasks);
+  if (!priority_.empty()) priority_.reserve(tasks);
+}
+
+GeneratedTask Workload::operator[](std::size_t i) const {
+  GeneratedTask t;
+  static_cast<resource::TaskSpec&>(t) = specs_[i];
+  if (!data_size_.empty()) t.data_size = data_size_[i];
+  if (!priority_.empty()) t.priority = priority_[i];
+  return t;
+}
+
+std::size_t Workload::heap_bytes() const {
+  return specs_.capacity() * sizeof(resource::TaskSpec) +
+         data_size_.capacity() * sizeof(Bytes) +
+         priority_.capacity() * sizeof(double);
+}
 
 Tick DrawArrivalGap(const TaskGenParams& p, Rng& rng) {
   switch (p.arrivals) {
@@ -79,7 +143,7 @@ std::vector<std::string> ValidateWorkload(const Workload& workload) {
   std::vector<std::string> violations;
   Tick last = 0;
   for (std::size_t i = 0; i < workload.size(); ++i) {
-    const GeneratedTask& t = workload[i];
+    const resource::TaskSpec& t = workload.spec(i);
     if (t.create_time < last) {
       violations.push_back(
           Format("task {}: create_time decreases ({} < {})", i,
@@ -92,8 +156,12 @@ std::vector<std::string> ValidateWorkload(const Workload& workload) {
     if (t.needed_area <= 0) {
       violations.push_back(Format("task {}: non-positive needed_area", i));
     }
-    if (t.data_size < 0) {
+    if (!workload.data_sizes().empty() && workload.data_sizes()[i] < 0) {
       violations.push_back(Format("task {}: negative data_size", i));
+    }
+    if (!workload.priorities().empty() &&
+        !std::isfinite(workload.priorities()[i])) {
+      violations.push_back(Format("task {}: non-finite priority", i));
     }
   }
   return violations;

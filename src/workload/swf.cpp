@@ -91,6 +91,7 @@ SwfConversion ConvertSwf(const std::vector<SwfJob>& jobs,
     throw std::invalid_argument("invalid SWF mapping parameters");
   }
   SwfConversion result;
+  std::vector<GeneratedTask> tasks;
   result.jobs_parsed = jobs.size();
   for (const SwfJob& job : jobs) {
     // Prefer measured runtime; fall back to the user's request.
@@ -125,12 +126,13 @@ SwfConversion ConvertSwf(const std::vector<SwfJob>& jobs,
             ? mapping.max_area
             : std::max(procs * mapping.area_per_processor, mapping.min_area);
     t.data_size = job.used_memory_kb > 0 ? job.used_memory_kb * kKb : 0;
-    result.workload.push_back(t);
+    tasks.push_back(t);
   }
-  std::stable_sort(result.workload.begin(), result.workload.end(),
+  std::stable_sort(tasks.begin(), tasks.end(),
                    [](const GeneratedTask& a, const GeneratedTask& b) {
                      return a.create_time < b.create_time;
                    });
+  result.workload = Workload(tasks);
   return result;
 }
 

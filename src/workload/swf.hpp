@@ -10,7 +10,7 @@
 //   submit time  -> create_time               (scaled by ticks_per_second)
 //   run time     -> t_required                (fallback: requested time)
 //   #processors  -> needed_area = procs * area_per_processor
-//   used memory  -> data_size (KB -> bytes)
+//   used memory  -> data_size (KB -> bytes; the data-size column)
 //   C_pref       -> absent (closest match by area: real cluster jobs do
 //                   not name FPGA configurations)
 //

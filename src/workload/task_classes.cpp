@@ -1,6 +1,7 @@
 #include "workload/task_classes.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/fmt.hpp"
@@ -192,7 +193,13 @@ std::vector<std::string> ValidateTaskClass(const TaskClassParams& p) {
       (p.min_chain < 2 || p.min_chain > p.max_chain)) {
     bad("invalid chain length range (need 2 <= min <= max)");
   }
-  if (p.min_priority > p.max_priority) bad("invalid priority range");
+  // `min > max` alone lets a NaN bound through; the task store rejects a
+  // non-finite priority.
+  if (!std::isfinite(p.min_priority) || !std::isfinite(p.max_priority)) {
+    bad("priority range must be finite");
+  } else if (p.min_priority > p.max_priority) {
+    bad("invalid priority range");
+  }
   // A time-budgeted stream whose every gap can be zero would never pass
   // end_time: require some forward progress.
   if (time_budget && !count_budget && p.base.max_interval <= 0 &&
@@ -240,8 +247,8 @@ MultiClassWorkload GenerateMultiClassWorkload(
     for (std::size_t c = 0; c < streams.size(); ++c) {
       if (cursor[c] >= streams[c].arrivals.size()) continue;
       if (best == streams.size() ||
-          streams[c].arrivals[cursor[c]].create_time <
-              streams[best].arrivals[cursor[best]].create_time) {
+          streams[c].arrivals.spec(cursor[c]).create_time <
+              streams[best].arrivals.spec(cursor[best]).create_time) {
         best = c;
       }
     }

@@ -40,9 +40,9 @@ void PrintTo(const FaultCase& c, std::ostream* os) {
 /// A saturating workload whose execution times are short relative to the
 /// MTBF, so failures interrupt running tasks without statistically
 /// livelocking the retry loop.
-std::vector<workload::GeneratedTask> MakeWorkload(std::uint64_t seed) {
+workload::Workload MakeWorkload(std::uint64_t seed) {
   Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
-  std::vector<workload::GeneratedTask> tasks;
+  workload::Workload tasks;
   Tick at = 0;
   for (int i = 0; i < 160; ++i) {
     workload::GeneratedTask t;
@@ -98,7 +98,8 @@ RunResult RunOne(const FaultCase& c, std::uint64_t seed, bool indexed) {
   sim.SetEventLogger([&](const SimEvent& e) { result.events.push_back(e); });
   EXPECT_EQ(sim.store().indexed(), indexed);
   EXPECT_EQ(sim.suspension().drain_indexed(), indexed);
-  result.report = sim.RunWithWorkload(MakeWorkload(seed));
+  const workload::Workload wl = MakeWorkload(seed);
+  result.report = sim.RunWithWorkload(wl);
   const analysis::AuditReport audit = sim.AuditStructures();
   EXPECT_TRUE(audit.ok()) << audit.Render();
   return result;

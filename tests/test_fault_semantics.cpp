@@ -140,7 +140,8 @@ TEST(FaultSemantics, PreRunSubmissionsArmTheFailureProcessOnce) {
     Simulator sim(ProcessConfig());
     sim.SetEventLogger(
         [&](const SimEvent& e) { via_workload.events.push_back(e); });
-    via_workload.report = sim.RunWithWorkload(tasks);
+    const workload::Workload wl(tasks);
+    via_workload.report = sim.RunWithWorkload(wl);
   }
 
   // Vacuous unless the process actually fired.

@@ -47,9 +47,9 @@ std::uint64_t ValueOf(const obs::MetricsSnapshot& snap, MetricId id) {
   return snap.value[static_cast<std::size_t>(id)];
 }
 
-std::vector<workload::GeneratedTask> MakeWorkload(std::uint64_t seed) {
+workload::Workload MakeWorkload(std::uint64_t seed) {
   Rng rng(seed * 0x9e3779b97f4a7c15ULL + 11);
-  std::vector<workload::GeneratedTask> tasks;
+  workload::Workload tasks;
   Tick at = 0;
   for (int i = 0; i < 180; ++i) {
     workload::GeneratedTask t;
@@ -97,7 +97,8 @@ RunResult RunOne(bool faults, std::uint64_t seed, bool indexed) {
   obs::MetricsRegistry::Instance().Reset();
   Simulator sim(std::move(config));
   RunResult result;
-  result.report = sim.RunWithWorkload(MakeWorkload(seed));
+  const workload::Workload wl = MakeWorkload(seed);
+  result.report = sim.RunWithWorkload(wl);
   result.snap = obs::MetricsRegistry::Instance().TakeSnapshot();
   obs::MetricsRegistry::SetEnabled(false);
   obs::MetricsRegistry::Instance().Reset();

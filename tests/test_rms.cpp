@@ -92,7 +92,7 @@ TEST(JobSubmissionManager, SubmitsArrivalsInOrder) {
   EXPECT_EQ(arrivals[2], (std::pair<Tick, std::uint32_t>{30, 2}));
   // Task specs carry their creation times, read from the workload in place.
   EXPECT_EQ(tasks.Spec(TaskId{1}).create_time, 20);
-  EXPECT_EQ(&tasks.Spec(TaskId{1}), &wl[1]);
+  EXPECT_EQ(&tasks.Spec(TaskId{1}), &wl.spec(1));
   EXPECT_EQ(tasks.Get(TaskId{1}).state, resource::TaskState::kCreated);
 }
 
@@ -136,7 +136,8 @@ TEST(JobSubmissionManager, UnsortedWorkloadMatchesItsStableSortedCopy) {
 void ExpectBorrowed(const resource::TaskStore& tasks,
                     const workload::Workload& wl, std::uint32_t first) {
   for (std::uint32_t k = 0; k < wl.size(); ++k) {
-    EXPECT_EQ(&tasks.Spec(TaskId{first + k}), &wl[k]) << "task " << first + k;
+    EXPECT_EQ(&tasks.Spec(TaskId{first + k}), &wl.spec(k))
+        << "task " << first + k;
   }
 }
 
@@ -188,7 +189,7 @@ TEST(JobSubmissionManager, UnsortedWorkloadSpecsStayInWorkloadOrder) {
 
 TEST(JobSubmissionManager, InvalidWorkloadSubmitsNothing) {
   workload::Workload wl = MakeWorkload({10, 20, 30});
-  wl[1].required_time = -1;
+  wl.spec(1).required_time = -1;
   sim::Kernel kernel;
   resource::TaskStore tasks;
   JobSubmissionManager jobs(kernel, tasks);

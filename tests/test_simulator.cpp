@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
+#include "core/report.hpp"
 #include "task_times.hpp"
 
 namespace dreamsim::core {
@@ -120,13 +122,74 @@ TEST(Simulator, SpecsOutliveRun) {
   ASSERT_EQ(sim.tasks().size(), regenerated.size());
   for (std::uint32_t i = 0; i < regenerated.size(); ++i) {
     const resource::TaskSpec& spec = sim.tasks().Spec(TaskId{i});
-    const resource::TaskSpec& want = regenerated[i];
+    const workload::GeneratedTask want = regenerated[i];
     EXPECT_EQ(spec.create_time, want.create_time) << "task " << i;
     EXPECT_EQ(spec.preferred_config, want.preferred_config) << "task " << i;
     EXPECT_EQ(spec.needed_area, want.needed_area) << "task " << i;
     EXPECT_EQ(spec.required_time, want.required_time) << "task " << i;
-    EXPECT_EQ(spec.data_size, want.data_size) << "task " << i;
-    EXPECT_EQ(spec.priority, want.priority) << "task " << i;
+    EXPECT_EQ(sim.tasks().DataSize(TaskId{i}), want.data_size) << "task " << i;
+    EXPECT_EQ(sim.tasks().Priority(TaskId{i}), want.priority) << "task " << i;
+  }
+}
+
+// A missing side column reads 0 for every task: the same workload with
+// explicit all-zero data-size and priority columns runs the same
+// decisions, events, meter charges and Table I metrics, in FIFO and in
+// priority order, with the network model on.
+TEST(Simulator, AllZeroColumnsRunLikeMissingOnes) {
+  for (const bool by_priority : {false, true}) {
+    SCOPED_TRACE(by_priority ? "priority order" : "FIFO order");
+    SimulationConfig config = SmallConfig(600, 10, 5);
+    config.priority_scheduling = by_priority;
+    config.network.bytes_per_tick = 10;
+    config.network.base_latency = 3;
+    Rng rng(DeriveSeed(config.seed, 1));
+    const Simulator probe(config);
+    const workload::Workload bare =
+        workload::GenerateWorkload(config.tasks, probe.store().configs(), rng);
+    ASSERT_TRUE(bare.data_sizes().empty());
+    ASSERT_TRUE(bare.priorities().empty());
+    const workload::Workload zeros(
+        std::vector<resource::TaskSpec>(bare.specs().begin(),
+                                        bare.specs().end()),
+        std::vector<Bytes>(bare.size(), 0),
+        std::vector<double>(bare.size(), 0.0));
+    ASSERT_EQ(zeros.data_sizes().size(), bare.size());
+    ASSERT_EQ(zeros.priorities().size(), bare.size());
+
+    struct Outcome {
+      std::vector<std::string> row;
+      std::vector<SimEvent> events;
+      Steps scheduling = 0;
+      Steps housekeeping = 0;
+      Steps total = 0;
+    };
+    const auto run = [&config](const workload::Workload& wl) {
+      Simulator sim(config);
+      Outcome out;
+      sim.SetEventLogger([&](const SimEvent& e) { out.events.push_back(e); });
+      out.row = CsvReportRow(sim.RunWithWorkload(wl));
+      out.scheduling = sim.store().meter().scheduling_steps_total();
+      out.housekeeping = sim.store().meter().housekeeping_steps_total();
+      out.total = sim.store().meter().total_workload();
+      return out;
+    };
+    const Outcome a = run(bare);
+    const Outcome b = run(zeros);
+    EXPECT_EQ(a.row, b.row);
+    EXPECT_EQ(a.scheduling, b.scheduling);
+    EXPECT_EQ(a.housekeeping, b.housekeeping);
+    EXPECT_EQ(a.total, b.total);
+    ASSERT_EQ(a.events.size(), b.events.size());
+    for (std::size_t i = 0; i < a.events.size(); ++i) {
+      const SimEvent& x = a.events[i];
+      const SimEvent& y = b.events[i];
+      EXPECT_TRUE(x.kind == y.kind && x.tick == y.tick && x.task == y.task &&
+                  x.node == y.node && x.config == y.config &&
+                  x.placement == y.placement && x.comm_time == y.comm_time &&
+                  x.config_wait == y.config_wait)
+          << "event " << i;
+    }
   }
 }
 

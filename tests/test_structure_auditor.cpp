@@ -48,8 +48,7 @@ resource::TaskStore MakeTasks(std::uint32_t count) {
     spec.required_time = 10;
     spec.preferred_config = ConfigId{t % 2};
     spec.needed_area = 100 + t;
-    spec.priority = static_cast<double>(t % 3);
-    (void)tasks.SubmitOne(spec);
+    (void)tasks.SubmitOne(spec, 0, static_cast<double>(t % 3));
   }
   return tasks;
 }

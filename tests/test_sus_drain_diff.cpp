@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -276,11 +277,15 @@ struct QueueTwinCase {
   std::uint64_t seed = 0;
   std::size_t capacity = 0;  // 0 = unbounded
   resource::SusOrder order = resource::SusOrder::kFifo;
+  /// Submit the tasks in borrowed batches whose priorities sit in the
+  /// batch's priority column, instead of one owned task at a time.
+  bool columns = false;
 };
 
 void PrintTo(const QueueTwinCase& c, std::ostream* os) {
   *os << "seed=" << c.seed << " capacity=" << c.capacity;
   if (c.order == resource::SusOrder::kPriority) *os << " priority";
+  if (c.columns) *os << " columns";
 }
 
 class SusDrainTwinFuzz : public ::testing::TestWithParam<QueueTwinCase> {};
@@ -300,21 +305,53 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
   std::uint64_t drains = 0;
   std::uint64_t drain_attempts = 0;
 
-  // A fresh task with a random area and priority in its spec, resolved to
-  // `config`. Families are a function of the resolved config, as in the
-  // simulator (FamilyId of the config, or invalid for unresolved /
-  // family-less).
+  // Borrowed batches of fresh tasks (param.columns): specs plus a
+  // priority column, drawn kBatch at a time.
+  struct Batch {
+    std::vector<resource::TaskSpec> specs;
+    std::vector<double> priority;
+  };
+  constexpr std::size_t kBatch = 16;
+  std::deque<Batch> batches;  // stable: the store borrows every batch
+  std::size_t next_in_batch = kBatch;
+  // A fresh task with a random area in its spec and a random priority,
+  // resolved to `config`. Families are a function of the resolved config,
+  // as in the simulator (FamilyId of the config, or invalid for
+  // unresolved / family-less).
   const auto new_task = [&](ConfigId config) {
     resource::TaskSpec spec;
-    spec.required_time = 10;
-    spec.needed_area = rng.uniform_int(100, 2000);
-    spec.priority = static_cast<double>(rng.uniform_int(0, 8));
+    double priority = 0.0;
+    TaskId id;
+    if (!param.columns) {
+      spec.required_time = 10;
+      spec.needed_area = rng.uniform_int(100, 2000);
+      priority = static_cast<double>(rng.uniform_int(0, 8));
+      id = tasks.SubmitOne(spec, 0, priority);
+    } else {
+      if (next_in_batch == kBatch) {
+        Batch& batch = batches.emplace_back();
+        for (std::size_t k = 0; k < kBatch; ++k) {
+          resource::TaskSpec& fresh = batch.specs.emplace_back();
+          fresh.required_time = 10;
+          fresh.needed_area = rng.uniform_int(100, 2000);
+          batch.priority.push_back(
+              static_cast<double>(rng.uniform_int(0, 8)));
+        }
+        tasks.Submit(batch.specs, {}, batch.priority);
+        next_in_batch = 0;
+      }
+      spec = batches.back().specs[next_in_batch];
+      priority = batches.back().priority[next_in_batch];
+      id = TaskId{static_cast<std::uint32_t>(tasks.size() - kBatch +
+                                             next_in_batch)};
+      ++next_in_batch;
+    }
     SusEntryAttrs a;
     a.resolved_config = config;
     a.config_family = ConfigFamily(config);
     a.needed_area = spec.needed_area;
-    a.priority = fifo ? 0.0 : spec.priority;
-    return std::make_pair(tasks.SubmitOne(spec), a);
+    a.priority = fifo ? 0.0 : priority;
+    return std::make_pair(id, a);
   };
   const auto random_config = [&rng] {
     const std::int64_t pick = rng.uniform_int(0, kFuzzConfigs);
@@ -348,6 +385,7 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
       attrs_oracle[task.value()] = attrs;
       mirror.Add(next_seq, attrs);
       ASSERT_EQ(indexed.queue.AttrsAt(next_seq).needed_area, attrs.needed_area);
+      ASSERT_EQ(indexed.queue.AttrsAt(next_seq).priority, attrs.priority);
       ++next_seq;
     }
   };
@@ -596,7 +634,10 @@ INSTANTIATE_TEST_SUITE_P(
                       QueueTwinCase{203, 25, kPrio},
                       QueueTwinCase{204, 8, kPrio},
                       QueueTwinCase{205, 0, kPrio},
-                      QueueTwinCase{206, 40, kPrio}));
+                      QueueTwinCase{206, 40, kPrio},
+                      QueueTwinCase{207, 0, kPrio, true},
+                      QueueTwinCase{208, 30, kPrio, true},
+                      QueueTwinCase{207, 0, resource::SusOrder::kFifo, true}));
 
 // --- Layer 2: full-simulation differential runs ---------------------------
 
@@ -620,10 +661,11 @@ void PrintTo(const SimCase& c, std::ostream* os) {
 
 /// A saturating workload with non-degenerate priorities (the generator
 /// leaves priority at 0; drawing it here exercises the priority-ordered
-/// drain paths for real).
-std::vector<workload::GeneratedTask> MakeWorkload(std::uint64_t seed) {
+/// drain paths for real, which read them from the workload's priority
+/// column).
+workload::Workload MakeWorkload(std::uint64_t seed) {
   Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
-  std::vector<workload::GeneratedTask> tasks;
+  workload::Workload tasks;
   Tick at = 0;
   for (int i = 0; i < 140; ++i) {
     workload::GeneratedTask t;
@@ -670,7 +712,8 @@ RunResult RunOne(const SimCase& c, std::uint64_t seed, bool indexed) {
   Simulator sim(std::move(config));
   RunResult result;
   sim.SetEventLogger([&](const SimEvent& e) { result.events.push_back(e); });
-  result.report = sim.RunWithWorkload(MakeWorkload(seed));
+  const workload::Workload wl = MakeWorkload(seed);
+  result.report = sim.RunWithWorkload(wl);
   EXPECT_EQ(sim.suspension().drain_indexed(), indexed);
   const analysis::AuditReport audit = sim.AuditStructures();
   EXPECT_TRUE(audit.ok()) << audit.Render();

@@ -45,8 +45,7 @@ struct Tables {
     TaskSpec spec;
     spec.required_time = 10;
     spec.needed_area = area;
-    spec.priority = priority;
-    return this->tasks.SubmitOne(spec);
+    return this->tasks.SubmitOne(spec, 0, priority);
   }
 
   TaskStore tasks;
@@ -718,7 +717,7 @@ void FuzzDrainsAgainstModel(std::uint64_t seed, SusOrder order, bool indexed) {
     SusEntryAttrs attrs;
     attrs.resolved_config = config;
     attrs.needed_area = spec.needed_area;
-    attrs.priority = spec.priority;
+    attrs.priority = t.tasks.Priority(task);
     model.entries.push_back({task, attrs});
   };
   // Removes the entries at FIFO positions [first, first + count).

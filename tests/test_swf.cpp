@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "core/simulator.hpp"
 
@@ -124,6 +126,33 @@ TEST(SwfConvert, SortsByArrivalTime) {
   ASSERT_EQ(converted.workload.size(), 2u);
   EXPECT_LE(converted.workload[0].create_time,
             converted.workload[1].create_time);
+}
+
+// Used memory becomes the workload's data-size column, which follows the
+// stable arrival sort; a trace without memory figures has no column.
+TEST(SwfConvert, UsedMemoryLandsInTheDataSizeColumn) {
+  SwfJob late;
+  late.submit_time = 100;
+  late.run_time = 10;
+  late.requested_procs = 1;
+  late.used_memory_kb = 4;
+  SwfJob early = late;
+  early.submit_time = 5;
+  early.used_memory_kb = -1;  // unknown
+  SwfJob early_twin = early;
+  early_twin.used_memory_kb = 2;
+  const SwfConversion converted =
+      ConvertSwf({late, early, early_twin}, SwfMapping{});
+  ASSERT_EQ(converted.workload.size(), 3u);
+  const std::vector<Bytes> want = {0, 2 * 1024, 4 * 1024};
+  const std::span<const Bytes> column = converted.workload.data_sizes();
+  EXPECT_EQ(std::vector<Bytes>(column.begin(), column.end()), want);
+  EXPECT_TRUE(converted.workload.priorities().empty());
+
+  late.used_memory_kb = -1;
+  const SwfConversion no_memory = ConvertSwf({late}, SwfMapping{});
+  ASSERT_EQ(no_memory.workload.size(), 1u);
+  EXPECT_TRUE(no_memory.workload.data_sizes().empty());
 }
 
 TEST(SwfConvert, RejectsBadMapping) {

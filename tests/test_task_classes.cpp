@@ -245,6 +245,26 @@ TEST(TaskClasses, ValidatorRejectsNonsense) {
   EXPECT_TRUE(ValidateTaskClass(Steady("good", 10)).empty());
 }
 
+// `min > max` is false for NaN, so the range check alone let a NaN
+// priority through to the task store; a non-finite bound is an error.
+TEST(TaskClasses, ValidatorRejectsANonFinitePriorityRange) {
+  const auto configs = MakeConfigs(10, 3);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    for (const bool at_min : {true, false}) {
+      TaskClassParams p = Steady("bad", 10);
+      (at_min ? p.min_priority : p.max_priority) = bad;
+      if (!at_min) p.min_priority = 1.0;
+      const std::vector<std::string> violations = ValidateTaskClass(p);
+      ASSERT_EQ(violations.size(), 1u) << "bad " << bad << " at_min " << at_min;
+      EXPECT_EQ(violations[0], "task class 'bad': priority range must be finite");
+      EXPECT_THROW((void)GenerateMultiClassWorkload(
+                       std::vector<TaskClassParams>{p}, configs, 1),
+                   std::invalid_argument);
+    }
+  }
+}
+
 TEST(TaskClasses, GeneratorThrowsOnInvalidInput) {
   const auto configs = MakeConfigs(10, 3);
   EXPECT_THROW((void)GenerateMultiClassWorkload(

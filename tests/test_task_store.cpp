@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -165,6 +167,95 @@ TEST(TaskStore, InvalidWorkloadRegistersNothing) {
     EXPECT_EQ(store.SubmitOne(MakeSpec(60)).value(), 1u);
     EXPECT_EQ(store.Spec(TaskId{1}).needed_area, 60);
   }
+}
+
+// The side columns read in place next to the specs; a batch without a
+// column, and a task submitted on its own without the fields, read 0.
+TEST(TaskStore, SideColumnsReadInPlaceAndMissingOnesReadZero) {
+  const std::vector<TaskSpec> with_columns = MakeSpecs(3, 0);
+  const std::vector<Bytes> data_size = {10, 0, 30};
+  const std::vector<double> priority = {0.5, -2.0, 0.0};
+  const std::vector<TaskSpec> without = MakeSpecs(2, 100);
+  TaskStore store;
+  store.Submit(with_columns, data_size, priority);
+  store.Submit(without);
+  (void)store.SubmitOne(MakeSpec(), 7, 1.5);
+  (void)store.SubmitOne(MakeSpec());
+  const std::vector<Bytes> want_size = {10, 0, 30, 0, 0, 7, 0};
+  const std::vector<double> want_priority = {0.5, -2.0, 0.0, 0.0,
+                                             0.0, 1.5, 0.0};
+  ASSERT_EQ(store.size(), want_size.size());
+  for (std::uint32_t i = 0; i < store.size(); ++i) {
+    EXPECT_EQ(store.DataSize(TaskId{i}), want_size[i]) << "task " << i;
+    EXPECT_EQ(store.Priority(TaskId{i}), want_priority[i]) << "task " << i;
+  }
+  EXPECT_THROW((void)store.DataSize(TaskId{7}), std::out_of_range);
+  EXPECT_THROW((void)store.Priority(TaskId::invalid()), std::out_of_range);
+}
+
+TEST(TaskStore, SubmitRejectsAColumnOfAnotherSize) {
+  const std::vector<TaskSpec> specs = MakeSpecs(3, 0);
+  const std::vector<Bytes> short_sizes = {1, 2};
+  const std::vector<double> long_priorities = {1, 2, 3, 4};
+  TaskStore store;
+  EXPECT_THROW(store.Submit(specs, short_sizes), std::invalid_argument);
+  EXPECT_THROW(store.Submit(specs, {}, long_priorities), std::invalid_argument);
+  EXPECT_EQ(store.size(), 0u);
+}
+
+// A negative data size would be added to the network model's
+// transferred-bytes total.
+TEST(TaskStore, SubmitRejectsANegativeDataSize) {
+  const std::vector<TaskSpec> specs = MakeSpecs(3, 0);
+  const std::vector<Bytes> data_size = {0, -1, 5};
+  TaskStore store;
+  try {
+    store.Submit(specs, data_size);
+    ADD_FAILURE() << "accepted a negative data size";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "task data_size must be non-negative");
+  }
+  EXPECT_EQ(store.size(), 0u);
+}
+
+TEST(TaskStore, SubmitOneRejectsANegativeDataSize) {
+  TaskStore store;
+  EXPECT_THROW((void)store.SubmitOne(MakeSpec(), -1), std::invalid_argument);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.SubmitOne(MakeSpec(), 0).value(), 0u);
+}
+
+// A NaN priority breaks the strict weak order of the drain index's
+// (-priority, seq) sets; every non-finite value is rejected.
+TEST(TaskStore, SubmitRejectsANonFinitePriority) {
+  const std::vector<TaskSpec> specs = MakeSpecs(3, 0);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const std::vector<double> priority = {1.0, bad, 2.0};
+    TaskStore store;
+    try {
+      store.Submit(specs, {}, priority);
+      ADD_FAILURE() << "accepted priority " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "task priority must be finite");
+    }
+    EXPECT_EQ(store.size(), 0u);
+  }
+}
+
+TEST(TaskStore, SubmitOneRejectsANonFinitePriority) {
+  TaskStore store;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)store.SubmitOne(MakeSpec(), 0, bad),
+                 std::invalid_argument)
+        << "priority " << bad;
+  }
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.SubmitOne(MakeSpec(), 0, -3.5).value(), 0u);
+  EXPECT_EQ(store.Priority(TaskId{0}), -3.5);
 }
 
 TEST(Task, WaitingTimeEq8) {

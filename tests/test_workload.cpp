@@ -7,6 +7,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "ptype/catalogue.hpp"
 #include "workload/trace.hpp"
@@ -49,6 +50,69 @@ TEST(Generator, HonoursTableIIRanges) {
   }
   // 15% +- sampling noise.
   EXPECT_NEAR(unknown, 750, 120);
+}
+
+// Table II draws no data sizes or priorities, so a generated workload is
+// its 32-byte specs alone: neither side column is allocated.
+TEST(Generator, TableIIWorkloadAllocatesNoColumns) {
+  Rng rng(4);
+  const auto configs = MakeConfigs(50, rng);
+  TaskGenParams params;
+  params.total_tasks = 3000;
+  const Workload wl = GenerateWorkload(params, configs, rng);
+  ASSERT_EQ(wl.size(), 3000u);
+  EXPECT_TRUE(wl.data_sizes().empty());
+  EXPECT_TRUE(wl.priorities().empty());
+  EXPECT_EQ(wl.heap_bytes(), 3000 * sizeof(resource::TaskSpec));
+  EXPECT_EQ(wl[17].data_size, 0);
+  EXPECT_EQ(wl[17].priority, 0.0);
+
+  params.min_data_size = 1;
+  params.max_data_size = 9;
+  Rng again(4);
+  const auto same_configs = MakeConfigs(50, again);
+  const Workload with_data = GenerateWorkload(params, same_configs, again);
+  EXPECT_EQ(with_data.data_sizes().size(), 3000u);
+  EXPECT_TRUE(with_data.priorities().empty());
+}
+
+TEST(Workload, FirstNonZeroValueCreatesAZeroFilledColumn) {
+  Workload wl;
+  GeneratedTask t;
+  t.needed_area = 100;
+  t.required_time = 10;
+  wl.push_back(t);
+  wl.push_back(t);
+  EXPECT_TRUE(wl.data_sizes().empty());
+  EXPECT_TRUE(wl.priorities().empty());
+  t.priority = 2.5;
+  wl.push_back(t);
+  t.priority = 0.0;
+  t.data_size = 64;
+  wl.push_back(t);
+  t.data_size = 0;
+  wl.push_back(t);
+  const std::vector<double> want_priority = {0, 0, 2.5, 0, 0};
+  const std::vector<Bytes> want_size = {0, 0, 0, 64, 0};
+  EXPECT_EQ(std::vector<double>(wl.priorities().begin(),
+                                wl.priorities().end()),
+            want_priority);
+  EXPECT_EQ(std::vector<Bytes>(wl.data_sizes().begin(), wl.data_sizes().end()),
+            want_size);
+  for (std::size_t i = 0; i < wl.size(); ++i) {
+    EXPECT_EQ(wl[i].priority, want_priority[i]) << "task " << i;
+    EXPECT_EQ(wl[i].data_size, want_size[i]) << "task " << i;
+    EXPECT_EQ(wl[i].needed_area, 100) << "task " << i;
+  }
+}
+
+TEST(Workload, ColumnWiseConstructionChecksSizes) {
+  const std::vector<resource::TaskSpec> specs(3);
+  EXPECT_NO_THROW(Workload(specs, {}, {}));
+  EXPECT_NO_THROW(Workload(specs, {1, 2, 3}, {}));
+  EXPECT_THROW(Workload(specs, {1, 2}, {}), std::invalid_argument);
+  EXPECT_THROW(Workload(specs, {}, {1.0, 2.0, 3.0, 4.0}),
+               std::invalid_argument);
 }
 
 TEST(Generator, ZeroClosestMatchFraction) {
@@ -187,6 +251,20 @@ TEST(ValidateWorkload, CatchesViolations) {
   EXPECT_EQ(violations.size(), 2u);
 }
 
+TEST(ValidateWorkload, CatchesBadSideColumns) {
+  std::vector<resource::TaskSpec> specs(2);
+  for (resource::TaskSpec& spec : specs) {
+    spec.needed_area = 100;
+    spec.required_time = 10;
+  }
+  const Workload wl(specs, {0, -5},
+                    {std::numeric_limits<double>::quiet_NaN(), 0.0});
+  const auto violations = ValidateWorkload(wl);
+  ASSERT_EQ(violations.size(), 2u);
+  EXPECT_EQ(violations[0], "task 0: non-finite priority");
+  EXPECT_EQ(violations[1], "task 1: negative data_size");
+}
+
 TEST(Trace, RoundTripPreservesEverything) {
   Rng rng(10);
   const auto configs = MakeConfigs(20, rng);
@@ -208,6 +286,36 @@ TEST(Trace, RoundTripPreservesEverything) {
     EXPECT_EQ(replayed[i].required_time, original[i].required_time);
     EXPECT_EQ(replayed[i].data_size, original[i].data_size);
   }
+}
+
+// The data sizes travel through the trace's data_size column into the
+// workload's data-size column; an all-zero trace column reads back as no
+// column at all.
+TEST(Trace, RoundTripKeepsTheDataSizeColumn) {
+  Rng rng(12);
+  const auto configs = MakeConfigs(20, rng);
+  TaskGenParams params;
+  params.total_tasks = 200;
+  params.min_data_size = 0;
+  params.max_data_size = 3;
+  const Workload original = GenerateWorkload(params, configs, rng);
+  ASSERT_EQ(original.data_sizes().size(), original.size());
+
+  std::stringstream buffer;
+  WriteTrace(buffer, original);
+  const Workload replayed = ReadTrace(buffer);
+  EXPECT_EQ(std::vector<Bytes>(replayed.data_sizes().begin(),
+                               replayed.data_sizes().end()),
+            std::vector<Bytes>(original.data_sizes().begin(),
+                               original.data_sizes().end()));
+
+  params.max_data_size = 0;
+  const Workload plain = GenerateWorkload(params, configs, rng);
+  std::stringstream plain_buffer;
+  WriteTrace(plain_buffer, plain);
+  const Workload plain_replayed = ReadTrace(plain_buffer);
+  ASSERT_EQ(plain_replayed.size(), plain.size());
+  EXPECT_TRUE(plain_replayed.data_sizes().empty());
 }
 
 TEST(Trace, UnknownPrefEncodedAsMinusOne) {
