@@ -17,7 +17,12 @@
 //                whose area sets the drain's bound. Every attempt leaves
 //                its entry queued, so a call makes at most one attempt and
 //                the queue keeps its content from call to call.
-//                drain_bytes_per_seq beside it is the queue's memory per
+//                task_bytes_per_task beside it is what a run holds per
+//                task from setup to its end: the growth of the process's
+//                peak RSS (VmHWM) over 2^20 tasks submitted to a TaskStore
+//                without side columns, as in every Table II run (the spec
+//                array the store borrows plus its run-time record).
+//                drain_bytes_per_seq is the queue's memory per
 //                entry: the growth of the process's peak RSS (VmHWM) over
 //                2^20 FIFO-order enqueues with the drain index on, into a
 //                queue reserved for them as the Simulator reserves it.
@@ -260,10 +265,32 @@ std::size_t PeakRssBytes() {
   return 0;
 }
 
+/// A run's bytes per task: the VmHWM growth over 2^20 tasks submitted to
+/// a TaskStore reserved for them, as the Simulator reserves it, with no
+/// side columns: the spec array the store borrows in place plus its
+/// run-time record per task. Run it before anything else raises the peak
+/// above the current RSS.
+double TaskBytesPerTask() {
+  constexpr std::size_t kTasks = std::size_t{1} << 20;
+  const std::size_t before = PeakRssBytes();
+  std::vector<TaskSpec> specs(kTasks);
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    specs[i].create_time = static_cast<Tick>(i);
+    specs[i].required_time = 10;
+    specs[i].needed_area = 1000;
+  }
+  TaskStore tasks;
+  tasks.Reserve(kTasks);
+  tasks.Submit(specs);
+  const std::size_t after = PeakRssBytes();
+  return static_cast<double>(after - before) / kTasks;
+}
+
 /// The suspension queue's bytes per seq: the VmHWM growth over 2^20
 /// FIFO-order enqueues with the drain index on. The specs are built
 /// first, so only the queue's own arrays grow the peak; run it before
-/// anything else raises the peak above the current RSS.
+/// anything else raises the peak above the current RSS, except
+/// TaskBytesPerTask(), whose peak the specs built here pass.
 double QueueBytesPerSeq() {
   constexpr int kSeqs = 1 << 20;
   const ResourceStore store = MakeDrainFleet();
@@ -376,6 +403,7 @@ int main(int argc, char** argv) {
                                      : std::vector<int>{1000, 10000, 100000};
   const double min_seconds = args.quick ? 0.01 : 0.05;
   // First, while the peak RSS is still the current one.
+  const double bytes_per_task = TaskBytesPerTask();
   const double bytes_per_seq = QueueBytesPerSeq();
 
   std::vector<QueryRow> store_rows;
@@ -394,6 +422,8 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   PrintQueryHeader("depth");
   for (const int depth : sizes) TimeDrains(depth, min_seconds, drain_rows);
+  std::cout << "task store: " << Fixed(bytes_per_task, 2)
+            << " bytes per task (spec and run-time record)\n";
   std::cout << "suspension queue: " << Fixed(bytes_per_seq, 2)
             << " bytes per FIFO-order seq (drain index on)\n";
 
@@ -411,6 +441,7 @@ int main(int argc, char** argv) {
       .Field("quick", args.quick)
       .Field("hardware_threads", std::thread::hardware_concurrency());
   WriteQueries(json, "store", store_rows, "nodes");
+  json.Field("task_bytes_per_task", bytes_per_task);
   json.Field("drain_bytes_per_seq", bytes_per_seq);
   WriteQueries(json, "drain", drain_rows, "depth");
   json.BeginArray("event_queue");

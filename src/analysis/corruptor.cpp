@@ -370,6 +370,13 @@ void StructureCorruptor::SetTaskState(resource::TaskStore& tasks, TaskId task,
   tasks.Get(task).state = state;
 }
 
+void StructureCorruptor::SetReadyTick(resource::ResourceStore& store,
+                                      resource::EntryRef entry, Tick tick) {
+  resource::Node& n = store.nodes_.at(entry.node.value());
+  (void)n.Slot(entry.slot);  // throws on a dead slot
+  n.slots_[entry.slot].ready_time = tick;
+}
+
 void StructureCorruptor::SkewSusLive(resource::SuspensionQueue& queue) {
   if (queue.entries_.empty()) throw std::logic_error("SkewSusLive: no cells");
   queue.live_.Set(0);

@@ -228,6 +228,14 @@ class StructureCorruptor {
   static void SetTaskState(resource::TaskStore& tasks, TaskId task,
                            resource::TaskState state);
 
+  /// Overwrites live `entry`'s ready tick with `tick`: kNoTick on a busy
+  /// entry, as a placement that forgot to record when its execution
+  /// begins would leave it (expected slug: task.state), or a tick on an
+  /// idle one, as a release that forgot to clear it would (expected slug:
+  /// fig3.slot).
+  static void SetReadyTick(resource::ResourceStore& store,
+                           resource::EntryRef entry, Tick tick);
+
   /// Adds one to the event queue's live count without scheduling anything,
   /// as a push or cancel that forgot the counter would. Expected slug:
   /// evq.live.

@@ -74,6 +74,8 @@ struct NodeTruth {
   std::size_t running = 0;
   Area live_area = 0;  // sum of ReqArea over live slots
   Area busy_area = 0;  // sum of ReqArea over busy slots
+  /// First idle slot that still holds a ready tick, if any.
+  resource::SlotIndex ticked_idle_slot = resource::kInvalidSlot;
 };
 
 NodeTruth RecountNode(const ResourceStore& store, const Node& node,
@@ -93,6 +95,9 @@ NodeTruth RecountNode(const ResourceStore& store, const Node& node,
     if (!pair.idle()) {
       ++truth.running;
       truth.busy_area += area;
+    } else if (pair.ready_time != kNoTick &&
+               truth.ticked_idle_slot == resource::kInvalidSlot) {
+      truth.ticked_idle_slot = slot;
     }
   });
   return truth;
@@ -237,6 +242,15 @@ void StructureAuditor::AuditAreaAccounting(const ResourceStore& store,
                     "TotalArea {})",
                     node.available_area(), truth.live_area,
                     node.total_area()));
+    }
+    // A stale tick on an idle slot would hand a placement that forgot its
+    // own a tick, hiding it from task.state's busy-slot check.
+    if (truth.ticked_idle_slot != resource::kInvalidSlot) {
+      Report(report, "fig3.slot",
+             Format("node {} slot {}", node.id().value(),
+                    truth.ticked_idle_slot),
+             Format("idle slot holds ready tick {}",
+                    node.Slot(truth.ticked_idle_slot).ready_time));
     }
     if (node.config_count() != truth.live ||
         node.running_tasks() != truth.running) {
@@ -1188,8 +1202,8 @@ AuditReport StructureAuditor::AuditTaskStates(
         problem = "running task has no task-store row";
       } else if (task->state != TaskState::kRunning) {
         problem = Format("running task is {}", resource::ToString(task->state));
-      } else if (task->ready_time == kNoTick) {
-        problem = "running task has no ready tick";
+      } else if (pair.ready_time == kNoTick) {
+        problem = "busy slot has no ready tick";
       }
       if (!problem.empty()) {
         Report(report, "task.state",

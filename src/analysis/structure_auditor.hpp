@@ -89,7 +89,7 @@ class StructureAuditor {
 
   /// Re-derives each task's state from the structures that hold it
   /// ("task.state"): every live queue slot holds a suspended task, every
-  /// busy store slot a running task with a ready tick, and the table counts
+  /// busy store slot a running task and its ready tick, and the table counts
   /// exactly as many suspended tasks as the queue holds and running tasks
   /// as there are busy slots (the store's running-task total).
   [[nodiscard]] static AuditReport AuditTaskStates(

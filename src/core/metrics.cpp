@@ -70,14 +70,14 @@ void MetricsCollector::OnPlaced(const sched::Decision& decision) {
 }
 
 void MetricsCollector::OnCompleted(const resource::TaskSpec& spec,
-                                   const resource::Task& task,
+                                   Tick ready_time, std::uint32_t sus_retry,
                                    Tick completion) {
   ++completed_;
   obs::MetricInc(obs::MetricId::kTasksCompleted);
-  waiting_.Add(static_cast<double>(resource::WaitingTime(spec, task)));
+  waiting_.Add(static_cast<double>(resource::WaitingTime(spec, ready_time)));
   turnaround_.Add(
       static_cast<double>(resource::TurnaroundTime(spec, completion)));
-  retries_.Add(static_cast<double>(task.sus_retry));
+  retries_.Add(static_cast<double>(sus_retry));
 }
 
 MetricsReport MetricsCollector::Finish(const SimulationConfig& config,

@@ -130,10 +130,10 @@ class MetricsCollector {
     obs::MetricInc(obs::MetricId::kClosestMatchPlacements);
   }
 
-  /// Task finished at tick `completion`; called with its spec and final
-  /// run-time state.
-  void OnCompleted(const resource::TaskSpec& spec, const resource::Task& task,
-                   Tick completion);
+  /// Task finished at tick `completion`; called with its spec, the tick
+  /// its last placement's execution began (Eq. 8) and its retry count.
+  void OnCompleted(const resource::TaskSpec& spec, Tick ready_time,
+                   std::uint32_t sus_retry, Tick completion);
 
   /// Produces the report. `store` supplies node-side aggregates; `end` is
   /// the final simulation tick (Eq. 5).

@@ -79,7 +79,9 @@ struct SimulationConfig {
   // --- Scheduling ---
   sched::ReconfigMode mode = sched::ReconfigMode::kPartial;
   PolicyChoice policy = PolicyChoice::kDreamSim;
-  /// Max re-scheduling attempts per suspended task; 0 = unbounded.
+  /// Max re-scheduling attempts per suspended task; 0 = unbounded. At most
+  /// resource::kMaxSusRetry (2^28 - 1), the largest count a task holds;
+  /// an unbounded task that passes it stops the run with a diagnostic.
   std::uint32_t max_suspension_retries = 0;
   /// Suspension-queue capacity; 0 = unbounded. Overflow discards the task.
   std::size_t suspension_capacity = 0;

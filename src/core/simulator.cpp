@@ -146,6 +146,14 @@ Simulator::Simulator(SimulationConfig config)
                "number in [1, {}], got {}",
                kMaxClosestMatchSlowdown, config_.closest_match_slowdown));
   }
+  // A task's retry count is a 28-bit field: a larger budget could never
+  // be reached.
+  if (config_.max_suspension_retries > resource::kMaxSusRetry) {
+    throw std::invalid_argument(
+        Format("SimulationConfig::max_suspension_retries must be at most {} "
+               "(0 = unbounded), got {}",
+               resource::kMaxSusRetry, config_.max_suspension_retries));
+  }
   const net::NetworkParams& net = config_.network;
   if (net.bytes_per_tick < 0 || net.base_latency < 0 || net.max_jitter < 0) {
     throw std::invalid_argument(
@@ -442,7 +450,7 @@ sched::Decision Simulator::AttemptSchedule(TaskId id, bool is_arrival) {
       }
       const Tick overhead = comm_time + config_wait;
       task.state = resource::TaskState::kRunning;
-      task.ready_time = now + overhead;
+      store_.SetReadyTime(decision.entry, now + overhead);
       if (decision.used_closest_match) metrics_.OnClosestMatchUsed();
       if (decision.config_time > 0) {
         metrics_.OnConfigured(
@@ -526,12 +534,17 @@ void Simulator::HandleCompletion(TaskId id, resource::EntryRef entry) {
   if (id.value() < completion_events_.size()) {
     completion_events_[id.value()] = {};
   }
-  const ConfigId freed_config = store_.node(entry.node).Slot(entry.slot).config;
+  // The slot forgets its ready tick on release: read it first.
+  const resource::ConfigTaskPair& slot =
+      store_.node(entry.node).Slot(entry.slot);
+  const ConfigId freed_config = slot.config;
+  const Tick ready_time = slot.ready_time;
   const TaskId released = store_.ReleaseTask(entry);
   if (released != id) {
     throw std::logic_error("completion released a different task");
   }
-  metrics_.OnCompleted(tasks_.Spec(id), task, kernel_.now());
+  metrics_.OnCompleted(tasks_.Spec(id), ready_time, task.sus_retry,
+                       kernel_.now());
   Emit(SimEvent::Kind::kCompleted, id, entry.node, freed_config);
   NoteTerminal();
   DrainSuspensionQueue(entry.node, freed_config);
@@ -577,10 +590,9 @@ void Simulator::AttemptQueuedAt(resource::SuspensionQueue::Seq seq) {
   }
   // The prefilter was optimistic but the policy could not place the task
   // anywhere: count the retry and optionally give up on it.
-  resource::Task& failed = tasks_.Get(id);
-  ++failed.sus_retry;
+  const std::uint32_t retries = tasks_.AddRetry(id);
   if (config_.max_suspension_retries != 0 &&
-      failed.sus_retry >= config_.max_suspension_retries) {
+      retries >= config_.max_suspension_retries) {
     suspension_.RemoveSeq(seq, store_.meter());
     Discard(id, "retry-budget-exhausted");
     MaybeAudit("queued-attempt");
@@ -720,7 +732,7 @@ void Simulator::HandleNodeFailure(NodeId node_id) {
     reg.Add(obs::MetricId::kFaultKills, killed.size());
     reg.GaugeSet(obs::MetricId::kFaultFailedNodes, store_.failed_node_count());
   }
-  for (const auto [id, config] : killed) {
+  for (const auto [id, config, ready_time] : killed) {
     resource::Task& task = tasks_.Get(id);
     if (id.value() < completion_events_.size() &&
         completion_events_[id.value()].valid()) {
@@ -733,18 +745,17 @@ void Simulator::HandleNodeFailure(NodeId node_id) {
     // failed slot held: the config its arrival resolved (resolution
     // depends only on the task and the fixed catalogue).
     const Area area = store_.configs().Get(config).required_area;
-    // Only destroyed execution counts as lost work: a task killed inside
-    // its comm/config window has not run yet, and the setup cost is paid
-    // again in full on the next placement regardless.
-    if (now > task.ready_time) {
-      const std::uint64_t lost =
-          static_cast<std::uint64_t>(area) *
-          static_cast<std::uint64_t>(now - task.ready_time);
+    // Only destroyed execution counts as lost work, from the ready tick
+    // the failed slot held: a task killed inside its comm/config window
+    // has not run yet, and the setup cost is paid again in full on the
+    // next placement regardless.
+    if (now > ready_time) {
+      const std::uint64_t lost = static_cast<std::uint64_t>(area) *
+                                 static_cast<std::uint64_t>(now - ready_time);
       lost_work_area_ticks_ += lost;
       obs::MetricInc(obs::MetricId::kFaultLostWorkTicks, lost);
     }
     Emit(SimEvent::Kind::kKilled, id, node_id, config);
-    task.ready_time = kNoTick;
     // A kill is not a scheduling attempt: no BeginTask, no search charge,
     // and no sus_retry increment — the retry budget meters re-scheduling
     // attempts, and re-queuing a victim is not one.

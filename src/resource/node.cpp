@@ -163,7 +163,18 @@ void Node::RemoveTaskFromNode(SlotIndex slot) {
   ConfigTaskPair& pair = slots_[slot];
   if (pair.idle()) throw std::logic_error("RemoveTaskFromNode: slot is idle");
   pair.task = TaskId::invalid();
+  pair.ready_time = kNoTick;
   --running_tasks_;
+}
+
+void Node::SetReadyTime(SlotIndex slot, Tick ready_time) {
+  if (!SlotLive(slot)) throw std::out_of_range("SetReadyTime: dead slot");
+  ConfigTaskPair& pair = slots_[slot];
+  if (pair.idle()) throw std::logic_error("SetReadyTime: slot is idle");
+  if (ready_time == kNoTick) {
+    throw std::invalid_argument("SetReadyTime: no tick");
+  }
+  pair.ready_time = ready_time;
 }
 
 const ConfigTaskPair& Node::Slot(SlotIndex slot) const {

@@ -34,7 +34,8 @@ using SlotIndex = std::uint32_t;
 inline constexpr SlotIndex kInvalidSlot = static_cast<SlotIndex>(-1);
 
 /// One entry of the config-task-pair list: a live configuration plus the
-/// task running on it (invalid TaskId = idle entry, the paper's NULL).
+/// task running on it (invalid TaskId = idle entry, the paper's NULL) and
+/// the tick that task's execution begins.
 ///
 /// Like the paper's Inext/Bnext links, the record carries its own place in
 /// the Fig. 3 lists: a live slot sits in exactly one list (the idle or the
@@ -44,11 +45,17 @@ struct ConfigTaskPair {
   ConfigId config;  // invalid => dead slot
   TaskId task;      // invalid => idle
   std::uint32_t list_pos = 0;
+  /// Tick the running task's execution begins: t_start + t_comm + t_config
+  /// (Eq. 8), set once the placement's overhead is known
+  /// (ResourceStore::SetReadyTime). kNoTick while the slot is idle.
+  Tick ready_time = kNoTick;
 
   [[nodiscard]] bool idle() const { return !task.valid(); }
 };
-static_assert(sizeof(ConfigTaskPair) == 12,
-              "ConfigTaskPair must stay 12 bytes");
+// A few slots per node: the ready tick lives here, not in every task's
+// record, because only a running task has one.
+static_assert(sizeof(ConfigTaskPair) <= 24,
+              "ConfigTaskPair must stay within 24 bytes");
 
 /// Hardware capabilities of a node (the `caps` of Eq. 1): "embedded memory,
 /// DSP slices, configuration bandwidth, etc."
@@ -152,9 +159,9 @@ class Node {
   /// Precondition: slot is live and idle.
   void AddTaskToNode(SlotIndex slot, TaskId task);
 
-  /// RemoveTaskFromNode(): clears the task from `slot`, leaving the
-  /// configuration in place (it can be reused or reclaimed later).
-  /// Precondition: slot is live and busy.
+  /// RemoveTaskFromNode(): clears the task and its ready tick from `slot`,
+  /// leaving the configuration in place (it can be reused or reclaimed
+  /// later). Precondition: slot is live and busy.
   void RemoveTaskFromNode(SlotIndex slot);
 
   /// Access to a slot; throws on dead/out-of-range slots.
@@ -192,7 +199,8 @@ class Node {
   }
 
  private:
-  // The store records each slot's Fig. 3 list position (SetListPos).
+  // The store records each slot's Fig. 3 list position (SetListPos) and
+  // its running task's ready tick (SetReadyTime).
   friend class ResourceStore;
   // Test-only seeded corruption (src/analysis): flips failed_ behind the
   // store's back so the auditor's fault-visibility checks can be proven
@@ -213,6 +221,9 @@ class Node {
   void SetListPos(SlotIndex slot, std::uint32_t pos) {
     slots_[slot].list_pos = pos;
   }
+
+  /// Records the tick busy `slot`'s task starts executing.
+  void SetReadyTime(SlotIndex slot, Tick ready_time);
 
   NodeId id_;
   FamilyId family_;

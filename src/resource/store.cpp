@@ -618,7 +618,7 @@ std::vector<KilledTask> ResourceStore::FailNode(NodeId node_id) {
       throw std::logic_error("FailNode: entry missing from busy list");
     }
     busy_area_[node_id.value()] -= configs_.Get(config).required_area;
-    killed.push_back({task, config});
+    killed.push_back({task, config, pair.ready_time});
     n.RemoveTaskFromNode(slot);
   });
   n.MakeNodeBlank();

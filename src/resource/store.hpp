@@ -33,10 +33,12 @@ struct ReconfigPlan {
   std::vector<SlotIndex> removable_entries;
 };
 
-/// A task a node failure killed, and the configuration it was running on.
+/// A task a node failure killed, the configuration it was running on and
+/// the tick its execution began there (its slot's ready tick).
 struct KilledTask {
   TaskId task;
   ConfigId config;
+  Tick ready_time = kNoTick;
 };
 
 /// Host-selection order for FindRankedHostNode (the heuristic baselines'
@@ -208,8 +210,16 @@ class ResourceStore {
   /// AddTaskToNode() + list maintenance: idle entry -> busy entry.
   void AssignTask(EntryRef entry, TaskId task);
 
-  /// RemoveTaskFromNode() + list maintenance: busy entry -> idle entry.
-  /// Returns the task that was running there.
+  /// Records the tick busy `entry`'s task starts executing: t_start +
+  /// t_comm + t_config (Eq. 8), once the placement's overhead is known.
+  /// Not charged to the meter (no list changes). Throws if the entry is
+  /// idle or `ready_time` is kNoTick.
+  void SetReadyTime(EntryRef entry, Tick ready_time) {
+    node(entry.node).SetReadyTime(entry.slot, ready_time);
+  }
+
+  /// RemoveTaskFromNode() + list maintenance: busy entry -> idle entry,
+  /// clearing its ready tick. Returns the task that was running there.
   TaskId ReleaseTask(EntryRef entry);
 
   // --- Fault injection (DESIGN.md §10) ---
@@ -217,8 +227,9 @@ class ResourceStore {
   /// Node failure: atomically removes the node from every structure —
   /// idle/busy entry lists, the blank list, and the query index — wipes
   /// all of its configurations, and marks it failed. Returns the tasks
-  /// that were running there with their configurations (in slot order) so
-  /// the simulator can re-enter them through the suspension path. List removals charge the same
+  /// that were running there with their configurations and ready ticks
+  /// (in slot order) so the simulator can count their lost work and
+  /// re-enter them through the suspension path. List removals charge the same
   /// housekeeping steps a completion-time removal would; the charges do
   /// not depend on the index mode. Throws if the node is already failed.
   std::vector<KilledTask> FailNode(NodeId node_id);

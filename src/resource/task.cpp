@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/fmt.hpp"
+
 namespace dreamsim::resource {
 
 std::string_view ToString(TaskState state) {
@@ -65,6 +67,16 @@ TaskId TaskStore::SubmitOne(const TaskSpec& spec, Bytes data_size,
   owned_.push_back({spec, data_size, priority});
   tasks_.emplace_back();
   return TaskId{id};
+}
+
+std::uint32_t TaskStore::AddRetry(TaskId id) {
+  Task& task = Get(id);
+  if (task.sus_retry == kMaxSusRetry) {
+    throw std::overflow_error(
+        Format("task {}: suspension retry count passes {}", id.value(),
+               kMaxSusRetry));
+  }
+  return ++task.sus_retry;
 }
 
 void TaskStore::ThrowUnknownId() { throw std::out_of_range("unknown TaskId"); }

@@ -6,7 +6,7 @@
 // the catalogue the scheduler falls back to the closest match by area. A
 // task is two records: its TaskSpec, the generated tuple, which never
 // changes once submitted, and its Task, the run-time state the simulator
-// writes (lifecycle, retry count and the tick Eq. 8's wait ends).
+// writes (lifecycle, kill bit and retry count, in one word).
 // The size of the task's `data` and its scheduling priority are zero in
 // every Table II run, so they are not in the spec: they sit in two side
 // columns per submitted batch, and a batch without a column reads 0 for
@@ -63,30 +63,32 @@ inline constexpr std::size_t kTaskStateCount =
 
 [[nodiscard]] std::string_view ToString(TaskState state);
 
+/// Largest suspension retry count a Task can hold (its 28-bit field).
+inline constexpr std::uint32_t kMaxSusRetry = (std::uint32_t{1} << 28) - 1;
+
 /// The run-time state of one task; its TaskSpec holds the rest. A queued
 /// task's resolved configuration lives in its suspension-queue attributes,
-/// and a running task's configuration and node in its store slot, not
-/// here; the placement's comm and configuration waits reach observers
-/// through the kPlaced event.
+/// and a running task's configuration, node and ready tick (Eq. 8's
+/// t_start + t_comm + t_config) in its store slot, not here; the
+/// placement's comm and configuration waits reach observers through the
+/// kPlaced event.
 struct Task {
-  TaskState state = TaskState::kCreated;
+  TaskState state : 3 = TaskState::kCreated;
   /// Whether a node failure ever killed this task mid-execution (fault
   /// injection).
-  bool killed = false;
-  /// Times the task was re-queued from the suspension queue.
-  std::uint32_t sus_retry = 0;
-  /// Tick the latest placement's execution begins: t_start + t_comm +
-  /// t_config (Eq. 8). kNoTick until the task is placed, and again once a
-  /// kill re-queues it.
-  Tick ready_time = kNoTick;
+  bool killed : 1 = false;
+  /// Times the task was re-queued from the suspension queue; at most
+  /// kMaxSusRetry (TaskStore::AddRetry).
+  std::uint32_t sus_retry : 28 = 0;
 };
-// One cell per task for the whole run: keep it to the run-time state.
-static_assert(sizeof(Task) <= 16);
+// One cell per task for the whole run: one word of run-time state.
+static_assert(sizeof(Task) == 4);
 
-/// Waiting time per Eq. 8: t_start - t_create + t_comm + t_config. Only
-/// meaningful once the task has started.
-[[nodiscard]] inline Tick WaitingTime(const TaskSpec& spec, const Task& task) {
-  return task.ready_time - spec.create_time;
+/// Waiting time per Eq. 8: t_start - t_create + t_comm + t_config, where
+/// `ready_time` is the placement's t_start + t_comm + t_config (the busy
+/// slot's ConfigTaskPair::ready_time).
+[[nodiscard]] inline Tick WaitingTime(const TaskSpec& spec, Tick ready_time) {
+  return ready_time - spec.create_time;
 }
 
 /// Total time in system of a task that completed at `completion`:
@@ -155,6 +157,10 @@ class TaskStore {
     if (run->specs == nullptr) return owned_[run->owned_at + offset].priority;
     return run->priority != nullptr ? run->priority[offset] : 0.0;
   }
+  /// Counts one more suspension retry of task `id` and returns the new
+  /// count. Throws std::overflow_error naming the task, counting nothing,
+  /// when the count would pass kMaxSusRetry.
+  std::uint32_t AddRetry(TaskId id);
   [[nodiscard]] std::size_t size() const { return tasks_.size(); }
   /// Run-time state of every task, indexed by id.
   [[nodiscard]] const RunVector<Task>& all() const { return tasks_; }

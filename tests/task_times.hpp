@@ -1,8 +1,8 @@
 // Test-only per-task timestamps read from the Simulator's event stream.
-// The task record keeps only the tick execution begins (Eq. 8's t_start +
-// t_comm + t_config), so tests that check a placement's timing take it
-// from the task's latest kPlaced event and the kCompleted event that ends
-// it.
+// Only the busy store slot keeps the tick execution begins (Eq. 8's
+// t_start + t_comm + t_config), and only while the task runs, so tests that
+// check a placement's timing take it from the task's latest kPlaced event,
+// the slot's tick at that event, and the kCompleted event that ends it.
 #pragma once
 
 #include <vector>
@@ -18,6 +18,8 @@ struct TaskTimes {
   ConfigId config;
   Tick comm_time = 0;
   Tick config_wait = 0;
+  /// The ready tick the task's busy slot held at its latest kPlaced event.
+  Tick slot_ready = kNoTick;
   Tick completed = kNoTick;  // kNoTick unless the task completed
 
   /// Tick execution began: t_start + t_comm + t_config.
@@ -28,7 +30,7 @@ struct TaskTimes {
 /// which it takes over; it must outlive the runs it records.
 class TaskTimeLog {
  public:
-  explicit TaskTimeLog(core::Simulator& sim) {
+  explicit TaskTimeLog(core::Simulator& sim) : sim_(sim) {
     sim.SetEventLogger([this](const core::SimEvent& e) { Record(e); });
   }
   TaskTimeLog(const TaskTimeLog&) = delete;
@@ -60,8 +62,17 @@ class TaskTimeLog {
     t.config = e.config;
     t.comm_time = e.comm_time;
     t.config_wait = e.config_wait;
+    // The placement has assigned the task to a slot of e.node: read its
+    // tick there while the slot is busy.
+    t.slot_ready = kNoTick;
+    const resource::Node& node = sim_.store().node(e.node);
+    node.ForEachSlot(
+        [&](resource::SlotIndex, const resource::ConfigTaskPair& pair) {
+          if (pair.task == e.task) t.slot_ready = pair.ready_time;
+        });
   }
 
+  const core::Simulator& sim_;
   std::vector<TaskTimes> times_;
   std::vector<TaskId> completions_;
 };

@@ -242,7 +242,7 @@ TEST(ClosestMatchSlowdown, LargeStretchIsExactOrThrowsPastTheTickRange) {
       RunOneClosestMatchTask(required, core::kMaxClosestMatchSlowdown);
   ASSERT_EQ(t.state, resource::TaskState::kCompleted);
   EXPECT_EQ(times.completed, times.ready() + required * 1000);
-  EXPECT_EQ(t.ready_time, times.ready());
+  EXPECT_EQ(times.slot_ready, times.ready());
   // 2^62 x 4 leaves the Tick range: a diagnostic, never a wrapped time.
   EXPECT_THROW((void)RunOneClosestMatchTask(Tick{1} << 62, 4.0),
                std::overflow_error);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/report.hpp"
@@ -58,8 +59,8 @@ TEST(Simulator, CompletedTaskTimestampsAreCoherent) {
     const testtimes::TaskTimes& times = log[TaskId{i}];
     EXPECT_GE(times.placed, spec.create_time);
     EXPECT_EQ(times.completed, times.ready() + spec.required_time);
-    EXPECT_EQ(t.ready_time, times.ready());
-    EXPECT_GE(resource::WaitingTime(spec, t), 0);
+    EXPECT_EQ(times.slot_ready, times.ready());
+    EXPECT_GE(resource::WaitingTime(spec, times.slot_ready), 0);
     EXPECT_TRUE(times.config.valid());
     EXPECT_TRUE(times.node.valid());
   }
@@ -274,6 +275,22 @@ TEST(Simulator, MaxSuspensionRetriesDiscards) {
   Simulator sim(std::move(config));
   const MetricsReport report = sim.Run();
   EXPECT_EQ(report.completed_tasks + report.discarded_tasks, 400u);
+}
+
+TEST(Simulator, RetryBudgetPastTheRetryFieldThrows) {
+  // A task holds at most 2^28 - 1 retries: a larger budget is unreachable.
+  SimulationConfig config = SmallConfig(10);
+  config.max_suspension_retries = resource::kMaxSusRetry;
+  EXPECT_NO_THROW(Simulator{config});
+  config.max_suspension_retries = resource::kMaxSusRetry + 1;
+  try {
+    Simulator sim(config);
+    FAIL() << "a budget of 2^28 must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("max_suspension_retries"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Simulator, ArrivalBurstHandled) {

@@ -191,7 +191,7 @@ TEST_P(SimulatorFuzz, GlobalInvariantsHold) {
     const testtimes::TaskTimes& times = log[TaskId{i}];
     EXPECT_GE(times.placed, spec.create_time);
     EXPECT_GE(times.completed, times.placed + spec.required_time);
-    EXPECT_EQ(t.ready_time, times.ready());
+    EXPECT_EQ(times.slot_ready, times.ready());
     EXPECT_TRUE(times.config.valid());
   }
 }

@@ -84,6 +84,26 @@ TEST_F(StoreTest, AssignAndReleaseMoveBetweenLists) {
   ExpectConsistent();
 }
 
+TEST_F(StoreTest, BusySlotCarriesItsReadyTickUntilRelease) {
+  const EntryRef e = store_.Configure(node_a_, ConfigId{0});
+  EXPECT_EQ(store_.node(node_a_).Slot(e.slot).ready_time, kNoTick);
+  EXPECT_THROW(store_.SetReadyTime(e, 5), std::logic_error);  // idle
+  store_.AssignTask(e, TaskId{7});
+  EXPECT_EQ(store_.node(node_a_).Slot(e.slot).ready_time, kNoTick);
+  EXPECT_THROW(store_.SetReadyTime(e, kNoTick), std::invalid_argument);
+  store_.SetReadyTime(e, 25);
+  EXPECT_EQ(store_.node(node_a_).Slot(e.slot).ready_time, 25);
+  const std::uint64_t steps = store_.meter().total_workload();
+  store_.SetReadyTime(e, 30);  // no list change, no charge
+  EXPECT_EQ(store_.meter().total_workload(), steps);
+  EXPECT_EQ(store_.ReleaseTask(e), TaskId{7});
+  EXPECT_EQ(store_.node(node_a_).Slot(e.slot).ready_time, kNoTick);
+  // A reused slot starts without a tick.
+  store_.AssignTask(e, TaskId{8});
+  EXPECT_EQ(store_.node(node_a_).Slot(e.slot).ready_time, kNoTick);
+  ExpectConsistent();
+}
+
 TEST_F(StoreTest, ReclaimSlotRestoresAreaAndBlankList) {
   const EntryRef e = store_.Configure(node_a_, ConfigId{0});
   store_.ReclaimSlot(e);
@@ -302,10 +322,12 @@ TEST_F(StoreTest, AggregatesTrackEveryMutation) {
   ASSERT_EQ(store_.failed_node_count(), 1u);
   EXPECT_EQ(store_.blank_node_count(), 1u);
   ExpectAggregatesMatchScan(store_, "fail blank b");
+  store_.SetReadyTime(c0, 40);
   const std::vector<KilledTask> killed = store_.FailNode(node_c_);
   ASSERT_EQ(killed.size(), 1u);
   EXPECT_EQ(killed[0].task, TaskId{1});
   EXPECT_EQ(killed[0].config, ConfigId{0});
+  EXPECT_EQ(killed[0].ready_time, 40);
   ExpectAggregatesMatchScan(store_, "fail busy c");
   store_.RepairNode(node_b_);
   ExpectAggregatesMatchScan(store_, "repair b");

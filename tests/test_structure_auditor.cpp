@@ -560,7 +560,7 @@ TEST(StructureAuditorCorruption, SetTaskStateIsTaskState) {
     tasks.Get(TaskId{0}).state = TaskState::kDiscarded;
     store.AssignTask(busy, TaskId{3});
     tasks.Get(TaskId{3}).state = TaskState::kRunning;
-    tasks.Get(TaskId{3}).ready_time = 25;
+    store.SetReadyTime(busy, 25);
     tasks.Get(TaskId{4}).state = TaskState::kCompleted;
   };
   struct Case {
@@ -595,17 +595,37 @@ TEST(StructureAuditorCorruption, SetTaskStateIsTaskState) {
     EXPECT_NE(report.Render().find(c.detail), std::string::npos)
         << c.what << "\n" << report.Render();
   }
-  // A running task with no ready tick is caught as well.
+  // A busy slot that lost its ready tick is caught as well (b's only slot
+  // is slot 0 of node 0).
   ResourceStore store(MakeCatalogue({300, 500}));
   resource::TaskStore tasks = MakeTasks(5);
   SuspensionQueue queue(tasks, store.configs());
   build(store, queue, tasks);
-  tasks.Get(TaskId{3}).ready_time = kNoTick;
+  StructureCorruptor::SetReadyTick(store, EntryRef{NodeId{0}, 0}, kNoTick);
   const AuditReport report =
       StructureAuditor::AuditTaskStates(store, queue, tasks);
   EXPECT_EQ(Slugs(report), std::set<std::string>{"task.state"})
       << report.Render();
-  EXPECT_NE(report.Render().find("no ready tick"), std::string::npos)
+  EXPECT_NE(report.Render().find("busy slot has no ready tick"),
+            std::string::npos)
+      << report.Render();
+  EXPECT_TRUE(StructureAuditor::AuditStore(store).ok());
+}
+
+TEST(StructureAuditorCorruption, StaleIdleReadyTickIsFig3Slot) {
+  // A released slot kept its task's tick.
+  ResourceStore store(MakeCatalogue({300, 500}));
+  const EntryRef idle = store.Configure(store.AddNode(2000), ConfigId{1});
+  store.AssignTask(idle, TaskId{3});
+  store.SetReadyTime(idle, 25);
+  (void)store.ReleaseTask(idle);
+  ASSERT_TRUE(StructureAuditor::AuditStore(store).ok());
+  StructureCorruptor::SetReadyTick(store, idle, 25);
+  const AuditReport report = StructureAuditor::AuditStore(store);
+  EXPECT_EQ(Slugs(report), std::set<std::string>{"fig3.slot"})
+      << report.Render();
+  EXPECT_NE(report.Render().find("idle slot holds ready tick 25"),
+            std::string::npos)
       << report.Render();
 }
 

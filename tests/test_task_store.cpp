@@ -260,10 +260,9 @@ TEST(TaskStore, SubmitOneRejectsANonFinitePriority) {
 
 TEST(Task, WaitingTimeEq8) {
   const TaskSpec spec = MakeSpec(500, 1000, 100);
-  Task t;
-  t.ready_time = 150 + 5 + 12;  // t_start + t_comm + t_config
+  const Tick ready_time = 150 + 5 + 12;  // t_start + t_comm + t_config
   // Eq. 8: t_start - t_create + t_comm + t_config.
-  EXPECT_EQ(WaitingTime(spec, t), 67);
+  EXPECT_EQ(WaitingTime(spec, ready_time), 67);
 }
 
 TEST(Task, TurnaroundTime) {
@@ -274,9 +273,51 @@ TEST(Task, TurnaroundTime) {
 TEST(Task, DefaultStateIsCreated) {
   const Task t;
   EXPECT_EQ(t.state, TaskState::kCreated);
-  EXPECT_EQ(t.ready_time, kNoTick);
   EXPECT_FALSE(t.killed);
   EXPECT_EQ(t.sus_retry, 0u);
+}
+
+TEST(Task, OneWordHoldsEveryStateKillBitAndRetryCount) {
+  static_assert(sizeof(Task) == 4);
+  for (std::size_t s = 0; s < kTaskStateCount; ++s) {
+    for (const bool killed : {false, true}) {
+      for (const std::uint32_t retries : {0u, 1u, kMaxSusRetry}) {
+        Task t;
+        t.state = static_cast<TaskState>(s);
+        t.killed = killed;
+        t.sus_retry = retries;
+        const Task copy = t;
+        EXPECT_EQ(copy.state, static_cast<TaskState>(s));
+        EXPECT_EQ(copy.killed, killed);
+        EXPECT_EQ(copy.sus_retry, retries);
+      }
+    }
+  }
+  EXPECT_EQ(kMaxSusRetry, (1u << 28) - 1);
+}
+
+TEST(TaskStore, AddRetryStopsAtTheFieldWidthNamingTheTask) {
+  TaskStore store;
+  (void)store.SubmitOne(MakeSpec());
+  const TaskId id = store.SubmitOne(MakeSpec());
+  EXPECT_EQ(store.AddRetry(id), 1u);
+  EXPECT_EQ(store.AddRetry(id), 2u);
+  store.Get(id).state = TaskState::kSuspended;
+  store.Get(id).killed = true;
+  store.Get(id).sus_retry = kMaxSusRetry - 1;
+  EXPECT_EQ(store.AddRetry(id), kMaxSusRetry);
+  try {
+    (void)store.AddRetry(id);
+    FAIL() << "a retry past 2^28 - 1 must throw";
+  } catch (const std::overflow_error& e) {
+    EXPECT_NE(std::string(e.what()).find("task 1"), std::string::npos)
+        << e.what();
+  }
+  // The failed increment counted nothing and left the other fields alone.
+  EXPECT_EQ(store.Get(id).sus_retry, kMaxSusRetry);
+  EXPECT_EQ(store.Get(id).state, TaskState::kSuspended);
+  EXPECT_TRUE(store.Get(id).killed);
+  EXPECT_EQ(store.Get(TaskId{0}).sus_retry, 0u);
 }
 
 TEST(TaskStateNames, AllCovered) {

@@ -175,8 +175,8 @@ void RegisterFlags(CliParser& cli) {
 void ApplyRuntimeKnobs(const CliParser& cli, core::SimulationConfig& config) {
   config.suspension_batch =
       static_cast<std::size_t>(IntAtLeast(cli, "suspension-batch", 0));
-  config.max_suspension_retries = static_cast<std::uint32_t>(IntInRange(
-      cli, "max-retries", 0, std::numeric_limits<std::uint32_t>::max()));
+  config.max_suspension_retries = static_cast<std::uint32_t>(
+      IntInRange(cli, "max-retries", 0, resource::kMaxSusRetry));
   config.suspension_capacity =
       static_cast<std::size_t>(IntAtLeast(cli, "queue-capacity", 0));
   config.network.bytes_per_tick = IntAtLeast(cli, "net-bandwidth", 0);
