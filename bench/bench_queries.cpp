@@ -8,12 +8,12 @@
 //                populations. FindBestIdleEntry reads the idle list in both
 //                modes (it has no index half), so its two columns time the
 //                same code.
-//   drain        one row per drain shape at queue depths 1k/10k/100k: ns
-//                per SuspensionQueue drain call with the drain index off
-//                (the literal walk, what a scan-mode Simulator runs; it
-//                reads each entry's area from the task's spec and its
-//                priority from the task store's column) and on (the index answer plus its analytic step
-//                charge), on identical populations beside one blank node
+//   drain        one row per FIFO drain shape at queue depths
+//                1k/10k/100k: ns per SuspensionQueue drain call with the
+//                drain index off (the literal walk, what a scan-mode
+//                Simulator runs; it reads each entry's area from the
+//                task's spec) and on (the index answer plus its analytic
+//                step charge), on identical populations beside one blank node
 //                whose area sets the drain's bound. Every attempt leaves
 //                its entry queued, so a call makes at most one attempt and
 //                the queue keeps its content from call to call.
@@ -145,29 +145,19 @@ std::vector<NamedQuery> StoreQueries() {
 
 constexpr std::uint32_t kConfigs = 64;
 
-/// A saturated-regime queue population of `depth` tasks: areas mostly
-/// too large for a freshly freed region with a sparse sprinkle of small
-/// tasks, and priorities in [0, 9]. Deterministic, so every queue sees
-/// identical state.
-struct Population {
-  std::vector<TaskSpec> specs;
-  std::vector<double> priority;
-
-  /// Submits the population to `tasks`, which borrows both arrays.
-  void SubmitTo(TaskStore& tasks) const { tasks.Submit(specs, {}, priority); }
-};
-
-Population MakePopulation(int depth) {
+/// A saturated-regime queue population of `depth` task specs: areas
+/// mostly too large for a freshly freed region with a sparse sprinkle of
+/// small tasks. Deterministic, so every queue sees identical state. A
+/// TaskStore borrows the array, which must outlive it.
+std::vector<TaskSpec> MakePopulation(int depth) {
   Rng rng(11);
-  const auto count = static_cast<std::size_t>(depth);
-  Population pop{std::vector<TaskSpec>(count), std::vector<double>(count)};
-  for (std::size_t i = 0; i < count; ++i) {
-    TaskSpec& spec = pop.specs[i];
-    spec.required_time = 10;
-    spec.needed_area = (i % 997 == 996) ? 100 : rng.uniform_int(1000, 2000);
-    pop.priority[i] = static_cast<double>(rng.uniform_int(0, 9));
+  std::vector<TaskSpec> specs(static_cast<std::size_t>(depth));
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    specs[i].required_time = 10;
+    specs[i].needed_area =
+        (i % 997 == 996) ? 100 : rng.uniform_int(1000, 2000);
   }
-  return pop;
+  return specs;
 }
 
 /// Queues task i of the population, resolved to one of kConfigs distinct
@@ -207,24 +197,18 @@ constexpr NodeId kFitsNone{1};
 void TimeDrains(int depth, double min_seconds, std::vector<QueryRow>& rows) {
   const ConfigId target{kConfigs - 1};
   const ResourceStore store = MakeDrainFleet();
-  const Population pop = MakePopulation(depth);
+  const std::vector<TaskSpec> specs = MakePopulation(depth);
   TaskStore tasks;
-  pop.SubmitTo(tasks);
+  tasks.Submit(specs);
   WorkloadMeter meter;
   const auto keep = [](SuspensionQueue::Seq) {};
-  // One queue per (order, index mode); an index serves one drain order.
-  const auto queue = [&](resource::SusOrder order) {
-    return SuspensionQueue(tasks, store.configs(), 0, order);
-  };
-  SuspensionQueue fifo[2] = {queue(resource::SusOrder::kFifo),
-                             queue(resource::SusOrder::kFifo)};
-  SuspensionQueue prio[2] = {queue(resource::SusOrder::kPriority),
-                             queue(resource::SusOrder::kPriority)};
+  // One FIFO-order queue per index mode (a priority-order queue has no
+  // index, so it has no row).
+  SuspensionQueue fifo[2] = {SuspensionQueue(tasks, store.configs()),
+                             SuspensionQueue(tasks, store.configs())};
   for (const int indexed : {0, 1}) {
-    for (SuspensionQueue* q : {&fifo[indexed], &prio[indexed]}) {
-      q->SetDrainIndexed(indexed == 1);
-      FillQueue(*q, depth);
-    }
+    fifo[indexed].SetDrainIndexed(indexed == 1);
+    FillQueue(fifo[indexed], depth);
   }
   /// Times `drain(queue)` on the scan and the indexed twin of `queues`.
   const auto time_drain =
@@ -243,10 +227,8 @@ void TimeDrains(int depth, double min_seconds, std::vector<QueryRow>& rows) {
     };
   };
   time_drain("full_exact_match", fifo, full);
-  time_drain("full_exact_match_priority", prio, full);
   time_drain("partial_fifo_first_hit", fifo, partial(kFits));
   time_drain("partial_fifo_none", fifo, partial(kFitsNone));
-  time_drain("partial_priority_best", prio, partial(kFits));
 }
 
 /// The process's peak resident set (VmHWM in /proc/self/status), in
@@ -294,9 +276,9 @@ double TaskBytesPerTask() {
 double QueueBytesPerSeq() {
   constexpr int kSeqs = 1 << 20;
   const ResourceStore store = MakeDrainFleet();
-  const Population pop = MakePopulation(kSeqs);
+  const std::vector<TaskSpec> specs = MakePopulation(kSeqs);
   TaskStore tasks;
-  pop.SubmitTo(tasks);
+  tasks.Submit(specs);
   const std::size_t before = PeakRssBytes();
   SuspensionQueue queue(tasks, store.configs());
   queue.SetDrainIndexed(true);

@@ -242,11 +242,8 @@ void StructureCorruptor::SkewTreeSummary(resource::ResourceStore& store,
 }
 
 void StructureCorruptor::SkewTreeSummary(resource::SuspensionQueue& queue) {
-  if (queue.index_ == nullptr ||
-      queue.index_->order_ != resource::SusOrder::kFifo ||
-      queue.index_->fifo_groups_.empty()) {
-    throw std::logic_error(
-        "SkewTreeSummary: needs a non-empty FIFO-order drain index");
+  if (queue.index_ == nullptr || queue.index_->fifo_groups_.empty()) {
+    throw std::logic_error("SkewTreeSummary: needs a non-empty drain index");
   }
   RaiseFirstSummaryCell(queue.index_->fifo_groups_.begin()->second,
                         "SkewTreeSummary");
@@ -265,10 +262,8 @@ void StructureCorruptor::MisplaceSusBucketEntry(
     resource::SuspensionQueue& queue, TaskId task,
     ConfigId wrong_config) {
   using resource::SusQueueIndex;
-  if (queue.index_ == nullptr ||
-      queue.index_->order_ != resource::SusOrder::kFifo) {
-    throw std::logic_error(
-        "MisplaceSusBucketEntry: needs a FIFO-order drain index");
+  if (queue.index_ == nullptr) {
+    throw std::logic_error("MisplaceSusBucketEntry: needs a drain index");
   }
   const std::uint32_t seq = queue.SeqOf(task);
   if (seq == resource::SuspensionQueue::kNoSlot) {
@@ -314,10 +309,8 @@ void StructureCorruptor::RepointSusOrderHead(resource::SuspensionQueue& queue,
                                              ConfigId config,
                                              std::uint32_t seq) {
   using resource::SusQueueIndex;
-  if (queue.index_ == nullptr ||
-      queue.index_->order_ != resource::SusOrder::kFifo) {
-    throw std::logic_error(
-        "RepointSusOrderHead: needs a FIFO-order drain index");
+  if (queue.index_ == nullptr) {
+    throw std::logic_error("RepointSusOrderHead: needs a drain index");
   }
   queue.index_->fifo_lists_.at(SusQueueIndex::ListSlot(config)).head = seq;
 }
@@ -325,9 +318,8 @@ void StructureCorruptor::RepointSusOrderHead(resource::SuspensionQueue& queue,
 void StructureCorruptor::SkewSusGroupLeaf(resource::SuspensionQueue& queue,
                                           TaskId task) {
   using resource::SusQueueIndex;
-  if (queue.index_ == nullptr ||
-      queue.index_->order_ != resource::SusOrder::kFifo) {
-    throw std::logic_error("SkewSusGroupLeaf: needs a FIFO-order drain index");
+  if (queue.index_ == nullptr) {
+    throw std::logic_error("SkewSusGroupLeaf: needs a drain index");
   }
   const std::uint32_t seq = queue.SeqOf(task);
   if (seq == resource::SuspensionQueue::kNoSlot) {
@@ -337,21 +329,6 @@ void StructureCorruptor::SkewSusGroupLeaf(resource::SuspensionQueue& queue,
   SusQueueIndex::AssignSeqLeaf(
       queue.index_->fifo_groups_.at(SusQueueIndex::GroupKeyOf(attrs)), seq,
       -attrs.needed_area - 1);
-}
-
-void StructureCorruptor::SkewSusTreapMinArea(
-    resource::SuspensionQueue& queue) {
-  if (queue.index_ == nullptr ||
-      queue.index_->order_ != resource::SusOrder::kPriority ||
-      queue.index_->prio_groups_.empty()) {
-    throw std::logic_error(
-        "SkewSusTreapMinArea: needs a non-empty priority-order drain index");
-  }
-  resource::AreaTreap& treap = queue.index_->prio_groups_.begin()->second;
-  if (treap.root_ == resource::AreaTreap::kNull) {
-    throw std::logic_error("SkewSusTreapMinArea: empty treap");
-  }
-  --treap.nodes_[static_cast<std::size_t>(treap.root_)].min_area;
 }
 
 void StructureCorruptor::SkewSusAttrs(resource::SuspensionQueue& queue,

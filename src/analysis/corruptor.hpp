@@ -176,11 +176,6 @@ class StructureCorruptor {
   /// (requires a FIFO-order drain index). Expected slug: susidx.group.
   static void SkewSusGroupLeaf(resource::SuspensionQueue& queue, TaskId task);
 
-  /// Lowers the min-area augmentation of the first priority group's treap
-  /// root by one (requires a priority-order drain index with at least one
-  /// queued entry). Expected slug: susidx.treap.
-  static void SkewSusTreapMinArea(resource::SuspensionQueue& queue);
-
   /// Points queued `task`'s cell at `config`, then rebuilds the drain
   /// index (when one is on) from the cells, so the queue and its index
   /// still agree and only the check against the task's spec can see it.

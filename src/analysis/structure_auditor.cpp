@@ -16,9 +16,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <iterator>
-#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -39,7 +37,6 @@ namespace {
 
 using resource::AreaBucketSet;
 using resource::AreaKey;
-using resource::AreaTreap;
 using resource::EntryList;
 using resource::EntryRef;
 using resource::MaxSegTree;
@@ -771,30 +768,10 @@ void StructureAuditor::AuditSusIndex(
     const std::vector<std::pair<std::uint64_t, SusEntryAttrs>>& queued,
     AuditReport& report) {
   const SusQueueIndex& index = *queue.index_;
-  const bool fifo = index.order_ == resource::SusOrder::kFifo;
-  if (index.order_ != queue.order_) {
-    Report(report, "susidx.bucket", "suspension index",
-           "index order differs from the queue's drain order");
-  }
-  // A single-order index keeps nothing of the other order.
-  if (fifo ? !index.prio_buckets_.empty()
-           : !index.fifo_lists_.empty() || !index.fifo_next_.empty()) {
-    Report(report, "susidx.bucket", "suspension index",
-           fifo ? "FIFO-order index holds priority buckets"
-                : "priority-order index holds seq lists");
-  }
-  if (fifo ? !index.prio_groups_.empty() : !index.fifo_groups_.empty()) {
-    Report(report, "susidx.group", "suspension index",
-           fifo ? "FIFO-order index holds priority treaps"
-                : "priority-order index holds seq trees");
-  }
-
   // Expected content per resolved config and per family group, built from
   // the queue's own slots and attributes (the ground truth the index
   // mirrors).
   std::map<std::uint32_t, std::set<std::uint64_t>> want_bucket_seqs;
-  std::map<std::uint32_t, std::set<std::pair<double, std::uint64_t>>>
-      want_bucket_prio;
   std::map<std::uint32_t, std::map<std::uint64_t, SusEntryAttrs>> want_groups;
   std::unordered_map<std::uint64_t, std::uint32_t> config_of_seq;
   std::unordered_map<std::uint32_t, std::uint32_t> want_groups_of_config;
@@ -802,72 +779,60 @@ void StructureAuditor::AuditSusIndex(
     want_groups_of_config.try_emplace(attrs.resolved_config.value(),
                                       SusQueueIndex::GroupKeyOf(attrs));
     want_bucket_seqs[attrs.resolved_config.value()].insert(seq);
-    want_bucket_prio[attrs.resolved_config.value()].insert(
-        {-attrs.priority, seq});
     want_groups[SusQueueIndex::GroupKeyOf(attrs)].emplace(seq, attrs);
     config_of_seq.emplace(seq, attrs.resolved_config.value());
   }
 
   // Buckets, keyed by resolved config: the live seqs each forward order
-  // reaches from its head (FIFO order; seq order, the live head, the tail,
-  // the group and the config of every seq passed checked) or the
-  // (-priority, seq) sets (priority order).
+  // reaches from its head (seq order, the live head, the tail, the group
+  // and the config of every seq passed checked).
   std::map<std::uint32_t, std::set<std::uint64_t>> buckets;
-  if (fifo) {
-    constexpr std::uint32_t kNoSeq = SusQueueIndex::kNoSeq;
-    const auto& next = index.fifo_next_;
-    const auto& cells = queue.entries_;
-    for (std::size_t slot = 0; slot < index.fifo_lists_.size(); ++slot) {
-      const SusQueueIndex::SeqList& list = index.fifo_lists_[slot];
-      const std::uint32_t config =
-          slot == 0 ? ConfigId::invalid().value()
-                    : static_cast<std::uint32_t>(slot - 1);
-      const auto label = [config] {
-        return Format("config {} order", config);
-      };
-      std::set<std::uint64_t>& seqs = buckets[config];
-      if (list.head != kNoSeq && !config_of_seq.contains(list.head)) {
-        Report(report, "susidx.bucket", label(),
-               Format("head {} is not a live seq", list.head));
-      }
-      // A removed seq may stay in its order until the head passes it, but
-      // only in its own config's order.
-      std::uint32_t prev = kNoSeq;
-      for (std::uint32_t seq = list.head; seq != kNoSeq; seq = next[seq]) {
-        if (seq >= next.size() || seq >= cells.size() ||
-            (prev != kNoSeq && seq <= prev)) {
-          Report(report, "susidx.bucket",
-                 Format("{} after seq {}", label(), prev),
-                 Format("link to seq {} leaves the order array or breaks seq "
-                        "order (FIFO order == seq order)",
-                        seq));
-          break;
-        }
-        if (config_of_seq.contains(seq)) {
-          seqs.insert(seq);
-        } else if (cells[seq].config.value() != config) {
-          Report(report, "susidx.bucket", Format("{} (seq {})", label(), seq),
-                 Format("removed seq of config {}",
-                        cells[seq].config.value()));
-        }
-        prev = seq;
-      }
-      if (list.tail != prev) {
-        Report(report, "susidx.bucket", label(),
-               Format("tail {} != last linked seq {}", list.tail, prev));
-      }
-      // (A config no live seq resolved to has its strays reported below.)
-      if (const auto want = want_groups_of_config.find(config);
-          list.head != kNoSeq && want != want_groups_of_config.end() &&
-          list.group != want->second) {
-        Report(report, "susidx.bucket", label(),
-               Format("group {} != the config's group {}", list.group,
-                      want->second));
-      }
+  constexpr std::uint32_t kNoSeq = SusQueueIndex::kNoSeq;
+  const auto& next = index.fifo_next_;
+  const auto& cells = queue.entries_;
+  for (std::size_t slot = 0; slot < index.fifo_lists_.size(); ++slot) {
+    const SusQueueIndex::SeqList& list = index.fifo_lists_[slot];
+    const std::uint32_t config =
+        slot == 0 ? ConfigId::invalid().value()
+                  : static_cast<std::uint32_t>(slot - 1);
+    const auto label = [config] { return Format("config {} order", config); };
+    std::set<std::uint64_t>& seqs = buckets[config];
+    if (list.head != kNoSeq && !config_of_seq.contains(list.head)) {
+      Report(report, "susidx.bucket", label(),
+             Format("head {} is not a live seq", list.head));
     }
-  } else {
-    for (const auto& [config, bucket] : index.prio_buckets_) {
-      for (const auto& key : bucket) buckets[config].insert(key.second);
+    // A removed seq may stay in its order until the head passes it, but
+    // only in its own config's order.
+    std::uint32_t prev = kNoSeq;
+    for (std::uint32_t seq = list.head; seq != kNoSeq; seq = next[seq]) {
+      if (seq >= next.size() || seq >= cells.size() ||
+          (prev != kNoSeq && seq <= prev)) {
+        Report(report, "susidx.bucket",
+               Format("{} after seq {}", label(), prev),
+               Format("link to seq {} leaves the order array or breaks seq "
+                      "order (FIFO order == seq order)",
+                      seq));
+        break;
+      }
+      if (config_of_seq.contains(seq)) {
+        seqs.insert(seq);
+      } else if (cells[seq].config.value() != config) {
+        Report(report, "susidx.bucket", Format("{} (seq {})", label(), seq),
+               Format("removed seq of config {}", cells[seq].config.value()));
+      }
+      prev = seq;
+    }
+    if (list.tail != prev) {
+      Report(report, "susidx.bucket", label(),
+             Format("tail {} != last linked seq {}", list.tail, prev));
+    }
+    // (A config no live seq resolved to has its strays reported below.)
+    if (const auto want = want_groups_of_config.find(config);
+        list.head != kNoSeq && want != want_groups_of_config.end() &&
+        list.group != want->second) {
+      Report(report, "susidx.bucket", label(),
+             Format("group {} != the config's group {}", list.group,
+                    want->second));
     }
   }
   for (const auto& [config, seqs] : buckets) {
@@ -889,10 +854,6 @@ void StructureAuditor::AuditSusIndex(
                "expected entry missing");
       }
     }
-    if (!fifo && index.prio_buckets_.at(config) != want_bucket_prio[config]) {
-      Report(report, "susidx.bucket", Format("config {} bucket", config),
-             "priority set diverges from ground truth");
-    }
   }
   for (const auto& [config, want] : want_bucket_seqs) {
     if (!want.empty() && !buckets.contains(config)) {
@@ -907,88 +868,33 @@ void StructureAuditor::AuditSusIndex(
                : Format("family {} group", family);
   };
   std::vector<std::uint32_t> group_keys;
-  if (fifo) {
-    // Groups: one seq-tree leaf per seq, -needed_area for members.
-    for (const auto& [family, tree] : index.fifo_groups_) {
-      group_keys.push_back(family);
-      const auto& members = want_groups[family];  // empty map if absent
-      const std::string label = group_label(family);
-      for (std::size_t seq = 0; seq < tree.size(); ++seq) {
-        const auto member = members.find(seq);
-        const std::int64_t want = member == members.end()
-                                      ? MaxSegTree::kNegInf
-                                      : -member->second.needed_area;
-        if (tree.Value(seq) != want) {
-          Report(report, "susidx.group", Format("{} seq {}", label, seq),
-                 member == members.end()
-                     ? std::string("stale live leaf for an absent entry")
-                     : Format("leaf {} != -needed_area {}", tree.Value(seq),
-                              member->second.needed_area));
-          break;
-        }
-      }
-      for (const auto& [seq, attrs] : members) {
-        if (seq >= tree.size()) {
-          Report(report, "susidx.group", Format("{} seq {}", label, seq),
-                 "member beyond the seq tree");
-        }
-      }
-      if (const std::string stale = StaleMaxSummary(tree); !stale.empty()) {
-        Report(report, "susidx.group", Format("{} seq tree", label), stale);
+  // Groups: one seq-tree leaf per seq, -needed_area for members.
+  for (const auto& [family, tree] : index.fifo_groups_) {
+    group_keys.push_back(family);
+    const auto& members = want_groups[family];  // empty map if absent
+    const std::string label = group_label(family);
+    for (std::size_t seq = 0; seq < tree.size(); ++seq) {
+      const auto member = members.find(seq);
+      const std::int64_t want = member == members.end()
+                                    ? MaxSegTree::kNegInf
+                                    : -member->second.needed_area;
+      if (tree.Value(seq) != want) {
+        Report(report, "susidx.group", Format("{} seq {}", label, seq),
+               member == members.end()
+                   ? std::string("stale live leaf for an absent entry")
+                   : Format("leaf {} != -needed_area {}", tree.Value(seq),
+                            member->second.needed_area));
+        break;
       }
     }
-  } else {
-    // Treaps: in-order walk must yield exactly the members sorted by
-    // (-priority, seq), with correct min-area augmentation and heap order.
-    for (const auto& [family, treap] : index.prio_groups_) {
-      group_keys.push_back(family);
-      const auto& members = want_groups[family];  // empty map if absent
-      const std::string label = group_label(family);
-      std::vector<std::pair<double, std::uint64_t>> walked;
-      std::size_t visits = 0;
-      bool structural = false;
-      const std::function<Area(std::int32_t, std::uint64_t)> walk =
-          [&](std::int32_t n, std::uint64_t parent_heap) -> Area {
-        if (n == AreaTreap::kNull || structural) {
-          return std::numeric_limits<Area>::max();
-        }
-        if (++visits > treap.nodes_.size()) {
-          structural = true;  // cycle: more visits than allocated nodes
-          return std::numeric_limits<Area>::max();
-        }
-        const AreaTreap::Node& node =
-            treap.nodes_[static_cast<std::size_t>(n)];
-        if (node.heap > parent_heap) {
-          Report(report, "susidx.treap", Format("{} seq {}", label, node.seq),
-                 "treap heap order violated");
-          structural = true;
-        }
-        const Area left = walk(node.left, node.heap);
-        walked.emplace_back(node.neg_priority, node.seq);
-        const Area right = walk(node.right, node.heap);
-        const Area subtree = std::min({node.area, left, right});
-        if (node.min_area != subtree) {
-          Report(report, "susidx.treap", Format("{} seq {}", label, node.seq),
-                 Format("min-area {} != subtree minimum {}", node.min_area,
-                        subtree));
-        }
-        return subtree;
-      };
-      walk(treap.root_, std::numeric_limits<std::uint64_t>::max());
-      if (structural) {
-        Report(report, "susidx.treap", label, "treap walk aborted (cycle?)");
-        continue;
+    for (const auto& [seq, attrs] : members) {
+      if (seq >= tree.size()) {
+        Report(report, "susidx.group", Format("{} seq {}", label, seq),
+               "member beyond the seq tree");
       }
-      std::vector<std::pair<double, std::uint64_t>> want_walk;
-      for (const auto& [seq, attrs] : members) {
-        want_walk.emplace_back(-attrs.priority, seq);
-      }
-      std::sort(want_walk.begin(), want_walk.end());
-      if (walked != want_walk || treap.count_ != members.size()) {
-        Report(report, "susidx.treap", label,
-               Format("in-order walk yields {} entries, ground truth {}",
-                      walked.size(), members.size()));
-      }
+    }
+    if (const std::string stale = StaleMaxSummary(tree); !stale.empty()) {
+      Report(report, "susidx.group", Format("{} seq tree", label), stale);
     }
   }
   for (const auto& [family, members] : want_groups) {

@@ -124,9 +124,9 @@ struct SimulationConfig {
   /// Let SuspensionQueue answer its completion drains (DrainFull,
   /// DrainPartial) from its O(log Q) index instead of the literal walks,
   /// under the same bit-identical contract as `scheduler_index`: the queue
-  /// charges what the walk would have (DESIGN.md §9.1). The index keeps
-  /// only the structures of the drain order `priority_scheduling`
-  /// selects. Off = the literal walks (the test oracle).
+  /// charges what the walk would have (DESIGN.md §9.1). The index serves
+  /// FIFO order only: with `priority_scheduling` the queue always walks.
+  /// Off = the literal walks (the test oracle).
   bool drain_index = true;
   /// Vestigial: the in-run sharded kernel was removed (DESIGN.md §13), and
   /// 1 is the only legal value — the Simulator constructor throws

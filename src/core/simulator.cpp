@@ -338,8 +338,7 @@ MetricsReport Simulator::RunWithWorkload(const workload::Workload& wl) {
   ran_ = true;
   submitted_tasks_ += jobs_.Submit(wl);
   if (faults_.enabled() && submitted_tasks_ > terminal_tasks_) RearmFaults();
-  (void)kernel_.Run(
-      [this](const sim::FiredEvent& fired) { Dispatch(fired.event); });
+  kernel_.Run([this](const sim::FiredEvent& fired) { Dispatch(fired.event); });
   return FinishReport();
 }
 

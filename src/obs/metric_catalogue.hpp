@@ -74,14 +74,10 @@ enum class MetricKind : std::uint8_t {
   /* --- Suspension queue + drain index (model plane) --- */                  \
   M(SusqQueryOldestExact, "susq_query_oldest_exact_total", kCounter,          \
     "SusQueueIndex OldestExactMatch queries")                                 \
-  M(SusqQueryBestPrioExact, "susq_query_best_prio_exact_total", kCounter,     \
-    "SusQueueIndex BestPriorityExactMatch queries")                           \
   M(SusqQueryOldestEligible, "susq_query_oldest_eligible_total", kCounter,    \
     "SusQueueIndex OldestEligible queries")                                   \
-  M(SusqQueryBestPrioEligible, "susq_query_best_prio_eligible_total",         \
-    kCounter, "SusQueueIndex BestPriorityEligible queries")                   \
   M(SusqScanFallback, "susq_scan_fallback_total", kCounter,                   \
-    "Suspension-drain picks answered by the literal walk (drain index off)")  \
+    "Suspension-drain picks answered by the literal walk (no drain index)")   \
   M(SusEnqueued, "sus_enqueued_total", kCounter,                              \
     "Tasks admitted to the suspension queue")                                 \
   M(SusRemoved, "sus_removed_total", kCounter,                                \

@@ -60,11 +60,11 @@ void SuspensionQueue::RemoveSeq(Seq seq, WorkloadMeter& meter) {
 }
 
 void SuspensionQueue::SetDrainIndexed(bool enabled) {
-  if (!enabled) {
+  if (!enabled || order_ != SusOrder::kFifo) {
     index_.reset();
     return;
   }
-  index_ = std::make_unique<SusQueueIndex>(order_);
+  index_ = std::make_unique<SusQueueIndex>();
   index_->Reserve(entries_.capacity());
   for (std::uint32_t seq = NextLive(head_); seq != kNoSlot;
        seq = NextLive(seq + 1)) {
@@ -77,8 +77,7 @@ SusEntryAttrs SuspensionQueue::AttrsAt(Seq seq) const {
   return {cell.config,
           cell.config.valid() ? configs_->Get(cell.config).family
                               : FamilyId::invalid(),
-          tasks_->Spec(cell.task).needed_area,
-          order_ == SusOrder::kPriority ? tasks_->Priority(cell.task) : 0.0};
+          tasks_->Spec(cell.task).needed_area};
 }
 
 namespace {
@@ -162,15 +161,10 @@ std::optional<SuspensionQueue::Seq> SuspensionQueue::IndexedFull(
     const ResourceStore& store, NodeId node_id, ConfigId freed_config,
     WorkloadMeter& meter) const {
   const Node& node = store.node(node_id);
-  const bool by_priority = order_ == SusOrder::kPriority;
   // The walk visits every entry.
   meter.Add(StepKind::kSchedulingSearch, size());
   if (freed_config.valid()) {
     const std::optional<Seq> match = Timed([&] {
-      if (by_priority) {
-        obs::MetricInc(obs::MetricId::kSusqQueryBestPrioExact);
-        return index_->BestPriorityExactMatch(freed_config);
-      }
       obs::MetricInc(obs::MetricId::kSusqQueryOldestExact);
       return index_->OldestExactMatch(freed_config);
     });
@@ -179,29 +173,9 @@ std::optional<SuspensionQueue::Seq> SuspensionQueue::IndexedFull(
   // The fallback is consulted only when no entry matches, so querying
   // the family groups without the exact-match rule is exact.
   return Timed([&] {
-    if (by_priority) {
-      obs::MetricInc(obs::MetricId::kSusqQueryBestPrioEligible);
-      return index_->BestPriorityEligible(node.family(), node.total_area(),
-                                          ConfigId::invalid());
-    }
     obs::MetricInc(obs::MetricId::kSusqQueryOldestEligible);
     return index_->OldestEligible(node.family(), node.total_area(), 0,
                                   ConfigId::invalid());
-  });
-}
-
-std::optional<SuspensionQueue::Seq> SuspensionQueue::IndexedBest(
-    const ResourceStore& store, NodeId node_id, ConfigId freed_config,
-    WorkloadMeter& meter) const {
-  // The walk visits the whole (shrinking) queue for every pick. The store
-  // does not change during one pick, so one bound covers the
-  // could-eventually-host test of every entry.
-  meter.Add(StepKind::kSchedulingSearch, size());
-  return Timed([&] {
-    obs::MetricInc(obs::MetricId::kSusqQueryBestPrioEligible);
-    return index_->BestPriorityEligible(store.node(node_id).family(),
-                                        store.CouldEventuallyHostBound(node_id),
-                                        freed_config);
   });
 }
 

@@ -26,11 +26,12 @@
 //
 // The queue owns the completion drain (DrainFull, DrainPartial): the
 // drain order, the choice between the literal walk and the index, the
-// resumable FIFO cursor and every step charge. With the drain index
-// enabled (the default) it keeps a SusQueueIndex over its seqs in sync, so
-// drain candidate selection runs in O(log Q) host work; every drain still
-// charges the WorkloadMeter exactly what the literal walk would have
-// charged (DESIGN.md "Scheduler index").
+// resumable FIFO cursor and every step charge. A FIFO-order queue with
+// the drain index enabled (the default) keeps a SusQueueIndex over its
+// seqs in sync, so drain candidate selection runs in O(log Q) host work;
+// every drain still charges the WorkloadMeter exactly what the literal
+// walk would have charged (DESIGN.md "Scheduler index"). A priority-order
+// queue always drains by its literal walks (DESIGN.md §9.1).
 #pragma once
 
 #include <cstddef>
@@ -54,6 +55,10 @@ namespace dreamsim::resource {
 
 class Node;
 class ResourceStore;
+
+/// The drain order of a SuspensionQueue: FIFO (oldest first) or priority
+/// (highest priority first, FIFO tie-break).
+enum class SusOrder : std::uint8_t { kFifo, kPriority };
 
 /// FIFO of suspended tasks with counted traversals. An optional capacity
 /// bound lets failure-injection tests exercise overflow handling.
@@ -107,8 +112,7 @@ class SuspensionQueue {
   /// `tasks` and `configs` are where the queue reads a queued task's area,
   /// priority and family; both must outlive the queue. `capacity` of 0
   /// means unbounded. `order` is the drain order
-  /// (SimulationConfig::priority_scheduling), served by the walk and the
-  /// index alike.
+  /// (SimulationConfig::priority_scheduling).
   SuspensionQueue(const TaskStore& tasks, const ConfigCatalogue& configs,
                   std::size_t capacity = 0, SusOrder order = SusOrder::kFifo)
       : tasks_(&tasks),
@@ -137,9 +141,8 @@ class SuspensionQueue {
     return seq < entries_.size() ? entries_[seq].task : TaskId::invalid();
   }
 
-  /// The drain attributes of the queued entry `seq` (uncounted, O(1);
-  /// priority 0 in a FIFO-order queue): its cell's config, that config's
-  /// family and the task's area and priority.
+  /// The drain attributes of the queued entry `seq` (uncounted, O(1)): its
+  /// cell's config, that config's family and the task's area.
   [[nodiscard]] SusEntryAttrs AttrsAt(Seq seq) const;
 
   /// The FIFO position (0 = oldest) of the queued entry `seq` (uncounted,
@@ -149,7 +152,8 @@ class SuspensionQueue {
   }
 
   /// Enables or disables the drain index, rebuilding it from the current
-  /// queue content.
+  /// queue content. Only a FIFO-order queue builds one: a priority-order
+  /// queue ignores `enabled` and keeps draining by its walks.
   void SetDrainIndexed(bool enabled);
   [[nodiscard]] bool drain_indexed() const { return index_ != nullptr; }
 
@@ -163,10 +167,11 @@ class SuspensionQueue {
   // `attempt`, which runs the scheduling policy on it and removes the
   // entry (RemoveSeq) when it is placed or dropped. The queue's order
   // (FIFO, or highest priority with FIFO tie-break) picks among the
-  // candidates. Each drain has two halves with one contract: the literal
+  // candidates. A FIFO drain has two halves with one contract: the literal
   // walk charges one scheduling-search step per visited entry, and the
   // index answers in O(log Q) host work and charges what that walk would
-  // have. Decisions and charges are identical either way.
+  // have. Decisions and charges are identical either way. A priority drain
+  // is the walk alone.
 
   /// Full reconfiguration: the entry that wants exactly `freed_config`
   /// or, only when no entry does, the entry the node's whole fabric could
@@ -202,8 +207,7 @@ class SuspensionQueue {
     for (std::size_t attempts = 0; attempts < max_attempts; ++attempts) {
       std::optional<Seq> next;
       if (order_ == SusOrder::kPriority) {
-        next = index_ ? IndexedBest(store, node, freed_config, meter)
-                      : ScanBest(store, node, freed_config, meter);
+        next = ScanBest(store, node, freed_config, meter);
       } else {
         next = index_ ? IndexedNext(store, node, freed_config, cursor, meter)
                       : ScanNext(store, node, freed_config, cursor, meter);
@@ -283,9 +287,9 @@ class SuspensionQueue {
   }
 
   // The drains' candidate picks (suspension_queue.cpp): per shape, the
-  // literal walk (Scan*) and the index (Indexed*), which charges `meter`
-  // what the walk visits. The *Next picks advance `cursor` past the pick,
-  // as if the attempt removes it.
+  // literal walk (Scan*) and, for the FIFO shapes, the index (Indexed*),
+  // which charges `meter` what the walk visits. The *Next picks advance
+  // `cursor` past the pick, as if the attempt removes it.
   [[nodiscard]] std::optional<Seq> ScanFull(const ResourceStore& store,
                                             NodeId node, ConfigId freed_config,
                                             WorkloadMeter& meter) const;
@@ -297,10 +301,6 @@ class SuspensionQueue {
                                             FifoCursor& cursor,
                                             WorkloadMeter& meter) const;
   [[nodiscard]] std::optional<Seq> IndexedFull(const ResourceStore& store,
-                                               NodeId node,
-                                               ConfigId freed_config,
-                                               WorkloadMeter& meter) const;
-  [[nodiscard]] std::optional<Seq> IndexedBest(const ResourceStore& store,
                                                NodeId node,
                                                ConfigId freed_config,
                                                WorkloadMeter& meter) const;

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "ptype/catalogue.hpp"
+#include "util/enum_name.hpp"
 #include "util/fmt.hpp"
 
 namespace dreamsim::scenario {
@@ -420,29 +421,21 @@ class Parser {
     } else if (key == "seed") {
       (void)WantU64(key, value, line_no, config_.seed);
     } else if (key == "mode") {
-      if (value == "full") {
-        config_.mode = sched::ReconfigMode::kFull;
-      } else if (value == "partial") {
-        config_.mode = sched::ReconfigMode::kPartial;
+      if (const auto mode = FromName(value, {sched::ReconfigMode::kFull,
+                                             sched::ReconfigMode::kPartial})) {
+        config_.mode = *mode;
       } else {
         Error(line_no,
               Format("key 'mode': expected full or partial, got '{}'", value));
       }
     } else if (key == "policy") {
-      if (value == "dreamsim") {
-        config_.policy = core::PolicyChoice::kDreamSim;
-      } else if (value == "first-fit") {
-        config_.policy = core::PolicyChoice::kFirstFit;
-      } else if (value == "best-fit") {
-        config_.policy = core::PolicyChoice::kBestFit;
-      } else if (value == "worst-fit") {
-        config_.policy = core::PolicyChoice::kWorstFit;
-      } else if (value == "random-fit") {
-        config_.policy = core::PolicyChoice::kRandomFit;
-      } else if (value == "round-robin") {
-        config_.policy = core::PolicyChoice::kRoundRobin;
-      } else if (value == "least-loaded") {
-        config_.policy = core::PolicyChoice::kLeastLoaded;
+      if (const auto policy = FromName(
+              value,
+              {core::PolicyChoice::kDreamSim, core::PolicyChoice::kFirstFit,
+               core::PolicyChoice::kBestFit, core::PolicyChoice::kWorstFit,
+               core::PolicyChoice::kRandomFit, core::PolicyChoice::kRoundRobin,
+               core::PolicyChoice::kLeastLoaded})) {
+        config_.policy = *policy;
       } else {
         Error(line_no, Format("key 'policy': unknown policy '{}'", value));
       }
@@ -587,15 +580,12 @@ class Parser {
     } else if (key == "placement") {
       if (value == "scalar") {
         p.contiguous_placement = false;
-      } else if (value == "first-fit") {
+      } else if (const auto placement = FromName(
+                     value, {resource::Placement::kFirstFit,
+                             resource::Placement::kBestFit,
+                             resource::Placement::kWorstFit})) {
         p.contiguous_placement = true;
-        p.placement = resource::Placement::kFirstFit;
-      } else if (value == "best-fit") {
-        p.contiguous_placement = true;
-        p.placement = resource::Placement::kBestFit;
-      } else if (value == "worst-fit") {
-        p.contiguous_placement = true;
-        p.placement = resource::Placement::kWorstFit;
+        p.placement = *placement;
       } else {
         Error(line_no,
               Format("key 'placement': expected scalar, first-fit, best-fit "
@@ -623,12 +613,11 @@ class Parser {
         }
       }
     } else if (key == "arrivals") {
-      if (value == "steady") {
-        p.shape = workload::ArrivalShape::kSteady;
-      } else if (value == "bursty") {
-        p.shape = workload::ArrivalShape::kBursty;
-      } else if (value == "windowed") {
-        p.shape = workload::ArrivalShape::kWindowed;
+      if (const auto shape =
+              FromName(value, {workload::ArrivalShape::kSteady,
+                               workload::ArrivalShape::kBursty,
+                               workload::ArrivalShape::kWindowed})) {
+        p.shape = *shape;
       } else {
         Error(line_no,
               Format("key 'arrivals': expected steady, bursty or windowed, "
@@ -636,12 +625,11 @@ class Parser {
                      value));
       }
     } else if (key == "process") {
-      if (value == "uniform") {
-        p.base.arrivals = workload::ArrivalProcess::kUniform;
-      } else if (value == "poisson") {
-        p.base.arrivals = workload::ArrivalProcess::kPoisson;
-      } else if (value == "constant") {
-        p.base.arrivals = workload::ArrivalProcess::kConstant;
+      if (const auto process =
+              FromName(value, {workload::ArrivalProcess::kUniform,
+                               workload::ArrivalProcess::kPoisson,
+                               workload::ArrivalProcess::kConstant})) {
+        p.base.arrivals = *process;
       } else {
         Error(line_no,
               Format("key 'process': expected uniform, poisson or constant, "

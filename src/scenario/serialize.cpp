@@ -16,51 +16,6 @@ std::string Real(double v) {
   return std::string(buf, result.ptr);
 }
 
-std::string_view ModeToken(sched::ReconfigMode mode) {
-  return mode == sched::ReconfigMode::kFull ? "full" : "partial";
-}
-
-std::string_view PolicyToken(core::PolicyChoice choice) {
-  switch (choice) {
-    case core::PolicyChoice::kDreamSim: return "dreamsim";
-    case core::PolicyChoice::kFirstFit: return "first-fit";
-    case core::PolicyChoice::kBestFit: return "best-fit";
-    case core::PolicyChoice::kWorstFit: return "worst-fit";
-    case core::PolicyChoice::kRandomFit: return "random-fit";
-    case core::PolicyChoice::kRoundRobin: return "round-robin";
-    case core::PolicyChoice::kLeastLoaded: return "least-loaded";
-  }
-  return "dreamsim";
-}
-
-std::string_view PlacementToken(const resource::DeviceClassParams& p) {
-  if (!p.contiguous_placement) return "scalar";
-  switch (p.placement) {
-    case resource::Placement::kFirstFit: return "first-fit";
-    case resource::Placement::kBestFit: return "best-fit";
-    case resource::Placement::kWorstFit: return "worst-fit";
-  }
-  return "first-fit";
-}
-
-std::string_view ShapeToken(workload::ArrivalShape shape) {
-  switch (shape) {
-    case workload::ArrivalShape::kSteady: return "steady";
-    case workload::ArrivalShape::kBursty: return "bursty";
-    case workload::ArrivalShape::kWindowed: return "windowed";
-  }
-  return "steady";
-}
-
-std::string_view ProcessToken(workload::ArrivalProcess process) {
-  switch (process) {
-    case workload::ArrivalProcess::kUniform: return "uniform";
-    case workload::ArrivalProcess::kPoisson: return "poisson";
-    case workload::ArrivalProcess::kConstant: return "constant";
-  }
-  return "uniform";
-}
-
 }  // namespace
 
 std::string CanonicalScenario(const ScenarioSpec& spec) {
@@ -69,8 +24,8 @@ std::string CanonicalScenario(const ScenarioSpec& spec) {
   out += "simulation: {\n";
   out += Format("  name: {}\n", spec.name.empty() ? "scenario" : spec.name);
   out += Format("  seed: {}\n", c.seed);
-  out += Format("  mode: {}\n", ModeToken(c.mode));
-  out += Format("  policy: {}\n", PolicyToken(c.policy));
+  out += Format("  mode: {}\n", sched::ToString(c.mode));
+  out += Format("  policy: {}\n", core::ToString(c.policy));
   out += Format("  ship bitstreams: {}\n", c.ship_bitstreams ? "on" : "off");
   out += Format("  bitstream cache: {}\n", c.bitstream_cache_capacity);
   out += Format("  closest match slowdown: {}\n",
@@ -103,15 +58,17 @@ std::string CanonicalScenario(const ScenarioSpec& spec) {
     out += d.bitstream_store < 0
                ? std::string("  bitstream store: inherit\n")
                : Format("  bitstream store: {}\n", d.bitstream_store);
-    out += Format("  placement: {}\n", PlacementToken(d));
+    out += Format("  placement: {}\n",
+                  d.contiguous_placement ? resource::ToString(d.placement)
+                                         : "scalar");
     out += "}\n";
   }
   for (const workload::TaskClassParams& t : c.task_classes) {
     out += "task class: {\n";
     out += Format("  name: {}\n", t.name);
     out += Format("  count: {}\n", t.base.total_tasks);
-    out += Format("  arrivals: {}\n", ShapeToken(t.shape));
-    out += Format("  process: {}\n", ProcessToken(t.base.arrivals));
+    out += Format("  arrivals: {}\n", workload::ToString(t.shape));
+    out += Format("  process: {}\n", workload::ToString(t.base.arrivals));
     out += Format("  interval: [{}, {}]\n", t.base.min_interval,
                   t.base.max_interval);
     out += Format("  required time: [{}, {}]\n", t.base.min_required_time,

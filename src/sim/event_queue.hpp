@@ -38,7 +38,6 @@ enum class EventPriority : std::uint8_t {
   kCompletion = 0,
   kControl = 1,
   kArrival = 2,
-  kHousekeeping = 3,
 };
 
 /// What an event means to the kernel's owner. The queue never interprets

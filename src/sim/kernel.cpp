@@ -55,15 +55,7 @@ FiredEvent Kernel::Advance() {
   }
   assert(fired.tick >= now_);
   now_ = fired.tick;
-  ++executed_;
   return fired;
-}
-
-void Kernel::Reset() {
-  queue_.Clear();
-  now_ = 0;
-  executed_ = 0;
-  stop_requested_ = false;
 }
 
 }  // namespace dreamsim::sim

@@ -1,13 +1,13 @@
 // Discrete-event simulation kernel: owns the clock and the event queue, and
 // runs the event loop. Entities (the RMS, the job submission manager)
 // schedule typed events; the kernel advances the clock to each event's tick
-// and hands the event to the handler its owner passes to Run()/Step().
+// and hands the event to the handler its owner passes to Run().
 // Integer-tick semantics match the paper's timetick model while avoiding
 // per-tick iteration over billion-tick horizons.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <limits>
 
 #include "sim/event_queue.hpp"
 #include "util/types.hpp"
@@ -33,45 +33,18 @@ class Kernel {
   /// Cancels a previously scheduled event; false if already run/cancelled.
   bool Cancel(EventHandle handle) { return queue_.Cancel(handle); }
 
-  /// Runs until the event queue drains, the next event lies past
-  /// `horizon`, or RequestStop() is called; calls handler(const
-  /// FiredEvent&) for each event after advancing the clock to its tick.
-  /// Returns the number of events executed.
+  /// Runs until the event queue drains; calls handler(const FiredEvent&)
+  /// for each event after advancing the clock to its tick.
   template <typename Handler>
-  std::uint64_t Run(Handler&& handler,
-                    Tick horizon = std::numeric_limits<Tick>::max()) {
-    stop_requested_ = false;
-    std::uint64_t count = 0;
-    while (!queue_.empty() && !stop_requested_) {
-      if (queue_.next_tick() > horizon) break;
-      handler(Advance());
-      ++count;
-    }
-    return count;
+  void Run(Handler&& handler) {
+    while (!queue_.empty()) handler(Advance());
   }
-
-  /// Executes at most one event; returns false when the queue is empty.
-  template <typename Handler>
-  bool Step(Handler&& handler) {
-    if (queue_.empty()) return false;
-    handler(Advance());
-    return true;
-  }
-
-  /// Requests the Run() loop to stop after the current event.
-  void RequestStop() { stop_requested_ = true; }
 
   /// The current tick: the tick of the last executed event (0 before the
   /// first). Eq. 5's total simulation time is the tick count.
   [[nodiscard]] Tick now() const { return now_; }
   /// Read-only view of the pending-event set (structure audits).
   [[nodiscard]] const EventQueue& queue() const { return queue_; }
-  [[nodiscard]] bool idle() const { return queue_.empty(); }
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
-  [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
-
-  /// Clears all pending events and rewinds the clock to zero.
-  void Reset();
 
   /// Pre-reserves event-queue capacity: `heap_events` simultaneously
   /// pending heap events, `total_events` events over the run.
@@ -85,8 +58,6 @@ class Kernel {
 
   Tick now_ = 0;
   EventQueue queue_;
-  std::uint64_t executed_ = 0;
-  bool stop_requested_ = false;
 };
 
 }  // namespace dreamsim::sim

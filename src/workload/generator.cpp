@@ -26,6 +26,15 @@ void PushColumn(std::vector<T>& column, T value, std::size_t tasks,
 
 }  // namespace
 
+std::string_view ToString(ArrivalProcess process) {
+  switch (process) {
+    case ArrivalProcess::kUniform: return "uniform";
+    case ArrivalProcess::kPoisson: return "poisson";
+    case ArrivalProcess::kConstant: return "constant";
+  }
+  return "?";
+}
+
 Workload::Workload(std::initializer_list<GeneratedTask> tasks)
     : Workload(std::span<const GeneratedTask>(tasks.begin(), tasks.size())) {}
 

@@ -23,6 +23,7 @@
 #include <iterator>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "resource/config.hpp"
@@ -42,6 +43,8 @@ enum class ArrivalProcess : std::uint8_t {
   /// Fixed gap of max_interval ticks (deterministic stress workloads).
   kConstant,
 };
+
+[[nodiscard]] std::string_view ToString(ArrivalProcess process);
 
 /// Generation parameters (Table II defaults).
 struct TaskGenParams {

@@ -2,7 +2,7 @@
 // query must also charge the WorkloadMeter.
 struct Index {
   long OldestExactMatch(long key);
-  long BestPriorityEligible(long key);
+  long OldestEligible(long key);
 };
 struct Meter {
   void Add(long steps);
@@ -26,7 +26,7 @@ long Queue::Bad() {
 // Negative: the charge sits beside the call.
 long Queue::Good(Meter& meter) {
   meter.Add(12);
-  return index_->BestPriorityEligible(3);
+  return index_->OldestEligible(3);
 }
 
 // Positive: a catalogue index answer reports the scan's steps, but

@@ -314,7 +314,6 @@ TEST(FaultSemantics, KilledTaskIsRequeuedWithItsArrivalAttributes) {
     EXPECT_EQ(requeued.resolved_config, arrival.resolved_config);
     EXPECT_EQ(requeued.config_family, arrival.config_family);
     EXPECT_EQ(requeued.needed_area, arrival.needed_area);
-    EXPECT_EQ(requeued.priority, arrival.priority);
   }
 }
 

@@ -38,9 +38,8 @@ void PrintTo(const MetricsDiffCase& c, std::ostream* os) {
 
 /// Counters whose values name the answering mode rather than the model.
 constexpr MetricId kModeCounters[] = {
-    MetricId::kStoreScanFallback,         MetricId::kSusqScanFallback,
-    MetricId::kSusqQueryOldestExact,      MetricId::kSusqQueryBestPrioExact,
-    MetricId::kSusqQueryOldestEligible,   MetricId::kSusqQueryBestPrioEligible,
+    MetricId::kStoreScanFallback,    MetricId::kSusqScanFallback,
+    MetricId::kSusqQueryOldestExact, MetricId::kSusqQueryOldestEligible,
 };
 
 std::uint64_t ValueOf(const obs::MetricsSnapshot& snap, MetricId id) {

@@ -57,7 +57,7 @@ using Arrivals = std::vector<std::pair<Tick, std::uint32_t>>;
 /// Runs the kernel to completion and records each arrival's (tick, id).
 Arrivals RunArrivals(sim::Kernel& kernel) {
   Arrivals arrivals;
-  (void)kernel.Run([&](const sim::FiredEvent& e) {
+  kernel.Run([&](const sim::FiredEvent& e) {
     EXPECT_EQ(e.event.kind, sim::EventKind::kArrival);
     arrivals.emplace_back(kernel.now(), e.event.a);
   });
@@ -115,7 +115,7 @@ TEST(JobSubmissionManager, UnsortedWorkloadMatchesItsStableSortedCopy) {
   JobSubmissionManager heap_jobs(heap_kernel, heap_tasks);
   (void)heap_jobs.Submit(unsorted);
   EXPECT_EQ(heap_kernel.queue().cursor_pending(), 0u);
-  EXPECT_EQ(heap_kernel.pending_events(), unsorted.size());
+  EXPECT_EQ(heap_kernel.queue().size(), unsorted.size());
   const Arrivals via_heap = RunArrivals(heap_kernel);
 
   sim::Kernel cursor_kernel;
@@ -196,11 +196,11 @@ TEST(JobSubmissionManager, InvalidWorkloadSubmitsNothing) {
   EXPECT_THROW((void)jobs.Submit(wl), std::invalid_argument);
   EXPECT_EQ(tasks.size(), 0u);
   EXPECT_EQ(jobs.submitted(), 0u);
-  EXPECT_EQ(kernel.pending_events(), 0u);
+  EXPECT_EQ(kernel.queue().size(), 0u);
   EXPECT_THROW((void)jobs.SubmitOne(wl[1], 5), std::invalid_argument);
   EXPECT_EQ(tasks.size(), 0u);
   EXPECT_EQ(jobs.submitted(), 0u);
-  EXPECT_EQ(kernel.pending_events(), 0u);
+  EXPECT_EQ(kernel.queue().size(), 0u);
 }
 
 TEST(MonitoringModule, TimeWeightedUtilization) {

@@ -526,23 +526,6 @@ TEST(StructureAuditorCorruption, SkewedSeqTreeSummaryIsSusidxGroup) {
       << report.Render();
 }
 
-TEST(StructureAuditorCorruption, SkewedTreapMinAreaIsSusidxTreap) {
-  const resource::TaskStore tasks = MakeTasks(5);
-  const ConfigCatalogue configs = MakeCatalogue({300, 500});
-  SuspensionQueue queue(tasks, configs, /*capacity=*/0,
-                        resource::SusOrder::kPriority);
-  queue.SetDrainIndexed(true);
-  WorkloadMeter meter;
-  for (std::uint32_t t = 0; t < 5; ++t) {
-    ASSERT_TRUE(queue.Add(TaskId{t}, ConfigId{t % 2}, meter));
-  }
-  StructureCorruptor::SkewSusTreapMinArea(queue);
-  const AuditReport report = StructureAuditor::AuditSuspensionQueue(queue);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(Slugs(report), std::set<std::string>{"susidx.treap"})
-      << report.Render();
-}
-
 TEST(StructureAuditorCorruption, SetTaskStateIsTaskState) {
   using resource::TaskState;
   // Tasks 0-2 wait in the queue, task 3 runs on b's busy slot, task 4

@@ -14,10 +14,12 @@
 //      64-seq words and removed seqs inside a config's forward order
 //      behind its head. A standalone SusQueueIndex
 //      mirrors the queue so that its raw queries, from any cursor, can be
-//      checked against a brute-force rescan. An index serves one drain
-//      order, so the fuzz runs once per order.
+//      checked against a brute-force rescan. The fuzz runs once per drain
+//      order: a priority-order queue builds no index, so its twins must
+//      both walk and agree.
 //   2. Simulator-level: full runs across both reconfiguration modes,
-//      priority scheduling on/off, suspension_batch in {0, 1, 8}, retry
+//      priority scheduling on/off (priority order walks whatever
+//      drain_index says), suspension_batch in {0, 1, 8}, retry
 //      budgets, bounded-capacity overflow, and contiguous placement —
 //      identical event sequences and bit-identical MetricsReport fields
 //      across > 100 seeded differential run pairs.
@@ -77,9 +79,8 @@ std::vector<Queued> Entries(const SuspensionQueue& queue) {
   return out;
 }
 
-/// Brute-force rescans of a queue's content (first match wins; priority
-/// replaces only when strictly greater). Answers are seqs, as the
-/// index's are.
+/// Brute-force rescans of a queue's content (first match wins). Answers
+/// are seqs, as the index's are.
 struct BruteForce {
   const std::vector<Queued>& queue;
   const std::unordered_map<std::uint32_t, SusEntryAttrs>& attrs;
@@ -96,16 +97,6 @@ struct BruteForce {
     return std::nullopt;
   }
 
-  [[nodiscard]] std::optional<std::uint64_t> BestPriorityExactMatch(
-      ConfigId config) const {
-    std::optional<std::size_t> best;
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-      if (At(i).resolved_config != config) continue;
-      if (!best || At(i).priority > At(*best).priority) best = i;
-    }
-    return SeqOf(best);
-  }
-
   /// Entries queued before seq `from` are skipped.
   [[nodiscard]] std::optional<std::uint64_t> OldestEligible(
       FamilyId family, Area bound, Seq from, ConfigId match) const {
@@ -116,22 +107,6 @@ struct BruteForce {
     return std::nullopt;
   }
 
-  [[nodiscard]] std::optional<std::uint64_t> BestPriorityEligible(
-      FamilyId family, Area bound, ConfigId match) const {
-    std::optional<std::size_t> best;
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-      if (!Eligible(At(i), family, bound, match)) continue;
-      if (!best || At(i).priority > At(*best).priority) best = i;
-    }
-    return SeqOf(best);
-  }
-
- private:
-  [[nodiscard]] std::optional<std::uint64_t> SeqOf(
-      std::optional<std::size_t> i) const {
-    if (!i) return std::nullopt;
-    return queue[*i].seq;
-  }
 };
 
 constexpr std::uint32_t kFuzzConfigs = 7;
@@ -299,7 +274,8 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
   Twin scan(tasks, param.capacity, param.order);
   indexed.queue.SetDrainIndexed(true);
   scan.queue.SetDrainIndexed(false);
-  SusQueueIndex mirror(param.order);
+  ASSERT_EQ(indexed.queue.drain_indexed(), fifo);
+  SusQueueIndex mirror;
   Seq next_seq = 0;
   std::unordered_map<std::uint32_t, SusEntryAttrs> attrs_oracle;
   std::uint64_t drains = 0;
@@ -320,13 +296,12 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
   // unresolved / family-less).
   const auto new_task = [&](ConfigId config) {
     resource::TaskSpec spec;
-    double priority = 0.0;
     TaskId id;
     if (!param.columns) {
       spec.required_time = 10;
       spec.needed_area = rng.uniform_int(100, 2000);
-      priority = static_cast<double>(rng.uniform_int(0, 8));
-      id = tasks.SubmitOne(spec, 0, priority);
+      id = tasks.SubmitOne(spec, 0,
+                           static_cast<double>(rng.uniform_int(0, 8)));
     } else {
       if (next_in_batch == kBatch) {
         Batch& batch = batches.emplace_back();
@@ -341,7 +316,6 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
         next_in_batch = 0;
       }
       spec = batches.back().specs[next_in_batch];
-      priority = batches.back().priority[next_in_batch];
       id = TaskId{static_cast<std::uint32_t>(tasks.size() - kBatch +
                                              next_in_batch)};
       ++next_in_batch;
@@ -350,7 +324,6 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
     a.resolved_config = config;
     a.config_family = ConfigFamily(config);
     a.needed_area = spec.needed_area;
-    a.priority = fifo ? 0.0 : priority;
     return std::make_pair(id, a);
   };
   const auto random_config = [&rng] {
@@ -385,7 +358,6 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
       attrs_oracle[task.value()] = attrs;
       mirror.Add(next_seq, attrs);
       ASSERT_EQ(indexed.queue.AttrsAt(next_seq).needed_area, attrs.needed_area);
-      ASSERT_EQ(indexed.queue.AttrsAt(next_seq).priority, attrs.priority);
       ++next_seq;
     }
   };
@@ -460,18 +432,11 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
         const Area bound = rng.uniform_int(0, 2200);
         const ConfigId config = random_config();
         const ConfigId match = random_config();
-        if (fifo) {
-          const Seq from = queued.empty() ? 0 : random_entry(queued).seq;
-          ASSERT_EQ(mirror.OldestExactMatch(config),
-                    brute.OldestExactMatch(config));
-          ASSERT_EQ(mirror.OldestEligible(family, bound, from, match),
-                    brute.OldestEligible(family, bound, from, match));
-        } else {
-          ASSERT_EQ(mirror.BestPriorityExactMatch(config),
-                    brute.BestPriorityExactMatch(config));
-          ASSERT_EQ(mirror.BestPriorityEligible(family, bound, match),
-                    brute.BestPriorityEligible(family, bound, match));
-        }
+        const Seq from = queued.empty() ? 0 : random_entry(queued).seq;
+        ASSERT_EQ(mirror.OldestExactMatch(config),
+                  brute.OldestExactMatch(config));
+        ASSERT_EQ(mirror.OldestEligible(family, bound, from, match),
+                  brute.OldestEligible(family, bound, from, match));
         break;
       }
       case 10: {  // a burst, then a tombstone run across 64-seq words
@@ -524,6 +489,7 @@ TEST_P(SusDrainTwinFuzz, QueriesAndMetersAgreeUnderRandomOperations) {
   // attributes and drain answers.
   indexed.queue.SetDrainIndexed(false);
   indexed.queue.SetDrainIndexed(true);
+  ASSERT_EQ(indexed.queue.drain_indexed(), fifo);
   const analysis::AuditReport audit =
       analysis::StructureAuditor::AuditSuspensionQueue(indexed.queue);
   ASSERT_TRUE(audit.ok()) << audit.Render();
@@ -546,7 +512,7 @@ TEST(SusDrainIndex, ExactMatchesBehindTheCursorAreSkipped) {
   // so its walk takes no step; an arbitrary cursor makes it walk, up to
   // running off the list's tail. Every cursor seq, a removed one and one
   // past the newest included, must agree with the brute-force rescan.
-  SusQueueIndex index(resource::SusOrder::kFifo);
+  SusQueueIndex index;
   std::unordered_map<std::uint32_t, SusEntryAttrs> attrs;
   std::vector<Queued> queued;
   for (std::uint32_t t = 0; t < 12; ++t) {
@@ -714,7 +680,8 @@ RunResult RunOne(const SimCase& c, std::uint64_t seed, bool indexed) {
   sim.SetEventLogger([&](const SimEvent& e) { result.events.push_back(e); });
   const workload::Workload wl = MakeWorkload(seed);
   result.report = sim.RunWithWorkload(wl);
-  EXPECT_EQ(sim.suspension().drain_indexed(), indexed);
+  // Only FIFO order builds the index; priority order always walks.
+  EXPECT_EQ(sim.suspension().drain_indexed(), indexed && !c.priority);
   const analysis::AuditReport audit = sim.AuditStructures();
   EXPECT_TRUE(audit.ok()) << audit.Render();
   return result;

@@ -298,8 +298,8 @@ TEST(SuspensionQueue, IndexedChargesMatchTheScanContract) {
 
 TEST(SuspensionQueue, IndexedDrainQueriesPickScanWinners) {
   // One population in a FIFO-order and a priority-order queue, drained
-  // with the index on and off: each order picks its own winner, and the
-  // two halves agree.
+  // with the index on and off (a priority-order queue walks either way):
+  // each order picks its own winner, and the two halves agree.
   for (const bool indexed : {false, true}) {
     SCOPED_TRACE(indexed ? "indexed" : "scan");
     Tables t;
@@ -344,26 +344,55 @@ TEST(SuspensionQueue, IndexedDrainQueriesPickScanWinners) {
   }
 }
 
-TEST(SuspensionQueue, QueriesOfTheOtherOrderThrow) {
-  // The index a queue builds serves the queue's own drain order only.
-  SusQueueIndex fifo(SusOrder::kFifo);
-  SusQueueIndex prio(SusOrder::kPriority);
-  EXPECT_THROW((void)fifo.BestPriorityExactMatch(ConfigId{1}),
-               std::logic_error);
-  EXPECT_THROW((void)fifo.BestPriorityEligible(FamilyId::invalid(), 100,
-                                               ConfigId::invalid()),
-               std::logic_error);
-  EXPECT_THROW((void)prio.OldestExactMatch(ConfigId{1}), std::logic_error);
-  SusEntryAttrs attrs;
-  attrs.resolved_config = ConfigId{1};
-  attrs.needed_area = 100;
-  prio.Add(0, attrs);
-  EXPECT_THROW((void)prio.OldestEligible(FamilyId::invalid(), 100, 0,
-                                         ConfigId::invalid()),
-               std::logic_error);
-  EXPECT_EQ(fifo.OldestExactMatch(ConfigId{1}), std::nullopt);
-  EXPECT_EQ(prio.BestPriorityExactMatch(ConfigId{1}),
-            std::optional<std::uint64_t>{0});
+TEST(SuspensionQueue, PriorityOrderQueueHoldsNoIndex) {
+  // The drain index serves FIFO order only: a priority-order queue asked
+  // for one, before or after entries arrive, keeps walking. Its picks are
+  // the walk's (exact match before fallback in full mode, highest
+  // priority first with FIFO ties), its charges the walk's, and it audits
+  // clean.
+  Tables t;
+  (void)t.Task(900, 1.0);
+  (void)t.Task(400, 3.0);
+  (void)t.Task(300, 9.0);
+  (void)t.Task(200, 3.0);
+  (void)t.Task(250, 9.0);
+  const ResourceStore store = OneNodeStore(350);
+  std::vector<std::vector<Seq>> picks;
+  std::vector<Steps> steps;
+  for (const bool indexed : {true, false}) {
+    SCOPED_TRACE(indexed ? "index asked for" : "index off");
+    SuspensionQueue q(t.tasks, t.configs, 0, SusOrder::kPriority);
+    q.SetDrainIndexed(indexed);
+    WorkloadMeter meter;
+    (void)q.Add(TaskId{0}, ConfigId{7}, meter);
+    (void)q.Add(TaskId{1}, ConfigId{5}, meter);
+    q.SetDrainIndexed(indexed);  // a rebuild over live entries
+    (void)q.Add(TaskId{2}, ConfigId{7}, meter);
+    (void)q.Add(TaskId{3}, ConfigId{5}, meter);
+    (void)q.Add(TaskId{4}, ConfigId{6}, meter);
+    EXPECT_FALSE(q.drain_indexed());
+    const analysis::AuditReport audit =
+        analysis::StructureAuditor::AuditSuspensionQueue(q);
+    EXPECT_TRUE(audit.ok()) << audit.Render();
+    // Exact matches for config 5 (seqs 1 and 3, priority 3 each) beat the
+    // priority-9 fallbacks; the tie goes to the older one.
+    EXPECT_EQ(FullPick(q, store, ConfigId{5}), std::optional<Seq>{1});
+    // No match: the best-priority fallback, seq 2 before the equally
+    // prioritized seq 4.
+    EXPECT_EQ(FullPick(q, store, ConfigId{1}), std::optional<Seq>{2});
+    // Partial: seq 0 (config 7, area 900) enters by the exact-match rule,
+    // after the entries that fit and outrank it; seq 1 (config 5, area
+    // 400) fits neither rule and stays.
+    const Drained d = Drain(q, store, false, ConfigId{7}, 0);
+    picks.push_back(d.seqs);
+    steps.push_back(d.steps);
+    EXPECT_EQ(d.seqs, (std::vector<Seq>{2, 4, 3, 0}));
+    EXPECT_EQ(Fifo(q), std::vector<TaskId>{TaskId{1}});
+  }
+  EXPECT_EQ(picks[0], picks[1]);
+  // Each pick walks the whole shrinking queue, the last one finding none.
+  EXPECT_EQ(steps[0], 5u + 4u + 3u + 2u + 1u);
+  EXPECT_EQ(steps[0], steps[1]);
 }
 
 TEST(SuspensionQueue, RequeueAfterKillChargesOneHousekeepingStep) {
@@ -595,10 +624,12 @@ TEST(SuspensionQueue, MatchesVectorModelUnderRandomOperations) {
   }
 }
 
-/// One queued entry of the drain model: the task and its attributes.
+/// One queued entry of the drain model: the task, its attributes and its
+/// priority.
 struct ModelEntry {
   TaskId task;
   SusEntryAttrs attrs;
+  double priority = 0.0;
 };
 
 /// Literal-walk drains over a plain vector of (task, attrs) in FIFO order,
@@ -672,7 +703,7 @@ class DrainModel {
   [[nodiscard]] bool Better(const std::optional<std::size_t>& best,
                             std::size_t i) const {
     return !best || (order_ == SusOrder::kPriority &&
-                     entries[i].attrs.priority > entries[*best].attrs.priority);
+                     entries[i].priority > entries[*best].priority);
   }
   void Attempt(std::size_t i, bool keep, std::vector<TaskId>& picks) {
     picks.push_back(entries[i].task);
@@ -717,8 +748,7 @@ void FuzzDrainsAgainstModel(std::uint64_t seed, SusOrder order, bool indexed) {
     SusEntryAttrs attrs;
     attrs.resolved_config = config;
     attrs.needed_area = spec.needed_area;
-    attrs.priority = t.tasks.Priority(task);
-    model.entries.push_back({task, attrs});
+    model.entries.push_back({task, attrs, t.tasks.Priority(task)});
   };
   // Removes the entries at FIFO positions [first, first + count).
   const auto remove_run = [&](std::size_t first, std::size_t count) {

@@ -27,6 +27,7 @@
 #include "obs/timeline.hpp"
 #include "rms/detail_report.hpp"
 #include "util/cli.hpp"
+#include "util/enum_name.hpp"
 #include "util/fmt.hpp"
 #include "util/log.hpp"
 #include "workload/trace.hpp"
@@ -36,24 +37,29 @@ namespace {
 using namespace dreamsim;
 
 std::optional<core::PolicyChoice> ParsePolicy(const std::string& name) {
-  for (const auto choice :
-       {core::PolicyChoice::kDreamSim, core::PolicyChoice::kFirstFit,
-        core::PolicyChoice::kBestFit, core::PolicyChoice::kWorstFit,
-        core::PolicyChoice::kRandomFit, core::PolicyChoice::kRoundRobin,
-        core::PolicyChoice::kLeastLoaded}) {
-    if (name == core::ToString(choice)) return choice;
-  }
-  return std::nullopt;
+  return FromName(name, {core::PolicyChoice::kDreamSim,
+                         core::PolicyChoice::kFirstFit,
+                         core::PolicyChoice::kBestFit,
+                         core::PolicyChoice::kWorstFit,
+                         core::PolicyChoice::kRandomFit,
+                         core::PolicyChoice::kRoundRobin,
+                         core::PolicyChoice::kLeastLoaded});
 }
 
 std::optional<core::WasteAccounting> ParseAccounting(const std::string& name) {
-  for (const auto accounting :
-       {core::WasteAccounting::kOnSchedule, core::WasteAccounting::kOnConfigure,
-        core::WasteAccounting::kTimeWeighted,
-        core::WasteAccounting::kIdleConfigured}) {
-    if (name == core::ToString(accounting)) return accounting;
-  }
-  return std::nullopt;
+  return FromName(name, {core::WasteAccounting::kOnSchedule,
+                         core::WasteAccounting::kOnConfigure,
+                         core::WasteAccounting::kTimeWeighted,
+                         core::WasteAccounting::kIdleConfigured});
+}
+
+/// The --mode flag's reconfiguration mode.
+sched::ReconfigMode ParseMode(const CliParser& cli) {
+  const std::string mode = cli.GetString("mode");
+  const auto parsed = FromName(
+      mode, {sched::ReconfigMode::kPartial, sched::ReconfigMode::kFull});
+  if (!parsed) throw std::invalid_argument(Format("unknown mode '{}'", mode));
+  return *parsed;
 }
 
 void RegisterFlags(CliParser& cli) {
@@ -113,8 +119,9 @@ void RegisterFlags(CliParser& cli) {
               "O(log N) indexed scheduler queries (identical decisions and "
               "metrics; off = literal counted scans)");
   cli.AddBool("drain-index", true,
-              "O(log Q) indexed suspension-queue drain (identical decisions "
-              "and metrics; off = literal counted scans)");
+              "O(log Q) indexed suspension-queue drain, FIFO order only "
+              "(identical decisions and metrics; off = literal counted "
+              "scans)");
   // Correctness tooling (DESIGN.md §12).
   cli.AddString("audit", "off",
                 "structure-invariant audit: off|end (once at end of run)|"
@@ -234,16 +241,7 @@ core::SimulationConfig BuildScenarioConfig(const CliParser& cli) {
   if (cli.WasSet("seed")) {
     config.seed = static_cast<std::uint64_t>(cli.GetInt("seed"));
   }
-  if (cli.WasSet("mode")) {
-    const std::string mode = cli.GetString("mode");
-    if (mode == "full") {
-      config.mode = sched::ReconfigMode::kFull;
-    } else if (mode == "partial") {
-      config.mode = sched::ReconfigMode::kPartial;
-    } else {
-      throw std::invalid_argument(Format("unknown mode '{}'", mode));
-    }
-  }
+  if (cli.WasSet("mode")) config.mode = ParseMode(cli);
   if (cli.WasSet("policy")) {
     const auto policy = ParsePolicy(cli.GetString("policy"));
     if (!policy) {
@@ -287,20 +285,16 @@ core::SimulationConfig BuildConfig(const CliParser& cli) {
   config.seed = static_cast<std::uint64_t>(cli.GetInt("seed"));
 
   const std::string arrivals = cli.GetString("arrivals");
-  if (arrivals == "poisson") {
-    config.tasks.arrivals = workload::ArrivalProcess::kPoisson;
-  } else if (arrivals == "constant") {
-    config.tasks.arrivals = workload::ArrivalProcess::kConstant;
-  } else if (arrivals != "uniform") {
+  const auto process =
+      FromName(arrivals, {workload::ArrivalProcess::kUniform,
+                          workload::ArrivalProcess::kPoisson,
+                          workload::ArrivalProcess::kConstant});
+  if (!process) {
     throw std::invalid_argument(Format("unknown arrival process '{}'", arrivals));
   }
+  config.tasks.arrivals = *process;
 
-  const std::string mode = cli.GetString("mode");
-  if (mode == "full") {
-    config.mode = sched::ReconfigMode::kFull;
-  } else if (mode != "partial") {
-    throw std::invalid_argument(Format("unknown mode '{}'", mode));
-  }
+  config.mode = ParseMode(cli);
 
   const auto policy = ParsePolicy(cli.GetString("policy"));
   if (!policy) {
@@ -310,13 +304,13 @@ core::SimulationConfig BuildConfig(const CliParser& cli) {
   config.policy = *policy;
 
   const std::string placement = cli.GetString("placement");
-  if (placement == "best-fit") {
-    config.nodes.placement = resource::Placement::kBestFit;
-  } else if (placement == "worst-fit") {
-    config.nodes.placement = resource::Placement::kWorstFit;
-  } else if (placement != "first-fit") {
+  const auto fit = FromName(placement, {resource::Placement::kFirstFit,
+                                        resource::Placement::kBestFit,
+                                        resource::Placement::kWorstFit});
+  if (!fit) {
     throw std::invalid_argument(Format("unknown placement '{}'", placement));
   }
+  config.nodes.placement = *fit;
   return config;
 }
 

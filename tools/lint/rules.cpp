@@ -157,10 +157,9 @@ class UnchargedIndexQueryRule : public Rule {
     // index answers in ResolveConfig, whose bodies charge what the literal
     // scan would have.
     static const std::vector<std::string_view> kQueries = {
-        "index_->OldestExactMatch", "index_->BestPriorityExactMatch",
-        "index_->OldestEligible", "index_->BestPriorityEligible",
-        "index_->BestBlank",
-        "index_->BestPartiallyBlank", "index_->FindAnyIdle",
+        "index_->OldestExactMatch", "index_->OldestEligible",
+        "index_->BestBlank", "index_->BestPartiallyBlank",
+        "index_->FindAnyIdle",
         "index_->AnyBusyFit", "index_->BestIdleConfigured",
         "index_->RankedHost", "catalogue.FindPreferred",
         "catalogue.FindClosestMatch"};
